@@ -120,10 +120,15 @@ def rough_integral(
     values = np.zeros((len(base.points), beta.out_dim))
     np.cumsum(contrib, axis=0, out=values[1:])
 
-    idx = _coarse_indices(base.num_steps)
+    idx = np.array(_coarse_indices(base.num_steps))
+    incs = base.increment_levels(idx[:-1], idx[1:])
     coarse = np.zeros(beta.out_dim)
-    for a, b in zip(idx[:-1], idx[1:]):
-        coarse = coarse + beta.value_on_increment(a, base.increment(a, b))
+    for row, a in enumerate(idx[:-1]):
+        # the same products, in the same order, as beta.value_on_increment
+        step = np.zeros(beta.out_dim)
+        for k in range(1, base.level + 1):
+            step += beta.levels[k - 1][a] @ incs[k][row]
+        coarse = coarse + step
     disc = float(np.linalg.norm(values[-1] - coarse))
 
     certified = None

@@ -17,7 +17,10 @@ from .tensor import (
     DimensionMismatchError,
     GroupElement,
     TruncatedTensor,
+    certify_stack,
     homogeneous_norm,
+    stack_inverse,
+    stack_product,
     tensor_exp,
 )
 
@@ -218,20 +221,9 @@ class SampledRoughPath:
     # -- cached bulk geometry ------------------------------------------------
 
     @cached_property
-    def step_increments(self) -> tuple[GroupElement, ...]:
-        return tuple(
-            self.points[i].increment_to(self.points[i + 1])
-            for i in range(self.num_steps)
-        )
-
-    @cached_property
-    def step_level_blocks(self) -> tuple[np.ndarray, ...]:
-        """Per-level stacks of consecutive increments: blocks[k-1] is (N, d**k)."""
-        incs = self.step_increments
-        return tuple(
-            np.stack([g.level_block(k) for g in incs])
-            for k in range(1, self.level + 1)
-        )
+    def _grouplike(self) -> np.ndarray:
+        """Per-point certificate flags, shape (N+1,)."""
+        return np.array([g.grouplike for g in self.points], dtype=bool)
 
     @cached_property
     def _point_levels(self) -> tuple[np.ndarray, ...]:
@@ -242,10 +234,50 @@ class SampledRoughPath:
 
     @cached_property
     def _inverse_levels(self) -> tuple[np.ndarray, ...]:
-        invs = [g.inverse() for g in self.points]
+        inv = stack_inverse(self._point_levels)
+        certify_stack(inv, rows=self._grouplike)
+        return inv
+
+    def increment_levels(
+        self, a_idx: np.ndarray, b_idx: np.ndarray
+    ) -> tuple[np.ndarray, ...]:
+        """Level stacks of g_{a,b} = g_a^{-1} g_b for index arrays of equal length.
+
+        Entry [k] has shape (len(a_idx), d**k), degrees 0..L.  Rows agree
+        bitwise with `increment(a, b)`; a row is certified group-like when
+        both of its points are, and a failed certificate raises ValueError.
+        """
+        a_idx = np.asarray(a_idx, dtype=int)
+        b_idx = np.asarray(b_idx, dtype=int)
+        inc = stack_product(
+            tuple(x[a_idx] for x in self._inverse_levels),
+            tuple(x[b_idx] for x in self._point_levels),
+        )
+        certify_stack(inc, rows=self._grouplike[a_idx] & self._grouplike[b_idx])
+        return inc
+
+    @cached_property
+    def step_level_blocks(self) -> tuple[np.ndarray, ...]:
+        """Per-level stacks of consecutive increments: blocks[k-1] is (N, d**k)."""
+        idx = np.arange(self.num_steps)
+        blocks = self.increment_levels(idx, idx + 1)[1:]
+        for b in blocks:
+            b.flags.writeable = False
+        return blocks
+
+    @cached_property
+    def step_increments(self) -> tuple[GroupElement, ...]:
+        """Consecutive increments g_{i,i+1} as views of `step_level_blocks`."""
+        ones = np.ones((self.num_steps, 1))
+        ones.flags.writeable = False
+        stack = (ones,) + self.step_level_blocks
+        flags = self._grouplike[:-1] & self._grouplike[1:]
         return tuple(
-            np.stack([g.level_block(k) for g in invs])
-            for k in range(self.level + 1)
+            GroupElement._trusted(
+                TruncatedTensor._view(self.dim, self.level, stack, i),
+                bool(flags[i]),
+            )
+            for i in range(self.num_steps)
         )
 
     @cached_property

@@ -294,9 +294,13 @@ class RdeSolution:
 
 
 def _residual(problem: RdeProblem, state: PicardState) -> float:
-    """Sup distance between the candidate and one more integral-map step."""
-    nxt = picard_step(state, problem)
-    return float(np.max(np.linalg.norm(nxt.positions - state.positions, axis=1)))
+    """Sup distance between the candidate and one more integral-map step.
+
+    Only the step's positions are needed, so its form distance is not taken.
+    """
+    form = compose_integrand(problem.field, state.positions, state.form)
+    positions = problem.xi[None, :] + rough_integral(form).values
+    return float(np.max(np.linalg.norm(positions - state.positions, axis=1)))
 
 
 def solve(

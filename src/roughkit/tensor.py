@@ -25,6 +25,9 @@ __all__ = [
     "split_apply",
     "split_matrix",
     "compositions",
+    "stack_product",
+    "stack_inverse",
+    "certify_stack",
 ]
 
 
@@ -36,6 +39,96 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float)
     out.flags.writeable = False
     return out
+
+
+# -- level-stack kernel -------------------------------------------------------
+#
+# A level stack holds n elements of the truncated algebra side by side: a
+# tuple of L+1 arrays, stack[k] of shape (n, d**k).  The single-element
+# classes below are 1-row views over these functions, so the graded product,
+# the nilpotent series and the group-like certificate each exist once.
+
+GROUPLIKE_SHUFFLE_TOL = 1e-10
+GROUPLIKE_INVERSE_TOL = 1e-12
+
+
+def _unit_like(t: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """Stack of units with the shapes of t."""
+    return (np.ones(t[0].shape),) + tuple(np.zeros(x.shape) for x in t[1:])
+
+
+def stack_product(
+    a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...]
+) -> tuple[np.ndarray, ...]:
+    """Row-wise graded (truncated) tensor product of two level stacks."""
+    n = a[0].shape[0]
+    out = []
+    for k in range(len(a)):
+        acc = np.zeros((n, a[k].shape[1]))
+        for j in range(k + 1):
+            # a row-wise outer product concatenates letter indices
+            acc += (a[j][:, :, None] * b[k - j][:, None, :]).reshape(n, -1)
+        out.append(acc)
+    return tuple(out)
+
+
+def _stack_series(
+    u: tuple[np.ndarray, ...],
+    coeffs: list[float],
+    acc: tuple[np.ndarray, ...],
+) -> tuple[np.ndarray, ...]:
+    """acc + sum_n coeffs[n-1] u^n for u with zero scalar part.
+
+    The series is finite: u^n vanishes above the truncation level.
+    """
+    power = _unit_like(u)
+    for c in coeffs:
+        power = stack_product(power, u)
+        acc = tuple(x + c * p for x, p in zip(acc, power))
+    return acc
+
+
+def stack_inverse(t: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """Row-wise inverse of unital elements: (1 + u)^{-1} = sum_n (-u)^n."""
+    u = (np.zeros(t[0].shape),) + tuple(t[1:])
+    coeffs = [(-1.0) ** n for n in range(1, len(t))]
+    return _stack_series(u, coeffs, _unit_like(t))
+
+
+def certify_stack(
+    t: tuple[np.ndarray, ...], rows: np.ndarray | None = None
+) -> None:
+    """Group-like certificate for every selected row of a unital level stack.
+
+    Each row must satisfy the level-2 shuffle relation (relative tolerance)
+    and the inverse identity t t^{-1} = 1 (absolute tolerance).  `rows` is a
+    boolean mask; unselected rows are not checked.  The ValueError names the
+    test that the first failing row fails, shuffle before inverse.
+    """
+    if rows is not None:
+        t = tuple(x[rows] for x in t)
+    n = t[0].shape[0]
+    if n == 0:
+        return
+    shuffle_bad = np.zeros(n, dtype=bool)
+    if len(t) > 2:
+        x = t[1]
+        d = x.shape[1]
+        two = t[2].reshape(n, d, d)
+        sym_defect = 0.5 * (two + two.transpose(0, 2, 1)) - 0.5 * (
+            x[:, :, None] * x[:, None, :]
+        )
+        scale = 1.0 + np.linalg.norm(x, axis=1) ** 2
+        worst = np.max(np.abs(sym_defect), axis=(1, 2), initial=0.0)
+        shuffle_bad = worst > GROUPLIKE_SHUFFLE_TOL * scale
+    prod = stack_product(t, stack_inverse(t))
+    inverse_bad = np.zeros(n, dtype=bool)
+    for a, b in zip(prod, _unit_like(t)):
+        inverse_bad |= np.max(np.abs(a - b), axis=1, initial=0.0) > GROUPLIKE_INVERSE_TOL
+    bad = np.flatnonzero(shuffle_bad | inverse_bad)
+    if bad.size:
+        what = "level-2 shuffle relation" if shuffle_bad[bad[0]] else "inverse identity"
+        raise ValueError(f"group-like certificate failed: {what}")
 
 
 @dataclass(frozen=True)
@@ -99,6 +192,26 @@ class TruncatedTensor:
         if level >= 1:
             blocks[1] = vec
         return cls(dim, level, tuple(blocks))
+
+    @classmethod
+    def _view(
+        cls, dim: int, level: int, stack: tuple[np.ndarray, ...], row: int
+    ) -> "TruncatedTensor":
+        """One row of a read-only level stack, wrapped without copy or checks.
+
+        Only for kernel results built from validated operands; the public
+        operations copy and validate their results instead.
+        """
+        blocks = tuple(block[row] for block in stack)
+        out = object.__new__(cls)
+        object.__setattr__(out, "dim", dim)
+        object.__setattr__(out, "level", level)
+        object.__setattr__(out, "coeffs", blocks)
+        return out
+
+    def _stack(self) -> tuple[np.ndarray, ...]:
+        """This element as a 1-row level stack."""
+        return tuple(b[None, :] for b in self.coeffs)
 
     @classmethod
     def from_level_blocks(
@@ -170,16 +283,8 @@ class TruncatedTensor:
     def __matmul__(self, other: "TruncatedTensor") -> "TruncatedTensor":
         """Graded (truncated) tensor product."""
         self._check_compatible(other)
-        d, L = self.dim, self.level
-        out = [np.zeros(d**k) for k in range(L + 1)]
-        for k in range(L + 1):
-            acc = out[k]
-            for j in range(k + 1):
-                a = self.coeffs[j]
-                b = other.coeffs[k - j]
-                # outer() on flat blocks concatenates letter indices.
-                acc += np.outer(a, b).reshape(-1)
-        return TruncatedTensor(d, L, tuple(out))
+        prod = stack_product(self._stack(), other._stack())
+        return TruncatedTensor(self.dim, self.level, tuple(b[0] for b in prod))
 
     def without_scalar(self) -> "TruncatedTensor":
         blocks = list(self.coeffs)
@@ -212,12 +317,13 @@ def tensor_exp(v: TruncatedTensor, *, grouplike: bool = False) -> "GroupElement"
     """
     if abs(v.scalar) > 0:
         raise ValueError("tensor_exp requires a zero scalar part")
-    acc = TruncatedTensor.unit(v.dim, v.level)
-    power = TruncatedTensor.unit(v.dim, v.level)
-    for n in range(1, v.level + 1):
-        power = power @ v
-        acc = acc + (1.0 / math.factorial(n)) * power
-    return GroupElement(acc, grouplike=grouplike)
+    u = v._stack()
+    coeffs = [1.0 / math.factorial(n) for n in range(1, v.level + 1)]
+    acc = _stack_series(u, coeffs, _unit_like(u))
+    return GroupElement(
+        TruncatedTensor(v.dim, v.level, tuple(b[0] for b in acc)),
+        grouplike=grouplike,
+    )
 
 
 def tensor_log(a: "TruncatedTensor | GroupElement") -> TruncatedTensor:
@@ -225,13 +331,10 @@ def tensor_log(a: "TruncatedTensor | GroupElement") -> TruncatedTensor:
     t = a.tensor if isinstance(a, GroupElement) else a
     if abs(t.scalar - 1.0) > 1e-9:
         raise ValueError("tensor_log requires scalar part 1")
-    u = t.without_scalar()
-    acc = TruncatedTensor.zero(t.dim, t.level)
-    power = TruncatedTensor.unit(t.dim, t.level)
-    for n in range(1, t.level + 1):
-        power = power @ u
-        acc = acc + ((-1.0) ** (n + 1) / n) * power
-    return acc
+    u = t.without_scalar()._stack()
+    coeffs = [(-1.0) ** (n + 1) / n for n in range(1, t.level + 1)]
+    acc = _stack_series(u, coeffs, tuple(np.zeros(b.shape) for b in u))
+    return TruncatedTensor(t.dim, t.level, tuple(b[0] for b in acc))
 
 
 @dataclass(frozen=True)
@@ -246,30 +349,19 @@ class GroupElement:
     tensor: TruncatedTensor
     grouplike: bool = False
 
-    _GROUPLIKE_SHUFFLE_TOL = 1e-10
-    _GROUPLIKE_INVERSE_TOL = 1e-12
-
     def __post_init__(self) -> None:
         if self.tensor.scalar != 1.0:
             raise ValueError("group elements must have scalar part exactly 1")
         if self.grouplike:
-            self._check_grouplike()
+            certify_stack(self.tensor._stack())
 
-    def _check_grouplike(self) -> None:
-        t = self.tensor
-        d = t.dim
-        if t.level >= 2:
-            x = t.level_block(1)
-            two = t.level_block(2).reshape(d, d)
-            sym_defect = 0.5 * (two + two.T) - 0.5 * np.outer(x, x)
-            scale = 1.0 + np.linalg.norm(x) ** 2
-            if np.max(np.abs(sym_defect), initial=0.0) > self._GROUPLIKE_SHUFFLE_TOL * scale:
-                raise ValueError("group-like certificate failed: level-2 shuffle relation")
-        prod = (self.tensor @ _inverse_tensor(self.tensor)).coeffs
-        unit = TruncatedTensor.unit(t.dim, t.level).coeffs
-        for a, b in zip(prod, unit):
-            if np.max(np.abs(a - b), initial=0.0) > self._GROUPLIKE_INVERSE_TOL:
-                raise ValueError("group-like certificate failed: inverse identity")
+    @classmethod
+    def _trusted(cls, tensor: TruncatedTensor, grouplike: bool) -> "GroupElement":
+        """Wrap a unital tensor whose certificate already ran on its stack."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "tensor", tensor)
+        object.__setattr__(out, "grouplike", grouplike)
+        return out
 
     # passthroughs
     @property
@@ -290,7 +382,12 @@ class GroupElement:
         )
 
     def inverse(self) -> "GroupElement":
-        return GroupElement(_inverse_tensor(self.tensor), grouplike=self.grouplike)
+        t = self.tensor
+        inv = stack_inverse(t._stack())
+        return GroupElement(
+            TruncatedTensor(t.dim, t.level, tuple(b[0] for b in inv)),
+            grouplike=self.grouplike,
+        )
 
     def increment_to(self, other: "GroupElement") -> "GroupElement":
         """Group increment self^{-1} @ other."""
@@ -302,17 +399,6 @@ class GroupElement:
 
     def norm(self) -> float:
         return self.tensor.norm()
-
-
-def _inverse_tensor(t: TruncatedTensor) -> TruncatedTensor:
-    # (1 + u)^{-1} = sum (-u)^n, exact by nilpotency of u.
-    u = t.without_scalar()
-    acc = TruncatedTensor.unit(t.dim, t.level)
-    power = TruncatedTensor.unit(t.dim, t.level)
-    for n in range(1, t.level + 1):
-        power = power @ u
-        acc = acc + ((-1.0) ** n) * power
-    return acc
 
 
 def homogeneous_norm(a: GroupElement) -> float:

@@ -151,3 +151,29 @@ def left_riemann(phi, x, n_fine):
     t = np.linspace(0.0, 1.0, n_fine + 1)
     xt = x(t)
     return float(np.sum(phi(xt[:-1]) * np.diff(xt)))
+
+
+def graded_product_loop(a, b):
+    """Truncated tensor product of two lists of flat level blocks.
+
+    One element at a time with np.outer, degree j = 0..k accumulated from
+    zeros: the summation order any faster product must reproduce bitwise.
+    """
+    out = []
+    for k in range(len(a)):
+        acc = np.zeros(a[k].size)
+        for j in range(k + 1):
+            acc += np.outer(a[j], b[k - j]).reshape(-1)
+        out.append(acc)
+    return out
+
+
+def series_inverse_loop(blocks):
+    """(1 + u)^{-1} = sum_n (-u)^n term by term, in graded_product_loop order."""
+    u = [np.zeros(1)] + [np.asarray(b, dtype=float) for b in blocks[1:]]
+    acc = [np.ones(1)] + [np.zeros(b.size) for b in u[1:]]
+    power = [np.ones(1)] + [np.zeros(b.size) for b in u[1:]]
+    for n in range(1, len(blocks)):
+        power = graded_product_loop(power, u)
+        acc = [x + ((-1.0) ** n) * p for x, p in zip(acc, power)]
+    return acc

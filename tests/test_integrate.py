@@ -244,6 +244,18 @@ def test_compose_second_level_reads_exactly_the_area_slot():
     np.testing.assert_allclose(full - ablated, predicted, atol=1e-12)
 
 
+def test_discrepancy_is_bitwise_the_object_half_grid_sum():
+    for n_steps in (12, 13):
+        g = smooth_driver(n_steps, level=3, p=3.0)
+        beta = field_integral_form(g, linear_field())
+        res = rough_integral(beta)
+        idx = list(range(0, n_steps + 1, 2)) + ([n_steps] if n_steps % 2 else [])
+        coarse = np.zeros(beta.out_dim)
+        for a, b in zip(idx[:-1], idx[1:]):
+            coarse = coarse + beta.value_on_increment(a, g.increment(a, b))
+        assert res.discrepancy == float(np.linalg.norm(res.values[-1] - coarse))
+
+
 def test_compose_rejects_low_gamma():
     g = smooth_driver(8, level=3, p=3.0)
     f = linear_field(gamma=1.5)

@@ -17,7 +17,7 @@ from roughkit.path import (
     write_path_csv,
     write_solution_csv,
 )
-from roughkit.tensor import homogeneous_norm, tensor_exp, TruncatedTensor
+from roughkit.tensor import GroupElement, homogeneous_norm, tensor_exp, TruncatedTensor
 
 from oracles import ode_iterated_integrals, pvar_exhaustive
 
@@ -328,3 +328,36 @@ def test_chen_consistency_of_stored_increments():
     for (s, u, t) in [(0, 2, 5), (1, 3, 4)]:
         joined = g.increment(s, u) @ g.increment(u, t)
         assert (joined.tensor - g.increment(s, t).tensor).norm() <= 1e-13
+
+
+def mixed_certificate_path(rng) -> SampledRoughPath:
+    """A level-3 lift whose odd points lose their area and their certificate."""
+    g = signature(random_polyline(rng, n_pts=7), 3, p=3.0)
+    points = list(g.points)
+    for i in range(1, len(points), 2):
+        blocks = dict(enumerate(points[i].tensor.coeffs))
+        blocks[2] = np.zeros(4)
+        points[i] = GroupElement(TruncatedTensor.from_level_blocks(2, 3, blocks))
+    return SampledRoughPath(g.times, tuple(points), 3.0)
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_increment_levels_are_bitwise_the_object_increments(mixed):
+    rng = np.random.default_rng(31)
+    g = mixed_certificate_path(rng) if mixed else signature(random_polyline(rng), 3, p=3.0)
+    n = len(g.points)
+    a_idx, b_idx = (x.reshape(-1) for x in np.meshgrid(np.arange(n), np.arange(n)))
+    stacks = g.increment_levels(a_idx, b_idx)
+    for row, (a, b) in enumerate(zip(a_idx, b_idx)):
+        ref = g.increment(a, b)
+        for k in range(g.level + 1):
+            assert np.array_equal(stacks[k][row], ref.level_block(k))
+    for i, inc in enumerate(g.step_increments):
+        ref = g.increment(i, i + 1)
+        assert inc.grouplike == ref.grouplike == (not mixed)
+        for k in range(g.level + 1):
+            assert np.array_equal(inc.level_block(k), ref.level_block(k))
+    inverses = g._inverse_levels
+    for i, pt in enumerate(g.points):
+        for k in range(g.level + 1):
+            assert np.array_equal(inverses[k][i], pt.inverse().level_block(k))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from roughkit.path import SampledPath, signature
@@ -8,15 +8,18 @@ from roughkit.tensor import (
     DimensionMismatchError,
     GroupElement,
     TruncatedTensor,
+    certify_stack,
     homogeneous_norm,
     last_letter_split,
     split_apply,
     split_matrix,
+    stack_inverse,
+    stack_product,
     tensor_exp,
     tensor_log,
 )
 
-from oracles import rebracket_product_rhs
+from oracles import graded_product_loop, rebracket_product_rhs, series_inverse_loop
 
 
 def basis(i, dim, level):
@@ -115,6 +118,72 @@ def test_inverse_cancels_on_random_signatures():
         a = random_signature(rng)
         prod = (a @ a.inverse()).tensor
         assert (prod - one).norm() <= 1e-12
+
+
+def stack_of(elems) -> tuple[np.ndarray, ...]:
+    return tuple(
+        np.stack([g.level_block(k) for g in elems]) for k in range(elems[0].level + 1)
+    )
+
+
+def test_stack_kernel_is_bitwise_the_loop_arithmetic():
+    rng = np.random.default_rng(3)
+    elems = [random_signature(rng) for _ in range(5)]
+    others = [random_signature(rng) for _ in range(5)]
+    inv = stack_inverse(stack_of(elems))
+    prod = stack_product(stack_of(elems), stack_of(others))
+    for i, (g, h) in enumerate(zip(elems, others)):
+        ref_inv = series_inverse_loop(g.tensor.coeffs)
+        ref_prod = graded_product_loop(g.tensor.coeffs, h.tensor.coeffs)
+        for k in range(g.level + 1):
+            assert np.array_equal(inv[k][i], ref_inv[k])
+            assert np.array_equal(inv[k][i], g.inverse().level_block(k))
+            assert np.array_equal(prod[k][i], ref_prod[k])
+            assert np.array_equal(prod[k][i], (g @ h).level_block(k))
+
+
+def _verdict(fn) -> str | None:
+    try:
+        fn()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+# rows of (seed, level-2 perturbation, dilation, selected by the mask); large
+# dilations push the inverse identity's rounding past its absolute tolerance
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=2**31 - 1),
+            st.sampled_from([0.0, 1e-13, 1e-9, 1e-3]),
+            st.sampled_from([1.0, 300.0]),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=5,
+    )
+)
+@example([(0, 0.0, 1.0, True), (1, 0.0, 300.0, True)])
+@example([(0, 0.0, 1.0, True), (1, 1e-3, 1.0, True), (2, 0.0, 300.0, True)])
+@example([(0, 0.0, 300.0, False), (1, 1e-3, 1.0, True)])
+def test_batched_certificate_matches_per_element(rows):
+    tensors, selected = [], []
+    for seed, eps, c, keep in rows:
+        rng = np.random.default_rng(seed)
+        t = random_signature(rng, dim=2, level=3).tensor.dilate(c)
+        blocks = dict(enumerate(t.coeffs))
+        blocks[2] = blocks[2] + eps * rng.standard_normal(4)
+        tensors.append(TruncatedTensor.from_level_blocks(2, 3, blocks))
+        selected.append(keep)
+    per_element = [
+        _verdict(lambda t=t: GroupElement(t, grouplike=True)) for t in tensors
+    ]
+    expected = next((v for v, keep in zip(per_element, selected) if keep and v), None)
+    stack = stack_of([GroupElement(t) for t in tensors])
+    assert _verdict(lambda: certify_stack(stack, rows=np.array(selected))) == expected
+    everything = next((v for v in per_element if v), None)
+    assert _verdict(lambda: certify_stack(stack)) == everything
 
 
 def test_homogeneous_norm_of_unit_is_zero():
