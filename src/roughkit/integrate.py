@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .funcs import LipFunction, SmoothMap, strict_floor
-from .oneform import OneFormPath, integral_form_from_controlled
+from .oneform import OneFormPath, _pair_quotient, integral_form_from_controlled
 from .path import Control, SampledPath, SampledRoughPath, signature, p_variation
 from .tensor import DimensionMismatchError, compositions, split_matrix
 
@@ -258,17 +258,14 @@ def integrate_controlled(
         )
     resid = np.linalg.norm(flat[t_idx] - flat[s_idx] - pred, axis=1)
     beta_norm = float(beta.operator_norm(gamma, omega))
-    wgt = omega.table[s_idx, t_idx] ** (gamma / base.p)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        quot = np.where(wgt > 0.0, resid / np.where(wgt > 0.0, wgt, 1.0), 0.0)
-    quot = np.where((wgt == 0.0) & (resid > 1e-12), np.inf, quot)
-    measured_M = float(np.max(quot) / beta_norm) if beta_norm > 0.0 else 0.0
+    worst, _ = _pair_quotient(resid, omega.table[s_idx, t_idx], gamma / base.p)
+    measured_M = worst / beta_norm if beta_norm > 0.0 else 0.0
 
     eta = integral_form_from_controlled(phi_values, beta)
     result = rough_integral(eta, gamma=gamma + 1.0, omega=omega)
     diagnostics = {
         "beta_norm": beta_norm,
-        "controlled_quotient": float(np.max(quot)),
+        "controlled_quotient": worst,
         "measured_M": measured_M,
         "M_bound": M,
         "ok": M is None or measured_M <= M * (1.0 + 1e-9),

@@ -11,8 +11,7 @@ one-forms exactly along group elements.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -43,6 +42,22 @@ def batched_spectral_norms(mats: np.ndarray) -> np.ndarray:
     gram = mats @ np.swapaxes(mats, -1, -2)
     vals = np.linalg.eigvalsh(gram)
     return np.sqrt(np.maximum(vals[..., -1], 0.0))
+
+
+def _pair_quotient(
+    num: np.ndarray, w: np.ndarray, expo: float, dead_tol: float = 1e-12
+) -> tuple[float, int]:
+    """Worst control-weighted quotient num / w**expo over a set of pairs.
+
+    Returns the maximum and the index of the pair attaining it.  Where
+    w**expo vanishes a numerator above dead_tol counts as +inf and any
+    other as 0.
+    """
+    denom = w**expo
+    quot = np.where(denom > 0.0, num / np.where(denom > 0.0, denom, 1.0), 0.0)
+    quot = np.where((denom == 0.0) & (num > dead_tol), np.inf, quot)
+    j = int(np.argmax(quot))
+    return float(quot[j]), j
 
 
 @dataclass(frozen=True)
@@ -242,18 +257,14 @@ class OneFormPath:
         k_max = min(self.base.level, strict_floor(gamma))
         quots = []
         pairs = []
-        dead_tol = max(1e-12, noise_floor)
         for k in range(1, k_max + 1):
             norms = batched_spectral_norms(self.difference_matrices(k))
             if noise_floor > 0.0:
                 norms = np.where(norms <= noise_floor, 0.0, norms)
-            denom = w ** ((gamma - k) / p)
-            quot = np.where(denom > 0.0, norms / np.where(denom > 0.0, denom, 1.0), 0.0)
-            dead = (denom == 0.0) & (norms > dead_tol)
-            if np.any(dead):
-                quot = np.where(dead, np.inf, quot)
-            j = int(np.argmax(quot))
-            quots.append(float(quot[j]))
+            q, j = _pair_quotient(
+                norms, w, (gamma - k) / p, dead_tol=max(1e-12, noise_floor)
+            )
+            quots.append(q)
             pairs.append((int(s_idx[j]), int(t_idx[j])))
         return sups, tuple(quots), pairs
 
@@ -364,11 +375,8 @@ def check_domination(
         if expo <= 0.0:
             raise ValueError(f"theta too small for level {k}")
         norms = batched_spectral_norms(beta.difference_matrices(k))
-        denom = w**expo
-        quot = np.where(denom > 0.0, norms / np.where(denom > 0.0, denom, 1.0), 0.0)
-        quot = np.where((denom == 0.0) & (norms > 1e-12), np.inf, quot)
-        j = int(np.argmax(quot))
-        sups.append(float(quot[j]))
+        q, j = _pair_quotient(norms, w, expo)
+        sups.append(q)
         pairs.append((int(s_idx[j]), int(t_idx[j])))
     if auto_scale and all(np.isfinite(q) for q in sups):
         lam = 1.0

@@ -7,8 +7,7 @@ to float roundoff.
 from __future__ import annotations
 
 import csv
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -287,21 +286,10 @@ class SampledRoughPath:
         Entry [r-1] has shape (N+1, N+1, d**r); the (s, t) slice is the
         degree-r block of g_s^{-1} g_t.  Dense: only for desk-scale grids.
         """
-        n = len(self.points)
-        d = self.dim
-        inv = self._inverse_levels
-        pts = self._point_levels
-        out = []
-        for r in range(1, self.level + 1):
-            acc = np.zeros((n, n, d**r))
-            for a in range(r + 1):
-                b = r - a
-                left = inv[a]
-                right = pts[b]
-                term = np.einsum("si,tj->stij", left, right).reshape(n, n, d**r)
-                acc += term
-            out.append(acc)
-        return tuple(out)
+        return stack_product(
+            tuple(x[:, None, :] for x in self._inverse_levels),
+            tuple(x[None, :, :] for x in self._point_levels),
+        )[1:]
 
     @cached_property
     def pairwise_homogeneous_norms(self) -> np.ndarray:
@@ -330,11 +318,18 @@ def p_variation(g: SampledRoughPath, i0: int = 0, i1: int | None = None) -> floa
     if not 0 <= i0 < i1 <= g.num_steps:
         raise ValueError("bad interval indices")
     E = g.pairwise_homogeneous_norms[i0 : i1 + 1, i0 : i1 + 1] ** g.p
-    n = i1 - i0
-    best = np.zeros(n + 1)
-    for j in range(1, n + 1):
+    return float(_best_partition_sum(E) ** (1.0 / g.p))
+
+
+def _best_partition_sum(E: np.ndarray) -> np.float64:
+    """max over grid partitions 0 = i_0 < ... < i_m = n-1 of sum_j E[i_j, i_{j+1}].
+
+    Dynamic program over the last partition point before each j.
+    """
+    best = np.zeros(E.shape[0])
+    for j in range(1, E.shape[0]):
         best[j] = np.max(best[:j] + E[:j, j])
-    return float(best[n] ** (1.0 / g.p))
+    return best[-1]
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .funcs import LipFunction, divide, strict_floor
+from .funcs import LipFunction, divide
 from .integrate import (
     RegularityError,
     compose_integrand,
@@ -28,10 +28,17 @@ from .integrate import (
 from .oneform import (
     DominationCertificate,
     OneFormPath,
+    _pair_quotient,
     check_domination,
     integral_form_from_controlled,
 )
-from .path import Control, SampledPath, SampledRoughPath, control_from_pvar
+from .path import (
+    Control,
+    SampledPath,
+    SampledRoughPath,
+    _best_partition_sum,
+    control_from_pvar,
+)
 from .tensor import split_matrix
 
 __all__ = [
@@ -457,13 +464,6 @@ def _pair_field(problem: RdeProblem) -> LipFunction:
     return h
 
 
-def _stacked_pair_form(
-    form_a: OneFormPath, form_b: OneFormPath
-) -> OneFormPath:
-    """Concatenate two candidate paths into one controlled pair."""
-    return OneFormPath.stack([form_a, form_b])
-
-
 def _product_form(
     H_values: np.ndarray,
     H_form: OneFormPath,
@@ -616,7 +616,7 @@ def difference_tower(
         ya = iterates[n + 1].positions
         yb = iterates[n].positions
         pair_pos = np.concatenate([ya, yb], axis=1)
-        pair_form = _stacked_pair_form(iterates[n + 1].form, iterates[n].form)
+        pair_form = OneFormPath.stack([iterates[n + 1].form, iterates[n].form])
         hv = h.apply(pair_pos).reshape(npts, m, d, m)
         ht = taylor_oneform(h, pair_pos, pair_form)
         pair_vals[n] = hv
@@ -700,21 +700,14 @@ def difference_tower(
             chasles = max(chasles, float(np.max(np.abs(lhs - rhs))))
 
     omega = problem.omega
+    s_idx, t_idx = problem.driver.pair_indices
+    w = omega.table[s_idx, t_idx]
     fitted_M = 1.0
     for (l, n) in keys:
         q = (n - l + 1) / p
-        denom = 3.0 * p * math.gamma(q + 1.0)
-        for s in range(npts - 1):
-            for t in range(s + 1, npts):
-                size = float(np.max(np.abs(values[(l, n)][s, t])))
-                if size <= 0.0:
-                    continue
-                wv = omega.value(s, t)
-                if wv <= 0.0:
-                    fitted_M = math.inf
-                    continue
-                need = (size * denom / wv**q) ** (1.0 / q)
-                fitted_M = max(fitted_M, need)
+        sizes = np.abs(values[(l, n)][s_idx, t_idx]).reshape(s_idx.size, -1).max(axis=1)
+        worst, _ = _pair_quotient(sizes, w, q, dead_tol=0.0)
+        fitted_M = max(fitted_M, (worst * 3.0 * p * math.gamma(q + 1.0)) ** (1.0 / q))
     eta_ok = math.isfinite(fitted_M)
 
     beta_norms = {}
@@ -812,7 +805,7 @@ def uniqueness_probe(
 
     h = _pair_field(problem)
     pair_pos = np.concatenate([positions_a, positions_b], axis=1)
-    pair_form = _stacked_pair_form(form_a, form_b)
+    pair_form = OneFormPath.stack([form_a, form_b])
     hv = h.apply(pair_pos).reshape(npts, m, d, m)
     ht = taylor_oneform(h, pair_pos, pair_form)
 
@@ -859,11 +852,7 @@ def driver_distance(a: SampledRoughPath, b: SampledRoughPath) -> float:
         da = a.pairwise_levels[k - 1]
         db = b.pairwise_levels[k - 1]
         gaps += np.linalg.norm(da - db, axis=2)
-    E = gaps**a.p
-    best = np.zeros(n)
-    for j in range(1, n):
-        best[j] = np.max(best[:j] + E[:j, j])
-    return float(best[-1] ** (1.0 / a.p))
+    return float(_best_partition_sum(gaps**a.p) ** (1.0 / a.p))
 
 
 @dataclass(frozen=True)

@@ -60,14 +60,19 @@ def _unit_like(t: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
 def stack_product(
     a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...]
 ) -> tuple[np.ndarray, ...]:
-    """Row-wise graded (truncated) tensor product of two level stacks."""
-    n = a[0].shape[0]
+    """Row-wise graded (truncated) tensor product of two level stacks.
+
+    Leading axes broadcast, so (n, 1, d**k) by (1, n, d**k) stacks give the
+    products of all pairs of rows.
+    """
+    # level-0 blocks end in an axis of length 1, so this is the leading shape
+    lead = np.broadcast(a[0], b[0]).shape[:-1]
     out = []
     for k in range(len(a)):
-        acc = np.zeros((n, a[k].shape[1]))
+        acc = np.zeros(lead + a[k].shape[-1:])
         for j in range(k + 1):
             # a row-wise outer product concatenates letter indices
-            acc += (a[j][:, :, None] * b[k - j][:, None, :]).reshape(n, -1)
+            acc += (a[j][..., :, None] * b[k - j][..., None, :]).reshape(lead + (-1,))
         out.append(acc)
     return tuple(out)
 

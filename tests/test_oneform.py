@@ -6,6 +6,7 @@ from roughkit.integrate import compose_integrand
 from roughkit.oneform import (
     ClosedLift,
     OneFormPath,
+    _pair_quotient,
     check_domination,
     lift_polynomial_form,
 )
@@ -363,3 +364,29 @@ def test_form_algebra_is_pointwise():
     lhs = (b1 + 2.0 * b2 - b1).evaluate(t, g.points[3], arg)
     rhs = 2.0 * b2.evaluate(t, g.points[3], arg)
     np.testing.assert_allclose(lhs, rhs, atol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "num, w, dead_tol, expected",
+    [
+        ([2.0, 0.5], [0.0, 1.0], 1e-12, (np.inf, 0)),
+        ([0.0, 0.5], [0.0, 1.0], 1e-12, (0.5, 1)),
+        ([0.0, 0.0], [0.0, 0.0], 0.0, (0.0, 0)),
+        ([1e-12, 0.5], [0.0, 1.0], 1e-12, (0.5, 1)),
+        ([2e-12, 0.5], [0.0, 1.0], 1e-12, (np.inf, 0)),
+        ([1e-12, 0.5], [0.0, 1.0], 0.0, (np.inf, 0)),
+        ([3.0, 2.0, 8.0], [4.0, 1.0, 16.0], 1e-12, (2.0, 1)),
+    ],
+    ids=[
+        "dead-pair-is-inf",
+        "zero-over-zero-is-zero",
+        "zero-over-zero-without-tolerance",
+        "numerator-at-dead-tol-is-zero",
+        "numerator-above-dead-tol-is-inf",
+        "zero-dead-tol-counts-any-mass",
+        "live-pairs-first-argmax",
+    ],
+)
+def test_pair_quotient_edge_rules(num, w, dead_tol, expected):
+    quot, j = _pair_quotient(np.array(num), np.array(w), 0.5, dead_tol=dead_tol)
+    assert (quot, j) == expected
