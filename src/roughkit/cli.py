@@ -101,12 +101,11 @@ def cmd_signature(args) -> int:
     if level < 1:
         raise ValueError(f"level must be at least 1, got {level}")
     lifted = signature(path, level)
-    end = lifted.points[-1]
     length = path.length()
     levels = {}
     decay = []
     for k in range(1, level + 1):
-        block = end.level_block(k)
+        block = lifted.levels[k][-1]
         norm = float(np.linalg.norm(block))
         levels[str(k)] = block
         ratio = (

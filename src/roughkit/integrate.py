@@ -14,7 +14,7 @@ import numpy as np
 
 from .funcs import LipFunction, SmoothMap, strict_floor
 from .oneform import OneFormPath, _pair_quotient, integral_form_from_controlled
-from .path import Control, SampledPath, SampledRoughPath, signature, p_variation
+from .path import Control, SampledPath, signature, p_variation
 from .tensor import DimensionMismatchError, compositions, split_matrix
 
 __all__ = [
@@ -97,7 +97,6 @@ def _coarse_indices(num_steps: int) -> list[int]:
 
 def rough_integral(
     beta: OneFormPath,
-    g: SampledRoughPath | None = None,
     gamma: float | None = None,
     omega: Control | None = None,
 ) -> IntegralResult:
@@ -108,8 +107,6 @@ def rough_integral(
     supplied the operator norm is evaluated and the result is certified iff
     the norm is finite and gamma > p.
     """
-    if g is not None and g is not beta.base:
-        beta = beta.with_base(g)
     base = beta.base
     if gamma is not None and gamma <= base.p - 1.0:
         raise ValueError(
@@ -117,7 +114,7 @@ def rough_integral(
             "the compensated sums have no meaning there"
         )
     contrib = beta.step_values()
-    values = np.zeros((len(base.points), beta.out_dim))
+    values = np.zeros((base.times.size, beta.out_dim))
     np.cumsum(contrib, axis=0, out=values[1:])
 
     idx = np.array(_coarse_indices(base.num_steps))
@@ -162,7 +159,7 @@ def taylor_oneform(
     if gamma is None:
         raise ValueError("gamma required for a bare map")
     base = rho_form.base
-    n, d = len(base.points), base.dim
+    n, d = base.times.size, base.dim
     m = rho_form.out_dim
     if fmap.in_dim != m:
         raise DimensionMismatchError(
@@ -219,7 +216,7 @@ def compose_integrand(
         )
     phi = f.apply(np.asarray(rho_positions, dtype=float))
     w = int(np.prod(f.out_shape[:-1], dtype=int)) if f.out_shape[:-1] else 1
-    phi = phi.reshape(len(base.points), w, base.dim)
+    phi = phi.reshape(base.times.size, w, base.dim)
     derivative_form = taylor_oneform(f, rho_positions, rho_form)
     return integral_form_from_controlled(phi, derivative_form)
 
@@ -239,7 +236,7 @@ def integrate_controlled(
     so callers can verify the premise rather than assume it.
     """
     base = beta.base
-    n, d = len(base.points), base.dim
+    n, d = base.times.size, base.dim
     phi_values = np.asarray(phi_values, dtype=float)
     if phi_values.shape[0] != n or phi_values.ndim != 3 or phi_values.shape[2] != d:
         raise DimensionMismatchError("phi must have shape (N+1, w, d)")

@@ -72,7 +72,7 @@ class OneFormPath:
     levels: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.base.points)
+        n = self.base.times.size
         d = self.base.dim
         if len(self.levels) != self.base.level:
             raise DimensionMismatchError(
@@ -96,7 +96,7 @@ class OneFormPath:
 
     @classmethod
     def zero(cls, base: SampledRoughPath, out_dim: int) -> "OneFormPath":
-        n, d = len(base.points), base.dim
+        n, d = base.times.size, base.dim
         return cls(
             base,
             out_dim,
@@ -109,7 +109,7 @@ class OneFormPath:
         A = np.asarray(A, dtype=float)
         if A.ndim != 2 or A.shape[1] != base.dim:
             raise DimensionMismatchError("expected an (out_dim, d) matrix")
-        n, d = len(base.points), base.dim
+        n, d = base.times.size, base.dim
         out = A.shape[0]
         levels = [np.broadcast_to(A, (n, out, d)).copy()]
         for k in range(2, base.level + 1):
@@ -306,17 +306,6 @@ class OneFormPath:
         )
         return OneFormPath(new_base, self.out_dim, levels)
 
-    def with_base(self, base: SampledRoughPath) -> "OneFormPath":
-        """Reattach to an identical copy of the base (grid equality checked)."""
-        if (
-            base.dim != self.base.dim
-            or base.level != self.base.level
-            or base.times.shape != self.base.times.shape
-            or not np.array_equal(base.times, self.base.times)
-        ):
-            raise DimensionMismatchError("replacement base does not match")
-        return OneFormPath(base, self.out_dim, self.levels)
-
 
 @dataclass(frozen=True)
 class DominationCertificate:
@@ -456,7 +445,7 @@ class ClosedLift:
 
     def along(self, g: SampledRoughPath) -> np.ndarray:
         """Cumulative partition sums, shape (N+1, out_dim); exact on lifts."""
-        vals = np.zeros((len(g.points), self.out_dim))
+        vals = np.zeros((g.times.size, self.out_dim))
         for i, inc in enumerate(g.step_increments):
             vals[i + 1] = vals[i] + self.pair_value(g.points[i], inc)
         return vals
@@ -466,14 +455,14 @@ class ClosedLift:
         if g.dim != self.dim:
             raise DimensionMismatchError("driver dimension mismatch")
         d = self.dim
-        X = self.base_point[None, :] + g.first_level()
+        X = self.base_point[None, :] + g.levels[1]
         levels = []
         for k in range(1, g.level + 1):
             dp = self.form.derivative(X, k - 1).reshape(
-                len(g.points), self.out_dim, d, d ** (k - 1)
+                g.times.size, self.out_dim, d, d ** (k - 1)
             )
             levels.append(
-                dp.transpose(0, 1, 3, 2).reshape(len(g.points), self.out_dim, d**k)
+                dp.transpose(0, 1, 3, 2).reshape(g.times.size, self.out_dim, d**k)
             )
         return OneFormPath(g, self.out_dim, tuple(levels))
 
@@ -497,7 +486,7 @@ def integral_form_from_controlled(
     last letter routed through the integrand's second slot.
     """
     g = derivative_form.base
-    n, d = len(g.points), g.dim
+    n, d = g.times.size, g.dim
     phi_values = np.asarray(phi_values, dtype=float)
     if phi_values.ndim != 3 or phi_values.shape[0] != n or phi_values.shape[2] != d:
         raise DimensionMismatchError("phi must have shape (N+1, w, d)")

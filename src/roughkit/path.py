@@ -18,9 +18,9 @@ from .tensor import (
     TruncatedTensor,
     certify_stack,
     homogeneous_norm,
+    stack_exp,
     stack_inverse,
     stack_product,
-    tensor_exp,
 )
 
 __all__ = [
@@ -109,17 +109,23 @@ def signature(path: SampledPath, level: int, p: float | None = None) -> "Sampled
 
     Each returned point is the signature of the path restricted to [t_0, t_i];
     segment signatures are exponentials of the increments, so the result is
-    exact for the polyline.  `p` defaults to float(level).
+    exact for the polyline.  `p` defaults to float(level).  The segments
+    are certified group-like in one batch, the points in another.
     """
     if level < 1:
         raise ValueError("level must be >= 1")
     if p is None:
         p = float(level)
-    points = [GroupElement(TruncatedTensor.unit(path.dim, level), grouplike=True)]
-    for step in path.increments():
-        seg = tensor_exp(TruncatedTensor.from_vector(step, level), grouplike=True)
+    steps = path.increments()
+    lie = [np.zeros((steps.shape[0], path.dim**k)) for k in range(level + 1)]
+    lie[1] = steps
+    segs = stack_exp(tuple(lie))
+    certify_stack(segs)
+    points = [GroupElement(TruncatedTensor.unit(path.dim, level))]
+    for seg in _element_views(segs, np.ones(steps.shape[0], dtype=bool)):
         points.append(points[-1] @ seg)
-    return SampledRoughPath(path.times, tuple(points), p)
+    levels = tuple(np.stack([g.level_block(k) for g in points]) for k in range(level + 1))
+    return SampledRoughPath(path.times, levels, p, np.ones(len(points), dtype=bool))
 
 
 def pure_area_path(area: float, steps: int) -> "SampledRoughPath":
@@ -131,110 +137,127 @@ def pure_area_path(area: float, steps: int) -> "SampledRoughPath":
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    gen = np.zeros((2, 2))
-    gen[0, 1] = 1.0
-    gen[1, 0] = -1.0
-    gen_flat = gen.reshape(-1)
+    gen = np.array([0.0, 1.0, -1.0, 0.0])
+    area_k = (np.arange(steps + 1) / steps * area)[:, None] * gen
+    lie = (np.zeros((steps + 1, 1)), np.zeros((steps + 1, 2)), area_k)
     times = np.linspace(0.0, 1.0, steps + 1)
-    points = []
-    for k in range(steps + 1):
-        lie = TruncatedTensor.from_level_blocks(
-            2, 2, {2: (k / steps) * area * gen_flat}
-        )
-        points.append(tensor_exp(lie, grouplike=True))
-    return SampledRoughPath(times, tuple(points), 2.0)
+    return SampledRoughPath(times, stack_exp(lie), 2.0, np.ones(steps + 1, dtype=bool))
+
+
+def _element_views(
+    stack: tuple[np.ndarray, ...], flags: np.ndarray
+) -> tuple[GroupElement, ...]:
+    """Rows of a certified level stack as elements; freezes the stack to share it."""
+    for x in stack:
+        x.flags.writeable = False
+    dim, level = stack[1].shape[1], len(stack) - 1
+    return tuple(
+        GroupElement._trusted(TruncatedTensor._view(dim, level, stack, i), bool(f))
+        for i, f in enumerate(flags)
+    )
 
 
 @dataclass(frozen=True)
 class SampledRoughPath:
-    """Group-valued sampled path: points g_{t_i} with g_{t_0} = 1 typically.
+    """Group-valued sampled path g_{t_i}, with g_{t_0} = 1 typically.
 
-    `p` is the claimed regularity; the truncation level of every point must
-    equal int(p).  Increments g_{s,t} = g_s^{-1} g_t are exact group algebra.
+    Stored as level stacks: `levels[k]` has shape (N+1, d**k) and row i is
+    the degree-k block of g_{t_i}.  `grouplike` is the (N+1,) mask of the
+    points certified group-like; the constructor certifies those rows once.
+    `p` is the claimed regularity; the truncation level must equal int(p).
+    Increments g_{s,t} = g_s^{-1} g_t are exact group algebra.
     """
 
     times: np.ndarray
-    points: tuple[GroupElement, ...]
+    levels: tuple[np.ndarray, ...]
     p: float
+    grouplike: np.ndarray
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float).reshape(-1)
-        if times.size != len(self.points):
-            raise DimensionMismatchError(
-                f"{times.size} times vs {len(self.points)} points"
-            )
-        if times.size < 2:
+        times = np.array(self.times, dtype=float).reshape(-1)
+        levels = tuple(np.array(x, dtype=float) for x in self.levels)
+        grouplike = np.array(self.grouplike, dtype=bool).reshape(-1)
+        n, level = times.size, len(levels) - 1
+        if n < 2:
             raise ValueError("need at least two samples")
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("times must be strictly increasing")
         if self.p < 1.0:
             raise ValueError("p must be >= 1")
-        level = self.points[0].level
-        dim = self.points[0].dim
         if level != int(self.p):
-            raise ValueError(
-                f"truncation level {level} does not match int(p) = {int(self.p)}"
-            )
-        for g in self.points:
-            if g.level != level or g.dim != dim:
-                raise DimensionMismatchError("points live in different algebras")
-        times = np.ascontiguousarray(times)
-        times.flags.writeable = False
+            raise ValueError(f"truncation level {level} does not match int(p) = {int(self.p)}")
+        for k, block in enumerate(levels):
+            if block.shape != (n, levels[1].shape[-1] ** k):
+                raise DimensionMismatchError(f"{n} times vs level-{k} stack {block.shape}")
+            if not np.all(np.isfinite(block)):
+                raise ValueError(f"level-{k} block contains non-finite entries")
+        if grouplike.shape != (n,):
+            raise DimensionMismatchError(f"{n} times vs {grouplike.size} certificate flags")
+        if not np.all(levels[0] == 1.0):
+            raise ValueError("group elements must have scalar part exactly 1")
+        if not np.all(np.isfinite(times)) or np.any(np.diff(times) <= 0):
+            raise ValueError("times must be finite and strictly increasing")
+        certify_stack(levels, rows=grouplike)
+        for arr in (times, grouplike) + levels:
+            arr.flags.writeable = False
         object.__setattr__(self, "times", times)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "grouplike", grouplike)
+
+    @classmethod
+    def from_points(cls, times: np.ndarray, points: tuple, p: float) -> "SampledRoughPath":
+        """Stack a sequence of `GroupElement`s and their certificate flags."""
+        head = points[0]
+        if any(g.dim != head.dim or g.level != head.level for g in points):
+            raise DimensionMismatchError("points live in different algebras")
+        levels = tuple(
+            np.stack([g.level_block(k) for g in points]) for k in range(head.level + 1)
+        )
+        return cls(times, levels, p, [g.grouplike for g in points])
 
     @property
     def dim(self) -> int:
-        return self.points[0].dim
+        return self.levels[1].shape[1]
 
     @property
     def level(self) -> int:
-        return self.points[0].level
+        return len(self.levels) - 1
 
     @property
     def num_steps(self) -> int:
-        return len(self.points) - 1
+        return self.times.size - 1
+
+    @cached_property
+    def points(self) -> tuple[GroupElement, ...]:
+        """The grid points g_{t_i} as views of `levels`."""
+        return _element_views(self.levels, self.grouplike)
 
     def increment(self, i: int, j: int) -> GroupElement:
         return self.points[i].increment_to(self.points[j])
 
-    def first_level(self) -> np.ndarray:
-        """Stacked level-1 blocks, shape (N+1, d)."""
-        return np.stack([g.level_block(1) for g in self.points])
-
     def positions(self, base_point: np.ndarray | None = None) -> np.ndarray:
         base = np.zeros(self.dim) if base_point is None else np.asarray(base_point, float)
-        return base[None, :] + self.first_level()
+        return base[None, :] + self.levels[1]
 
     def dilate(self, c: float) -> "SampledRoughPath":
+        """Level k scaled by c**k; the automorphism keeps the certificate flags."""
         if c <= 0:
             raise ValueError("dilation factor must be positive")
-        return SampledRoughPath(
-            self.times, tuple(g.dilate(c) for g in self.points), self.p
-        )
+        c = float(c)
+        levels = tuple((c**k) * x for k, x in enumerate(self.levels))
+        return SampledRoughPath(self.times, levels, self.p, self.grouplike)
 
     def restricted(self, i0: int, i1: int) -> "SampledRoughPath":
         if not 0 <= i0 < i1 <= self.num_steps:
             raise ValueError("bad restriction indices")
-        return SampledRoughPath(self.times[i0 : i1 + 1], self.points[i0 : i1 + 1], self.p)
+        rows = slice(i0, i1 + 1)
+        levels = tuple(x[rows] for x in self.levels)
+        return SampledRoughPath(self.times[rows], levels, self.p, self.grouplike[rows])
 
     # -- cached bulk geometry ------------------------------------------------
 
     @cached_property
-    def _grouplike(self) -> np.ndarray:
-        """Per-point certificate flags, shape (N+1,)."""
-        return np.array([g.grouplike for g in self.points], dtype=bool)
-
-    @cached_property
-    def _point_levels(self) -> tuple[np.ndarray, ...]:
-        return tuple(
-            np.stack([g.level_block(k) for g in self.points])
-            for k in range(self.level + 1)
-        )
-
-    @cached_property
     def _inverse_levels(self) -> tuple[np.ndarray, ...]:
-        inv = stack_inverse(self._point_levels)
-        certify_stack(inv, rows=self._grouplike)
+        inv = stack_inverse(self.levels)
+        certify_stack(inv, rows=self.grouplike)
         return inv
 
     def increment_levels(
@@ -250,9 +273,9 @@ class SampledRoughPath:
         b_idx = np.asarray(b_idx, dtype=int)
         inc = stack_product(
             tuple(x[a_idx] for x in self._inverse_levels),
-            tuple(x[b_idx] for x in self._point_levels),
+            tuple(x[b_idx] for x in self.levels),
         )
-        certify_stack(inc, rows=self._grouplike[a_idx] & self._grouplike[b_idx])
+        certify_stack(inc, rows=self.grouplike[a_idx] & self.grouplike[b_idx])
         return inc
 
     @cached_property
@@ -267,17 +290,8 @@ class SampledRoughPath:
     @cached_property
     def step_increments(self) -> tuple[GroupElement, ...]:
         """Consecutive increments g_{i,i+1} as views of `step_level_blocks`."""
-        ones = np.ones((self.num_steps, 1))
-        ones.flags.writeable = False
-        stack = (ones,) + self.step_level_blocks
-        flags = self._grouplike[:-1] & self._grouplike[1:]
-        return tuple(
-            GroupElement._trusted(
-                TruncatedTensor._view(self.dim, self.level, stack, i),
-                bool(flags[i]),
-            )
-            for i in range(self.num_steps)
-        )
+        stack = (np.ones((self.num_steps, 1)),) + self.step_level_blocks
+        return _element_views(stack, self.grouplike[:-1] & self.grouplike[1:])
 
     @cached_property
     def pairwise_levels(self) -> tuple[np.ndarray, ...]:
@@ -288,13 +302,13 @@ class SampledRoughPath:
         """
         return stack_product(
             tuple(x[:, None, :] for x in self._inverse_levels),
-            tuple(x[None, :, :] for x in self._point_levels),
+            tuple(x[None, :, :] for x in self.levels),
         )[1:]
 
     @cached_property
     def pairwise_homogeneous_norms(self) -> np.ndarray:
         """Homogeneous norm of g_{s,t} for every pair, shape (N+1, N+1)."""
-        n = len(self.points)
+        n = self.times.size
         total = np.zeros((n, n))
         for r, block in enumerate(self.pairwise_levels, start=1):
             total += np.linalg.norm(block, axis=2) ** (1.0 / r)
@@ -303,7 +317,7 @@ class SampledRoughPath:
     @cached_property
     def pair_indices(self) -> tuple[np.ndarray, np.ndarray]:
         """Upper-triangle (s, t) index arrays with s < t."""
-        return np.triu_indices(len(self.points), k=1)
+        return np.triu_indices(self.times.size, k=1)
 
 
 def p_variation(g: SampledRoughPath, i0: int = 0, i1: int | None = None) -> float:

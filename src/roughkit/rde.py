@@ -777,6 +777,7 @@ def uniqueness_probe(
         raise ValueError(
             f"candidate solutions must have shape {(npts, m)}"
         )
+    forms = []
     for label, pos in (("first", positions_a), ("second", positions_b)):
         if float(np.max(np.abs(pos[0] - problem.xi))) > residual_tol:
             raise ValueError(
@@ -798,14 +799,13 @@ def uniqueness_probe(
             raise ValueError(
                 f"{label} candidate admits no finite domination certificate"
             )
-    form_a = fixed_point_form(problem, positions_a)
-    form_b = fixed_point_form(problem, positions_b)
+        forms.append(form)
     diff = positions_a - positions_b
     sup_d = float(np.max(np.linalg.norm(diff, axis=1)))
 
     h = _pair_field(problem)
     pair_pos = np.concatenate([positions_a, positions_b], axis=1)
-    pair_form = OneFormPath.stack([form_a, form_b])
+    pair_form = OneFormPath.stack(forms)
     hv = h.apply(pair_pos).reshape(npts, m, d, m)
     ht = taylor_oneform(h, pair_pos, pair_form)
 

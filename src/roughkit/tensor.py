@@ -27,6 +27,7 @@ __all__ = [
     "compositions",
     "stack_product",
     "stack_inverse",
+    "stack_exp",
     "certify_stack",
 ]
 
@@ -98,6 +99,16 @@ def stack_inverse(t: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     u = (np.zeros(t[0].shape),) + tuple(t[1:])
     coeffs = [(-1.0) ** n for n in range(1, len(t))]
     return _stack_series(u, coeffs, _unit_like(t))
+
+
+def stack_exp(u: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """Row-wise exponential of elements with zero scalar part.
+
+    Exact on the truncated algebra: powers beyond the level vanish, so the
+    series is finite.
+    """
+    coeffs = [1.0 / math.factorial(n) for n in range(1, len(u))]
+    return _stack_series(u, coeffs, _unit_like(u))
 
 
 def certify_stack(
@@ -313,22 +324,12 @@ class TruncatedTensor:
         )
 
 
-def tensor_exp(v: TruncatedTensor, *, grouplike: bool = False) -> "GroupElement":
-    """Exponential of an element with zero scalar part.
-
-    Exact on the truncated algebra: powers beyond the level vanish, so the
-    series is finite.  Set `grouplike=True` only when the argument is known
-    to be a Lie element; the flag triggers the group-like certificate.
-    """
+def tensor_exp(v: TruncatedTensor) -> "GroupElement":
+    """Exponential of an element with zero scalar part; see `stack_exp`."""
     if abs(v.scalar) > 0:
         raise ValueError("tensor_exp requires a zero scalar part")
-    u = v._stack()
-    coeffs = [1.0 / math.factorial(n) for n in range(1, v.level + 1)]
-    acc = _stack_series(u, coeffs, _unit_like(u))
-    return GroupElement(
-        TruncatedTensor(v.dim, v.level, tuple(b[0] for b in acc)),
-        grouplike=grouplike,
-    )
+    acc = stack_exp(v._stack())
+    return GroupElement(TruncatedTensor(v.dim, v.level, tuple(b[0] for b in acc)))
 
 
 def tensor_log(a: "TruncatedTensor | GroupElement") -> TruncatedTensor:

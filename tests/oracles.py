@@ -4,7 +4,8 @@ Everything here recomputes a quantity through a route the library does
 not use: brute-force enumeration instead of dynamic programming, ODE
 stepping instead of group products, matrix exponentials instead of
 Picard iteration, finite differences instead of coefficient calculus.
-Only numpy/scipy, never roughkit internals.
+Only numpy/scipy, never roughkit internals; `per_point_lift` alone uses
+roughkit's public single-element API, as the reference for the stacked lift.
 """
 
 import itertools
@@ -177,3 +178,21 @@ def series_inverse_loop(blocks):
         power = graded_product_loop(power, u)
         acc = [x + ((-1.0) ** n) * p for x, p in zip(acc, power)]
     return acc
+
+
+def per_point_lift(values, level):
+    """Signature points of a polyline built one group element at a time.
+
+    Each segment is `tensor_exp` of its increment, certified, and each point
+    the certified product of the previous point and the segment.  Returns
+    the level stacks, entry [k] of shape (N+1, d**k).
+    """
+    from roughkit.tensor import GroupElement, TruncatedTensor, tensor_exp
+
+    values = np.asarray(values, dtype=float)
+    dim = values.shape[1]
+    points = [GroupElement(TruncatedTensor.unit(dim, level), grouplike=True)]
+    for step in np.diff(values, axis=0):
+        seg = tensor_exp(TruncatedTensor.from_vector(step, level)).tensor
+        points.append(points[-1] @ GroupElement(seg, grouplike=True))
+    return [np.stack([g.level_block(k) for g in points]) for k in range(level + 1)]

@@ -231,7 +231,7 @@ def test_compose_second_level_reads_exactly_the_area_slot():
     )
     from roughkit.path import SampledRoughPath
 
-    g0 = SampledRoughPath(g.times, stripped_points, 2.0)
+    g0 = SampledRoughPath.from_points(g.times, stripped_points, 2.0)
     beta0 = OneFormPath(g0, beta.out_dim, beta.levels)
     ablated = rough_integral(beta0).total
 

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -19,7 +21,7 @@ from roughkit.path import (
 )
 from roughkit.tensor import GroupElement, homogeneous_norm, tensor_exp, TruncatedTensor
 
-from oracles import ode_iterated_integrals, pvar_exhaustive
+from oracles import ode_iterated_integrals, per_point_lift, pvar_exhaustive
 
 
 def polyline(points, times=None) -> SampledPath:
@@ -341,7 +343,7 @@ def mixed_certificate_path(rng) -> SampledRoughPath:
         blocks = dict(enumerate(points[i].tensor.coeffs))
         blocks[2] = np.zeros(4)
         points[i] = GroupElement(TruncatedTensor.from_level_blocks(2, 3, blocks))
-    return SampledRoughPath(g.times, tuple(points), 3.0)
+    return SampledRoughPath.from_points(g.times, tuple(points), 3.0)
 
 
 @pytest.mark.parametrize("mixed", [False, True])
@@ -377,3 +379,106 @@ def test_pairwise_levels_are_bitwise_the_increment_levels(mixed):
     for k, block in enumerate(g.pairwise_levels, start=1):
         assert block.shape == (n, n, g.dim**k)
         assert np.array_equal(block.reshape(n * n, -1), stacks[k])
+
+
+# -- level-stack storage ------------------------------------------------------
+
+
+def test_rough_path_stores_only_level_stacks():
+    g = signature(random_polyline(np.random.default_rng(33)), 3, p=3.0)
+    assert [f.name for f in fields(SampledRoughPath)] == ["times", "levels", "p", "grouplike"]
+    assert [x.shape for x in g.levels] == [(7, 1), (7, 2), (7, 4), (7, 8)]
+    assert g.grouplike.dtype == bool and g.grouplike.all()
+    for arr in (g.times, g.grouplike) + g.levels:
+        assert not arr.flags.writeable
+
+
+@pytest.mark.parametrize("dim, level", [(2, 3), (3, 4)])
+def test_signature_is_bitwise_the_per_point_lift(dim, level):
+    path = random_polyline(np.random.default_rng(34), dim=dim, n_pts=9, scale=0.3)
+    g = signature(path, level)
+    ref = per_point_lift(path.values, level)
+    assert all(np.array_equal(a, b) for a, b in zip(g.levels, ref, strict=True))
+
+
+def test_pure_area_and_dilate_are_bitwise_the_per_point_versions():
+    area, steps = 0.35, 6
+    g = pure_area_path(area, steps)
+    gen = np.array([0.0, 1.0, -1.0, 0.0])
+    for k, pt in enumerate(g.points):
+        lie = TruncatedTensor.from_level_blocks(2, 2, {2: (k / steps) * area * gen})
+        ref = tensor_exp(lie)
+        assert all(np.array_equal(pt.level_block(j), ref.level_block(j)) for j in range(3))
+    lift = signature(random_polyline(np.random.default_rng(35)), 3)
+    for pt, lift_pt in zip(lift.dilate(2.5).points, lift.points):
+        ref = lift_pt.dilate(2.5)
+        assert pt.grouplike and ref.grouplike
+        assert all(np.array_equal(pt.level_block(j), ref.level_block(j)) for j in range(4))
+
+
+def test_signature_certifies_each_stack_once(monkeypatch):
+    import roughkit.path as path_mod
+
+    calls = []
+    real = path_mod.certify_stack
+
+    def counting(t, rows=None):
+        calls.append(t[0].shape[0] if rows is None else int(np.sum(rows)))
+        return real(t, rows=rows)
+
+    monkeypatch.setattr(path_mod, "certify_stack", counting)
+    signature(random_polyline(np.random.default_rng(36), n_pts=40), 3)
+    assert calls == [39, 40]  # the segments, then the points
+
+
+def _lift_stack(rng):
+    g = signature(random_polyline(rng, n_pts=5), 2, p=2.0)
+    return g.times, [x.copy() for x in g.levels], g.grouplike.copy()
+
+
+def _scalar_not_one(times, levels, flags):
+    levels[0][2] = 1.0 + 1e-15
+    return times, levels, flags, "scalar part exactly 1"
+
+
+def _non_finite_entry(times, levels, flags):
+    levels[2][3, 1] = np.inf
+    return times, levels, flags, "non-finite"
+
+
+def _length_mismatch(times, levels, flags):
+    return times[:-1], levels, flags, "times vs"
+
+
+def _perturbed_area(times, levels, flags):
+    levels[2][3, 1] += 1e-3
+    return times, levels, flags, "level-2 shuffle relation"
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_scalar_not_one, _non_finite_entry, _length_mismatch, _perturbed_area]
+)
+def test_rough_path_constructor_rejects(corrupt):
+    times, levels, flags, message = corrupt(*_lift_stack(np.random.default_rng(37)))
+    with pytest.raises(ValueError, match=message):
+        SampledRoughPath(times, tuple(levels), 2.0, flags)
+
+
+def test_unflagged_row_is_not_certified():
+    times, levels, flags = _lift_stack(np.random.default_rng(37))
+    levels[2][3, 1] += 1e-3
+    flags[3] = False
+    g = SampledRoughPath(times, tuple(levels), 2.0, flags)
+    assert not g.points[3].grouplike and g.points[2].grouplike
+
+
+@pytest.mark.parametrize("bad", [[0.0, np.nan, 2.0, 3.0], [0.0, 1.0, 2.0, np.inf]])
+def test_non_finite_rough_path_times_rejected(bad):
+    g = signature(polyline(np.zeros((4, 2))), 2)
+    with pytest.raises(ValueError, match="finite and strictly increasing"):
+        SampledRoughPath(np.array(bad), g.levels, 2.0, g.grouplike)
+
+
+def test_large_increment_fails_the_inverse_identity():
+    with pytest.raises(ValueError, match="group-like certificate failed: inverse identity"):
+        signature(polyline([[0.0, 0.0], [1e2, 0.0]]), 3)
