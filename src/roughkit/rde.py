@@ -34,7 +34,6 @@ from .oneform import (
 )
 from .path import (
     Control,
-    SampledPath,
     SampledRoughPath,
     _best_partition_sum,
     control_from_pvar,
@@ -295,9 +294,6 @@ class RdeSolution:
         supplies that sum.
         """
         return self.report.tail_bound()
-
-    def solution_path(self) -> SampledPath:
-        return SampledPath(self.times, self.positions)
 
 
 def _residual(problem: RdeProblem, state: PicardState) -> float:
@@ -574,10 +570,6 @@ class TowerReport:
     eta_bound_ok: bool
     fitted_beta_C: float | None
     beta_bound_ok: bool
-
-    def eta_envelope(self, l: int, n: int, omega_value: float, p: float) -> float:
-        q = (n - l + 1) / p
-        return self.fitted_M**q * omega_value**q / (3.0 * p * math.gamma(q + 1.0))
 
 
 def difference_tower(

@@ -250,10 +250,6 @@ class TruncatedTensor:
     def level_block(self, k: int) -> np.ndarray:
         return self.coeffs[k]
 
-    def level_norms(self) -> np.ndarray:
-        """Euclidean norm of each block, degrees 0..L."""
-        return np.array([float(np.linalg.norm(b)) for b in self.coeffs])
-
     def norm(self) -> float:
         """Algebra norm: sum over degrees of the Euclidean block norms.
 

@@ -196,3 +196,35 @@ def per_point_lift(values, level):
         seg = tensor_exp(TruncatedTensor.from_vector(step, level)).tensor
         points.append(points[-1] @ GroupElement(seg, grouplike=True))
     return [np.stack([g.level_block(k) for g in points]) for k in range(level + 1)]
+
+
+def interval_dp_loop(E):
+    """The p-variation control table by the gap/offset double loop.
+
+    V[i, j] = max(E[i, j], max_off V[i, i+off] + V[i+off, j]), gaps in
+    increasing order, then the lower triangle zeroed: the order of every
+    sum a faster control must reproduce bitwise.
+    """
+    n = E.shape[0] - 1
+    V = E.copy()
+    for gap in range(2, n + 1):
+        i = np.arange(0, n + 1 - gap)
+        j = i + gap
+        best = V[i, j]
+        for off in range(1, gap):
+            cand = V[i, i + off] + V[i + off, j]
+            best = np.maximum(best, cand)
+        V[i, j] = best
+    V[np.tril_indices(n + 1)] = 0.0
+    return V
+
+
+def superadditivity_loop(table):
+    """max over i < m < j of table[i, m] + table[m, j] - table[i, j], pair by pair."""
+    n = table.shape[0]
+    worst = -np.inf
+    for i in range(n):
+        for j in range(i + 2, n):
+            mids = table[i, i + 1 : j] + table[i + 1 : j, j]
+            worst = max(worst, float(np.max(mids) - table[i, j]))
+    return worst

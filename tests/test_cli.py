@@ -11,7 +11,16 @@ import roughkit.cli as cli
 from roughkit.path import SampledPath, read_path_csv, signature
 from roughkit.rde import RdeProblem, solve
 
-from conftest import AREA_A1, AREA_A2, AREA_VALUE, AREA_XI, cli_env, exp_field
+from conftest import (
+    AREA_A1,
+    AREA_A2,
+    AREA_VALUE,
+    AREA_XI,
+    cli_env,
+    cubic_field,
+    cubic_path,
+    exp_field,
+)
 from oracles import polygon_loop_endpoint
 
 
@@ -384,6 +393,57 @@ def test_reports_byte_identical_across_runs_and_threads(tmp_path):
     runs = [snapshot(), snapshot(), snapshot(threads=4)]
     for key in runs[0]:
         assert runs[0][key] == runs[1][key] == runs[2][key]
+
+
+def test_outputs_byte_identical_across_blas_thread_counts(tmp_path):
+    """solve and integrate write the same bytes with one and with two
+    BLAS/OpenMP threads, the counts fixed in the child before numpy loads."""
+    cubic = cubic_path(64)
+    write_csv(tmp_path / "cubic.csv", cubic.times, cubic.values)
+    write_json(
+        tmp_path / "cubic.json",
+        {
+            "type": "poly",
+            "in_dim": 2,
+            "out_shape": [2, 2],
+            "degree": 3,
+            "coeffs": [c.tolist() for c in cubic_field().map.coeffs],
+        },
+    )
+    rng = np.random.default_rng(5)
+    walk = np.cumsum(rng.standard_normal((97, 2)), axis=0) / np.sqrt(96.0)
+    write_csv(tmp_path / "walk.csv", np.linspace(0.0, 1.0, 97), walk)
+    write_json(tmp_path / "g.json", GRAD_FORM)
+    commands = (
+        [
+            "solve", tmp_path / "cubic.csv", "--field", tmp_path / "cubic.json",
+            "--xi", "0.5,-0.25", "--gamma", 4.0, "--radius", 3.0,
+            "--report", "report.json", "--out-csv", "solution.csv",
+            "--decay-csv", "decay.csv",
+        ],
+        [
+            "integrate", tmp_path / "walk.csv", "--form", tmp_path / "g.json",
+            "--gamma", 2.5, "--out", "integral.json",
+        ],
+    )
+
+    def outputs(threads):
+        env = cli_env()
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = threads
+        work = tmp_path / f"threads{threads}"
+        work.mkdir()
+        for args in commands:
+            res = subprocess.run(
+                [sys.executable, "-m", "roughkit.cli", *map(str, args)],
+                capture_output=True, text=True, env=env, cwd=work,
+            )
+            assert res.returncode == 0, res.stderr
+        return {f.name: f.read_bytes() for f in sorted(work.iterdir())}
+
+    one = outputs("1")
+    assert sorted(one) == ["decay.csv", "integral.json", "report.json", "solution.csv"]
+    assert outputs("2") == one
 
 
 # -- input errors ------------------------------------------------------------------

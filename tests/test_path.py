@@ -21,7 +21,13 @@ from roughkit.path import (
 )
 from roughkit.tensor import GroupElement, homogeneous_norm, tensor_exp, TruncatedTensor
 
-from oracles import ode_iterated_integrals, per_point_lift, pvar_exhaustive
+from oracles import (
+    interval_dp_loop,
+    ode_iterated_integrals,
+    per_point_lift,
+    pvar_exhaustive,
+    superadditivity_loop,
+)
 
 
 def polyline(points, times=None) -> SampledPath:
@@ -173,6 +179,35 @@ def test_control_superadditivity(seed):
     assert defect >= -1e-12
     # the interval dynamic program makes the table exactly superadditive
     assert defect <= 0.0
+
+
+def walk_lift(steps, dim, level, seed):
+    """Scaled random-walk lift with p just above the level."""
+    rng = np.random.default_rng(seed)
+    t = np.linspace(0.0, 1.0, steps + 1)
+    x = np.cumsum(rng.standard_normal((steps + 1, dim)), axis=0) / np.sqrt(steps)
+    return signature(SampledPath(t, x), level, p=level + 0.2)
+
+
+@pytest.mark.parametrize(
+    "steps, dim, level",
+    [(1, 1, 2), (2, 2, 2), (3, 1, 2), (64, 2, 2), (257, 1, 2), (257, 2, 2), (64, 2, 3)],
+)
+def test_control_is_bitwise_the_interval_loop(steps, dim, level):
+    g = walk_lift(steps, dim, level, seed=steps + dim)
+    table = control_from_pvar(g).table
+    assert table.tobytes() == interval_dp_loop(g.pairwise_homogeneous_norms ** g.p).tobytes()
+
+
+def test_superadditivity_defect_is_bitwise_the_pair_loop():
+    omega = control_from_pvar(walk_lift(40, 2, 2, seed=3))
+    assert omega.superadditivity_defect() == superadditivity_loop(omega.table) == 0.0
+    bumped = omega.table.copy()
+    bumped[5, 17] *= 0.75
+    bumped[0, 3] -= 0.1 * bumped[0, 3]
+    defect = Control(omega.times, bumped).superadditivity_defect()
+    assert defect > 0.0
+    assert defect == superadditivity_loop(bumped)
 
 
 def test_control_endpoint_equals_pvar_power():
