@@ -60,6 +60,58 @@ def _pair_quotient(
     return float(quot[j]), j
 
 
+# Slack on the Frobenius bounds.  The einsum and the Gram eigensolver each
+# round within about out_dim * d**k ulps, far inside the relative term for
+# the forms this package builds.  The absolute term covers squares that
+# underflow into subnormals, where both routes lose relative precision
+# (error below 1e-159 in sigma).
+_BOUND_REL = 1e-12
+_BOUND_ABS = 1e-150
+
+
+def _spectral_pair_quotient(
+    diff: np.ndarray,
+    w: np.ndarray,
+    expo: float,
+    noise_floor: float = 0.0,
+    dead_tol: float = 1e-12,
+) -> tuple[float, int]:
+    """Worst sigma_max(diff[i]) / w[i]**expo over pairs, numerators floored.
+
+    Bitwise the (max, argmax) of `_pair_quotient` on the spectral norms of
+    every pair, with norms at or below noise_floor set to zero.  The
+    eigensolver runs only on the pairs that can reach the best lower bound:
+    ||M||_F / sqrt(r) <= sigma_max(M) <= ||M||_F with r = min(out_dim, d**k),
+    so any pair whose upper quotient falls below some other pair's lower
+    quotient cannot be the maximum.  The survivors keep ascending pair order,
+    so ties still go to the first pair.
+    """
+    idx = None
+    if diff.shape[1] > 1:
+        fro = np.sqrt(np.einsum("poj,poj->p", diff, diff))
+        lo = (fro * (1.0 - _BOUND_REL) - _BOUND_ABS) / np.sqrt(min(diff.shape[1:]))
+        hi = fro * (1.0 + _BOUND_REL) + _BOUND_ABS
+        denom = w**expo
+        live = denom > 0.0
+        safe = np.where(live, denom, 1.0)
+        # pairs with lo above the floor cannot be floored: a sound lower bound
+        sure = live & (lo > noise_floor)
+        best = np.max(lo[sure] / denom[sure], initial=0.0)
+        upper = np.where(live, hi / safe, np.where(hi > dead_tol, np.inf, 0.0))
+        idx = np.flatnonzero((upper >= best) & (hi > noise_floor))
+        if idx.size == 0:
+            return 0.0, 0
+        diff, w = diff[idx], w[idx]
+    norms = batched_spectral_norms(diff)
+    if noise_floor > 0.0:
+        norms = np.where(norms <= noise_floor, 0.0, norms)
+    q, j = _pair_quotient(norms, w, expo, dead_tol=dead_tol)
+    if idx is None:
+        return q, j
+    # a zero maximum is attained by every pair, first of all by pair 0
+    return (q, int(idx[j])) if q != 0.0 else (0.0, 0)
+
+
 @dataclass(frozen=True)
 class OneFormPath:
     """Per-time level matrices A_t^(k), shape (N+1, out_dim, d**k).
@@ -258,11 +310,12 @@ class OneFormPath:
         quots = []
         pairs = []
         for k in range(1, k_max + 1):
-            norms = batched_spectral_norms(self.difference_matrices(k))
-            if noise_floor > 0.0:
-                norms = np.where(norms <= noise_floor, 0.0, norms)
-            q, j = _pair_quotient(
-                norms, w, (gamma - k) / p, dead_tol=max(1e-12, noise_floor)
+            q, j = _spectral_pair_quotient(
+                self.difference_matrices(k),
+                w,
+                (gamma - k) / p,
+                noise_floor=noise_floor,
+                dead_tol=max(1e-12, noise_floor),
             )
             quots.append(q)
             pairs.append((int(s_idx[j]), int(t_idx[j])))
@@ -363,8 +416,7 @@ def check_domination(
         expo = theta - k / p
         if expo <= 0.0:
             raise ValueError(f"theta too small for level {k}")
-        norms = batched_spectral_norms(beta.difference_matrices(k))
-        q, j = _pair_quotient(norms, w, expo)
+        q, j = _spectral_pair_quotient(beta.difference_matrices(k), w, expo)
         sups.append(q)
         pairs.append((int(s_idx[j]), int(t_idx[j])))
     if auto_scale and all(np.isfinite(q) for q in sups):

@@ -7,6 +7,7 @@ to float roundoff.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -299,8 +300,18 @@ class SampledRoughPath:
         """Level blocks of g_{s,t} for every index pair.
 
         Entry [r-1] has shape (N+1, N+1, d**r); the (s, t) slice is the
-        degree-r block of g_s^{-1} g_t.  Dense: only for desk-scale grids.
+        degree-r block of g_s^{-1} g_t.  Dense: only for desk-scale grids,
+        so a request whose result alone exceeds physical memory is refused.
         """
+        n = self.times.size
+        need = n * n * sum(self.dim**k for k in range(1, self.level + 1)) * 8
+        have = _physical_memory_bytes()
+        if have is not None and need > have:
+            raise ValueError(
+                f"all-pairs levels of {n} grid points (d={self.dim}, level "
+                f"{self.level}) need about {need:,} bytes, more than the "
+                f"{have:,} bytes of physical memory; use a coarser grid"
+            )
         return stack_product(
             tuple(x[:, None, :] for x in self._inverse_levels),
             tuple(x[None, :, :] for x in self.levels),
@@ -319,6 +330,14 @@ class SampledRoughPath:
     def pair_indices(self) -> tuple[np.ndarray, np.ndarray]:
         """Upper-triangle (s, t) index arrays with s < t."""
         return np.triu_indices(self.times.size, k=1)
+
+
+def _physical_memory_bytes() -> int | None:
+    """Installed physical memory, or None where the platform cannot say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 def p_variation(g: SampledRoughPath, i0: int = 0, i1: int | None = None) -> float:

@@ -228,3 +228,28 @@ def superadditivity_loop(table):
             mids = table[i, i + 1 : j] + table[i + 1 : j, j]
             worst = max(worst, float(np.max(mids) - table[i, j]))
     return worst
+
+
+def full_scan_quotient(diff, w, expo, noise_floor=0.0, dead_tol=1e-12):
+    """Worst floored spectral quotient by evaluating every pair.
+
+    The largest singular value of each diff[i] through the out_dim x out_dim
+    Gram eigenproblem (row norms when out_dim is 1), numerators at or below
+    noise_floor set to zero, then num / w**expo with dead pairs (w**expo == 0)
+    counting +inf above dead_tol and 0 otherwise.  Returns the maximum and
+    the first pair attaining it: the (max, argmax) a pruned scan must
+    reproduce bitwise.
+    """
+    if diff.shape[-2] == 1:
+        norms = np.linalg.norm(diff[..., 0, :], axis=-1)
+    else:
+        gram = diff @ np.swapaxes(diff, -1, -2)
+        vals = np.linalg.eigvalsh(gram)
+        norms = np.sqrt(np.maximum(vals[..., -1], 0.0))
+    if noise_floor > 0.0:
+        norms = np.where(norms <= noise_floor, 0.0, norms)
+    denom = w**expo
+    quot = np.where(denom > 0.0, norms / np.where(denom > 0.0, denom, 1.0), 0.0)
+    quot = np.where((denom == 0.0) & (norms > dead_tol), np.inf, quot)
+    j = int(np.argmax(quot))
+    return float(quot[j]), j

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import roughkit.cli as cli
+import roughkit.path
 from roughkit.path import SampledPath, read_path_csv, signature
 from roughkit.rde import RdeProblem, solve
 
@@ -505,3 +506,20 @@ def test_pure_area_needs_level_two_exponent(tmp_path):
     )
     assert res.returncode == 2
     assert "level 2" in res.stderr
+
+
+def test_pair_geometry_over_physical_memory_exits_two(tmp_path, monkeypatch, capsys):
+    """The all-pairs levels are refused before they are allocated when their
+    estimated size exceeds physical memory, here faked down to 1 kB."""
+    monkeypatch.setattr(roughkit.path, "_physical_memory_bytes", lambda: 1024)
+    rng = np.random.default_rng(2)
+    write_csv(tmp_path / "walk.csv", np.linspace(0.0, 1.0, 21), rng.standard_normal((21, 2)))
+    write_json(tmp_path / "g.json", GRAD_FORM)
+    code = cli.main(
+        ["integrate", str(tmp_path / "walk.csv"), "--form", str(tmp_path / "g.json"),
+         "--p", "3.0", "--gamma", "4.0"]
+    )
+    assert code == 2
+    need = 21 * 21 * (2 + 4 + 8) * 8
+    err = capsys.readouterr().err
+    assert f"{need:,} bytes" in err and "physical memory" in err

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from roughkit.funcs import LipFunction, PolyMap, strict_floor
 from roughkit.integrate import compose_integrand
@@ -7,6 +9,7 @@ from roughkit.oneform import (
     ClosedLift,
     OneFormPath,
     _pair_quotient,
+    _spectral_pair_quotient,
     check_domination,
     lift_polynomial_form,
 )
@@ -15,11 +18,15 @@ from roughkit.path import (
     control_from_pvar,
     signature,
 )
+from roughkit.rde import solve
 from roughkit.tensor import (
     DimensionMismatchError,
     GroupElement,
     TruncatedTensor,
 )
+
+from conftest import cubic_problem
+from oracles import full_scan_quotient
 
 
 def driver_2d(seed=50, n_pts=6, level=2, p=2.0):
@@ -390,3 +397,206 @@ def test_form_algebra_is_pointwise():
 def test_pair_quotient_edge_rules(num, w, dead_tol, expected):
     quot, j = _pair_quotient(np.array(num), np.array(w), 0.5, dead_tol=dead_tol)
     assert (quot, j) == expected
+
+
+# -- pruned spectral pair scan ---------------------------------------------------
+
+
+def assert_matches_full_scan(diff, w, expo, noise_floor=0.0, dead_tol=1e-12):
+    diff, w = np.asarray(diff, dtype=float), np.asarray(w, dtype=float)
+    got = _spectral_pair_quotient(diff, w, expo, noise_floor, dead_tol)
+    want = full_scan_quotient(diff, w, expo, noise_floor, dead_tol)
+    assert got == want
+    assert type(got[1]) is int
+    return got
+
+
+EYE2 = np.eye(2)
+DT = 1e-12
+
+
+@pytest.mark.parametrize(
+    "diff, w, expo, noise_floor, dead_tol, expected",
+    [
+        # the tiny pair would win by far unfloored; at the floor it counts 0
+        ([1e-3 * EYE2, np.diag([0.5, 0.1])], [1e-6, 1.0], 1.0, 1e-3, 1e-3, (0.5, 1)),
+        # pair 0 is pruned, pair 1 is evaluated and floored: still pair 0
+        ([1e-4 * np.diag([1.0, 0.0]), 1e-3 * EYE2], [1.0, 1.0], 1.0, 1e-3, 1e-3, (0.0, 0)),
+        ([np.zeros((2, 2)), np.zeros((2, 2))], [1.0, 0.0], 1.0, 0.0, DT, (0.0, 0)),
+        ([DT * EYE2, np.diag([0.5, 0.0])], [0.0, 1.0], 1.0, 0.0, DT, (0.5, 1)),
+        (
+            [np.nextafter(DT, 1.0) * EYE2, np.diag([0.5, 0.0])],
+            [0.0, 1.0], 1.0, 0.0, DT, (np.inf, 0),
+        ),
+        (
+            [np.nextafter(DT, 0.0) * EYE2, np.diag([0.5, 0.0])],
+            [0.0, 1.0], 1.0, 0.0, DT, (0.5, 1),
+        ),
+        # norm_components' setting: dead_tol is the floor
+        ([1e-9 * EYE2, np.diag([0.5, 0.0])], [0.0, 1.0], 1.0, 1e-9, 1e-9, (0.5, 1)),
+        (
+            [2e-9 * EYE2, np.diag([0.5, 0.0])],
+            [0.0, 1.0], 1.0, 1e-9, 1e-9, (np.inf, 0),
+        ),
+        ([EYE2, 3.0 * EYE2, 3.0 * EYE2], [1.0, 0.0, 0.0], 1.0, 0.0, DT, (np.inf, 1)),
+        # the same quotient from a doubled matrix over a doubled denominator
+        (
+            [0.1 * EYE2, np.diag([0.5, 0.25]), np.diag([1.0, 0.5]), np.diag([0.5, 0.25])],
+            [1.0, 1.0, 4.0, 1.0], 0.5, 0.0, DT, (0.5, 1),
+        ),
+        (
+            [[[0.0], [0.0]], [[0.3], [0.4]], [[0.4], [0.3]]],
+            [1.0, 1.0, 1.0], 1.0, 0.0, DT, (0.5, 1),
+        ),
+        # out_dim 1: row norms on every pair, no pruning
+        ([[[3.0, 4.0]], [[1e-3, 0.0]], [[0.0, 5.0]]], [1.0, 0.0, 1.0], 1.0, 1e-3, 1e-3, (5.0, 0)),
+        ([[[1e-3, 0.0]], [[0.0, 1e-4]]], [1.0, 1.0], 1.0, 1e-3, 1e-3, (0.0, 0)),
+    ],
+    ids=[
+        "noise-floor-zeroes-the-winner",
+        "every-pair-floored-reports-pair-0",
+        "all-zero-reports-pair-0",
+        "dead-pair-at-dead-tol-is-zero",
+        "dead-pair-just-above-dead-tol-is-inf",
+        "dead-pair-just-below-dead-tol-is-zero",
+        "dead-pair-at-floor-is-zero",
+        "dead-pair-above-floor-is-inf",
+        "dead-pair-tie-first-wins",
+        "live-tie-first-wins",
+        "single-column-rank-one",
+        "out-dim-one-row-norms",
+        "out-dim-one-all-floored",
+    ],
+)
+def test_spectral_pair_quotient_edge_cases(
+    diff, w, expo, noise_floor, dead_tol, expected
+):
+    got = assert_matches_full_scan(diff, w, expo, noise_floor, dead_tol)
+    assert got == expected
+
+
+def test_spectral_pair_quotient_keeps_a_winner_just_below_a_lower_bound():
+    """Equal singular values make F/sqrt(r) = sigma exactly, so rounding can
+    put the computed lower bound above the computed sigma.  A rank-one
+    witness one ulp above that sigma then wins, and only the bound slack
+    keeps it among the evaluated pairs."""
+    rng = np.random.default_rng(3)
+    blocks = np.linalg.qr(rng.standard_normal((2000, 3, 3)))[0]
+    blocks *= rng.uniform(0.5, 2.0, 2000)[:, None, None]
+    sigma = np.array([full_scan_quotient(b[None], np.ones(1), 1.0)[0] for b in blocks])
+    over = np.sqrt(np.einsum("pij,pij->p", blocks, blocks)) / np.sqrt(3.0) - sigma
+    worst = int(np.argmax(over / np.spacing(sigma)))
+    witness = np.diag([np.nextafter(sigma[worst], np.inf), 0.0, 0.0])
+    got = assert_matches_full_scan([blocks[worst], witness], [1.0, 1.0], 1.0)
+    assert got == (witness[0, 0], 1)
+
+
+def test_spectral_pair_quotient_survives_subnormal_squares():
+    """At 1e-162 the squares are subnormal and the computed sigma can exceed
+    the computed Frobenius norm by far: the absolute slack keeps such a
+    winner against a normal-range pair whose lower bound sits in between."""
+    rng = np.random.default_rng(4)
+    tiny = 1e-162 * rng.standard_normal((500, 2, 2))
+    sigma = np.array([full_scan_quotient(b[None], np.ones(1), 1.0)[0] for b in tiny])
+    fro = np.sqrt(np.einsum("poj,poj->p", tiny, tiny))
+    worst = int(np.argmax(np.divide(sigma, fro, out=np.zeros(500), where=fro > 0.0)))
+    between = 0.5 * (sigma[worst] + fro[worst])
+    assert sigma[worst] > fro[worst]
+    diff = np.stack([EYE2, tiny[worst]])
+    got = assert_matches_full_scan(diff, [1.0 / between, 1.0], 1.0)
+    assert got == (sigma[worst], 1)
+
+
+@st.composite
+def pair_batches(draw):
+    out_dim, cols = draw(st.sampled_from([(1, 3), (2, 1), (2, 2), (2, 4), (3, 3)]))
+    specs = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["zero", "rank-one", "orthogonal", "dense", "repeat"]),
+                st.sampled_from([1e-13, 1e-12, 1e-3, 0.05, 1.0, 7.0]),
+                st.sampled_from([0.0, 1e-6, 0.25, 1.0, 2.0]),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats, w = [], []
+    for kind, scale, weight in specs:
+        if kind == "repeat" and mats:
+            mats.append(mats[int(rng.integers(len(mats)))].copy())
+        elif kind == "zero":
+            mats.append(np.zeros((out_dim, cols)))
+        elif kind == "rank-one":
+            mats.append(scale * np.outer(rng.standard_normal(out_dim), rng.standard_normal(cols)))
+        elif kind == "orthogonal" and 1 < out_dim <= cols:
+            # equal singular values: sigma is exactly F / sqrt(out_dim)
+            mat = np.zeros((out_dim, cols))
+            mat[:, :out_dim] = scale * np.linalg.qr(rng.standard_normal((out_dim, out_dim)))[0]
+            mats.append(mat)
+        else:
+            mats.append(scale * rng.standard_normal((out_dim, cols)))
+        w.append(weight)
+    return np.stack(mats), np.array(w)
+
+
+@given(
+    batch=pair_batches(),
+    expo=st.sampled_from([1.0 / 3.0, 2.0 / 3.0, 1.0]),
+    noise_floor=st.sampled_from([0.0, 1e-12, 1e-3, 0.05]),
+    dead_tol=st.sampled_from([0.0, 1e-12, 0.05]),
+)
+def test_spectral_pair_quotient_matches_full_scan(batch, expo, noise_floor, dead_tol):
+    diff, w = batch
+    assert_matches_full_scan(diff, w, expo, noise_floor, max(dead_tol, noise_floor))
+
+
+def test_picard_norms_and_certificates_bitwise_full_scan():
+    """Every Picard step of the cubic fixture, and the certificate of every
+    iterate with and without auto-scaling, as the full scan computes them."""
+    problem = cubic_problem(64, n_max=16)
+    history = solve(problem, keep_history=True).history
+    g, omega, gamma = problem.driver, problem.omega, problem.gamma
+    s_idx, t_idx = g.pair_indices
+    w = omega.table[s_idx, t_idx]
+    k_max = min(g.level, strict_floor(gamma))
+    for old, new in zip(history, history[1:]):
+        diff = new.form - old.form
+        scale = max(1.0, *(float(np.max(np.abs(b))) for b in new.form.levels + old.form.levels))
+        floor = 64.0 * np.finfo(float).eps * scale
+        ref = [
+            full_scan_quotient(
+                diff.difference_matrices(k), w, (gamma - k) / g.p, floor, max(1e-12, floor)
+            )
+            for k in range(1, k_max + 1)
+        ]
+        sups, quots, pairs = diff.norm_components(gamma, omega, noise_floor=floor)
+        assert sups == tuple(
+            full_scan_quotient(blk, np.ones(len(blk)), 1.0)[0] for blk in diff.levels
+        )
+        assert quots == tuple(q for q, _ in ref) == new.quot_parts
+        assert sups == new.sup_parts
+        assert pairs == [(int(s_idx[j]), int(t_idx[j])) for _, j in ref]
+
+    theta = (gamma + 1.0) / g.p
+    for state in history:
+        expos = [theta - k / g.p for k in range(1, g.level + 1)]
+        ref = [
+            full_scan_quotient(state.form.difference_matrices(k), w, e)
+            for k, e in enumerate(expos, start=1)
+        ]
+        quots = [q for q, _ in ref]
+        worst = int(np.argmax(quots))
+        cert = check_domination(state.form, theta, omega)
+        assert cert.level_quotients == tuple(quots)
+        assert cert.worst_level == worst + 1
+        assert cert.worst_pair == (int(s_idx[ref[worst][1]]), int(t_idx[ref[worst][1]]))
+        lam = max([1.0] + [q ** (1.0 / e) for q, e in zip(quots, expos) if q > 0.0])
+        scaled = check_domination(state.form, theta, omega, auto_scale=True)
+        assert np.isfinite(lam)
+        table = lam * omega.table if lam > 1.0 else omega.table
+        assert np.array_equal(scaled.control.table, table)
+        assert scaled.level_quotients == tuple(
+            q / lam**e if lam > 1.0 else q for q, e in zip(quots, expos)
+        )
