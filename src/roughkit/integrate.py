@@ -248,6 +248,7 @@ def integrate_controlled(
     s_idx, t_idx = base.pair_indices
     pred = np.zeros((s_idx.size, w * d))
     for k in range(1, base.level + 1):
+        # einsum sums k pairwise; an ordered per-letter sum would change the bits
         pred += np.einsum(
             "pok,pk->po",
             beta.levels[k - 1][s_idx],

@@ -269,17 +269,21 @@ class OneFormPath:
         """Level-k matrices of (beta_t - beta_s)(g_t, .) on all pairs s < t.
 
         beta_s(g_t, b) re-expands through the increment: the level-k piece is
-        sum_{m >= k} A_s^(m) (pi_{m-k}(g_{s,t}) x id).
+        sum_{m >= k} A_s^(m) (pi_{m-k}(g_{s,t}) x id), summed from zero over
+        per-letter gathers in ascending letter order: bitwise the einsum
+        "powj,pw->poj" when d**k >= 2 or one letter is summed, as always here.
         """
         s_idx, t_idx = self.base.pair_indices
         d = self.base.dim
-        diff = self.levels[k - 1][t_idx] - self.levels[k - 1][s_idx]
+        block = self.levels[k - 1]
+        diff = np.take(block, t_idx, axis=0) - np.take(block, s_idx, axis=0)
         for m in range(k + 1, self.base.level + 1):
-            A_s = self.levels[m - 1][s_idx].reshape(
-                s_idx.size, self.out_dim, d ** (m - k), d**k
-            )
+            A = self.levels[m - 1].reshape(-1, self.out_dim, d ** (m - k), d**k)
             inc = self.base.pairwise_levels[m - k - 1][s_idx, t_idx]
-            diff = diff - np.einsum("powj,pw->poj", A_s, inc)
+            acc = np.zeros(diff.shape)
+            for w in range(d ** (m - k)):
+                acc += np.take(A[:, :, w, :], s_idx, axis=0) * inc[:, w, None, None]
+            diff = diff - acc
         return diff
 
     def norm_components(

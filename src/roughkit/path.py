@@ -19,7 +19,6 @@ from .tensor import (
     GroupElement,
     TruncatedTensor,
     certify_stack,
-    homogeneous_norm,
     stack_exp,
     stack_inverse,
     stack_product,
@@ -300,11 +299,12 @@ class SampledRoughPath:
         """Level blocks of g_{s,t} for every index pair.
 
         Entry [r-1] has shape (N+1, N+1, d**r); the (s, t) slice is the
-        degree-r block of g_s^{-1} g_t.  Dense: only for desk-scale grids,
-        so a request whose result alone exceeds physical memory is refused.
+        degree-r block of g_s^{-1} g_t.  Dense: only for desk-scale grids, so a
+        request whose all-pairs tables (these levels, the homogeneous norms, a
+        control and its transpose) exceed physical memory is refused.
         """
         n = self.times.size
-        need = n * n * sum(self.dim**k for k in range(1, self.level + 1)) * 8
+        need = n * n * (sum(self.dim**k for k in range(1, self.level + 1)) + 3) * 8
         have = _physical_memory_bytes()
         if have is not None and need > have:
             raise ValueError(
@@ -440,12 +440,12 @@ def holder_control(g: SampledRoughPath, K: float | None = None) -> Control:
     """
     times = g.times
     if K is None:
-        rates = [
-            homogeneous_norm(inc) / dt
-            for inc, dt in zip(g.step_increments, np.diff(times))
-        ]
+        norms = sum(
+            np.linalg.norm(b, axis=1) ** (1.0 / k)
+            for k, b in enumerate(g.step_level_blocks, start=1)
+        )
         span = float(times[-1] - times[0])
-        K = max(rates) ** g.p * span ** (g.p - 1.0)
+        K = float(np.max(norms / np.diff(times))) ** g.p * span ** (g.p - 1.0)
     diff = times[None, :] - times[:, None]
     return Control(times, K * np.maximum(diff, 0.0), kind="holder")
 

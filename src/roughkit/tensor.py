@@ -116,8 +116,9 @@ def certify_stack(
 ) -> None:
     """Group-like certificate for every selected row of a unital level stack.
 
-    Each row must satisfy the level-2 shuffle relation (relative tolerance)
-    and the inverse identity t t^{-1} = 1 (absolute tolerance).  `rows` is a
+    Each row must satisfy the level-2 shuffle relation to a tolerance scaled
+    by 1 + ||x||^2, and the inverse identity t t^{-1} = 1 at level k to one
+    scaled by 1 + size**k, size the row's homogeneous norm.  `rows` is a
     boolean mask; unselected rows are not checked.  The ValueError names the
     test that the first failing row fails, shuffle before inverse.
     """
@@ -138,9 +139,11 @@ def certify_stack(
         worst = np.max(np.abs(sym_defect), axis=(1, 2), initial=0.0)
         shuffle_bad = worst > GROUPLIKE_SHUFFLE_TOL * scale
     prod = stack_product(t, stack_inverse(t))
+    size = sum(np.linalg.norm(x, axis=1) ** (1.0 / j) for j, x in enumerate(t[1:], 1))
     inverse_bad = np.zeros(n, dtype=bool)
-    for a, b in zip(prod, _unit_like(t)):
-        inverse_bad |= np.max(np.abs(a - b), axis=1, initial=0.0) > GROUPLIKE_INVERSE_TOL
+    for k, (a, b) in enumerate(zip(prod, _unit_like(t))):
+        bound = GROUPLIKE_INVERSE_TOL * (1.0 + size**k)
+        inverse_bad |= np.max(np.abs(a - b), axis=1, initial=0.0) > bound
     bad = np.flatnonzero(shuffle_bad | inverse_bad)
     if bad.size:
         what = "level-2 shuffle relation" if shuffle_bad[bad[0]] else "inverse identity"

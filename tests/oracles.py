@@ -5,7 +5,9 @@ not use: brute-force enumeration instead of dynamic programming, ODE
 stepping instead of group products, matrix exponentials instead of
 Picard iteration, finite differences instead of coefficient calculus.
 Only numpy/scipy, never roughkit internals; `per_point_lift` alone uses
-roughkit's public single-element API, as the reference for the stacked lift.
+roughkit's public single-element API, as the reference for the stacked lift,
+and `holder_table_loop` likewise; `difference_matrices_einsum` reads a
+one-form path's arrays and nothing else.
 """
 
 import itertools
@@ -253,3 +255,40 @@ def full_scan_quotient(diff, w, expo, noise_floor=0.0, dead_tol=1e-12):
     quot = np.where((denom == 0.0) & (norms > dead_tol), np.inf, quot)
     j = int(np.argmax(quot))
     return float(quot[j]), j
+
+
+def difference_matrices_einsum(form, k):
+    """Level-k pair difference matrices of a one-form path by one einsum per level.
+
+    Reads only the form's arrays: the level blocks of both pair ends, then for
+    each higher level m the whole gathered block A_s^(m) reshaped to
+    (pairs, out, d**(m-k), d**k) contracted with pi_{m-k}(g_{s,t}) over its
+    leading letter.  The reference a per-letter kernel must reproduce bitwise.
+    """
+    s_idx, t_idx = form.base.pair_indices
+    d = form.base.dim
+    diff = form.levels[k - 1][t_idx] - form.levels[k - 1][s_idx]
+    for m in range(k + 1, form.base.level + 1):
+        A_s = form.levels[m - 1][s_idx].reshape(
+            s_idx.size, form.out_dim, d ** (m - k), d**k
+        )
+        inc = form.base.pairwise_levels[m - k - 1][s_idx, t_idx]
+        diff = diff - np.einsum("powj,pw->poj", A_s, inc)
+    return diff
+
+
+def holder_table_loop(g):
+    """Default linear-in-time control by one homogeneous norm per step element.
+
+    K = (max step rate)^p T^(p-1), each rate `homogeneous_norm` of a step
+    increment over its duration, through roughkit's single-element API.
+    """
+    from roughkit.tensor import homogeneous_norm
+
+    rates = [
+        homogeneous_norm(inc) / dt
+        for inc, dt in zip(g.step_increments, np.diff(g.times))
+    ]
+    span = float(g.times[-1] - g.times[0])
+    K = max(rates) ** g.p * span ** (g.p - 1.0)
+    return K * np.maximum(g.times[None, :] - g.times[:, None], 0.0)

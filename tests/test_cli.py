@@ -128,6 +128,24 @@ def test_signature_deterministic_and_matches_library(tmp_path):
         )
 
 
+def test_signature_of_a_large_walk_is_certified(tmp_path):
+    """A 100-step walk with steps 2 N(0, 1) reaches |x| of about 29; its exact
+    lift must pass the group-like certificate, whose inverse-identity bound
+    scales with the point's size."""
+    rng = np.random.default_rng(0)
+    steps = 2.0 * rng.standard_normal((100, 2))
+    walk = np.vstack([np.zeros(2), np.cumsum(steps, axis=0)])
+    assert np.abs(walk).max() > 20.0
+    csv = tmp_path / "big.csv"
+    write_csv(csv, np.linspace(0.0, 1.0, 101), walk)
+    res = run_cli("signature", csv, "--level", 3)
+    assert res.returncode == 0, res.stderr
+    rep = json.loads(res.stdout)
+    lifted = signature(read_path_csv(csv), 3)
+    for k in (1, 2, 3):
+        assert np.array_equal(np.asarray(rep["levels"][str(k)]), lifted.levels[k][-1])
+
+
 # -- integrate ---------------------------------------------------------------------
 
 
@@ -520,6 +538,6 @@ def test_pair_geometry_over_physical_memory_exits_two(tmp_path, monkeypatch, cap
          "--p", "3.0", "--gamma", "4.0"]
     )
     assert code == 2
-    need = 21 * 21 * (2 + 4 + 8) * 8
+    need = 21 * 21 * (2 + 4 + 8 + 3) * 8  # levels, norms, control and transpose
     err = capsys.readouterr().err
     assert f"{need:,} bytes" in err and "physical memory" in err

@@ -26,7 +26,7 @@ from roughkit.tensor import (
 )
 
 from conftest import cubic_problem
-from oracles import full_scan_quotient
+from oracles import difference_matrices_einsum, full_scan_quotient
 
 
 def driver_2d(seed=50, n_pts=6, level=2, p=2.0):
@@ -600,3 +600,102 @@ def test_picard_norms_and_certificates_bitwise_full_scan():
         assert scaled.level_quotients == tuple(
             q / lam**e if lam > 1.0 else q for q, e in zip(quots, expos)
         )
+
+
+# -- difference matrices: per-letter gathers against the einsum ----------------
+
+
+def assert_bitwise(a, b):
+    """Equal shapes and equal bits, so signed zeros count."""
+    assert a.shape == b.shape and a.dtype == b.dtype == np.float64
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def form_over_walk(rng, d, level, out_dim, n_pts=6, kinds=("wide",)):
+    """A one-form over the lift of a random walk, level k filled by kinds[k-1]:
+    wide (entry magnitudes 1e-8..1e8), zero, signed (half of the entries
+    +0.0 or -0.0), or converged (the difference of two iterates that agree
+    to a few ulps, mostly exact zeros)."""
+    t = np.linspace(0.0, 1.0, n_pts)
+    g = signature(SampledPath(t, rng.standard_normal((n_pts, d))), level, p=level + 0.5)
+    levels = []
+    for k in range(1, level + 1):
+        shape = (n_pts, out_dim, d**k)
+        kind = kinds[(k - 1) % len(kinds)]
+        block = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
+        if kind == "zero":
+            block = np.zeros(shape)
+        elif kind == "signed":
+            block[rng.random(shape) < 0.5] = 0.0
+            block[rng.random(shape) < 0.25] = -0.0
+        elif kind == "converged":
+            nudge = 1.0 + np.finfo(float).eps * rng.integers(-3, 4, shape)
+            block = block * nudge - block
+        levels.append(block)
+    return OneFormPath(g, out_dim, tuple(levels))
+
+
+@pytest.mark.parametrize("out_dim", [1, 2, 3])
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_difference_matrices_bitwise_einsum(d, level, out_dim):
+    rng = np.random.default_rng(100 * d + 10 * level + out_dim)
+    for kinds in [("wide", "signed", "converged"), ("signed",)]:
+        form = form_over_walk(rng, d, level, out_dim, kinds=kinds)
+        for k in range(1, level + 1):
+            assert_bitwise(form.difference_matrices(k), difference_matrices_einsum(form, k))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 3),
+    level=st.integers(1, 4),
+    out_dim=st.integers(1, 3),
+    n_pts=st.integers(2, 7),
+    kinds=st.lists(
+        st.sampled_from(["wide", "zero", "signed", "converged"]), min_size=1, max_size=4
+    ),
+)
+def test_difference_matrices_bitwise_einsum_hypothesis(
+    seed, d, level, out_dim, n_pts, kinds
+):
+    form = form_over_walk(np.random.default_rng(seed), d, level, out_dim, n_pts, kinds)
+    for k in range(1, level + 1):
+        assert_bitwise(form.difference_matrices(k), difference_matrices_einsum(form, k))
+
+
+def test_picard_solve_bitwise_with_einsum_difference_matrices(monkeypatch):
+    """The cubic fixture solved with the per-letter kernel and again with the
+    einsum: every Picard step, its difference matrices, quotients and worst
+    pairs, and every iterate's certificate carry the same bits."""
+    problem = cubic_problem(64, n_max=16)
+    g, omega = problem.driver, problem.omega
+    theta = (problem.gamma + 1.0) / g.p
+
+    def run():
+        sol = solve(problem, keep_history=True)
+        certs = [
+            check_domination(s.form, theta, omega, auto_scale=True) for s in sol.history
+        ]
+        return sol, certs
+
+    ours, our_certs = run()
+    monkeypatch.setattr(OneFormPath, "difference_matrices", difference_matrices_einsum)
+    ref, ref_certs = run()
+    monkeypatch.undo()
+    assert len(ours.history) == len(ref.history) > 2
+    for a, b in zip(ours.history, ref.history):
+        assert (a.sup_parts, a.quot_parts) == (b.sup_parts, b.quot_parts)
+        for x, y in zip(a.form.levels, b.form.levels):
+            assert_bitwise(x, y)
+    for a, b in zip(our_certs + [ours.certificate], ref_certs + [ref.certificate]):
+        assert a.as_dict() == b.as_dict()
+        assert (a.worst_level, a.worst_pair) == (b.worst_level, b.worst_pair)
+        assert_bitwise(a.control.table, b.control.table)
+    assert_bitwise(ours.positions, ref.positions)
+    assert ours.fixed_point_residual == ref.fixed_point_residual
+    forms = [s.form for s in ours.history]
+    forms += [new - old for old, new in zip(forms, forms[1:])]
+    for form in forms:
+        for k in range(1, g.level + 1):
+            assert_bitwise(form.difference_matrices(k), difference_matrices_einsum(form, k))

@@ -22,6 +22,7 @@ from roughkit.path import (
 from roughkit.tensor import GroupElement, homogeneous_norm, tensor_exp, TruncatedTensor
 
 from oracles import (
+    holder_table_loop,
     interval_dp_loop,
     ode_iterated_integrals,
     per_point_lift,
@@ -217,6 +218,24 @@ def test_control_endpoint_equals_pvar_power():
     assert omega.value(0, g.num_steps) == pytest.approx(
         p_variation(g) ** 2.0, rel=1e-12
     )
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 3),
+    level=st.integers(1, 4),
+    frac=st.floats(0.0, 0.999),
+    size=st.sampled_from([1e-3, 1.0, 1e3]),
+)
+def test_holder_control_matches_per_step_loop(seed, d, level, frac, size):
+    """The default K read from the step level blocks agrees with one
+    homogeneous norm per step element: the block norms may round differently
+    by an ulp or two, and the p-th power multiplies that by p."""
+    rng = np.random.default_rng(seed)
+    g = signature(random_polyline(rng, dim=d, n_pts=9, scale=size), level, p=level + frac)
+    got, want = holder_control(g).table, holder_table_loop(g)
+    np.testing.assert_allclose(got, want, rtol=4.0 * g.p * np.finfo(float).eps, atol=0.0)
+    assert np.array_equal(got == 0.0, want == 0.0)
 
 
 def test_holder_control_is_linear_in_time():
@@ -514,6 +533,29 @@ def test_non_finite_rough_path_times_rejected(bad):
         SampledRoughPath(np.array(bad), g.levels, 2.0, g.grouplike)
 
 
-def test_large_increment_fails_the_inverse_identity():
-    with pytest.raises(ValueError, match="group-like certificate failed: inverse identity"):
-        signature(polyline([[0.0, 0.0], [1e2, 0.0]]), 3)
+def test_large_increment_passes_the_inverse_identity():
+    """The exact lift of one 1e2 step at level 3: t t^{-1} rounds far above
+    1e-12 at level 3 but within the bound scaled by the row's size."""
+    g = signature(polyline([[0.0, 0.0], [1e2, 0.0]]), 3)
+    assert g.grouplike.all()
+    assert g.levels[3][-1, 0] == pytest.approx(1e6 / 6.0, rel=1e-15)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 3),
+    level=st.integers(2, 4),
+    scale=st.sampled_from([1.0, 10.0, 30.0, 1e2, 1e3]),
+    dilation=st.sampled_from([1.0, 7.0, 1e2]),
+)
+def test_scaled_walk_lifts_pass_the_certificate(seed, d, level, scale, dilation):
+    """Exact lifts of random walks, and their dilations, stay certified at any
+    size: the inverse identity's bound grows with the row as its rounding does.
+    Each coordinate moves one way, because a walk that comes back near its
+    start after a long excursion can fail the level-2 shuffle check, whose
+    bound follows the point and not the path that reached it."""
+    rng = np.random.default_rng(seed)
+    steps = scale * rng.uniform(0.2, 1.0, (12, d)) * rng.choice([-1.0, 1.0], d)
+    values = np.vstack([np.zeros(d), np.cumsum(steps, axis=0)])
+    g = signature(polyline(values), level).dilate(dilation)
+    assert g.grouplike.all()

@@ -150,8 +150,8 @@ def _verdict(fn) -> str | None:
     return None
 
 
-# rows of (seed, level-2 perturbation, dilation, selected by the mask); large
-# dilations push the inverse identity's rounding past its absolute tolerance
+# rows of (seed, level-2 perturbation, dilation, selected by the mask); a
+# dilation scales the inverse identity's rounding and its bound together
 @given(
     st.lists(
         st.tuples(
@@ -184,6 +184,18 @@ def test_batched_certificate_matches_per_element(rows):
     assert _verdict(lambda: certify_stack(stack, rows=np.array(selected))) == expected
     everything = next((v for v in per_element if v), None)
     assert _verdict(lambda: certify_stack(stack)) == everything
+
+
+def test_inverse_identity_bound_is_relative_to_the_row():
+    """A row whose product with its series inverse misses the unit by more
+    than 1e-12 (1 + size**k) at some level k fails the inverse identity."""
+    rng = np.random.default_rng(5)
+    g = random_signature(rng, dim=2, level=3).tensor.dilate(1e3)
+    stack = tuple(b[None, :] for b in g.coeffs)
+    certify_stack(stack)
+    off_unit = (stack[0] * (1.0 + 1e-9),) + stack[1:]
+    with pytest.raises(ValueError, match="group-like certificate failed: inverse identity"):
+        certify_stack(off_unit)
 
 
 def test_homogeneous_norm_of_unit_is_zero():
