@@ -12,6 +12,7 @@ failure under --strict.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -76,23 +77,25 @@ def _parse_vector(text: str) -> np.ndarray:
 
 
 def _driver_from_args(args) -> tuple:
-    """Build (driver, p, start); either a lifted CSV polyline or a pure-area path.
+    """Build (driver, start); either a lifted CSV polyline or a pure-area path.
 
-    The lift keeps increments only, so the sample's start point rides along
-    for operations that need absolute coordinates.
+    The driver carries the declared p.  The lift keeps increments only, so
+    the sample's start point rides along for operations that need absolute
+    coordinates.
     """
-    if getattr(args, "pure_area", None) is not None:
+    if args.pure_area is not None:
         p = args.p if args.p is not None else 2.0
         if int(p) != 2:
             raise ValueError("pure-area drivers live at level 2; need [p] = 2")
-        return pure_area_path(args.pure_area, args.steps), p, np.zeros(2)
+        driver = pure_area_path(args.pure_area, args.steps)
+        return dataclasses.replace(driver, p=p), np.zeros(2)
     if args.path is None:
         raise ValueError("need a path CSV or --pure-area")
     p = args.p if args.p is not None else 3.0
     if p < 1.0:
         raise ValueError(f"p must be at least 1, got {p}")
     path = read_path_csv(args.path)
-    return signature(path, max(1, int(p)), p=p), p, path.values[0]
+    return signature(path, max(1, int(p)), p=p), path.values[0]
 
 
 def cmd_signature(args) -> int:
@@ -129,7 +132,7 @@ def cmd_signature(args) -> int:
 
 
 def cmd_integrate(args) -> int:
-    driver, p, start = _driver_from_args(args)
+    driver, start = _driver_from_args(args)
     gamma = args.gamma
     spec = _load_json(args.form)
     fmap = field_from_json(spec)
@@ -163,7 +166,7 @@ def cmd_integrate(args) -> int:
         {
             "schema": SCHEMA,
             "command": "integrate",
-            "p": p,
+            "p": driver.p,
             "gamma": gamma,
             "route": route,
             "total": result.total,
@@ -178,7 +181,7 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    driver, p, _ = _driver_from_args(args)
+    driver, _ = _driver_from_args(args)
     gamma = args.gamma
     spec = _load_json(args.field)
     fmap = field_from_json(spec)
@@ -205,7 +208,7 @@ def cmd_solve(args) -> int:
         {
             "schema": SCHEMA,
             "command": "solve",
-            "p": p,
+            "p": driver.p,
             "gamma": gamma,
             "converged": sol.converged,
             "message": sol.message,
@@ -252,34 +255,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    driver = argparse.ArgumentParser(add_help=False)
+    driver.add_argument("path", nargs="?", default=None, help="driver CSV")
+    driver.add_argument("--pure-area", type=float, default=None, dest="pure_area")
+    driver.add_argument("--steps", type=int, default=256, help="pure-area grid steps")
+    driver.add_argument("--p", type=float, default=None, help="variation exponent")
+    driver.add_argument("--radius", type=float, default=4.0, help="certified ball radius")
+
     sig = sub.add_parser("signature", help="lift a path CSV to its signature")
     sig.add_argument("path", help="CSV with header t,x1,..,xd")
     sig.add_argument("--level", type=int, required=True, help="truncation level")
     sig.add_argument("--out", default=None, help="write JSON here (default stdout)")
     sig.set_defaults(func=cmd_signature)
 
-    integ = sub.add_parser("integrate", help="rough integral of a one-form")
-    integ.add_argument("path", nargs="?", default=None, help="driver CSV")
-    integ.add_argument("--pure-area", type=float, default=None, dest="pure_area")
-    integ.add_argument("--steps", type=int, default=256, help="pure-area grid steps")
+    integ = sub.add_parser(
+        "integrate", parents=[driver], help="rough integral of a one-form"
+    )
     integ.add_argument("--form", required=True, help="integrand JSON spec")
-    integ.add_argument("--p", type=float, default=None, help="variation exponent")
     integ.add_argument("--gamma", type=float, required=True, help="integrand regularity")
-    integ.add_argument("--radius", type=float, default=4.0, help="certified ball radius")
     integ.add_argument("--out", default=None, help="write JSON here (default stdout)")
     integ.set_defaults(func=cmd_integrate)
 
-    slv = sub.add_parser("solve", help="solve dy = f(y) dx by Picard iteration")
-    slv.add_argument("path", nargs="?", default=None, help="driver CSV")
-    slv.add_argument("--pure-area", type=float, default=None, dest="pure_area")
-    slv.add_argument("--steps", type=int, default=256, help="pure-area grid steps")
+    slv = sub.add_parser(
+        "solve", parents=[driver], help="solve dy = f(y) dx by Picard iteration"
+    )
     slv.add_argument("--field", required=True, help="vector-field JSON spec")
     slv.add_argument("--xi", required=True, help="initial condition, comma separated")
-    slv.add_argument("--p", type=float, default=None, help="variation exponent")
     slv.add_argument("--gamma", type=float, required=True, help="field regularity")
     slv.add_argument("--tol", type=float, default=1e-10, help="stopping tolerance")
     slv.add_argument("--n-max", type=int, default=25, dest="n_max")
-    slv.add_argument("--radius", type=float, default=4.0, help="certified ball radius")
     slv.add_argument("--out-csv", default=None, dest="out_csv", help="solution CSV")
     slv.add_argument("--decay-csv", default=None, dest="decay_csv", help="decay table CSV")
     slv.add_argument("--report", default=None, help="report JSON (default stdout)")

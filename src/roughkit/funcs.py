@@ -251,7 +251,9 @@ class SineField(SmoothMap):
 
 
 @dataclass(frozen=True)
-class SumMap(SmoothMap):
+class _PairMap(SmoothMap):
+    """Two maps on one domain with one output shape, combined pointwise."""
+
     left: SmoothMap
     right: SmoothMap
 
@@ -260,7 +262,9 @@ class SumMap(SmoothMap):
             self.left.in_dim != self.right.in_dim
             or self.left.out_shape != self.right.out_shape
         ):
-            raise DimensionMismatchError("summands must share in_dim and out_shape")
+            raise DimensionMismatchError(
+                f"{self._operands} must share in_dim and out_shape"
+            )
 
     @property
     def in_dim(self) -> int:
@@ -269,6 +273,10 @@ class SumMap(SmoothMap):
     @property
     def out_shape(self) -> tuple[int, ...]:
         return self.left.out_shape
+
+
+class SumMap(_PairMap):
+    _operands = "summands"
 
     def apply(self, Y: np.ndarray) -> np.ndarray:
         return self.left.apply(Y) + self.right.apply(Y)
@@ -308,27 +316,10 @@ class ScaledMap(SmoothMap):
         return ScaledMap(c * self.factor, self.base)
 
 
-@dataclass(frozen=True)
-class ProductMap(SmoothMap):
+class ProductMap(_PairMap):
     """Elementwise product; derivatives by the Leibniz subset sum."""
 
-    left: SmoothMap
-    right: SmoothMap
-
-    def __post_init__(self) -> None:
-        if (
-            self.left.in_dim != self.right.in_dim
-            or self.left.out_shape != self.right.out_shape
-        ):
-            raise DimensionMismatchError("factors must share in_dim and out_shape")
-
-    @property
-    def in_dim(self) -> int:
-        return self.left.in_dim
-
-    @property
-    def out_shape(self) -> tuple[int, ...]:
-        return self.left.out_shape
+    _operands = "factors"
 
     def apply(self, Y: np.ndarray) -> np.ndarray:
         return self.left.apply(Y) * self.right.apply(Y)

@@ -113,10 +113,7 @@ def rough_integral(
             f"gamma = {gamma} is not above p - 1 = {base.p - 1.0}; "
             "the compensated sums have no meaning there"
         )
-    contrib = beta.step_values()
-    values = np.zeros((base.times.size, beta.out_dim))
-    np.cumsum(contrib, axis=0, out=values[1:])
-
+    values = beta.integral_values()
     idx = np.array(_coarse_indices(base.num_steps))
     incs = base.increment_levels(idx[:-1], idx[1:])
     coarse = np.zeros(beta.out_dim)

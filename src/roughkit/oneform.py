@@ -197,12 +197,8 @@ class OneFormPath:
         )
 
     def __sub__(self, other: "OneFormPath") -> "OneFormPath":
-        self._check_mate(other)
-        return OneFormPath(
-            self.base,
-            self.out_dim,
-            tuple(a - b for a, b in zip(self.levels, other.levels)),
-        )
+        # a + (-b) is a - b exactly in IEEE arithmetic
+        return self + -other
 
     def __mul__(self, c: float) -> "OneFormPath":
         return OneFormPath(
@@ -231,12 +227,9 @@ class OneFormPath:
         i = self._time_index(t)
         unit = TruncatedTensor.unit(b.dim, b.level)
         u = self.base.points[i].inverse().tensor @ a.tensor @ (b.tensor - unit)
-        out = np.zeros(self.out_dim)
-        for k in range(1, self.base.level + 1):
-            out += self.levels[k - 1][i] @ u.level_block(k)
-        return out
+        return self.value_on_increment(i, u)
 
-    def value_on_increment(self, i: int, inc: GroupElement) -> np.ndarray:
+    def value_on_increment(self, i: int, inc: GroupElement | TruncatedTensor) -> np.ndarray:
         """beta_{t_i}(g_{t_i}, inc), the quantity Riemann sums are made of."""
         out = np.zeros(self.out_dim)
         for k in range(1, self.base.level + 1):
@@ -251,19 +244,27 @@ class OneFormPath:
             out += np.einsum("nok,nk->no", self.levels[k - 1][:-1], blocks[k - 1])
         return out
 
+    def integral_values(self, start: int = 0) -> np.ndarray:
+        """Left sums of `step_values` from grid index start, shape (N+1, out)."""
+        out = np.zeros((self.base.times.size, self.out_dim))
+        np.cumsum(self.step_values()[start:], axis=0, out=out[start + 1 :])
+        return out
+
     # -- norms -------------------------------------------------------------------
 
     @cached_property
+    def level_sups(self) -> tuple[float, ...]:
+        """Per level k, sup_t of the largest singular value of A_t^(k)."""
+        return tuple(float(np.max(batched_spectral_norms(b))) for b in self.levels)
+
+    @property
     def sup_norm(self) -> float:
         """sup_t of the operator norm of b -> beta_t(g_t, b).
 
         With the summed level norm on the argument this is the max over
         levels of the largest singular value of A_t^(k).
         """
-        worst = 0.0
-        for block in self.levels:
-            worst = max(worst, float(np.max(batched_spectral_norms(block))))
-        return worst
+        return max(self.level_sups)
 
     def difference_matrices(self, k: int) -> np.ndarray:
         """Level-k matrices of (beta_t - beta_s)(g_t, .) on all pairs s < t.
@@ -304,26 +305,29 @@ class OneFormPath:
         """
         if gamma <= 1.0:
             raise ValueError("gamma must exceed 1")
-        p = self.base.p
+        k_max = min(self.base.level, strict_floor(gamma))
+        expos = [(gamma - k) / self.base.p for k in range(1, k_max + 1)]
+        quots, pairs = self._level_quotients(omega, expos, noise_floor)
+        return self.level_sups, tuple(quots), pairs
+
+    def _level_quotients(
+        self, omega: Control, expos: list[float], noise_floor: float = 0.0
+    ) -> tuple[list[float], list[tuple[int, int]]]:
+        """Worst sigma_max(difference) / omega**expos[k-1] and its pair, per level k."""
         s_idx, t_idx = self.base.pair_indices
         w = omega.table[s_idx, t_idx]
-        sups = tuple(
-            float(np.max(batched_spectral_norms(block))) for block in self.levels
-        )
-        k_max = min(self.base.level, strict_floor(gamma))
-        quots = []
-        pairs = []
-        for k in range(1, k_max + 1):
+        quots, pairs = [], []
+        for k, expo in enumerate(expos, start=1):
             q, j = _spectral_pair_quotient(
                 self.difference_matrices(k),
                 w,
-                (gamma - k) / p,
+                expo,
                 noise_floor=noise_floor,
                 dead_tol=max(1e-12, noise_floor),
             )
             quots.append(q)
             pairs.append((int(s_idx[j]), int(t_idx[j])))
-        return sups, tuple(quots), pairs
+        return quots, pairs
 
     def operator_norm(
         self, gamma: float, omega: Control, details: bool = False
@@ -412,17 +416,11 @@ def check_domination(
     if theta <= 1.0:
         raise ValueError("theta must exceed 1")
     p = beta.base.p
-    s_idx, t_idx = beta.base.pair_indices
-    w = omega.table[s_idx, t_idx]
-    sups = []
-    pairs = []
-    for k in range(1, beta.base.level + 1):
-        expo = theta - k / p
+    expos = [theta - k / p for k in range(1, beta.base.level + 1)]
+    for k, expo in enumerate(expos, start=1):
         if expo <= 0.0:
             raise ValueError(f"theta too small for level {k}")
-        q, j = _spectral_pair_quotient(beta.difference_matrices(k), w, expo)
-        sups.append(q)
-        pairs.append((int(s_idx[j]), int(t_idx[j])))
+    sups, pairs = beta._level_quotients(omega, expos)
     if auto_scale and all(np.isfinite(q) for q in sups):
         lam = 1.0
         for k, q in enumerate(sups, start=1):
@@ -501,10 +499,7 @@ class ClosedLift:
 
     def along(self, g: SampledRoughPath) -> np.ndarray:
         """Cumulative partition sums, shape (N+1, out_dim); exact on lifts."""
-        vals = np.zeros((g.times.size, self.out_dim))
-        for i, inc in enumerate(g.step_increments):
-            vals[i + 1] = vals[i] + self.pair_value(g.points[i], inc)
-        return vals
+        return self.as_oneform(g).integral_values()
 
     def as_oneform(self, g: SampledRoughPath) -> OneFormPath:
         """Materialize the lift as a one-form path over g."""

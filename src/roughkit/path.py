@@ -19,6 +19,7 @@ from .tensor import (
     GroupElement,
     TruncatedTensor,
     certify_stack,
+    homogeneous_norms,
     stack_exp,
     stack_inverse,
     stack_product,
@@ -232,7 +233,7 @@ class SampledRoughPath:
         return _element_views(self.levels, self.grouplike)
 
     def increment(self, i: int, j: int) -> GroupElement:
-        return self.points[i].increment_to(self.points[j])
+        return self.points[i].inverse() @ self.points[j]
 
     def positions(self, base_point: np.ndarray | None = None) -> np.ndarray:
         base = np.zeros(self.dim) if base_point is None else np.asarray(base_point, float)
@@ -320,11 +321,7 @@ class SampledRoughPath:
     @cached_property
     def pairwise_homogeneous_norms(self) -> np.ndarray:
         """Homogeneous norm of g_{s,t} for every pair, shape (N+1, N+1)."""
-        n = self.times.size
-        total = np.zeros((n, n))
-        for r, block in enumerate(self.pairwise_levels, start=1):
-            total += np.linalg.norm(block, axis=2) ** (1.0 / r)
-        return total
+        return homogeneous_norms(self.pairwise_levels)
 
     @cached_property
     def pair_indices(self) -> tuple[np.ndarray, np.ndarray]:
@@ -372,7 +369,6 @@ class Control:
 
     times: np.ndarray
     table: np.ndarray
-    kind: str = "pvar"
 
     def __post_init__(self) -> None:
         table = np.asarray(self.table, dtype=float)
@@ -390,7 +386,7 @@ class Control:
         return float(self.table[0, -1])
 
     def scaled(self, factor: float) -> "Control":
-        return Control(self.times, factor * self.table, kind=self.kind)
+        return Control(self.times, factor * self.table)
 
     def superadditivity_defect(self) -> float:
         """max over (i, m, j) of omega(i,m) + omega(m,j) - omega(i,j); <= 0 is exact.
@@ -428,7 +424,7 @@ def control_from_pvar(g: SampledRoughPath) -> Control:
         np.maximum(diag, (left + right).max(axis=1), out=diag)
         flat_t[gap * n1 :: n1 + 1][:rows] = diag
     V[np.tri(n1, dtype=bool)] = 0.0
-    return Control(g.times, V, kind="pvar")
+    return Control(g.times, V)
 
 
 def holder_control(g: SampledRoughPath, K: float | None = None) -> Control:
@@ -440,14 +436,11 @@ def holder_control(g: SampledRoughPath, K: float | None = None) -> Control:
     """
     times = g.times
     if K is None:
-        norms = sum(
-            np.linalg.norm(b, axis=1) ** (1.0 / k)
-            for k, b in enumerate(g.step_level_blocks, start=1)
-        )
+        norms = homogeneous_norms(g.step_level_blocks)
         span = float(times[-1] - times[0])
         K = float(np.max(norms / np.diff(times))) ** g.p * span ** (g.p - 1.0)
     diff = times[None, :] - times[:, None]
-    return Control(times, K * np.maximum(diff, 0.0), kind="holder")
+    return Control(times, K * np.maximum(diff, 0.0))
 
 
 # -- CSV interface ----------------------------------------------------------

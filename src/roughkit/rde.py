@@ -296,14 +296,10 @@ class RdeSolution:
         return self.report.tail_bound()
 
 
-def _residual(problem: RdeProblem, state: PicardState) -> float:
-    """Sup distance between the candidate and one more integral-map step.
-
-    Only the step's positions are needed, so its form distance is not taken.
-    """
-    form = compose_integrand(problem.field, state.positions, state.form)
-    positions = problem.xi[None, :] + rough_integral(form).values
-    return float(np.max(np.linalg.norm(positions - state.positions, axis=1)))
+def _map_distance(problem: RdeProblem, form: OneFormPath, positions: np.ndarray) -> float:
+    """Sup distance between positions and xi plus the rough integral of form."""
+    mapped = problem.xi[None, :] + rough_integral(form).values
+    return float(np.max(np.linalg.norm(mapped - positions, axis=1)))
 
 
 def solve(
@@ -365,7 +361,9 @@ def solve(
             )
     deltas = [s.delta_at_scale(c, gamma) for s in states[1:]]
     report = fit_decay(deltas, problem.driver.p)
-    residual = _residual(problem, state)
+    # one more integral-map step; only its positions are needed
+    step_form = compose_integrand(problem.field, state.positions, state.form)
+    residual = _map_distance(problem, step_form, state.positions)
     theta = (gamma + 1.0) / problem.driver.p
     certificate = check_domination(
         state.form, theta=theta, omega=problem.omega, auto_scale=True
@@ -441,13 +439,9 @@ def fixed_point_residual(
     problem: RdeProblem, positions: np.ndarray
 ) -> tuple[float, OneFormPath]:
     """Sup distance between a path and the integral map applied to it."""
+    positions = np.asarray(positions, dtype=float)
     form = fixed_point_form(problem, positions)
-    integral = rough_integral(form)
-    mapped = problem.xi[None, :] + integral.values
-    resid = float(
-        np.max(np.linalg.norm(mapped - np.asarray(positions), axis=1))
-    )
-    return resid, form
+    return _map_distance(problem, form, positions), form
 
 
 def _pair_field(problem: RdeProblem) -> LipFunction:
@@ -476,60 +470,35 @@ def _product_form(
     """
     base = H_form.base
     d = base.dim
-    n = H_values.shape[0]
-    m = H_values.shape[1]
-    vector = E_values.ndim == 2
-    w = m if vector else m * m
-    if vector:
-        phi = np.einsum("nija,na->nij", H_values, E_values)
-    else:
-        phi = np.einsum("nija,nab->nibj", H_values, E_values).reshape(n, w, d)
-    phi = phi.reshape(n, w, d)
+    n, m = H_values.shape[:2]
+    # a vector E is an m x 1 matrix
+    E_values = E_values.reshape(n, m, -1)
+    w = m * E_values.shape[2]
+    FE = [block.reshape(n, m, E_values.shape[2], -1) for block in E_form.levels]
+    phi = np.einsum("nija,nab->nibj", H_values, E_values).reshape(n, w, d)
     levels = []
     for k in range(1, base.level + 1):
         acc = np.zeros((n, w * d, d**k))
         BH = H_form.levels[k - 1].reshape(n, m, d, m, d**k)
-        if vector:
-            acc += np.einsum("nijaK,na->nijK", BH, E_values).reshape(
-                n, w * d, d**k
-            )
-            acc += np.einsum(
-                "nija,naK->nijK", H_values, E_form.levels[k - 1]
-            ).reshape(n, w * d, d**k)
-        else:
-            FE = E_form.levels[k - 1].reshape(n, m, m, d**k)
-            acc += np.einsum("nijaK,nab->nibjK", BH, E_values).reshape(
-                n, w * d, d**k
-            )
-            acc += np.einsum("nija,nabK->nibjK", H_values, FE).reshape(
-                n, w * d, d**k
-            )
+        acc += np.einsum("nijaK,nab->nibjK", BH, E_values).reshape(n, w * d, d**k)
+        acc += np.einsum("nija,nabK->nibjK", H_values, FE[k - 1]).reshape(
+            n, w * d, d**k
+        )
         for k1 in range(1, k):
-            k2 = k - k1
             BH1 = H_form.levels[k1 - 1].reshape(n, m, d, m, d**k1)
-            if vector:
-                FE2 = E_form.levels[k2 - 1].reshape(n, m, d**k2)
-                cross = np.einsum("nijaA,naB->nijAB", BH1, FE2).reshape(
-                    n, w * d, d**k
-                )
-            else:
-                FE2 = E_form.levels[k2 - 1].reshape(n, m, m, d**k2)
-                cross = np.einsum("nijaA,nabB->nibjAB", BH1, FE2).reshape(
-                    n, w * d, d**k
-                )
-            acc += cross @ split_matrix(d, (k1, k2))
+            cross = np.einsum("nijaA,nabB->nibjAB", BH1, FE[k - k1 - 1]).reshape(
+                n, w * d, d**k
+            )
+            acc += cross @ split_matrix(d, (k1, k - k1))
         levels.append(acc)
     return phi, OneFormPath(base, w * d, tuple(levels))
 
 
-def _integrate_from(form: OneFormPath, start: int, shape: tuple[int, ...]) -> np.ndarray:
-    """Increments of the rough integral of form, started at grid index start."""
-    contrib = form.step_values()
-    n = contrib.shape[0] + 1
-    out = np.zeros((n,) + (int(np.prod(shape)),))
-    if start < n - 1:
-        out[start + 1 :] = np.cumsum(contrib[start:], axis=0)
-    return out.reshape((n,) + shape)
+def _pair_table(full: np.ndarray) -> np.ndarray:
+    """full[t] - full[s] indexed [s, t], zero where t < s."""
+    vals = full[None, :] - full[:, None]
+    vals[np.tri(full.shape[0], k=-1, dtype=bool)] = 0.0
+    return vals
 
 
 def _reshape_H_form(H_form: OneFormPath, m: int, d: int) -> OneFormPath:
@@ -623,12 +592,7 @@ def difference_tower(
     for k in range(2, problem.driver.level + 1):
         seed_levels.append(np.zeros((npts, m, d**k)))
     seed_form = OneFormPath(problem.driver, m, tuple(seed_levels))
-    incs = _integrate_from(seed_form, 0, (m,))
-    vals00 = np.zeros((npts, npts, m))
-    for s in range(npts):
-        vals00[s] = incs - incs[s]
-        vals00[s, :s] = 0.0
-    values[(0, 0)] = vals00
+    values[(0, 0)] = _pair_table(seed_form.integral_values())
     forms[(0, 0)] = [seed_form] * npts
 
     for l in range(1, l_max + 1):
@@ -638,12 +602,7 @@ def difference_tower(
         )
         B = _reshape_H_form(pair_taylor[l - 1], m, d)
         form_ll = integral_form_from_controlled(phi, B)
-        vals = np.zeros((npts, npts, m, m))
-        full = _integrate_from(form_ll, 0, (m, m))
-        for s in range(npts):
-            vals[s] = full - full[s]
-            vals[s, :s] = 0.0
-        values[(l, l)] = vals
+        values[(l, l)] = _pair_table(form_ll.integral_values().reshape(npts, m, m))
         forms[(l, l)] = [form_ll] * npts
 
     for l in range(0, l_max + 1):
@@ -659,8 +618,7 @@ def difference_tower(
             for s in range(npts):
                 phi, Bphi = _product_form(hv, ht, prev_vals[s], prev_forms[s])
                 form_s = integral_form_from_controlled(phi, Bphi)
-                inc = _integrate_from(form_s, s, shape)
-                vals[s] = inc
+                vals[s] = form_s.integral_values(s).reshape((npts,) + shape)
                 flist.append(form_s)
             values[(l, n + 1)] = vals
             forms[(l, n + 1)] = flist
@@ -739,10 +697,6 @@ class UniquenessReport:
     equal_within: float
     conclusive: bool
 
-    @property
-    def final_bound(self) -> float:
-        return self.implied_bounds[-1] if self.implied_bounds else math.nan
-
 
 def uniqueness_probe(
     problem: RdeProblem,
@@ -808,7 +762,7 @@ def uniqueness_probe(
     for _ in range(n_max):
         pv, pf = _product_form(hv, ht, phi_vals, phi_form)
         form_n = integral_form_from_controlled(pv, pf)
-        phi_vals = _integrate_from(form_n, 0, (m, m))
+        phi_vals = form_n.integral_values().reshape(npts, m, m)
         phi_form = form_n
         mats = phi_vals.reshape(npts, m, m)
         sup_op = float(

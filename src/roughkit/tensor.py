@@ -21,6 +21,7 @@ __all__ = [
     "tensor_exp",
     "tensor_log",
     "homogeneous_norm",
+    "homogeneous_norms",
     "last_letter_split",
     "split_apply",
     "split_matrix",
@@ -111,6 +112,16 @@ def stack_exp(u: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     return _stack_series(u, coeffs, _unit_like(u))
 
 
+def homogeneous_norms(blocks: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Scaling-homogeneous size of stacked elements from their levels 1..L.
+
+    Sum over degrees k >= 1, in k order, of the k-th root of the Euclidean
+    norm of blocks[k-1] along its last axis; homogeneous of degree one
+    under dilation.
+    """
+    return sum(np.linalg.norm(b, axis=-1) ** (1.0 / k) for k, b in enumerate(blocks, 1))
+
+
 def certify_stack(
     t: tuple[np.ndarray, ...], rows: np.ndarray | None = None
 ) -> None:
@@ -139,7 +150,7 @@ def certify_stack(
         worst = np.max(np.abs(sym_defect), axis=(1, 2), initial=0.0)
         shuffle_bad = worst > GROUPLIKE_SHUFFLE_TOL * scale
     prod = stack_product(t, stack_inverse(t))
-    size = sum(np.linalg.norm(x, axis=1) ** (1.0 / j) for j, x in enumerate(t[1:], 1))
+    size = homogeneous_norms(t[1:])
     inverse_bad = np.zeros(n, dtype=bool)
     for k, (a, b) in enumerate(zip(prod, _unit_like(t))):
         bound = GROUPLIKE_INVERSE_TOL * (1.0 + size**k)
@@ -279,12 +290,8 @@ class TruncatedTensor:
         )
 
     def __sub__(self, other: "TruncatedTensor") -> "TruncatedTensor":
-        self._check_compatible(other)
-        return TruncatedTensor(
-            self.dim,
-            self.level,
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
-        )
+        # a + (-b) is a - b exactly in IEEE arithmetic
+        return self + -other
 
     def __neg__(self) -> "TruncatedTensor":
         return TruncatedTensor(self.dim, self.level, tuple(-a for a in self.coeffs))
@@ -394,10 +401,6 @@ class GroupElement:
             grouplike=self.grouplike,
         )
 
-    def increment_to(self, other: "GroupElement") -> "GroupElement":
-        """Group increment self^{-1} @ other."""
-        return self.inverse() @ other
-
     def dilate(self, c: float) -> "GroupElement":
         # Dilation is an automorphism of the group, so the flag survives.
         return GroupElement(self.tensor.dilate(c), grouplike=self.grouplike)
@@ -407,17 +410,11 @@ class GroupElement:
 
 
 def homogeneous_norm(a: GroupElement) -> float:
-    """Scaling-homogeneous size of a group element.
+    """Scaling-homogeneous size of a group element; see `homogeneous_norms`.
 
-    Sum over degrees k >= 1 of the k-th root of the Euclidean block norm;
-    homogeneous of degree one under dilation.
+    Taken on the element as a 1-row stack, so it is bitwise the batched value.
     """
-    t = a.tensor
-    total = 0.0
-    for k in range(1, t.level + 1):
-        nk = float(np.linalg.norm(t.coeffs[k]))
-        total += nk ** (1.0 / k)
-    return total
+    return float(np.sum(homogeneous_norms(a.tensor._stack()[1:])))
 
 
 def last_letter_split(t: TruncatedTensor) -> tuple[np.ndarray, ...]:

@@ -1,6 +1,6 @@
 """Shared fixtures: the frozen solver fixtures used across rde, CLI, and
-acceptance tests, solved once per session, and the environment for CLI
-subprocesses."""
+acceptance tests, solved once per session, the environment for CLI
+subprocesses, and the bitwise array comparison."""
 
 import os
 from pathlib import Path
@@ -29,6 +29,12 @@ def cli_env() -> dict[str, str]:
     old = env.get("PYTHONPATH")
     env["PYTHONPATH"] = str(src) + (os.pathsep + old if old else "")
     return env
+
+
+def assert_bitwise(a, b):
+    """Equal shapes and equal bits, so signed zeros count."""
+    assert a.shape == b.shape and a.dtype == b.dtype == np.float64
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 # -- exponential fixture: scalar dy = y dx on a smooth monotone-ish path -----

@@ -7,7 +7,8 @@ Picard iteration, finite differences instead of coefficient calculus.
 Only numpy/scipy, never roughkit internals; `per_point_lift` alone uses
 roughkit's public single-element API, as the reference for the stacked lift,
 and `holder_table_loop` likewise; `difference_matrices_einsum` reads a
-one-form path's arrays and nothing else.
+one-form path's arrays and nothing else, and `product_form_two_branch`
+reads the forms' arrays and roughkit's `split_matrix`.
 """
 
 import itertools
@@ -292,3 +293,51 @@ def holder_table_loop(g):
     span = float(g.times[-1] - g.times[0])
     K = max(rates) ** g.p * span ** (g.p - 1.0)
     return K * np.maximum(g.times[None, :] - g.times[:, None], 0.0)
+
+
+def product_form_two_branch(H_values, H_form, E_values, E_form):
+    """Controlled description of u -> H_u E_u with one einsum branch per shape of E.
+
+    H takes values in m x d x m arrays, E in vectors of size m (values
+    (N+1, m)) or in m x m matrices.  Vectors and matrices get separate
+    einsum subscripts instead of reading a vector as an m x 1 matrix; the
+    cross terms pair partial levels through `split_matrix`.  Returns the
+    product values (N+1, w, d) and the level blocks of its form: the
+    reference a single-branch kernel must reproduce bitwise.
+    """
+    from roughkit.tensor import split_matrix
+
+    d, level = H_form.base.dim, H_form.base.level
+    n, m = H_values.shape[:2]
+    vector = E_values.ndim == 2
+    w = m if vector else m * m
+    if vector:
+        phi = np.einsum("nija,na->nij", H_values, E_values)
+    else:
+        phi = np.einsum("nija,nab->nibj", H_values, E_values).reshape(n, w, d)
+    phi = phi.reshape(n, w, d)
+    levels = []
+    for k in range(1, level + 1):
+        acc = np.zeros((n, w * d, d**k))
+        BH = H_form.levels[k - 1].reshape(n, m, d, m, d**k)
+        if vector:
+            acc += np.einsum("nijaK,na->nijK", BH, E_values).reshape(n, w * d, d**k)
+            acc += np.einsum("nija,naK->nijK", H_values, E_form.levels[k - 1]).reshape(
+                n, w * d, d**k
+            )
+        else:
+            FE = E_form.levels[k - 1].reshape(n, m, m, d**k)
+            acc += np.einsum("nijaK,nab->nibjK", BH, E_values).reshape(n, w * d, d**k)
+            acc += np.einsum("nija,nabK->nibjK", H_values, FE).reshape(n, w * d, d**k)
+        for k1 in range(1, k):
+            k2 = k - k1
+            BH1 = H_form.levels[k1 - 1].reshape(n, m, d, m, d**k1)
+            if vector:
+                FE2 = E_form.levels[k2 - 1].reshape(n, m, d**k2)
+                cross = np.einsum("nijaA,naB->nijAB", BH1, FE2)
+            else:
+                FE2 = E_form.levels[k2 - 1].reshape(n, m, m, d**k2)
+                cross = np.einsum("nijaA,nabB->nibjAB", BH1, FE2)
+            acc += cross.reshape(n, w * d, d**k) @ split_matrix(d, (k1, k2))
+        levels.append(acc)
+    return phi, tuple(levels)

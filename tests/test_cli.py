@@ -216,9 +216,9 @@ def test_integrate_flags_uncertified_regularity(tmp_path):
     assert rep["route"] == "taylor"
 
 
-def test_integrate_pure_area_linear_form(tmp_path):
-    form = tmp_path / "lin.json"
-    A1, A2 = AREA_A1, AREA_A2
+def area_form_json(dirpath):
+    """The linear form y -> (A1 y, A2 y) of the area fixture."""
+    form = dirpath / "lin.json"
     write_json(
         form,
         {
@@ -229,10 +229,16 @@ def test_integrate_pure_area_linear_form(tmp_path):
             # block[i, j, k] = A_j[i, k]
             "coeffs": [
                 [[0.0, 0.0], [0.0, 0.0]],
-                np.stack([A1, A2], axis=1).tolist(),
+                np.stack([AREA_A1, AREA_A2], axis=1).tolist(),
             ],
         },
     )
+    return form
+
+
+def test_integrate_pure_area_linear_form(tmp_path):
+    form = area_form_json(tmp_path)
+    A1, A2 = AREA_A1, AREA_A2
     res = run_cli(
         "integrate", "--pure-area", AREA_VALUE, "--steps", 320,
         "--form", form, "--gamma", 3.0,
@@ -514,6 +520,18 @@ def test_bad_level_exits_two(tmp_path):
     csv = exp_csv(tmp_path, 8)
     res = run_cli("signature", csv, "--level", 0)
     assert res.returncode == 2
+
+
+def test_pure_area_integral_uses_the_declared_p(tmp_path):
+    # gamma 2.6 does not exceed p 2.9, so the integral must not be certified
+    res = run_cli(
+        "integrate", "--pure-area", 1, "--steps", 32, "--form", area_form_json(tmp_path),
+        "--gamma", 2.6, "--p", 2.9,
+    )
+    assert res.returncode == 0
+    rep = json.loads(res.stdout)
+    assert rep["p"] == 2.9
+    assert rep["certified"] is False and rep["uncertified"] is True
 
 
 def test_pure_area_needs_level_two_exponent(tmp_path):

@@ -1,8 +1,11 @@
-"""Every name a roughkit module imports is used in it or re-exported.
+"""Every name a roughkit module imports is used in it or re-exported, and
+every function, method and class it defines is referenced somewhere.
 
-A stand-in for a linter's unused-import rule, built on `ast` only.
+Stand-ins for a linter's unused-import and dead-code rules, built on `ast`
+only.
 """
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,7 @@ import pytest
 import roughkit
 
 SOURCES = sorted(Path(roughkit.__file__).resolve().parent.glob("*.py"))
+REPO = Path(__file__).resolve().parents[1]
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -51,3 +55,47 @@ def test_no_unused_imports(source):
         name: line for name, line in imported_names(tree).items() if name not in keep
     }
     assert not unused, f"{source.name}: unused imports {unused}"
+
+
+def defined_names(tree: ast.Module) -> set[str]:
+    """Functions, methods and classes defined anywhere in a module, dunders excluded."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, kinds)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    }
+
+
+def referenced_names(tree: ast.Module) -> Counter:
+    """Bare names, attributes, imported names and identifier-like strings.
+
+    Strings count because `__all__` and attribute patches name their
+    targets as strings.
+    """
+    refs = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            refs[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            refs[node.name] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                refs[node.value] += 1
+    return refs
+
+
+def test_every_defined_name_is_referenced():
+    """A name nothing in src/, tests/ or benchmarks/ refers to is dead code."""
+    defined = set()
+    for source in SOURCES:
+        defined |= defined_names(ast.parse(source.read_text(), filename=str(source)))
+    refs = Counter()
+    for folder in ("src", "tests", "benchmarks"):
+        for path in sorted((REPO / folder).rglob("*.py")):
+            refs += referenced_names(ast.parse(path.read_text(), filename=str(path)))
+    orphans = sorted(name for name in defined if refs[name] == 0)
+    assert not orphans, f"defined but never referenced: {orphans}"

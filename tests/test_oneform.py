@@ -25,7 +25,7 @@ from roughkit.tensor import (
     TruncatedTensor,
 )
 
-from conftest import cubic_problem
+from conftest import assert_bitwise, cubic_problem
 from oracles import difference_matrices_einsum, full_scan_quotient
 
 
@@ -603,12 +603,6 @@ def test_picard_norms_and_certificates_bitwise_full_scan():
 
 
 # -- difference matrices: per-letter gathers against the einsum ----------------
-
-
-def assert_bitwise(a, b):
-    """Equal shapes and equal bits, so signed zeros count."""
-    assert a.shape == b.shape and a.dtype == b.dtype == np.float64
-    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def form_over_walk(rng, d, level, out_dim, n_pts=6, kinds=("wide",)):

@@ -435,6 +435,18 @@ def test_pairwise_levels_are_bitwise_the_increment_levels(mixed):
         assert np.array_equal(block.reshape(n * n, -1), stacks[k])
 
 
+@pytest.mark.parametrize("seed", range(34, 44))
+def test_homogeneous_norm_is_bitwise_the_pairwise_table(seed):
+    # one kernel serves single elements and the all-pairs table; a scalar
+    # k-th root rounds differently from the array one on about 1% of pairs
+    g = mixed_certificate_path(np.random.default_rng(seed))
+    assert g.grouplike.any() and not g.grouplike.all()
+    table = g.pairwise_homogeneous_norms
+    for s in range(len(g.points)):
+        for t in range(len(g.points)):
+            assert homogeneous_norm(g.increment(s, t)) == table[s, t]
+
+
 # -- level-stack storage ------------------------------------------------------
 
 

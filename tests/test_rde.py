@@ -6,8 +6,10 @@ import pytest
 from roughkit.funcs import LipFunction, PolyMap
 from roughkit.integrate import RegularityError, rough_integral
 from roughkit.path import SampledPath, signature
+from roughkit.oneform import OneFormPath
 from roughkit.rde import (
     RdeProblem,
+    _product_form,
     difference_tower,
     driver_distance,
     fit_decay,
@@ -24,6 +26,7 @@ from conftest import (
     AREA_A2,
     AREA_VALUE,
     AREA_XI,
+    assert_bitwise,
     cubic_field,
     cubic_path,
     exp_field,
@@ -31,7 +34,7 @@ from conftest import (
     perturbed_probe_driver,
     probe_problem,
 )
-from oracles import polygon_loop_endpoint, rk4_polyline
+from oracles import polygon_loop_endpoint, product_form_two_branch, rk4_polyline
 
 
 def zero_field(dim: int = 1) -> LipFunction:
@@ -48,6 +51,23 @@ def tower_problem(**kw) -> RdeProblem:
         exp_field(),
         xi=np.array([1.0]),
         **kw,
+    )
+
+
+def planar_problem(**kw) -> RdeProblem:
+    """Two-dimensional state on a 12-step planar walk, quadratic field, gamma 4."""
+    rng = np.random.default_rng(4)
+    t = np.linspace(0.0, 1.0, 13)
+    steps = 0.25 * rng.standard_normal((12, 2))
+    x = np.vstack([np.zeros((1, 2)), np.cumsum(steps, axis=0)])
+    coeffs = (
+        np.array([[0.3, -0.2], [0.1, 0.4]]),
+        0.3 * rng.standard_normal((2, 2, 2)),
+        0.1 * rng.standard_normal((2, 2, 2, 2)),
+    )
+    field = LipFunction(PolyMap(2, (2, 2), coeffs), gamma=4.0, radius=4.0)
+    return RdeProblem(
+        signature(SampledPath(t, x), 3, p=3.0), field, xi=np.array([1.0, -0.5]), **kw
     )
 
 
@@ -361,6 +381,42 @@ def test_tower_rejects_bad_level_range():
         difference_tower(tower_problem(), l_max=3, n_max=2)
     with pytest.raises(ValueError):
         difference_tower(tower_problem(), l_max=-1, n_max=2)
+
+
+def test_planar_tower_and_probe_run_the_cross_terms():
+    # m = d = 2, so every product form pairs distinct letters and state slots
+    prob = planar_problem()
+    report = difference_tower(prob, l_max=2, n_max=4)
+    assert report.z_cross_residual <= 1e-10
+    assert report.chasles_residual <= 1e-9
+    sol = solve(prob)
+    assert sol.converged
+    assert uniqueness_probe(prob, sol.positions, sol.positions).conclusive
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("vector", [True, False], ids=["vector", "matrix"])
+def test_product_form_is_bitwise_the_two_branch_product(m, d, level, vector):
+    rng = np.random.default_rng(100 * m + 10 * d + level)
+    t = np.linspace(0.0, 1.0, 5)
+    walk = np.vstack([np.zeros((1, d)), np.cumsum(rng.standard_normal((4, d)), axis=0)])
+    base = signature(SampledPath(t, walk), level, p=float(level))
+
+    def form(out_dim):
+        blocks = (rng.standard_normal((5, out_dim, d**k)) for k in range(1, level + 1))
+        return OneFormPath(base, out_dim, tuple(blocks))
+
+    H_values, H_form = rng.standard_normal((5, m, d, m)), form(m * d * m)
+    E_shape = (m,) if vector else (m, m)
+    E_values, E_form = rng.standard_normal((5,) + E_shape), form(int(np.prod(E_shape)))
+    phi, got = _product_form(H_values, H_form, E_values, E_form)
+    want_phi, want = product_form_two_branch(H_values, H_form, E_values, E_form)
+    assert_bitwise(phi, want_phi)
+    assert len(got.levels) == len(want) == level
+    for a, b in zip(got.levels, want):
+        assert_bitwise(a, b)
 
 
 # -- uniqueness and continuity probes ----------------------------------------------
