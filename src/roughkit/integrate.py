@@ -249,7 +249,7 @@ def integrate_controlled(
         pred += np.einsum(
             "pok,pk->po",
             beta.levels[k - 1][s_idx],
-            base.pairwise_levels[k - 1][s_idx, t_idx],
+            base.pairwise_levels[k - 1],
         )
     resid = np.linalg.norm(flat[t_idx] - flat[s_idx] - pred, axis=1)
     beta_norm = float(beta.operator_norm(gamma, omega))

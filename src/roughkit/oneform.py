@@ -11,6 +11,7 @@ one-forms exactly along group elements.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -70,46 +71,59 @@ _BOUND_ABS = 1e-150
 
 
 def _spectral_pair_quotient(
-    diff: np.ndarray,
-    w: np.ndarray,
+    chunks: Iterable[tuple[np.ndarray, np.ndarray]],
     expo: float,
     noise_floor: float = 0.0,
     dead_tol: float = 1e-12,
 ) -> tuple[float, int]:
     """Worst sigma_max(diff[i]) / w[i]**expo over pairs, numerators floored.
 
-    Bitwise the (max, argmax) of `_pair_quotient` on the spectral norms of
-    every pair, with norms at or below noise_floor set to zero.  The
-    eigensolver runs only on the pairs that can reach the best lower bound:
-    ||M||_F / sqrt(r) <= sigma_max(M) <= ||M||_F with r = min(out_dim, d**k),
-    so any pair whose upper quotient falls below some other pair's lower
-    quotient cannot be the maximum.  The survivors keep ascending pair order,
-    so ties still go to the first pair.
+    `chunks` yields (diff, w) for consecutive runs of the pairs, in pair
+    order.  Bitwise the (max, argmax) of `_pair_quotient` on the spectral
+    norms of every pair, with norms at or below noise_floor set to zero.
+    Single-row forms take row norms on every pair.  Otherwise the
+    eigensolver runs only on the pairs that can reach the best quotient
+    known so far: ||M||_F / sqrt(r) <= sigma_max(M) <= ||M||_F with
+    r = min(out_dim, d**k), so a pair whose upper quotient falls below some
+    pair's lower quotient, or below a quotient already evaluated, cannot be
+    the maximum.  A later chunk replaces only a strictly larger maximum, so
+    ties go to the first pair.
     """
-    idx = None
-    if diff.shape[1] > 1:
-        fro = np.sqrt(np.einsum("poj,poj->p", diff, diff))
-        lo = (fro * (1.0 - _BOUND_REL) - _BOUND_ABS) / np.sqrt(min(diff.shape[1:]))
-        hi = fro * (1.0 + _BOUND_REL) + _BOUND_ABS
-        denom = w**expo
-        live = denom > 0.0
-        safe = np.where(live, denom, 1.0)
-        # pairs with lo above the floor cannot be floored: a sound lower bound
-        sure = live & (lo > noise_floor)
-        best = np.max(lo[sure] / denom[sure], initial=0.0)
-        upper = np.where(live, hi / safe, np.where(hi > dead_tol, np.inf, 0.0))
-        idx = np.flatnonzero((upper >= best) & (hi > noise_floor))
-        if idx.size == 0:
-            return 0.0, 0
-        diff, w = diff[idx], w[idx]
-    norms = batched_spectral_norms(diff)
-    if noise_floor > 0.0:
-        norms = np.where(norms <= noise_floor, 0.0, norms)
-    q, j = _pair_quotient(norms, w, expo, dead_tol=dead_tol)
-    if idx is None:
-        return q, j
+    offset, best = 0, 0.0
     # a zero maximum is attained by every pair, first of all by pair 0
-    return (q, int(idx[j])) if q != 0.0 else (0.0, 0)
+    q_max, j_max = 0.0, 0
+    for diff, w in chunks:
+        size = w.size
+        idx = np.arange(size)
+        if diff.shape[1] > 1:
+            fro = np.sqrt(np.einsum("poj,poj->p", diff, diff))
+            lo = (fro * (1.0 - _BOUND_REL) - _BOUND_ABS) / np.sqrt(min(diff.shape[1:]))
+            hi = fro * (1.0 + _BOUND_REL) + _BOUND_ABS
+            denom = w**expo
+            live = denom > 0.0
+            safe = np.where(live, denom, 1.0)
+            # pairs with lo above the floor cannot be floored: a sound lower bound
+            sure = live & (lo > noise_floor)
+            best = max(best, np.max(lo[sure] / denom[sure], initial=0.0))
+            upper = np.where(live, hi / safe, np.where(hi > dead_tol, np.inf, 0.0))
+            idx = np.flatnonzero((upper >= best) & (hi > noise_floor))
+            diff, w = diff[idx], w[idx]
+        if idx.size:
+            norms = batched_spectral_norms(diff)
+            if noise_floor > 0.0:
+                norms = np.where(norms <= noise_floor, 0.0, norms)
+            q, j = _pair_quotient(norms, w, expo, dead_tol=dead_tol)
+            if q > q_max:
+                q_max, j_max = q, offset + int(idx[j])
+            # an evaluated quotient is attained, so it bounds the maximum from below
+            best = max(best, q)
+        offset += size
+    return q_max, j_max
+
+
+# Pairs per chunk of the quotient scan: at most this many difference
+# matrices exist at once.
+_PAIR_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -266,21 +280,22 @@ class OneFormPath:
         """
         return max(self.level_sups)
 
-    def difference_matrices(self, k: int) -> np.ndarray:
-        """Level-k matrices of (beta_t - beta_s)(g_t, .) on all pairs s < t.
+    def difference_matrices(self, k: int, pairs: slice = slice(None)) -> np.ndarray:
+        """Level-k matrices of (beta_t - beta_s)(g_t, .) on the pairs s < t.
 
+        `pairs` selects a contiguous run of `pair_indices`, all by default.
         beta_s(g_t, b) re-expands through the increment: the level-k piece is
         sum_{m >= k} A_s^(m) (pi_{m-k}(g_{s,t}) x id), summed from zero over
         per-letter gathers in ascending letter order: bitwise the einsum
         "powj,pw->poj" when d**k >= 2 or one letter is summed, as always here.
         """
-        s_idx, t_idx = self.base.pair_indices
+        s_idx, t_idx = (x[pairs] for x in self.base.pair_indices)
         d = self.base.dim
         block = self.levels[k - 1]
         diff = np.take(block, t_idx, axis=0) - np.take(block, s_idx, axis=0)
         for m in range(k + 1, self.base.level + 1):
             A = self.levels[m - 1].reshape(-1, self.out_dim, d ** (m - k), d**k)
-            inc = self.base.pairwise_levels[m - k - 1][s_idx, t_idx]
+            inc = self.base.pairwise_levels[m - k - 1][pairs]
             acc = np.zeros(diff.shape)
             for w in range(d ** (m - k)):
                 acc += np.take(A[:, :, w, :], s_idx, axis=0) * inc[:, w, None, None]
@@ -313,14 +328,18 @@ class OneFormPath:
     def _level_quotients(
         self, omega: Control, expos: list[float], noise_floor: float = 0.0
     ) -> tuple[list[float], list[tuple[int, int]]]:
-        """Worst sigma_max(difference) / omega**expos[k-1] and its pair, per level k."""
+        """Worst sigma_max(difference) / omega**expos[k-1] and its pair, per level k.
+
+        Scans the pairs in chunks of `_PAIR_CHUNK`, so the difference
+        matrices of all pairs never exist at once.
+        """
         s_idx, t_idx = self.base.pair_indices
         w = omega.table[s_idx, t_idx]
+        runs = [slice(a, a + _PAIR_CHUNK) for a in range(0, w.size, _PAIR_CHUNK)]
         quots, pairs = [], []
         for k, expo in enumerate(expos, start=1):
             q, j = _spectral_pair_quotient(
-                self.difference_matrices(k),
-                w,
+                ((self.difference_matrices(k, run), w[run]) for run in runs),
                 expo,
                 noise_floor=noise_floor,
                 dead_tol=max(1e-12, noise_floor),

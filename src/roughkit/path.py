@@ -297,36 +297,73 @@ class SampledRoughPath:
 
     @cached_property
     def pairwise_levels(self) -> tuple[np.ndarray, ...]:
-        """Level blocks of g_{s,t} for every index pair.
+        """Level blocks of g_{s,t} for every pair s < t, packed in pair order.
 
-        Entry [r-1] has shape (N+1, N+1, d**r); the (s, t) slice is the
-        degree-r block of g_s^{-1} g_t.  Dense: only for desk-scale grids, so a
-        request whose all-pairs tables (these levels, the homogeneous norms, a
-        control and its transpose) exceed physical memory is refused.
+        Entry [r-1] has shape (P, d**r), P = N(N+1)/2, and row j is the
+        degree-r block of g_s^{-1} g_t for (s, t) the j-th pair of
+        `pair_indices`, so each s owns one contiguous run of rows.  Built a
+        block of s-rows at a time; each row is bitwise `increment_levels`.
+        A request whose pair tables (these levels, then the homogeneous
+        norms, a control and its transpose) exceed physical memory is refused.
         """
         n = self.times.size
-        need = n * n * (sum(self.dim**k for k in range(1, self.level + 1)) + 3) * 8
+        pairs = n * (n - 1) // 2
+        widths = [self.dim**k for k in range(1, self.level + 1)]
+        need = (pairs * sum(widths) + 3 * n * n) * 8
         have = _physical_memory_bytes()
         if have is not None and need > have:
             raise ValueError(
-                f"all-pairs levels of {n} grid points (d={self.dim}, level "
-                f"{self.level}) need about {need:,} bytes, more than the "
+                f"pair geometry of {n} grid points (d={self.dim}, level "
+                f"{self.level}) needs about {need:,} bytes, more than the "
                 f"{have:,} bytes of physical memory; use a coarser grid"
             )
-        return stack_product(
-            tuple(x[:, None, :] for x in self._inverse_levels),
-            tuple(x[None, :, :] for x in self.levels),
-        )[1:]
+        out = tuple(np.empty((pairs, w)) for w in widths)
+        rows = max(1, _BUILD_PAIRS // n)
+        start = 0
+        for s0 in range(0, n - 1, rows):
+            s1 = min(s0 + rows, n - 1)
+            # row s of the block keeps columns t = s0+1+c with c >= s - s0
+            keep = np.triu(np.ones((s1 - s0, n - 1 - s0), dtype=bool))
+            block = stack_product(
+                tuple(x[s0:s1, None] for x in self._inverse_levels),
+                tuple(x[None, s0 + 1 :] for x in self.levels),
+            )
+            stop = start + int(np.count_nonzero(keep))
+            for dst, src in zip(out, block[1:]):
+                dst[start:stop] = src[keep]
+            start = stop
+        for x in out:
+            x.flags.writeable = False
+        return out
 
     @cached_property
     def pairwise_homogeneous_norms(self) -> np.ndarray:
-        """Homogeneous norm of g_{s,t} for every pair, shape (N+1, N+1)."""
-        return homogeneous_norms(self.pairwise_levels)
+        """Homogeneous norm of g_{s,t} at [s, t] for s < t, shape (N+1, N+1).
+
+        Zero on and below the diagonal, where no caller reads.  Taken a run
+        of pairs at a time, so the squared levels never exist all at once.
+        """
+        n = self.times.size
+        table = np.zeros((n, n))
+        s_idx, t_idx = self.pair_indices
+        for a in range(0, s_idx.size, _BUILD_PAIRS):
+            run = slice(a, a + _BUILD_PAIRS)
+            table[s_idx[run], t_idx[run]] = homogeneous_norms(
+                tuple(x[run] for x in self.pairwise_levels)
+            )
+        return table
 
     @cached_property
     def pair_indices(self) -> tuple[np.ndarray, np.ndarray]:
-        """Upper-triangle (s, t) index arrays with s < t."""
+        """Upper-triangle (s, t) index arrays with s < t, in `pairwise_levels` order."""
         return np.triu_indices(self.times.size, k=1)
+
+
+# Pairs per block of work on the pair geometry: `pairwise_levels` is built
+# blocks of max(1, _BUILD_PAIRS // (N+1)) s-rows at a time and the norms
+# taken runs of _BUILD_PAIRS pairs at a time, so their temporaries stay at a
+# few MB whatever the grid size.
+_BUILD_PAIRS = 1 << 12
 
 
 def _physical_memory_bytes() -> int | None:

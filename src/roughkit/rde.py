@@ -794,10 +794,9 @@ def driver_distance(a: SampledRoughPath, b: SampledRoughPath) -> float:
         raise ValueError("drivers must share the variation exponent")
     n = a.num_steps + 1
     gaps = np.zeros((n, n))
-    for k in range(1, a.level + 1):
-        da = a.pairwise_levels[k - 1]
-        db = b.pairwise_levels[k - 1]
-        gaps += np.linalg.norm(da - db, axis=2)
+    gaps[a.pair_indices] = sum(
+        np.linalg.norm(da - db, axis=1) for da, db in zip(a.pairwise_levels, b.pairwise_levels)
+    )
     return float(_best_partition_sum(gaps**a.p) ** (1.0 / a.p))
 
 

@@ -7,8 +7,9 @@ Picard iteration, finite differences instead of coefficient calculus.
 Only numpy/scipy, never roughkit internals; `per_point_lift` alone uses
 roughkit's public single-element API, as the reference for the stacked lift,
 and `holder_table_loop` likewise; `difference_matrices_einsum` reads a
-one-form path's arrays and nothing else, and `product_form_two_branch`
-reads the forms' arrays and roughkit's `split_matrix`.
+one-form path's arrays and its base's `increment_levels`, and
+`product_form_two_branch` reads the forms' arrays and roughkit's
+`split_matrix`.
 """
 
 import itertools
@@ -258,22 +259,25 @@ def full_scan_quotient(diff, w, expo, noise_floor=0.0, dead_tol=1e-12):
     return float(quot[j]), j
 
 
-def difference_matrices_einsum(form, k):
+def difference_matrices_einsum(form, k, pairs=slice(None)):
     """Level-k pair difference matrices of a one-form path by one einsum per level.
 
-    Reads only the form's arrays: the level blocks of both pair ends, then for
-    each higher level m the whole gathered block A_s^(m) reshaped to
-    (pairs, out, d**(m-k), d**k) contracted with pi_{m-k}(g_{s,t}) over its
-    leading letter.  The reference a per-letter kernel must reproduce bitwise.
+    Over the run `pairs` of the (s, t) pairs s < t in row-major order.  Reads
+    the form's arrays and recomputes each pair increment from the base's
+    points with `increment_levels`, never the cached pair geometry: the level
+    blocks of both pair ends, then for each higher level m the whole gathered
+    block A_s^(m) reshaped to (pairs, out, d**(m-k), d**k) contracted with
+    pi_{m-k}(g_{s,t}) over its leading letter.  The reference a per-letter
+    kernel must reproduce bitwise.
     """
-    s_idx, t_idx = form.base.pair_indices
+    s_idx, t_idx = (x[pairs] for x in np.triu_indices(form.base.times.size, k=1))
     d = form.base.dim
     diff = form.levels[k - 1][t_idx] - form.levels[k - 1][s_idx]
     for m in range(k + 1, form.base.level + 1):
         A_s = form.levels[m - 1][s_idx].reshape(
             s_idx.size, form.out_dim, d ** (m - k), d**k
         )
-        inc = form.base.pairwise_levels[m - k - 1][s_idx, t_idx]
+        inc = form.base.increment_levels(s_idx, t_idx)[m - k]
         diff = diff - np.einsum("powj,pw->poj", A_s, inc)
     return diff
 

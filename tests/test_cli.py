@@ -545,7 +545,7 @@ def test_pure_area_needs_level_two_exponent(tmp_path):
 
 
 def test_pair_geometry_over_physical_memory_exits_two(tmp_path, monkeypatch, capsys):
-    """The all-pairs levels are refused before they are allocated when their
+    """The pair levels are refused before they are allocated when their
     estimated size exceeds physical memory, here faked down to 1 kB."""
     monkeypatch.setattr(roughkit.path, "_physical_memory_bytes", lambda: 1024)
     rng = np.random.default_rng(2)
@@ -556,6 +556,8 @@ def test_pair_geometry_over_physical_memory_exits_two(tmp_path, monkeypatch, cap
          "--p", "3.0", "--gamma", "4.0"]
     )
     assert code == 2
-    need = 21 * 21 * (2 + 4 + 8 + 3) * 8  # levels, norms, control and transpose
+    # packed levels of the 210 pairs s < t, then norms, control and transpose
+    need = (210 * (2 + 4 + 8) + 3 * 21 * 21) * 8
+    assert need == 34_104
     err = capsys.readouterr().err
     assert f"{need:,} bytes" in err and "physical memory" in err

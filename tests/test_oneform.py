@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import roughkit.oneform
 from roughkit.funcs import LipFunction, PolyMap, strict_floor
 from roughkit.integrate import compose_integrand
 from roughkit.oneform import (
@@ -14,6 +17,7 @@ from roughkit.oneform import (
     lift_polynomial_form,
 )
 from roughkit.path import (
+    Control,
     SampledPath,
     control_from_pvar,
     signature,
@@ -402,12 +406,18 @@ def test_pair_quotient_edge_rules(num, w, dead_tol, expected):
 # -- pruned spectral pair scan ---------------------------------------------------
 
 
+def in_chunks(diff, w, size):
+    return ((diff[a : a + size], w[a : a + size]) for a in range(0, len(w), size))
+
+
 def assert_matches_full_scan(diff, w, expo, noise_floor=0.0, dead_tol=1e-12):
+    """One chunk, then chunks of 1, 2 and 3 pairs: each the full scan's bits."""
     diff, w = np.asarray(diff, dtype=float), np.asarray(w, dtype=float)
-    got = _spectral_pair_quotient(diff, w, expo, noise_floor, dead_tol)
     want = full_scan_quotient(diff, w, expo, noise_floor, dead_tol)
-    assert got == want
-    assert type(got[1]) is int
+    for size in (len(w), 1, 2, 3):
+        got = _spectral_pair_quotient(in_chunks(diff, w, size), expo, noise_floor, dead_tol)
+        assert got == want
+        assert type(got[1]) is int
     return got
 
 
@@ -661,7 +671,9 @@ def test_difference_matrices_bitwise_einsum_hypothesis(
 def test_picard_solve_bitwise_with_einsum_difference_matrices(monkeypatch):
     """The cubic fixture solved with the per-letter kernel and again with the
     einsum: every Picard step, its difference matrices, quotients and worst
-    pairs, and every iterate's certificate carry the same bits."""
+    pairs, and every iterate's certificate carry the same bits.  Both scan
+    the 2,080 pairs in chunks of 97, so every scan crosses chunk boundaries."""
+    monkeypatch.setattr(roughkit.oneform, "_PAIR_CHUNK", 97)
     problem = cubic_problem(64, n_max=16)
     g, omega = problem.driver, problem.omega
     theta = (problem.gamma + 1.0) / g.p
@@ -674,9 +686,9 @@ def test_picard_solve_bitwise_with_einsum_difference_matrices(monkeypatch):
         return sol, certs
 
     ours, our_certs = run()
-    monkeypatch.setattr(OneFormPath, "difference_matrices", difference_matrices_einsum)
-    ref, ref_certs = run()
-    monkeypatch.undo()
+    with monkeypatch.context() as patch:
+        patch.setattr(OneFormPath, "difference_matrices", difference_matrices_einsum)
+        ref, ref_certs = run()
     assert len(ours.history) == len(ref.history) > 2
     for a, b in zip(ours.history, ref.history):
         assert (a.sup_parts, a.quot_parts) == (b.sup_parts, b.quot_parts)
@@ -693,3 +705,105 @@ def test_picard_solve_bitwise_with_einsum_difference_matrices(monkeypatch):
     for form in forms:
         for k in range(1, g.level + 1):
             assert_bitwise(form.difference_matrices(k), difference_matrices_einsum(form, k))
+
+
+# -- chunked quotient scan ----------------------------------------------------
+
+N_PTS = 12
+N_PAIRS = N_PTS * (N_PTS - 1) // 2
+
+
+def full_scan_level_quotients(form, omega, expos, noise_floor):
+    """`_level_quotients` by the full scan of every pair at once."""
+    s_idx, t_idx = np.triu_indices(form.base.times.size, k=1)
+    w = omega.table[s_idx, t_idx]
+    quots, pairs = [], []
+    for k, expo in enumerate(expos, start=1):
+        diff = difference_matrices_einsum(form, k)
+        q, j = full_scan_quotient(diff, w, expo, noise_floor, max(1e-12, noise_floor))
+        quots.append(q)
+        pairs.append((int(s_idx[j]), int(t_idx[j])))
+    return quots, pairs
+
+
+def ramp_form(out_dim, ramp):
+    """Level-1 form A_t = ramp[t] M over a level-1 walk, so the pair
+    difference is exactly (ramp[t] - ramp[s]) M; sigma_max(M) is 5 for the
+    row [3, 4] and 4 for diag(3, 4)."""
+    t = np.linspace(0.0, 1.0, len(ramp))
+    g = signature(SampledPath(t, np.random.default_rng(9).standard_normal((len(ramp), 2))), 1, p=1.5)
+    M = np.array([[3.0, 4.0]]) if out_dim == 1 else np.diag([3.0, 4.0])
+    return OneFormPath(g, out_dim, (np.asarray(ramp, dtype=float)[:, None, None] * M,))
+
+
+def gap_control(g, scale):
+    """omega(s, t) = scale * (t - s) in grid steps."""
+    i = np.arange(g.times.size, dtype=float)
+    return Control(g.times, scale * np.maximum(i[None, :] - i[:, None], 0.0))
+
+
+def chunk_case(case, out_dim, chunk):
+    """(form, control, exponents, noise floor, expected (q, pair) or None)."""
+    sigma = 5.0 if out_dim == 1 else 4.0
+    if case.startswith("walk"):
+        kinds = ("wide", "signed", "converged")
+        form = form_over_walk(np.random.default_rng(70 + out_dim), 2, 3, out_dim, N_PTS, kinds)
+        floor = 0.0
+        if case == "walk-noise-floor":
+            # the median level-1 pair size: about half the pairs are floored
+            diff = difference_matrices_einsum(form, 1)
+            floor = float(np.median(np.sqrt(np.einsum("poj,poj->p", diff, diff))))
+        return form, control_from_pvar(form.base), [0.9, 0.6, 0.3], floor, None
+    if case == "tie-straddles-chunk":
+        # quotient sigma at pairs chunk-1 and chunk, the last of one chunk and
+        # the first of the next; sigma / 2 everywhere else
+        form = ramp_form(out_dim, np.arange(N_PTS))
+        table = gap_control(form.base, 2.0).table.copy()
+        s_idx, t_idx = form.base.pair_indices
+        for j in (chunk - 1, chunk):
+            table[s_idx[j], t_idx[j]] /= 2.0
+        pair = (int(s_idx[chunk - 1]), int(t_idx[chunk - 1]))
+        return form, Control(form.base.times, table), [1.0], 0.0, (sigma, pair)
+    if case == "all-zero":
+        form = ramp_form(out_dim, np.zeros(N_PTS))
+        return form, gap_control(form.base, 1.0), [1.0], 0.0, (0.0, (0, 1))
+    if case == "zero-control":
+        # every pair ending after grid point 4 is dead with mass: +inf, first at (0, 5)
+        form = ramp_form(out_dim, np.maximum(np.arange(N_PTS) - 4.0, 0.0))
+        return form, gap_control(form.base, 0.0), [1.0], 0.0, (np.inf, (0, 5))
+    raise ValueError(case)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, N_PAIRS - 1])
+@pytest.mark.parametrize("out_dim", [1, 2])
+@pytest.mark.parametrize(
+    "case", ["walk", "walk-noise-floor", "tie-straddles-chunk", "all-zero", "zero-control"]
+)
+def test_level_quotients_bitwise_full_scan_across_chunks(case, out_dim, chunk, monkeypatch):
+    form, omega, expos, floor, expected = chunk_case(case, out_dim, chunk)
+    want = full_scan_level_quotients(form, omega, expos, floor)
+    monkeypatch.setattr(roughkit.oneform, "_PAIR_CHUNK", chunk)
+    assert form._level_quotients(omega, expos, floor) == want
+    if expected is not None:
+        assert (want[0][0], want[1][0]) == expected
+
+
+def test_pair_scan_peak_memory_stays_below_the_dense_tables():
+    """Pair levels, the p-variation control and one norm pass over a
+    two-output form at N=300 (d=2, L=3) peak below the (N+1)^2 level tables
+    of a dense pair layout alone."""
+    problem = cubic_problem(300)
+    g = problem.driver
+    identity = OneFormPath.constant_linear(g, np.eye(2))
+    form = compose_integrand(problem.field, g.positions(problem.xi), identity)
+    dense = g.times.size**2 * sum(g.dim**k for k in range(1, g.level + 1)) * 8
+    tracemalloc.start()
+    try:
+        g.pairwise_levels
+        omega = control_from_pvar(g)
+        form.norm_components(problem.gamma, omega)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert form.out_dim == 2
+    assert peak < dense

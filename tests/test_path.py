@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import roughkit.path
 from roughkit.path import (
     Control,
     PathFormatError,
@@ -423,28 +424,41 @@ def test_increment_levels_are_bitwise_the_object_increments(mixed):
 
 
 @pytest.mark.parametrize("mixed", [False, True])
-def test_pairwise_levels_are_bitwise_the_increment_levels(mixed):
+def test_pairwise_levels_are_bitwise_the_increment_levels(mixed, monkeypatch):
+    # only pairs s < t are stored, in row-major order, built in blocks of
+    # 1, 2 and all s-rows
     rng = np.random.default_rng(32)
     g = mixed_certificate_path(rng) if mixed else signature(random_polyline(rng), 3, p=3.0)
     n = len(g.points)
-    s_idx, t_idx = (x.reshape(-1) for x in np.indices((n, n)))
+    s_idx, t_idx = np.triu_indices(n, k=1)
+    assert all(np.array_equal(x, y) for x, y in zip(g.pair_indices, (s_idx, t_idx)))
     stacks = g.increment_levels(s_idx, t_idx)
-    assert len(g.pairwise_levels) == g.level
-    for k, block in enumerate(g.pairwise_levels, start=1):
-        assert block.shape == (n, n, g.dim**k)
-        assert np.array_equal(block.reshape(n * n, -1), stacks[k])
+    for build_pairs in (1, 2 * n, roughkit.path._BUILD_PAIRS):
+        monkeypatch.setattr(roughkit.path, "_BUILD_PAIRS", build_pairs)
+        levels = SampledRoughPath(g.times, g.levels, g.p, g.grouplike).pairwise_levels
+        assert len(levels) == g.level
+        for k, block in enumerate(levels, start=1):
+            assert block.shape == (n * (n - 1) // 2, g.dim**k)
+            assert block.tobytes() == stacks[k].tobytes()
 
 
 @pytest.mark.parametrize("seed", range(34, 44))
-def test_homogeneous_norm_is_bitwise_the_pairwise_table(seed):
-    # one kernel serves single elements and the all-pairs table; a scalar
-    # k-th root rounds differently from the array one on about 1% of pairs
+def test_homogeneous_norm_is_bitwise_the_pairwise_table(seed, monkeypatch):
+    # one kernel serves single elements and the pair table; a scalar k-th
+    # root rounds differently from the array one on about 1% of pairs.  The
+    # table is filled in runs of 5 pairs, then in one run.
     g = mixed_certificate_path(np.random.default_rng(seed))
     assert g.grouplike.any() and not g.grouplike.all()
-    table = g.pairwise_homogeneous_norms
-    for s in range(len(g.points)):
-        for t in range(len(g.points)):
-            assert homogeneous_norm(g.increment(s, t)) == table[s, t]
+    for build_pairs in (5, roughkit.path._BUILD_PAIRS):
+        monkeypatch.setattr(roughkit.path, "_BUILD_PAIRS", build_pairs)
+        table = SampledRoughPath(g.times, g.levels, g.p, g.grouplike).pairwise_homogeneous_norms
+        for s in range(len(g.points)):
+            for t in range(len(g.points)):
+                if s < t:
+                    assert homogeneous_norm(g.increment(s, t)) == table[s, t]
+                else:
+                    # no caller reads on or below the diagonal
+                    assert table[s, t] == 0.0 and not np.signbit(table[s, t])
 
 
 # -- level-stack storage ------------------------------------------------------
