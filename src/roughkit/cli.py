@@ -243,16 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
             "equations on sampled paths."
         ),
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help=(
-            "thread budget for nondeterministic reductions; every reduction "
-            "in this build is deterministic, so the flag is accepted and has "
-            "no effect"
-        ),
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     driver = argparse.ArgumentParser(add_help=False)

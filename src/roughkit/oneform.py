@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .funcs import PolyMap, strict_floor
-from .path import Control, SampledRoughPath
+from .path import _BUILD_PAIRS, Control, SampledRoughPath
 from .tensor import DimensionMismatchError, GroupElement, TruncatedTensor
 
 __all__ = [
@@ -121,9 +121,14 @@ def _spectral_pair_quotient(
     return q_max, j_max
 
 
-# Pairs per chunk of the quotient scan: at most this many difference
-# matrices exist at once.
-_PAIR_CHUNK = 1 << 12
+def _pairing(coeffs: Iterable[np.ndarray], blocks: Iterable[np.ndarray]) -> np.ndarray:
+    """Row-wise sum_k A^(k) h_k, coeffs[k-1] (n, out, d**k) and blocks[k-1]
+    (n, d**k), summed from zero in k order; a row's bits do not depend on
+    the rows batched with it."""
+    out = 0.0
+    for A, h in zip(coeffs, blocks):
+        out = out + np.einsum("nok,nk->no", A, h)
+    return out
 
 
 @dataclass(frozen=True)
@@ -243,20 +248,21 @@ class OneFormPath:
         u = self.base.points[i].inverse().tensor @ a.tensor @ (b.tensor - unit)
         return self.value_on_increment(i, u)
 
+    def pair_values(
+        self, rows: np.ndarray | slice | list[int], blocks: tuple[np.ndarray, ...]
+    ) -> np.ndarray:
+        """beta_{t_r}(g_{t_r}, h) for n grid rows r (index array or slice) and
+        the level blocks of n arguments h, blocks[k-1] (n, d**k); shape (n, out)."""
+        return _pairing((A[rows] for A in self.levels), blocks)
+
     def value_on_increment(self, i: int, inc: GroupElement | TruncatedTensor) -> np.ndarray:
         """beta_{t_i}(g_{t_i}, inc), the quantity Riemann sums are made of."""
-        out = np.zeros(self.out_dim)
-        for k in range(1, self.base.level + 1):
-            out += self.levels[k - 1][i] @ inc.level_block(k)
-        return out
+        blocks = tuple(inc.level_block(k)[None] for k in range(1, self.base.level + 1))
+        return self.pair_values([i], blocks)[0]
 
     def step_values(self) -> np.ndarray:
         """All beta_{t_i}(g_{t_i}, g_{t_i, t_{i+1}}) at once, shape (N, out)."""
-        blocks = self.base.step_level_blocks
-        out = np.zeros((self.base.num_steps, self.out_dim))
-        for k in range(1, self.base.level + 1):
-            out += np.einsum("nok,nk->no", self.levels[k - 1][:-1], blocks[k - 1])
-        return out
+        return self.pair_values(slice(None, -1), self.base.step_level_blocks)
 
     def integral_values(self, start: int = 0) -> np.ndarray:
         """Left sums of `step_values` from grid index start, shape (N+1, out)."""
@@ -330,12 +336,12 @@ class OneFormPath:
     ) -> tuple[list[float], list[tuple[int, int]]]:
         """Worst sigma_max(difference) / omega**expos[k-1] and its pair, per level k.
 
-        Scans the pairs in chunks of `_PAIR_CHUNK`, so the difference
+        Scans the pairs in chunks of `_BUILD_PAIRS`, so the difference
         matrices of all pairs never exist at once.
         """
         s_idx, t_idx = self.base.pair_indices
         w = omega.table[s_idx, t_idx]
-        runs = [slice(a, a + _PAIR_CHUNK) for a in range(0, w.size, _PAIR_CHUNK)]
+        runs = [slice(a, a + _BUILD_PAIRS) for a in range(0, w.size, _BUILD_PAIRS)]
         quots, pairs = [], []
         for k, expo in enumerate(expos, start=1):
             q, j = _spectral_pair_quotient(
@@ -387,6 +393,10 @@ class OneFormPath:
         return OneFormPath(new_base, self.out_dim, levels)
 
 
+# Relative slack of every checked bound against its measured value.
+_DOMINATION_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class DominationCertificate:
     """Checked bounds: sup norm against M, difference quotients against
@@ -399,15 +409,13 @@ class DominationCertificate:
     level_quotients: tuple[float, ...]
     worst_level: int
     worst_pair: tuple[int, int]
-    tolerance: float = 1e-9
 
     @property
     def ok(self) -> bool:
-        if not np.isfinite(self.sup_norm) or self.sup_norm > self.M * (
-            1.0 + self.tolerance
-        ) + self.tolerance:
+        tol = _DOMINATION_TOL
+        if not np.isfinite(self.sup_norm) or self.sup_norm > self.M * (1.0 + tol) + tol:
             return False
-        return all(q <= 1.0 + self.tolerance for q in self.level_quotients)
+        return all(q <= 1.0 + tol for q in self.level_quotients)
 
     def as_dict(self) -> dict:
         return {
@@ -502,19 +510,22 @@ class ClosedLift:
     def out_dim(self) -> int:
         return self.form.out_shape[0]
 
+    def _coefficients(self, X: np.ndarray, level: int) -> tuple[np.ndarray, ...]:
+        """Level k = 1..level at points X: D^{k-1}p(X), own letter moved last."""
+        n, d = X.shape[0], self.dim
+        return tuple(
+            self.form.derivative(X, k - 1)
+            .reshape(n, self.out_dim, d, d ** (k - 1))
+            .transpose(0, 1, 3, 2)
+            .reshape(n, self.out_dim, d**k)
+            for k in range(1, level + 1)
+        )
+
     def pair_value(self, a: GroupElement, b: GroupElement) -> np.ndarray:
         """beta_p(a, b); cocyclic by the Taylor structure of p."""
-        d = self.dim
         x = self.base_point + a.level_block(1)
-        out = np.zeros(self.out_dim)
-        top = min(self.level - 1, self.form.degree)
-        for k in range(top + 1):
-            if k + 1 > a.level:
-                break
-            dp = self.form.derivative_at(x, k).reshape(self.out_dim, d, d**k)
-            block = b.level_block(k + 1).reshape(d**k, d)
-            out += np.einsum("ojw,wj->o", dp, block)
-        return out
+        blocks = tuple(b.level_block(k)[None] for k in range(1, b.level + 1))
+        return _pairing(self._coefficients(x[None], b.level), blocks)[0]
 
     def along(self, g: SampledRoughPath) -> np.ndarray:
         """Cumulative partition sums, shape (N+1, out_dim); exact on lifts."""
@@ -524,17 +535,8 @@ class ClosedLift:
         """Materialize the lift as a one-form path over g."""
         if g.dim != self.dim:
             raise DimensionMismatchError("driver dimension mismatch")
-        d = self.dim
         X = self.base_point[None, :] + g.levels[1]
-        levels = []
-        for k in range(1, g.level + 1):
-            dp = self.form.derivative(X, k - 1).reshape(
-                g.times.size, self.out_dim, d, d ** (k - 1)
-            )
-            levels.append(
-                dp.transpose(0, 1, 3, 2).reshape(g.times.size, self.out_dim, d**k)
-            )
-        return OneFormPath(g, self.out_dim, tuple(levels))
+        return OneFormPath(g, self.out_dim, self._coefficients(X, g.level))
 
 
 def lift_polynomial_form(

@@ -168,6 +168,8 @@ class SampledRoughPath:
     points certified group-like; the constructor certifies those rows once.
     `p` is the claimed regularity; the truncation level must equal int(p).
     Increments g_{s,t} = g_s^{-1} g_t are exact group algebra.
+    A lifted point's level-2 rounding follows the path that reached it, so
+    the shuffle check of row i is scaled by max_{s <= i} (1 + ||x_s||^2).
     """
 
     times: np.ndarray
@@ -197,9 +199,11 @@ class SampledRoughPath:
             raise ValueError("group elements must have scalar part exactly 1")
         if not np.all(np.isfinite(times)) or np.any(np.diff(times) <= 0):
             raise ValueError("times must be finite and strictly increasing")
-        certify_stack(levels, rows=grouplike)
-        for arr in (times, grouplike) + levels:
+        scale = np.maximum.accumulate(1.0 + np.linalg.norm(levels[1], axis=1) ** 2)
+        certify_stack(levels, rows=grouplike, scale=scale)
+        for arr in (times, grouplike, scale) + levels:
             arr.flags.writeable = False
+        object.__setattr__(self, "_shuffle_scale", scale)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "grouplike", grouplike)
@@ -259,7 +263,7 @@ class SampledRoughPath:
     @cached_property
     def _inverse_levels(self) -> tuple[np.ndarray, ...]:
         inv = stack_inverse(self.levels)
-        certify_stack(inv, rows=self.grouplike)
+        certify_stack(inv, rows=self.grouplike, scale=self._shuffle_scale)
         return inv
 
     def increment_levels(
@@ -269,7 +273,8 @@ class SampledRoughPath:
 
         Entry [k] has shape (len(a_idx), d**k), degrees 0..L.  Rows agree
         bitwise with `increment(a, b)`; a row is certified group-like when
-        both of its points are, and a failed certificate raises ValueError.
+        both of its points are, at the larger of their shuffle scales, and a
+        failed certificate raises ValueError.
         """
         a_idx = np.asarray(a_idx, dtype=int)
         b_idx = np.asarray(b_idx, dtype=int)
@@ -277,7 +282,8 @@ class SampledRoughPath:
             tuple(x[a_idx] for x in self._inverse_levels),
             tuple(x[b_idx] for x in self.levels),
         )
-        certify_stack(inc, rows=self.grouplike[a_idx] & self.grouplike[b_idx])
+        scale = np.maximum(self._shuffle_scale[a_idx], self._shuffle_scale[b_idx])
+        certify_stack(inc, rows=self.grouplike[a_idx] & self.grouplike[b_idx], scale=scale)
         return inc
 
     @cached_property

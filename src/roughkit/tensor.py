@@ -123,18 +123,22 @@ def homogeneous_norms(blocks: tuple[np.ndarray, ...]) -> np.ndarray:
 
 
 def certify_stack(
-    t: tuple[np.ndarray, ...], rows: np.ndarray | None = None
+    t: tuple[np.ndarray, ...],
+    rows: np.ndarray | None = None,
+    scale: np.ndarray | float = 0.0,
 ) -> None:
     """Group-like certificate for every selected row of a unital level stack.
 
     Each row must satisfy the level-2 shuffle relation to a tolerance scaled
-    by 1 + ||x||^2, and the inverse identity t t^{-1} = 1 at level k to one
-    scaled by 1 + size**k, size the row's homogeneous norm.  `rows` is a
-    boolean mask; unselected rows are not checked.  The ValueError names the
-    test that the first failing row fails, shuffle before inverse.
+    by the larger of 1 + ||x||^2 and its entry of `scale` (the size of the
+    path that produced it), and the inverse identity t t^{-1} = 1 at level k
+    to one scaled by 1 + size**k, size the row's homogeneous norm.  `rows` is
+    a boolean mask; unselected rows are not checked.  The ValueError names
+    the test that the first failing row fails, shuffle before inverse.
     """
     if rows is not None:
         t = tuple(x[rows] for x in t)
+        scale = np.broadcast_to(scale, rows.shape)[rows]
     n = t[0].shape[0]
     if n == 0:
         return
@@ -146,7 +150,7 @@ def certify_stack(
         sym_defect = 0.5 * (two + two.transpose(0, 2, 1)) - 0.5 * (
             x[:, :, None] * x[:, None, :]
         )
-        scale = 1.0 + np.linalg.norm(x, axis=1) ** 2
+        scale = np.maximum(1.0 + np.linalg.norm(x, axis=1) ** 2, scale)
         worst = np.max(np.abs(sym_defect), axis=(1, 2), initial=0.0)
         shuffle_bad = worst > GROUPLIKE_SHUFFLE_TOL * scale
     prod = stack_product(t, stack_inverse(t))

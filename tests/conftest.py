@@ -20,14 +20,19 @@ settings.register_profile(
 settings.load_profile("suite")
 
 
-def cli_env() -> dict[str, str]:
+def cli_env(blas_threads: int | None = None) -> dict[str, str]:
     """The inherited environment with the imported roughkit's parent directory
     first on PYTHONPATH, so a `python -m roughkit.cli` child runs the same copy
-    of the package as the tests, from any working directory."""
+    of the package as the tests, from any working directory.  With
+    blas_threads the child's BLAS/OpenMP thread count is fixed before numpy
+    loads."""
     src = Path(roughkit.__file__).resolve().parent.parent
     env = dict(os.environ)
     old = env.get("PYTHONPATH")
     env["PYTHONPATH"] = str(src) + (os.pathsep + old if old else "")
+    if blas_threads is not None:
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = str(blas_threads)
     return env
 
 

@@ -147,6 +147,20 @@ def rebracket_product_rhs(levels_a, lls_a, lls_b, pi1_b):
     return out
 
 
+def young_half_grid_loop(tau_values, sigma_values):
+    """Trapezoid sum of tau d(sigma) over the half grid (steps of two grid
+    points, the last one short on an odd grid), one matmul per step, summed
+    left to right."""
+    n = sigma_values.shape[0] - 1
+    idx = list(range(0, n + 1, 2)) + ([n] if n % 2 else [])
+    coarse = 0.0
+    for a, b in zip(idx[:-1], idx[1:]):
+        coarse = coarse + 0.5 * (tau_values[a] + tau_values[b]) @ (
+            sigma_values[b] - sigma_values[a]
+        )
+    return coarse
+
+
 def left_riemann(phi, x, n_fine):
     """Left Riemann sum of int phi(x_t) dx_t for closed-form scalar paths.
 

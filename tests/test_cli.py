@@ -25,12 +25,12 @@ from conftest import (
 from oracles import polygon_loop_endpoint
 
 
-def run_cli(*args):
+def run_cli(*args, blas_threads=None):
     return subprocess.run(
         [sys.executable, "-m", "roughkit.cli", *map(str, args)],
         capture_output=True,
         text=True,
-        env=cli_env(),
+        env=cli_env(blas_threads),
     )
 
 
@@ -118,7 +118,7 @@ def test_signature_deterministic_and_matches_library(tmp_path):
     write_csv(csv, t, spiral)
     first = run_cli("signature", csv, "--level", 3)
     second = run_cli("signature", csv, "--level", 3)
-    threaded = run_cli("--threads", 4, "signature", csv, "--level", 3)
+    threaded = run_cli("signature", csv, "--level", 3, blas_threads=2)
     assert first.stdout == second.stdout == threaded.stdout
     rep = json.loads(first.stdout)
     lifted = signature(read_path_csv(csv), 3)
@@ -144,6 +144,18 @@ def test_signature_of_a_large_walk_is_certified(tmp_path):
     lifted = signature(read_path_csv(csv), 3)
     for k in (1, 2, 3):
         assert np.array_equal(np.asarray(rep["levels"][str(k)]), lifted.levels[k][-1])
+
+
+def test_signature_of_a_large_loop_is_certified(tmp_path):
+    """A 20-point loop of radius 1e3 that ends within 1e-3 of its start: the
+    level-2 shuffle bound follows the path, not the returning point."""
+    rng = np.random.default_rng(3)
+    loop = rng.uniform(-1e3, 1e3, (20, 2))
+    loop[0], loop[-1] = 0.0, rng.uniform(-1e-3, 1e-3, 2)
+    csv = tmp_path / "loop.csv"
+    write_csv(csv, np.linspace(0.0, 1.0, 20), loop)
+    res = run_cli("signature", csv, "--level", 3)
+    assert res.returncode == 0, res.stderr
 
 
 # -- integrate ---------------------------------------------------------------------
@@ -398,24 +410,25 @@ def test_reports_byte_identical_across_runs_and_threads(tmp_path):
     write_csv(grad_csv, np.linspace(0.0, 1.0, 15), 0.6 * rng.standard_normal((15, 2)))
 
     def snapshot(threads=None):
-        pre = ["--threads", threads] if threads else []
         out = {}
-        out["sig"] = run_cli(*pre, "signature", csv, "--level", 3).stdout
+        out["sig"] = run_cli("signature", csv, "--level", 3, blas_threads=threads).stdout
         out["int"] = run_cli(
-            *pre, "integrate", grad_csv, "--form", form, "--p", 3.0, "--gamma", 4.0
+            "integrate", grad_csv, "--form", form, "--p", 3.0, "--gamma", 4.0,
+            blas_threads=threads,
         ).stdout
         run_cli(
-            *pre, "solve", csv, "--field", field, "--xi", "1.0",
+            "solve", csv, "--field", field, "--xi", "1.0",
             "--p", 3.0, "--gamma", 4.0,
             "--out-csv", tmp_path / "y.csv", "--decay-csv", tmp_path / "d.csv",
             "--report", tmp_path / "r.json",
+            blas_threads=threads,
         )
         out["sol"] = (tmp_path / "y.csv").read_bytes()
         out["decay"] = (tmp_path / "d.csv").read_bytes()
         out["report"] = (tmp_path / "r.json").read_bytes()
         return out
 
-    runs = [snapshot(), snapshot(), snapshot(threads=4)]
+    runs = [snapshot(), snapshot(), snapshot(threads=2)]
     for key in runs[0]:
         assert runs[0][key] == runs[1][key] == runs[2][key]
 
@@ -453,22 +466,19 @@ def test_outputs_byte_identical_across_blas_thread_counts(tmp_path):
     )
 
     def outputs(threads):
-        env = cli_env()
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            env[var] = threads
         work = tmp_path / f"threads{threads}"
         work.mkdir()
         for args in commands:
             res = subprocess.run(
                 [sys.executable, "-m", "roughkit.cli", *map(str, args)],
-                capture_output=True, text=True, env=env, cwd=work,
+                capture_output=True, text=True, env=cli_env(threads), cwd=work,
             )
             assert res.returncode == 0, res.stderr
         return {f.name: f.read_bytes() for f in sorted(work.iterdir())}
 
-    one = outputs("1")
+    one = outputs(1)
     assert sorted(one) == ["decay.csv", "integral.json", "report.json", "solution.csv"]
-    assert outputs("2") == one
+    assert outputs(2) == one
 
 
 # -- input errors ------------------------------------------------------------------
@@ -520,6 +530,13 @@ def test_bad_level_exits_two(tmp_path):
     csv = exp_csv(tmp_path, 8)
     res = run_cli("signature", csv, "--level", 0)
     assert res.returncode == 2
+
+
+def test_threads_flag_is_gone(tmp_path):
+    # BLAS thread counts are set through the environment, not a flag
+    csv = exp_csv(tmp_path, 8)
+    res = run_cli("--threads", 4, "signature", csv, "--level", 2)
+    assert res.returncode == 2 and "usage: roughkit" in res.stderr
 
 
 def test_pure_area_integral_uses_the_declared_p(tmp_path):

@@ -243,6 +243,24 @@ def test_lift_cocyclicity_on_grouplike_triples():
         assert np.max(np.abs(resid)) <= 1e-10
 
 
+def test_lift_pair_value_is_bitwise_its_oneform():
+    """pair_value and as_oneform share one coefficient builder and one pairing
+    kernel, so the pair value at a grid point is the one-form's value there."""
+    rng = np.random.default_rng(64)
+    cubic = PolyMap(
+        2,
+        (2, 2),
+        tuple(rng.standard_normal((2, 2) + (2,) * l) for l in range(3)),
+    )
+    lift = lift_polynomial_form(cubic, level=3, base_point=np.array([0.3, -0.1]))
+    g = driver_2d(seed=65, n_pts=9, level=3, p=3.0)
+    beta = lift.as_oneform(g)
+    for i in range(8):
+        for j in range(i + 1, 9):
+            inc = g.increment(i, j)
+            assert_bitwise(lift.pair_value(g.points[i], inc), beta.value_on_increment(i, inc))
+
+
 def test_lift_is_path_independent_at_group_level():
     """A there-and-back spur changes the polyline but not its lift."""
     rng = np.random.default_rng(63)
@@ -673,7 +691,7 @@ def test_picard_solve_bitwise_with_einsum_difference_matrices(monkeypatch):
     einsum: every Picard step, its difference matrices, quotients and worst
     pairs, and every iterate's certificate carry the same bits.  Both scan
     the 2,080 pairs in chunks of 97, so every scan crosses chunk boundaries."""
-    monkeypatch.setattr(roughkit.oneform, "_PAIR_CHUNK", 97)
+    monkeypatch.setattr(roughkit.oneform, "_BUILD_PAIRS", 97)
     problem = cubic_problem(64, n_max=16)
     g, omega = problem.driver, problem.omega
     theta = (problem.gamma + 1.0) / g.p
@@ -782,7 +800,7 @@ def chunk_case(case, out_dim, chunk):
 def test_level_quotients_bitwise_full_scan_across_chunks(case, out_dim, chunk, monkeypatch):
     form, omega, expos, floor, expected = chunk_case(case, out_dim, chunk)
     want = full_scan_level_quotients(form, omega, expos, floor)
-    monkeypatch.setattr(roughkit.oneform, "_PAIR_CHUNK", chunk)
+    monkeypatch.setattr(roughkit.oneform, "_BUILD_PAIRS", chunk)
     assert form._level_quotients(omega, expos, floor) == want
     if expected is not None:
         assert (want[0][0], want[1][0]) == expected

@@ -502,9 +502,9 @@ def test_signature_certifies_each_stack_once(monkeypatch):
     calls = []
     real = path_mod.certify_stack
 
-    def counting(t, rows=None):
+    def counting(t, rows=None, **kw):
         calls.append(t[0].shape[0] if rows is None else int(np.sum(rows)))
-        return real(t, rows=rows)
+        return real(t, rows=rows, **kw)
 
     monkeypatch.setattr(path_mod, "certify_stack", counting)
     signature(random_polyline(np.random.default_rng(36), n_pts=40), 3)
@@ -559,6 +559,41 @@ def test_non_finite_rough_path_times_rejected(bad):
         SampledRoughPath(np.array(bad), g.levels, 2.0, g.grouplike)
 
 
+def _loop(rng, radius, d=2, n_pts=20):
+    """n_pts uniform points in the radius box, from the origin back to within 1e-3 of it."""
+    values = rng.uniform(-radius, radius, (n_pts, d))
+    values[0] = 0.0
+    values[-1] = rng.uniform(-1e-3, 1e-3, d)
+    return polyline(values)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 3),
+    radius=st.sampled_from([1.0, 1e2, 1e3, 1e4]),
+)
+def test_loop_lifts_pass_the_certificate(seed, d, radius):
+    """Exact lifts of loops that come back near their start after a long
+    excursion stay certified, with their inverses and every increment: the
+    level-2 shuffle bound follows the largest point the path has passed."""
+    g = signature(_loop(np.random.default_rng(seed), radius, d), 3)
+    s_idx, t_idx = g.pair_indices
+    assert len(g.increment_levels(s_idx, t_idx)[2]) == s_idx.size
+    assert g.grouplike.all()
+
+
+@pytest.mark.parametrize("row, defect", [(0, 1e-6), (19, 1e-2)])
+def test_planted_shuffle_defect_is_refused_after_an_excursion(row, defect):
+    """The loop's running scale is at most 1 + 2e6, so the bound at the
+    returning point is at most 2e-4, against rounding of about 1e-9 there.
+    The starting point, before the excursion, keeps its own bound of 1e-10."""
+    g = signature(_loop(np.random.default_rng(38), 1e3), 3)
+    levels = [x.copy() for x in g.levels]
+    levels[2][row, 0] += defect
+    with pytest.raises(ValueError, match="level-2 shuffle relation"):
+        SampledRoughPath(g.times, tuple(levels), g.p, g.grouplike)
+
+
 def test_large_increment_passes_the_inverse_identity():
     """The exact lift of one 1e2 step at level 3: t t^{-1} rounds far above
     1e-12 at level 3 but within the bound scaled by the row's size."""
@@ -577,9 +612,7 @@ def test_large_increment_passes_the_inverse_identity():
 def test_scaled_walk_lifts_pass_the_certificate(seed, d, level, scale, dilation):
     """Exact lifts of random walks, and their dilations, stay certified at any
     size: the inverse identity's bound grows with the row as its rounding does.
-    Each coordinate moves one way, because a walk that comes back near its
-    start after a long excursion can fail the level-2 shuffle check, whose
-    bound follows the point and not the path that reached it."""
+    Each coordinate moves one way; loops are covered below."""
     rng = np.random.default_rng(seed)
     steps = scale * rng.uniform(0.2, 1.0, (12, d)) * rng.choice([-1.0, 1.0], d)
     values = np.vstack([np.zeros(d), np.cumsum(steps, axis=0)])
