@@ -449,7 +449,7 @@ def gauss_nodes(num: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def divide(f: "SmoothMap | LipFunction", num_nodes: int | None = None):
+def divide(f: "SmoothMap | LipFunction"):
     """Division trick: h with f(x) - f(y) = h(x, y)(x - y).
 
     Polynomial sources get just enough nodes for exactness; other sources get
@@ -457,15 +457,11 @@ def divide(f: "SmoothMap | LipFunction", num_nodes: int | None = None):
     wrapped at regularity gamma - 1.
     """
     if isinstance(f, LipFunction):
-        inner = divide(f.map, num_nodes)
+        inner = divide(f.map)
         if f.gamma - 1.0 <= 1.0:
             return inner
         return LipFunction(inner, f.gamma - 1.0, radius=f.radius)
-    if num_nodes is None:
-        if isinstance(f, PolyMap):
-            num_nodes = max(1, math.ceil(f.degree / 2))
-        else:
-            num_nodes = 12
+    num_nodes = max(1, math.ceil(f.degree / 2)) if isinstance(f, PolyMap) else 12
     nodes, weights = gauss_nodes(num_nodes)
     return DividedMap(f, nodes, weights)
 

@@ -244,8 +244,10 @@ class OneFormPath:
     def evaluate(self, t: float, a: GroupElement, b: GroupElement) -> np.ndarray:
         """beta_t(a, b) = alpha_t(g_t^{-1} a (b - 1)) at a grid time t."""
         i = self._time_index(t)
+        g = self.base
         unit = TruncatedTensor.unit(b.dim, b.level)
-        u = self.base.points[i].inverse().tensor @ a.tensor @ (b.tensor - unit)
+        inv = TruncatedTensor._view(g.dim, g.level, g._inverse_levels, i)
+        u = inv @ a.tensor @ (b.tensor - unit)
         return self.value_on_increment(i, u)
 
     def pair_values(

@@ -237,7 +237,10 @@ class SampledRoughPath:
         return _element_views(self.levels, self.grouplike)
 
     def increment(self, i: int, j: int) -> GroupElement:
-        return self.points[i].inverse() @ self.points[j]
+        """g_i^{-1} g_j as a view of its `increment_levels` row, so it is
+        certified at the path's shuffle scale rather than its own size."""
+        flags = self.grouplike[[i]] & self.grouplike[[j]]
+        return _element_views(self.increment_levels([i], [j]), flags)[0]
 
     def positions(self, base_point: np.ndarray | None = None) -> np.ndarray:
         base = np.zeros(self.dim) if base_point is None else np.asarray(base_point, float)
@@ -264,6 +267,8 @@ class SampledRoughPath:
     def _inverse_levels(self) -> tuple[np.ndarray, ...]:
         inv = stack_inverse(self.levels)
         certify_stack(inv, rows=self.grouplike, scale=self._shuffle_scale)
+        for x in inv:
+            x.flags.writeable = False
         return inv
 
     def increment_levels(
@@ -272,7 +277,8 @@ class SampledRoughPath:
         """Level stacks of g_{a,b} = g_a^{-1} g_b for index arrays of equal length.
 
         Entry [k] has shape (len(a_idx), d**k), degrees 0..L.  Rows agree
-        bitwise with `increment(a, b)`; a row is certified group-like when
+        bitwise with `points[a].inverse() @ points[b]` wherever that product
+        passes its own certificate; a row is certified group-like when
         both of its points are, at the larger of their shuffle scales, and a
         failed certificate raises ValueError.
         """

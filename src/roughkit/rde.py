@@ -60,6 +60,11 @@ __all__ = [
     "driver_distance",
 ]
 
+_FIXED_POINT_ITERS = 30
+_FIXED_POINT_TOL = 1e-13
+_PROBE_ROUNDS = 10
+_PROBE_RESIDUAL_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class RdeProblem:
@@ -409,12 +414,7 @@ def rescale_problem(
     return scaled, c
 
 
-def fixed_point_form(
-    problem: RdeProblem,
-    positions: np.ndarray,
-    n_iter: int = 30,
-    tol: float = 1e-13,
-) -> OneFormPath:
+def fixed_point_form(problem: RdeProblem, positions: np.ndarray) -> OneFormPath:
     """Integrand form of a frozen candidate path, by iterating composition.
 
     For a genuine solution this converges to the form whose integral
@@ -423,14 +423,11 @@ def fixed_point_form(
     """
     positions = np.asarray(positions, dtype=float)
     form = OneFormPath.zero(problem.driver, problem.state_dim)
-    for _ in range(n_iter):
+    for _ in range(_FIXED_POINT_ITERS):
         new = compose_integrand(problem.field, positions, form)
-        change = max(
-            float(np.max(np.abs(a - b)))
-            for a, b in zip(new.levels, form.levels)
-        )
+        change = max(float(np.max(np.abs(a - b))) for a, b in zip(new.levels, form.levels))
         form = new
-        if change < tol:
+        if change < _FIXED_POINT_TOL:
             break
     return form
 
@@ -494,30 +491,35 @@ def _product_form(
     return phi, OneFormPath(base, w * d, tuple(levels))
 
 
+def _pair_integrand(
+    problem: RdeProblem, h: LipFunction,
+    ya: np.ndarray, form_a: OneFormPath, yb: np.ndarray, form_b: OneFormPath,
+) -> tuple[np.ndarray, OneFormPath]:
+    """h(y_a, y_b) at the stacked pair positions, as (N+1, m, d, m) values,
+    and its Taylor form along the stacked integrand forms."""
+    n, m = ya.shape
+    pair_pos = np.concatenate([ya, yb], axis=1)
+    hv = h.apply(pair_pos).reshape(n, m, problem.driver.dim, m)
+    return hv, taylor_oneform(h, pair_pos, OneFormPath.stack([form_a, form_b]))
+
+
+def _tower_step(
+    hv: np.ndarray, ht: OneFormPath, E_values: np.ndarray, E_form: OneFormPath, start: int = 0
+) -> tuple[np.ndarray, OneFormPath]:
+    """One step E -> integral of h(y_a, y_b) E dx of the Schwartz iteration.
+
+    Returns the cumulative integral from grid index `start`, shape (N+1, w),
+    and the form of the integral.
+    """
+    form = integral_form_from_controlled(*_product_form(hv, ht, E_values, E_form))
+    return form.integral_values(start), form
+
+
 def _pair_table(full: np.ndarray) -> np.ndarray:
     """full[t] - full[s] indexed [s, t], zero where t < s."""
     vals = full[None, :] - full[:, None]
     vals[np.tri(full.shape[0], k=-1, dtype=bool)] = 0.0
     return vals
-
-
-def _reshape_H_form(H_form: OneFormPath, m: int, d: int) -> OneFormPath:
-    """Reindex a form with output (i, j, a) to output ((i, a), j).
-
-    The divided-difference field produces m x d x m matrices; the product
-    machinery wants the contraction slot last, integration wants the
-    driver slot last.  This permutes the flattened output axis only.
-    """
-    n = H_form.levels[0].shape[0]
-    levels = []
-    for k, block in enumerate(H_form.levels, start=1):
-        arr = block.reshape(n, m, d, m, d**k)
-        levels.append(
-            np.ascontiguousarray(arr.transpose(0, 1, 3, 2, 4)).reshape(
-                n, m * m * d, d**k
-            )
-        )
-    return OneFormPath(H_form.base, m * m * d, tuple(levels))
 
 
 @dataclass(frozen=True)
@@ -567,66 +569,47 @@ def difference_tower(
 
     state = initial_state(problem)
     iterates = [state]
-    for _ in range(n_max + 2):
+    for _ in range(n_max + 1):
         state = picard_step(state, problem)
         iterates.append(state)
-
-    pair_vals: dict[int, np.ndarray] = {}
-    pair_taylor: dict[int, OneFormPath] = {}
-    for n in range(n_max + 1):
-        ya = iterates[n + 1].positions
-        yb = iterates[n].positions
-        pair_pos = np.concatenate([ya, yb], axis=1)
-        pair_form = OneFormPath.stack([iterates[n + 1].form, iterates[n].form])
-        hv = h.apply(pair_pos).reshape(npts, m, d, m)
-        ht = taylor_oneform(h, pair_pos, pair_form)
-        pair_vals[n] = hv
-        pair_taylor[n] = ht
+    # h along consecutive iterates: pairs[n] is h(y_{n+1}, y_n)
+    pairs = [
+        _pair_integrand(problem, h, a.positions, a.form, b.positions, b.form)
+        for a, b in zip(iterates[1:], iterates)
+    ]
 
     # eta values indexed [s, t] (zero for t < s); forms per start index s.
     values: dict[tuple[int, int], np.ndarray] = {}
     forms: dict[tuple[int, int], list[OneFormPath]] = {}
 
     f0 = problem.field.apply(problem.xi[None, :]).reshape(m, d)
-    seed_levels = [np.broadcast_to(f0.reshape(1, m, d), (npts, m, d)).copy()]
-    for k in range(2, problem.driver.level + 1):
-        seed_levels.append(np.zeros((npts, m, d**k)))
-    seed_form = OneFormPath(problem.driver, m, tuple(seed_levels))
+    seed_form = OneFormPath.constant_linear(problem.driver, f0)
     values[(0, 0)] = _pair_table(seed_form.integral_values())
     forms[(0, 0)] = [seed_form] * npts
 
+    eye = np.broadcast_to(np.eye(m), (npts, m, m)).copy()
+    zero = OneFormPath.zero(problem.driver, m * m)
     for l in range(1, l_max + 1):
-        hv = pair_vals[l - 1]
-        phi = np.ascontiguousarray(hv.transpose(0, 1, 3, 2)).reshape(
-            npts, m * m, d
-        )
-        B = _reshape_H_form(pair_taylor[l - 1], m, d)
-        form_ll = integral_form_from_controlled(phi, B)
-        values[(l, l)] = _pair_table(form_ll.integral_values().reshape(npts, m, m))
+        vals, form_ll = _tower_step(*pairs[l - 1], eye, zero)
+        values[(l, l)] = _pair_table(vals.reshape(npts, m, m))
         forms[(l, l)] = [form_ll] * npts
 
     for l in range(0, l_max + 1):
         for n in range(l, n_max):
-            hv = pair_vals[n]
-            ht = pair_taylor[n]
             prev_vals = values[(l, n)]
-            prev_forms = forms[(l, n)]
-            vector = l == 0
-            shape = (m,) if vector else (m, m)
-            vals = np.zeros((npts, npts) + shape)
+            vals = np.zeros_like(prev_vals)
             flist = []
             for s in range(npts):
-                phi, Bphi = _product_form(hv, ht, prev_vals[s], prev_forms[s])
-                form_s = integral_form_from_controlled(phi, Bphi)
-                vals[s] = form_s.integral_values(s).reshape((npts,) + shape)
+                vals_s, form_s = _tower_step(
+                    *pairs[n], prev_vals[s], forms[(l, n)][s], start=s
+                )
+                vals[s] = vals_s.reshape(prev_vals.shape[1:])
                 flist.append(form_s)
             values[(l, n + 1)] = vals
             forms[(l, n + 1)] = flist
 
     keys = sorted(values.keys())
-    eta_sup = {
-        key: float(np.max(np.abs(values[key]))) for key in keys
-    }
+    eta_sup = {key: float(np.max(np.abs(values[key]))) for key in keys}
 
     z_res = 0.0
     for n in range(0, n_max + 1):
@@ -660,11 +643,7 @@ def difference_tower(
         fitted_M = max(fitted_M, (worst * 3.0 * p * math.gamma(q + 1.0)) ** (1.0 / q))
     eta_ok = math.isfinite(fitted_M)
 
-    beta_norms = {}
-    for (l, n) in keys:
-        beta_norms[(l, n)] = float(
-            forms[(l, n)][0].operator_norm(gamma, omega)
-        )
+    beta_norms = {key: float(forms[key][0].operator_norm(gamma, omega)) for key in keys}
     bp = int(p)
     cs = []
     for (l, n), nb in beta_norms.items():
@@ -702,8 +681,6 @@ def uniqueness_probe(
     problem: RdeProblem,
     positions_a: np.ndarray,
     positions_b: np.ndarray,
-    n_max: int = 10,
-    residual_tol: float = 1e-8,
 ) -> UniquenessReport:
     """Bound the distance of two certified solutions through the tower.
 
@@ -717,23 +694,20 @@ def uniqueness_probe(
     positions_a = np.asarray(positions_a, dtype=float)
     positions_b = np.asarray(positions_b, dtype=float)
     m = problem.state_dim
-    d = problem.driver.dim
     npts = problem.driver.num_steps + 1
     if positions_a.shape != (npts, m) or positions_b.shape != (npts, m):
-        raise ValueError(
-            f"candidate solutions must have shape {(npts, m)}"
-        )
+        raise ValueError(f"candidate solutions must have shape {(npts, m)}")
     forms = []
     for label, pos in (("first", positions_a), ("second", positions_b)):
-        if float(np.max(np.abs(pos[0] - problem.xi))) > residual_tol:
+        if float(np.max(np.abs(pos[0] - problem.xi))) > _PROBE_RESIDUAL_TOL:
             raise ValueError(
                 f"{label} candidate does not start at the initial condition"
             )
         resid, form = fixed_point_residual(problem, pos)
-        if resid > residual_tol:
+        if resid > _PROBE_RESIDUAL_TOL:
             raise ValueError(
                 f"{label} candidate is not a solution: fixed-point residual "
-                f"{resid:.3e} exceeds {residual_tol:g}"
+                f"{resid:.3e} exceeds {_PROBE_RESIDUAL_TOL:g}"
             )
         cert = check_domination(
             form,
@@ -749,28 +723,22 @@ def uniqueness_probe(
     diff = positions_a - positions_b
     sup_d = float(np.max(np.linalg.norm(diff, axis=1)))
 
-    h = _pair_field(problem)
-    pair_pos = np.concatenate([positions_a, positions_b], axis=1)
-    pair_form = OneFormPath.stack(forms)
-    hv = h.apply(pair_pos).reshape(npts, m, d, m)
-    ht = taylor_oneform(h, pair_pos, pair_form)
-
-    phi_vals = np.broadcast_to(np.eye(m).reshape(1, m, m), (npts, m, m)).copy()
+    hv, ht = _pair_integrand(
+        problem, _pair_field(problem), positions_a, forms[0], positions_b, forms[1]
+    )
+    phi_vals = np.broadcast_to(np.eye(m), (npts, m, m)).copy()
     phi_form = OneFormPath.zero(problem.driver, m * m)
     op_sups = []
     bounds = []
-    for _ in range(n_max):
-        pv, pf = _product_form(hv, ht, phi_vals, phi_form)
-        form_n = integral_form_from_controlled(pv, pf)
-        phi_vals = form_n.integral_values().reshape(npts, m, m)
-        phi_form = form_n
-        mats = phi_vals.reshape(npts, m, m)
+    for _ in range(_PROBE_ROUNDS):
+        phi_vals, phi_form = _tower_step(hv, ht, phi_vals, phi_form)
+        phi_vals = phi_vals.reshape(npts, m, m)
         sup_op = float(
-            np.max(np.linalg.norm(mats, ord=2, axis=(1, 2)))
-        ) if m > 1 else float(np.max(np.abs(mats)))
+            np.max(np.linalg.norm(phi_vals, ord=2, axis=(1, 2)))
+        ) if m > 1 else float(np.max(np.abs(phi_vals)))
         op_sups.append(sup_op)
         bounds.append(sup_op * sup_d)
-    final = bounds[-1] if bounds else sup_d
+    final = bounds[-1]
     return UniquenessReport(
         sup_distance=sup_d,
         operator_sups=tuple(op_sups),

@@ -7,9 +7,9 @@ Picard iteration, finite differences instead of coefficient calculus.
 Only numpy/scipy, never roughkit internals; `per_point_lift` alone uses
 roughkit's public single-element API, as the reference for the stacked lift,
 and `holder_table_loop` likewise; `difference_matrices_einsum` reads a
-one-form path's arrays and its base's `increment_levels`, and
+one-form path's arrays and its base's `increment_levels`,
 `product_form_two_branch` reads the forms' arrays and roughkit's
-`split_matrix`.
+`split_matrix`, and `permuted_divided_seed` reads a form's arrays.
 """
 
 import itertools
@@ -358,4 +358,27 @@ def product_form_two_branch(H_values, H_form, E_values, E_form):
                 cross = np.einsum("nijaA,nabB->nibjAB", BH1, FE2)
             acc += cross.reshape(n, w * d, d**k) @ split_matrix(d, (k1, k2))
         levels.append(acc)
+    return phi, tuple(levels)
+
+
+def permuted_divided_seed(hv, ht_levels):
+    """Integrand of a diagonal tower seed by permuting the divided field.
+
+    hv holds h(y_a, y_b) as (N+1, m, d, m) values and ht_levels the level
+    blocks of its form, output (i, j, a) flattened.  The seed integrates
+    h against the identity, so its integrand is h reindexed to output
+    ((i, a), j): returns phi (N+1, m*m, d) and the form levels
+    (N+1, m*m*d, d**k), one transpose each, no arithmetic.  The reference
+    the product with the identity matrix must reproduce bitwise.
+    """
+    n, m, d, _ = hv.shape
+    phi = np.ascontiguousarray(hv.transpose(0, 1, 3, 2)).reshape(n, m * m, d)
+    levels = []
+    for k, block in enumerate(ht_levels, start=1):
+        arr = block.reshape(n, m, d, m, d**k)
+        levels.append(
+            np.ascontiguousarray(arr.transpose(0, 1, 3, 2, 4)).reshape(
+                n, m * m * d, d**k
+            )
+        )
     return phi, tuple(levels)

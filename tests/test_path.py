@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import roughkit.path
+from roughkit.oneform import OneFormPath
 from roughkit.path import (
     Control,
     PathFormatError,
@@ -22,6 +23,7 @@ from roughkit.path import (
 )
 from roughkit.tensor import GroupElement, homogeneous_norm, tensor_exp, TruncatedTensor
 
+from conftest import assert_bitwise
 from oracles import (
     holder_table_loop,
     interval_dp_loop,
@@ -409,11 +411,11 @@ def test_increment_levels_are_bitwise_the_object_increments(mixed):
     a_idx, b_idx = (x.reshape(-1) for x in np.meshgrid(np.arange(n), np.arange(n)))
     stacks = g.increment_levels(a_idx, b_idx)
     for row, (a, b) in enumerate(zip(a_idx, b_idx)):
-        ref = g.increment(a, b)
+        ref = g.points[a].inverse() @ g.points[b]
         for k in range(g.level + 1):
             assert np.array_equal(stacks[k][row], ref.level_block(k))
     for i, inc in enumerate(g.step_increments):
-        ref = g.increment(i, i + 1)
+        ref = g.points[i].inverse() @ g.points[i + 1]
         assert inc.grouplike == ref.grouplike == (not mixed)
         for k in range(g.level + 1):
             assert np.array_equal(inc.level_block(k), ref.level_block(k))
@@ -580,6 +582,23 @@ def test_loop_lifts_pass_the_certificate(seed, d, radius):
     s_idx, t_idx = g.pair_indices
     assert len(g.increment_levels(s_idx, t_idx)[2]) == s_idx.size
     assert g.grouplike.all()
+
+
+def test_single_element_increments_of_a_large_loop_are_its_certified_rows():
+    """`increment` and `evaluate` certify at the path's scale, as
+    `increment_levels` does, so a loop's returning point is accepted there
+    too; both agree bitwise with the `increment_levels` row."""
+    for seed in range(10):
+        g = signature(_loop(np.random.default_rng(seed), 1e3), 3)
+        n = g.num_steps
+        row = g.increment_levels([0], [n])
+        inc = g.increment(0, n)
+        for k in range(g.level + 1):
+            assert_bitwise(inc.level_block(k), row[k][0])
+        # g_n^{-1} g_n has scalar part exactly 1, so level 1 of the argument is pi_1(inc)
+        beta = OneFormPath.constant_linear(g, np.eye(g.dim))
+        got = beta.evaluate(g.times[n], g.points[n], inc)
+        assert_bitwise(got, beta.pair_values([n], row[1:])[0])
 
 
 @pytest.mark.parametrize("row, defect", [(0, 1e-6), (19, 1e-2)])

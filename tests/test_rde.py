@@ -6,7 +6,8 @@ import pytest
 from roughkit.funcs import LipFunction, PolyMap
 from roughkit.integrate import RegularityError, rough_integral
 from roughkit.path import SampledPath, signature
-from roughkit.oneform import OneFormPath
+from roughkit import rde
+from roughkit.oneform import OneFormPath, integral_form_from_controlled
 from roughkit.rde import (
     RdeProblem,
     _product_form,
@@ -34,7 +35,12 @@ from conftest import (
     perturbed_probe_driver,
     probe_problem,
 )
-from oracles import polygon_loop_endpoint, product_form_two_branch, rk4_polyline
+from oracles import (
+    permuted_divided_seed,
+    polygon_loop_endpoint,
+    product_form_two_branch,
+    rk4_polyline,
+)
 
 
 def zero_field(dim: int = 1) -> LipFunction:
@@ -392,6 +398,35 @@ def test_planar_tower_and_probe_run_the_cross_terms():
     sol = solve(prob)
     assert sol.converged
     assert uniqueness_probe(prob, sol.positions, sol.positions).conclusive
+
+
+@pytest.mark.parametrize(
+    "make", [tower_problem, planar_problem, probe_problem], ids=lambda f: f.__name__
+)
+def test_tower_seeds_are_bitwise_the_permuted_divided_field(make, monkeypatch):
+    """The diagonal seeds eta^{l,l} are the tower step with E the identity and
+    a zero form; that product only adds exact zeros to the permuted field."""
+    calls = []
+    step = rde._tower_step
+
+    def recording(hv, ht, E_values, E_form, start=0):
+        out = step(hv, ht, E_values, E_form, start)
+        calls.append((hv, ht, E_values, E_form, out))
+        return out
+
+    monkeypatch.setattr(rde, "_tower_step", recording)
+    difference_tower(make(), l_max=3, n_max=3)
+    seeds = [c for c in calls if not any(b.any() for b in c[3].levels)]
+    assert len(seeds) == 3
+    for hv, ht, E_values, _, (values, form) in seeds:
+        m = hv.shape[1]
+        assert np.array_equal(E_values, np.broadcast_to(np.eye(m), E_values.shape))
+        phi, levels = permuted_divided_seed(hv, ht.levels)
+        want = integral_form_from_controlled(phi, OneFormPath(ht.base, ht.out_dim, levels))
+        assert len(form.levels) == len(want.levels) == 3
+        for a, b in zip(form.levels, want.levels):
+            assert_bitwise(a, b)
+        assert_bitwise(values, want.integral_values())
 
 
 @pytest.mark.parametrize("level", [1, 2, 3])
