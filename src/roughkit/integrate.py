@@ -16,7 +16,7 @@ from .funcs import LipFunction, SmoothMap, strict_floor
 from .oneform import (
     _DOMINATION_TOL, OneFormPath, _pair_quotient, integral_form_from_controlled
 )
-from .path import Control, SampledPath, signature, p_variation
+from .path import _BUILD_PAIRS, Control, SampledPath, signature, p_variation
 from .tensor import DimensionMismatchError, compositions, split_matrix
 
 __all__ = [
@@ -209,7 +209,7 @@ def compose_integrand(
     w = int(np.prod(f.out_shape[:-1], dtype=int)) if f.out_shape[:-1] else 1
     phi = phi.reshape(base.times.size, w, base.dim)
     derivative_form = taylor_oneform(f, rho_positions, rho_form)
-    return integral_form_from_controlled(phi, derivative_form)
+    return integral_form_from_controlled(base, phi, derivative_form.levels[:-1])
 
 
 def integrate_controlled(
@@ -237,13 +237,16 @@ def integrate_controlled(
         raise DimensionMismatchError("beta must control the flattened integrand")
 
     s_idx, t_idx = base.pair_indices
-    pred = beta.pair_values(s_idx, base.pairwise_levels)
-    resid = np.linalg.norm(flat[t_idx] - flat[s_idx] - pred, axis=1)
+    resid = np.empty(s_idx.size)
+    for a in range(0, s_idx.size, _BUILD_PAIRS):
+        s, t = s_idx[a : a + _BUILD_PAIRS], t_idx[a : a + _BUILD_PAIRS]
+        pred = beta.pair_values(s, base.increment_levels(s, t)[1:])
+        resid[a : a + _BUILD_PAIRS] = np.linalg.norm(flat[t] - flat[s] - pred, axis=1)
     beta_norm = float(beta.operator_norm(gamma, omega))
     worst, _ = _pair_quotient(resid, omega.table[s_idx, t_idx], gamma / base.p)
     measured_M = worst / beta_norm if beta_norm > 0.0 else 0.0
 
-    eta = integral_form_from_controlled(phi_values, beta)
+    eta = integral_form_from_controlled(base, phi_values, beta.levels[:-1])
     result = rough_integral(eta, gamma=gamma + 1.0, omega=omega)
     diagnostics = {
         "beta_norm": beta_norm,

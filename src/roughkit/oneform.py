@@ -550,27 +550,25 @@ def lift_polynomial_form(
 
 
 def integral_form_from_controlled(
-    phi_values: np.ndarray, derivative_form: OneFormPath
+    base: SampledRoughPath, phi_values: np.ndarray, derivative_levels: tuple[np.ndarray, ...]
 ) -> OneFormPath:
-    """One-form of t -> integral of phi dg, from phi and its controlling form.
+    """One-form of t -> integral of phi dg, from phi and its derivative levels.
 
-    phi_values has shape (N+1, w, d); derivative_form is the one-form of the
-    flattened integrand path (out_dim w*d, row-major).  Level 1 of the result
-    is phi itself; level k reads level k-1 of the derivative data with the
-    last letter routed through the integrand's second slot.
+    phi_values has shape (N+1, w, d); derivative_levels[k-1], of shape
+    (N+1, w*d, d**k), is level k = 1..L-1 of the one-form of the flattened
+    integrand path (out_dim w*d, row-major); its level L is never read.
+    Level 1 of the result is phi itself; level k+1 reads derivative level k
+    with the last letter routed through the integrand's second slot.
     """
-    g = derivative_form.base
-    n, d = g.times.size, g.dim
+    n, d = base.times.size, base.dim
     phi_values = np.asarray(phi_values, dtype=float)
     if phi_values.ndim != 3 or phi_values.shape[0] != n or phi_values.shape[2] != d:
         raise DimensionMismatchError("phi must have shape (N+1, w, d)")
     w = phi_values.shape[1]
-    if derivative_form.out_dim != w * d:
-        raise DimensionMismatchError(
-            f"derivative form out_dim {derivative_form.out_dim} != w*d = {w * d}"
-        )
-    levels = [phi_values.reshape(n, w, d).copy()]
-    for k in range(2, g.level + 1):
-        B = derivative_form.levels[k - 2].reshape(n, w, d, d ** (k - 1))
-        levels.append(B.transpose(0, 1, 3, 2).reshape(n, w, d**k))
-    return OneFormPath(g, w, tuple(levels))
+    want = [(n, w * d, d**k) for k in range(1, base.level)]
+    if [B.shape for B in derivative_levels] != want:
+        raise DimensionMismatchError(f"derivative levels must have shapes {want}")
+    levels = [phi_values.copy()]
+    for k, B in enumerate(derivative_levels, start=1):
+        levels.append(B.reshape(n, w, d, d**k).transpose(0, 1, 3, 2).reshape(n, w, d ** (k + 1)))
+    return OneFormPath(base, w, tuple(levels))

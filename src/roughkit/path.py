@@ -309,19 +309,24 @@ class SampledRoughPath:
 
     @cached_property
     def pairwise_levels(self) -> tuple[np.ndarray, ...]:
-        """Level blocks of g_{s,t} for every pair s < t, packed in pair order.
+        """Level blocks 1..L-1 of g_{s,t} for every pair s < t, packed in pair order.
 
         Entry [r-1] has shape (P, d**r), P = N(N+1)/2, and row j is the
         degree-r block of g_s^{-1} g_t for (s, t) the j-th pair of
-        `pair_indices`, so each s owns one contiguous run of rows.  Built a
-        block of s-rows at a time; each row is bitwise `increment_levels`.
-        A request whose pair tables (these levels, then the homogeneous
-        norms, a control and its transpose) exceed physical memory is refused.
+        `pair_indices`, so each s owns one contiguous run of rows.  Level L
+        is not kept: difference quotients pair A^(m) with levels m - k <= L-1
+        only, so level L counts through the homogeneous norm alone, and the
+        same pass writes every norm to `pairwise_homogeneous_norms`; callers
+        that need level L take it a run at a time from `increment_levels`.
+        Built a block of s-rows at a time; each row is bitwise
+        `increment_levels`.  A request whose pair tables (these levels, the
+        pair indices, then the norms, a control and its transpose) exceed
+        physical memory is refused.
         """
         n = self.times.size
         pairs = n * (n - 1) // 2
-        widths = [self.dim**k for k in range(1, self.level + 1)]
-        need = (pairs * sum(widths) + 3 * n * n) * 8
+        widths = [self.dim**k for k in range(1, self.level)]
+        need = (pairs * (sum(widths) + 2) + 3 * n * n) * 8
         have = _physical_memory_bytes()
         if have is not None and need > have:
             raise ValueError(
@@ -330,6 +335,7 @@ class SampledRoughPath:
                 f"{have:,} bytes of physical memory; use a coarser grid"
             )
         out = tuple(np.empty((pairs, w)) for w in widths)
+        norms = np.zeros((n, n))
         rows = max(1, _BUILD_PAIRS // n)
         start = 0
         for s0 in range(0, n - 1, rows):
@@ -340,30 +346,27 @@ class SampledRoughPath:
                 tuple(x[s0:s1, None] for x in self._inverse_levels),
                 tuple(x[None, s0 + 1 :] for x in self.levels),
             )
-            stop = start + int(np.count_nonzero(keep))
-            for dst, src in zip(out, block[1:]):
-                dst[start:stop] = src[keep]
+            kept = tuple(x[keep] for x in block[1:])
+            norms[s0:s1, s0 + 1 :][keep] = homogeneous_norms(kept)
+            stop = start + kept[0].shape[0]
+            for dst, src in zip(out, kept):
+                dst[start:stop] = src
             start = stop
-        for x in out:
+        for x in out + (norms,):
             x.flags.writeable = False
+        object.__setattr__(self, "_pair_norms", norms)
         return out
 
-    @cached_property
+    @property
     def pairwise_homogeneous_norms(self) -> np.ndarray:
         """Homogeneous norm of g_{s,t} at [s, t] for s < t, shape (N+1, N+1).
 
-        Zero on and below the diagonal, where no caller reads.  Taken a run
-        of pairs at a time, so the squared levels never exist all at once.
+        Zero on and below the diagonal, where no caller reads.  Filled by
+        the `pairwise_levels` build from each block's product, level L
+        included, so reading it builds the pair levels too.
         """
-        n = self.times.size
-        table = np.zeros((n, n))
-        s_idx, t_idx = self.pair_indices
-        for a in range(0, s_idx.size, _BUILD_PAIRS):
-            run = slice(a, a + _BUILD_PAIRS)
-            table[s_idx[run], t_idx[run]] = homogeneous_norms(
-                tuple(x[run] for x in self.pairwise_levels)
-            )
-        return table
+        self.pairwise_levels
+        return self._pair_norms
 
     @cached_property
     def pair_indices(self) -> tuple[np.ndarray, np.ndarray]:
@@ -372,9 +375,9 @@ class SampledRoughPath:
 
 
 # Pairs per block of work on the pair geometry: `pairwise_levels` is built
-# blocks of max(1, _BUILD_PAIRS // (N+1)) s-rows at a time and the norms
-# taken runs of _BUILD_PAIRS pairs at a time, so their temporaries stay at a
-# few MB whatever the grid size.
+# blocks of max(1, _BUILD_PAIRS // (N+1)) s-rows at a time, and the scans
+# and gathers over all pairs take runs of _BUILD_PAIRS pairs, so their
+# temporaries stay at a few MB whatever the grid size.
 _BUILD_PAIRS = 1 << 12
 
 

@@ -33,6 +33,7 @@ from .oneform import (
     integral_form_from_controlled,
 )
 from .path import (
+    _BUILD_PAIRS,
     Control,
     SampledRoughPath,
     _best_partition_sum,
@@ -456,14 +457,15 @@ def _product_form(
     H_form: OneFormPath,
     E_values: np.ndarray,
     E_form: OneFormPath,
-) -> tuple[np.ndarray, OneFormPath]:
-    """Controlled description of u -> H_u E_u.
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Controlled description of u -> H_u E_u: its values and form levels 1..L-1.
 
     H takes values in m x d x m matrices (controlled with output index
     (i, j, a) flattened), E in vectors of size m or matrices m x m.  The
     product contracts the trailing axis of H with the leading axis of E;
     the cross terms pair partial levels of both forms through the
-    adjoint split of the driver's signature levels.
+    adjoint split of the driver's signature levels.  Level L is left out:
+    `integral_form_from_controlled`, the only reader, never reads it.
     """
     base = H_form.base
     d = base.dim
@@ -474,7 +476,7 @@ def _product_form(
     FE = [block.reshape(n, m, E_values.shape[2], -1) for block in E_form.levels]
     phi = np.einsum("nija,nab->nibj", H_values, E_values).reshape(n, w, d)
     levels = []
-    for k in range(1, base.level + 1):
+    for k in range(1, base.level):
         acc = np.zeros((n, w * d, d**k))
         BH = H_form.levels[k - 1].reshape(n, m, d, m, d**k)
         acc += np.einsum("nijaK,nab->nibjK", BH, E_values).reshape(n, w * d, d**k)
@@ -488,7 +490,7 @@ def _product_form(
             )
             acc += cross @ split_matrix(d, (k1, k - k1))
         levels.append(acc)
-    return phi, OneFormPath(base, w * d, tuple(levels))
+    return phi, tuple(levels)
 
 
 def _pair_integrand(
@@ -511,7 +513,7 @@ def _tower_step(
     Returns the cumulative integral from grid index `start`, shape (N+1, w),
     and the form of the integral.
     """
-    form = integral_form_from_controlled(*_product_form(hv, ht, E_values, E_form))
+    form = integral_form_from_controlled(ht.base, *_product_form(hv, ht, E_values, E_form))
     return form.integral_values(start), form
 
 
@@ -762,9 +764,11 @@ def driver_distance(a: SampledRoughPath, b: SampledRoughPath) -> float:
         raise ValueError("drivers must share the variation exponent")
     n = a.num_steps + 1
     gaps = np.zeros((n, n))
-    gaps[a.pair_indices] = sum(
-        np.linalg.norm(da - db, axis=1) for da, db in zip(a.pairwise_levels, b.pairwise_levels)
-    )
+    s_idx, t_idx = a.pair_indices
+    for j in range(0, s_idx.size, _BUILD_PAIRS):
+        s, t = s_idx[j : j + _BUILD_PAIRS], t_idx[j : j + _BUILD_PAIRS]
+        levels = zip(a.increment_levels(s, t)[1:], b.increment_levels(s, t)[1:])
+        gaps[s, t] = sum(np.linalg.norm(da - db, axis=1) for da, db in levels)
     return float(_best_partition_sum(gaps**a.p) ** (1.0 / a.p))
 
 

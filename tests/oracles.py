@@ -9,7 +9,10 @@ roughkit's public single-element API, as the reference for the stacked lift,
 and `holder_table_loop` likewise; `difference_matrices_einsum` reads a
 one-form path's arrays and its base's `increment_levels`,
 `product_form_two_branch` reads the forms' arrays and roughkit's
-`split_matrix`, and `permuted_divided_seed` reads a form's arrays.
+`split_matrix`, `permuted_divided_seed` reads a form's arrays, and
+`pairwise_norm_table`, `controlled_residuals_whole_gather` and
+`driver_distance_whole_gather` read paths' `increment_levels` over every
+pair at once.
 """
 
 import itertools
@@ -382,3 +385,61 @@ def permuted_divided_seed(hv, ht_levels):
             )
         )
     return phi, tuple(levels)
+
+
+def pairwise_norm_table(g):
+    """Homogeneous norms of every pair increment, level L included, from one
+    `increment_levels` call over all pairs s < t.
+
+    Sum over k = 1..L, in k order, of the k-th root of the row norm of level
+    k; zero on and below the diagonal.  The table a build that never stores
+    level L must reproduce bitwise.
+    """
+    n = g.times.size
+    s_idx, t_idx = np.triu_indices(n, k=1)
+    inc = g.increment_levels(s_idx, t_idx)
+    table = np.zeros((n, n))
+    table[s_idx, t_idx] = sum(
+        np.linalg.norm(inc[k], axis=-1) ** (1.0 / k) for k in range(1, len(inc))
+    )
+    return table
+
+
+def controlled_residuals_whole_gather(flat, beta):
+    """||phi_t - phi_s - beta_s(g_s, g_{s,t})|| for every pair s < t at once.
+
+    flat is the integrand (N+1, w*d) and beta its controlling form: every
+    level of beta gathered at all pairs, paired with the increments of one
+    `increment_levels` call by "nok,nk->no" and summed from zero in level
+    order.  The residuals a run-wise gather must reproduce bitwise.
+    """
+    base = beta.base
+    s_idx, t_idx = np.triu_indices(base.times.size, k=1)
+    inc = base.increment_levels(s_idx, t_idx)
+    pred = 0.0
+    for k, A in enumerate(beta.levels, start=1):
+        pred = pred + np.einsum("nok,nk->no", A[s_idx], inc[k])
+    return np.linalg.norm(flat[t_idx] - flat[s_idx] - pred, axis=1)
+
+
+def driver_distance_whole_gather(a, b):
+    """The p-variation gauge of two lifts from their increments at all pairs.
+
+    Gap [s, t] sums, in level order, the row distances of the two lifts'
+    increment levels 1..L; the best partition sum of gap**p runs over the
+    last partition point before each grid point, then takes the 1/p power.
+    """
+    n = a.times.size
+    s_idx, t_idx = np.triu_indices(n, k=1)
+    gaps = np.zeros((n, n))
+    gaps[s_idx, t_idx] = sum(
+        np.linalg.norm(da - db, axis=1)
+        for da, db in zip(
+            a.increment_levels(s_idx, t_idx)[1:], b.increment_levels(s_idx, t_idx)[1:]
+        )
+    )
+    E = gaps**a.p
+    best = np.zeros(n)
+    for j in range(1, n):
+        best[j] = np.max(best[:j] + E[:j, j])
+    return float(best[-1] ** (1.0 / a.p))

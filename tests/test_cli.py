@@ -573,8 +573,9 @@ def test_pair_geometry_over_physical_memory_exits_two(tmp_path, monkeypatch, cap
          "--p", "3.0", "--gamma", "4.0"]
     )
     assert code == 2
-    # packed levels of the 210 pairs s < t, then norms, control and transpose
-    need = (210 * (2 + 4 + 8) + 3 * 21 * 21) * 8
-    assert need == 34_104
+    # levels 1..L-1 and the two index arrays of the 210 pairs s < t, then
+    # norms, control and transpose
+    need = (210 * (2 + 4 + 2) + 3 * 21 * 21) * 8
+    assert need == 24_024
     err = capsys.readouterr().err
     assert f"{need:,} bytes" in err and "physical memory" in err

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import roughkit.integrate
 from roughkit.funcs import LipFunction, PolyMap
 from roughkit.integrate import (
     RegularityError,
@@ -19,7 +20,8 @@ from roughkit.path import (
 )
 from roughkit.tensor import DimensionMismatchError, GroupElement, TruncatedTensor
 
-from oracles import left_riemann, young_half_grid_loop
+from conftest import assert_bitwise
+from oracles import controlled_residuals_whole_gather, left_riemann, young_half_grid_loop
 
 A1 = np.array([[0.0, 1.0], [-0.5, 0.2]])
 A2 = np.array([[0.3, -0.2], [0.8, 0.0]])
@@ -324,6 +326,37 @@ def test_controlled_integral_form_has_finite_raised_norm():
     assert np.isfinite(raised)
     assert np.isfinite(diag["controlled_quotient"])
     assert res.certified is True
+
+
+def test_controlled_residuals_are_bitwise_the_whole_array_gather(monkeypatch):
+    # the residuals are taken in runs of pairs; the pairing kernel's
+    # rounding must not depend on the run length.  A random form reads
+    # every level, level L included.
+    rng = np.random.default_rng(12)
+    g = smooth_driver(40, level=3, p=3.0)
+    f = linear_field(gamma=3.5)
+    phi = f.apply(g.positions())
+    beta = OneFormPath(g, 4, tuple(rng.standard_normal((41, 4, 2**k)) for k in (1, 2, 3)))
+    omega = control_from_pvar(g)
+    want = controlled_residuals_whole_gather(phi.reshape(g.times.size, -1), beta)
+    quotient = roughkit.integrate._pair_quotient
+    seen = []
+
+    def recording(num, *args, **kw):
+        seen.append(num)
+        return quotient(num, *args, **kw)
+
+    monkeypatch.setattr(roughkit.integrate, "_pair_quotient", recording)
+    diags = []
+    for build_pairs in (1, 7, roughkit.path._BUILD_PAIRS):
+        monkeypatch.setattr(roughkit.integrate, "_BUILD_PAIRS", build_pairs)
+        eta, res, diag = integrate_controlled(phi, beta, gamma=f.gamma, omega=omega, M=2.0)
+        assert_bitwise(seen.pop(), want)
+        diags.append(diag)
+    s_idx, t_idx = g.pair_indices
+    worst, _ = quotient(want, omega.table[s_idx, t_idx], f.gamma / g.p)
+    assert diags[0]["controlled_quotient"] == worst > 0.0
+    assert diags[0] == diags[1] == diags[2]
 
 
 # -- structural invariants ----------------------------------------------------------

@@ -14,6 +14,7 @@ from roughkit.oneform import (
     _pair_quotient,
     _spectral_pair_quotient,
     check_domination,
+    integral_form_from_controlled,
     lift_polynomial_form,
 )
 from roughkit.path import (
@@ -825,3 +826,39 @@ def test_pair_scan_peak_memory_stays_below_the_dense_tables():
         tracemalloc.stop()
     assert form.out_dim == 2
     assert peak < dense
+
+
+def test_integral_form_reads_derivative_levels_below_the_top():
+    # levels 1..L-1 of the integrand's form; a whole form's L levels are refused
+    walk = np.random.default_rng(3).standard_normal((6, 2))
+    g = signature(SampledPath(np.linspace(0.0, 1.0, 6), walk), 3)
+    phi = np.ones((6, 1, 2))
+    form = OneFormPath.constant_linear(g, np.eye(2))
+    eta = integral_form_from_controlled(g, phi, form.levels[:-1])
+    assert_bitwise(eta.levels[0], phi)
+    # the last letter of level 2 is the integrand's second slot
+    swapped = form.levels[0].reshape(6, 1, 2, 2).transpose(0, 1, 3, 2)
+    assert_bitwise(eta.levels[1], swapped.reshape(6, 1, 4))
+    with pytest.raises(DimensionMismatchError, match="derivative levels"):
+        integral_form_from_controlled(g, phi, form.levels)
+
+
+def test_pair_geometry_peak_memory_matches_the_estimate():
+    """The memory estimate counts what the pair build, the control and one
+    norm pass hold at N=768 (d=2, L=3): pair levels 1..L-1, the two pair
+    index arrays, the norms, a control and its transpose."""
+    problem = cubic_problem(768)
+    g = problem.driver
+    identity = OneFormPath.constant_linear(g, np.eye(2))
+    form = compose_integrand(problem.field, g.positions(problem.xi), identity)
+    n = g.times.size
+    need = (n * (n - 1) // 2 * (2 + 4 + 2) + 3 * n * n) * 8
+    tracemalloc.start()
+    try:
+        g.pairwise_levels
+        omega = control_from_pvar(g)
+        form.norm_components(problem.gamma, omega)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(peak / need - 1.0) <= 0.15

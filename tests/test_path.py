@@ -28,6 +28,7 @@ from oracles import (
     holder_table_loop,
     interval_dp_loop,
     ode_iterated_integrals,
+    pairwise_norm_table,
     per_point_lift,
     pvar_exhaustive,
     superadditivity_loop,
@@ -427,8 +428,8 @@ def test_increment_levels_are_bitwise_the_object_increments(mixed):
 
 @pytest.mark.parametrize("mixed", [False, True])
 def test_pairwise_levels_are_bitwise_the_increment_levels(mixed, monkeypatch):
-    # only pairs s < t are stored, in row-major order, built in blocks of
-    # 1, 2 and all s-rows
+    # only pairs s < t and levels 1..L-1 are stored, in row-major order,
+    # built in blocks of 1, 2 and all s-rows
     rng = np.random.default_rng(32)
     g = mixed_certificate_path(rng) if mixed else signature(random_polyline(rng), 3, p=3.0)
     n = len(g.points)
@@ -438,7 +439,7 @@ def test_pairwise_levels_are_bitwise_the_increment_levels(mixed, monkeypatch):
     for build_pairs in (1, 2 * n, roughkit.path._BUILD_PAIRS):
         monkeypatch.setattr(roughkit.path, "_BUILD_PAIRS", build_pairs)
         levels = SampledRoughPath(g.times, g.levels, g.p, g.grouplike).pairwise_levels
-        assert len(levels) == g.level
+        assert len(levels) == g.level - 1
         for k, block in enumerate(levels, start=1):
             assert block.shape == (n * (n - 1) // 2, g.dim**k)
             assert block.tobytes() == stacks[k].tobytes()
@@ -448,10 +449,11 @@ def test_pairwise_levels_are_bitwise_the_increment_levels(mixed, monkeypatch):
 def test_homogeneous_norm_is_bitwise_the_pairwise_table(seed, monkeypatch):
     # one kernel serves single elements and the pair table; a scalar k-th
     # root rounds differently from the array one on about 1% of pairs.  The
-    # table is filled in runs of 5 pairs, then in one run.
+    # table is filled by the pair build in blocks of 1, 2 and all s-rows.
     g = mixed_certificate_path(np.random.default_rng(seed))
     assert g.grouplike.any() and not g.grouplike.all()
-    for build_pairs in (5, roughkit.path._BUILD_PAIRS):
+    n = len(g.points)
+    for build_pairs in (1, 2 * n, roughkit.path._BUILD_PAIRS):
         monkeypatch.setattr(roughkit.path, "_BUILD_PAIRS", build_pairs)
         table = SampledRoughPath(g.times, g.levels, g.p, g.grouplike).pairwise_homogeneous_norms
         for s in range(len(g.points)):
@@ -461,6 +463,25 @@ def test_homogeneous_norm_is_bitwise_the_pairwise_table(seed, monkeypatch):
                 else:
                     # no caller reads on or below the diagonal
                     assert table[s, t] == 0.0 and not np.signbit(table[s, t])
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_norm_table_and_control_are_bitwise_the_full_level_norms(d, level, monkeypatch):
+    # level L is never stored, yet the norms read it: at L = 1 nothing is
+    # stored and the table must still be filled
+    rng = np.random.default_rng(10 * d + level)
+    walk = np.vstack([np.zeros((1, d)), np.cumsum(rng.standard_normal((30, d)), axis=0)])
+    p = level + 0.5 if level < 4 else 4.0
+    g = signature(SampledPath(np.linspace(0.0, 1.0, 31), walk), level, p=p)
+    want = pairwise_norm_table(g)
+    control = interval_dp_loop(want**p)
+    for build_pairs in (1, 2 * 31, roughkit.path._BUILD_PAIRS):
+        monkeypatch.setattr(roughkit.path, "_BUILD_PAIRS", build_pairs)
+        h = SampledRoughPath(g.times, g.levels, g.p, g.grouplike)
+        assert len(h.pairwise_levels) == level - 1
+        assert_bitwise(h.pairwise_homogeneous_norms, want)
+        assert_bitwise(control_from_pvar(h).table, control)
 
 
 # -- level-stack storage ------------------------------------------------------

@@ -36,6 +36,7 @@ from conftest import (
     probe_problem,
 )
 from oracles import (
+    driver_distance_whole_gather,
     permuted_divided_seed,
     polygon_loop_endpoint,
     product_form_two_branch,
@@ -422,7 +423,7 @@ def test_tower_seeds_are_bitwise_the_permuted_divided_field(make, monkeypatch):
         m = hv.shape[1]
         assert np.array_equal(E_values, np.broadcast_to(np.eye(m), E_values.shape))
         phi, levels = permuted_divided_seed(hv, ht.levels)
-        want = integral_form_from_controlled(phi, OneFormPath(ht.base, ht.out_dim, levels))
+        want = integral_form_from_controlled(ht.base, phi, levels[:-1])
         assert len(form.levels) == len(want.levels) == 3
         for a, b in zip(form.levels, want.levels):
             assert_bitwise(a, b)
@@ -449,8 +450,9 @@ def test_product_form_is_bitwise_the_two_branch_product(m, d, level, vector):
     phi, got = _product_form(H_values, H_form, E_values, E_form)
     want_phi, want = product_form_two_branch(H_values, H_form, E_values, E_form)
     assert_bitwise(phi, want_phi)
-    assert len(got.levels) == len(want) == level
-    for a, b in zip(got.levels, want):
+    # level L is left out: the integral form never reads it
+    assert len(got) == len(want) - 1 == level - 1
+    for a, b in zip(got, want):
         assert_bitwise(a, b)
 
 
@@ -507,6 +509,17 @@ def test_driver_distance_linear_in_perturbation():
     d2 = driver_distance(driver, perturbed_probe_driver(1e-2))
     d3 = driver_distance(driver, perturbed_probe_driver(1e-3))
     assert 9.5 <= d2 / d3 <= 10.5
+
+
+def test_driver_distance_is_bitwise_the_whole_gather(monkeypatch):
+    # the per-level distances are summed a run of pairs at a time
+    driver = probe_problem().driver
+    for delta in (1e-1, 1e-2, 1e-3):
+        other = perturbed_probe_driver(delta)
+        want = driver_distance_whole_gather(driver, other)
+        for build_pairs in (97, rde._BUILD_PAIRS):
+            monkeypatch.setattr(rde, "_BUILD_PAIRS", build_pairs)
+            assert driver_distance(driver, other) == want > 0.0
 
 
 def test_driver_distance_rejects_mismatched_grids():
