@@ -142,6 +142,16 @@ def taylor_oneform(
     rho's form, pre-composed with the matching coordinate split of the
     argument.  Derivative orders stop at the regularity budget.
     """
+    levels = _taylor_levels(f, rho_positions, rho_form, rho_form.base.level, gamma)
+    return OneFormPath(rho_form.base, levels[0].shape[1], levels)
+
+
+def _taylor_levels(
+    f: LipFunction | SmoothMap, rho_positions: np.ndarray, rho_form: OneFormPath, top: int,
+    gamma: float | None = None,
+) -> tuple[np.ndarray, ...]:
+    """Levels 1..top of `taylor_oneform`, each (N+1, w, d**k); a level does
+    not depend on the levels above it, so stopping early changes no bits."""
     if isinstance(f, LipFunction):
         gamma = f.gamma if gamma is None else gamma
         fmap = f.map
@@ -163,10 +173,10 @@ def taylor_oneform(
     n_deriv = strict_floor(gamma)
     derivs = {
         l: fmap.derivative(rho_positions, l).reshape((n, w) + (m,) * l)
-        for l in range(1, min(n_deriv, base.level) + 1)
+        for l in range(1, min(n_deriv, top) + 1)
     }
     levels = []
-    for k in range(1, base.level + 1):
+    for k in range(1, top + 1):
         acc = np.zeros((n, w, d**k))
         for l in range(1, min(k, n_deriv) + 1):
             for parts in compositions(k, l):
@@ -185,7 +195,7 @@ def taylor_oneform(
                 contracted = np.einsum(spec, term, *blocks).reshape(n, w, d**k)
                 acc += contracted @ split_matrix(d, parts) / math.factorial(l)
         levels.append(acc)
-    return OneFormPath(base, w, tuple(levels))
+    return tuple(levels)
 
 
 def compose_integrand(
@@ -208,8 +218,8 @@ def compose_integrand(
     phi = f.apply(np.asarray(rho_positions, dtype=float))
     w = int(np.prod(f.out_shape[:-1], dtype=int)) if f.out_shape[:-1] else 1
     phi = phi.reshape(base.times.size, w, base.dim)
-    derivative_form = taylor_oneform(f, rho_positions, rho_form)
-    return integral_form_from_controlled(base, phi, derivative_form.levels[:-1])
+    derivative_levels = _taylor_levels(f, rho_positions, rho_form, base.level - 1)
+    return integral_form_from_controlled(base, phi, derivative_levels)
 
 
 def integrate_controlled(
@@ -236,14 +246,15 @@ def integrate_controlled(
     if beta.out_dim != w * d:
         raise DimensionMismatchError("beta must control the flattened integrand")
 
-    s_idx, t_idx = base.pair_indices
-    resid = np.empty(s_idx.size)
-    for a in range(0, s_idx.size, _BUILD_PAIRS):
-        s, t = s_idx[a : a + _BUILD_PAIRS], t_idx[a : a + _BUILD_PAIRS]
+    resid, w = np.empty((2, n * (n - 1) // 2))
+    for a in range(0, resid.size, _BUILD_PAIRS):
+        run = slice(a, a + _BUILD_PAIRS)
+        s, t = base.pair_ends(run)
         pred = beta.pair_values(s, base.increment_levels(s, t)[1:])
-        resid[a : a + _BUILD_PAIRS] = np.linalg.norm(flat[t] - flat[s] - pred, axis=1)
+        resid[run] = np.linalg.norm(flat[t] - flat[s] - pred, axis=1)
+        w[run] = omega.table[s, t]
     beta_norm = float(beta.operator_norm(gamma, omega))
-    worst, _ = _pair_quotient(resid, omega.table[s_idx, t_idx], gamma / base.p)
+    worst, _ = _pair_quotient(resid, w, gamma / base.p)
     measured_M = worst / beta_norm if beta_norm > 0.0 else 0.0
 
     eta = integral_form_from_controlled(base, phi_values, beta.levels[:-1])

@@ -70,55 +70,53 @@ _BOUND_REL = 1e-12
 _BOUND_ABS = 1e-150
 
 
-def _spectral_pair_quotient(
-    chunks: Iterable[tuple[np.ndarray, np.ndarray]],
-    expo: float,
-    noise_floor: float = 0.0,
-    dead_tol: float = 1e-12,
-) -> tuple[float, int]:
-    """Worst sigma_max(diff[i]) / w[i]**expo over pairs, numerators floored.
+# (max, argmax, lower bound, pairs seen) before the first run: pair 0 attains a zero maximum
+_SCAN_START = (0.0, 0, 0.0, 0)
 
-    `chunks` yields (diff, w) for consecutive runs of the pairs, in pair
-    order.  Bitwise the (max, argmax) of `_pair_quotient` on the spectral
-    norms of every pair, with norms at or below noise_floor set to zero.
-    Single-row forms take row norms on every pair.  Otherwise the
-    eigensolver runs only on the pairs that can reach the best quotient
+
+def _spectral_pair_quotient(
+    state: tuple, diff: np.ndarray, w: np.ndarray, expo: float,
+    noise_floor: float = 0.0, dead_tol: float = 1e-12,
+) -> tuple[float, int, float, int]:
+    """One run's update of the worst sigma_max(diff[i]) / w[i]**expo, numerators floored.
+
+    `state` is `_SCAN_START` or the state returned for the previous run, in
+    pair order.  Folded over the runs, its (max, argmax) is bitwise that of
+    `_pair_quotient` on the spectral norms of every pair, floored at
+    noise_floor.  Single-row forms take row norms on every pair.  Otherwise
+    the eigensolver runs only on the pairs that can reach the best quotient
     known so far: ||M||_F / sqrt(r) <= sigma_max(M) <= ||M||_F with
     r = min(out_dim, d**k), so a pair whose upper quotient falls below some
     pair's lower quotient, or below a quotient already evaluated, cannot be
-    the maximum.  A later chunk replaces only a strictly larger maximum, so
+    the maximum.  A later run replaces only a strictly larger maximum, so
     ties go to the first pair.
     """
-    offset, best = 0, 0.0
-    # a zero maximum is attained by every pair, first of all by pair 0
-    q_max, j_max = 0.0, 0
-    for diff, w in chunks:
-        size = w.size
-        idx = np.arange(size)
-        if diff.shape[1] > 1:
-            fro = np.sqrt(np.einsum("poj,poj->p", diff, diff))
-            lo = (fro * (1.0 - _BOUND_REL) - _BOUND_ABS) / np.sqrt(min(diff.shape[1:]))
-            hi = fro * (1.0 + _BOUND_REL) + _BOUND_ABS
-            denom = w**expo
-            live = denom > 0.0
-            safe = np.where(live, denom, 1.0)
-            # pairs with lo above the floor cannot be floored: a sound lower bound
-            sure = live & (lo > noise_floor)
-            best = max(best, np.max(lo[sure] / denom[sure], initial=0.0))
-            upper = np.where(live, hi / safe, np.where(hi > dead_tol, np.inf, 0.0))
-            idx = np.flatnonzero((upper >= best) & (hi > noise_floor))
-            diff, w = diff[idx], w[idx]
-        if idx.size:
-            norms = batched_spectral_norms(diff)
-            if noise_floor > 0.0:
-                norms = np.where(norms <= noise_floor, 0.0, norms)
-            q, j = _pair_quotient(norms, w, expo, dead_tol=dead_tol)
-            if q > q_max:
-                q_max, j_max = q, offset + int(idx[j])
-            # an evaluated quotient is attained, so it bounds the maximum from below
-            best = max(best, q)
-        offset += size
-    return q_max, j_max
+    q_max, j_max, best, offset = state
+    size = w.size
+    idx = np.arange(size)
+    if diff.shape[1] > 1:
+        fro = np.sqrt(np.einsum("poj,poj->p", diff, diff))
+        lo = (fro * (1.0 - _BOUND_REL) - _BOUND_ABS) / np.sqrt(min(diff.shape[1:]))
+        hi = fro * (1.0 + _BOUND_REL) + _BOUND_ABS
+        denom = w**expo
+        live = denom > 0.0
+        safe = np.where(live, denom, 1.0)
+        # pairs with lo above the floor cannot be floored: a sound lower bound
+        sure = live & (lo > noise_floor)
+        best = max(best, np.max(lo[sure] / denom[sure], initial=0.0))
+        upper = np.where(live, hi / safe, np.where(hi > dead_tol, np.inf, 0.0))
+        idx = np.flatnonzero((upper >= best) & (hi > noise_floor))
+        diff, w = diff[idx], w[idx]
+    if idx.size:
+        norms = batched_spectral_norms(diff)
+        if noise_floor > 0.0:
+            norms = np.where(norms <= noise_floor, 0.0, norms)
+        q, j = _pair_quotient(norms, w, expo, dead_tol=dead_tol)
+        if q > q_max:
+            q_max, j_max = q, offset + int(idx[j])
+        # an evaluated quotient is attained, so it bounds the maximum from below
+        best = max(best, q)
+    return q_max, j_max, best, offset + size
 
 
 def _pairing(coeffs: Iterable[np.ndarray], blocks: Iterable[np.ndarray]) -> np.ndarray:
@@ -288,22 +286,23 @@ class OneFormPath:
         """
         return max(self.level_sups)
 
-    def difference_matrices(self, k: int, pairs: slice = slice(None)) -> np.ndarray:
+    def difference_matrices(self, k: int, pairs: slice = slice(None), run=None) -> np.ndarray:
         """Level-k matrices of (beta_t - beta_s)(g_t, .) on the pairs s < t.
 
-        `pairs` selects a contiguous run of `pair_indices`, all by default.
+        `pairs` selects a contiguous run of the packed pairs, all by default;
+        `run` is its `base.pair_levels(pairs)` where the caller has it.
         beta_s(g_t, b) re-expands through the increment: the level-k piece is
         sum_{m >= k} A_s^(m) (pi_{m-k}(g_{s,t}) x id), summed from zero over
         per-letter gathers in ascending letter order: bitwise the einsum
         "powj,pw->poj" when d**k >= 2 or one letter is summed, as always here.
         """
-        s_idx, t_idx = (x[pairs] for x in self.base.pair_indices)
+        s_idx, t_idx, incs = run or self.base.pair_levels(pairs)
         d = self.base.dim
         block = self.levels[k - 1]
         diff = np.take(block, t_idx, axis=0) - np.take(block, s_idx, axis=0)
         for m in range(k + 1, self.base.level + 1):
             A = self.levels[m - 1].reshape(-1, self.out_dim, d ** (m - k), d**k)
-            inc = self.base.pairwise_levels[m - k - 1][pairs]
+            inc = incs[m - k - 1]
             acc = np.zeros(diff.shape)
             for w in range(d ** (m - k)):
                 acc += np.take(A[:, :, w, :], s_idx, axis=0) * inc[:, w, None, None]
@@ -338,23 +337,25 @@ class OneFormPath:
     ) -> tuple[list[float], list[tuple[int, int]]]:
         """Worst sigma_max(difference) / omega**expos[k-1] and its pair, per level k.
 
-        Scans the pairs in chunks of `_BUILD_PAIRS`, so the difference
-        matrices of all pairs never exist at once.
+        Scans the pairs in runs of `_BUILD_PAIRS`, levels inside runs, so
+        the difference matrices of all pairs never exist at once and each
+        run's pair ends, increments and control weights are read once.
         """
-        s_idx, t_idx = self.base.pair_indices
-        w = omega.table[s_idx, t_idx]
-        runs = [slice(a, a + _BUILD_PAIRS) for a in range(0, w.size, _BUILD_PAIRS)]
-        quots, pairs = [], []
-        for k, expo in enumerate(expos, start=1):
-            q, j = _spectral_pair_quotient(
-                ((self.difference_matrices(k, run), w[run]) for run in runs),
-                expo,
-                noise_floor=noise_floor,
-                dead_tol=max(1e-12, noise_floor),
-            )
-            quots.append(q)
-            pairs.append((int(s_idx[j]), int(t_idx[j])))
-        return quots, pairs
+        base, n = self.base, self.base.times.size
+        states = [_SCAN_START] * len(expos)
+        for a in range(0, n * (n - 1) // 2, _BUILD_PAIRS):
+            pairs = slice(a, a + _BUILD_PAIRS)
+            run = base.pair_levels(pairs)
+            w = omega.table[run[0], run[1]]
+            states = [
+                _spectral_pair_quotient(
+                    state, self.difference_matrices(k, pairs, run), w, expo,
+                    noise_floor, dead_tol=max(1e-12, noise_floor),
+                )
+                for k, (state, expo) in enumerate(zip(states, expos), start=1)
+            ]
+        ends = [base.pair_ends(slice(j, j + 1)) for _, j, _, _ in states]
+        return [q for q, _, _, _ in states], [(int(s[0]), int(t[0])) for s, t in ends]
 
     def operator_norm(
         self, gamma: float, omega: Control, details: bool = False

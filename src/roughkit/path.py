@@ -309,24 +309,20 @@ class SampledRoughPath:
 
     @cached_property
     def pairwise_levels(self) -> tuple[np.ndarray, ...]:
-        """Level blocks 1..L-1 of g_{s,t} for every pair s < t, packed in pair order.
+        """Level blocks 2..L-1 of g_{s,t} for every pair s < t, packed in pair order.
 
-        Entry [r-1] has shape (P, d**r), P = N(N+1)/2, and row j is the
-        degree-r block of g_s^{-1} g_t for (s, t) the j-th pair of
-        `pair_indices`, so each s owns one contiguous run of rows.  Level L
-        is not kept: difference quotients pair A^(m) with levels m - k <= L-1
-        only, so level L counts through the homogeneous norm alone, and the
-        same pass writes every norm to `pairwise_homogeneous_norms`; callers
-        that need level L take it a run at a time from `increment_levels`.
-        Built a block of s-rows at a time; each row is bitwise
-        `increment_levels`.  A request whose pair tables (these levels, the
-        pair indices, then the norms, a control and its transpose) exceed
-        physical memory is refused.
+        Entry [r-2] has shape (P, d**r), P = N(N+1)/2; row j is the degree-r
+        block of g_s^{-1} g_t for the j-th pair (s, t) of `pair_ends`.  Level 1
+        comes from the points (`pair_levels`), and level L, which difference
+        quotients never read, only through the norms the same pass writes to
+        `pairwise_homogeneous_norms`.  Built a block of s-rows at a time, each
+        row bitwise `increment_levels`.  Refused when these levels, the norms
+        and one control table would exceed physical memory.
         """
         n = self.times.size
         pairs = n * (n - 1) // 2
-        widths = [self.dim**k for k in range(1, self.level)]
-        need = (pairs * (sum(widths) + 2) + 3 * n * n) * 8
+        widths = [self.dim**k for k in range(2, self.level)]
+        need = (pairs * (sum(widths) + 1) + n * n) * 8
         have = _physical_memory_bytes()
         if have is not None and need > have:
             raise ValueError(
@@ -335,7 +331,7 @@ class SampledRoughPath:
                 f"{have:,} bytes of physical memory; use a coarser grid"
             )
         out = tuple(np.empty((pairs, w)) for w in widths)
-        norms = np.zeros((n, n))
+        norms = np.empty(pairs)
         rows = max(1, _BUILD_PAIRS // n)
         start = 0
         for s0 in range(0, n - 1, rows):
@@ -347,9 +343,9 @@ class SampledRoughPath:
                 tuple(x[None, s0 + 1 :] for x in self.levels),
             )
             kept = tuple(x[keep] for x in block[1:])
-            norms[s0:s1, s0 + 1 :][keep] = homogeneous_norms(kept)
             stop = start + kept[0].shape[0]
-            for dst, src in zip(out, kept):
+            norms[start:stop] = homogeneous_norms(kept)
+            for dst, src in zip(out, kept[1:]):
                 dst[start:stop] = src
             start = stop
         for x in out + (norms,):
@@ -359,19 +355,31 @@ class SampledRoughPath:
 
     @property
     def pairwise_homogeneous_norms(self) -> np.ndarray:
-        """Homogeneous norm of g_{s,t} at [s, t] for s < t, shape (N+1, N+1).
-
-        Zero on and below the diagonal, where no caller reads.  Filled by
-        the `pairwise_levels` build from each block's product, level L
-        included, so reading it builds the pair levels too.
-        """
+        """Homogeneous norm of g_{s,t} for every pair s < t, shape (P,), in
+        `pair_ends` order; the `pairwise_levels` build fills it, level L included."""
         self.pairwise_levels
         return self._pair_norms
 
-    @cached_property
-    def pair_indices(self) -> tuple[np.ndarray, np.ndarray]:
-        """Upper-triangle (s, t) index arrays with s < t, in `pairwise_levels` order."""
-        return np.triu_indices(self.times.size, k=1)
+    def pair_ends(self, pairs: slice) -> tuple[np.ndarray, np.ndarray]:
+        """(s, t) of the run `pairs` of the packed pairs s < t, from the row
+        starts s(N+1) - s(s+1)/2: the same slice of np.triu_indices(N+1, k=1)."""
+        n = self.times.size
+        rows = np.arange(n - 1)
+        starts = rows * n - rows * (rows + 1) // 2
+        a, b, _ = pairs.indices(n * (n - 1) // 2)
+        s = np.repeat(rows, np.diff(np.clip(np.append(starts, b), a, b)))
+        return s, np.arange(a, b) - np.take(starts, s) + s + 1
+
+    def pair_levels(self, pairs: slice) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+        """`pair_ends(pairs)` and level blocks 1..L-1 of g_{s,t}, bitwise the
+        `increment_levels` rows: level 1 is (0.0 + x_t) + (g_s^{-1})_1, the two
+        additions `stack_product` makes there, so signed zeros match too."""
+        s, t = self.pair_ends(pairs)
+        if self.level < 2:
+            return s, t, ()
+        x, inv = self.levels[1], self._inverse_levels[1]
+        first = (0.0 + np.take(x, t, axis=0)) + np.take(inv, s, axis=0)
+        return s, t, (first,) + tuple(block[pairs] for block in self.pairwise_levels)
 
 
 # Pairs per block of work on the pair geometry: `pairwise_levels` is built
@@ -400,8 +408,18 @@ def p_variation(g: SampledRoughPath, i0: int = 0, i1: int | None = None) -> floa
         i1 = g.num_steps
     if not 0 <= i0 < i1 <= g.num_steps:
         raise ValueError("bad interval indices")
-    E = g.pairwise_homogeneous_norms[i0 : i1 + 1, i0 : i1 + 1] ** g.p
-    return float(_best_partition_sum(E) ** (1.0 / g.p))
+    return float(_best_partition_sum(_powered_norms(g, i0, i1)) ** (1.0 / g.p))
+
+
+def _powered_norms(g: SampledRoughPath, i0: int, i1: int) -> np.ndarray:
+    """norm(g_{s,t})**p at [s - i0, t - i0] for i0 <= s < t <= i1, zero elsewhere,
+    filled row by row from the packed `pairwise_homogeneous_norms`."""
+    norms, n = g.pairwise_homogeneous_norms, g.times.size
+    E = np.zeros((i1 - i0 + 1, i1 - i0 + 1))
+    for s in range(i0, i1):
+        start = s * n - s * (s + 1) // 2
+        E[s - i0, s - i0 + 1 :] = norms[start : start + i1 - s] ** g.p
+    return E
 
 
 def _best_partition_sum(E: np.ndarray) -> np.float64:
@@ -458,23 +476,25 @@ def control_from_pvar(g: SampledRoughPath) -> Control:
 
     All-pairs interval dynamic program over gaps j - i = 2..N:
     V[i, j] = max(E[i, j], max_m V[i, m] + V[m, j]).  O(N^3) flops in about
-    N numpy calls, one per gap; O(N^2) memory, the table plus its transpose.
+    N numpy calls, one per gap; O(N^2) memory in one table, whose lower
+    triangle holds the transpose while the gaps run and is zeroed after.
     Superadditive by construction and exactly additive where the path is
     one-dimensional and monotone.
     """
-    V = g.pairwise_homogeneous_norms ** g.p
+    V = _powered_norms(g, 0, g.num_steps)
     n1 = V.shape[0]
-    Vt = np.ascontiguousarray(V.T)
-    flat, flat_t = V.reshape(-1), Vt.reshape(-1)
+    flat = V.reshape(-1)
+    # V[j, i] = V[i, j] below the diagonal: gap 1 now, each later gap as it is done
+    flat[n1 :: n1 + 1] = flat[1 :: n1 + 1]
     for gap in range(2, n1):
         rows = n1 - gap
         # Row i of each band holds off = 1..gap-1: V[i, i+off] and
-        # V[i+off, i+gap] = Vt[i+gap, i+off], both unit-stride windows.
+        # V[i+off, i+gap] = V[i+gap, i+off], both unit-stride windows.
         left = sliding_window_view(flat[1:], gap - 1)[:: n1 + 1][:rows]
-        right = sliding_window_view(flat_t[gap * n1 + 1 :], gap - 1)[:: n1 + 1][:rows]
+        right = sliding_window_view(flat[gap * n1 + 1 :], gap - 1)[:: n1 + 1][:rows]
         diag = flat[gap :: n1 + 1][:rows]
         np.maximum(diag, (left + right).max(axis=1), out=diag)
-        flat_t[gap * n1 :: n1 + 1][:rows] = diag
+        flat[gap * n1 :: n1 + 1][:rows] = diag
     V[np.tri(n1, dtype=bool)] = 0.0
     return Control(g.times, V)
 

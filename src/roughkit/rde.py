@@ -21,9 +21,9 @@ import numpy as np
 from .funcs import LipFunction, divide
 from .integrate import (
     RegularityError,
+    _taylor_levels,
     compose_integrand,
     rough_integral,
-    taylor_oneform,
 )
 from .oneform import (
     DominationCertificate,
@@ -454,20 +454,20 @@ def _pair_field(problem: RdeProblem) -> LipFunction:
 
 def _product_form(
     H_values: np.ndarray,
-    H_form: OneFormPath,
+    H_levels: tuple[np.ndarray, ...],
     E_values: np.ndarray,
     E_form: OneFormPath,
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Controlled description of u -> H_u E_u: its values and form levels 1..L-1.
 
-    H takes values in m x d x m matrices (controlled with output index
-    (i, j, a) flattened), E in vectors of size m or matrices m x m.  The
-    product contracts the trailing axis of H with the leading axis of E;
+    H takes values in m x d x m matrices, given with its form levels 1..L-1
+    (output index (i, j, a) flattened), E in vectors of size m or matrices
+    m x m.  The product contracts the trailing axis of H with the leading axis of E;
     the cross terms pair partial levels of both forms through the
     adjoint split of the driver's signature levels.  Level L is left out:
     `integral_form_from_controlled`, the only reader, never reads it.
     """
-    base = H_form.base
+    base = E_form.base
     d = base.dim
     n, m = H_values.shape[:2]
     # a vector E is an m x 1 matrix
@@ -478,13 +478,13 @@ def _product_form(
     levels = []
     for k in range(1, base.level):
         acc = np.zeros((n, w * d, d**k))
-        BH = H_form.levels[k - 1].reshape(n, m, d, m, d**k)
+        BH = H_levels[k - 1].reshape(n, m, d, m, d**k)
         acc += np.einsum("nijaK,nab->nibjK", BH, E_values).reshape(n, w * d, d**k)
         acc += np.einsum("nija,nabK->nibjK", H_values, FE[k - 1]).reshape(
             n, w * d, d**k
         )
         for k1 in range(1, k):
-            BH1 = H_form.levels[k1 - 1].reshape(n, m, d, m, d**k1)
+            BH1 = H_levels[k1 - 1].reshape(n, m, d, m, d**k1)
             cross = np.einsum("nijaA,nabB->nibjAB", BH1, FE[k - k1 - 1]).reshape(
                 n, w * d, d**k
             )
@@ -496,24 +496,27 @@ def _product_form(
 def _pair_integrand(
     problem: RdeProblem, h: LipFunction,
     ya: np.ndarray, form_a: OneFormPath, yb: np.ndarray, form_b: OneFormPath,
-) -> tuple[np.ndarray, OneFormPath]:
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """h(y_a, y_b) at the stacked pair positions, as (N+1, m, d, m) values,
-    and its Taylor form along the stacked integrand forms."""
+    and levels 1..L-1 of its Taylor form along the stacked integrand forms,
+    all that `_product_form` reads."""
     n, m = ya.shape
     pair_pos = np.concatenate([ya, yb], axis=1)
     hv = h.apply(pair_pos).reshape(n, m, problem.driver.dim, m)
-    return hv, taylor_oneform(h, pair_pos, OneFormPath.stack([form_a, form_b]))
+    forms = OneFormPath.stack([form_a, form_b])
+    return hv, _taylor_levels(h, pair_pos, forms, problem.driver.level - 1)
 
 
 def _tower_step(
-    hv: np.ndarray, ht: OneFormPath, E_values: np.ndarray, E_form: OneFormPath, start: int = 0
+    hv: np.ndarray, ht: tuple, E_values: np.ndarray, E_form: OneFormPath, start: int = 0
 ) -> tuple[np.ndarray, OneFormPath]:
-    """One step E -> integral of h(y_a, y_b) E dx of the Schwartz iteration.
+    """One step E -> integral of h(y_a, y_b) E dx of the Schwartz iteration,
+    with h as `_pair_integrand` gives it: values hv and form levels ht.
 
     Returns the cumulative integral from grid index `start`, shape (N+1, w),
     and the form of the integral.
     """
-    form = integral_form_from_controlled(ht.base, *_product_form(hv, ht, E_values, E_form))
+    form = integral_form_from_controlled(E_form.base, *_product_form(hv, ht, E_values, E_form))
     return form.integral_values(start), form
 
 
@@ -635,7 +638,7 @@ def difference_tower(
             chasles = max(chasles, float(np.max(np.abs(lhs - rhs))))
 
     omega = problem.omega
-    s_idx, t_idx = problem.driver.pair_indices
+    s_idx, t_idx = np.triu_indices(npts, k=1)
     w = omega.table[s_idx, t_idx]
     fitted_M = 1.0
     for (l, n) in keys:
@@ -764,9 +767,8 @@ def driver_distance(a: SampledRoughPath, b: SampledRoughPath) -> float:
         raise ValueError("drivers must share the variation exponent")
     n = a.num_steps + 1
     gaps = np.zeros((n, n))
-    s_idx, t_idx = a.pair_indices
-    for j in range(0, s_idx.size, _BUILD_PAIRS):
-        s, t = s_idx[j : j + _BUILD_PAIRS], t_idx[j : j + _BUILD_PAIRS]
+    for j in range(0, n * (n - 1) // 2, _BUILD_PAIRS):
+        s, t = a.pair_ends(slice(j, j + _BUILD_PAIRS))
         levels = zip(a.increment_levels(s, t)[1:], b.increment_levels(s, t)[1:])
         gaps[s, t] = sum(np.linalg.norm(da - db, axis=1) for da, db in levels)
     return float(_best_partition_sum(gaps**a.p) ** (1.0 / a.p))

@@ -9,10 +9,12 @@ roughkit's public single-element API, as the reference for the stacked lift,
 and `holder_table_loop` likewise; `difference_matrices_einsum` reads a
 one-form path's arrays and its base's `increment_levels`,
 `product_form_two_branch` reads the forms' arrays and roughkit's
-`split_matrix`, `permuted_divided_seed` reads a form's arrays, and
+`split_matrix`, `permuted_divided_seed` reads a form's level blocks, and
 `pairwise_norm_table`, `controlled_residuals_whole_gather` and
 `driver_distance_whole_gather` read paths' `increment_levels` over every
-pair at once.
+pair at once.  None reads the packed pair geometry (`pairwise_levels`,
+`pair_ends`, `pair_levels`, the packed norms): pair indices come from
+`np.triu_indices`.
 """
 
 import itertools
@@ -276,12 +278,13 @@ def full_scan_quotient(diff, w, expo, noise_floor=0.0, dead_tol=1e-12):
     return float(quot[j]), j
 
 
-def difference_matrices_einsum(form, k, pairs=slice(None)):
+def difference_matrices_einsum(form, k, pairs=slice(None), run=None):
     """Level-k pair difference matrices of a one-form path by one einsum per level.
 
-    Over the run `pairs` of the (s, t) pairs s < t in row-major order.  Reads
-    the form's arrays and recomputes each pair increment from the base's
-    points with `increment_levels`, never the cached pair geometry: the level
+    Over the run `pairs` of the (s, t) pairs s < t in row-major order; `run`,
+    the caller's packed pair data, is ignored.  Reads the form's arrays and
+    recomputes each pair increment from the base's points with
+    `increment_levels`, never the cached pair geometry: the level
     blocks of both pair ends, then for each higher level m the whole gathered
     block A_s^(m) reshaped to (pairs, out, d**(m-k), d**k) contracted with
     pi_{m-k}(g_{s,t}) over its leading letter.  The reference a per-letter

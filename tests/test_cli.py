@@ -573,9 +573,8 @@ def test_pair_geometry_over_physical_memory_exits_two(tmp_path, monkeypatch, cap
          "--p", "3.0", "--gamma", "4.0"]
     )
     assert code == 2
-    # levels 1..L-1 and the two index arrays of the 210 pairs s < t, then
-    # norms, control and transpose
-    need = (210 * (2 + 4 + 2) + 3 * 21 * 21) * 8
-    assert need == 24_024
+    # level 2 and the packed norm of the 210 pairs s < t, then one control table
+    need = (210 * (4 + 1) + 21 * 21) * 8
+    assert need == 11_928
     err = capsys.readouterr().err
     assert f"{need:,} bytes" in err and "physical memory" in err

@@ -11,6 +11,7 @@ from roughkit.integrate import compose_integrand
 from roughkit.oneform import (
     ClosedLift,
     OneFormPath,
+    _SCAN_START,
     _pair_quotient,
     _spectral_pair_quotient,
     check_domination,
@@ -425,8 +426,14 @@ def test_pair_quotient_edge_rules(num, w, dead_tol, expected):
 # -- pruned spectral pair scan ---------------------------------------------------
 
 
-def in_chunks(diff, w, size):
-    return ((diff[a : a + size], w[a : a + size]) for a in range(0, len(w), size))
+def scan_in_chunks(diff, w, size, expo, noise_floor, dead_tol):
+    """(max, argmax) of the per-run update folded over runs of `size` pairs."""
+    state = _SCAN_START
+    for a in range(0, len(w), size):
+        run = slice(a, a + size)
+        state = _spectral_pair_quotient(state, diff[run], w[run], expo, noise_floor, dead_tol)
+    assert state[3] == len(w)
+    return state[:2]
 
 
 def assert_matches_full_scan(diff, w, expo, noise_floor=0.0, dead_tol=1e-12):
@@ -434,7 +441,7 @@ def assert_matches_full_scan(diff, w, expo, noise_floor=0.0, dead_tol=1e-12):
     diff, w = np.asarray(diff, dtype=float), np.asarray(w, dtype=float)
     want = full_scan_quotient(diff, w, expo, noise_floor, dead_tol)
     for size in (len(w), 1, 2, 3):
-        got = _spectral_pair_quotient(in_chunks(diff, w, size), expo, noise_floor, dead_tol)
+        got = scan_in_chunks(diff, w, size, expo, noise_floor, dead_tol)
         assert got == want
         assert type(got[1]) is int
     return got
@@ -587,7 +594,7 @@ def test_picard_norms_and_certificates_bitwise_full_scan():
     problem = cubic_problem(64, n_max=16)
     history = solve(problem, keep_history=True).history
     g, omega, gamma = problem.driver, problem.omega, problem.gamma
-    s_idx, t_idx = g.pair_indices
+    s_idx, t_idx = np.triu_indices(g.times.size, k=1)
     w = omega.table[s_idx, t_idx]
     k_max = min(g.level, strict_floor(gamma))
     for old, new in zip(history, history[1:]):
@@ -778,7 +785,7 @@ def chunk_case(case, out_dim, chunk):
         # the first of the next; sigma / 2 everywhere else
         form = ramp_form(out_dim, np.arange(N_PTS))
         table = gap_control(form.base, 2.0).table.copy()
-        s_idx, t_idx = form.base.pair_indices
+        s_idx, t_idx = np.triu_indices(N_PTS, k=1)
         for j in (chunk - 1, chunk):
             table[s_idx[j], t_idx[j]] /= 2.0
         pair = (int(s_idx[chunk - 1]), int(t_idx[chunk - 1]))
@@ -845,14 +852,14 @@ def test_integral_form_reads_derivative_levels_below_the_top():
 
 def test_pair_geometry_peak_memory_matches_the_estimate():
     """The memory estimate counts what the pair build, the control and one
-    norm pass hold at N=768 (d=2, L=3): pair levels 1..L-1, the two pair
-    index arrays, the norms, a control and its transpose."""
+    norm pass hold at N=768 (d=2, L=3): pair level 2, the packed norms and
+    one control table."""
     problem = cubic_problem(768)
     g = problem.driver
     identity = OneFormPath.constant_linear(g, np.eye(2))
     form = compose_integrand(problem.field, g.positions(problem.xi), identity)
     n = g.times.size
-    need = (n * (n - 1) // 2 * (2 + 4 + 2) + 3 * n * n) * 8
+    need = (n * (n - 1) // 2 * (4 + 1) + n * n) * 8
     tracemalloc.start()
     try:
         g.pairwise_levels
@@ -862,3 +869,18 @@ def test_pair_geometry_peak_memory_matches_the_estimate():
     finally:
         tracemalloc.stop()
     assert abs(peak / need - 1.0) <= 0.15
+
+
+def test_control_dynamic_program_holds_one_table():
+    """With the pair norms built, `control_from_pvar` at N=300 peaks within
+    1.6 square tables: the table itself and its per-gap temporaries, with
+    no second table for the transpose."""
+    g = cubic_problem(300).driver
+    g.pairwise_levels
+    tracemalloc.start()
+    try:
+        control_from_pvar(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * g.times.size**2 * 8

@@ -151,11 +151,19 @@ def test_one_variation_of_zigzag():
     assert p_variation(g) == pytest.approx(3.0, abs=1e-14)
 
 
+def norm_square(g):
+    """The packed pair norms spread over the upper triangle of a square table."""
+    n = g.times.size
+    table = np.zeros((n, n))
+    table[np.triu_indices(n, k=1)] = g.pairwise_homogeneous_norms
+    return table
+
+
 def test_p_variation_matches_exhaustive_enumeration():
     rng = np.random.default_rng(14)
     path = random_polyline(rng, dim=2, n_pts=5)
     g = signature(path, 2, p=2.0)
-    gaps = g.pairwise_homogeneous_norms
+    gaps = norm_square(g)
     assert p_variation(g) == pytest.approx(
         pvar_exhaustive(gaps, 2.0), rel=1e-12
     )
@@ -201,7 +209,7 @@ def walk_lift(steps, dim, level, seed):
 def test_control_is_bitwise_the_interval_loop(steps, dim, level):
     g = walk_lift(steps, dim, level, seed=steps + dim)
     table = control_from_pvar(g).table
-    assert table.tobytes() == interval_dp_loop(g.pairwise_homogeneous_norms ** g.p).tobytes()
+    assert table.tobytes() == interval_dp_loop(norm_square(g) ** g.p).tobytes()
 
 
 def test_superadditivity_defect_is_bitwise_the_pair_loop():
@@ -426,50 +434,86 @@ def test_increment_levels_are_bitwise_the_object_increments(mixed):
             assert np.array_equal(inverses[k][i], pt.inverse().level_block(k))
 
 
-@pytest.mark.parametrize("mixed", [False, True])
-def test_pairwise_levels_are_bitwise_the_increment_levels(mixed, monkeypatch):
-    # only pairs s < t and levels 1..L-1 are stored, in row-major order,
-    # built in blocks of 1, 2 and all s-rows
-    rng = np.random.default_rng(32)
-    g = mixed_certificate_path(rng) if mixed else signature(random_polyline(rng), 3, p=3.0)
+def assert_pair_levels_are_the_increment_levels(g, monkeypatch):
+    """Stored levels 2..L-1 and a run's levels 1..L-1 against `increment_levels`,
+    by bytes, with the pair build in blocks of 1, 2 and all s-rows."""
     n = len(g.points)
     s_idx, t_idx = np.triu_indices(n, k=1)
-    assert all(np.array_equal(x, y) for x, y in zip(g.pair_indices, (s_idx, t_idx)))
     stacks = g.increment_levels(s_idx, t_idx)
     for build_pairs in (1, 2 * n, roughkit.path._BUILD_PAIRS):
         monkeypatch.setattr(roughkit.path, "_BUILD_PAIRS", build_pairs)
-        levels = SampledRoughPath(g.times, g.levels, g.p, g.grouplike).pairwise_levels
-        assert len(levels) == g.level - 1
-        for k, block in enumerate(levels, start=1):
-            assert block.shape == (n * (n - 1) // 2, g.dim**k)
+        h = SampledRoughPath(g.times, g.levels, g.p, g.grouplike)
+        assert len(h.pairwise_levels) == g.level - 2
+        for k, block in enumerate(h.pairwise_levels, start=2):
+            assert block.shape == (s_idx.size, g.dim**k)
             assert block.tobytes() == stacks[k].tobytes()
+        for a in range(0, s_idx.size, 5):
+            s, t, levels = h.pair_levels(slice(a, a + 5))
+            assert len(levels) == g.level - 1
+            assert s.tobytes() == s_idx[a : a + 5].tobytes()
+            assert t.tobytes() == t_idx[a : a + 5].tobytes()
+            for k, block in enumerate(levels, start=1):
+                assert block.tobytes() == stacks[k][a : a + 5].tobytes()
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_pairwise_levels_are_bitwise_the_increment_levels(mixed, monkeypatch):
+    # only pairs s < t and levels 2..L-1 are stored, in row-major order;
+    # level 1 comes from the points, run by run
+    rng = np.random.default_rng(32)
+    g = mixed_certificate_path(rng) if mixed else signature(random_polyline(rng), 3, p=3.0)
+    assert_pair_levels_are_the_increment_levels(g, monkeypatch)
+
+
+def test_pair_levels_keep_the_signs_of_zero_coordinates(monkeypatch):
+    # level 1 of a run is (0.0 + x_t) + (g_s^{-1})_1, the additions the
+    # product makes, so -0.0 and +0.0 coordinates come out as it has them
+    x = np.array([[0.0, -0.0], [-0.0, 0.5], [0.25, -0.0], [-0.0, -0.0], [-0.0, 0.0], [1.0, -0.0]])
+    levels = (np.ones((6, 1)), x, np.einsum("ni,nj->nij", x, x).reshape(6, 4) / 2.0)
+    levels += (np.einsum("ni,nj,nk->nijk", x, x, x).reshape(6, 8) / 6.0,)
+    g = SampledRoughPath(np.linspace(0.0, 1.0, 6), levels, 3.0, np.ones(6, dtype=bool))
+    assert np.signbit(g.levels[1]).any()
+    assert_pair_levels_are_the_increment_levels(g, monkeypatch)
+
+
+@pytest.mark.parametrize("n_pts", [2, 3, 65])
+@pytest.mark.parametrize("run", [1, 97, 4096])
+def test_pair_ends_are_the_triu_slices(n_pts, run):
+    # runs from the first pair, and runs that start inside an s-row
+    g = signature(SampledPath(np.linspace(0.0, 1.0, n_pts), np.zeros((n_pts, 1))), 1, p=1.0)
+    s_idx, t_idx = np.triu_indices(n_pts, k=1)
+    for first in (0, 1, 2, 5, s_idx.size // 2 + 1):
+        for a in range(first, s_idx.size, run):
+            s, t = g.pair_ends(slice(a, a + run))
+            assert s.dtype == t.dtype == s_idx.dtype
+            assert s.tobytes() == s_idx[a : a + run].tobytes()
+            assert t.tobytes() == t_idx[a : a + run].tobytes()
+    s, t = g.pair_ends(slice(None))
+    assert s.tobytes() == s_idx.tobytes() and t.tobytes() == t_idx.tobytes()
 
 
 @pytest.mark.parametrize("seed", range(34, 44))
 def test_homogeneous_norm_is_bitwise_the_pairwise_table(seed, monkeypatch):
-    # one kernel serves single elements and the pair table; a scalar k-th
-    # root rounds differently from the array one on about 1% of pairs.  The
-    # table is filled by the pair build in blocks of 1, 2 and all s-rows.
+    # one kernel serves single elements and the packed pair norms; a scalar
+    # k-th root rounds differently from the array one on about 1% of pairs.
+    # The norms are filled by the pair build in blocks of 1, 2 and all s-rows.
     g = mixed_certificate_path(np.random.default_rng(seed))
     assert g.grouplike.any() and not g.grouplike.all()
     n = len(g.points)
+    s_idx, t_idx = np.triu_indices(n, k=1)
     for build_pairs in (1, 2 * n, roughkit.path._BUILD_PAIRS):
         monkeypatch.setattr(roughkit.path, "_BUILD_PAIRS", build_pairs)
-        table = SampledRoughPath(g.times, g.levels, g.p, g.grouplike).pairwise_homogeneous_norms
-        for s in range(len(g.points)):
-            for t in range(len(g.points)):
-                if s < t:
-                    assert homogeneous_norm(g.increment(s, t)) == table[s, t]
-                else:
-                    # no caller reads on or below the diagonal
-                    assert table[s, t] == 0.0 and not np.signbit(table[s, t])
+        norms = SampledRoughPath(g.times, g.levels, g.p, g.grouplike).pairwise_homogeneous_norms
+        assert norms.shape == s_idx.shape
+        for j, (s, t) in enumerate(zip(s_idx, t_idx)):
+            assert homogeneous_norm(g.increment(s, t)) == norms[j]
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_norm_table_and_control_are_bitwise_the_full_level_norms(d, level, monkeypatch):
-    # level L is never stored, yet the norms read it: at L = 1 nothing is
-    # stored and the table must still be filled
+    # levels 1 and L are never stored, yet the norms read them: at L = 1 and
+    # L = 2 nothing is stored and the packed norms must still be filled
     rng = np.random.default_rng(10 * d + level)
     walk = np.vstack([np.zeros((1, d)), np.cumsum(rng.standard_normal((30, d)), axis=0)])
     p = level + 0.5 if level < 4 else 4.0
@@ -479,8 +523,8 @@ def test_norm_table_and_control_are_bitwise_the_full_level_norms(d, level, monke
     for build_pairs in (1, 2 * 31, roughkit.path._BUILD_PAIRS):
         monkeypatch.setattr(roughkit.path, "_BUILD_PAIRS", build_pairs)
         h = SampledRoughPath(g.times, g.levels, g.p, g.grouplike)
-        assert len(h.pairwise_levels) == level - 1
-        assert_bitwise(h.pairwise_homogeneous_norms, want)
+        assert len(h.pairwise_levels) == max(level - 2, 0)
+        assert_bitwise(norm_square(h), want)
         assert_bitwise(control_from_pvar(h).table, control)
 
 
@@ -600,7 +644,7 @@ def test_loop_lifts_pass_the_certificate(seed, d, radius):
     excursion stay certified, with their inverses and every increment: the
     level-2 shuffle bound follows the largest point the path has passed."""
     g = signature(_loop(np.random.default_rng(seed), radius, d), 3)
-    s_idx, t_idx = g.pair_indices
+    s_idx, t_idx = np.triu_indices(g.times.size, k=1)
     assert len(g.increment_levels(s_idx, t_idx)[2]) == s_idx.size
     assert g.grouplike.all()
 

@@ -419,11 +419,13 @@ def test_tower_seeds_are_bitwise_the_permuted_divided_field(make, monkeypatch):
     difference_tower(make(), l_max=3, n_max=3)
     seeds = [c for c in calls if not any(b.any() for b in c[3].levels)]
     assert len(seeds) == 3
-    for hv, ht, E_values, _, (values, form) in seeds:
+    for hv, ht, E_values, E_form, (values, form) in seeds:
         m = hv.shape[1]
         assert np.array_equal(E_values, np.broadcast_to(np.eye(m), E_values.shape))
-        phi, levels = permuted_divided_seed(hv, ht.levels)
-        want = integral_form_from_controlled(ht.base, phi, levels[:-1])
+        # the divided field's form is built up to level L-1 only
+        assert len(ht) == 2
+        phi, levels = permuted_divided_seed(hv, ht)
+        want = integral_form_from_controlled(E_form.base, phi, levels)
         assert len(form.levels) == len(want.levels) == 3
         for a, b in zip(form.levels, want.levels):
             assert_bitwise(a, b)
@@ -447,7 +449,7 @@ def test_product_form_is_bitwise_the_two_branch_product(m, d, level, vector):
     H_values, H_form = rng.standard_normal((5, m, d, m)), form(m * d * m)
     E_shape = (m,) if vector else (m, m)
     E_values, E_form = rng.standard_normal((5,) + E_shape), form(int(np.prod(E_shape)))
-    phi, got = _product_form(H_values, H_form, E_values, E_form)
+    phi, got = _product_form(H_values, H_form.levels[:-1], E_values, E_form)
     want_phi, want = product_form_two_branch(H_values, H_form, E_values, E_form)
     assert_bitwise(phi, want_phi)
     # level L is left out: the integral form never reads it
