@@ -23,13 +23,10 @@ __all__ = [
     "SmoothMap",
     "PolyMap",
     "SineField",
-    "SumMap",
     "ScaledMap",
-    "ProductMap",
     "DividedMap",
     "LipFunction",
     "divide",
-    "taylor_remainder_check",
     "FieldSpecError",
     "field_from_json",
 ]
@@ -143,17 +140,6 @@ class PolyMap(SmoothMap):
         value = np.asarray(value, dtype=float)
         return cls(in_dim, value.shape, (value,))
 
-    @classmethod
-    def linear_vector_field(cls, mats: list[np.ndarray]) -> "PolyMap":
-        """f(y)[:, j] = mats[j] @ y, the field of dy = sum_j A_j y dx^j."""
-        mats = [np.asarray(A, dtype=float) for A in mats]
-        m = mats[0].shape[0]
-        d = len(mats)
-        lin = np.zeros((m, d, m))
-        for j, A in enumerate(mats):
-            lin[:, j, :] = A
-        return cls(m, (m, d), (np.zeros((m, d)), lin))
-
     def apply(self, Y: np.ndarray) -> np.ndarray:
         Y = _as_batch(Y, self.in_dim)
         out = np.zeros((Y.shape[0],) + self.out_shape)
@@ -251,46 +237,6 @@ class SineField(SmoothMap):
 
 
 @dataclass(frozen=True)
-class _PairMap(SmoothMap):
-    """Two maps on one domain with one output shape, combined pointwise."""
-
-    left: SmoothMap
-    right: SmoothMap
-
-    def __post_init__(self) -> None:
-        if (
-            self.left.in_dim != self.right.in_dim
-            or self.left.out_shape != self.right.out_shape
-        ):
-            raise DimensionMismatchError(
-                f"{self._operands} must share in_dim and out_shape"
-            )
-
-    @property
-    def in_dim(self) -> int:
-        return self.left.in_dim
-
-    @property
-    def out_shape(self) -> tuple[int, ...]:
-        return self.left.out_shape
-
-
-class SumMap(_PairMap):
-    _operands = "summands"
-
-    def apply(self, Y: np.ndarray) -> np.ndarray:
-        return self.left.apply(Y) + self.right.apply(Y)
-
-    def derivative(self, Y: np.ndarray, order: int) -> np.ndarray:
-        return self.left.derivative(Y, order) + self.right.derivative(Y, order)
-
-    def derivative_sup_bound(self, order: int, radius: float) -> float:
-        return self.left.derivative_sup_bound(
-            order, radius
-        ) + self.right.derivative_sup_bound(order, radius)
-
-
-@dataclass(frozen=True)
 class ScaledMap(SmoothMap):
     factor: float
     base: SmoothMap
@@ -314,59 +260,6 @@ class ScaledMap(SmoothMap):
 
     def scaled(self, c: float) -> "ScaledMap":
         return ScaledMap(c * self.factor, self.base)
-
-
-class ProductMap(_PairMap):
-    """Elementwise product; derivatives by the Leibniz subset sum."""
-
-    _operands = "factors"
-
-    def apply(self, Y: np.ndarray) -> np.ndarray:
-        return self.left.apply(Y) * self.right.apply(Y)
-
-    def derivative(self, Y: np.ndarray, order: int) -> np.ndarray:
-        if order == 0:
-            return self.apply(Y)
-        Y = _as_batch(Y, self.in_dim)
-        lead = 1 + len(self.out_shape)
-        lefts = [self.left.derivative(Y, j) for j in range(order + 1)]
-        rights = [self.right.derivative(Y, j) for j in range(order + 1)]
-        out = np.zeros(
-            (Y.shape[0],) + self.out_shape + (self.in_dim,) * order
-        )
-        for subset in itertools.product((0, 1), repeat=order):
-            j = sum(subset)
-            term = np.multiply(
-                lefts[j][(...,) + (None,) * (order - j)],
-                rights[order - j][
-                    (slice(None),) * lead + (None,) * j + (slice(None),) * (order - j)
-                ],
-            )
-            # slots owned by `left` sit first in `term`; route them to the
-            # positions where subset[q] == 1
-            src = list(range(lead)) + [0] * order
-            li, ri = lead, lead + j
-            ordering = []
-            for flag in subset:
-                if flag:
-                    ordering.append(li)
-                    li += 1
-                else:
-                    ordering.append(ri)
-                    ri += 1
-            src[lead:] = ordering
-            out += term.transpose(src)
-        return out
-
-    def derivative_sup_bound(self, order: int, radius: float) -> float:
-        total = 0.0
-        for j in range(order + 1):
-            total += (
-                math.comb(order, j)
-                * self.left.derivative_sup_bound(j, radius)
-                * self.right.derivative_sup_bound(order - j, radius)
-            )
-        return total
 
 
 @dataclass(frozen=True)
@@ -526,31 +419,6 @@ class LipFunction:
 
     def scaled(self, c: float) -> "LipFunction":
         return LipFunction(self.map.scaled(c), self.gamma, radius=self.radius)
-
-
-def taylor_remainder_check(f: LipFunction, x: np.ndarray, y: np.ndarray) -> float:
-    """Max over orders j of ||D^j f(x) - Taylor_{n-j}(D^j f)(y)(x-y)|| / |x-y|^(gamma-j).
-
-    The quantity every Lip(gamma) bound controls; property tests compare it
-    against the certified norm.
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    step = x - y
-    dist = float(np.linalg.norm(step))
-    if dist == 0.0:
-        raise ValueError("points must differ")
-    n = f.smoothness
-    dx = [f.map.derivative_at(x, j) for j in range(n + 1)]
-    dy = [f.map.derivative_at(y, j) for j in range(n + 1)]
-    worst = 0.0
-    for j in range(n + 1):
-        pred = np.zeros_like(dx[j])
-        for k in range(n - j + 1):
-            pred += _contract_last(dy[j + k], step[None, :], k)[0] / math.factorial(k)
-        quot = float(np.linalg.norm(dx[j] - pred)) / dist ** (f.gamma - j)
-        worst = max(worst, quot)
-    return worst
 
 
 # -- JSON vector-field spec ---------------------------------------------------

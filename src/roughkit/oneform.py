@@ -19,7 +19,7 @@ import numpy as np
 
 from .funcs import PolyMap, strict_floor
 from .path import _BUILD_PAIRS, Control, SampledRoughPath
-from .tensor import DimensionMismatchError, GroupElement, TruncatedTensor
+from .tensor import DimensionMismatchError
 
 __all__ = [
     "OneFormPath",
@@ -229,36 +229,12 @@ class OneFormPath:
 
     # -- evaluation ------------------------------------------------------------
 
-    def _time_index(self, t: float) -> int:
-        times = self.base.times
-        i = int(np.searchsorted(times, t))
-        for cand in (i - 1, i, i + 1):
-            if 0 <= cand < times.size and abs(times[cand] - t) <= 1e-12 * max(
-                1.0, abs(t)
-            ):
-                return cand
-        raise ValueError(f"time {t} is not a grid point")
-
-    def evaluate(self, t: float, a: GroupElement, b: GroupElement) -> np.ndarray:
-        """beta_t(a, b) = alpha_t(g_t^{-1} a (b - 1)) at a grid time t."""
-        i = self._time_index(t)
-        g = self.base
-        unit = TruncatedTensor.unit(b.dim, b.level)
-        inv = TruncatedTensor._view(g.dim, g.level, g._inverse_levels, i)
-        u = inv @ a.tensor @ (b.tensor - unit)
-        return self.value_on_increment(i, u)
-
     def pair_values(
         self, rows: np.ndarray | slice | list[int], blocks: tuple[np.ndarray, ...]
     ) -> np.ndarray:
         """beta_{t_r}(g_{t_r}, h) for n grid rows r (index array or slice) and
         the level blocks of n arguments h, blocks[k-1] (n, d**k); shape (n, out)."""
         return _pairing((A[rows] for A in self.levels), blocks)
-
-    def value_on_increment(self, i: int, inc: GroupElement | TruncatedTensor) -> np.ndarray:
-        """beta_{t_i}(g_{t_i}, inc), the quantity Riemann sums are made of."""
-        blocks = tuple(inc.level_block(k)[None] for k in range(1, self.base.level + 1))
-        return self.pair_values([i], blocks)[0]
 
     def step_values(self) -> np.ndarray:
         """All beta_{t_i}(g_{t_i}, g_{t_i, t_{i+1}}) at once, shape (N, out)."""
@@ -379,22 +355,6 @@ class OneFormPath:
             "worst_pairs": dict(enumerate(pairs, start=1)),
         }
 
-    # -- base changes ---------------------------------------------------------
-
-    def pushforward_dilate(self, c: float) -> "OneFormPath":
-        """The same form read through the dilation delta_c of the base.
-
-        If beta lives over g, the result lives over dilate(g, c) and takes
-        equal values on corresponding arguments, so Riemann sums (hence rough
-        integrals) are unchanged.
-        """
-        new_base = self.base.dilate(c)
-        levels = tuple(
-            float(c) ** (-k) * self.levels[k - 1]
-            for k in range(1, self.base.level + 1)
-        )
-        return OneFormPath(new_base, self.out_dim, levels)
-
 
 # Relative slack of every checked bound against its measured value.
 _DOMINATION_TOL = 1e-9
@@ -419,15 +379,6 @@ class DominationCertificate:
         if not np.isfinite(self.sup_norm) or self.sup_norm > self.M * (1.0 + tol) + tol:
             return False
         return all(q <= 1.0 + tol for q in self.level_quotients)
-
-    def as_dict(self) -> dict:
-        return {
-            "M": self.M,
-            "theta": self.theta,
-            "sup_norm": self.sup_norm,
-            "level_quotients": list(self.level_quotients),
-            "ok": bool(self.ok),
-        }
 
 
 def check_domination(
@@ -523,12 +474,6 @@ class ClosedLift:
             .reshape(n, self.out_dim, d**k)
             for k in range(1, level + 1)
         )
-
-    def pair_value(self, a: GroupElement, b: GroupElement) -> np.ndarray:
-        """beta_p(a, b); cocyclic by the Taylor structure of p."""
-        x = self.base_point + a.level_block(1)
-        blocks = tuple(b.level_block(k)[None] for k in range(1, b.level + 1))
-        return _pairing(self._coefficients(x[None], b.level), blocks)[0]
 
     def along(self, g: SampledRoughPath) -> np.ndarray:
         """Cumulative partition sums, shape (N+1, out_dim); exact on lifts."""

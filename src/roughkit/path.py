@@ -33,7 +33,6 @@ __all__ = [
     "signature",
     "p_variation",
     "control_from_pvar",
-    "holder_control",
     "pure_area_path",
     "read_path_csv",
     "write_path_csv",
@@ -91,16 +90,12 @@ class SampledPath:
         """Polyline length (exact 1-variation)."""
         return float(np.linalg.norm(self.increments(), axis=1).sum())
 
-    def reversed(self) -> "SampledPath":
-        t = self.times
-        return SampledPath(t[0] + t[-1] - t[::-1], self.values[::-1])
-
     def concatenated(self, other: "SampledPath") -> "SampledPath":
         """Run self, then other translated to start at self's endpoint."""
         if other.dim != self.dim:
             raise DimensionMismatchError("cannot concatenate paths of different dims")
         shift = self.values[-1] - other.values[0]
-        gap = self.times[-1] - other.times[0] + (other.times[1] - other.times[0])
+        gap = self.times[-1] - other.times[0]
         times = np.concatenate([self.times, other.times[1:] + gap])
         values = np.vstack([self.values, other.values[1:] + shift])
         return SampledPath(times, values)
@@ -208,17 +203,6 @@ class SampledRoughPath:
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "grouplike", grouplike)
 
-    @classmethod
-    def from_points(cls, times: np.ndarray, points: tuple, p: float) -> "SampledRoughPath":
-        """Stack a sequence of `GroupElement`s and their certificate flags."""
-        head = points[0]
-        if any(g.dim != head.dim or g.level != head.level for g in points):
-            raise DimensionMismatchError("points live in different algebras")
-        levels = tuple(
-            np.stack([g.level_block(k) for g in points]) for k in range(head.level + 1)
-        )
-        return cls(times, levels, p, [g.grouplike for g in points])
-
     @property
     def dim(self) -> int:
         return self.levels[1].shape[1]
@@ -255,11 +239,18 @@ class SampledRoughPath:
         return SampledRoughPath(self.times, levels, self.p, self.grouplike)
 
     def restricted(self, i0: int, i1: int) -> "SampledRoughPath":
+        """Rows i0..i1 as views of this path's frozen arrays.  They keep the
+        running shuffle scale they were certified at: restarting it at i0
+        would refuse exact lifts rounded on the way to t_{i0}."""
         if not 0 <= i0 < i1 <= self.num_steps:
             raise ValueError("bad restriction indices")
         rows = slice(i0, i1 + 1)
-        levels = tuple(x[rows] for x in self.levels)
-        return SampledRoughPath(self.times[rows], levels, self.p, self.grouplike[rows])
+        out = object.__new__(SampledRoughPath)
+        object.__setattr__(out, "p", self.p)
+        object.__setattr__(out, "levels", tuple(x[rows] for x in self.levels))
+        for name in ("times", "grouplike", "_shuffle_scale"):
+            object.__setattr__(out, name, getattr(self, name)[rows])
+        return out
 
     # -- cached bulk geometry ------------------------------------------------
 
@@ -285,11 +276,12 @@ class SampledRoughPath:
         a_idx = np.asarray(a_idx, dtype=int)
         b_idx = np.asarray(b_idx, dtype=int)
         inc = stack_product(
-            tuple(x[a_idx] for x in self._inverse_levels),
-            tuple(x[b_idx] for x in self.levels),
+            tuple(np.take(x, a_idx, axis=0) for x in self._inverse_levels),
+            tuple(np.take(x, b_idx, axis=0) for x in self.levels),
         )
-        scale = np.maximum(self._shuffle_scale[a_idx], self._shuffle_scale[b_idx])
-        certify_stack(inc, rows=self.grouplike[a_idx] & self.grouplike[b_idx], scale=scale)
+        scale = np.maximum(np.take(self._shuffle_scale, a_idx), np.take(self._shuffle_scale, b_idx))
+        rows = np.take(self.grouplike, a_idx) & np.take(self.grouplike, b_idx)
+        certify_stack(inc, rows=rows, scale=scale)
         return inc
 
     @cached_property
@@ -300,12 +292,6 @@ class SampledRoughPath:
         for b in blocks:
             b.flags.writeable = False
         return blocks
-
-    @cached_property
-    def step_increments(self) -> tuple[GroupElement, ...]:
-        """Consecutive increments g_{i,i+1} as views of `step_level_blocks`."""
-        stack = (np.ones((self.num_steps, 1)),) + self.step_level_blocks
-        return _element_views(stack, self.grouplike[:-1] & self.grouplike[1:])
 
     @cached_property
     def pairwise_levels(self) -> tuple[np.ndarray, ...]:
@@ -458,18 +444,6 @@ class Control:
     def scaled(self, factor: float) -> "Control":
         return Control(self.times, factor * self.table)
 
-    def superadditivity_defect(self) -> float:
-        """max over (i, m, j) of omega(i,m) + omega(m,j) - omega(i,j); <= 0 is exact.
-
-        One call per midpoint m over all i < m < j.
-        """
-        V = self.table
-        worst = -np.inf
-        for m in range(1, V.shape[0] - 1):
-            excess = V[:m, m, None] + V[None, m, m + 1 :] - V[:m, m + 1 :]
-            worst = max(worst, float(excess.max()))
-        return worst
-
 
 def control_from_pvar(g: SampledRoughPath) -> Control:
     """The canonical control: omega(s, t) = ||g||_{p-var;[s,t]}^p on the grid.
@@ -497,22 +471,6 @@ def control_from_pvar(g: SampledRoughPath) -> Control:
         flat[gap * n1 :: n1 + 1][:rows] = diag
     V[np.tri(n1, dtype=bool)] = 0.0
     return Control(g.times, V)
-
-
-def holder_control(g: SampledRoughPath, K: float | None = None) -> Control:
-    """Linear-in-time control omega(s, t) = K (t - s).
-
-    With the default K the control dominates the p-variation of the polyline
-    lift: K = (max step rate)^p * T^(p-1) bounds (sum of step norms)^p on any
-    interval.  Cruder than `control_from_pvar` but O(1) per pair.
-    """
-    times = g.times
-    if K is None:
-        norms = homogeneous_norms(g.step_level_blocks)
-        span = float(times[-1] - times[0])
-        K = float(np.max(norms / np.diff(times))) ** g.p * span ** (g.p - 1.0)
-    diff = times[None, :] - times[:, None]
-    return Control(times, K * np.maximum(diff, 0.0))
 
 
 # -- CSV interface ----------------------------------------------------------

@@ -288,10 +288,6 @@ class RdeSolution:
     history: tuple[PicardState, ...] | None = None
 
     @property
-    def final_delta(self) -> float:
-        return self.report.deltas[-1] if self.report.deltas else math.nan
-
-    @property
     def form_error_bar(self) -> float:
         """Cauchy-tail estimate of how far `form` sits from the limit form.
 

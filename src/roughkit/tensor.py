@@ -20,10 +20,7 @@ __all__ = [
     "GroupElement",
     "tensor_exp",
     "tensor_log",
-    "homogeneous_norm",
     "homogeneous_norms",
-    "last_letter_split",
-    "split_apply",
     "split_matrix",
     "compositions",
     "stack_product",
@@ -218,16 +215,6 @@ class TruncatedTensor:
         return cls(dim, level, tuple(blocks))
 
     @classmethod
-    def from_vector(cls, vec: np.ndarray, level: int) -> "TruncatedTensor":
-        """Embed a vector of R^d as a pure level-1 element."""
-        vec = np.asarray(vec, dtype=float).reshape(-1)
-        dim = vec.size
-        blocks = [np.zeros(dim**k) for k in range(level + 1)]
-        if level >= 1:
-            blocks[1] = vec
-        return cls(dim, level, tuple(blocks))
-
-    @classmethod
     def _view(
         cls, dim: int, level: int, stack: tuple[np.ndarray, ...], row: int
     ) -> "TruncatedTensor":
@@ -246,18 +233,6 @@ class TruncatedTensor:
     def _stack(self) -> tuple[np.ndarray, ...]:
         """This element as a 1-row level stack."""
         return tuple(b[None, :] for b in self.coeffs)
-
-    @classmethod
-    def from_level_blocks(
-        cls, dim: int, level: int, blocks: dict[int, np.ndarray]
-    ) -> "TruncatedTensor":
-        """Build from a sparse {degree: flat block} mapping."""
-        full = [np.zeros(dim**k) for k in range(level + 1)]
-        for k, b in blocks.items():
-            if not 0 <= k <= level:
-                raise ValueError(f"degree {k} outside [0, {level}]")
-            full[k] = np.asarray(b, dtype=float).reshape(dim**k)
-        return cls(dim, level, tuple(full))
 
     # -- accessors ---------------------------------------------------------
 
@@ -324,13 +299,6 @@ class TruncatedTensor:
             self.dim,
             self.level,
             tuple((c**k) * b for k, b in enumerate(self.coeffs)),
-        )
-
-    def is_close(self, other: "TruncatedTensor", tol: float = 1e-12) -> bool:
-        self._check_compatible(other)
-        return all(
-            np.max(np.abs(a - b), initial=0.0) <= tol
-            for a, b in zip(self.coeffs, other.coeffs)
         )
 
 
@@ -413,30 +381,6 @@ class GroupElement:
         return self.tensor.norm()
 
 
-def homogeneous_norm(a: GroupElement) -> float:
-    """Scaling-homogeneous size of a group element; see `homogeneous_norms`.
-
-    Taken on the element as a 1-row stack, so it is bitwise the batched value.
-    """
-    return float(np.sum(homogeneous_norms(a.tensor._stack()[1:])))
-
-
-def last_letter_split(t: TruncatedTensor) -> tuple[np.ndarray, ...]:
-    """Rebracket each level block as (prefix word) x (last letter).
-
-    Returns blocks[j] of shape (d**j, d) for j = 1..L-1, where blocks[j]
-    is the degree-(j+1) block of the input viewed as a matrix from prefix
-    words of length j to the final letter.  Degrees 0 and 1 contribute
-    nothing.  For a signature this is the tensor of iterated integrals
-    "missing the final integration", which is what rough integration of a
-    controlled integrand consumes.
-    """
-    d = t.dim
-    return tuple(
-        t.coeffs[j + 1].reshape(d**j, d) for j in range(1, t.level)
-    )
-
-
 @lru_cache(maxsize=None)
 def _split_patterns(parts: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     labels = []
@@ -472,20 +416,6 @@ def split_matrix(dim: int, parts: tuple[int, ...]) -> np.ndarray:
         out[np.arange(n), src] += 1.0
     out.flags.writeable = False
     return out
-
-
-def split_apply(parts: tuple[int, ...], block: np.ndarray, dim: int) -> np.ndarray:
-    """Apply the level-splitting map to a flat degree-sum(parts) block.
-
-    Output is flat with the part indices concatenated in order.
-    """
-    block = np.asarray(block, dtype=float).reshape(-1)
-    K = sum(parts)
-    if block.size != dim**K:
-        raise DimensionMismatchError(
-            f"block has {block.size} entries, expected {dim**K} for parts {parts}"
-        )
-    return split_matrix(dim, tuple(parts)) @ block
 
 
 def compositions(total: int, length: int) -> list[tuple[int, ...]]:

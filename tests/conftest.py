@@ -1,6 +1,7 @@
 """Shared fixtures: the frozen solver fixtures used across rde, CLI, and
 acceptance tests, solved once per session, the environment for CLI
-subprocesses, and the bitwise array comparison."""
+subprocesses, the bitwise array comparison, and small builders of tensors,
+fields and loops."""
 
 import os
 from pathlib import Path
@@ -13,6 +14,7 @@ import roughkit
 from roughkit.funcs import LipFunction, PolyMap
 from roughkit.path import SampledPath, SampledRoughPath, pure_area_path, signature
 from roughkit.rde import RdeProblem, continuity_probe, rescale_problem, solve
+from roughkit.tensor import TruncatedTensor, homogeneous_norms
 
 settings.register_profile(
     "suite", deadline=None, max_examples=25, derandomize=True
@@ -42,6 +44,34 @@ def assert_bitwise(a, b):
     assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+# -- small builders ------------------------------------------------------------
+
+
+def level_tensor(dim: int, level: int, blocks: dict) -> TruncatedTensor:
+    """Truncated tensor from a sparse {degree: flat block} map; other degrees are zero."""
+    return TruncatedTensor(
+        dim, level, tuple(blocks.get(k, np.zeros(dim**k)) for k in range(level + 1))
+    )
+
+
+def element_norm(g) -> float:
+    """Homogeneous norm of one element, as the 1-row stack `homogeneous_norms` reads."""
+    return float(homogeneous_norms(tuple(b[None] for b in g.tensor.coeffs[1:]))[0])
+
+
+def linear_vector_field(mats) -> PolyMap:
+    """f(y)[:, j] = mats[j] @ y, the field of dy = sum_j A_j y dx^j."""
+    m, d = mats[0].shape[0], len(mats)
+    lin = np.stack([np.asarray(A, dtype=float) for A in mats], axis=1)
+    return PolyMap(m, (m, d), (np.zeros((m, d)), lin))
+
+
+def reversed_path(path: SampledPath) -> SampledPath:
+    """The same polyline run backwards over the same time span."""
+    t = path.times
+    return SampledPath(t[0] + t[-1] - t[::-1], path.values[::-1])
+
+
 # -- exponential fixture: scalar dy = y dx on a smooth monotone-ish path -----
 
 
@@ -53,7 +83,7 @@ def scalar_exp_path(n_steps: int) -> SampledPath:
 
 def exp_field() -> LipFunction:
     return LipFunction(
-        PolyMap.linear_vector_field([np.array([[1.0]])]), gamma=4.0, radius=4.0
+        linear_vector_field([np.array([[1.0]])]), gamma=4.0, radius=4.0
     )
 
 
@@ -103,7 +133,7 @@ AREA_XI = np.array([1.0, 0.5])
 
 def area_problem(steps: int = 320, **kw) -> RdeProblem:
     field = LipFunction(
-        PolyMap.linear_vector_field([AREA_A1, AREA_A2]), gamma=3.0, radius=4.0
+        linear_vector_field([AREA_A1, AREA_A2]), gamma=3.0, radius=4.0
     )
     return RdeProblem(pure_area_path(AREA_VALUE, steps), field, xi=AREA_XI, **kw)
 

@@ -5,8 +5,12 @@ not use: brute-force enumeration instead of dynamic programming, ODE
 stepping instead of group products, matrix exponentials instead of
 Picard iteration, finite differences instead of coefficient calculus.
 Only numpy/scipy, never roughkit internals; `per_point_lift` alone uses
-roughkit's public single-element API, as the reference for the stacked lift,
-and `holder_table_loop` likewise; `difference_matrices_einsum` reads a
+roughkit's public single-element API, as the reference for the stacked lift;
+`taylor_remainder_check` reads a map's public derivatives; `form_value`,
+`value_on_increment`, `pushforward_dilate` and `lift_pair_value` evaluate
+one-forms on single group elements through the forms' arrays, `pair_values`,
+the base's inverse stack and a closed lift's coefficient builder and pairing
+kernel; `difference_matrices_einsum` reads a
 one-form path's arrays and its base's `increment_levels`,
 `product_form_two_branch` reads the forms' arrays and roughkit's
 `split_matrix`, `permuted_divided_seed` reads a form's level blocks, and
@@ -18,6 +22,7 @@ pair at once.  None reads the packed pair geometry (`pairwise_levels`,
 """
 
 import itertools
+import math
 
 import numpy as np
 from scipy.linalg import expm
@@ -216,7 +221,8 @@ def per_point_lift(values, level):
     dim = values.shape[1]
     points = [GroupElement(TruncatedTensor.unit(dim, level), grouplike=True)]
     for step in np.diff(values, axis=0):
-        seg = tensor_exp(TruncatedTensor.from_vector(step, level)).tensor
+        lie = [step if k == 1 else np.zeros(dim**k) for k in range(level + 1)]
+        seg = tensor_exp(TruncatedTensor(dim, level, tuple(lie))).tensor
         points.append(points[-1] @ GroupElement(seg, grouplike=True))
     return [np.stack([g.level_block(k) for g in points]) for k in range(level + 1)]
 
@@ -300,23 +306,6 @@ def difference_matrices_einsum(form, k, pairs=slice(None), run=None):
         inc = form.base.increment_levels(s_idx, t_idx)[m - k]
         diff = diff - np.einsum("powj,pw->poj", A_s, inc)
     return diff
-
-
-def holder_table_loop(g):
-    """Default linear-in-time control by one homogeneous norm per step element.
-
-    K = (max step rate)^p T^(p-1), each rate `homogeneous_norm` of a step
-    increment over its duration, through roughkit's single-element API.
-    """
-    from roughkit.tensor import homogeneous_norm
-
-    rates = [
-        homogeneous_norm(inc) / dt
-        for inc, dt in zip(g.step_increments, np.diff(g.times))
-    ]
-    span = float(g.times[-1] - g.times[0])
-    K = max(rates) ** g.p * span ** (g.p - 1.0)
-    return K * np.maximum(g.times[None, :] - g.times[:, None], 0.0)
 
 
 def product_form_two_branch(H_values, H_form, E_values, E_form):
@@ -446,3 +435,70 @@ def driver_distance_whole_gather(a, b):
     for j in range(1, n):
         best[j] = np.max(best[:j] + E[:j, j])
     return float(best[-1] ** (1.0 / a.p))
+
+
+def taylor_remainder_check(f, x, y):
+    """Max over orders j <= n of ||D^j f(x) - sum_k D^{j+k} f(y)[s, .., s] / k!||
+    over |s|^(gamma - j), with s = x - y, k = 0..n-j and n = f.smoothness.
+
+    The quantity every Lip(gamma) bound controls.  Derivatives come from the
+    map's `derivative_at`; each Taylor term is contracted one slot at a time.
+    """
+    x = np.asarray(x, dtype=float).reshape(-1)
+    y = np.asarray(y, dtype=float).reshape(-1)
+    step = x - y
+    dist = float(np.linalg.norm(step))
+    n = f.smoothness
+    worst = 0.0
+    for j in range(n + 1):
+        pred = 0.0
+        for k in range(n - j + 1):
+            term = f.map.derivative_at(y, j + k)
+            for _ in range(k):
+                term = term @ step
+            pred = pred + term / math.factorial(k)
+        diff = f.map.derivative_at(x, j) - pred
+        worst = max(worst, float(np.linalg.norm(diff)) / dist ** (f.gamma - j))
+    return worst
+
+
+def value_on_increment(beta, i, inc):
+    """beta_{t_i}(g_{t_i}, inc) for one element inc, by `pair_values` on row i."""
+    blocks = tuple(inc.level_block(k)[None] for k in range(1, beta.base.level + 1))
+    return beta.pair_values([i], blocks)[0]
+
+
+def form_value(beta, i, a, b):
+    """beta_{t_i}(a, b) = sum_k A_{t_i}^(k) pi_k(g_{t_i}^{-1} a (b - 1)) at grid index i.
+
+    g_{t_i}^{-1} is row i of the base's certified inverse stack, so a path's
+    large loops are read at the path's scale; the products are the
+    single-element algebra's.
+    """
+    from roughkit.tensor import TruncatedTensor
+
+    g = beta.base
+    inv = TruncatedTensor(g.dim, g.level, tuple(x[i] for x in g._inverse_levels))
+    u = inv @ a.tensor @ (b.tensor - TruncatedTensor.unit(b.dim, b.level))
+    return value_on_increment(beta, i, u)
+
+
+def pushforward_dilate(beta, c):
+    """beta read through the dilation delta_c of its base: the form over
+    `base.dilate(c)` with level k scaled by c**-k, which takes beta's values on
+    dilated arguments, so its Riemann sums are beta's."""
+    from roughkit.oneform import OneFormPath
+
+    levels = tuple(float(c) ** (-k) * A for k, A in enumerate(beta.levels, start=1))
+    return OneFormPath(beta.base.dilate(c), beta.out_dim, levels)
+
+
+def lift_pair_value(lift, a, b):
+    """A closed lift's value on group elements (a, b): its coefficients at the
+    point a reaches from the base point, paired with the levels of b by the
+    kernel `OneFormPath.pair_values` uses."""
+    from roughkit.oneform import _pairing
+
+    x = lift.base_point + a.level_block(1)
+    blocks = tuple(b.level_block(k)[None] for k in range(1, b.level + 1))
+    return _pairing(lift._coefficients(x[None], b.level), blocks)[0]

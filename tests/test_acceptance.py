@@ -18,10 +18,18 @@ from roughkit.integrate import rough_integral, young_integral
 from roughkit.oneform import OneFormPath, lift_polynomial_form
 from roughkit.path import SampledPath, signature
 from roughkit.rde import fit_decay, uniqueness_probe
-from roughkit.tensor import last_letter_split
 
-from conftest import AREA_A1, AREA_A2, AREA_VALUE, AREA_XI, cli_env, cubic_field, cubic_path
-from oracles import polygon_loop_endpoint, rebracket_product_rhs, rk4_polyline
+from conftest import (
+    AREA_A1,
+    AREA_A2,
+    AREA_VALUE,
+    AREA_XI,
+    cli_env,
+    cubic_field,
+    cubic_path,
+    reversed_path,
+)
+from oracles import lift_pair_value, polygon_loop_endpoint, rebracket_product_rhs, rk4_polyline
 
 
 def verdict(num: int, label: str, ok: bool, detail: str) -> None:
@@ -38,8 +46,8 @@ def random_polyline(rng, n_pts=6, dim=3) -> SampledPath:
 
 
 def lls_blocks(g) -> dict:
-    arrs = last_letter_split(g.tensor)
-    return {k: arrs[k - 1] for k in range(1, g.level)}
+    """Last-letter split: level k+1 as a (d**k, d) matrix, k = 1..L-1."""
+    return {k: g.level_block(k + 1).reshape(g.dim**k, g.dim) for k in range(1, g.level)}
 
 
 # -- algebra of lifts ---------------------------------------------------------------
@@ -127,11 +135,15 @@ def test_04_closed_lift_is_cocyclic_and_exact():
         a = signature(random_polyline(rng, dim=2), 3).points[-1]
         b = signature(random_polyline(rng, dim=2), 3).points[-1]
         c = signature(random_polyline(rng, dim=2), 3).points[-1]
-        res = lift.pair_value(a, b) + lift.pair_value(a @ b, c) - lift.pair_value(a, b @ c)
+        res = (
+            lift_pair_value(lift, a, b)
+            + lift_pair_value(lift, a @ b, c)
+            - lift_pair_value(lift, a, b @ c)
+        )
         coc = max(coc, float(np.max(np.abs(res))))
 
     out = random_polyline(rng, n_pts=9, dim=2)
-    loop = signature(out.concatenated(out.reversed()), 3)
+    loop = signature(out.concatenated(reversed_path(out)), 3)
     loop_lift = lift_polynomial_form(form, level=3, base_point=out.values[0])
     loop_err = float(np.max(np.abs(loop_lift.along(loop)[-1])))
 

@@ -8,16 +8,13 @@ from roughkit.funcs import (
     FieldSpecError,
     LipFunction,
     PolyMap,
-    ProductMap,
     SineField,
-    SumMap,
     divide,
     field_from_json,
     strict_floor,
-    taylor_remainder_check,
 )
 
-from oracles import central_difference
+from oracles import central_difference, taylor_remainder_check
 
 
 def scalar_poly(*coeffs: float) -> PolyMap:
@@ -254,66 +251,6 @@ def test_divided_map_derivative_matches_finite_differences():
     np.testing.assert_allclose(
         h.derivative_at(z, 1), central_difference(h, z), rtol=1e-6, atol=1e-8
     )
-
-
-# -- algebra of maps -----------------------------------------------------------
-
-
-def test_sum_and_product_maps():
-    rng = np.random.default_rng(39)
-    f = random_cubic_field(rng)
-    g = random_cubic_field(rng)
-    s = SumMap(f, g)
-    p = ProductMap(f, g)
-    y = rng.uniform(-0.8, 0.8, 2)
-    np.testing.assert_allclose(s(y), f(y) + g(y), atol=1e-15)
-    np.testing.assert_allclose(p(y), f(y) * g(y), atol=1e-15)
-    np.testing.assert_allclose(
-        s.derivative_at(y, 1), central_difference(s, y), rtol=1e-7, atol=1e-9
-    )
-    np.testing.assert_allclose(
-        p.derivative_at(y, 1), central_difference(p, y), rtol=1e-6, atol=1e-8
-    )
-
-
-def test_product_second_derivative_is_symmetric_and_correct():
-    rng = np.random.default_rng(40)
-    f = random_cubic_field(rng)
-    g = random_cubic_field(rng)
-    p = ProductMap(f, g)
-    y = rng.uniform(-0.5, 0.5, 2)
-    d2 = p.derivative_at(y, 2)
-    np.testing.assert_allclose(d2, np.transpose(d2, (0, 2, 1)), atol=1e-12)
-    # Leibniz: (fg)'' = f''g + 2 sym(f' (x) g') + f g''
-    expect = (
-        f.derivative_at(y, 2) * g(y)[:, None, None]
-        + f(y)[:, None, None] * g.derivative_at(y, 2)
-        + np.einsum("ai,aj->aij", f.derivative_at(y, 1), g.derivative_at(y, 1))
-        + np.einsum("aj,ai->aij", f.derivative_at(y, 1), g.derivative_at(y, 1))
-    )
-    np.testing.assert_allclose(d2, expect, rtol=1e-12, atol=1e-12)
-
-
-def test_composite_maps_stay_certifiable():
-    rng = np.random.default_rng(41)
-    p = ProductMap(random_cubic_field(rng), random_cubic_field(rng))
-    f = LipFunction(p, gamma=2.5, radius=0.8)
-    bound = f.lip_norm_bound
-    assert np.isfinite(bound)
-    pts = ball_points(rng, 2, 0.8, 20)
-    for k in range(0, 18, 2):
-        assert taylor_remainder_check(f, pts[k], pts[k + 1]) <= bound + 1e-12
-
-
-def test_mismatched_shapes_rejected():
-    from roughkit.tensor import DimensionMismatchError
-
-    f = scalar_poly(1.0, 2.0)
-    g = random_cubic_field(np.random.default_rng(42))
-    with pytest.raises(DimensionMismatchError):
-        SumMap(f, g)
-    with pytest.raises(DimensionMismatchError):
-        ProductMap(f, g)
 
 
 # -- JSON field spec -----------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Every name a roughkit module imports is used in it or re-exported, and
-every function, method and class it defines is referenced somewhere.
+"""Every name a roughkit module imports is used in it or re-exported, every
+function, method and class it defines is referenced somewhere, and every
+module-level one the package does not export has a caller in the library.
 
 Stand-ins for a linter's unused-import and dead-code rules, built on `ast`
 only.
@@ -34,11 +35,15 @@ def used_names(tree: ast.Module) -> set[str]:
     return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
+def is_all_assignment(node: ast.stmt) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+    )
+
+
 def exported_names(tree: ast.Module) -> set[str]:
     for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
+        if is_all_assignment(node):
             return set(ast.literal_eval(node.value))
     return set()
 
@@ -99,3 +104,28 @@ def test_every_defined_name_is_referenced():
             refs += referenced_names(ast.parse(path.read_text(), filename=str(path)))
     orphans = sorted(name for name in defined if refs[name] == 0)
     assert not orphans, f"defined but never referenced: {orphans}"
+
+
+def test_every_unexported_definition_has_a_library_caller():
+    """A module-level function or class that `roughkit/__init__.py` does not
+    export is dead code unless src/ or benchmarks/ refers to it.  References
+    from tests/ do not count, nor do `__all__` entries, nor references from
+    inside the definition itself.  Methods of exported classes are public
+    API and are not covered."""
+    library = list(SOURCES) + sorted((REPO / "benchmarks").rglob("*.py"))
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in library}
+    refs = Counter()
+    for tree in trees.values():
+        for node in tree.body:
+            if not is_all_assignment(node):
+                refs += referenced_names(node)
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    orphans = sorted(
+        f"{source.stem}.{node.name}"
+        for source in SOURCES
+        for node in trees[source].body
+        if isinstance(node, kinds)
+        and node.name not in roughkit.__all__
+        and refs[node.name] == referenced_names(node)[node.name]
+    )
+    assert not orphans, f"neither exported nor called from src/ or benchmarks/: {orphans}"

@@ -14,14 +14,21 @@ from roughkit.integrate import (
 from roughkit.oneform import OneFormPath, lift_polynomial_form
 from roughkit.path import (
     SampledPath,
+    SampledRoughPath,
     control_from_pvar,
     pure_area_path,
     signature,
 )
-from roughkit.tensor import DimensionMismatchError, GroupElement, TruncatedTensor
+from roughkit.tensor import DimensionMismatchError
 
-from conftest import assert_bitwise
-from oracles import controlled_residuals_whole_gather, left_riemann, young_half_grid_loop
+from conftest import assert_bitwise, linear_vector_field
+from oracles import (
+    controlled_residuals_whole_gather,
+    left_riemann,
+    pushforward_dilate,
+    value_on_increment,
+    young_half_grid_loop,
+)
 
 A1 = np.array([[0.0, 1.0], [-0.5, 0.2]])
 A2 = np.array([[0.3, -0.2], [0.8, 0.0]])
@@ -29,7 +36,7 @@ A2 = np.array([[0.3, -0.2], [0.8, 0.0]])
 
 def linear_field(gamma=2.5, radius=3.0):
     return LipFunction(
-        PolyMap.linear_vector_field([A1, A2]), gamma=gamma, radius=radius
+        linear_vector_field([A1, A2]), gamma=gamma, radius=radius
     )
 
 
@@ -237,24 +244,12 @@ def test_compose_second_level_reads_exactly_the_area_slot():
     beta = field_integral_form(g, f)
     full = rough_integral(beta).total
 
-    stripped_points = tuple(
-        GroupElement(
-            TruncatedTensor.from_level_blocks(
-                2, 2, {0: np.ones(1), 1: pt.level_block(1)}
-            )
-        )
-        for pt in g.points
-    )
-    from roughkit.path import SampledRoughPath
-
-    g0 = SampledRoughPath.from_points(g.times, stripped_points, 2.0)
+    stripped = (g.levels[0], g.levels[1], np.zeros_like(g.levels[2]))
+    g0 = SampledRoughPath(g.times, stripped, 2.0, np.zeros(g.times.size, dtype=bool))
     beta0 = OneFormPath(g0, beta.out_dim, beta.levels)
     ablated = rough_integral(beta0).total
 
-    gap = np.stack(
-        [a.level_block(2) - b.level_block(2) for a, b in
-         zip(g.step_increments, g0.step_increments)]
-    )
+    gap = g.step_level_blocks[1] - g0.step_level_blocks[1]
     predicted = np.einsum("nok,nk->o", beta.levels[1][:-1], gap)
     assert np.max(np.abs(full - ablated)) > 1e-4
     np.testing.assert_allclose(full - ablated, predicted, atol=1e-12)
@@ -268,7 +263,7 @@ def test_discrepancy_is_bitwise_the_object_half_grid_sum():
         idx = list(range(0, n_steps + 1, 2)) + ([n_steps] if n_steps % 2 else [])
         coarse = np.zeros(beta.out_dim)
         for a, b in zip(idx[:-1], idx[1:]):
-            coarse = coarse + beta.value_on_increment(a, g.increment(a, b))
+            coarse = coarse + value_on_increment(beta, a, g.increment(a, b))
         assert res.discrepancy == float(np.linalg.norm(res.values[-1] - coarse))
 
 
@@ -393,7 +388,7 @@ def test_rough_integral_is_linear_in_the_form():
 def test_dilation_leaves_the_integral_unchanged():
     g = smooth_driver(16)
     beta = field_integral_form(g, linear_field())
-    moved = beta.pushforward_dilate(2.0)
+    moved = pushforward_dilate(beta, 2.0)
     np.testing.assert_allclose(
         rough_integral(moved).values, rough_integral(beta).values, atol=1e-12
     )

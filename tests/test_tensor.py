@@ -9,9 +9,6 @@ from roughkit.tensor import (
     GroupElement,
     TruncatedTensor,
     certify_stack,
-    homogeneous_norm,
-    last_letter_split,
-    split_apply,
     split_matrix,
     stack_inverse,
     stack_product,
@@ -19,13 +16,14 @@ from roughkit.tensor import (
     tensor_log,
 )
 
+from conftest import element_norm, level_tensor
 from oracles import graded_product_loop, rebracket_product_rhs, series_inverse_loop
 
 
 def basis(i, dim, level):
     v = np.zeros(dim)
     v[i] = 1.0
-    return TruncatedTensor.from_vector(v, level)
+    return level_tensor(dim, level, {1: v})
 
 
 def random_signature(rng, dim=3, level=4, n_pts=6) -> GroupElement:
@@ -36,11 +34,18 @@ def random_signature(rng, dim=3, level=4, n_pts=6) -> GroupElement:
 
 
 def random_tensor(rng, dim, level, from_level=0) -> TruncatedTensor:
-    return TruncatedTensor.from_level_blocks(
+    return level_tensor(
         dim,
         level,
         {k: rng.standard_normal(dim**k) for k in range(from_level, level + 1)},
     )
+
+
+def assert_close(a, b, tol=1e-12):
+    """Same algebra, every coefficient within tol."""
+    assert (a.dim, a.level) == (b.dim, b.level)
+    for x, y in zip(a.coeffs, b.coeffs):
+        assert np.max(np.abs(x - y), initial=0.0) <= tol
 
 
 def test_product_of_one_plus_basis_vectors():
@@ -60,8 +65,8 @@ def test_multiplication_by_unit_is_identity():
     for _ in range(10):
         a = random_tensor(rng, dim=3, level=3)
         one = TruncatedTensor.unit(3, 3)
-        assert (a @ one).is_close(a)
-        assert (one @ a).is_close(a)
+        assert_close(a @ one, a)
+        assert_close(one @ a, a)
 
 
 def test_commuting_exponentials_add():
@@ -76,7 +81,7 @@ def test_commuting_exponentials_add():
 
 def test_exp_of_zero_is_unit():
     z = TruncatedTensor.zero(2, 2)
-    assert tensor_exp(z).tensor.is_close(TruncatedTensor.unit(2, 2))
+    assert_close(tensor_exp(z).tensor, TruncatedTensor.unit(2, 2))
 
 
 def test_log_exp_round_trip():
@@ -97,7 +102,7 @@ def test_exp_series_truncation():
 
 def test_inverse_of_unit():
     one = GroupElement(TruncatedTensor.unit(2, 2))
-    assert one.inverse().tensor.is_close(one.tensor)
+    assert_close(one.inverse().tensor, one.tensor)
 
 
 def test_inverse_of_exponential_negates():
@@ -174,7 +179,7 @@ def test_batched_certificate_matches_per_element(rows):
         t = random_signature(rng, dim=2, level=3).tensor.dilate(c)
         blocks = dict(enumerate(t.coeffs))
         blocks[2] = blocks[2] + eps * rng.standard_normal(4)
-        tensors.append(TruncatedTensor.from_level_blocks(2, 3, blocks))
+        tensors.append(level_tensor(2, 3, blocks))
         selected.append(keep)
     per_element = [
         _verdict(lambda t=t: GroupElement(t, grouplike=True)) for t in tensors
@@ -199,11 +204,11 @@ def test_inverse_identity_bound_is_relative_to_the_row():
 
 
 def test_homogeneous_norm_of_unit_is_zero():
-    assert homogeneous_norm(GroupElement(TruncatedTensor.unit(2, 2))) == 0.0
+    assert element_norm(GroupElement(TruncatedTensor.unit(2, 2))) == 0.0
 
 
 def test_homogeneous_norm_of_segment_exponential():
-    val = homogeneous_norm(tensor_exp(basis(0, 2, 2)))
+    val = element_norm(tensor_exp(basis(0, 2, 2)))
     assert val == pytest.approx(1.0 + 0.5**0.5, abs=1e-14)
 
 
@@ -211,8 +216,8 @@ def test_homogeneous_norm_dilation_homogeneity():
     rng = np.random.default_rng(3)
     for lam in (0.3, 2.0, 4.0):
         a = random_signature(rng)
-        assert homogeneous_norm(a.dilate(lam)) == pytest.approx(
-            lam * homogeneous_norm(a), rel=1e-12
+        assert element_norm(a.dilate(lam)) == pytest.approx(
+            lam * element_norm(a), rel=1e-12
         )
 
 
@@ -238,9 +243,7 @@ def test_grading_of_products(seed):
     full = (a @ b).level_block(k)
 
     def chop(t):
-        return TruncatedTensor.from_level_blocks(
-            2, level, {j: t.level_block(j) for j in range(k + 1)}
-        )
+        return level_tensor(2, level, {j: t.level_block(j) for j in range(k + 1)})
 
     np.testing.assert_allclose(
         (chop(a) @ chop(b)).level_block(k), full, atol=1e-13
@@ -281,13 +284,14 @@ def test_dimension_mismatch_rejected():
 
 
 def lls_blocks(g: GroupElement) -> dict:
-    arrs = last_letter_split(g.tensor)
-    return {k: arrs[k - 1] for k in range(1, g.level)}
+    """Level k+1 as a (d**k, d) matrix from prefix words to the last letter,
+    k = 1..L-1: the iterated integrals missing the final integration."""
+    return {k: g.level_block(k + 1).reshape(g.dim**k, g.dim) for k in range(1, g.level)}
 
 
 def test_rebracket_of_unit_vanishes():
     one = GroupElement(TruncatedTensor.unit(3, 3))
-    for block in last_letter_split(one.tensor):
+    for block in lls_blocks(one).values():
         np.testing.assert_array_equal(block, np.zeros_like(block))
 
 
@@ -296,7 +300,7 @@ def test_rebracket_of_segment_matches_quadrature():
     a = tensor_exp(basis(0, 2, 2))
     u = np.linspace(0.0, 1.0, 20001)
     quad = np.trapezoid(u, u)
-    block = last_letter_split(a.tensor)[0]
+    block = lls_blocks(a)[1]
     np.testing.assert_allclose(block, [[quad, 0.0], [0.0, 0.0]], atol=1e-9)
 
 
@@ -324,7 +328,7 @@ def test_split_reproduces_level_products_on_grouplikes():
     for parts in [(1, 1), (2, 1), (1, 2), (1, 1, 1), (2, 2)]:
         a = random_signature(rng, dim=2, level=4)
         K = sum(parts)
-        image = split_apply(parts, a.level_block(K), dim=2)
+        image = split_matrix(2, parts) @ a.level_block(K)
         expected = a.level_block(parts[0])
         for k in parts[1:]:
             expected = np.kron(expected, a.level_block(k))
@@ -336,13 +340,12 @@ def test_split_linearity_and_shapes():
     assert m.shape == (8, 8)
     rng = np.random.default_rng(8)
     x, y = rng.standard_normal((2, 8))
-    np.testing.assert_allclose(
-        split_apply((2, 1), x + 3.0 * y, dim=2),
-        split_apply((2, 1), x, dim=2) + 3.0 * split_apply((2, 1), y, dim=2),
-        atol=1e-13,
-    )
+    np.testing.assert_allclose(m @ (x + 3.0 * y), m @ x + 3.0 * (m @ y), atol=1e-13)
 
 
 def test_split_rejects_wrong_block_size():
-    with pytest.raises(DimensionMismatchError):
-        split_apply((2, 1), np.zeros(4), dim=2)
+    # a degree-3 split over R^2 is 8 x 8, so a 4-entry block cannot be applied
+    with pytest.raises(ValueError):
+        split_matrix(2, (2, 1)) @ np.zeros(4)
+    with pytest.raises(ValueError, match="positive integers"):
+        split_matrix(2, (2, 0))
