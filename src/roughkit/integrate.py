@@ -16,7 +16,7 @@ from .funcs import LipFunction, SmoothMap, strict_floor
 from .oneform import (
     _DOMINATION_TOL, OneFormPath, _pair_quotient, integral_form_from_controlled
 )
-from .path import _BUILD_PAIRS, Control, SampledPath, signature, p_variation
+from .path import Control, SampledPath, signature, p_variation
 from .tensor import DimensionMismatchError, compositions, split_matrix
 
 __all__ = [
@@ -237,27 +237,22 @@ def integrate_controlled(
     so callers can verify the premise rather than assume it.
     """
     base = beta.base
-    n, d = base.times.size, base.dim
-    phi_values = np.asarray(phi_values, dtype=float)
-    if phi_values.shape[0] != n or phi_values.ndim != 3 or phi_values.shape[2] != d:
-        raise DimensionMismatchError("phi must have shape (N+1, w, d)")
-    w = phi_values.shape[1]
-    flat = phi_values.reshape(n, w * d)
+    # the integral's form checks that phi has shape (N+1, w, d); its level 1 is phi
+    eta = integral_form_from_controlled(base, phi_values, beta.levels[:-1])
+    n, w, d = eta.levels[0].shape
     if beta.out_dim != w * d:
         raise DimensionMismatchError("beta must control the flattened integrand")
+    flat = eta.levels[0].reshape(n, w * d)
 
-    resid, w = np.empty((2, n * (n - 1) // 2))
-    for a in range(0, resid.size, _BUILD_PAIRS):
-        run = slice(a, a + _BUILD_PAIRS)
-        s, t = base.pair_ends(run)
-        pred = beta.pair_values(s, base.increment_levels(s, t)[1:])
-        resid[run] = np.linalg.norm(flat[t] - flat[s] - pred, axis=1)
-        w[run] = omega.table[s, t]
+    # folded run by run: max keeps the earlier of equal values, so this is
+    # the maximum over all pairs at once
+    worst = 0.0
+    for _, s, t, incs in base.pair_runs(top=True):
+        pred = beta.pair_values(s, incs)
+        resid = np.linalg.norm(np.take(flat, t, axis=0) - np.take(flat, s, axis=0) - pred, axis=1)
+        worst = max(worst, _pair_quotient(resid, omega.at(s, t), gamma / base.p)[0])
     beta_norm = float(beta.operator_norm(gamma, omega))
-    worst, _ = _pair_quotient(resid, w, gamma / base.p)
     measured_M = worst / beta_norm if beta_norm > 0.0 else 0.0
-
-    eta = integral_form_from_controlled(base, phi_values, beta.levels[:-1])
     result = rough_integral(eta, gamma=gamma + 1.0, omega=omega)
     diagnostics = {
         "beta_norm": beta_norm,

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .funcs import PolyMap, strict_floor
-from .path import _BUILD_PAIRS, Control, SampledRoughPath
+from .path import Control, SampledRoughPath
 from .tensor import DimensionMismatchError
 
 __all__ = [
@@ -262,17 +262,16 @@ class OneFormPath:
         """
         return max(self.level_sups)
 
-    def difference_matrices(self, k: int, pairs: slice = slice(None), run=None) -> np.ndarray:
-        """Level-k matrices of (beta_t - beta_s)(g_t, .) on the pairs s < t.
+    def difference_matrices(self, k: int, run: tuple | None = None) -> np.ndarray:
+        """Level-k matrices of (beta_t - beta_s)(g_t, .) on the pairs s < t of
+        one `base.pair_runs` run, all pairs as a single run by default.
 
-        `pairs` selects a contiguous run of the packed pairs, all by default;
-        `run` is its `base.pair_levels(pairs)` where the caller has it.
         beta_s(g_t, b) re-expands through the increment: the level-k piece is
         sum_{m >= k} A_s^(m) (pi_{m-k}(g_{s,t}) x id), summed from zero over
         per-letter gathers in ascending letter order: bitwise the einsum
         "powj,pw->poj" when d**k >= 2 or one letter is summed, as always here.
         """
-        s_idx, t_idx, incs = run or self.base.pair_levels(pairs)
+        _, s_idx, t_idx, incs = run or self.base._pair_run(slice(None))
         d = self.base.dim
         block = self.levels[k - 1]
         diff = np.take(block, t_idx, axis=0) - np.take(block, s_idx, axis=0)
@@ -313,25 +312,24 @@ class OneFormPath:
     ) -> tuple[list[float], list[tuple[int, int]]]:
         """Worst sigma_max(difference) / omega**expos[k-1] and its pair, per level k.
 
-        Scans the pairs in runs of `_BUILD_PAIRS`, levels inside runs, so
-        the difference matrices of all pairs never exist at once and each
-        run's pair ends, increments and control weights are read once.
+        Scans the `base.pair_runs` runs, levels inside runs, so the
+        difference matrices of all pairs never exist at once and each run's
+        pair ends, increments and control weights are read once.  A level's
+        worst pair is read from the run where its maximum was last raised.
         """
-        base, n = self.base, self.base.times.size
         states = [_SCAN_START] * len(expos)
-        for a in range(0, n * (n - 1) // 2, _BUILD_PAIRS):
-            pairs = slice(a, a + _BUILD_PAIRS)
-            run = base.pair_levels(pairs)
-            w = omega.table[run[0], run[1]]
-            states = [
-                _spectral_pair_quotient(
-                    state, self.difference_matrices(k, pairs, run), w, expo,
+        worst = [(0, 1)] * len(expos)
+        for pairs, s, t, incs in self.base.pair_runs():
+            w = omega.at(s, t)
+            for i, expo in enumerate(expos):
+                states[i] = _spectral_pair_quotient(
+                    states[i], self.difference_matrices(i + 1, (pairs, s, t, incs)), w, expo,
                     noise_floor, dead_tol=max(1e-12, noise_floor),
                 )
-                for k, (state, expo) in enumerate(zip(states, expos), start=1)
-            ]
-        ends = [base.pair_ends(slice(j, j + 1)) for _, j, _, _ in states]
-        return [q for q, _, _, _ in states], [(int(s[0]), int(t[0])) for s, t in ends]
+                j = states[i][1] - pairs.start
+                if j >= 0:
+                    worst[i] = (int(s[j]), int(t[j]))
+        return [q for q, _, _, _ in states], worst
 
     def operator_norm(
         self, gamma: float, omega: Control, details: bool = False

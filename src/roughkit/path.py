@@ -269,20 +269,21 @@ class SampledRoughPath:
 
         Entry [k] has shape (len(a_idx), d**k), degrees 0..L.  Rows agree
         bitwise with `points[a].inverse() @ points[b]` wherever that product
-        passes its own certificate; a row is certified group-like when
-        both of its points are, at the larger of their shuffle scales, and a
-        failed certificate raises ValueError.
+        passes its own certificate.  The indices are arbitrary, so every row is
+        certified as `certify_stack` states; a failure raises ValueError.
         """
         a_idx = np.asarray(a_idx, dtype=int)
         b_idx = np.asarray(b_idx, dtype=int)
-        inc = stack_product(
-            tuple(np.take(x, a_idx, axis=0) for x in self._inverse_levels),
-            tuple(np.take(x, b_idx, axis=0) for x in self.levels),
-        )
+        inc = self._products(a_idx, b_idx)
         scale = np.maximum(np.take(self._shuffle_scale, a_idx), np.take(self._shuffle_scale, b_idx))
         rows = np.take(self.grouplike, a_idx) & np.take(self.grouplike, b_idx)
         certify_stack(inc, rows=rows, scale=scale)
         return inc
+
+    def _products(self, a_idx: np.ndarray, b_idx: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Level stacks of g_a^{-1} g_b from gathered rows, not certified."""
+        inv = tuple(np.take(x, a_idx, axis=0) for x in self._inverse_levels)
+        return stack_product(inv, tuple(np.take(x, b_idx, axis=0) for x in self.levels))
 
     @cached_property
     def step_level_blocks(self) -> tuple[np.ndarray, ...]:
@@ -298,12 +299,12 @@ class SampledRoughPath:
         """Level blocks 2..L-1 of g_{s,t} for every pair s < t, packed in pair order.
 
         Entry [r-2] has shape (P, d**r), P = N(N+1)/2; row j is the degree-r
-        block of g_s^{-1} g_t for the j-th pair (s, t) of `pair_ends`.  Level 1
-        comes from the points (`pair_levels`), and level L, which difference
-        quotients never read, only through the norms the same pass writes to
-        `pairwise_homogeneous_norms`.  Built a block of s-rows at a time, each
-        row bitwise `increment_levels`.  Refused when these levels, the norms
-        and one control table would exceed physical memory.
+        block of g_s^{-1} g_t for the j-th pair (s, t) of np.triu_indices(N+1,
+        k=1).  Level 1 comes from the points (`pair_runs`), and level L only
+        through the norms the same pass writes to `pairwise_homogeneous_norms`
+        or from `pair_runs(top=True)`.  Built over the runs `pair_runs` reads,
+        each row bitwise `increment_levels`.  Refused when these levels, the
+        norms and one control table would exceed physical memory.
         """
         n = self.times.size
         pairs = n * (n - 1) // 2
@@ -318,22 +319,12 @@ class SampledRoughPath:
             )
         out = tuple(np.empty((pairs, w)) for w in widths)
         norms = np.empty(pairs)
-        rows = max(1, _BUILD_PAIRS // n)
-        start = 0
-        for s0 in range(0, n - 1, rows):
-            s1 = min(s0 + rows, n - 1)
-            # row s of the block keeps columns t = s0+1+c with c >= s - s0
-            keep = np.triu(np.ones((s1 - s0, n - 1 - s0), dtype=bool))
-            block = stack_product(
-                tuple(x[s0:s1, None] for x in self._inverse_levels),
-                tuple(x[None, s0 + 1 :] for x in self.levels),
-            )
-            kept = tuple(x[keep] for x in block[1:])
-            stop = start + kept[0].shape[0]
-            norms[start:stop] = homogeneous_norms(kept)
-            for dst, src in zip(out, kept[1:]):
-                dst[start:stop] = src
-            start = stop
+        for a in range(0, pairs, _BUILD_PAIRS):
+            run = slice(a, a + _BUILD_PAIRS)
+            block = self._products(*self._pair_ends(run))[1:]
+            norms[run] = homogeneous_norms(block)
+            for dst, src in zip(out, block[1:]):
+                dst[run] = src
         for x in out + (norms,):
             x.flags.writeable = False
         object.__setattr__(self, "_pair_norms", norms)
@@ -342,36 +333,49 @@ class SampledRoughPath:
     @property
     def pairwise_homogeneous_norms(self) -> np.ndarray:
         """Homogeneous norm of g_{s,t} for every pair s < t, shape (P,), in
-        `pair_ends` order; the `pairwise_levels` build fills it, level L included."""
+        packed pair order; the `pairwise_levels` build fills it, level L included."""
         self.pairwise_levels
         return self._pair_norms
 
-    def pair_ends(self, pairs: slice) -> tuple[np.ndarray, np.ndarray]:
-        """(s, t) of the run `pairs` of the packed pairs s < t, from the row
-        starts s(N+1) - s(s+1)/2: the same slice of np.triu_indices(N+1, k=1)."""
-        n = self.times.size
-        rows = np.arange(n - 1)
-        starts = rows * n - rows * (rows + 1) // 2
-        a, b, _ = pairs.indices(n * (n - 1) // 2)
-        s = np.repeat(rows, np.diff(np.clip(np.append(starts, b), a, b)))
+    @cached_property
+    def _row_starts(self) -> np.ndarray:
+        """Packed index s(N+1) - s(s+1)/2 of the pair (s, s+1), s = 0..N; the last is P."""
+        rows = np.arange(self.times.size)
+        return rows * rows.size - rows * (rows + 1) // 2
+
+    def _pair_ends(self, pairs: slice) -> tuple[np.ndarray, np.ndarray]:
+        """(s, t) of a slice of the packed pairs: that slice of np.triu_indices(N+1, k=1)."""
+        starts = self._row_starts
+        a, b, _ = pairs.indices(int(starts[-1]))
+        s = np.repeat(np.arange(starts.size - 1), np.diff(np.clip(starts, a, b)))
         return s, np.arange(a, b) - np.take(starts, s) + s + 1
 
-    def pair_levels(self, pairs: slice) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
-        """`pair_ends(pairs)` and level blocks 1..L-1 of g_{s,t}, bitwise the
-        `increment_levels` rows: level 1 is (0.0 + x_t) + (g_s^{-1})_1, the two
-        additions `stack_product` makes there, so signed zeros match too."""
-        s, t = self.pair_ends(pairs)
-        if self.level < 2:
-            return s, t, ()
-        x, inv = self.levels[1], self._inverse_levels[1]
-        first = (0.0 + np.take(x, t, axis=0)) + np.take(inv, s, axis=0)
-        return s, t, (first,) + tuple(block[pairs] for block in self.pairwise_levels)
+    def pair_runs(self, top: bool = False):
+        """The packed pairs s < t in runs of `_BUILD_PAIRS`, in np.triu_indices
+        order: yields (pairs, s, t, levels), `pairs` the run's slice of the
+        packed order and `levels` blocks 1..L-1 of g_{s,t}, with level L
+        appended when `top` is set.  Every all-pairs walk but the build reads these."""
+        for a in range(0, int(self._row_starts[-1]), _BUILD_PAIRS):
+            yield self._pair_run(slice(a, a + _BUILD_PAIRS), top)
+
+    def _pair_run(self, pairs: slice, top: bool = False) -> tuple:
+        """One `pair_runs` run, levels bitwise the uncertified `increment_levels`
+        rows: level 1 is (0.0 + x_t) + (g_s^{-1})_1, the two additions
+        `stack_product` makes there, so signed zeros match too."""
+        s, t = self._pair_ends(pairs)
+        levels = ()
+        if self.level > 1:
+            x, inv = self.levels[1], self._inverse_levels[1]
+            first = (0.0 + np.take(x, t, axis=0)) + np.take(inv, s, axis=0)
+            levels = (first,) + tuple(block[pairs] for block in self.pairwise_levels)
+        if top:
+            levels += (self._products(s, t)[-1],)
+        return pairs, s, t, levels
 
 
-# Pairs per block of work on the pair geometry: `pairwise_levels` is built
-# blocks of max(1, _BUILD_PAIRS // (N+1)) s-rows at a time, and the scans
-# and gathers over all pairs take runs of _BUILD_PAIRS pairs, so their
-# temporaries stay at a few MB whatever the grid size.
+# Pairs per run of work on the pair geometry: `pairwise_levels` is built, and
+# `pair_runs` yields, runs of _BUILD_PAIRS pairs, so the temporaries of every
+# all-pairs walk stay at a few MB whatever the grid size.
 _BUILD_PAIRS = 1 << 12
 
 
@@ -400,11 +404,10 @@ def p_variation(g: SampledRoughPath, i0: int = 0, i1: int | None = None) -> floa
 def _powered_norms(g: SampledRoughPath, i0: int, i1: int) -> np.ndarray:
     """norm(g_{s,t})**p at [s - i0, t - i0] for i0 <= s < t <= i1, zero elsewhere,
     filled row by row from the packed `pairwise_homogeneous_norms`."""
-    norms, n = g.pairwise_homogeneous_norms, g.times.size
+    norms, starts = g.pairwise_homogeneous_norms, g._row_starts
     E = np.zeros((i1 - i0 + 1, i1 - i0 + 1))
     for s in range(i0, i1):
-        start = s * n - s * (s + 1) // 2
-        E[s - i0, s - i0 + 1 :] = norms[start : start + i1 - s] ** g.p
+        E[s - i0, s - i0 + 1 :] = norms[starts[s] : starts[s] + i1 - s] ** g.p
     return E
 
 
@@ -437,6 +440,10 @@ class Control:
 
     def value(self, i: int, j: int) -> float:
         return float(self.table[i, j])
+
+    def at(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """omega(t_s, t_t) for index arrays of equal length, one flat gather."""
+        return np.take(self.table.ravel(), s * self.table.shape[1] + t)
 
     def total(self) -> float:
         return float(self.table[0, -1])

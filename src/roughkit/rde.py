@@ -33,7 +33,6 @@ from .oneform import (
     integral_form_from_controlled,
 )
 from .path import (
-    _BUILD_PAIRS,
     Control,
     SampledRoughPath,
     _best_partition_sum,
@@ -634,13 +633,14 @@ def difference_tower(
             chasles = max(chasles, float(np.max(np.abs(lhs - rhs))))
 
     omega = problem.omega
-    s_idx, t_idx = np.triu_indices(npts, k=1)
-    w = omega.table[s_idx, t_idx]
     fitted_M = 1.0
     for (l, n) in keys:
         q = (n - l + 1) / p
-        sizes = np.abs(values[(l, n)][s_idx, t_idx]).reshape(s_idx.size, -1).max(axis=1)
-        worst, _ = _pair_quotient(sizes, w, q, dead_tol=0.0)
+        table = values[(l, n)].reshape(npts * npts, -1)
+        worst = 0.0  # folded run by run; max is exact
+        for _, s, t, _ in problem.driver.pair_runs():
+            sizes = np.abs(np.take(table, s * npts + t, axis=0)).max(axis=1)
+            worst = max(worst, _pair_quotient(sizes, omega.at(s, t), q, dead_tol=0.0)[0])
         fitted_M = max(fitted_M, (worst * 3.0 * p * math.gamma(q + 1.0)) ** (1.0 / q))
     eta_ok = math.isfinite(fitted_M)
 
@@ -763,10 +763,8 @@ def driver_distance(a: SampledRoughPath, b: SampledRoughPath) -> float:
         raise ValueError("drivers must share the variation exponent")
     n = a.num_steps + 1
     gaps = np.zeros((n, n))
-    for j in range(0, n * (n - 1) // 2, _BUILD_PAIRS):
-        s, t = a.pair_ends(slice(j, j + _BUILD_PAIRS))
-        levels = zip(a.increment_levels(s, t)[1:], b.increment_levels(s, t)[1:])
-        gaps[s, t] = sum(np.linalg.norm(da - db, axis=1) for da, db in levels)
+    for (_, s, t, da), (_, _, _, db) in zip(a.pair_runs(top=True), b.pair_runs(top=True)):
+        np.put(gaps, s * n + t, sum(np.linalg.norm(x - y, axis=1) for x, y in zip(da, db)))
     return float(_best_partition_sum(gaps**a.p) ** (1.0 / a.p))
 
 

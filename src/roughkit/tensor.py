@@ -132,6 +132,11 @@ def certify_stack(
     to one scaled by 1 + size**k, size the row's homogeneous norm.  `rows` is
     a boolean mask; unselected rows are not checked.  The ValueError names
     the test that the first failing row fails, shuffle before inverse.
+
+    A path certifies its points once, at its running shuffle scale.  The
+    product g_s^{-1} g_t of two of them is trusted on the all-pairs walk
+    (the pair build and `pair_runs`); at caller-chosen pairs
+    (`increment_levels`) it is checked here, at the larger of the two scales.
     """
     if rows is not None:
         t = tuple(x[rows] for x in t)

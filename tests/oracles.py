@@ -17,8 +17,7 @@ one-form path's arrays and its base's `increment_levels`,
 `pairwise_norm_table`, `controlled_residuals_whole_gather` and
 `driver_distance_whole_gather` read paths' `increment_levels` over every
 pair at once.  None reads the packed pair geometry (`pairwise_levels`,
-`pair_ends`, `pair_levels`, the packed norms): pair indices come from
-`np.triu_indices`.
+`pair_runs`, the packed norms): pair indices come from `np.triu_indices`.
 """
 
 import itertools
@@ -284,11 +283,12 @@ def full_scan_quotient(diff, w, expo, noise_floor=0.0, dead_tol=1e-12):
     return float(quot[j]), j
 
 
-def difference_matrices_einsum(form, k, pairs=slice(None), run=None):
+def difference_matrices_einsum(form, k, run=None):
     """Level-k pair difference matrices of a one-form path by one einsum per level.
 
-    Over the run `pairs` of the (s, t) pairs s < t in row-major order; `run`,
-    the caller's packed pair data, is ignored.  Reads the form's arrays and
+    Over the (s, t) pairs s < t in row-major order, all of them or the slice
+    of packed pairs that a `pair_runs` run names; the run's pair ends and
+    levels are not read.  Reads the form's arrays and
     recomputes each pair increment from the base's points with
     `increment_levels`, never the cached pair geometry: the level
     blocks of both pair ends, then for each higher level m the whole gathered
@@ -296,6 +296,7 @@ def difference_matrices_einsum(form, k, pairs=slice(None), run=None):
     pi_{m-k}(g_{s,t}) over its leading letter.  The reference a per-letter
     kernel must reproduce bitwise.
     """
+    pairs = slice(None) if run is None else run[0]
     s_idx, t_idx = (x[pairs] for x in np.triu_indices(form.base.times.size, k=1))
     d = form.base.dim
     diff = form.levels[k - 1][t_idx] - form.levels[k - 1][s_idx]

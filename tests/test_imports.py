@@ -129,3 +129,20 @@ def test_every_unexported_definition_has_a_library_caller():
         and refs[node.name] == referenced_names(node)[node.name]
     )
     assert not orphans, f"neither exported nor called from src/ or benchmarks/: {orphans}"
+
+
+def test_only_path_walks_the_pairs():
+    """`path.py` owns the walk over all pairs s < t: its run length
+    `_BUILD_PAIRS` and the np.triu_indices order appear nowhere else in the
+    package, so every all-pairs walk reads `SampledRoughPath.pair_runs`."""
+    found = []
+    for source in SOURCES:
+        if source.name == "path.py":
+            continue
+        for node in ast.walk(ast.parse(source.read_text(), filename=str(source))):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if isinstance(node, ast.alias):
+                name = node.name
+            if name in ("_BUILD_PAIRS", "triu_indices"):
+                found.append(f"{source.name}:{node.lineno}: {name}")
+    assert not found, f"all-pairs walks outside path.py: {found}"

@@ -324,9 +324,9 @@ def test_controlled_integral_form_has_finite_raised_norm():
 
 
 def test_controlled_residuals_are_bitwise_the_whole_array_gather(monkeypatch):
-    # the residuals are taken in runs of pairs; the pairing kernel's
-    # rounding must not depend on the run length.  A random form reads
-    # every level, level L included.
+    # the residuals are taken and their quotients folded in runs of pairs;
+    # the pairing kernel's rounding must not depend on the run length.  A
+    # random form reads every level, level L included.
     rng = np.random.default_rng(12)
     g = smooth_driver(40, level=3, p=3.0)
     f = linear_field(gamma=3.5)
@@ -344,9 +344,11 @@ def test_controlled_residuals_are_bitwise_the_whole_array_gather(monkeypatch):
     monkeypatch.setattr(roughkit.integrate, "_pair_quotient", recording)
     diags = []
     for build_pairs in (1, 7, roughkit.path._BUILD_PAIRS):
-        monkeypatch.setattr(roughkit.integrate, "_BUILD_PAIRS", build_pairs)
+        monkeypatch.setattr(roughkit.path, "_BUILD_PAIRS", build_pairs)
+        seen.clear()
         eta, res, diag = integrate_controlled(phi, beta, gamma=f.gamma, omega=omega, M=2.0)
-        assert_bitwise(seen.pop(), want)
+        assert len(seen) == -(-want.size // build_pairs)
+        assert_bitwise(np.concatenate(seen), want)
         diags.append(diag)
     s_idx, t_idx = np.triu_indices(g.times.size, k=1)
     worst, _ = quotient(want, omega.table[s_idx, t_idx], f.gamma / g.p)

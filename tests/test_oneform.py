@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import roughkit.oneform
+import roughkit.path
 from roughkit.funcs import LipFunction, PolyMap, strict_floor
 from roughkit.integrate import compose_integrand
 from roughkit.oneform import (
@@ -700,7 +700,7 @@ def test_picard_solve_bitwise_with_einsum_difference_matrices(monkeypatch):
     einsum: every Picard step, its difference matrices, quotients and worst
     pairs, and every iterate's certificate carry the same bits.  Both scan
     the 2,080 pairs in chunks of 97, so every scan crosses chunk boundaries."""
-    monkeypatch.setattr(roughkit.oneform, "_BUILD_PAIRS", 97)
+    monkeypatch.setattr(roughkit.path, "_BUILD_PAIRS", 97)
     problem = cubic_problem(64, n_max=16)
     g, omega = problem.driver, problem.omega
     theta = (problem.gamma + 1.0) / g.p
@@ -811,7 +811,7 @@ def chunk_case(case, out_dim, chunk):
 def test_level_quotients_bitwise_full_scan_across_chunks(case, out_dim, chunk, monkeypatch):
     form, omega, expos, floor, expected = chunk_case(case, out_dim, chunk)
     want = full_scan_level_quotients(form, omega, expos, floor)
-    monkeypatch.setattr(roughkit.oneform, "_BUILD_PAIRS", chunk)
+    monkeypatch.setattr(roughkit.path, "_BUILD_PAIRS", chunk)
     assert form._level_quotients(omega, expos, floor) == want
     if expected is not None:
         assert (want[0][0], want[1][0]) == expected

@@ -19,7 +19,7 @@ from roughkit.path import (
     write_path_csv,
     write_solution_csv,
 )
-from roughkit.tensor import tensor_exp, TruncatedTensor
+from roughkit.tensor import TruncatedTensor, certify_stack, tensor_exp
 
 from conftest import assert_bitwise, element_norm, level_tensor, reversed_path
 from oracles import (
@@ -401,62 +401,75 @@ def test_increment_levels_are_bitwise_the_object_increments(mixed):
             assert np.array_equal(inverses[k][i], pt.inverse().level_block(k))
 
 
-def assert_pair_levels_are_the_increment_levels(g, monkeypatch):
-    """Stored levels 2..L-1 and a run's levels 1..L-1 against `increment_levels`,
-    by bytes, with the pair build in blocks of 1, 2 and all s-rows."""
+def assert_pair_levels_are_the_increment_levels(g, monkeypatch, build_pairs=None):
+    """Stored levels 2..L-1, and every `pair_runs` run's (s, t) and levels
+    1..L-1 or 1..L, against np.triu_indices and `increment_levels`, by
+    bytes.  The pair build and the runs take blocks of 1, 2(N+1) and 4,096
+    pairs unless `build_pairs` names others."""
     n = len(g.points)
     s_idx, t_idx = np.triu_indices(n, k=1)
     stacks = g.increment_levels(s_idx, t_idx)
-    for build_pairs in (1, 2 * n, roughkit.path._BUILD_PAIRS):
-        monkeypatch.setattr(roughkit.path, "_BUILD_PAIRS", build_pairs)
+    for size in build_pairs or (1, 2 * n, roughkit.path._BUILD_PAIRS):
+        monkeypatch.setattr(roughkit.path, "_BUILD_PAIRS", size)
         h = SampledRoughPath(g.times, g.levels, g.p, g.grouplike)
-        assert len(h.pairwise_levels) == g.level - 2
+        assert len(h.pairwise_levels) == max(g.level - 2, 0)
         for k, block in enumerate(h.pairwise_levels, start=2):
             assert block.shape == (s_idx.size, g.dim**k)
             assert block.tobytes() == stacks[k].tobytes()
-        for a in range(0, s_idx.size, 5):
-            s, t, levels = h.pair_levels(slice(a, a + 5))
-            assert len(levels) == g.level - 1
-            assert s.tobytes() == s_idx[a : a + 5].tobytes()
-            assert t.tobytes() == t_idx[a : a + 5].tobytes()
-            for k, block in enumerate(levels, start=1):
-                assert block.tobytes() == stacks[k][a : a + 5].tobytes()
+        for top in (False, True):
+            runs = list(h.pair_runs(top))
+            assert [r[0] for r in runs] == [slice(a, a + size) for a in range(0, s_idx.size, size)]
+            for pairs, s, t, levels in runs:
+                assert s.dtype == t.dtype == s_idx.dtype
+                assert s.tobytes() == s_idx[pairs].tobytes()
+                assert t.tobytes() == t_idx[pairs].tobytes()
+                assert len(levels) == g.level - 1 + top
+                for k, block in enumerate(levels, start=1):
+                    assert block.tobytes() == stacks[k][pairs].tobytes()
 
 
 @pytest.mark.parametrize("mixed", [False, True])
 def test_pairwise_levels_are_bitwise_the_increment_levels(mixed, monkeypatch):
     # only pairs s < t and levels 2..L-1 are stored, in row-major order;
-    # level 1 comes from the points, run by run
+    # level 1 comes from the points and level L from the product, run by run
     rng = np.random.default_rng(32)
     g = mixed_certificate_path(rng) if mixed else signature(random_polyline(rng), 3, p=3.0)
     assert_pair_levels_are_the_increment_levels(g, monkeypatch)
 
 
-def test_pair_levels_keep_the_signs_of_zero_coordinates(monkeypatch):
-    # level 1 of a run is (0.0 + x_t) + (g_s^{-1})_1, the additions the
-    # product makes, so -0.0 and +0.0 coordinates come out as it has them
+def signed_zero_path() -> SampledRoughPath:
+    """A level-3 path in R^2 whose level 1 mixes -0.0 and +0.0 coordinates."""
     x = np.array([[0.0, -0.0], [-0.0, 0.5], [0.25, -0.0], [-0.0, -0.0], [-0.0, 0.0], [1.0, -0.0]])
     levels = (np.ones((6, 1)), x, np.einsum("ni,nj->nij", x, x).reshape(6, 4) / 2.0)
     levels += (np.einsum("ni,nj,nk->nijk", x, x, x).reshape(6, 8) / 6.0,)
-    g = SampledRoughPath(np.linspace(0.0, 1.0, 6), levels, 3.0, np.ones(6, dtype=bool))
+    return SampledRoughPath(np.linspace(0.0, 1.0, 6), levels, 3.0, np.ones(6, dtype=bool))
+
+
+def test_pair_levels_keep_the_signs_of_zero_coordinates(monkeypatch):
+    # level 1 of a run is (0.0 + x_t) + (g_s^{-1})_1, the additions the
+    # product makes, so -0.0 and +0.0 coordinates come out as it has them
+    g = signed_zero_path()
     assert np.signbit(g.levels[1]).any()
     assert_pair_levels_are_the_increment_levels(g, monkeypatch)
 
 
 @pytest.mark.parametrize("n_pts", [2, 3, 65])
 @pytest.mark.parametrize("run", [1, 97, 4096])
-def test_pair_ends_are_the_triu_slices(n_pts, run):
-    # runs from the first pair, and runs that start inside an s-row
-    g = signature(SampledPath(np.linspace(0.0, 1.0, n_pts), np.zeros((n_pts, 1))), 1, p=1.0)
+def test_pair_ends_are_the_triu_slices(n_pts, run, monkeypatch):
+    # runs from the first pair on, which cross s-rows wherever the run
+    # length does not divide them; level 1 alone, and level 1 with level 3
+    rng = np.random.default_rng(n_pts)
+    assert_pair_levels_are_the_increment_levels(
+        signature(random_polyline(rng, n_pts=n_pts), 1, p=1.0), monkeypatch, (run,)
+    )
+    g = signature(random_polyline(rng, n_pts=n_pts), 3, p=3.0)
+    assert_pair_levels_are_the_increment_levels(g, monkeypatch, (run,))
+    # the single run that `difference_matrices` reads by default
     s_idx, t_idx = np.triu_indices(n_pts, k=1)
-    for first in (0, 1, 2, 5, s_idx.size // 2 + 1):
-        for a in range(first, s_idx.size, run):
-            s, t = g.pair_ends(slice(a, a + run))
-            assert s.dtype == t.dtype == s_idx.dtype
-            assert s.tobytes() == s_idx[a : a + run].tobytes()
-            assert t.tobytes() == t_idx[a : a + run].tobytes()
-    s, t = g.pair_ends(slice(None))
+    _, s, t, levels = g._pair_run(slice(None))
     assert s.tobytes() == s_idx.tobytes() and t.tobytes() == t_idx.tobytes()
+    for k, block in enumerate(levels, start=1):
+        assert block.tobytes() == g.increment_levels(s_idx, t_idx)[k].tobytes()
 
 
 @pytest.mark.parametrize("seed", range(34, 44))
@@ -665,6 +678,41 @@ def test_planted_shuffle_defect_is_refused_after_an_excursion(row, defect):
     levels[2][row, 0] += defect
     with pytest.raises(ValueError, match="level-2 shuffle relation"):
         SampledRoughPath(g.times, tuple(levels), g.p, g.grouplike)
+
+
+def assert_trusted_pair_products_pass_the_certificate(g):
+    """Every `pair_runs` product, levels 1..L, passes `certify_stack` where
+    both its points are group-like, at the larger of their running scales:
+    the check `increment_levels` makes and the runs trust.  Returns the
+    stacked products and that scale, so a caller can widen the check."""
+    scale = g._shuffle_scale
+    for _, s, t, levels in g.pair_runs(top=True):
+        stack = (np.ones((s.size, 1)),) + levels
+        pair_scale = np.maximum(np.take(scale, s), np.take(scale, t))
+        rows = np.take(g.grouplike, s) & np.take(g.grouplike, t)
+        certify_stack(stack, rows=rows, scale=pair_scale)
+    return stack, pair_scale
+
+
+@pytest.mark.parametrize("case", ["mixed", "loops", "signed-zero"])
+def test_trusted_pair_products_pass_the_certificate(case, monkeypatch):
+    """The pair build and `pair_runs` do not certify g_s^{-1} g_t, since
+    both points were certified when the path was built.  On paths that
+    stress that rule, each such product does pass the certificate."""
+    if case == "mixed":
+        paths = [mixed_certificate_path(np.random.default_rng(seed)) for seed in range(34, 44)]
+    elif case == "loops":
+        paths = [signature(_loop(np.random.default_rng(seed), 1e3, d), 3) for seed in range(10) for d in (1, 2, 3)]
+    else:
+        paths = [signed_zero_path()]
+    for size in (97, roughkit.path._BUILD_PAIRS):
+        monkeypatch.setattr(roughkit.path, "_BUILD_PAIRS", size)
+        for g in paths:
+            stack, pair_scale = assert_trusted_pair_products_pass_the_certificate(g)
+            if case == "mixed":
+                # the odd points lost their area, so their products fail unmasked
+                with pytest.raises(ValueError, match="group-like certificate failed"):
+                    certify_stack(stack, scale=pair_scale)
 
 
 def test_large_increment_passes_the_inverse_identity():

@@ -1,11 +1,14 @@
 import math
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import roughkit.path
 from roughkit.funcs import LipFunction, PolyMap
-from roughkit.integrate import RegularityError, rough_integral
-from roughkit.path import SampledPath, signature
+from roughkit.integrate import RegularityError, integrate_controlled, rough_integral
+from roughkit.path import SampledPath, SampledRoughPath, signature
 from roughkit import rde
 from roughkit.oneform import OneFormPath, integral_form_from_controlled
 from roughkit.rde import (
@@ -523,9 +526,43 @@ def test_driver_distance_is_bitwise_the_whole_gather(monkeypatch):
     for delta in (1e-1, 1e-2, 1e-3):
         other = perturbed_probe_driver(delta)
         want = driver_distance_whole_gather(driver, other)
-        for build_pairs in (97, rde._BUILD_PAIRS):
-            monkeypatch.setattr(rde, "_BUILD_PAIRS", build_pairs)
+        for build_pairs in (97, roughkit.path._BUILD_PAIRS):
+            monkeypatch.setattr(roughkit.path, "_BUILD_PAIRS", build_pairs)
             assert driver_distance(driver, other) == want > 0.0
+
+
+def test_every_all_pairs_walk_reads_the_pair_runs(monkeypatch):
+    """The level scan, the controlled residuals, the driver gauge and the
+    tower's fitted M take their pairs from `SampledRoughPath.pair_runs`, so
+    runs of 97 pairs there split each of their walks over the 300 pairs of
+    the tower fixture into four runs."""
+    reader = SampledRoughPath.pair_runs
+    walkers = Counter()
+
+    def counting(self, top=False):
+        for run in reader(self, top):
+            # the frame that resumed the reader is the walk reading it
+            walkers[sys._getframe(1).f_code.co_name] += 1
+            yield run
+
+    monkeypatch.setattr(SampledRoughPath, "pair_runs", counting)
+    problem = tower_problem()
+    g, omega, gamma = problem.driver, problem.omega, problem.gamma
+    beta = OneFormPath.constant_linear(g, np.eye(1))
+    phi = problem.field.apply(g.positions(problem.xi)).reshape(-1, 1, 1)
+    counts = []
+    for size in (roughkit.path._BUILD_PAIRS, 97):
+        monkeypatch.setattr(roughkit.path, "_BUILD_PAIRS", size)
+        walkers.clear()
+        beta.operator_norm(gamma, omega)
+        integrate_controlled(phi, beta, gamma, omega)
+        driver_distance(g, g.dilate(1.5))
+        difference_tower(problem, 0, 1)
+        counts.append(dict(walkers))
+    names = {"_level_quotients", "integrate_controlled", "driver_distance", "difference_tower"}
+    assert set(counts[0]) == set(counts[1]) == names
+    for name in names:
+        assert counts[1][name] == 4 * counts[0][name] > 0
 
 
 def test_driver_distance_rejects_mismatched_grids():
