@@ -218,14 +218,18 @@ class DecayReport:
         """Cauchy tail sum_{n > n_last} C^(n-[p]) / ((n-[p])/p)!
 
         Factorial decay makes the series summable; terms are added until
-        they stop moving the total.  nan when no C could be fitted.
+        they stop moving the total.  nan when no C could be fitted, inf
+        when a term overflows (a C fitted to a diverging run can be large).
         """
         if self.fitted_C is None:
             return math.nan
         total = 0.0
         for n in range(len(self.deltas), len(self.deltas) + 200):
             x = n - self.bracket_p
-            term = self.fitted_C**x / math.gamma(x / self.p + 1.0)
+            try:
+                term = self.fitted_C**x / math.gamma(x / self.p + 1.0)
+            except OverflowError:
+                return math.inf
             if total > 0 and term < 1e-17 * total:
                 break
             total += term
@@ -515,21 +519,17 @@ def _tower_step(
     return form.integral_values(start), form
 
 
-def _pair_table(full: np.ndarray) -> np.ndarray:
-    """full[t] - full[s] indexed [s, t], zero where t < s."""
-    vals = full[None, :] - full[:, None]
-    vals[np.tri(full.shape[0], k=-1, dtype=bool)] = 0.0
-    return vals
-
-
 @dataclass(frozen=True)
 class TowerReport:
-    """Diagnostics for the two-parameter difference tower.
+    """Diagnostics for the two-parameter difference tower, keys (l, n) in `levels`.
 
-    eta[(l, n)] holds the tower values as an array indexed by (start,
-    end) grid points; consistency entries are worst-case residuals of
-    identities every tower must satisfy, and the bound entries compare
-    measured sizes with their factorial envelopes.
+    eta_sup[(l, n)] is the largest |eta^{l,n}_{s,t}|, fitted_M (at least 1) the
+    envelope constant of the worst |eta_{s,t}| / omega(s, t)^q, q = (n-l+1)/p:
+    running maxima over starts s.  beta_norms (form operator norms) and
+    z_cross_residual (telescoping against iterate differences) read start 0;
+    chasles_residual is the worst residual on 20 random triples s < u < t per
+    key with l < n <= l_max.  eta_bound_ok and beta_bound_ok say fitted_M and
+    the beta norms are finite; fitted_beta_C fits the beta norms' envelope.
     """
 
     levels: tuple[tuple[int, int], ...]
@@ -556,114 +556,109 @@ def difference_tower(
     is the field frozen at the initial condition.  The report checks the
     telescoping identity against iterate differences, the two-parameter
     Chasles identity, and the factorial envelopes for both the values
-    and the operator norms of the associated forms.
+    and the operator norms of the associated forms.  Starts s run outside
+    the keys: each row t -> eta_{s,t} and its form are folded, then dropped.
     """
     if l_max < 0 or n_max < l_max:
         raise ValueError("need 0 <= l_max <= n_max")
     m = problem.state_dim
-    d = problem.driver.dim
     p = problem.driver.p
-    gamma = problem.gamma
     npts = problem.driver.num_steps + 1
     h = _pair_field(problem)
+    omega = problem.omega
 
-    state = initial_state(problem)
-    iterates = [state]
+    iterates = [initial_state(problem)]
     for _ in range(n_max + 1):
-        state = picard_step(state, problem)
-        iterates.append(state)
+        iterates.append(picard_step(iterates[-1], problem))
     # h along consecutive iterates: pairs[n] is h(y_{n+1}, y_n)
     pairs = [
         _pair_integrand(problem, h, a.positions, a.form, b.positions, b.form)
         for a, b in zip(iterates[1:], iterates)
     ]
 
-    # eta values indexed [s, t] (zero for t < s); forms per start index s.
-    values: dict[tuple[int, int], np.ndarray] = {}
-    forms: dict[tuple[int, int], list[OneFormPath]] = {}
-
-    f0 = problem.field.apply(problem.xi[None, :]).reshape(m, d)
+    # the seeds eta^{l,l} start at 0; row s of a seed is its values minus those at s
+    f0 = problem.field.apply(problem.xi[None, :]).reshape(m, problem.driver.dim)
     seed_form = OneFormPath.constant_linear(problem.driver, f0)
-    values[(0, 0)] = _pair_table(seed_form.integral_values())
-    forms[(0, 0)] = [seed_form] * npts
-
+    seeds = [(seed_form.integral_values(), seed_form)]
     eye = np.broadcast_to(np.eye(m), (npts, m, m)).copy()
     zero = OneFormPath.zero(problem.driver, m * m)
     for l in range(1, l_max + 1):
         vals, form_ll = _tower_step(*pairs[l - 1], eye, zero)
-        values[(l, l)] = _pair_table(vals.reshape(npts, m, m))
-        forms[(l, l)] = [form_ll] * npts
+        seeds.append((vals.reshape(npts, m, m), form_ll))
+    # the keys (l, n) in sorted order, each with the exponent q of its pair quotients
+    keys = {(l, n): (n - l + 1) / p for l in range(l_max + 1) for n in range(l, n_max + 1)}
 
-    for l in range(0, l_max + 1):
-        for n in range(l, n_max):
-            prev_vals = values[(l, n)]
-            vals = np.zeros_like(prev_vals)
-            flist = []
-            for s in range(npts):
-                vals_s, form_s = _tower_step(
-                    *pairs[n], prev_vals[s], forms[(l, n)][s], start=s
-                )
-                vals[s] = vals_s.reshape(prev_vals.shape[1:])
-                flist.append(form_s)
-            values[(l, n + 1)] = vals
-            forms[(l, n + 1)] = flist
-
-    keys = sorted(values.keys())
-    eta_sup = {key: float(np.max(np.abs(values[key]))) for key in keys}
-
-    z_res = 0.0
-    for n in range(0, n_max + 1):
-        diff = iterates[n + 1].positions - iterates[n].positions
-        z_res = max(z_res, float(np.max(np.abs(values[(0, n)][0] - diff))))
-
+    # Chasles triples s < u < t; the cross terms need towers started at
+    # every level up to n
     rng = np.random.default_rng(7)
-    chasles = 0.0
+    triples, kept_at = [], set()
     for (l, n) in keys:
-        # the cross terms need towers started at every level up to n
         if n <= l or n > l_max or npts < 3:
             continue
         for _ in range(min(20, npts**2)):
             s = int(rng.integers(0, npts - 2))
             u = int(rng.integers(s + 1, npts - 1))
             t = int(rng.integers(u + 1, npts))
-            lhs = values[(l, n)][s, t]
-            rhs = values[(l, n)][s, u] + values[(l, n)][u, t]
-            for j in range(l + 1, n + 1):
-                rhs = rhs + values[(j, n)][u, t] @ values[(l, j - 1)][s, u]
-            chasles = max(chasles, float(np.max(np.abs(lhs - rhs))))
+            triples.append((l, n, s, u, t))
+            kept_at.update(((l, j), s) for j in range(l, n + 1))
+            kept_at.update(((j, n), u) for j in range(l, n + 1))
 
-    omega = problem.omega
+    # row entries t <= s are zero: pairs s < t, none at the last start, carry every max
+    eta_sup = dict.fromkeys(keys, 0.0)
+    worst = dict.fromkeys(keys, 0.0)
+    z_res = 0.0
+    rows, first_forms = {}, {}
+    for s in range(npts - 1):
+        for l, (full, form) in enumerate(seeds):
+            row = full - full[s]
+            row[:s] = 0.0
+            for n in range(l, n_max + 1):
+                if n > l:
+                    vals, form = _tower_step(*pairs[n - 1], row, form, start=s)
+                    row = vals.reshape(row.shape)
+                key = (l, n)
+                sizes = np.abs(row[s + 1 :]).reshape(npts - s - 1, -1).max(axis=1)
+                eta_sup[key] = np.maximum(eta_sup[key], sizes.max())
+                quot = _pair_quotient(sizes, omega.table[s, s + 1 :], keys[key], dead_tol=0.0)
+                worst[key] = max(worst[key], quot[0])
+                if (key, s) in kept_at:
+                    rows[key, s] = row
+                if s == 0:
+                    first_forms[key] = form
+                if s == l == 0:
+                    diff = iterates[n + 1].positions - iterates[n].positions
+                    z_res = max(z_res, float(np.max(np.abs(row - diff))))
+
+    chasles = 0.0
+    for l, n, s, u, t in triples:
+        lhs = rows[(l, n), s][t]
+        rhs = rows[(l, n), s][u] + rows[(l, n), u][t]
+        for j in range(l + 1, n + 1):
+            rhs = rhs + rows[(j, n), u][t] @ rows[(l, j - 1), s][u]
+        chasles = max(chasles, float(np.max(np.abs(lhs - rhs))))
+
     fitted_M = 1.0
-    for (l, n) in keys:
-        q = (n - l + 1) / p
-        table = values[(l, n)].reshape(npts * npts, -1)
-        worst = 0.0  # folded run by run; max is exact
-        for _, s, t, _ in problem.driver.pair_runs():
-            sizes = np.abs(np.take(table, s * npts + t, axis=0)).max(axis=1)
-            worst = max(worst, _pair_quotient(sizes, omega.at(s, t), q, dead_tol=0.0)[0])
-        fitted_M = max(fitted_M, (worst * 3.0 * p * math.gamma(q + 1.0)) ** (1.0 / q))
-    eta_ok = math.isfinite(fitted_M)
+    for key, q in keys.items():
+        fitted_M = max(fitted_M, (worst[key] * 3.0 * p * math.gamma(q + 1.0)) ** (1.0 / q))
 
-    beta_norms = {key: float(forms[key][0].operator_norm(gamma, omega)) for key in keys}
-    bp = int(p)
+    beta_norms = {k: float(f.operator_norm(problem.gamma, omega)) for k, f in first_forms.items()}
     cs = []
     for (l, n), nb in beta_norms.items():
-        x = n - bp - l
+        x = n - int(p) - l
         if x >= 1 and nb > 1e-13 and math.isfinite(nb):
             cs.append((nb * math.gamma(x / p + 1.0)) ** (1.0 / x))
     fitted_C = max(cs) if cs else None
-    beta_ok = all(math.isfinite(v) for v in beta_norms.values())
 
     return TowerReport(
         levels=tuple(keys),
-        eta_sup=eta_sup,
+        eta_sup={key: float(v) for key, v in eta_sup.items()},
         beta_norms=beta_norms,
         z_cross_residual=z_res,
         chasles_residual=chasles,
         fitted_M=fitted_M,
-        eta_bound_ok=eta_ok,
+        eta_bound_ok=math.isfinite(fitted_M),
         fitted_beta_C=fitted_C,
-        beta_bound_ok=beta_ok,
+        beta_bound_ok=all(math.isfinite(v) for v in beta_norms.values()),
     )
 
 

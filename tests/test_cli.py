@@ -359,6 +359,27 @@ def test_solve_nonconvergence_exits_one(tmp_path):
     assert len(rep["delta_norms"]) == 3
 
 
+def test_solve_halted_by_the_norm_cap_reports_an_infinite_error_bar(tmp_path):
+    # dy = 0.7 y^2 dx blows up along this walk; the fitted C is large enough
+    # that the Cauchy tail overflows
+    rng = np.random.default_rng(3)
+    x = np.concatenate([[0.0], np.cumsum(0.5 * rng.standard_normal(32))])
+    csv = tmp_path / "walk.csv"
+    write_csv(csv, np.linspace(0.0, 1.0, 33), x[:, None])
+    field = tmp_path / "square.json"
+    write_json(field, {"type": "poly", "in_dim": 1, "out_shape": [1, 1], "degree": 2,
+                       "coeffs": [[[0.0]], [[[0.0]]], [[[[0.7]]]]]})
+    res = run_cli(
+        "solve", csv, "--field", field, "--xi", 1, "--gamma", 4, "--p", 3,
+        "--report", tmp_path / "r.json",
+    )
+    assert res.returncode == 1, res.stderr
+    rep = json.loads((tmp_path / "r.json").read_text())
+    assert rep["converged"] is False
+    assert "norm cap" in rep["message"]
+    assert rep["form_error_bar"] == "inf"
+
+
 def test_strict_mode_exits_three_on_failed_certificate(tmp_path, monkeypatch):
     """Exit 3 needs a failing certificate, which no wellposed fixture
     produces; fake the solver result to pin the plumbing."""

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -33,6 +34,7 @@ from conftest import (
     assert_bitwise,
     cubic_field,
     cubic_path,
+    cubic_problem,
     exp_field,
     exp_problem,
     level_tensor,
@@ -187,6 +189,13 @@ def test_tail_bound_matches_direct_summation():
     )
     assert report.tail_bound() == pytest.approx(direct, rel=1e-10)
     assert math.isnan(fit_decay([1.0, 0.5], p).tail_bound())
+
+
+def test_tail_bound_is_infinite_when_a_term_overflows():
+    # a run halted by the norm cap fits C near 304; C**x overflows a float
+    report = fit_decay([1.0, 5.0, 1e2, 1e4, 1e5, 1e6, 1e7, 5e9], 3.0)
+    assert report.fitted_C > 300.0
+    assert report.tail_bound() == math.inf
 
 
 def test_report_rows_align():
@@ -439,6 +448,23 @@ def test_tower_seeds_are_bitwise_the_permuted_divided_field(make, monkeypatch):
         assert_bitwise(values, want.integral_values())
 
 
+def test_tower_peak_memory_grows_about_linearly():
+    """The tower holds one start's rows and forms, plus the rows its identity
+    checks read, so doubling N from 32 to 64 at most 2.5x its peak; tables
+    over all pairs would about quadruple it."""
+    peaks = []
+    for n_steps in (32, 64):
+        problem = cubic_problem(n_steps)
+        problem.omega
+        tracemalloc.start()
+        try:
+            difference_tower(problem, 2, 4)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2.5 * peaks[0]
+
+
 @pytest.mark.parametrize("level", [1, 2, 3])
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -532,10 +558,11 @@ def test_driver_distance_is_bitwise_the_whole_gather(monkeypatch):
 
 
 def test_every_all_pairs_walk_reads_the_pair_runs(monkeypatch):
-    """The level scan, the controlled residuals, the driver gauge and the
-    tower's fitted M take their pairs from `SampledRoughPath.pair_runs`, so
-    runs of 97 pairs there split each of their walks over the 300 pairs of
-    the tower fixture into four runs."""
+    """The level scan, the controlled residuals and the driver gauge take
+    their pairs from `SampledRoughPath.pair_runs`, so runs of 97 pairs there
+    split each of their walks over the 300 pairs of the tower fixture into
+    four runs.  The tower walks starts, not pair runs; its iterates' norms
+    are level scans."""
     reader = SampledRoughPath.pair_runs
     walkers = Counter()
 
@@ -559,7 +586,7 @@ def test_every_all_pairs_walk_reads_the_pair_runs(monkeypatch):
         driver_distance(g, g.dilate(1.5))
         difference_tower(problem, 0, 1)
         counts.append(dict(walkers))
-    names = {"_level_quotients", "integrate_controlled", "driver_distance", "difference_tower"}
+    names = {"_level_quotients", "integrate_controlled", "driver_distance"}
     assert set(counts[0]) == set(counts[1]) == names
     for name in names:
         assert counts[1][name] == 4 * counts[0][name] > 0
