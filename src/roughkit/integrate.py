@@ -12,10 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .funcs import LipFunction, SmoothMap, strict_floor
-from .oneform import (
-    _DOMINATION_TOL, OneFormPath, _pair_quotient, integral_form_from_controlled
-)
+from .funcs import LipFunction
+from .oneform import OneFormPath, _pair_quotient, integral_form_from_controlled
 from .path import Control, SampledPath, signature, p_variation
 from .tensor import DimensionMismatchError, compositions, split_matrix
 
@@ -122,7 +120,7 @@ def rough_integral(
     certified = None
     norm = None
     if gamma is not None and omega is not None:
-        norm = float(beta.operator_norm(gamma, omega))
+        norm = beta.operator_norm(gamma, omega)
         certified = bool(np.isfinite(norm) and gamma > base.p)
     return IntegralResult(
         base.times, values, disc, certified=certified, operator_norm=norm, gamma=gamma
@@ -130,49 +128,39 @@ def rough_integral(
 
 
 def taylor_oneform(
-    f: LipFunction | SmoothMap,
-    rho_positions: np.ndarray,
-    rho_form: OneFormPath,
-    gamma: float | None = None,
+    f: LipFunction, rho_positions: np.ndarray, rho_form: OneFormPath
 ) -> OneFormPath:
     """One-form of the composite path t -> f(rho_t), flattened output.
 
     Level k collects every derivative order l and every composition
     (k_1, .., k_l) of k: (1/l!) D^l f(rho_t) applied to the chosen levels of
     rho's form, pre-composed with the matching coordinate split of the
-    argument.  Derivative orders stop at the regularity budget.
+    argument.  Derivative orders stop at f's regularity budget,
+    strict_floor(f.gamma).
     """
-    levels = _taylor_levels(f, rho_positions, rho_form, rho_form.base.level, gamma)
+    levels = _taylor_levels(f, rho_positions, rho_form, rho_form.base.level)
     return OneFormPath(rho_form.base, levels[0].shape[1], levels)
 
 
 def _taylor_levels(
-    f: LipFunction | SmoothMap, rho_positions: np.ndarray, rho_form: OneFormPath, top: int,
-    gamma: float | None = None,
+    f: LipFunction, rho_positions: np.ndarray, rho_form: OneFormPath, top: int
 ) -> tuple[np.ndarray, ...]:
     """Levels 1..top of `taylor_oneform`, each (N+1, w, d**k); a level does
     not depend on the levels above it, so stopping early changes no bits."""
-    if isinstance(f, LipFunction):
-        gamma = f.gamma if gamma is None else gamma
-        fmap = f.map
-    else:
-        fmap = f
-    if gamma is None:
-        raise ValueError("gamma required for a bare map")
     base = rho_form.base
     n, d = base.times.size, base.dim
     m = rho_form.out_dim
-    if fmap.in_dim != m:
+    if f.in_dim != m:
         raise DimensionMismatchError(
-            f"map expects dim {fmap.in_dim}, controlled path has {m}"
+            f"map expects dim {f.in_dim}, controlled path has {m}"
         )
     rho_positions = np.asarray(rho_positions, dtype=float)
     if rho_positions.shape != (n, m):
         raise DimensionMismatchError("rho positions must have shape (N+1, m)")
-    w = fmap.out_size
-    n_deriv = strict_floor(gamma)
+    w = f.map.out_size
+    n_deriv = f.smoothness
     derivs = {
-        l: fmap.derivative(rho_positions, l).reshape((n, w) + (m,) * l)
+        l: f.derivative(rho_positions, l).reshape((n, w) + (m,) * l)
         for l in range(1, min(n_deriv, top) + 1)
     }
     levels = []
@@ -227,14 +215,14 @@ def integrate_controlled(
     beta: OneFormPath,
     gamma: float,
     omega: Control,
-    M: float | None = None,
 ) -> tuple[OneFormPath, IntegralResult, dict]:
     """Integrate an operator path phi controlled by beta; returns the
     integral's one-form, the integral, and measured controlled-path bounds.
 
     The diagnostic dict reports the sup quotient of
-    ||phi_t - phi_s - beta_s(g_s, g_{s,t})|| / (||beta||_gamma omega^(gamma/p))
-    so callers can verify the premise rather than assume it.
+    ||phi_t - phi_s - beta_s(g_s, g_{s,t})|| / omega^(gamma/p) and, as
+    measured_M, that quotient over ||beta||_gamma, so callers can verify the
+    premise against their own bound rather than assume it.
     """
     base = beta.base
     # the integral's form checks that phi has shape (N+1, w, d); its level 1 is phi
@@ -244,6 +232,7 @@ def integrate_controlled(
         raise DimensionMismatchError("beta must control the flattened integrand")
     flat = eta.levels[0].reshape(n, w * d)
 
+    beta_norm = beta.operator_norm(gamma, omega)
     # folded run by run: max keeps the earlier of equal values, so this is
     # the maximum over all pairs at once
     worst = 0.0
@@ -251,14 +240,11 @@ def integrate_controlled(
         pred = beta.pair_values(s, incs)
         resid = np.linalg.norm(np.take(flat, t, axis=0) - np.take(flat, s, axis=0) - pred, axis=1)
         worst = max(worst, _pair_quotient(resid, omega.at(s, t), gamma / base.p)[0])
-    beta_norm = float(beta.operator_norm(gamma, omega))
     measured_M = worst / beta_norm if beta_norm > 0.0 else 0.0
     result = rough_integral(eta, gamma=gamma + 1.0, omega=omega)
     diagnostics = {
         "beta_norm": beta_norm,
         "controlled_quotient": worst,
         "measured_M": measured_M,
-        "M_bound": M,
-        "ok": M is None or measured_M <= M * (1.0 + _DOMINATION_TOL),
     }
     return eta, result, diagnostics

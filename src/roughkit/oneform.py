@@ -70,30 +70,26 @@ _BOUND_REL = 1e-12
 _BOUND_ABS = 1e-150
 
 
-# (max, argmax, lower bound, pairs seen) before the first run: pair 0 attains a zero maximum
-_SCAN_START = (0.0, 0, 0.0, 0)
-
-
 def _spectral_pair_quotient(
-    state: tuple, diff: np.ndarray, w: np.ndarray, expo: float,
-    noise_floor: float = 0.0, dead_tol: float = 1e-12,
-) -> tuple[float, int, float, int]:
-    """One run's update of the worst sigma_max(diff[i]) / w[i]**expo, numerators floored.
+    diff: np.ndarray, w: np.ndarray, expo: float, best: float,
+    noise_floor: float, dead_tol: float,
+) -> tuple[float, int, float]:
+    """One run's worst sigma_max(diff[i]) / w[i]**expo, numerators floored.
 
-    `state` is `_SCAN_START` or the state returned for the previous run, in
-    pair order.  Folded over the runs, its (max, argmax) is bitwise that of
-    `_pair_quotient` on the spectral norms of every pair, floored at
-    noise_floor.  Single-row forms take row norms on every pair.  Otherwise
-    the eigensolver runs only on the pairs that can reach the best quotient
-    known so far: ||M||_F / sqrt(r) <= sigma_max(M) <= ||M||_F with
-    r = min(out_dim, d**k), so a pair whose upper quotient falls below some
-    pair's lower quotient, or below a quotient already evaluated, cannot be
-    the maximum.  A later run replaces only a strictly larger maximum, so
-    ties go to the first pair.
+    Returns the run's quotient, its index within the run and `best`, a
+    lower bound on the maximum over the runs so far (0.0 before the first),
+    raised by this run.  Keeping a run's quotient only when it is strictly
+    larger than the maximum so far gives, over the runs in pair order,
+    bitwise the (max, argmax) of `_pair_quotient` on the spectral norms of
+    every pair floored at noise_floor, ties to the first pair.  Single-row
+    forms take row norms on every pair.  Otherwise the eigensolver runs
+    only on the pairs that can reach `best`: ||M||_F / sqrt(r) <=
+    sigma_max(M) <= ||M||_F with r = min(out_dim, d**k), so a pair whose
+    upper quotient falls below some pair's lower quotient, or below a
+    quotient already evaluated, cannot be the maximum.  A run left with no
+    pair returns the quotient 0.0, which raises no maximum.
     """
-    q_max, j_max, best, offset = state
-    size = w.size
-    idx = np.arange(size)
+    idx = np.arange(w.size)
     if diff.shape[1] > 1:
         fro = np.sqrt(np.einsum("poj,poj->p", diff, diff))
         lo = (fro * (1.0 - _BOUND_REL) - _BOUND_ABS) / np.sqrt(min(diff.shape[1:]))
@@ -106,17 +102,17 @@ def _spectral_pair_quotient(
         best = max(best, np.max(lo[sure] / denom[sure], initial=0.0))
         upper = np.where(live, hi / safe, np.where(hi > dead_tol, np.inf, 0.0))
         idx = np.flatnonzero((upper >= best) & (hi > noise_floor))
-        diff, w = diff[idx], w[idx]
-    if idx.size:
-        norms = batched_spectral_norms(diff)
-        if noise_floor > 0.0:
-            norms = np.where(norms <= noise_floor, 0.0, norms)
-        q, j = _pair_quotient(norms, w, expo, dead_tol=dead_tol)
-        if q > q_max:
-            q_max, j_max = q, offset + int(idx[j])
-        # an evaluated quotient is attained, so it bounds the maximum from below
-        best = max(best, q)
-    return q_max, j_max, best, offset + size
+        # copying every pair's matrix would double the scan's peak memory
+        if idx.size < w.size:
+            diff, w = diff[idx], w[idx]
+    if not idx.size:
+        return 0.0, 0, best
+    norms = batched_spectral_norms(diff)
+    if noise_floor > 0.0:
+        norms = np.where(norms <= noise_floor, 0.0, norms)
+    q, j = _pair_quotient(norms, w, expo, dead_tol=dead_tol)
+    # an evaluated quotient is attained, so it bounds the maximum from below
+    return q, int(idx[j]), max(best, q)
 
 
 def _pairing(coeffs: Iterable[np.ndarray], blocks: Iterable[np.ndarray]) -> np.ndarray:
@@ -314,44 +310,34 @@ class OneFormPath:
 
         Scans the `base.pair_runs` runs, levels inside runs, so the
         difference matrices of all pairs never exist at once and each run's
-        pair ends, increments and control weights are read once.  A level's
-        worst pair is read from the run where its maximum was last raised.
+        pair ends, increments and control weights are read once.  Each level
+        keeps (max, pair, lower bound); pair (0, 1) attains a zero maximum.
         """
-        states = [_SCAN_START] * len(expos)
-        worst = [(0, 1)] * len(expos)
+        if not np.array_equal(omega.times, self.base.times):
+            raise DimensionMismatchError("the control lives on another time grid than the path")
+        scans = [(0.0, (0, 1), 0.0)] * len(expos)
         for pairs, s, t, incs in self.base.pair_runs():
             w = omega.at(s, t)
             for i, expo in enumerate(expos):
-                states[i] = _spectral_pair_quotient(
-                    states[i], self.difference_matrices(i + 1, (pairs, s, t, incs)), w, expo,
-                    noise_floor, dead_tol=max(1e-12, noise_floor),
+                q_max, pair, best = scans[i]
+                q, j, best = _spectral_pair_quotient(
+                    self.difference_matrices(i + 1, (pairs, s, t, incs)), w, expo, best,
+                    noise_floor, max(1e-12, noise_floor),
                 )
-                j = states[i][1] - pairs.start
-                if j >= 0:
-                    worst[i] = (int(s[j]), int(t[j]))
-        return [q for q, _, _, _ in states], worst
+                if q > q_max:
+                    q_max, pair = q, (int(s[j]), int(t[j]))
+                scans[i] = (q_max, pair, best)
+        return [q for q, _, _ in scans], [pair for _, pair, _ in scans]
 
-    def operator_norm(
-        self, gamma: float, omega: Control, details: bool = False
-    ):
+    def operator_norm(self, gamma: float, omega: Control) -> float:
         """Control-weighted norm: sup part plus the worst difference quotient.
 
         Levels k = 1..min([p], strict_floor(gamma)) participate in the
         difference part; pairs where the control vanishes but the difference
         does not contribute +inf.
         """
-        sups, quots, pairs = self.norm_components(gamma, omega)
-        diff_part = max(quots) if quots else 0.0
-        total = max(sups) + diff_part
-        if not details:
-            return total
-        return total, {
-            "sup": max(sups),
-            "difference": diff_part,
-            "per_level_sup": sups,
-            "per_level": dict(enumerate(quots, start=1)),
-            "worst_pairs": dict(enumerate(pairs, start=1)),
-        }
+        sups, quots, _ = self.norm_components(gamma, omega)
+        return max(sups) + max(quots)
 
 
 # Relative slack of every checked bound against its measured value.
@@ -360,33 +346,33 @@ _DOMINATION_TOL = 1e-9
 
 @dataclass(frozen=True)
 class DominationCertificate:
-    """Checked bounds: sup norm against M, difference quotients against
-    omega^(theta - k/p), one quotient per level."""
+    """beta is dominated by (M, omega, theta): M is beta's measured sup norm,
+    and level k's difference quotient against omega^(theta - k/p) is at
+    most one.  ok says M is finite and every quotient is within tolerance."""
 
     M: float
     theta: float
     control: Control
-    sup_norm: float
     level_quotients: tuple[float, ...]
     worst_level: int
     worst_pair: tuple[int, int]
 
     @property
     def ok(self) -> bool:
-        tol = _DOMINATION_TOL
-        if not np.isfinite(self.sup_norm) or self.sup_norm > self.M * (1.0 + tol) + tol:
+        if not np.isfinite(self.M):
             return False
-        return all(q <= 1.0 + tol for q in self.level_quotients)
+        return all(q <= 1.0 + _DOMINATION_TOL for q in self.level_quotients)
 
 
 def check_domination(
     beta: OneFormPath,
     theta: float,
     omega: Control,
-    M: float | None = None,
     auto_scale: bool = False,
 ) -> DominationCertificate:
-    """Verify the domination bounds of beta over its base, levelwise.
+    """Measure the domination bounds of beta over its base, levelwise: M is
+    beta's sup norm, and level k's quotient is the worst difference quotient
+    against omega^(theta - k/p), at the pair `worst_pair` for the worst level.
 
     With auto_scale the control is multiplied by the smallest constant making
     every difference quotient at most one (possible whenever no quotient is
@@ -395,10 +381,8 @@ def check_domination(
     if theta <= 1.0:
         raise ValueError("theta must exceed 1")
     p = beta.base.p
+    # every exponent is positive: k <= [p] <= p and theta > 1
     expos = [theta - k / p for k in range(1, beta.base.level + 1)]
-    for k, expo in enumerate(expos, start=1):
-        if expo <= 0.0:
-            raise ValueError(f"theta too small for level {k}")
     sups, pairs = beta._level_quotients(omega, expos)
     if auto_scale and all(np.isfinite(q) for q in sups):
         lam = 1.0
@@ -410,16 +394,14 @@ def check_domination(
             sups = [
                 q / lam ** (theta - k / p) for k, q in enumerate(sups, start=1)
             ]
-    worst = int(np.argmax(sups)) if sups else 0
-    M_val = beta.sup_norm if M is None else float(M)
+    worst = int(np.argmax(sups))
     return DominationCertificate(
-        M=M_val,
+        M=beta.sup_norm,
         theta=theta,
         control=omega,
-        sup_norm=beta.sup_norm,
         level_quotients=tuple(sups),
         worst_level=worst + 1,
-        worst_pair=pairs[worst] if pairs else (0, 0),
+        worst_pair=pairs[worst],
     )
 
 
@@ -481,6 +463,8 @@ class ClosedLift:
         """Materialize the lift as a one-form path over g."""
         if g.dim != self.dim:
             raise DimensionMismatchError("driver dimension mismatch")
+        if g.level != self.level:
+            raise DimensionMismatchError(f"level-{self.level} lift along a level-{g.level} driver")
         X = self.base_point[None, :] + g.levels[1]
         return OneFormPath(g, self.out_dim, self._coefficients(X, g.level))
 

@@ -522,19 +522,20 @@ def read_path_csv(filename: str) -> SampledPath:
 
 
 def write_path_csv(filename: str, path: SampledPath) -> None:
-    with open(filename, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"x{i+1}" for i in range(path.dim)])
-        for t, row in zip(path.times, path.values):
-            writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
+    _write_table(filename, "x", path.times, path.values)
 
 
 def write_solution_csv(filename: str, times: np.ndarray, values: np.ndarray) -> None:
+    _write_table(filename, "y", times, values)
+
+
+def _write_table(filename: str, letter: str, times: np.ndarray, values: np.ndarray) -> None:
+    """CSV with header t,<letter>1,..; floats in repr form; 1-D values are one column."""
     values = np.asarray(values)
     if values.ndim == 1:
         values = values[:, None]
     with open(filename, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"y{i+1}" for i in range(values.shape[1])])
+        writer.writerow(["t"] + [f"{letter}{i+1}" for i in range(values.shape[1])])
         for t, row in zip(times, values):
             writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])

@@ -38,7 +38,7 @@ from .path import (
     _best_partition_sum,
     control_from_pvar,
 )
-from .tensor import split_matrix
+from .tensor import DimensionMismatchError, split_matrix
 
 __all__ = [
     "RdeProblem",
@@ -92,6 +92,8 @@ class RdeProblem:
                 f"field domain dimension {self.field.map.in_dim} does not "
                 f"match initial condition of size {xi.size}"
             )
+        if self.control is not None and not np.array_equal(self.control.times, self.driver.times):
+            raise DimensionMismatchError("the control lives on another time grid than the driver")
         p = self.driver.p
         gamma = self.field.gamma
         if gamma <= p - 1.0:
@@ -144,11 +146,8 @@ class PicardState:
         """
         if self.sup_parts is None:
             return self.delta
-        sup = max(
-            s * c ** -(k + 1) for k, s in enumerate(self.sup_parts)
-        )
-        quot = max(self.quot_parts) * c**-gamma if self.quot_parts else 0.0
-        return sup + quot
+        sup = max(s * c ** -(k + 1) for k, s in enumerate(self.sup_parts))
+        return sup + max(self.quot_parts) * c**-gamma
 
 
 def initial_state(problem: RdeProblem) -> PicardState:
@@ -181,7 +180,7 @@ def picard_step(state: PicardState, problem: RdeProblem) -> PicardState:
     sups, quots, _ = diff.norm_components(
         problem.gamma, problem.omega, noise_floor=floor
     )
-    delta = max(sups) + (max(quots) if quots else 0.0)
+    delta = max(sups) + max(quots)
     return PicardState(
         n=state.n + 1,
         positions=positions,
@@ -330,24 +329,21 @@ def solve(
     for _ in range(problem.n_max):
         state = picard_step(state, problem)
         states.append(state)
-        recorded = [s.delta_at_scale(c, gamma) for s in states[1:]]
-        current = recorded[-1]
+        current = state.delta_at_scale(c, gamma)
         if not math.isfinite(current):
-            converged = False
             message = (
                 "iteration diverged: form distance is not finite; the "
                 "driver may fail the domination hypothesis"
             )
             break
         if current > problem.norm_cap:
-            converged = False
             message = (
                 f"iteration exceeded the norm cap {problem.norm_cap:g}; "
                 "consider rescaling the problem (rescale_problem) or "
                 "refining the control"
             )
             break
-        if len(recorded) >= 2 and current > recorded[-2]:
+        if len(states) > 2 and current > states[-2].delta_at_scale(c, gamma):
             rises += 1
         else:
             rises = 0
@@ -641,7 +637,7 @@ def difference_tower(
     for key, q in keys.items():
         fitted_M = max(fitted_M, (worst[key] * 3.0 * p * math.gamma(q + 1.0)) ** (1.0 / q))
 
-    beta_norms = {k: float(f.operator_norm(problem.gamma, omega)) for k, f in first_forms.items()}
+    beta_norms = {k: f.operator_norm(problem.gamma, omega) for k, f in first_forms.items()}
     cs = []
     for (l, n), nb in beta_norms.items():
         x = n - int(p) - l

@@ -395,7 +395,7 @@ def test_strict_mode_exits_three_on_failed_certificate(tmp_path, monkeypatch):
     )
     real = solve(prob)
     assert real.converged
-    bad_cert = dataclasses.replace(real.certificate, sup_norm=math.inf)
+    bad_cert = dataclasses.replace(real.certificate, M=math.inf)
     assert not bad_cert.ok
     fake = dataclasses.replace(real, certificate=bad_cert)
     monkeypatch.setattr(cli, "solve", lambda problem, auto_rescale=True: fake)

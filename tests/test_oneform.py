@@ -11,7 +11,6 @@ from roughkit.integrate import compose_integrand
 from roughkit.oneform import (
     ClosedLift,
     OneFormPath,
-    _SCAN_START,
     _pair_quotient,
     _spectral_pair_quotient,
     check_domination,
@@ -136,9 +135,10 @@ def test_constant_form_norm_is_pure_sup():
     A = np.array([[1.0, 2.0], [3.0, -1.0]])
     beta = OneFormPath.constant_linear(g, A)
     omega = control_from_pvar(g)
-    total, parts = beta.operator_norm(2.5, omega, details=True)
-    assert parts["difference"] <= 1e-14
-    assert total == pytest.approx(np.linalg.svd(A, compute_uv=False)[0], rel=1e-12)
+    _, quots, _ = beta.norm_components(2.5, omega)
+    assert max(quots) <= 1e-14
+    sigma = np.linalg.svd(A, compute_uv=False)[0]
+    assert beta.operator_norm(2.5, omega) == pytest.approx(sigma, rel=1e-12)
 
 
 def test_operator_norm_homogeneity():
@@ -198,6 +198,21 @@ def test_vanishing_control_with_moving_form_reports_infinity():
     beta = random_form(g, 1, np.random.default_rng(59))
     dead = control_from_pvar(g).scaled(0.0)
     assert beta.operator_norm(2.5, dead) == np.inf
+
+
+def test_norm_scans_refuse_a_control_from_another_grid():
+    """norm_components, operator_norm and check_domination share the scan
+    that indexes the control table by the path's pairs."""
+    problem = cubic_problem(40)
+    beta = OneFormPath.constant_linear(problem.driver, np.eye(2))
+    shifted = Control(problem.driver.times + 1.0, problem.omega.table)
+    for omega in (cubic_problem(80).omega, shifted):
+        with pytest.raises(DimensionMismatchError, match="another time grid"):
+            beta.norm_components(2.5, omega)
+        with pytest.raises(DimensionMismatchError, match="another time grid"):
+            beta.operator_norm(2.5, omega)
+        with pytest.raises(DimensionMismatchError, match="another time grid"):
+            check_domination(beta, 1.25, omega)
 
 
 # -- closed lift of polynomial forms ---------------------------------------------
@@ -301,6 +316,25 @@ def test_lift_kills_loops():
     loop = path.concatenated(reversed_path(path))
     total = lift.along(signature(loop, 3))[-1]
     assert np.max(np.abs(total)) <= 1e-10
+
+
+def test_lift_refuses_a_driver_of_another_level():
+    """A level-3 lift of a quadratic form along a level-2 lift would drop
+    the level-3 term its exactness needs."""
+    rng = np.random.default_rng(66)
+    quad = PolyMap(
+        2,
+        (1, 2),
+        (np.array([[0.3, -0.2]]), rng.standard_normal((1, 2, 2)), rng.standard_normal((1, 2, 2, 2))),
+    )
+    lift = lift_polynomial_form(quad, level=3)
+    steps = 0.1 * rng.standard_normal((51, 2))
+    walk = SampledPath(np.linspace(0.0, 1.0, 51), np.cumsum(steps, axis=0))
+    assert lift.along(signature(walk, 3)).shape == (51, 1)
+    with pytest.raises(DimensionMismatchError, match="level-3 lift along a level-2 driver"):
+        lift.as_oneform(signature(walk, 2))
+    with pytest.raises(DimensionMismatchError, match="level-3 lift along a level-4 driver"):
+        lift.along(signature(walk, 4))
 
 
 def test_lift_rejects_degree_above_level():
@@ -428,13 +462,15 @@ def test_pair_quotient_edge_rules(num, w, dead_tol, expected):
 
 
 def scan_in_chunks(diff, w, size, expo, noise_floor, dead_tol):
-    """(max, argmax) of the per-run update folded over runs of `size` pairs."""
-    state = _SCAN_START
+    """(max, argmax) of the per-run scans folded over runs of `size` pairs."""
+    q_max, j_max, best = 0.0, 0, 0.0
     for a in range(0, len(w), size):
         run = slice(a, a + size)
-        state = _spectral_pair_quotient(state, diff[run], w[run], expo, noise_floor, dead_tol)
-    assert state[3] == len(w)
-    return state[:2]
+        q, j, best = _spectral_pair_quotient(diff[run], w[run], expo, best, noise_floor, dead_tol)
+        assert 0 <= j < len(w[run])
+        if q > q_max:
+            q_max, j_max = q, a + j
+    return q_max, j_max
 
 
 def assert_matches_full_scan(diff, w, expo, noise_floor=0.0, dead_tol=1e-12):
@@ -722,8 +758,8 @@ def test_picard_solve_bitwise_with_einsum_difference_matrices(monkeypatch):
         for x, y in zip(a.form.levels, b.form.levels):
             assert_bitwise(x, y)
     for a, b in zip(our_certs + [ours.certificate], ref_certs + [ref.certificate]):
-        assert (a.M, a.theta, a.sup_norm, a.level_quotients, a.ok) == (
-            b.M, b.theta, b.sup_norm, b.level_quotients, b.ok
+        assert (a.M, a.theta, a.level_quotients, a.ok) == (
+            b.M, b.theta, b.level_quotients, b.ok
         )
         assert (a.worst_level, a.worst_pair) == (b.worst_level, b.worst_pair)
         assert_bitwise(a.control.table, b.control.table)

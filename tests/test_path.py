@@ -351,6 +351,20 @@ def test_solution_csv_header(tmp_path):
     assert len(lines) == 3
 
 
+def test_solution_csv_round_trips_a_one_dimensional_state(tmp_path):
+    """A 1-D values array is written as the one column y1, every float
+    in repr form, so reading it back gives the same bits."""
+    fname = tmp_path / "sol.csv"
+    times = np.linspace(0.0, 1.0, 5)
+    values = np.random.default_rng(23).standard_normal(5) * 10.0 ** np.arange(-8.0, 12.0, 4.0)
+    write_solution_csv(str(fname), times, values)
+    lines = fname.read_text().splitlines()
+    assert lines[0] == "t,y1"
+    back = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    assert_bitwise(back[:, 0], times)
+    assert_bitwise(back[:, 1], values)
+
+
 def test_non_increasing_times_rejected():
     with pytest.raises(ValueError):
         SampledPath(np.array([0.0, 1.0, 1.0]), np.zeros((3, 1)))

@@ -9,7 +9,7 @@ import pytest
 import roughkit.path
 from roughkit.funcs import LipFunction, PolyMap
 from roughkit.integrate import RegularityError, integrate_controlled, rough_integral
-from roughkit.path import SampledPath, SampledRoughPath, signature
+from roughkit.path import Control, SampledPath, SampledRoughPath, signature
 from roughkit import rde
 from roughkit.oneform import OneFormPath, integral_form_from_controlled
 from roughkit.rde import (
@@ -24,7 +24,7 @@ from roughkit.rde import (
     solve,
     uniqueness_probe,
 )
-from roughkit.tensor import tensor_exp
+from roughkit.tensor import DimensionMismatchError, tensor_exp
 
 from conftest import (
     AREA_A1,
@@ -137,6 +137,20 @@ def test_iterates_rebuilt_from_their_forms(exp_solutions):
     for state in sol.history[1:]:
         rebuilt = sol.problem.xi[None, :] + rough_integral(state.form).values
         assert np.max(np.abs(rebuilt - state.positions)) <= 1e-12
+
+
+def test_problem_refuses_a_control_from_another_grid():
+    """An 81-point control table would be read at the wrong flat offsets
+    by a 41-point driver's pairs."""
+    coarse = cubic_problem(40)
+    fine = cubic_problem(80).omega
+    with pytest.raises(DimensionMismatchError, match="another time grid"):
+        RdeProblem(coarse.driver, cubic_field(), xi=coarse.xi, control=fine)
+    shifted = Control(coarse.driver.times + 1.0, coarse.omega.table)
+    with pytest.raises(DimensionMismatchError, match="another time grid"):
+        RdeProblem(coarse.driver, cubic_field(), xi=coarse.xi, control=shifted)
+    # the driver's own control, scaled, is accepted
+    RdeProblem(coarse.driver, cubic_field(), xi=coarse.xi, control=coarse.omega.scaled(2.0))
 
 
 def test_problem_validates_dimensions():
