@@ -14,7 +14,7 @@ import numpy as np
 
 from .funcs import LipFunction
 from .oneform import OneFormPath, _pair_quotient, integral_form_from_controlled
-from .path import Control, SampledPath, signature, p_variation
+from .path import Control, SampledPath, _coarse_pairs, signature, p_variation
 from .tensor import DimensionMismatchError, compositions, split_matrix
 
 __all__ = [
@@ -84,12 +84,6 @@ def young_integral(
     return IntegralResult(sigma.times, values, _discrepancy(values, coarse))
 
 
-def _coarse_pairs(num_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Start and end indices of the half-grid steps; on an odd grid the last is short."""
-    idx = np.append(np.arange(0, num_steps, 2), num_steps)
-    return idx[:-1], idx[1:]
-
-
 def _discrepancy(values: np.ndarray, coarse_steps: np.ndarray) -> float:
     """Distance from the fine total to the coarse steps summed left to right."""
     return float(np.linalg.norm(values[-1] - np.cumsum(coarse_steps, axis=0)[-1]))
@@ -114,8 +108,8 @@ def rough_integral(
             "the compensated sums have no meaning there"
         )
     values = beta.integral_values()
-    a, b = _coarse_pairs(base.num_steps)
-    disc = _discrepancy(values, beta.pair_values(a, base.increment_levels(a, b)[1:]))
+    starts, _ = _coarse_pairs(base.num_steps)
+    disc = _discrepancy(values, beta.pair_values(starts, base.half_step_level_blocks))
 
     certified = None
     norm = None

@@ -32,17 +32,27 @@ __all__ = [
 ]
 
 
-def batched_spectral_norms(mats: np.ndarray) -> np.ndarray:
+def batched_spectral_norms(mats: np.ndarray, pool: np.ndarray | None = None) -> np.ndarray:
     """Largest singular value over the last two axes, batched.
 
     The leading Gram trick keeps the eigenproblem at out_dim x out_dim, which
-    is tiny for every form this package builds.
+    is tiny for every form this package builds.  `pool`, flat float scratch
+    if given, takes the squares of single rows or the Gram matrices; the
+    bits do not depend on it.
     """
-    if mats.shape[-2] == 1:
-        return np.linalg.norm(mats[..., 0, :], axis=-1)
-    gram = mats @ np.swapaxes(mats, -1, -2)
-    vals = np.linalg.eigvalsh(gram)
-    return np.sqrt(np.maximum(vals[..., -1], 0.0))
+    rows, cols = mats.shape[-2:]
+    if rows == 1:
+        # the squares and sum np.linalg.norm takes for a real row
+        row = mats[..., 0, :]
+        out = None if pool is None else pool[: row.size].reshape(row.shape)
+        norms = np.add.reduce(np.multiply(row, row, out=out), axis=-1)
+    else:
+        out = None
+        if pool is not None:
+            out = pool[: mats.size // cols * rows].reshape(mats.shape[:-1] + (rows,))
+        gram = np.matmul(mats, np.swapaxes(mats, -1, -2), out=out)
+        norms = np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0)
+    return np.sqrt(norms, out=norms)
 
 
 def _pair_quotient(
@@ -72,7 +82,7 @@ _BOUND_ABS = 1e-150
 
 def _spectral_pair_quotient(
     diff: np.ndarray, w: np.ndarray, expo: float, best: float,
-    noise_floor: float, dead_tol: float,
+    noise_floor: float, dead_tol: float, pool: np.ndarray,
 ) -> tuple[float, int, float]:
     """One run's worst sigma_max(diff[i]) / w[i]**expo, numerators floored.
 
@@ -86,33 +96,49 @@ def _spectral_pair_quotient(
     only on the pairs that can reach `best`: ||M||_F / sqrt(r) <=
     sigma_max(M) <= ||M||_F with r = min(out_dim, d**k), so a pair whose
     upper quotient falls below some pair's lower quotient, or below a
-    quotient already evaluated, cannot be the maximum.  A run left with no
-    pair returns the quotient 0.0, which raises no maximum.
+    quotient already evaluated, cannot be the maximum.  Any exact quotient
+    of any pair is such a bound, so a caller may seed `best` with one;
+    `upper >= best` keeps ties and +inf.  A run left with no pair returns
+    the quotient 0.0, which raises no maximum.
+
+    The bounds, the survivors and their Gram matrices (a single row's
+    squares) go to `pool`, flat float scratch beside diff, of diff[0].size
+    entries per pair plus out_dim**2 where that is larger; diff is spent
+    once the survivors are copied, and takes the Gram matrices if they fit.
     """
-    idx = np.arange(w.size)
+    idx = None
     if diff.shape[1] > 1:
-        fro = np.sqrt(np.einsum("poj,poj->p", diff, diff))
-        lo = (fro * (1.0 - _BOUND_REL) - _BOUND_ABS) / np.sqrt(min(diff.shape[1:]))
-        hi = fro * (1.0 + _BOUND_REL) + _BOUND_ABS
+        n = w.size
+        hi, lo, upper = (pool[i * n : (i + 1) * n] for i in range(3))
+        np.sqrt(np.einsum("poj,poj->p", diff, diff, out=hi), out=hi)
+        np.multiply(hi, 1.0 - _BOUND_REL, out=lo)
+        lo -= _BOUND_ABS
+        lo /= np.sqrt(min(diff.shape[1:]))
+        hi *= 1.0 + _BOUND_REL
+        hi += _BOUND_ABS
         denom = w**expo
         live = denom > 0.0
-        safe = np.where(live, denom, 1.0)
         # pairs with lo above the floor cannot be floored: a sound lower bound
         sure = live & (lo > noise_floor)
-        best = max(best, np.max(lo[sure] / denom[sure], initial=0.0))
-        upper = np.where(live, hi / safe, np.where(hi > dead_tol, np.inf, 0.0))
+        best = max(best, np.max(np.divide(lo, denom, out=lo, where=sure), where=sure, initial=0.0))
+        np.divide(hi, denom, out=upper, where=live)
+        upper[~live] = np.where(hi[~live] > dead_tol, np.inf, 0.0)
         idx = np.flatnonzero((upper >= best) & (hi > noise_floor))
-        # copying every pair's matrix would double the scan's peak memory
-        if idx.size < w.size:
-            diff, w = diff[idx], w[idx]
-    if not idx.size:
-        return 0.0, 0, best
-    norms = batched_spectral_norms(diff)
+        if not idx.size:
+            return 0.0, 0, best
+        if idx.size < n:
+            keep = pool[: idx.size * diff[0].size].reshape((idx.size,) + diff.shape[1:])
+            np.take(diff, idx, axis=0, out=keep, mode="clip")
+            # diff is spent: its slot takes the Gram matrices where they fit
+            spent = diff.reshape(-1)
+            pool = spent if idx.size * diff.shape[1] ** 2 <= spent.size else pool[keep.size :]
+            diff, w = keep, w[idx]
+    norms = batched_spectral_norms(diff, pool)
     if noise_floor > 0.0:
-        norms = np.where(norms <= noise_floor, 0.0, norms)
+        norms[norms <= noise_floor] = 0.0
     q, j = _pair_quotient(norms, w, expo, dead_tol=dead_tol)
     # an evaluated quotient is attained, so it bounds the maximum from below
-    return q, int(idx[j]), max(best, q)
+    return q, int(j if idx is None else idx[j]), max(best, q)
 
 
 def _pairing(coeffs: Iterable[np.ndarray], blocks: Iterable[np.ndarray]) -> np.ndarray:
@@ -258,7 +284,9 @@ class OneFormPath:
         """
         return max(self.level_sups)
 
-    def difference_matrices(self, k: int, run: tuple | None = None) -> np.ndarray:
+    def difference_matrices(
+        self, k: int, run: tuple | None = None, pool: np.ndarray | None = None
+    ) -> np.ndarray:
         """Level-k matrices of (beta_t - beta_s)(g_t, .) on the pairs s < t of
         one `base.pair_runs` run, all pairs as a single run by default.
 
@@ -266,18 +294,32 @@ class OneFormPath:
         sum_{m >= k} A_s^(m) (pi_{m-k}(g_{s,t}) x id), summed from zero over
         per-letter gathers in ascending letter order: bitwise the einsum
         "powj,pw->poj" when d**k >= 2 or one letter is summed, as always here.
+
+        The result and its temporaries live in `pool`, flat float scratch of
+        three result sizes below level L and two at level L; the result is
+        its leading view.  Without a pool one is allocated.
         """
         _, s_idx, t_idx, incs = run or self.base._pair_run(slice(None))
-        d = self.base.dim
+        d, top = self.base.dim, self.base.level
         block = self.levels[k - 1]
-        diff = np.take(block, t_idx, axis=0) - np.take(block, s_idx, axis=0)
-        for m in range(k + 1, self.base.level + 1):
+        shape = (s_idx.size,) + block.shape[1:]
+        size = s_idx.size * block[0].size
+        if pool is None:
+            pool = np.empty((3 if k < top else 2) * size)
+        diff, term = (pool[i * size : (i + 1) * size].reshape(shape) for i in range(2))
+        # mode="clip" writes straight into `out`; the indices are in range
+        np.take(block, t_idx, axis=0, out=diff, mode="clip")
+        diff -= np.take(block, s_idx, axis=0, out=term, mode="clip")
+        for m in range(k + 1, top + 1):
             A = self.levels[m - 1].reshape(-1, self.out_dim, d ** (m - k), d**k)
             inc = incs[m - k - 1]
-            acc = np.zeros(diff.shape)
+            acc = pool[2 * size : 3 * size].reshape(shape)
+            acc.fill(0.0)
             for w in range(d ** (m - k)):
-                acc += np.take(A[:, :, w, :], s_idx, axis=0) * inc[:, w, None, None]
-            diff = diff - acc
+                np.take(A[:, :, w, :], s_idx, axis=0, out=term, mode="clip")
+                term *= inc[:, w, None, None]
+                acc += term
+            diff -= acc
         return diff
 
     def norm_components(
@@ -312,21 +354,68 @@ class OneFormPath:
         difference matrices of all pairs never exist at once and each run's
         pair ends, increments and control weights are read once.  Each level
         keeps (max, pair, lower bound); pair (0, 1) attains a zero maximum.
+
+        One pool serves every run and level, so no run allocates its
+        difference matrices, their temporaries, the bounds, the survivors of
+        the bound step or their Gram matrices.  It holds half of the first
+        run, the longest, or of the N adjacent pairs if more, at the widest
+        level's need per pair; a level needing more than the pool reads each
+        run in two pieces.  Half a run keeps the scan's transient well below
+        a run of level-L difference matrices with their gathers, which is a
+        table over all pairs while one run holds every pair (N <= 90).
+
+        Where the bound step prunes (out_dim > 1), each level's lower bound
+        starts at the exact maximum over the adjacent pairs (s, s+1), read
+        as one run of the packed indices of the row starts.  An evaluated
+        quotient is attained, so the seed is a lower bound, and the runs
+        keep their own maxima and worst pairs: the results, worst pairs
+        included, are bitwise the unseeded scan's.
         """
-        if not np.array_equal(omega.times, self.base.times):
+        base = self.base
+        if not np.array_equal(omega.times, base.times):
             raise DimensionMismatchError("the control lives on another time grid than the path")
-        scans = [(0.0, (0, 1), 0.0)] * len(expos)
-        for pairs, s, t, incs in self.base.pair_runs():
+        dead_tol = max(1e-12, noise_floor)
+        # floats per pair that level k needs at once: the kernel's three
+        # result-sized slots (two at level L), or the result and the scratch
+        # `_spectral_pair_quotient` writes
+        gram, needs = self.out_dim**2, []
+        for k in range(1, len(expos) + 1):
+            c = self.out_dim * base.dim**k
+            needs.append(max((3 if k < base.level else 2) * c, 2 * c + (gram if gram > c else 0)))
+        runs = base.pair_runs()
+        first = next(runs)
+        pool = np.empty((max(first[1].size, base.num_steps) + 1) // 2 * max(needs))
+
+        def fold(run, scans):
+            """Each level's (max, pair, lower bound) after one more run, read
+            in the longest pieces whose needs fit the pool: two at most."""
+            pairs, s, t, incs = run
+            if isinstance(pairs, slice):
+                pairs = range(pairs.start, pairs.start + s.size)
             w = omega.at(s, t)
-            for i, expo in enumerate(expos):
-                q_max, pair, best = scans[i]
-                q, j, best = _spectral_pair_quotient(
-                    self.difference_matrices(i + 1, (pairs, s, t, incs)), w, expo, best,
-                    noise_floor, max(1e-12, noise_floor),
-                )
-                if q > q_max:
-                    q_max, pair = q, (int(s[j]), int(t[j]))
-                scans[i] = (q_max, pair, best)
+            out = []
+            for i, (q_max, pair, best) in enumerate(scans):
+                step = pool.size // needs[i]
+                for a in range(0, s.size, step):
+                    cut = slice(a, a + step)
+                    piece = (pairs[cut], s[cut], t[cut], tuple(x[cut] for x in incs))
+                    diff = self.difference_matrices(i + 1, piece, pool)
+                    q, j, best = _spectral_pair_quotient(
+                        diff, w[cut], expos[i], best, noise_floor, dead_tol, pool[diff.size :]
+                    )
+                    if q > q_max:
+                        q_max, pair = q, (int(s[a + j]), int(t[a + j]))
+                out.append((q_max, pair, best))
+            return out
+
+        scans = [(0.0, (0, 1), 0.0)] * len(expos)
+        if self.out_dim > 1:
+            seeded = fold(base._pair_run(base._row_starts[:-1]), scans)
+            scans = [(0.0, (0, 1), best) for _, _, best in seeded]
+        scans = fold(first, scans)
+        del first  # before the reader builds the next run
+        for run in runs:
+            scans = fold(run, scans)
         return [q for q, _, _ in scans], [pair for _, pair, _ in scans]
 
     def operator_norm(self, gamma: float, omega: Control) -> float:

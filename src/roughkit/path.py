@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import (
     DimensionMismatchError,
@@ -295,6 +294,15 @@ class SampledRoughPath:
         return blocks
 
     @cached_property
+    def half_step_level_blocks(self) -> tuple[np.ndarray, ...]:
+        """Per-level stacks of the half-grid increments g_{t_a, t_b}, (a, b) the
+        `_coarse_pairs` of the grid: blocks[k-1] is (ceil(N/2), d**k)."""
+        blocks = self.increment_levels(*_coarse_pairs(self.num_steps))[1:]
+        for b in blocks:
+            b.flags.writeable = False
+        return blocks
+
+    @cached_property
     def pairwise_levels(self) -> tuple[np.ndarray, ...]:
         """Level blocks 2..L-1 of g_{s,t} for every pair s < t, packed in pair order.
 
@@ -343,12 +351,14 @@ class SampledRoughPath:
         rows = np.arange(self.times.size)
         return rows * rows.size - rows * (rows + 1) // 2
 
-    def _pair_ends(self, pairs: slice) -> tuple[np.ndarray, np.ndarray]:
-        """(s, t) of a slice of the packed pairs: that slice of np.triu_indices(N+1, k=1)."""
+    def _pair_ends(self, pairs: slice | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(s, t) of a slice or an index array of the packed pairs: those
+        entries of np.triu_indices(N+1, k=1)."""
         starts = self._row_starts
-        a, b, _ = pairs.indices(int(starts[-1]))
-        s = np.repeat(np.arange(starts.size - 1), np.diff(np.clip(starts, a, b)))
-        return s, np.arange(a, b) - np.take(starts, s) + s + 1
+        if isinstance(pairs, slice):
+            pairs = np.arange(*pairs.indices(int(starts[-1])))
+        s = np.searchsorted(starts, pairs, side="right") - 1
+        return s, pairs - np.take(starts, s) + s + 1
 
     def pair_runs(self, top: bool = False):
         """The packed pairs s < t in runs of `_BUILD_PAIRS`, in np.triu_indices
@@ -358,10 +368,11 @@ class SampledRoughPath:
         for a in range(0, int(self._row_starts[-1]), _BUILD_PAIRS):
             yield self._pair_run(slice(a, a + _BUILD_PAIRS), top)
 
-    def _pair_run(self, pairs: slice, top: bool = False) -> tuple:
-        """One `pair_runs` run, levels bitwise the uncertified `increment_levels`
-        rows: level 1 is (0.0 + x_t) + (g_s^{-1})_1, the two additions
-        `stack_product` makes there, so signed zeros match too."""
+    def _pair_run(self, pairs: slice | np.ndarray, top: bool = False) -> tuple:
+        """One `pair_runs` run, or the run of the packed pairs an index array
+        names, levels bitwise the uncertified `increment_levels` rows: level 1
+        is (0.0 + x_t) + (g_s^{-1})_1, the two additions `stack_product` makes
+        there, so signed zeros match too."""
         s, t = self._pair_ends(pairs)
         levels = ()
         if self.level > 1:
@@ -377,6 +388,12 @@ class SampledRoughPath:
 # `pair_runs` yields, runs of _BUILD_PAIRS pairs, so the temporaries of every
 # all-pairs walk stay at a few MB whatever the grid size.
 _BUILD_PAIRS = 1 << 12
+
+
+def _coarse_pairs(num_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end indices of the half-grid steps; on an odd grid the last is short."""
+    idx = np.append(np.arange(0, num_steps, 2), num_steps)
+    return idx[:-1], idx[1:]
 
 
 def _physical_memory_bytes() -> int | None:
@@ -467,12 +484,15 @@ def control_from_pvar(g: SampledRoughPath) -> Control:
     flat = V.reshape(-1)
     # V[j, i] = V[i, j] below the diagonal: gap 1 now, each later gap as it is done
     flat[n1 :: n1 + 1] = flat[1 :: n1 + 1]
+    size = flat.itemsize
+    band = (n1 + 1) * size, size
     for gap in range(2, n1):
         rows = n1 - gap
         # Row i of each band holds off = 1..gap-1: V[i, i+off] and
-        # V[i+off, i+gap] = V[i+gap, i+off], both unit-stride windows.
-        left = sliding_window_view(flat[1:], gap - 1)[:: n1 + 1][:rows]
-        right = sliding_window_view(flat[gap * n1 + 1 :], gap - 1)[:: n1 + 1][:rows]
+        # V[i+off, i+gap] = V[i+gap, i+off], both unit-stride windows; the
+        # constructor refuses a window that leaves the table.
+        left = np.ndarray((rows, gap - 1), buffer=flat, offset=size, strides=band)
+        right = np.ndarray((rows, gap - 1), buffer=flat, offset=(gap * n1 + 1) * size, strides=band)
         diag = flat[gap :: n1 + 1][:rows]
         np.maximum(diag, (left + right).max(axis=1), out=diag)
         flat[gap * n1 :: n1 + 1][:rows] = diag

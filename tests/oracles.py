@@ -283,12 +283,13 @@ def full_scan_quotient(diff, w, expo, noise_floor=0.0, dead_tol=1e-12):
     return float(quot[j]), j
 
 
-def difference_matrices_einsum(form, k, run=None):
+def difference_matrices_einsum(form, k, run=None, pool=None):
     """Level-k pair difference matrices of a one-form path by one einsum per level.
 
-    Over the (s, t) pairs s < t in row-major order, all of them or the slice
-    of packed pairs that a `pair_runs` run names; the run's pair ends and
-    levels are not read.  Reads the form's arrays and
+    Over the (s, t) pairs s < t in row-major order, all of them or the
+    packed pairs that a run names, by a slice, a range or an index array;
+    the run's pair ends and levels are not read, nor is `pool`, the kernel's
+    scratch.  Reads the form's arrays and
     recomputes each pair increment from the base's points with
     `increment_levels`, never the cached pair geometry: the level
     blocks of both pair ends, then for each higher level m the whole gathered

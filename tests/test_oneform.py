@@ -466,7 +466,9 @@ def scan_in_chunks(diff, w, size, expo, noise_floor, dead_tol):
     q_max, j_max, best = 0.0, 0, 0.0
     for a in range(0, len(w), size):
         run = slice(a, a + size)
-        q, j, best = _spectral_pair_quotient(diff[run], w[run], expo, best, noise_floor, dead_tol)
+        chunk = diff[run].copy()  # spent by the scan
+        pool = np.empty(len(w[run]) * (chunk[0].size + chunk.shape[1] ** 2))
+        q, j, best = _spectral_pair_quotient(chunk, w[run], expo, best, noise_floor, dead_tol, pool)
         assert 0 <= j < len(w[run])
         if q > q_max:
             q_max, j_max = q, a + j
@@ -735,7 +737,8 @@ def test_picard_solve_bitwise_with_einsum_difference_matrices(monkeypatch):
     """The cubic fixture solved with the per-letter kernel and again with the
     einsum: every Picard step, its difference matrices, quotients and worst
     pairs, and every iterate's certificate carry the same bits.  Both scan
-    the 2,080 pairs in chunks of 97, so every scan crosses chunk boundaries."""
+    the 2,080 pairs in chunks of 97, so every scan crosses chunk boundaries,
+    after the run of the 64 adjacent pairs that seeds each level's bound."""
     monkeypatch.setattr(roughkit.path, "_BUILD_PAIRS", 97)
     problem = cubic_problem(64, n_max=16)
     g, omega = problem.driver, problem.omega
@@ -794,10 +797,10 @@ def full_scan_level_quotients(form, omega, expos, noise_floor):
 def ramp_form(out_dim, ramp):
     """Level-1 form A_t = ramp[t] M over a level-1 walk, so the pair
     difference is exactly (ramp[t] - ramp[s]) M; sigma_max(M) is 5 for the
-    row [3, 4] and 4 for diag(3, 4)."""
+    row [3, 4] and 4 for diag(3, 4), with zero rows below it past two outputs."""
     t = np.linspace(0.0, 1.0, len(ramp))
     g = signature(SampledPath(t, np.random.default_rng(9).standard_normal((len(ramp), 2))), 1, p=1.5)
-    M = np.array([[3.0, 4.0]]) if out_dim == 1 else np.diag([3.0, 4.0])
+    M = np.array([[3.0, 4.0]]) if out_dim == 1 else np.eye(out_dim, 2) * [3.0, 4.0]
     return OneFormPath(g, out_dim, (np.asarray(ramp, dtype=float)[:, None, None] * M,))
 
 
@@ -851,6 +854,109 @@ def test_level_quotients_bitwise_full_scan_across_chunks(case, out_dim, chunk, m
     assert form._level_quotients(omega, expos, floor) == want
     if expected is not None:
         assert (want[0][0], want[1][0]) == expected
+
+
+# -- seeded bounds: the adjacent pairs start each level's lower bound ---------
+
+
+def stretch_form(out_dim):
+    """A level-3 form over a planar walk that halts for one step at point 5,
+    its coefficient rows equal at points 5 and 6: every pair difference of
+    (5, 6) is zero, while (5, 7) and (6, 7) are not."""
+    rng = np.random.default_rng(80 + out_dim)
+    x = np.cumsum(rng.standard_normal((N_PTS, 2)), axis=0)
+    x[6] = x[5]
+    g = signature(SampledPath(np.linspace(0.0, 1.0, N_PTS), x), 3, p=3.5)
+    levels = [rng.standard_normal((N_PTS, out_dim, 2**k)) for k in (1, 2, 3)]
+    for block in levels:
+        block[6] = block[5]
+    return OneFormPath(g, out_dim, tuple(levels))
+
+
+def lattice_form(out_dim):
+    """A level-2 form over a planar walk of half-integer steps repeating with
+    period 3, integer coefficients of the same period: the lift is exact in
+    binary, so pairs three points apart carry equal differences and ties."""
+    steps = 0.5 * np.array([[1.0, 0.0], [-1.0, 1.0], [0.0, -1.0]])
+    x = np.vstack([np.zeros((1, 2)), np.cumsum(np.tile(steps, (4, 1)), axis=0)])[:N_PTS]
+    g = signature(SampledPath(np.linspace(0.0, 1.0, N_PTS), x), 2, p=2.5)
+    rng = np.random.default_rng(90 + out_dim)
+    levels = [np.round(3.0 * rng.standard_normal((3, out_dim, 2**k))) for k in (1, 2)]
+    return OneFormPath(g, out_dim, tuple(np.tile(b, (4, 1, 1))[:N_PTS] for b in levels))
+
+
+def seed_case(case, out_dim):
+    """(form, control, exponents, noise floor, expected (q, pair) of the top
+    level or None)."""
+    if case == "zero-control-stretch":
+        # omega vanishes on the pairs inside [5, 7]: (5, 6) counts 0, and
+        # the non-adjacent (5, 7) is infinite before the adjacent (6, 7)
+        form = stretch_form(out_dim)
+        tau = np.minimum(np.arange(N_PTS), 5.0) + np.maximum(np.arange(N_PTS) - 7.0, 0.0)
+        table = np.maximum(tau[None, :] - tau[:, None], 0.0)
+        return form, Control(form.base.times, table), [0.9, 0.6, 0.3], 0.0, (np.inf, (5, 7))
+    if case == "rounded-ties":
+        form = lattice_form(out_dim)
+        return form, gap_control(form.base, 1.0), [1.0, 0.5], 0.0, None
+    if case.startswith("noise-floor"):
+        form = form_over_walk(np.random.default_rng(60 + out_dim), 2, 3, out_dim, N_PTS)
+        sizes = np.sqrt(np.einsum("poj,poj->p", *2 * (difference_matrices_einsum(form, 1),)))
+        floor = float(np.quantile(sizes, 0.5 if case == "noise-floor-half" else 0.9))
+        return form, control_from_pvar(form.base), [0.9, 0.6, 0.3], floor, None
+    if case == "adjacent-maximum":
+        # one jump between points 6 and 7: 4 * 5 / (t - s) peaks at (6, 7)
+        form = ramp_form(out_dim, np.where(np.arange(N_PTS) < 7, 0.0, 5.0))
+        return form, gap_control(form.base, 1.0), [1.0], 0.0, (20.0, (6, 7))
+    raise ValueError(case)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, N_PAIRS])
+@pytest.mark.parametrize("out_dim", [2, 3, 4])
+@pytest.mark.parametrize(
+    "case",
+    ["zero-control-stretch", "rounded-ties", "noise-floor-half", "noise-floor-most", "adjacent-maximum"],
+)
+def test_seeded_level_quotients_bitwise_full_scan(case, out_dim, chunk, monkeypatch):
+    """The scan seeds each level's bound with the adjacent pairs' exact
+    quotients; ties, +inf and floored numerators keep the full scan's
+    quotients and its first worst pair."""
+    form, omega, expos, floor, expected = seed_case(case, out_dim)
+    want = full_scan_level_quotients(form, omega, expos, floor)
+    monkeypatch.setattr(roughkit.path, "_BUILD_PAIRS", chunk)
+    assert form._level_quotients(omega, expos, floor) == want
+    if expected is not None:
+        assert (want[0][-1], want[1][-1]) == expected
+    if case == "rounded-ties":
+        # the top level's worst pair ties with a later pair three points on
+        s, t = want[1][-1]
+        diff = difference_matrices_einsum(form, 2)
+        j = form.base._row_starts[s] + t - s - 1
+        k = form.base._row_starts[s + 3] + t - s - 1
+        assert t + 3 < N_PTS and diff[j].tobytes() == diff[k].tobytes()
+
+
+def test_pair_scan_transient_holds_one_bound_as_the_grid_grows():
+    """One norm pass over a two-output form (d=2, L=3) holds a pool of half
+    a run and the current run's arrays, whatever N, so its transient stays
+    under 1.6 MB at N=256 and at N=512, where the runs are full; a single
+    float per pair would take 1.05 MB of that at N=512, and level-1
+    differences of all pairs 4.2 MB."""
+    for n_steps in (256, 512):
+        problem = cubic_problem(n_steps)
+        g = problem.driver
+        identity = OneFormPath.constant_linear(g, np.eye(2))
+        form = compose_integrand(problem.field, g.positions(problem.xi), identity)
+        omega = control_from_pvar(g)
+        form.level_sups
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            form.norm_components(problem.gamma, omega)
+            transient = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert form.out_dim == 2
+        assert transient <= 1.6e6
 
 
 def test_pair_scan_peak_memory_stays_below_the_dense_tables():

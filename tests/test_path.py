@@ -486,6 +486,36 @@ def test_pair_ends_are_the_triu_slices(n_pts, run, monkeypatch):
         assert block.tobytes() == g.increment_levels(s_idx, t_idx)[k].tobytes()
 
 
+@pytest.mark.parametrize("n_pts", [2, 3, 65])
+def test_index_array_runs_are_the_triu_entries(n_pts):
+    # the adjacent pairs, the run of the row starts the pair scan seeds its
+    # bounds with, and a scattered sorted subset of the packed pairs
+    rng = np.random.default_rng(n_pts)
+    g = signature(random_polyline(rng, n_pts=n_pts), 3, p=3.0)
+    s_idx, t_idx = np.triu_indices(n_pts, k=1)
+    scattered = np.sort(rng.choice(s_idx.size, size=(s_idx.size + 1) // 2, replace=False))
+    for pairs in (g._row_starts[:-1], scattered):
+        got, s, t, levels = g._pair_run(pairs)
+        assert got is pairs
+        assert s.tobytes() == s_idx[pairs].tobytes() and t.tobytes() == t_idx[pairs].tobytes()
+        for k, block in enumerate(levels, start=1):
+            assert block.tobytes() == g.increment_levels(s, t)[k].tobytes()
+    assert np.array_equal(g._pair_run(g._row_starts[:-1])[2], np.arange(1, n_pts))
+
+
+@pytest.mark.parametrize("n_steps", [1, 12, 13])
+def test_half_step_blocks_are_the_cached_half_grid_increments(n_steps):
+    g = signature(random_polyline(np.random.default_rng(n_steps), n_pts=n_steps + 1), 3, p=3.0)
+    idx = list(range(0, n_steps + 1, 2)) + ([n_steps] if n_steps % 2 else [])
+    want = g.increment_levels(idx[:-1], idx[1:])[1:]
+    blocks = g.half_step_level_blocks
+    assert blocks is g.half_step_level_blocks
+    assert len(blocks) == g.level
+    for got, ref in zip(blocks, want):
+        assert got.tobytes() == ref.tobytes() and got.shape == ref.shape
+        assert not got.flags.writeable
+
+
 @pytest.mark.parametrize("seed", range(34, 44))
 def test_homogeneous_norm_is_bitwise_the_pairwise_table(seed, monkeypatch):
     # one kernel serves single elements and the packed pair norms; a scalar
