@@ -57,21 +57,20 @@ def young_integral(
     Young limit admits any tag choice, and the trapezoid rule is the one
     that is exact for polylines against polyline-linear integrands.
     """
-    if 1.0 / p + 1.0 / q <= 1.0:
-        pp, qq = max(p, 1.0), max(q, 1.0)
-        var_sigma = p_variation(signature(sigma, int(pp), p=pp))
-        tau_flat = np.asarray(tau_values, dtype=float).reshape(len(sigma.times), -1)
-        tau_path = SampledPath(sigma.times, tau_flat)
-        var_tau = p_variation(signature(tau_path, int(qq), p=qq))
-        raise RegularityError(
-            f"1/{p} + 1/{q} <= 1; measured variations: "
-            f"sigma {var_sigma:.6g} ({p}-var), tau {var_tau:.6g} ({q}-var)"
-        )
     tau_values = np.asarray(tau_values, dtype=float)
     n = sigma.times.size
     if tau_values.ndim != 3 or tau_values.shape[0] != n or tau_values.shape[2] != sigma.dim:
         raise DimensionMismatchError(
             f"tau must have shape (N+1, w, {sigma.dim}), got {tau_values.shape}"
+        )
+    if 1.0 / p + 1.0 / q <= 1.0:
+        pp, qq = max(p, 1.0), max(q, 1.0)
+        var_sigma = p_variation(signature(sigma, int(pp), p=pp))
+        tau_path = SampledPath(sigma.times, tau_values.reshape(n, -1))
+        var_tau = p_variation(signature(tau_path, int(qq), p=qq))
+        raise RegularityError(
+            f"1/{p} + 1/{q} <= 1; measured variations: "
+            f"sigma {var_sigma:.6g} ({p}-var), tau {var_tau:.6g} ({q}-var)"
         )
     steps = sigma.increments()
     mids = 0.5 * (tau_values[:-1] + tau_values[1:])

@@ -357,12 +357,9 @@ class OneFormPath:
 
         One pool serves every run and level, so no run allocates its
         difference matrices, their temporaries, the bounds, the survivors of
-        the bound step or their Gram matrices.  It holds half of the first
-        run, the longest, or of the N adjacent pairs if more, at the widest
-        level's need per pair; a level needing more than the pool reads each
-        run in two pieces.  Half a run keeps the scan's transient well below
-        a run of level-L difference matrices with their gathers, which is a
-        table over all pairs while one run holds every pair (N <= 90).
+        the bound step or their Gram matrices.  It holds the first run, the
+        longest, or the N adjacent pairs if more, at the widest level's need
+        per pair.
 
         Where the bound step prunes (out_dim > 1), each level's lower bound
         starts at the exact maximum over the adjacent pairs (s, s+1), read
@@ -384,27 +381,20 @@ class OneFormPath:
             needs.append(max((3 if k < base.level else 2) * c, 2 * c + (gram if gram > c else 0)))
         runs = base.pair_runs()
         first = next(runs)
-        pool = np.empty((max(first[1].size, base.num_steps) + 1) // 2 * max(needs))
+        pool = np.empty(max(first[1].size, base.num_steps) * max(needs))
 
         def fold(run, scans):
-            """Each level's (max, pair, lower bound) after one more run, read
-            in the longest pieces whose needs fit the pool: two at most."""
-            pairs, s, t, incs = run
-            if isinstance(pairs, slice):
-                pairs = range(pairs.start, pairs.start + s.size)
+            """Each level's (max, pair, lower bound) after one more run."""
+            _, s, t, _ = run
             w = omega.at(s, t)
             out = []
             for i, (q_max, pair, best) in enumerate(scans):
-                step = pool.size // needs[i]
-                for a in range(0, s.size, step):
-                    cut = slice(a, a + step)
-                    piece = (pairs[cut], s[cut], t[cut], tuple(x[cut] for x in incs))
-                    diff = self.difference_matrices(i + 1, piece, pool)
-                    q, j, best = _spectral_pair_quotient(
-                        diff, w[cut], expos[i], best, noise_floor, dead_tol, pool[diff.size :]
-                    )
-                    if q > q_max:
-                        q_max, pair = q, (int(s[a + j]), int(t[a + j]))
+                diff = self.difference_matrices(i + 1, run, pool)
+                q, j, best = _spectral_pair_quotient(
+                    diff, w, expos[i], best, noise_floor, dead_tol, pool[diff.size :]
+                )
+                if q > q_max:
+                    q_max, pair = q, (int(s[j]), int(t[j]))
                 out.append((q_max, pair, best))
             return out
 

@@ -451,6 +451,9 @@ class Control:
         n = np.asarray(self.times).size
         if table.shape != (n, n):
             raise DimensionMismatchError("control table shape mismatch")
+        # min and max carry a NaN through, without a mask the size of the table
+        if not (np.min(table, initial=0.0) >= 0.0 and np.max(table, initial=0.0) < np.inf):
+            raise ValueError("control entries must be finite and non-negative")
         table = np.ascontiguousarray(table)
         table.flags.writeable = False
         object.__setattr__(self, "table", table)

@@ -79,6 +79,12 @@ class RdeProblem:
     norm_cap: float = 1e8
 
     def __post_init__(self) -> None:
+        if not (self.tol > 0.0 and math.isfinite(self.tol)):
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
+        if self.n_max < 0:
+            raise ValueError(f"n_max must be non-negative, got {self.n_max}")
+        if not self.norm_cap > 0.0:
+            raise ValueError(f"norm_cap must be positive, got {self.norm_cap}")
         xi = np.asarray(self.xi, dtype=float).reshape(-1)
         object.__setattr__(self, "xi", xi)
         out_shape = self.field.map.out_shape

@@ -547,6 +547,18 @@ def test_bad_xi_exits_two(tmp_path):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--tol", "nan"), ("--n-max", "-1")])
+def test_bad_stopping_rule_exits_two(tmp_path, flag, value):
+    csv = exp_csv(tmp_path, 8)
+    field = scalar_linear_field_json(tmp_path)
+    res = run_cli(
+        "solve", csv, "--field", field, "--xi", "1.0",
+        "--p", 3.0, "--gamma", 4.0, flag, value,
+    )
+    assert res.returncode == 2
+    assert "input error" in res.stderr
+
+
 def test_bad_level_exits_two(tmp_path):
     csv = exp_csv(tmp_path, 8)
     res = run_cli("signature", csv, "--level", 0)

@@ -119,6 +119,16 @@ def test_young_validates_operator_shape():
         young_integral(np.zeros((9, 2, 3)), sigma, q=1.0, p=1.0)
 
 
+@pytest.mark.parametrize("shape", [(16, 1, 1), (17, 1, 2)], ids=["short", "wide"])
+def test_young_checks_the_operator_shape_before_the_exponents(shape):
+    # the exponents fail as well; the shape error names the input at fault,
+    # and no variation is measured on an operator of the wrong shape
+    t = np.linspace(0.0, 1.0, 17)
+    s = np.sin(2.0 * np.pi * t)
+    with pytest.raises(DimensionMismatchError, match="tau must have shape"):
+        young_integral(np.zeros(shape), SampledPath(t, s[:, None]), q=2.2, p=2.2)
+
+
 # -- rough integration ------------------------------------------------------------
 
 

@@ -936,8 +936,8 @@ def test_seeded_level_quotients_bitwise_full_scan(case, out_dim, chunk, monkeypa
 
 
 def test_pair_scan_transient_holds_one_bound_as_the_grid_grows():
-    """One norm pass over a two-output form (d=2, L=3) holds a pool of half
-    a run and the current run's arrays, whatever N, so its transient stays
+    """One norm pass over a two-output form (d=2, L=3) holds a pool of one
+    run and the current run's arrays, whatever N, so its transient stays
     under 1.6 MB at N=256 and at N=512, where the runs are full; a single
     float per pair would take 1.05 MB of that at N=512, and level-1
     differences of all pairs 4.2 MB."""

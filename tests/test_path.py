@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import roughkit.path
 from roughkit.oneform import OneFormPath
 from roughkit.path import (
+    Control,
     PathFormatError,
     SampledPath,
     SampledRoughPath,
@@ -189,6 +190,23 @@ def test_control_of_constant_path_vanishes():
     path = polyline(np.zeros((4, 2)))
     omega = control_from_pvar(signature(path, 2, p=2.0))
     assert omega.total() == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_control_refuses_non_finite_or_negative_entries(bad):
+    # such a table would read every difference quotient as 0.0
+    g = signature(random_polyline(np.random.default_rng(5)), 2, p=2.0)
+    omega = control_from_pvar(g)
+    table = omega.table.copy()
+    table[1, 3] = bad
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        Control(g.times, table)
+
+
+def test_control_refuses_a_negative_scale():
+    g = signature(random_polyline(np.random.default_rng(5)), 2, p=2.0)
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        control_from_pvar(g).scaled(-1.0)
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))
