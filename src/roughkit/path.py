@@ -469,6 +469,9 @@ class Control:
         return float(self.table[0, -1])
 
     def scaled(self, factor: float) -> "Control":
+        # refused before the product: inf * 0.0 would warn, not raise
+        if not 0.0 <= factor < np.inf:
+            raise ValueError("control entries must be finite and non-negative")
         return Control(self.times, factor * self.table)
 
 
@@ -476,31 +479,55 @@ def control_from_pvar(g: SampledRoughPath) -> Control:
     """The canonical control: omega(s, t) = ||g||_{p-var;[s,t]}^p on the grid.
 
     All-pairs interval dynamic program over gaps j - i = 2..N:
-    V[i, j] = max(E[i, j], max_m V[i, m] + V[m, j]).  O(N^3) flops in about
-    N numpy calls, one per gap; O(N^2) memory in one table, whose lower
-    triangle holds the transpose while the gaps run and is zeroed after.
-    Superadditive by construction and exactly additive where the path is
-    one-dimensional and monotone.
+    V[i, j] = max(E[i, j], max_m V[i, m] + V[m, j]).  O(N^3) flops in one
+    table, whose lower triangle holds the transpose while the gaps run and
+    is zeroed after.  The rows are visited in blocks of R, the bottom block
+    first and gaps in ascending order inside a block, so every entry a band
+    reads has a smaller gap or a lower row and is final; R rows and the R
+    transposed rows they read fit in `_DP_BLOCK_BYTES`.  Each candidate is
+    the one sum V[i, m] + V[m, j] and max is exact, so the table is bitwise
+    the gap-by-gap order's.  Superadditive by construction and exactly
+    additive where the path is one-dimensional and monotone.
     """
     V = _powered_norms(g, 0, g.num_steps)
     n1 = V.shape[0]
     flat = V.reshape(-1)
-    # V[j, i] = V[i, j] below the diagonal: gap 1 now, each later gap as it is done
+    # V[j, i] = V[i, j] below the diagonal: gap 1 now, each later band as it is done
     flat[n1 :: n1 + 1] = flat[1 :: n1 + 1]
     size = flat.itemsize
     band = (n1 + 1) * size, size
-    for gap in range(2, n1):
-        rows = n1 - gap
+    block = max(1, _DP_BLOCK_BYTES // (2 * size * n1))
+    # one buffer for every band's candidates, sized to the widest band
+    gaps = np.arange(2, n1)
+    cand = np.empty(int(np.max(np.minimum(block, n1 - gaps) * (gaps - 1), initial=0)))
+    best = np.empty(min(block, n1))
+    # rows 0..n1-3 have a gap of 2 or more
+    for top in reversed(range(0, n1 - 2, block)):
+        end = min(top + block, n1 - 2)
         # Row i of each band holds off = 1..gap-1: V[i, i+off] and
         # V[i+off, i+gap] = V[i+gap, i+off], both unit-stride windows; the
         # constructor refuses a window that leaves the table.
-        left = np.ndarray((rows, gap - 1), buffer=flat, offset=size, strides=band)
-        right = np.ndarray((rows, gap - 1), buffer=flat, offset=(gap * n1 + 1) * size, strides=band)
-        diag = flat[gap :: n1 + 1][:rows]
-        np.maximum(diag, (left + right).max(axis=1), out=diag)
-        flat[gap * n1 :: n1 + 1][:rows] = diag
+        start = top * (n1 + 1) + 1
+        lefts = np.ndarray((end - top, n1 - 2 - top), buffer=flat, offset=start * size, strides=band)
+        for gap in range(2, n1 - top):
+            rows, width = min(end, n1 - gap) - top, gap - 1
+            right = np.ndarray((rows, width), buffer=flat, offset=(start + gap * n1) * size, strides=band)
+            sums = cand[: rows * width].reshape(rows, width)
+            np.add(lefts[:rows, :width], right, out=sums)
+            high = np.maximum.reduce(sums, axis=1, out=best[:rows])
+            at = start + width
+            diag = flat[at : at + rows * (n1 + 1) : n1 + 1]
+            np.maximum(diag, high, out=diag)
+            at += gap * (n1 - 1)
+            flat[at : at + rows * (n1 + 1) : n1 + 1] = diag
     V[np.tri(n1, dtype=bool)] = 0.0
     return Control(g.times, V)
+
+
+# Bytes of the table one row block of the control's dynamic program touches:
+# its rows and the sliding window of transposed rows it reads, sized to stay
+# in a core's L2 cache.
+_DP_BLOCK_BYTES = 1 << 20
 
 
 # -- CSV interface ----------------------------------------------------------

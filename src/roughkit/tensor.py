@@ -62,16 +62,24 @@ def stack_product(
     """Row-wise graded (truncated) tensor product of two level stacks.
 
     Leading axes broadcast, so (n, 1, d**k) by (1, n, d**k) stacks give the
-    products of all pairs of rows.
+    products of all pairs of rows.  Level k is the sum from zero of the
+    terms j = 0..k in j order.  When both scalar blocks are exactly 1.0 the
+    j = 0 and j = k terms are the blocks themselves, so level k is
+    (0.0 + b_k), plus the interior terms, plus a_k: the same sum, bitwise,
+    signed zeros included, without multiplying by the unit.
     """
     # level-0 blocks end in an axis of length 1, so this is the leading shape
     lead = np.broadcast(a[0], b[0]).shape[:-1]
-    out = []
-    for k in range(len(a)):
-        acc = np.zeros(lead + a[k].shape[-1:])
-        for j in range(k + 1):
+    unital = bool((a[0] == 1.0).all() and (b[0] == 1.0).all())
+    out = [np.ones(lead + (1,))] if unital else []
+    for k in range(len(out), len(a)):
+        shape = lead + a[k].shape[-1:]
+        acc = np.add(b[k], 0.0, out=np.empty(shape)) if unital else np.zeros(shape)
+        for j in range(unital, k + 1 - unital):
             # a row-wise outer product concatenates letter indices
             acc += (a[j][..., :, None] * b[k - j][..., None, :]).reshape(lead + (-1,))
+        if unital:
+            acc += a[k]
         out.append(acc)
     return tuple(out)
 

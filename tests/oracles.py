@@ -196,6 +196,22 @@ def graded_product_loop(a, b):
     return out
 
 
+def stack_product_loop(a, b):
+    """`graded_product_loop` over level stacks whose leading axes broadcast.
+
+    Every level, the scalar one included, is the sum from zeros of the row-wise
+    outer products j = 0..k in j order, with no unit term skipped.
+    """
+    lead = np.broadcast(a[0], b[0]).shape[:-1]
+    out = []
+    for k in range(len(a)):
+        acc = np.zeros(lead + a[k].shape[-1:])
+        for j in range(k + 1):
+            acc += (a[j][..., :, None] * b[k - j][..., None, :]).reshape(lead + (-1,))
+        out.append(acc)
+    return tuple(out)
+
+
 def series_inverse_loop(blocks):
     """(1 + u)^{-1} = sum_n (-u)^n term by term, in graded_product_loop order."""
     u = [np.zeros(1)] + [np.asarray(b, dtype=float) for b in blocks[1:]]
@@ -244,6 +260,31 @@ def interval_dp_loop(E):
             best = np.maximum(best, cand)
         V[i, j] = best
     V[np.tril_indices(n + 1)] = 0.0
+    return V
+
+
+def control_band_loop(E):
+    """The p-variation control table one whole gap band at a time.
+
+    E holds the powered norms above the diagonal.  The lower triangle keeps
+    the transpose of each finished gap, so a band's midpoint sums read two
+    unit-stride windows; each band's candidates are a fresh array.  The lower
+    triangle is zeroed at the end.
+    """
+    V = np.array(E, dtype=float)
+    n1 = V.shape[0]
+    flat = V.reshape(-1)
+    flat[n1 :: n1 + 1] = flat[1 :: n1 + 1]
+    size = flat.itemsize
+    band = (n1 + 1) * size, size
+    for gap in range(2, n1):
+        rows = n1 - gap
+        left = np.ndarray((rows, gap - 1), buffer=flat, offset=size, strides=band)
+        right = np.ndarray((rows, gap - 1), buffer=flat, offset=(gap * n1 + 1) * size, strides=band)
+        diag = flat[gap :: n1 + 1][:rows]
+        np.maximum(diag, (left + right).max(axis=1), out=diag)
+        flat[gap * n1 :: n1 + 1][:rows] = diag
+    V[np.tri(n1, dtype=bool)] = 0.0
     return V
 
 

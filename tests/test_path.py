@@ -24,6 +24,7 @@ from roughkit.tensor import TruncatedTensor, certify_stack, tensor_exp
 
 from conftest import assert_bitwise, element_norm, level_tensor, reversed_path
 from oracles import (
+    control_band_loop,
     form_value,
     interval_dp_loop,
     ode_iterated_integrals,
@@ -209,6 +210,15 @@ def test_control_refuses_a_negative_scale():
         control_from_pvar(g).scaled(-1.0)
 
 
+@pytest.mark.parametrize("factor", [np.inf, np.nan])
+def test_control_scaled_refuses_a_non_finite_factor_before_it_multiplies(factor):
+    # inf * 0.0 would warn "invalid value" before the constructor could refuse;
+    # a negative factor is the test above
+    omega = Control(np.arange(3.0), np.triu(np.ones((3, 3)), 1))
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        omega.scaled(factor)
+
+
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 def test_control_superadditivity(seed):
     rng = np.random.default_rng(seed)
@@ -236,6 +246,26 @@ def test_control_is_bitwise_the_interval_loop(steps, dim, level):
     g = walk_lift(steps, dim, level, seed=steps + dim)
     table = control_from_pvar(g).table
     assert table.tobytes() == interval_dp_loop(norm_square(g) ** g.p).tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("steps", [1, 2, 5, 64, 257])
+def test_control_row_blocks_are_bitwise_the_band_loop(steps, dim, monkeypatch):
+    """Blocks of 1, 2, 3 and 7 rows, short bottom blocks among them (63 and
+    256 rows of work at N = 64 and 257), give the whole-band table bit for bit."""
+    g = walk_lift(steps, dim, 2, seed=steps + 7 * dim)
+    want = control_band_loop(norm_square(g) ** g.p)
+    for rows in (1, 2, 3, 7):
+        monkeypatch.setattr(roughkit.path, "_DP_BLOCK_BYTES", rows * 16 * (steps + 1))
+        assert_bitwise(control_from_pvar(g).table, want)
+
+
+def test_control_row_blocks_at_the_real_budget_are_bitwise_the_band_loop():
+    steps = 600
+    g = walk_lift(steps, 2, 2, seed=steps)
+    # the rows 0..N-2 that have a gap of two or more span several blocks
+    assert roughkit.path._DP_BLOCK_BYTES // (16 * (steps + 1)) < steps - 1
+    assert_bitwise(control_from_pvar(g).table, control_band_loop(norm_square(g) ** g.p))
 
 
 def test_control_endpoint_equals_pvar_power():

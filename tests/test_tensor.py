@@ -16,8 +16,13 @@ from roughkit.tensor import (
     tensor_log,
 )
 
-from conftest import element_norm, level_tensor
-from oracles import graded_product_loop, rebracket_product_rhs, series_inverse_loop
+from conftest import assert_bitwise, element_norm, level_tensor
+from oracles import (
+    graded_product_loop,
+    rebracket_product_rhs,
+    series_inverse_loop,
+    stack_product_loop,
+)
 
 
 def basis(i, dim, level):
@@ -145,6 +150,76 @@ def test_stack_kernel_is_bitwise_the_loop_arithmetic():
             assert np.array_equal(inv[k][i], g.inverse().level_block(k))
             assert np.array_equal(prod[k][i], ref_prod[k])
             assert np.array_equal(prod[k][i], (g @ h).level_block(k))
+
+
+def unital_stack(rng, n, dim=2, level=4):
+    """n random unital elements, with -0.0, +0.0 and subnormal entries planted
+    in every level, so the sums from zero meet signed zeros and tiny terms."""
+    stack = (np.ones((n, 1)),) + tuple(rng.standard_normal((n, dim**k)) for k in range(1, level + 1))
+    special = np.array([-0.0, 0.0, 5e-324, -2.5e-310, 1e-300])
+    for x in stack[1:]:
+        flat = x.reshape(-1)
+        at = rng.choice(flat.size, size=max(1, flat.size // 3), replace=False)
+        flat[at] = rng.choice(special, size=at.size)
+    return stack
+
+
+def assert_product_is_the_loop(a, b):
+    got, want = stack_product(a, b), stack_product_loop(a, b)
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        assert_bitwise(x, y)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_unital_product_is_bitwise_the_sum_from_zero(seed):
+    rng = np.random.default_rng(seed)
+    a, b = unital_stack(rng, 9), unital_stack(rng, 9)
+    assert_product_is_the_loop(a, b)
+    # every level of b negative zero: (0.0 + -0.0) + a_k, as the loop sums it
+    zero = (b[0],) + tuple(np.full_like(x, -0.0) for x in b[1:])
+    assert_product_is_the_loop(a, zero)
+    assert_product_is_the_loop(zero, zero)
+
+
+def test_series_powers_with_zero_scalar_are_bitwise_the_sum_from_zero():
+    rng = np.random.default_rng(11)
+    u = (np.zeros((6, 1)),) + unital_stack(rng, 6)[1:]
+    power = (np.ones((6, 1)),) + tuple(np.zeros(x.shape) for x in u[1:])
+    for _ in range(len(u)):
+        assert_product_is_the_loop(power, u)
+        assert_product_is_the_loop(u, power)
+        power = stack_product(power, u)
+    assert all(not np.any(x) for x in power)
+
+
+@pytest.mark.parametrize("off", [np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)])
+@pytest.mark.parametrize("side", [0, 1])
+def test_scalar_one_ulp_off_the_unit_takes_the_general_sum(off, side):
+    rng = np.random.default_rng(5)
+    pair = [unital_stack(rng, 7), unital_stack(rng, 7)]
+    scalar = np.ones((7, 1))
+    scalar[3] = off
+    pair[side] = (scalar,) + pair[side][1:]
+    assert_product_is_the_loop(*pair)
+    # the unit's shortcut would have given other bits on that row
+    unit = [(np.ones((7, 1)),) + x[1:] for x in pair]
+    assert any(
+        not np.array_equal(x[3].view(np.uint64), y[3].view(np.uint64))
+        for x, y in zip(stack_product(*pair), stack_product_loop(*unit))
+    )
+
+
+@pytest.mark.parametrize("unital", [True, False])
+def test_broadcast_pair_products_are_bitwise_the_sum_from_zero(unital):
+    rng = np.random.default_rng(8)
+    a, b = unital_stack(rng, 5, dim=3, level=3), unital_stack(rng, 6, dim=3, level=3)
+    if not unital:
+        a = (np.full((5, 1), 0.5),) + a[1:]
+    rows = tuple(x[:, None, :] for x in a)
+    cols = tuple(x[None, :, :] for x in b)
+    assert_product_is_the_loop(rows, cols)
+    assert stack_product(rows, cols)[3].shape == (5, 6, 27)
 
 
 def _verdict(fn) -> str | None:
