@@ -83,6 +83,8 @@ def _driver_from_args(args) -> tuple:
     the sample's start point rides along for operations that need absolute
     coordinates.
     """
+    if args.p is not None and not math.isfinite(args.p):
+        raise ValueError(f"p must be finite, got {args.p}")
     if args.pure_area is not None:
         p = args.p if args.p is not None else 2.0
         if int(p) != 2:

@@ -373,10 +373,11 @@ class LipFunction:
     radius: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.gamma <= 1.0:
-            raise ValueError("gamma must exceed 1")
-        if self.radius <= 0.0:
-            raise ValueError("radius must be positive")
+        # the comparisons are false on NaN, so NaN is refused with inf
+        if not 1.0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and exceed 1, got {self.gamma}")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError(f"radius must be finite and positive, got {self.radius}")
 
     @property
     def smoothness(self) -> int:

@@ -15,7 +15,7 @@ import numpy as np
 from .funcs import LipFunction
 from .oneform import OneFormPath, _pair_quotient, integral_form_from_controlled
 from .path import Control, SampledPath, _coarse_pairs, signature, p_variation
-from .tensor import DimensionMismatchError, compositions, split_matrix
+from .tensor import DimensionMismatchError, compositions, split_matrix, sum_squares
 
 __all__ = [
     "RegularityError",
@@ -231,7 +231,7 @@ def integrate_controlled(
     worst = 0.0
     for _, s, t, incs in base.pair_runs(top=True):
         pred = beta.pair_values(s, incs)
-        resid = np.linalg.norm(np.take(flat, t, axis=0) - np.take(flat, s, axis=0) - pred, axis=1)
+        resid = np.sqrt(sum_squares(np.take(flat, t, axis=0) - np.take(flat, s, axis=0) - pred))
         worst = max(worst, _pair_quotient(resid, omega.at(s, t), gamma / base.p)[0])
     measured_M = worst / beta_norm if beta_norm > 0.0 else 0.0
     result = rough_integral(eta, gamma=gamma + 1.0, omega=omega)

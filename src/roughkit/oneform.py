@@ -19,7 +19,7 @@ import numpy as np
 
 from .funcs import PolyMap, strict_floor
 from .path import Control, SampledRoughPath
-from .tensor import DimensionMismatchError
+from .tensor import DimensionMismatchError, sum_squares
 
 __all__ = [
     "OneFormPath",
@@ -35,17 +35,18 @@ __all__ = [
 def batched_spectral_norms(mats: np.ndarray, pool: np.ndarray | None = None) -> np.ndarray:
     """Largest singular value over the last two axes, batched.
 
-    The leading Gram trick keeps the eigenproblem at out_dim x out_dim, which
+    A single row's is its norm, np.linalg.norm's bits from `sum_squares`,
+    which loops over the few letters rather than reducing over them.  The
+    leading Gram trick keeps the eigenproblem at out_dim x out_dim, which
     is tiny for every form this package builds.  `pool`, flat float scratch
     if given, takes the squares of single rows or the Gram matrices; the
     bits do not depend on it.
     """
     rows, cols = mats.shape[-2:]
     if rows == 1:
-        # the squares and sum np.linalg.norm takes for a real row
         row = mats[..., 0, :]
         out = None if pool is None else pool[: row.size].reshape(row.shape)
-        norms = np.add.reduce(np.multiply(row, row, out=out), axis=-1)
+        norms = sum_squares(row, out)
     else:
         out = None
         if pool is not None:
@@ -144,10 +145,11 @@ def _spectral_pair_quotient(
 def _pairing(coeffs: Iterable[np.ndarray], blocks: Iterable[np.ndarray]) -> np.ndarray:
     """Row-wise sum_k A^(k) h_k, coeffs[k-1] (n, out, d**k) and blocks[k-1]
     (n, d**k), summed from zero in k order; a row's bits do not depend on
-    the rows batched with it."""
+    the rows batched with it.  einsum's sums follow its operands' strides,
+    so letter-major blocks are read as C-contiguous copies."""
     out = 0.0
     for A, h in zip(coeffs, blocks):
-        out = out + np.einsum("nok,nk->no", A, h)
+        out = out + np.einsum("nok,nk->no", A, np.ascontiguousarray(h))
     return out
 
 
@@ -338,8 +340,8 @@ class OneFormPath:
         error (differences of converged iterates, for instance) must
         declare it or read amplified noise as signal.
         """
-        if gamma <= 1.0:
-            raise ValueError("gamma must exceed 1")
+        if not 1.0 < gamma < np.inf:
+            raise ValueError(f"gamma must be finite and exceed 1, got {gamma}")
         k_max = min(self.base.level, strict_floor(gamma))
         expos = [(gamma - k) / self.base.p for k in range(1, k_max + 1)]
         quots, pairs = self._level_quotients(omega, expos, noise_floor)

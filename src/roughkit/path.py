@@ -133,6 +133,8 @@ def pure_area_path(area: float, steps: int) -> "SampledRoughPath":
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if not np.isfinite(area):
+        raise ValueError(f"area must be finite, got {area}")
     gen = np.array([0.0, 1.0, -1.0, 0.0])
     area_k = (np.arange(steps + 1) / steps * area)[:, None] * gen
     lie = (np.zeros((steps + 1, 1)), np.zeros((steps + 1, 2)), area_k)
@@ -178,8 +180,8 @@ class SampledRoughPath:
         n, level = times.size, len(levels) - 1
         if n < 2:
             raise ValueError("need at least two samples")
-        if self.p < 1.0:
-            raise ValueError("p must be >= 1")
+        if not 1.0 <= self.p < np.inf:
+            raise ValueError(f"p must be finite and >= 1, got {self.p}")
         if level != int(self.p):
             raise ValueError(f"truncation level {level} does not match int(p) = {int(self.p)}")
         for k, block in enumerate(levels):
@@ -273,16 +275,30 @@ class SampledRoughPath:
         """
         a_idx = np.asarray(a_idx, dtype=int)
         b_idx = np.asarray(b_idx, dtype=int)
-        inc = self._products(a_idx, b_idx)
+        # row-major, as einsum readers need for the same bits
+        inc = tuple(np.ascontiguousarray(x) for x in self._products(a_idx, b_idx))
         scale = np.maximum(np.take(self._shuffle_scale, a_idx), np.take(self._shuffle_scale, b_idx))
         rows = np.take(self.grouplike, a_idx) & np.take(self.grouplike, b_idx)
         certify_stack(inc, rows=rows, scale=scale)
         return inc
 
+    @cached_property
+    def _letter_major(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """Contiguous (d**k, N+1) transposes of the inverse levels and the
+        levels, the operands the pair products gather from."""
+        return tuple(
+            tuple(np.ascontiguousarray(x.T) for x in stack)
+            for stack in (self._inverse_levels, self.levels)
+        )
+
     def _products(self, a_idx: np.ndarray, b_idx: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Level stacks of g_a^{-1} g_b from gathered rows, not certified."""
-        inv = tuple(np.take(x, a_idx, axis=0) for x in self._inverse_levels)
-        return stack_product(inv, tuple(np.take(x, b_idx, axis=0) for x in self.levels))
+        """Level stacks of g_a^{-1} g_b from gathered rows, not certified;
+        letter-major, each level the (n, d**k) view of a (d**k, n) array."""
+        inv, pts = self._letter_major
+        return stack_product(
+            tuple(np.take(x, a_idx, axis=1).T for x in inv),
+            tuple(np.take(x, b_idx, axis=1).T for x in pts),
+        )
 
     @cached_property
     def step_level_blocks(self) -> tuple[np.ndarray, ...]:
@@ -308,11 +324,13 @@ class SampledRoughPath:
 
         Entry [r-2] has shape (P, d**r), P = N(N+1)/2; row j is the degree-r
         block of g_s^{-1} g_t for the j-th pair (s, t) of np.triu_indices(N+1,
-        k=1).  Level 1 comes from the points (`pair_runs`), and level L only
-        through the norms the same pass writes to `pairwise_homogeneous_norms`
-        or from `pair_runs(top=True)`.  Built over the runs `pair_runs` reads,
-        each row bitwise `increment_levels`.  Refused when these levels, the
-        norms and one control table would exceed physical memory.
+        k=1), stored letter-major: the view of a contiguous (d**r, P) array,
+        as the pair products build it.  Level 1 comes from the points
+        (`pair_runs`), and level L only through the norms the same pass
+        writes to `pairwise_homogeneous_norms` or from `pair_runs(top=True)`.
+        Built over the runs `pair_runs` reads, each row bitwise
+        `increment_levels`.  Refused when these levels, the norms and one
+        control table would exceed physical memory.
         """
         n = self.times.size
         pairs = n * (n - 1) // 2
@@ -325,7 +343,7 @@ class SampledRoughPath:
                 f"{self.level}) needs about {need:,} bytes, more than the "
                 f"{have:,} bytes of physical memory; use a coarser grid"
             )
-        out = tuple(np.empty((pairs, w)) for w in widths)
+        out = tuple(np.empty((w, pairs)).T for w in widths)
         norms = np.empty(pairs)
         for a in range(0, pairs, _BUILD_PAIRS):
             run = slice(a, a + _BUILD_PAIRS)
@@ -364,7 +382,8 @@ class SampledRoughPath:
         """The packed pairs s < t in runs of `_BUILD_PAIRS`, in np.triu_indices
         order: yields (pairs, s, t, levels), `pairs` the run's slice of the
         packed order and `levels` blocks 1..L-1 of g_{s,t}, with level L
-        appended when `top` is set.  Every all-pairs walk but the build reads these."""
+        appended when `top` is set, each letter's column contiguous.  Every
+        all-pairs walk but the build reads these."""
         for a in range(0, int(self._row_starts[-1]), _BUILD_PAIRS):
             yield self._pair_run(slice(a, a + _BUILD_PAIRS), top)
 
@@ -376,9 +395,9 @@ class SampledRoughPath:
         s, t = self._pair_ends(pairs)
         levels = ()
         if self.level > 1:
-            x, inv = self.levels[1], self._inverse_levels[1]
-            first = (0.0 + np.take(x, t, axis=0)) + np.take(inv, s, axis=0)
-            levels = (first,) + tuple(block[pairs] for block in self.pairwise_levels)
+            inv, x = (stack[1] for stack in self._letter_major)
+            first = (0.0 + np.take(x, t, axis=1)) + np.take(inv, s, axis=1)
+            levels = (first.T,) + tuple(block[pairs] for block in self.pairwise_levels)
         if top:
             levels += (self._products(s, t)[-1],)
         return pairs, s, t, levels
@@ -472,7 +491,10 @@ class Control:
         # refused before the product: inf * 0.0 would warn, not raise
         if not 0.0 <= factor < np.inf:
             raise ValueError("control entries must be finite and non-negative")
-        return Control(self.times, factor * self.table)
+        # a finite product may still overflow; the constructor refuses its inf
+        with np.errstate(over="ignore"):
+            table = factor * self.table
+        return Control(self.times, table)
 
 
 def control_from_pvar(g: SampledRoughPath) -> Control:

@@ -38,7 +38,7 @@ from .path import (
     _best_partition_sum,
     control_from_pvar,
 )
-from .tensor import DimensionMismatchError, split_matrix
+from .tensor import DimensionMismatchError, split_matrix, sum_squares
 
 __all__ = [
     "RdeProblem",
@@ -86,6 +86,8 @@ class RdeProblem:
         if not self.norm_cap > 0.0:
             raise ValueError(f"norm_cap must be positive, got {self.norm_cap}")
         xi = np.asarray(self.xi, dtype=float).reshape(-1)
+        if not np.all(np.isfinite(xi)):
+            raise ValueError(f"initial condition must be finite, got {xi.tolist()}")
         object.__setattr__(self, "xi", xi)
         out_shape = self.field.map.out_shape
         if out_shape != (xi.size, self.driver.dim):
@@ -761,7 +763,7 @@ def driver_distance(a: SampledRoughPath, b: SampledRoughPath) -> float:
     n = a.num_steps + 1
     gaps = np.zeros((n, n))
     for (_, s, t, da), (_, _, _, db) in zip(a.pair_runs(top=True), b.pair_runs(top=True)):
-        np.put(gaps, s * n + t, sum(np.linalg.norm(x - y, axis=1) for x, y in zip(da, db)))
+        np.put(gaps, s * n + t, sum(np.sqrt(sum_squares(x - y)) for x, y in zip(da, db)))
     return float(_best_partition_sum(gaps**a.p) ** (1.0 / a.p))
 
 

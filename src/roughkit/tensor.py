@@ -21,6 +21,7 @@ __all__ = [
     "tensor_exp",
     "tensor_log",
     "homogeneous_norms",
+    "sum_squares",
     "split_matrix",
     "compositions",
     "stack_product",
@@ -67,6 +68,11 @@ def stack_product(
     j = 0 and j = k terms are the blocks themselves, so level k is
     (0.0 + b_k), plus the interior terms, plus a_k: the same sum, bitwise,
     signed zeros included, without multiplying by the unit.
+
+    Each level takes the memory order of b's: letter-major operands (rows
+    on the contiguous axis) give letter-major levels, whose outer products
+    loop over rows, not a few letters.  The sums are elementwise, so the
+    bits do not depend on the layout.
     """
     # level-0 blocks end in an axis of length 1, so this is the leading shape
     lead = np.broadcast(a[0], b[0]).shape[:-1]
@@ -74,7 +80,11 @@ def stack_product(
     out = [np.ones(lead + (1,))] if unital else []
     for k in range(len(out), len(a)):
         shape = lead + a[k].shape[-1:]
-        acc = np.add(b[k], 0.0, out=np.empty(shape)) if unital else np.zeros(shape)
+        acc = np.empty_like(b[k], shape=shape)
+        if unital:
+            np.add(b[k], 0.0, out=acc)
+        else:
+            acc.fill(0.0)
         for j in range(unital, k + 1 - unital):
             # a row-wise outer product concatenates letter indices
             acc += (a[j][..., :, None] * b[k - j][..., None, :]).reshape(lead + (-1,))
@@ -117,14 +127,50 @@ def stack_exp(u: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     return _stack_series(u, coeffs, _unit_like(u))
 
 
+def sum_squares(x: np.ndarray, squares: np.ndarray | None = None) -> np.ndarray:
+    """Sum of the squares of x over its last axis, in numpy's pairwise order.
+
+    Bitwise np.add.reduce(x * x, axis=-1) on a C-contiguous copy of x, so
+    its np.sqrt is np.linalg.norm's bits in any memory order; numpy sums a
+    strided last axis sequentially, other bits from 8 letters on.  It runs
+    letter by letter, vectorised over the rows.  `squares`, scratch of x's
+    shape if given, takes the squares.
+    """
+    return _pairwise_sum(np.multiply(x, x, out=squares), 0, x.shape[-1])
+
+
+def _pairwise_sum(sq: np.ndarray, lo: int, n: int) -> np.ndarray:
+    """numpy's pairwise sum of letters lo..lo+n-1 of sq: sequential below 8
+    letters, 8 accumulators up to 128, halves on multiples of 8 above.
+    Adds into the letters of sq, which the caller owns."""
+    if n < 8:
+        acc = 0.0 + sq[..., lo]
+        for i in range(lo + 1, lo + n):
+            acc += sq[..., i]
+        return acc
+    if n <= 128:
+        r = [sq[..., lo + j] for j in range(8)]
+        end = lo + n - n % 8
+        for i in range(lo + 8, end, 8):
+            for j in range(8):
+                r[j] += sq[..., i + j]
+        acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for i in range(end, lo + n):
+            acc += sq[..., i]
+        return acc
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(sq, lo, half) + _pairwise_sum(sq, lo + half, n - half)
+
+
 def homogeneous_norms(blocks: tuple[np.ndarray, ...]) -> np.ndarray:
     """Scaling-homogeneous size of stacked elements from their levels 1..L.
 
     Sum over degrees k >= 1, in k order, of the k-th root of the Euclidean
     norm of blocks[k-1] along its last axis; homogeneous of degree one
-    under dilation.
+    under dilation.  The norms come from `sum_squares`: layout-free bits.
     """
-    return sum(np.linalg.norm(b, axis=-1) ** (1.0 / k) for k, b in enumerate(blocks, 1))
+    return sum(np.sqrt(sum_squares(b)) ** (1.0 / k) for k, b in enumerate(blocks, 1))
 
 
 def certify_stack(

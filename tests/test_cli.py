@@ -559,6 +559,51 @@ def test_bad_stopping_rule_exits_two(tmp_path, flag, value):
     assert "input error" in res.stderr
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize(
+    "route, flag, message",
+    [
+        ("closed-lift", "--p", "p must be finite"),
+        ("solve", "--p", "p must be finite"),
+        ("pure-area", "--p", "p must be finite"),
+        ("pure-area", "--pure-area", "area must be finite"),
+        # the closed lift builds no LipFunction: rough_integral refuses -inf
+        # as not above p - 1, and the norm scan refuses inf and nan
+        ("closed-lift", "--gamma", "gamma"),
+        ("taylor", "--gamma", "gamma must be finite"),
+        ("solve", "--gamma", "gamma must be finite"),
+        ("solve", "--radius", "radius must be finite"),
+        ("solve", "--xi", "initial condition must be finite"),
+    ],
+)
+def test_non_finite_numeric_input_exits_two(tmp_path, capsys, route, flag, value, message):
+    """inf and nan are input errors, refused before any arithmetic could
+    overflow, warn or escape as a traceback (exit 1 means non-convergence)."""
+    rng = np.random.default_rng(4)
+    walk = tmp_path / "walk.csv"
+    write_csv(walk, np.linspace(0.0, 1.0, 9), 0.3 * rng.standard_normal((9, 2)))
+    write_json(tmp_path / "grad.json", GRAD_FORM)
+    # a cubic gradient is above the closed lift's degree at level 3
+    cubic = [np.zeros((1,) + (2,) * (l + 1)) for l in range(4)]
+    cubic[3][0, 0, 0, 0, 0] = 1.0
+    write_json(tmp_path / "cubic.json", {
+        "type": "poly", "in_dim": 2, "out_shape": [1, 2], "degree": 3,
+        "coeffs": [c.tolist() for c in cubic],
+    })
+    linear = area_form_json(tmp_path)
+    argv = {
+        "closed-lift": ["integrate", walk, "--form", tmp_path / "grad.json"],
+        "taylor": ["integrate", walk, "--form", tmp_path / "cubic.json"],
+        "pure-area": ["integrate", "--pure-area", 0.5, "--steps", 8, "--form", linear, "--p", 2.5],
+        "solve": ["solve", walk, "--field", linear, "--xi", "0.1,0.2"],
+    }[route]
+    # a later flag overrides an earlier one; "=" keeps "-inf" from reading as a flag
+    argv += ["--gamma", 4.0, f"{flag}={value}" if flag != "--xi" else f"--xi={value},0.2"]
+    assert cli.main([str(a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("roughkit: input error:") and message in err
+
+
 def test_bad_level_exits_two(tmp_path):
     csv = exp_csv(tmp_path, 8)
     res = run_cli("signature", csv, "--level", 0)

@@ -219,6 +219,14 @@ def test_control_scaled_refuses_a_non_finite_factor_before_it_multiplies(factor)
         omega.scaled(factor)
 
 
+def test_control_scaled_refuses_a_finite_factor_whose_product_overflows():
+    # 2.0 * 1e308 overflows to inf: the constructor's refusal, not an overflow warning
+    omega = Control(np.arange(3.0), np.triu(np.full((3, 3), 2.0), 1))
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        omega.scaled(1e308)
+    assert omega.scaled(1e307).total() == 2e307
+
+
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 def test_control_superadditivity(seed):
     rng = np.random.default_rng(seed)
@@ -471,12 +479,16 @@ def assert_pair_levels_are_the_increment_levels(g, monkeypatch, build_pairs=None
     n = len(g.points)
     s_idx, t_idx = np.triu_indices(n, k=1)
     stacks = g.increment_levels(s_idx, t_idx)
+    # einsum readers need row-major increments for the same bits
+    assert all(x.flags.c_contiguous for x in stacks)
     for size in build_pairs or (1, 2 * n, roughkit.path._BUILD_PAIRS):
         monkeypatch.setattr(roughkit.path, "_BUILD_PAIRS", size)
         h = SampledRoughPath(g.times, g.levels, g.p, g.grouplike)
         assert len(h.pairwise_levels) == max(g.level - 2, 0)
         for k, block in enumerate(h.pairwise_levels, start=2):
             assert block.shape == (s_idx.size, g.dim**k)
+            # letter-major: a view of one contiguous (d**k, P) array
+            assert block.T.flags.c_contiguous
             assert block.tobytes() == stacks[k].tobytes()
         for top in (False, True):
             runs = list(h.pair_runs(top))
@@ -487,6 +499,8 @@ def assert_pair_levels_are_the_increment_levels(g, monkeypatch, build_pairs=None
                 assert t.tobytes() == t_idx[pairs].tobytes()
                 assert len(levels) == g.level - 1 + top
                 for k, block in enumerate(levels, start=1):
+                    # each letter's column holds the run's pairs contiguously
+                    assert block.shape[0] < 2 or block.strides[0] == block.itemsize
                     assert block.tobytes() == stacks[k][pairs].tobytes()
 
 
@@ -696,6 +710,14 @@ def test_non_finite_rough_path_times_rejected(bad):
     g = signature(polyline(np.zeros((4, 2))), 2)
     with pytest.raises(ValueError, match="finite and strictly increasing"):
         SampledRoughPath(np.array(bad), g.levels, 2.0, g.grouplike)
+
+
+@pytest.mark.parametrize("p", [np.inf, np.nan, 0.5])
+def test_rough_path_refuses_a_non_finite_or_small_p(p):
+    # int(inf) would escape as an OverflowError, int(nan) as a conversion error
+    g = signature(polyline(np.zeros((4, 2))), 2)
+    with pytest.raises(ValueError, match="p must be finite and >= 1"):
+        SampledRoughPath(g.times, g.levels, p, g.grouplike)
 
 
 def _loop(rng, radius, d=2, n_pts=20):

@@ -12,6 +12,7 @@ from roughkit.tensor import (
     split_matrix,
     stack_inverse,
     stack_product,
+    sum_squares,
     tensor_exp,
     tensor_log,
 )
@@ -220,6 +221,51 @@ def test_broadcast_pair_products_are_bitwise_the_sum_from_zero(unital):
     cols = tuple(x[None, :, :] for x in b)
     assert_product_is_the_loop(rows, cols)
     assert stack_product(rows, cols)[3].shape == (5, 6, 27)
+
+
+def letter_major(stack):
+    """The same stack with each (n, d**k) level a view of a contiguous (d**k, n) array."""
+    return tuple(np.ascontiguousarray(x.T).T for x in stack)
+
+
+@pytest.mark.parametrize("unital", [True, False])
+def test_letter_major_operands_give_letter_major_levels_with_the_same_bits(unital):
+    rng = np.random.default_rng(9)
+    a, b = unital_stack(rng, 7), unital_stack(rng, 7)
+    if not unital:
+        a = (np.full((7, 1), 0.5),) + a[1:]
+    got = stack_product(letter_major(a), letter_major(b))
+    for x, y in zip(got, stack_product_loop(a, b)):
+        # the rows, here the pairs, on the contiguous axis
+        assert x.strides[0] == x.itemsize
+        assert_bitwise(x, y)
+
+
+def test_row_major_operands_give_c_contiguous_levels():
+    rng = np.random.default_rng(10)
+    a, b = unital_stack(rng, 7), unital_stack(rng, 7)
+    for u, v in [(a, b), (a, (np.zeros((7, 1)),) + b[1:])]:
+        assert all(x.flags.c_contiguous for x in stack_product(u, v))
+    # the one-row products of the object lift
+    g, h = random_signature(rng), random_signature(rng)
+    assert all(x.flags.c_contiguous for x in stack_product(g.tensor._stack(), h.tensor._stack()))
+
+
+def test_sum_squares_is_bitwise_numpys_norm_in_either_layout():
+    """Pins the pairwise order: a numpy release that sums a row in another
+    order fails here, not in the pair norms far downstream."""
+    rng = np.random.default_rng(12)
+    for width in [*range(1, 140), 256, 729, 4096]:
+        for scale in (1.0, np.exp(30.0), np.exp(-30.0)):
+            x = scale * rng.standard_normal((5, width)) * np.exp(rng.uniform(-3.0, 3.0, (5, width)))
+            x[0, ::2] = -0.0
+            x[1] = 0.0
+            x[2, ::3] = rng.choice([5e-324, -2.5e-310, 1e-300], size=x[2, ::3].size)
+            want = np.add.reduce(x * x, axis=-1)
+            for layout in (x, letter_major((x,))[0]):
+                got = sum_squares(layout)
+                assert_bitwise(got, want)
+                assert_bitwise(np.sqrt(got), np.linalg.norm(x, axis=-1))
 
 
 def _verdict(fn) -> str | None:
