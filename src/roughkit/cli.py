@@ -134,6 +134,9 @@ def cmd_signature(args) -> int:
 
 
 def cmd_integrate(args) -> int:
+    # the closed lift reads no radius, so it is refused here for every route
+    if not 0.0 < args.radius < math.inf:
+        raise ValueError(f"radius must be finite and positive, got {args.radius}")
     driver, start = _driver_from_args(args)
     gamma = args.gamma
     spec = _load_json(args.form)

@@ -142,6 +142,76 @@ def _spectral_pair_quotient(
     return q, int(j if idx is None else idx[j]), max(best, q)
 
 
+# Slack of the chain bounds on the pair remainders: relative, and absolute
+# per chain step in units of the form's size; see `_chain_bounds`.
+_CHAIN_REL = 1e-6
+_CHAIN_ABS = 1e-13
+
+
+def _chain_bounds(
+    sizes: list[np.ndarray], steps: list[np.ndarray], s0: int, s1: int, slack: list[float]
+) -> list[np.ndarray]:
+    """Bounds on the level-k pair remainders of rows s0..s1-1, k = 1..L.
+
+    R^k(s, u), the level-k matrix of (beta_u - beta_s)(g_u, .) that
+    `difference_matrices` forms, satisfies the cocycle identity with Chen's
+    relation: R^k(s, u) = R^k(t, u) + sum_{l >= k} R^l(s, t)
+    (pi_{l-k}(g_{t,u}) x id) for s < t < u.  Chaining it along the row s
+    over the steps t -> t+1, with the triangle inequality and
+    Cauchy-Schwarz, gives sigma_max <= ||R^k(s, u)||_F <= U^k(s, u), where
+    U^k(s, s) = 0 and
+
+        U^k(s, t+1) = U^k(s, t) + ||R^k(t, t+1)||_F
+                      + sum_{l > k} U^l(s, t) ||pi_{l-k}(g_{t,t+1})||,
+
+    from `sizes[k-1]`, the N adjacent remainders' Frobenius norms, and
+    `steps[j-1]`, the steps' level-j Euclidean norms, j < L.  Every term is
+    non-negative, so from level L down each level is one cumulative sum
+    along t of terms the higher levels give.
+
+    In floats the bound is slackened to U^k (1 + _CHAIN_REL) + slack[k-1],
+    from `OneFormPath._chain_slack`.  The relative term covers the rounding
+    of the norms and of the sums of non-negative terms, about (N + d**L)
+    eps relative, and leaves room for a few ulps in the bound quotient's
+    denominator.  The absolute term covers what the identity misses in
+    floats.  The pair increments are separate products g_s^{-1} g_t, so
+    Chen's relation holds among them to a few ulps of (1 + r)**L, r the
+    base's `_reach`, and the kernel rounds its sums over the increments;
+    at level k both errors go through the form's blocks of the levels above
+    k only, since the levels' scalar parts are exactly 1 and A_t - A_s is
+    one rounding.  Each such error is about d**L eps times those blocks'
+    size times (1 + r)**L, carried to the pair by increments no larger:
+    well inside _CHAIN_ABS of it, and a pair collects one per chain step
+    and one of its own, at most N + 1.  _BOUND_ABS covers squares that
+    underflow.  Where the raw chain is exact, as at level L of a form whose
+    coefficients move monotonically along a fixed matrix, rounding takes
+    the direct norm over it by a few ulps, which the slack absorbs.
+
+    Entry [k-1][i, j] bounds the pair (s0 + i, s0 + 1 + j) for j >= i;
+    entries left of the diagonal are no pairs.  A row whose bound overflows
+    is +inf.
+    """
+    top, n = len(sizes), sizes[0].size
+    rows, cols = s1 - s0, n - s0
+    head = np.tri(rows, k=-1, dtype=bool)
+    bounds: list[np.ndarray] = [np.empty(0)] * top
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(top, 0, -1):
+            x = np.empty((rows, cols))
+            x[:] = sizes[k - 1][s0:]
+            # the steps before each row's start
+            x[:, :rows][head] = 0.0
+            for l in range(k + 1, top + 1):
+                x[:, 1:] += bounds[l - 1][:, :-1] * steps[l - k - 1][s0 + 1 :]
+            bounds[k - 1] = np.cumsum(x, axis=1, out=x)
+        for k, u in enumerate(bounds, start=1):
+            u *= 1.0 + _CHAIN_REL
+            u += slack[k - 1]
+            # the sums grow along the row, so inf or nan reaches its end
+            u[~(u[:, -1] < np.inf)] = np.inf
+    return bounds
+
+
 def _pairing(coeffs: Iterable[np.ndarray], blocks: Iterable[np.ndarray]) -> np.ndarray:
     """Row-wise sum_k A^(k) h_k, coeffs[k-1] (n, out, d**k) and blocks[k-1]
     (n, d**k), summed from zero in k order; a row's bits do not depend on
@@ -352,23 +422,33 @@ class OneFormPath:
     ) -> tuple[list[float], list[tuple[int, int]]]:
         """Worst sigma_max(difference) / omega**expos[k-1] and its pair, per level k.
 
-        Scans the `base.pair_runs` runs, levels inside runs, so the
-        difference matrices of all pairs never exist at once and each run's
-        pair ends, increments and control weights are read once.  Each level
-        keeps (max, pair, lower bound); pair (0, 1) attains a zero maximum.
-
-        One pool serves every run and level, so no run allocates its
-        difference matrices, their temporaries, the bounds, the survivors of
-        the bound step or their Gram matrices.  It holds the first run, the
-        longest, or the N adjacent pairs if more, at the widest level's need
+        Each level keeps (max, pair, lower bound) over runs of pairs taken in
+        packed order, levels inside runs, so the difference matrices of all
+        pairs never exist at once; pair (0, 1) attains a zero maximum.  One
+        pool serves every run and level, so no run allocates its difference
+        matrices, their temporaries, the bounds, the survivors of the bound
+        step or their Gram matrices.  It holds the longest `base.pair_runs`
+        run, or the N adjacent pairs if more, at the widest level's need
         per pair.
 
-        Where the bound step prunes (out_dim > 1), each level's lower bound
-        starts at the exact maximum over the adjacent pairs (s, s+1), read
-        as one run of the packed indices of the row starts.  An evaluated
-        quotient is attained, so the seed is a lower bound, and the runs
-        keep their own maxima and worst pairs: the results, worst pairs
-        included, are bitwise the unseeded scan's.
+        Single-row forms scan every `base.pair_runs` run.  Wider forms, whose
+        quotients reach the eigensolver, first take each level's lower bound
+        from the exact maximum over the adjacent pairs (s, s+1), read as one
+        run of the packed indices of the row starts, and keep those pairs'
+        remainder norms.  From them `_chain_bounds` bounds every pair's
+        remainder, one `base._row_blocks` block at a time, bottom rows
+        first.  Only the pairs whose bound quotient reaches the level's lower
+        bound and whose bound exceeds the noise floor form difference
+        matrices: as one run of their packed indices, in packed order, or as
+        the block's run slice when at least half of its pairs do.  Before a
+        level reads a block whole, its pair of largest bound quotient is
+        evaluated alone, which may raise the lower bound enough to spare
+        the rest.  An evaluated quotient is attained, so each lower bound
+        stays below the maximum, and a pair left out has a smaller quotient
+        or a floored numerator.  A block's run keeps its quotient where it is strictly
+        larger, or equal and positive, since it comes earlier in packed
+        order than every run before it: the results, worst pairs included,
+        are bitwise the full scan's.
         """
         base = self.base
         if not np.array_equal(omega.times, base.times):
@@ -381,34 +461,106 @@ class OneFormPath:
         for k in range(1, len(expos) + 1):
             c = self.out_dim * base.dim**k
             needs.append(max((3 if k < base.level else 2) * c, 2 * c + (gram if gram > c else 0)))
-        runs = base.pair_runs()
-        first = next(runs)
-        pool = np.empty(max(first[1].size, base.num_steps) * max(needs))
+        pool = np.empty(max(base._longest_run, base.num_steps) * max(needs))
 
-        def fold(run, scans):
-            """Each level's (max, pair, lower bound) after one more run."""
+        def scan(k, run, w, state, diff=None, earlier=False):
+            """Level k's (max, pair, lower bound) after one more run, w its
+            control weights; a run `earlier` in packed order than the pair
+            kept wins its ties."""
+            q_max, pair, best = state
             _, s, t, _ = run
-            w = omega.at(s, t)
-            out = []
-            for i, (q_max, pair, best) in enumerate(scans):
-                diff = self.difference_matrices(i + 1, run, pool)
-                q, j, best = _spectral_pair_quotient(
-                    diff, w, expos[i], best, noise_floor, dead_tol, pool[diff.size :]
-                )
-                if q > q_max:
-                    q_max, pair = q, (int(s[j]), int(t[j]))
-                out.append((q_max, pair, best))
-            return out
+            if diff is None:
+                diff = self.difference_matrices(k, run, pool)
+            q, j, best = _spectral_pair_quotient(
+                diff, w, expos[k - 1], best, noise_floor, dead_tol, pool[diff.size :]
+            )
+            if q > q_max or (earlier and q == q_max > 0.0):
+                q_max, pair = q, (int(s[j]), int(t[j]))
+            return q_max, pair, best
 
         scans = [(0.0, (0, 1), 0.0)] * len(expos)
-        if self.out_dim > 1:
-            seeded = fold(base._pair_run(base._row_starts[:-1]), scans)
-            scans = [(0.0, (0, 1), best) for _, _, best in seeded]
-        scans = fold(first, scans)
-        del first  # before the reader builds the next run
-        for run in runs:
-            scans = fold(run, scans)
+        if self.out_dim == 1:
+            for run in base.pair_runs():
+                w = omega.at(run[1], run[2])
+                scans = [scan(k, run, w, state) for k, state in enumerate(scans, start=1)]
+            return [q for q, _, _ in scans], [pair for _, pair, _ in scans]
+
+        adjacent = base._pair_run(base._row_starts[:-1])
+        w = omega.at(adjacent[1], adjacent[2])
+        sizes = []
+        for k in range(1, base.level + 1):
+            diff = self.difference_matrices(k, adjacent, pool if k <= len(expos) else None)
+            with np.errstate(over="ignore"):
+                sizes.append(np.sqrt(np.einsum("poj,poj->p", diff, diff)))
+            if k <= len(expos):
+                scans[k - 1] = (0.0, (0, 1), scan(k, adjacent, w, scans[k - 1], diff)[2])
+        with np.errstate(over="ignore"):
+            steps = [np.sqrt(sum_squares(x)) for x in adjacent[3]]
+        del adjacent, diff
+        slack = self._chain_slack()
+        starts = base._row_starts
+        # bottom rows first: a Picard difference grows along the path, so
+        # the late pairs raise the lower bounds soonest
+        for s0, s1 in reversed(list(base._row_blocks())):
+            rows, count = s1 - s0, starts[s1] - starts[s0]
+            # omega**e as exp(e log omega): a few ulps off the exact scan's
+            # power, far inside the bounds' relative slack, at a tenth of its cost
+            with np.errstate(divide="ignore"):
+                logs = np.log(omega.table[s0:s1, s0 + 1 :])
+            head = np.tri(rows, k=-1, dtype=bool)
+            bounds = _chain_bounds(sizes, steps, s0, s1, slack)
+            keeps = []
+            for k, bound in enumerate(bounds[: len(expos)], start=1):
+                q_max, pair, best = scans[k - 1]
+                # bounds are positive, so a dead pair's bound quotient is +inf
+                with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                    quot = np.exp(expos[k - 1] * logs)
+                    np.divide(bound, quot, out=quot)
+                if noise_floor > 0.0:
+                    quot[bound <= noise_floor] = -1.0
+                # entries left of the diagonal are no pairs
+                quot[:, :rows][head] = -1.0
+                keep = quot >= best
+                if 2 * np.count_nonzero(keep) >= count:
+                    i, j = np.unravel_index(np.argmax(quot), quot.shape)
+                    one = base._pair_run(starts[s0 + i : s0 + i + 1] + j - i)
+                    best = scan(k, one, omega.at(one[1], one[2]), (0.0, (0, 1), best))[2]
+                    scans[k - 1] = q_max, pair, best
+                    keep = quot >= best
+                keeps.append(keep)
+            del bounds, bound, quot
+            block = None
+            for k, keep in enumerate(keeps, start=1):
+                kept = np.count_nonzero(keep)
+                if 2 * kept >= count:
+                    # reading it whole costs about what gathering half of it would
+                    if block is None:
+                        run = base._pair_run(slice(starts[s0], starts[s1]))
+                        block = run, omega.at(run[1], run[2])
+                    run, w = block
+                elif kept:
+                    i, j = np.nonzero(keep)
+                    run = base._pair_run(starts[s0 + i] + j - i)
+                    w = omega.at(run[1], run[2])
+                else:
+                    continue
+                scans[k - 1] = scan(k, run, w, scans[k - 1], earlier=True)
         return [q for q, _, _ in scans], [pair for _, pair, _ in scans]
+
+    def _chain_slack(self) -> list[float]:
+        """Absolute slack of `_chain_bounds` per level k: (N+1) _CHAIN_ABS M_k
+        + _BOUND_ABS, M_k the largest Frobenius norm of the form's blocks of
+        the levels above k (none at level L) times (1 + r)**L, r the base's
+        `_reach`.  See `_chain_bounds` for what it covers."""
+        base = self.base
+        with np.errstate(over="ignore", invalid="ignore"):
+            squares = [float(np.max(np.einsum("toj,toj->t", A, A))) for A in self.levels]
+            reach = (1.0 + base._reach) ** base.level
+            return [
+                (base.num_steps + 1) * _CHAIN_ABS * np.sqrt(max(squares[k:], default=0.0)) * reach
+                + _BOUND_ABS
+                for k in range(1, base.level + 1)
+            ]
 
     def operator_norm(self, gamma: float, omega: Control) -> float:
         """Control-weighted norm: sup part plus the worst difference quotient.

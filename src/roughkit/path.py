@@ -364,6 +364,12 @@ class SampledRoughPath:
         return self._pair_norms
 
     @cached_property
+    def _reach(self) -> float:
+        """Largest homogeneous norm of a point g_t or a pair increment g_{s,t}."""
+        points = homogeneous_norms(self.levels[1:])
+        return float(max(np.max(points), np.max(self.pairwise_homogeneous_norms)))
+
+    @cached_property
     def _row_starts(self) -> np.ndarray:
         """Packed index s(N+1) - s(s+1)/2 of the pair (s, s+1), s = 0..N; the last is P."""
         rows = np.arange(self.times.size)
@@ -386,6 +392,24 @@ class SampledRoughPath:
         all-pairs walk but the build reads these."""
         for a in range(0, int(self._row_starts[-1]), _BUILD_PAIRS):
             yield self._pair_run(slice(a, a + _BUILD_PAIRS), top)
+
+    @property
+    def _longest_run(self) -> int:
+        """Pairs in the longest `pair_runs` run; a `_row_blocks` block holds
+        at most this many, or one row."""
+        return min(_BUILD_PAIRS, int(self._row_starts[-1]))
+
+    def _row_blocks(self):
+        """The rows s = 0..N-1 of the packed pairs in blocks: yields (s0, s1)
+        for rows s0..s1-1, whose pairs s < t fill the upper triangle of a
+        (s1 - s0, N - s0) rectangle of at most `_BUILD_PAIRS` entries, or a
+        single row where one row holds more.  Their pairs are the packed
+        slice from `_row_starts[s0]` to `_row_starts[s1]`."""
+        n, s0 = self.num_steps, 0
+        while s0 < n:
+            s1 = min(n, s0 + max(1, _BUILD_PAIRS // (n - s0)))
+            yield s0, s1
+            s0 = s1
 
     def _pair_run(self, pairs: slice | np.ndarray, top: bool = False) -> tuple:
         """One `pair_runs` run, or the run of the packed pairs an index array

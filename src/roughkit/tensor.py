@@ -169,8 +169,11 @@ def homogeneous_norms(blocks: tuple[np.ndarray, ...]) -> np.ndarray:
     Sum over degrees k >= 1, in k order, of the k-th root of the Euclidean
     norm of blocks[k-1] along its last axis; homogeneous of degree one
     under dilation.  The norms come from `sum_squares`: layout-free bits.
+    A norm too large for a float is inf, without a warning: the callers
+    refuse it (the control) or read it as an unbounded size.
     """
-    return sum(np.sqrt(sum_squares(b)) ** (1.0 / k) for k, b in enumerate(blocks, 1))
+    with np.errstate(over="ignore"):
+        return sum(np.sqrt(sum_squares(b)) ** (1.0 / k) for k, b in enumerate(blocks, 1))
 
 
 def certify_stack(

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -559,26 +560,35 @@ def test_bad_stopping_rule_exits_two(tmp_path, flag, value):
     assert "input error" in res.stderr
 
 
-@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+NON_FINITE_CASES = [
+    ("closed-lift", "--p", "p must be finite"),
+    ("solve", "--p", "p must be finite"),
+    ("pure-area", "--p", "p must be finite"),
+    ("pure-area", "--pure-area", "area must be finite"),
+    # the closed lift builds no LipFunction: rough_integral refuses -inf
+    # as not above p - 1, and the norm scan refuses inf and nan
+    ("closed-lift", "--gamma", "gamma"),
+    ("taylor", "--gamma", "gamma must be finite"),
+    ("solve", "--gamma", "gamma must be finite"),
+    ("solve", "--radius", "radius must be finite"),
+    # the closed lift reads no radius, but refuses a bad one as the Taylor route does
+    ("closed-lift", "--radius", "radius must be finite and positive"),
+    ("solve", "--xi", "initial condition must be finite"),
+]
+
+
 @pytest.mark.parametrize(
-    "route, flag, message",
-    [
-        ("closed-lift", "--p", "p must be finite"),
-        ("solve", "--p", "p must be finite"),
-        ("pure-area", "--p", "p must be finite"),
-        ("pure-area", "--pure-area", "area must be finite"),
-        # the closed lift builds no LipFunction: rough_integral refuses -inf
-        # as not above p - 1, and the norm scan refuses inf and nan
-        ("closed-lift", "--gamma", "gamma"),
-        ("taylor", "--gamma", "gamma must be finite"),
-        ("solve", "--gamma", "gamma must be finite"),
-        ("solve", "--radius", "radius must be finite"),
-        ("solve", "--xi", "initial condition must be finite"),
+    "route, flag, message, value",
+    [case + (value,) for value in ["inf", "-inf", "nan"] for case in NON_FINITE_CASES]
+    + [
+        ("closed-lift", "--radius", "radius must be finite and positive", "-1"),
+        ("taylor", "--radius", "radius must be finite and positive", "-1"),
     ],
 )
 def test_non_finite_numeric_input_exits_two(tmp_path, capsys, route, flag, value, message):
-    """inf and nan are input errors, refused before any arithmetic could
-    overflow, warn or escape as a traceback (exit 1 means non-convergence)."""
+    """inf and nan, and a radius not above zero, are input errors, refused
+    before any arithmetic could overflow, warn or escape as a traceback
+    (exit 1 means non-convergence)."""
     rng = np.random.default_rng(4)
     walk = tmp_path / "walk.csv"
     write_csv(walk, np.linspace(0.0, 1.0, 9), 0.3 * rng.standard_normal((9, 2)))
@@ -602,6 +612,21 @@ def test_non_finite_numeric_input_exits_two(tmp_path, capsys, route, flag, value
     assert cli.main([str(a) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("roughkit: input error:") and message in err
+
+
+def test_overflowing_pure_area_prints_only_the_refusal(tmp_path, capsys):
+    """A finite area whose squares overflow is refused by the control, and
+    the homogeneous norms that overflow on the way raise no RuntimeWarning."""
+    argv = ["integrate", "--pure-area", "1e308", "--steps", "8",
+            "--form", str(area_form_json(tmp_path)), "--p", "2.5", "--gamma", "4"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    assert code == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert "RuntimeWarning" not in err
+    assert err == "roughkit: input error: control entries must be finite and non-negative\n"
 
 
 def test_bad_level_exits_two(tmp_path):

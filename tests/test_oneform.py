@@ -11,6 +11,7 @@ from roughkit.integrate import compose_integrand
 from roughkit.oneform import (
     ClosedLift,
     OneFormPath,
+    _chain_bounds,
     _pair_quotient,
     _spectral_pair_quotient,
     check_domination,
@@ -23,11 +24,12 @@ from roughkit.path import (
     control_from_pvar,
     signature,
 )
-from roughkit.rde import solve
+from roughkit.rde import picard_step, solve
 from roughkit.tensor import (
     DimensionMismatchError,
     GroupElement,
     TruncatedTensor,
+    sum_squares,
 )
 
 from conftest import (
@@ -842,11 +844,12 @@ def chunk_case(case, out_dim, chunk):
     raise ValueError(case)
 
 
+CHUNK_CASES = ["walk", "walk-noise-floor", "tie-straddles-chunk", "all-zero", "zero-control"]
+
+
 @pytest.mark.parametrize("chunk", [1, 2, 7, N_PAIRS - 1])
 @pytest.mark.parametrize("out_dim", [1, 2])
-@pytest.mark.parametrize(
-    "case", ["walk", "walk-noise-floor", "tie-straddles-chunk", "all-zero", "zero-control"]
-)
+@pytest.mark.parametrize("case", CHUNK_CASES)
 def test_level_quotients_bitwise_full_scan_across_chunks(case, out_dim, chunk, monkeypatch):
     form, omega, expos, floor, expected = chunk_case(case, out_dim, chunk)
     want = full_scan_level_quotients(form, omega, expos, floor)
@@ -907,15 +910,27 @@ def seed_case(case, out_dim):
         # one jump between points 6 and 7: 4 * 5 / (t - s) peaks at (6, 7)
         form = ramp_form(out_dim, np.where(np.arange(N_PTS) < 7, 0.0, 5.0))
         return form, gap_control(form.base, 1.0), [1.0], 0.0, (20.0, (6, 7))
+    if case == "all-floored":
+        # every pair's difference is nonzero and at or below the floor, as
+        # in the first Picard step: quotient 0 at pair (0, 1)
+        form = form_over_walk(np.random.default_rng(50 + out_dim), 2, 3, out_dim, N_PTS)
+        floor = max(
+            float(np.max(np.sqrt(np.einsum("poj,poj->p", *2 * (difference_matrices_einsum(form, k),)))))
+            for k in (1, 2, 3)
+        )
+        return form, control_from_pvar(form.base), [0.9, 0.6, 0.3], floor, (0.0, (0, 1))
     raise ValueError(case)
+
+
+SEED_CASES = [
+    "zero-control-stretch", "rounded-ties", "noise-floor-half", "noise-floor-most",
+    "adjacent-maximum", "all-floored",
+]
 
 
 @pytest.mark.parametrize("chunk", [1, 7, N_PAIRS])
 @pytest.mark.parametrize("out_dim", [2, 3, 4])
-@pytest.mark.parametrize(
-    "case",
-    ["zero-control-stretch", "rounded-ties", "noise-floor-half", "noise-floor-most", "adjacent-maximum"],
-)
+@pytest.mark.parametrize("case", SEED_CASES)
 def test_seeded_level_quotients_bitwise_full_scan(case, out_dim, chunk, monkeypatch):
     """The scan seeds each level's bound with the adjacent pairs' exact
     quotients; ties, +inf and floored numerators keep the full scan's
@@ -933,6 +948,118 @@ def test_seeded_level_quotients_bitwise_full_scan(case, out_dim, chunk, monkeypa
         j = form.base._row_starts[s] + t - s - 1
         k = form.base._row_starts[s + 3] + t - s - 1
         assert t + 3 < N_PTS and diff[j].tobytes() == diff[k].tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7])
+@pytest.mark.parametrize("out_dim", [2, 3])
+@pytest.mark.parametrize("case", CHUNK_CASES + SEED_CASES)
+def test_pruned_level_quotients_bitwise_full_scan_in_row_blocks(case, out_dim, rows, monkeypatch):
+    """Wide forms scan row blocks under the chain bounds, bottom block
+    first.  With the budget patched to `rows` full rows, the top block holds
+    `rows` rows (later ones more), and the tie case puts its two equal
+    quotients on the last pair of the top block and the first of the next."""
+    n_steps = N_PTS - 1
+    first = rows * n_steps - rows * (rows - 1) // 2
+    if case in SEED_CASES:
+        form, omega, expos, floor, _ = seed_case(case, out_dim)
+    else:
+        form, omega, expos, floor, _ = chunk_case(case, out_dim, first)
+    want = full_scan_level_quotients(form, omega, expos, floor)
+    monkeypatch.setattr(roughkit.path, "_BUILD_PAIRS", rows * n_steps)
+    assert next(form.base._row_blocks()) == (0, rows)
+    assert form._level_quotients(omega, expos, floor) == want
+
+
+def chain_bound_table(form):
+    """`_chain_bounds` of every row at once, slackened: entry [k-1][s, t-1]
+    bounds the level-k remainder of the pair (s, t), from the adjacent
+    pairs' einsum differences and the steps' level norms."""
+    g = form.base
+    adjacent = (g._row_starts[:-1],)
+    sizes = [
+        np.sqrt(np.einsum("poj,poj->p", *2 * (difference_matrices_einsum(form, k, adjacent),)))
+        for k in range(1, g.level + 1)
+    ]
+    steps = [np.sqrt(sum_squares(b)) for b in g.step_level_blocks[:-1]]
+    return _chain_bounds(sizes, steps, 0, g.num_steps, form._chain_slack())
+
+
+def chain_case(rng, d, level, out_dim, kind, scale):
+    """A form over a long walk of large steps (excursions of tens of units)
+    that halts for three steps midway, a stretch where the p-variation
+    control vanishes and the increments are the unit.  Smooth
+    coefficients are polynomials in the position, rough ones independent
+    draws at every point, and monotone ones a fixed matrix times a sum of
+    positive draws, so that level L's differences add up along every row
+    and its raw chain bound is exact; each level is scaled by `scale` to a
+    random power in [-1, 1]."""
+    n_pts = 40 if d < 3 else 28
+    steps = 4.0 * rng.standard_normal((n_pts - 1, d))
+    steps[n_pts // 2 : n_pts // 2 + 3] = 0.0
+    x = np.vstack([np.zeros((1, d)), np.cumsum(steps, axis=0)])
+    g = signature(SampledPath(np.linspace(0.0, 1.0, n_pts), x), level, p=level + 0.5)
+    levels = []
+    for k in range(1, level + 1):
+        shape = (n_pts, out_dim, d**k)
+        if kind == "smooth":
+            c = rng.standard_normal((3,) + shape[1:])
+            u = x[:, :1, None] / 30.0
+            block = c[0] + u * c[1] + u * u * c[2]
+        elif kind == "monotone":
+            ramp = np.cumsum(rng.random(n_pts))
+            block = ramp[:, None, None] * rng.standard_normal(shape[1:])
+        else:
+            block = rng.standard_normal(shape)
+        levels.append(block * scale ** rng.uniform(-1.0, 1.0))
+    return OneFormPath(g, out_dim, tuple(levels))
+
+
+@pytest.mark.parametrize("out_dim", [2, 3])
+@pytest.mark.parametrize("level", [2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_chain_bounds_hold_on_every_pair(d, level, out_dim):
+    """Every non-adjacent pair's slackened chain bound is at least the
+    Frobenius norm of its einsum difference matrix, for smooth, rough and
+    monotone coefficients at scales 1e-3 to 1e3.  Where the raw chain is
+    exact, rounding takes the direct norm over it by a few ulps, and the
+    slack carries the bound."""
+    rng = np.random.default_rng(1000 * d + 100 * level + out_dim)
+    for kind in ("smooth", "rough", "monotone"):
+        for scale in (1e-3, 1.0, 1e3):
+            form = chain_case(rng, d, level, out_dim, kind, scale)
+            n = form.base.times.size
+            s_idx, t_idx = np.triu_indices(n, k=1)
+            far = t_idx - s_idx > 1
+            bounds = chain_bound_table(form)
+            for k in range(1, level + 1):
+                diff = difference_matrices_einsum(form, k)
+                fro = np.sqrt(np.einsum("poj,poj->p", diff, diff))
+                bound = bounds[k - 1][s_idx, t_idx - 1]
+                assert np.all(bound[far] >= fro[far]), (kind, scale, k)
+
+
+def test_pruned_scans_form_few_pairs_in_late_picard_steps(monkeypatch):
+    """In Picard steps 6-11 of the cubic fixture at N=64 the chain bounds
+    leave fewer than 1% of the non-adjacent pairs to the difference kernel
+    at every level, where a scan without them forms all of them.  The
+    adjacent pairs, whose remainders seed the bounds, are not counted."""
+    problem = cubic_problem(64, n_max=16)
+    history = solve(problem, keep_history=True).history
+    formed = {}
+    kernel = OneFormPath.difference_matrices
+
+    def counting(self, k, run=None, pool=None):
+        _, s, t, _ = run
+        formed[k] = formed.get(k, 0) + int(np.count_nonzero(t - s > 1))
+        return kernel(self, k, run, pool)
+
+    monkeypatch.setattr(OneFormPath, "difference_matrices", counting)
+    far = 64 * 65 // 2 - 64
+    for n in range(6, 12):
+        formed.clear()
+        assert picard_step(history[n - 1], problem).quot_parts == history[n].quot_parts
+        assert len(formed) == 3
+        assert all(count < 0.01 * far for count in formed.values()), (n, formed)
 
 
 def test_pair_scan_transient_holds_one_bound_as_the_grid_grows():
