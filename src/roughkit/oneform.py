@@ -72,13 +72,142 @@ def _pair_quotient(
     return float(quot[j]), j
 
 
-# Slack on the Frobenius bounds.  The einsum and the Gram eigensolver each
-# round within about out_dim * d**k ulps, far inside the relative term for
-# the forms this package builds.  The absolute term covers squares that
-# underflow into subnormals, where both routes lose relative precision
-# (error below 1e-159 in sigma).
+# Slack on the sigma_max bounds, Frobenius and trace alike.  The Gram
+# matrices and the eigensolver each round within about min(rows, cols) *
+# max(rows, cols) ulps of sigma**2, far inside the relative term for the
+# forms this package builds (see `_sigma_bounds`).  The absolute term covers
+# squares that underflow into subnormals, where every route loses relative
+# precision (error below 1e-159 in sigma).
 _BOUND_REL = 1e-12
 _BOUND_ABS = 1e-150
+# From this Gram trace on, the eigensolver's own Gram matrix may overflow:
+# `_sigma_bounds` leaves such a matrix open.
+_GRAM_TRACE_MAX = 1e308
+
+
+def _sigma_bounds(mats: np.ndarray, pool: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds on what `batched_spectral_norms` returns for
+    each matrix of an (n, rows, cols) stack.
+
+    sigma_max**2 is the largest eigenvalue of the r x r Gram matrix G of the
+    matrix's rows or columns, whichever are fewer, r = min(rows, cols); its
+    entries are row dot products (einsum).  With t = tr G / r and
+    s = ||G - tI||_F / sqrt(r), the trace bounds of Wolkowicz and Styan
+    (Linear Algebra Appl. 29, 1980) put that eigenvalue in
+    [t + s / sqrt(r - 1), t + s sqrt(r - 1)].  The centred form takes s
+    without cancelling squares, through np.hypot, so no square overflows
+    before sigma**2 does.  At r = 2 the two ends agree:
+    G - tI = [[h, G12], [G12, -h]], h = (G11 - G22) / 2, and s = hypot(h, G12).
+    At r = 1 the single entry is the eigenvalue.
+
+    Rounding, u = 2**-53 and c = max(rows, cols): every entry of G and of
+    the eigensolver's Gram is a sum of c products, within c u
+    sqrt(G_aa G_bb) of the exact, so either matrix is within c u tr G <=
+    r c u sigma**2 of the exact in Frobenius norm and, by Weyl's
+    inequality, so are its eigenvalues.  The eigensolver's backward error
+    adds a few u sigma**2, and t, s and the bounds a few roundings of terms
+    at most tr G.  At r = 4 and d**k = 81 letters that is under 1e-13
+    sigma**2, half that in sigma, and _BOUND_REL = 1e-12 leaves room to
+    r of about 100.  Where squares underflow, each product is off by at
+    most half the smallest subnormal: sigma**2 by about r c 5e-324, sigma
+    by its square root, far inside _BOUND_ABS.  A matrix whose trace
+    reaches _GRAM_TRACE_MAX gets the bounds (-inf, inf).
+
+    `pool`, flat float scratch of r (r + 1) / 2 + 1 entries per matrix,
+    takes G and holds the returned bounds.
+    """
+    n, rows, cols = mats.shape
+    r = min(rows, cols)
+    vecs = mats if rows <= cols else mats.transpose(0, 2, 1)
+    slots = r * (r + 1) // 2 + 1
+    if pool is None:
+        pool = np.empty(slots * n)
+    parts = [pool[i * n : (i + 1) * n] for i in range(slots)]
+    diag, off, t = parts[:r], parts[r:-1], parts[-1]
+    pairs = [(a, b) for a in range(r) for b in range(a + 1, r)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, x in enumerate(diag):
+            np.einsum("...j,...j->...", vecs[:, a], vecs[:, a], out=x)
+        for (a, b), x in zip(pairs, off):
+            np.einsum("...j,...j->...", vecs[:, a], vecs[:, b], out=x)
+        t[:] = diag[0]
+        for x in diag[1:]:
+            t += x
+        open_ = ~(t < _GRAM_TRACE_MAX)
+        if r == 1:
+            lo, hi = t, diag[0]
+        elif r == 2:
+            h = diag[0]
+            h -= diag[1]
+            h *= 0.5
+            np.hypot(h, off[0], out=h)
+            t *= 0.5
+            lo, hi = t, np.add(t, h, out=diag[1])
+            lo += h
+        else:
+            t /= r
+            for x in diag:
+                x -= t
+            for x in off:
+                x *= np.sqrt(2.0)
+            s = diag[0]
+            for x in diag[1:] + off:
+                np.hypot(s, x, out=s)
+            s /= np.sqrt(r)
+            lo, hi = t, np.multiply(s, np.sqrt(r - 1), out=diag[1])
+            hi += t
+            s /= np.sqrt(r - 1)
+            lo += s
+        np.sqrt(hi, out=hi)
+        hi *= 1.0 + _BOUND_REL
+        hi += _BOUND_ABS
+        hi[open_] = np.inf
+        np.sqrt(lo, out=lo)
+        lo *= 1.0 - _BOUND_REL
+        lo -= _BOUND_ABS
+        lo[open_] = -np.inf
+    return lo, hi
+
+
+def _gate(
+    lo: np.ndarray, hi: np.ndarray, w: np.ndarray, expo: float, best: float,
+    noise_floor: float, dead_tol: float,
+) -> tuple[float, np.ndarray]:
+    """`best` raised by the pairs' lower quotients lo / w**expo, and the
+    indices of the pairs whose upper quotient hi / w**expo reaches it and
+    whose hi exceeds the noise floor; lo and hi bound the pairs' computed
+    sigma_max and are overwritten.
+
+    An upper quotient below `best`, a lower bound on the maximum, cannot be
+    the maximum, and `upper >= best` keeps ties and +inf.  Where w**expo
+    vanishes the upper quotient is +inf if hi exceeds dead_tol and 0
+    otherwise, as `_pair_quotient` counts the pair.
+    """
+    denom = w**expo
+    live = denom > 0.0
+    # pairs with lo above the floor cannot be floored: a sound lower bound
+    sure = live & (lo > noise_floor)
+    keep = hi > noise_floor
+    with np.errstate(over="ignore"):
+        best = max(best, np.max(np.divide(lo, denom, out=lo, where=sure), where=sure, initial=0.0))
+        dead = ~live
+        hi[dead] = np.where(hi[dead] > dead_tol, np.inf, 0.0)
+        np.divide(hi, denom, out=hi, where=live)
+    keep &= hi >= best
+    return best, np.flatnonzero(keep)
+
+
+def _keep(
+    diff: np.ndarray, w: np.ndarray, sel: np.ndarray, here: np.ndarray, there: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(diff[sel], w[sel]) and the two flat slots, the one holding them
+    first: the matrices are copied into `there`, where diff in `here` is
+    spent, unless sel keeps them all."""
+    if sel.size == w.size:
+        return diff, w, here, there
+    kept = there[: sel.size * diff[0].size].reshape((sel.size,) + diff.shape[1:])
+    np.take(diff, sel, axis=0, out=kept, mode="clip")
+    return kept, w[sel], there, here
 
 
 def _spectral_pair_quotient(
@@ -94,46 +223,43 @@ def _spectral_pair_quotient(
     bitwise the (max, argmax) of `_pair_quotient` on the spectral norms of
     every pair floored at noise_floor, ties to the first pair.  Single-row
     forms take row norms on every pair.  Otherwise the eigensolver runs
-    only on the pairs that can reach `best`: ||M||_F / sqrt(r) <=
-    sigma_max(M) <= ||M||_F with r = min(out_dim, d**k), so a pair whose
-    upper quotient falls below some pair's lower quotient, or below a
-    quotient already evaluated, cannot be the maximum.  Any exact quotient
-    of any pair is such a bound, so a caller may seed `best` with one;
-    `upper >= best` keeps ties and +inf.  A run left with no pair returns
-    the quotient 0.0, which raises no maximum.
+    only on the pairs that can reach `best`, through two `_gate`s: first
+    ||M||_F / sqrt(r) <= sigma_max(M) <= ||M||_F with r = min(out_dim,
+    d**k) on every pair, then the trace bounds of `_sigma_bounds` where
+    more than one pair is left, which pin sigma_max to the slack at r = 2.
+    Any exact quotient of any pair is such a bound, so a caller may seed
+    `best` with one.  A run left with no pair returns the quotient 0.0,
+    which raises no maximum.
 
-    The bounds, the survivors and their Gram matrices (a single row's
-    squares) go to `pool`, flat float scratch beside diff, of diff[0].size
-    entries per pair plus out_dim**2 where that is larger; diff is spent
-    once the survivors are copied, and takes the Gram matrices if they fit.
+    `pool` is flat float scratch beside diff, of diff[0].size entries per
+    pair plus out_dim**2 where that is larger.  Each gate's survivors are
+    copied to the other of the two slots, diff's and the pool; the bounds
+    and the eigensolver's Gram matrices go to the slot that holds no
+    survivors, or past them where that is too small.
     """
     idx = None
     if diff.shape[1] > 1:
-        n = w.size
-        hi, lo, upper = (pool[i * n : (i + 1) * n] for i in range(3))
+        n, rows = w.size, diff.shape[1]
+        r = min(diff.shape[1:])
+        hi, lo = pool[:n], pool[n : 2 * n]
         np.sqrt(np.einsum("poj,poj->p", diff, diff, out=hi), out=hi)
         np.multiply(hi, 1.0 - _BOUND_REL, out=lo)
         lo -= _BOUND_ABS
-        lo /= np.sqrt(min(diff.shape[1:]))
+        lo /= np.sqrt(r)
         hi *= 1.0 + _BOUND_REL
         hi += _BOUND_ABS
-        denom = w**expo
-        live = denom > 0.0
-        # pairs with lo above the floor cannot be floored: a sound lower bound
-        sure = live & (lo > noise_floor)
-        best = max(best, np.max(np.divide(lo, denom, out=lo, where=sure), where=sure, initial=0.0))
-        np.divide(hi, denom, out=upper, where=live)
-        upper[~live] = np.where(hi[~live] > dead_tol, np.inf, 0.0)
-        idx = np.flatnonzero((upper >= best) & (hi > noise_floor))
-        if not idx.size:
+        best, idx = _gate(lo, hi, w, expo, best, noise_floor, dead_tol)
+        # `here` holds the pairs left, `there` is spent scratch
+        diff, w, here, there = _keep(diff, w, idx, diff.reshape(-1), pool)
+        # one matrix left costs the eigensolver what its trace bounds would
+        if r > 1 and w.size > 1:
+            lo, hi = _sigma_bounds(diff, there)
+            best, sel = _gate(lo, hi, w, expo, best, noise_floor, dead_tol)
+            diff, w, here, there = _keep(diff, w, sel, here, there)
+            idx = idx[sel]
+        if not w.size:
             return 0.0, 0, best
-        if idx.size < n:
-            keep = pool[: idx.size * diff[0].size].reshape((idx.size,) + diff.shape[1:])
-            np.take(diff, idx, axis=0, out=keep, mode="clip")
-            # diff is spent: its slot takes the Gram matrices where they fit
-            spent = diff.reshape(-1)
-            pool = spent if idx.size * diff.shape[1] ** 2 <= spent.size else pool[keep.size :]
-            diff, w = keep, w[idx]
+        pool = there if w.size * rows**2 <= there.size else here[diff.size :]
     norms = batched_spectral_norms(diff, pool)
     if noise_floor > 0.0:
         norms[norms <= noise_floor] = 0.0
@@ -149,7 +275,8 @@ _CHAIN_ABS = 1e-13
 
 
 def _chain_bounds(
-    sizes: list[np.ndarray], steps: list[np.ndarray], s0: int, s1: int, slack: list[float]
+    sizes: list[np.ndarray], steps: list[np.ndarray], s0: int, s1: int, slack: list[float],
+    pool: np.ndarray | None = None,
 ) -> list[np.ndarray]:
     """Bounds on the level-k pair remainders of rows s0..s1-1, k = 1..L.
 
@@ -189,21 +316,26 @@ def _chain_bounds(
 
     Entry [k-1][i, j] bounds the pair (s0 + i, s0 + 1 + j) for j >= i;
     entries left of the diagonal are no pairs.  A row whose bound overflows
-    is +inf.
+    is +inf.  The L tables are the leading views of `pool`, flat float
+    scratch of L + 1 tables of (s1 - s0) (N - s0) entries, the last one
+    for the products; without a pool one is allocated.
     """
     top, n = len(sizes), sizes[0].size
     rows, cols = s1 - s0, n - s0
+    if pool is None:
+        pool = np.empty((top + 1) * rows * cols)
+    *bounds, term = (pool[i * rows * cols : (i + 1) * rows * cols].reshape(rows, cols) for i in range(top + 1))
     head = np.tri(rows, k=-1, dtype=bool)
-    bounds: list[np.ndarray] = [np.empty(0)] * top
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(top, 0, -1):
-            x = np.empty((rows, cols))
+            x = bounds[k - 1]
             x[:] = sizes[k - 1][s0:]
             # the steps before each row's start
             x[:, :rows][head] = 0.0
             for l in range(k + 1, top + 1):
-                x[:, 1:] += bounds[l - 1][:, :-1] * steps[l - k - 1][s0 + 1 :]
-            bounds[k - 1] = np.cumsum(x, axis=1, out=x)
+                np.multiply(bounds[l - 1][:, :-1], steps[l - k - 1][s0 + 1 :], out=term[:, :-1])
+                x[:, 1:] += term[:, :-1]
+            np.cumsum(x, axis=1, out=x)
         for k, u in enumerate(bounds, start=1):
             u *= 1.0 + _CHAIN_REL
             u += slack[k - 1]
@@ -344,8 +476,22 @@ class OneFormPath:
 
     @cached_property
     def level_sups(self) -> tuple[float, ...]:
-        """Per level k, sup_t of the largest singular value of A_t^(k)."""
-        return tuple(float(np.max(batched_spectral_norms(b))) for b in self.levels)
+        """Per level k, sup_t of the largest singular value of A_t^(k).
+
+        Bitwise the maximum of `batched_spectral_norms` over the level's
+        rows, which takes it only on the rows whose upper `_sigma_bounds`
+        bound reaches the largest lower bound, and on one of them where
+        they are bitwise equal, as the rows of a constant form are."""
+        sups = []
+        for block in self.levels:
+            if block.shape[1] > 1:
+                lo, hi = _sigma_bounds(block)
+                block = block[hi >= np.max(lo)]
+                bits = block.reshape(len(block), -1).view(np.uint64)
+                if np.all(bits == bits[0]):
+                    block = block[:1]
+            sups.append(float(np.max(batched_spectral_norms(block))))
+        return tuple(sups)
 
     @property
     def sup_norm(self) -> float:
@@ -427,9 +573,10 @@ class OneFormPath:
         pairs never exist at once; pair (0, 1) attains a zero maximum.  One
         pool serves every run and level, so no run allocates its difference
         matrices, their temporaries, the bounds, the survivors of the bound
-        step or their Gram matrices.  It holds the longest `base.pair_runs`
-        run, or the N adjacent pairs if more, at the widest level's need
-        per pair.
+        steps or their Gram matrices.  It holds a run of the longest
+        `base.pair_runs` run's length, or of the N adjacent pairs if more, at
+        the widest level's need per pair, and at its end the chain-bound,
+        log and quotient tables of the largest row block.
 
         Single-row forms scan every `base.pair_runs` run.  Wider forms, whose
         quotients reach the eigensolver, first take each level's lower bound
@@ -439,15 +586,18 @@ class OneFormPath:
         remainder, one `base._row_blocks` block at a time, bottom rows
         first.  Only the pairs whose bound quotient reaches the level's lower
         bound and whose bound exceeds the noise floor form difference
-        matrices: as one run of their packed indices, in packed order, or as
-        the block's run slice when at least half of its pairs do.  Before a
-        level reads a block whole, its pair of largest bound quotient is
-        evaluated alone, which may raise the lower bound enough to spare
-        the rest.  An evaluated quotient is attained, so each lower bound
-        stays below the maximum, and a pair left out has a smaller quotient
-        or a floored numerator.  A block's run keeps its quotient where it is strictly
-        larger, or equal and positive, since it comes earlier in packed
-        order than every run before it: the results, worst pairs included,
+        matrices: as runs of their packed indices, or of the block's packed
+        slice when at least half of its pairs do.  Before a level
+        reads a block whole, its pair of largest bound quotient is evaluated
+        alone, which may raise the lower bound enough to spare the rest; once
+        such a probe leaves the bound where it was, the level stops probing.
+        An evaluated quotient is attained, so each lower bound stays below
+        the maximum, and a pair left out has a smaller quotient or a floored
+        numerator.  A block, whose rectangle holds two runs' entries, or a
+        level's kept pairs may be longer than a run; they are read in runs,
+        the last first.  Every run thus comes earlier in packed order than
+        every run before it and keeps its quotient where it is strictly
+        larger, or equal and positive: the results, worst pairs included,
         are bitwise the full scan's.
         """
         base = self.base
@@ -461,7 +611,13 @@ class OneFormPath:
         for k in range(1, len(expos) + 1):
             c = self.out_dim * base.dim**k
             needs.append(max((3 if k < base.level else 2) * c, 2 * c + (gram if gram > c else 0)))
-        pool = np.empty(max(base._longest_run, base.num_steps) * max(needs))
+        n, top, length = base.num_steps, base.level, max(base._longest_run, base.num_steps)
+        blocks = [] if self.out_dim == 1 else list(base._row_blocks())
+        # L chain-bound tables, the quotients (the products' scratch before)
+        # and the logs, past the head a single-pair probe uses
+        table = (top + 2) * max(((s1 - s0) * (n - s0) for s0, s1 in blocks), default=0)
+        pool = np.empty(max(length * max(needs), table + max(needs)))
+        tables = pool[pool.size - table :]
 
         def scan(k, run, w, state, diff=None, earlier=False):
             """Level k's (max, pair, lower bound) after one more run, w its
@@ -488,7 +644,7 @@ class OneFormPath:
         adjacent = base._pair_run(base._row_starts[:-1])
         w = omega.at(adjacent[1], adjacent[2])
         sizes = []
-        for k in range(1, base.level + 1):
+        for k in range(1, top + 1):
             diff = self.difference_matrices(k, adjacent, pool if k <= len(expos) else None)
             with np.errstate(over="ignore"):
                 sizes.append(np.sqrt(np.einsum("poj,poj->p", diff, diff)))
@@ -499,52 +655,58 @@ class OneFormPath:
         del adjacent, diff
         slack = self._chain_slack()
         starts = base._row_starts
+        probing = [True] * len(expos)
         # bottom rows first: a Picard difference grows along the path, so
         # the late pairs raise the lower bounds soonest
-        for s0, s1 in reversed(list(base._row_blocks())):
-            rows, count = s1 - s0, starts[s1] - starts[s0]
+        for s0, s1 in reversed(blocks):
+            rows, cols = s1 - s0, n - s0
+            first, end = int(starts[s0]), int(starts[s1])
+            size = rows * cols
+            bounds = _chain_bounds(sizes, steps, s0, s1, slack, tables[: (top + 1) * size])
+            quot, logs = (tables[i * size : (i + 1) * size].reshape(rows, cols) for i in (top, top + 1))
             # omega**e as exp(e log omega): a few ulps off the exact scan's
             # power, far inside the bounds' relative slack, at a tenth of its cost
             with np.errstate(divide="ignore"):
-                logs = np.log(omega.table[s0:s1, s0 + 1 :])
+                np.log(omega.table[s0:s1, s0 + 1 :], out=logs)
             head = np.tri(rows, k=-1, dtype=bool)
-            bounds = _chain_bounds(sizes, steps, s0, s1, slack)
             keeps = []
             for k, bound in enumerate(bounds[: len(expos)], start=1):
                 q_max, pair, best = scans[k - 1]
                 # bounds are positive, so a dead pair's bound quotient is +inf
                 with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                    quot = np.exp(expos[k - 1] * logs)
+                    np.multiply(logs, expos[k - 1], out=quot)
+                    np.exp(quot, out=quot)
                     np.divide(bound, quot, out=quot)
                 if noise_floor > 0.0:
                     quot[bound <= noise_floor] = -1.0
                 # entries left of the diagonal are no pairs
                 quot[:, :rows][head] = -1.0
                 keep = quot >= best
-                if 2 * np.count_nonzero(keep) >= count:
+                if probing[k - 1] and 2 * np.count_nonzero(keep) >= end - first:
                     i, j = np.unravel_index(np.argmax(quot), quot.shape)
                     one = base._pair_run(starts[s0 + i : s0 + i + 1] + j - i)
-                    best = scan(k, one, omega.at(one[1], one[2]), (0.0, (0, 1), best))[2]
-                    scans[k - 1] = q_max, pair, best
-                    keep = quot >= best
+                    raised = scan(k, one, omega.at(one[1], one[2]), (0.0, (0, 1), best))[2]
+                    if raised > best:
+                        scans[k - 1] = q_max, pair, raised
+                        keep = quot >= raised
+                    else:
+                        # a flat level: probing every block costs more than it spares
+                        probing[k - 1] = False
                 keeps.append(keep)
-            del bounds, bound, quot
-            block = None
-            for k, keep in enumerate(keeps, start=1):
-                kept = np.count_nonzero(keep)
-                if 2 * kept >= count:
-                    # reading it whole costs about what gathering half of it would
-                    if block is None:
-                        run = base._pair_run(slice(starts[s0], starts[s1]))
-                        block = run, omega.at(run[1], run[2])
-                    run, w = block
-                elif kept:
-                    i, j = np.nonzero(keep)
+            # reading a block whole costs about what gathering half of it would
+            kept = [np.count_nonzero(keep) for keep in keeps]
+            whole = [k for k, c in enumerate(kept, start=1) if 2 * c >= end - first]
+            for a in reversed(range(first, end, length) if whole else ()):
+                run = base._pair_run(slice(a, min(a + length, end)))
+                w = omega.at(run[1], run[2])
+                for k in whole:
+                    scans[k - 1] = scan(k, run, w, scans[k - 1], earlier=True)
+            for k, (keep, c) in enumerate(zip(keeps, kept), start=1):
+                flat = np.flatnonzero(keep) if 2 * c < end - first else ()
+                for a in reversed(range(0, len(flat), length)):
+                    i, j = np.divmod(flat[a : a + length], cols)
                     run = base._pair_run(starts[s0 + i] + j - i)
-                    w = omega.at(run[1], run[2])
-                else:
-                    continue
-                scans[k - 1] = scan(k, run, w, scans[k - 1], earlier=True)
+                    scans[k - 1] = scan(k, run, omega.at(run[1], run[2]), scans[k - 1], earlier=True)
         return [q for q, _, _ in scans], [pair for _, pair, _ in scans]
 
     def _chain_slack(self) -> list[float]:
@@ -611,8 +773,8 @@ def check_domination(
     every difference quotient at most one (possible whenever no quotient is
     infinite, since theta - k/p > 0 for all participating levels).
     """
-    if theta <= 1.0:
-        raise ValueError("theta must exceed 1")
+    if not 1.0 < theta < np.inf:
+        raise ValueError(f"theta must be finite and exceed 1, got {theta}")
     p = beta.base.p
     # every exponent is positive: k <= [p] <= p and theta > 1
     expos = [theta - k / p for k in range(1, beta.base.level + 1)]

@@ -395,19 +395,19 @@ class SampledRoughPath:
 
     @property
     def _longest_run(self) -> int:
-        """Pairs in the longest `pair_runs` run; a `_row_blocks` block holds
-        at most this many, or one row."""
+        """Pairs in the longest `pair_runs` run."""
         return min(_BUILD_PAIRS, int(self._row_starts[-1]))
 
     def _row_blocks(self):
         """The rows s = 0..N-1 of the packed pairs in blocks: yields (s0, s1)
         for rows s0..s1-1, whose pairs s < t fill the upper triangle of a
-        (s1 - s0, N - s0) rectangle of at most `_BUILD_PAIRS` entries, or a
-        single row where one row holds more.  Their pairs are the packed
-        slice from `_row_starts[s0]` to `_row_starts[s1]`."""
+        (s1 - s0, N - s0) rectangle of at most 2 `_BUILD_PAIRS` entries, or
+        a single row where one row holds more.  Their pairs are the packed
+        slice from `_row_starts[s0]` to `_row_starts[s1]`, which may be
+        longer than a run."""
         n, s0 = self.num_steps, 0
         while s0 < n:
-            s1 = min(n, s0 + max(1, _BUILD_PAIRS // (n - s0)))
+            s1 = min(n, s0 + max(1, 2 * _BUILD_PAIRS // (n - s0)))
             yield s0, s1
             s0 = s1
 

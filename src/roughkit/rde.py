@@ -86,6 +86,8 @@ class RdeProblem:
         if not self.norm_cap > 0.0:
             raise ValueError(f"norm_cap must be positive, got {self.norm_cap}")
         xi = np.asarray(self.xi, dtype=float).reshape(-1)
+        if not xi.size:
+            raise ValueError("initial condition is empty")
         if not np.all(np.isfinite(xi)):
             raise ValueError(f"initial condition must be finite, got {xi.tolist()}")
         object.__setattr__(self, "xi", xi)

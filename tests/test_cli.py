@@ -548,6 +548,15 @@ def test_bad_xi_exits_two(tmp_path):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("xi", [",", ""])
+def test_empty_xi_exits_two(tmp_path, capsys, xi):
+    csv = exp_csv(tmp_path, 8)
+    field = scalar_linear_field_json(tmp_path)
+    argv = ["solve", csv, "--field", field, f"--xi={xi}", "--p", 3.0, "--gamma", 4.0]
+    assert cli.main([str(a) for a in argv]) == 2
+    assert capsys.readouterr().err == "roughkit: input error: initial condition is empty\n"
+
+
 @pytest.mark.parametrize("flag, value", [("--tol", "nan"), ("--n-max", "-1")])
 def test_bad_stopping_rule_exits_two(tmp_path, flag, value):
     csv = exp_csv(tmp_path, 8)

@@ -5,15 +5,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import roughkit.oneform
 import roughkit.path
 from roughkit.funcs import LipFunction, PolyMap, strict_floor
 from roughkit.integrate import compose_integrand
 from roughkit.oneform import (
+    _BOUND_ABS,
+    _BOUND_REL,
     ClosedLift,
     OneFormPath,
     _chain_bounds,
     _pair_quotient,
+    _sigma_bounds,
     _spectral_pair_quotient,
+    batched_spectral_norms,
     check_domination,
     integral_form_from_controlled,
     lift_polynomial_form,
@@ -398,6 +403,15 @@ def test_theta_at_most_one_rejected():
         check_domination(beta, theta=1.0, omega=control_from_pvar(g))
 
 
+@pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+def test_non_finite_theta_rejected(theta):
+    """nan would make every exponent nan and every quotient 0, a false
+    certificate; inf would make every quotient infinite."""
+    sol = solve(cubic_problem(16))
+    with pytest.raises(ValueError, match="theta must be finite"):
+        check_domination(sol.form, theta, sol.problem.omega)
+
+
 # -- construction and base changes -------------------------------------------------
 
 
@@ -627,6 +641,120 @@ def pair_batches(draw):
 def test_spectral_pair_quotient_matches_full_scan(batch, expo, noise_floor, dead_tol):
     diff, w = batch
     assert_matches_full_scan(diff, w, expo, noise_floor, max(dead_tol, noise_floor))
+
+
+def sigma_batch(rng, rows, cols, scale):
+    """Stacks of rows x cols matrices at `scale`: dense, rank one, rank
+    r - 1, Gram matrix near cI, a single entry, and zero."""
+    r = min(rows, cols)
+    n = 16
+    mats = [rng.standard_normal((n, rows, cols))]
+    mats.append(np.einsum("pi,pj->pij", rng.standard_normal((n, rows)), rng.standard_normal((n, cols))))
+    if r > 1:
+        mats.append(rng.standard_normal((n, rows, r - 1)) @ rng.standard_normal((n, r - 1, cols)))
+    # orthonormal rows or columns, nudged: G = I + O(1e-9)
+    q = np.linalg.qr(rng.standard_normal((n, max(rows, cols), r)))[0]
+    near = q.transpose(0, 2, 1) if rows <= cols else q
+    mats.append(near + 1e-9 * rng.standard_normal((n, rows, cols)))
+    single = np.zeros((n, rows, cols))
+    single[np.arange(n), rng.integers(rows, size=n), rng.integers(cols, size=n)] = rng.standard_normal(n)
+    mats += [single, np.zeros((1, rows, cols))]
+    return scale * np.concatenate(mats)
+
+
+@pytest.mark.parametrize("cols", [1, 2, 4, 8, 27, 81])
+@pytest.mark.parametrize("rows", [2, 3, 4])
+def test_sigma_bounds_hold_against_the_eigensolver(rows, cols):
+    """The trace bounds bracket the largest eigenvalue that eigvalsh finds
+    for the matmul Gram matrix, `batched_spectral_norms`' route, on every
+    kind of matrix from 1e-160 (subnormal squares) to 1e150; at r = 2 (and
+    r = 1) the two bounds agree to the slack."""
+    rng = np.random.default_rng(10 * rows + cols)
+    r = min(rows, cols)
+    for scale in [1e-160, 1e-155, 1e-100, 1e-8, 1.0, 1e8, 1e100, 1e150, *10.0 ** rng.uniform(-160, 150, 4)]:
+        mats = sigma_batch(rng, rows, cols, scale)
+        gram = np.matmul(mats, np.swapaxes(mats, -1, -2))
+        sigma = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
+        lo, hi = _sigma_bounds(mats)
+        assert np.all(np.isfinite(lo) & np.isfinite(hi)), scale
+        assert np.all(lo <= sigma) and np.all(sigma <= hi), scale
+        if r <= 2:
+            assert np.all(hi - lo <= 2.5 * _BOUND_REL * hi + 2.0 * _BOUND_ABS), scale
+
+
+def test_sigma_bounds_leave_an_overflowing_gram_open():
+    """Where the trace of the Gram matrix reaches 1e308 the eigensolver's
+    own Gram may overflow: such a matrix gets the bounds (-inf, inf), a
+    finite trace of 1.44e308 as well as an overflowing one."""
+    mats = np.zeros((3, 2, 2))
+    mats[0, 0, 0] = 1.2e154
+    mats[1] = 1e154
+    mats[2] = [[1.0, 2.0], [3.0, 4.0]]
+    lo, hi = _sigma_bounds(mats)
+    assert np.array_equal(lo[:2], [-np.inf] * 2) and np.array_equal(hi[:2], [np.inf] * 2)
+    assert lo[2] <= np.linalg.norm(mats[2], 2) <= hi[2] < np.inf
+
+
+def sup_cases():
+    """Forms whose level sups reach the eigensolver: random walks' forms
+    at out_dim 2-4, d 1-3 and L 2-3 from 1e-160 to 1e140, one with its
+    largest row repeated, and the cubic fixture's iterates and steps."""
+    rng = np.random.default_rng(12)
+    forms = []
+    for out_dim in (2, 3, 4):
+        for d in (1, 2, 3):
+            for scale in (1e-160, 1e-8, 1.0, 1e140):
+                form = form_over_walk(rng, d, 3 if d < 3 else 2, out_dim, 9, ("wide", "signed", "converged"))
+                forms.append(form * scale)
+    levels = [b.copy() for b in forms[4].levels]
+    for b in levels:
+        b[-1] = b[int(np.argmax(np.einsum("toj,toj->t", b, b)))]
+    forms.append(OneFormPath(forms[4].base, forms[4].out_dim, tuple(levels)))
+    history = [s.form for s in solve(cubic_problem(32, n_max=16), keep_history=True).history]
+    return forms + history + [b - a for a, b in zip(history, history[1:])]
+
+
+def test_level_sups_bitwise_the_full_eigensolver_max():
+    for form in sup_cases():
+        full = tuple(float(np.max(batched_spectral_norms(b))) for b in form.levels)
+        assert form.level_sups == full
+
+
+def open_bounds(mats, pool=None):
+    """`_sigma_bounds` that bounds nothing: every gate keeps what it is given."""
+    return np.full(len(mats), -np.inf), np.full(len(mats), np.inf)
+
+
+def test_trace_gates_spare_the_eigensolver(monkeypatch):
+    """The cubic fixture's solve at N=64 passes the eigensolver fewer than
+    5% of the matrices it passes with the trace gates opened, and returns
+    the same bits.  Opened, the gates pass every Frobenius survivor and
+    every row of the sups but those of constant levels, which reach the
+    eigensolver once: 4,033 matrices, where the scans and sups passed
+    4,225 before the gates."""
+    counted = []
+    full = roughkit.oneform.batched_spectral_norms
+
+    def counting(mats, pool=None):
+        if mats.shape[1] > 1:
+            counted.append(len(mats))
+        return full(mats, pool)
+
+    def run():
+        counted.clear()
+        sol = solve(cubic_problem(64, n_max=16), keep_history=True)
+        return sol, sum(counted)
+
+    monkeypatch.setattr(roughkit.oneform, "batched_spectral_norms", counting)
+    gated, few = run()
+    monkeypatch.setattr(roughkit.oneform, "_sigma_bounds", open_bounds)
+    ungated, many = run()
+    assert few < 0.05 * many
+    for a, b in zip(gated.history, ungated.history, strict=True):
+        assert (a.sup_parts, a.quot_parts) == (b.sup_parts, b.quot_parts)
+    ca, cb = gated.certificate, ungated.certificate
+    assert (ca.M, ca.level_quotients, ca.worst_pair) == (cb.M, cb.level_quotients, cb.worst_pair)
+    assert gated.positions.tobytes() == ungated.positions.tobytes()
 
 
 def test_picard_norms_and_certificates_bitwise_full_scan():
@@ -955,9 +1083,10 @@ def test_seeded_level_quotients_bitwise_full_scan(case, out_dim, chunk, monkeypa
 @pytest.mark.parametrize("case", CHUNK_CASES + SEED_CASES)
 def test_pruned_level_quotients_bitwise_full_scan_in_row_blocks(case, out_dim, rows, monkeypatch):
     """Wide forms scan row blocks under the chain bounds, bottom block
-    first.  With the budget patched to `rows` full rows, the top block holds
-    `rows` rows (later ones more), and the tie case puts its two equal
-    quotients on the last pair of the top block and the first of the next."""
+    first.  With the run length patched to half of `rows` full rows, the
+    top block of two runs' entries holds `rows` rows (later ones more), and
+    the tie case puts its two equal quotients on the last pair of the top
+    block and the first of the next."""
     n_steps = N_PTS - 1
     first = rows * n_steps - rows * (rows - 1) // 2
     if case in SEED_CASES:
@@ -965,9 +1094,74 @@ def test_pruned_level_quotients_bitwise_full_scan_in_row_blocks(case, out_dim, r
     else:
         form, omega, expos, floor, _ = chunk_case(case, out_dim, first)
     want = full_scan_level_quotients(form, omega, expos, floor)
-    monkeypatch.setattr(roughkit.path, "_BUILD_PAIRS", rows * n_steps)
+    monkeypatch.setattr(roughkit.path, "_BUILD_PAIRS", (rows * n_steps + 1) // 2)
     assert next(form.base._row_blocks()) == (0, rows)
     assert form._level_quotients(omega, expos, floor) == want
+
+
+def record_runs(monkeypatch, g):
+    """The packed pair indices of every run the difference kernel forms
+    over g, in call order, once the test has run the scan."""
+    kernel, runs = OneFormPath.difference_matrices, []
+
+    def recording(self, k, run=None, pool=None):
+        runs.append(g._row_starts[run[1]] + run[2] - run[1] - 1)
+        return kernel(self, k, run, pool)
+
+    monkeypatch.setattr(OneFormPath, "difference_matrices", recording)
+    return runs
+
+
+@pytest.mark.parametrize("rows", [2, 7])
+@pytest.mark.parametrize("out_dim", [2, 3])
+def test_row_block_read_in_pool_runs_keeps_the_first_of_a_tie(out_dim, rows, monkeypatch):
+    """Every pair of a ramp form over a gap control has the quotient
+    sigma / 2 = 2, so every block is read whole.  The top block holds more
+    pairs than a pool run and is read in runs, the last first; the positive
+    tie across each run boundary goes to the earlier run, so the worst pair
+    is (0, 1), as in the full scan."""
+    form = ramp_form(out_dim, np.arange(N_PTS))
+    omega = gap_control(form.base, 2.0)
+    want = full_scan_level_quotients(form, omega, [1.0], 0.0)
+    assert want == ([2.0], [(0, 1)])
+    n_steps = N_PTS - 1
+    monkeypatch.setattr(roughkit.path, "_BUILD_PAIRS", (rows * n_steps + 1) // 2)
+    g = form.base
+    first = int(g._row_starts[rows])
+    assert next(g._row_blocks()) == (0, rows) and first > max(g._longest_run, n_steps)
+    runs = record_runs(monkeypatch, g)
+    assert form._level_quotients(omega, [1.0], 0.0) == want
+    # the top block's runs, after the adjacent run and a single-pair probe
+    top = [pairs for pairs in runs[1:] if pairs.size > 1 and pairs[-1] < first]
+    assert len(top) >= 2
+    assert np.array_equal(np.concatenate(top[::-1]), np.arange(first))
+
+
+@pytest.mark.parametrize("out_dim", [2, 3])
+def test_kept_pairs_longer_than_a_run_keep_the_first_of_a_tie(out_dim, monkeypatch):
+    """With every row in one block, level 1 of a ramp form keeps the 11
+    adjacent pairs and the 9 pairs three steps apart, at the quotient 2,
+    which the other pairs, at 0.5, do not reach: under half of the block's
+    66 pairs, but more than a run of 11.  They are read in runs of their
+    packed indices, the last first, and the tie across the runs goes to
+    the first pair, (0, 1), as in the full scan."""
+    form = ramp_form(out_dim, np.arange(N_PTS))
+    g = form.base
+    i = np.arange(N_PTS)
+    gap = np.maximum(i[None, :] - i[:, None], 0.0)
+    omega = Control(g.times, np.where(np.isin(gap, (1.0, 3.0)), 2.0, 8.0) * gap)
+    want = full_scan_level_quotients(form, omega, [1.0], 0.0)
+    assert want == ([2.0], [(0, 1)])
+    monkeypatch.setattr(roughkit.path, "_BUILD_PAIRS", 7)
+    monkeypatch.setattr(type(g), "_row_blocks", lambda self: iter([(0, self.num_steps)]))
+    assert max(g._longest_run, g.num_steps) == 11
+    runs = record_runs(monkeypatch, g)
+    assert form._level_quotients(omega, [1.0], 0.0) == want
+    s_idx, t_idx = np.triu_indices(N_PTS, k=1)
+    kept = np.flatnonzero(np.isin(t_idx - s_idx, (1, 3)))
+    # after the adjacent run: the kept pairs in runs of 11, the last first
+    assert [pairs.size for pairs in runs[1:]] == [9, 11]
+    assert np.array_equal(np.concatenate(runs[:0:-1]), kept)
 
 
 def chain_bound_table(form):
