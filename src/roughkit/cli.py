@@ -255,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     driver.add_argument("--pure-area", type=float, default=None, dest="pure_area")
     driver.add_argument("--steps", type=int, default=256, help="pure-area grid steps")
     driver.add_argument("--p", type=float, default=None, help="variation exponent")
-    driver.add_argument("--radius", type=float, default=4.0, help="certified ball radius")
+    driver.add_argument("--radius", type=float, default=4.0,
+                        help="radius of the ball where the field's Lip-norm bound is certified; no output reads it")
 
     sig = sub.add_parser("signature", help="lift a path CSV to its signature")
     sig.add_argument("path", help="CSV with header t,x1,..,xd")

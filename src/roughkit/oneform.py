@@ -32,26 +32,18 @@ __all__ = [
 ]
 
 
-def batched_spectral_norms(mats: np.ndarray, pool: np.ndarray | None = None) -> np.ndarray:
+def batched_spectral_norms(mats: np.ndarray) -> np.ndarray:
     """Largest singular value over the last two axes, batched.
 
     A single row's is its norm, np.linalg.norm's bits from `sum_squares`,
     which loops over the few letters rather than reducing over them.  The
     leading Gram trick keeps the eigenproblem at out_dim x out_dim, which
-    is tiny for every form this package builds.  `pool`, flat float scratch
-    if given, takes the squares of single rows or the Gram matrices; the
-    bits do not depend on it.
+    is tiny for every form this package builds.
     """
-    rows, cols = mats.shape[-2:]
-    if rows == 1:
-        row = mats[..., 0, :]
-        out = None if pool is None else pool[: row.size].reshape(row.shape)
-        norms = sum_squares(row, out)
+    if mats.shape[-2] == 1:
+        norms = sum_squares(mats[..., 0, :])
     else:
-        out = None
-        if pool is not None:
-            out = pool[: mats.size // cols * rows].reshape(mats.shape[:-1] + (rows,))
-        gram = np.matmul(mats, np.swapaxes(mats, -1, -2), out=out)
+        gram = np.matmul(mats, np.swapaxes(mats, -1, -2))
         norms = np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0)
     return np.sqrt(norms, out=norms)
 
@@ -96,9 +88,9 @@ def _sigma_bounds(mats: np.ndarray, pool: np.ndarray | None = None) -> tuple[np.
     (Linear Algebra Appl. 29, 1980) put that eigenvalue in
     [t + s / sqrt(r - 1), t + s sqrt(r - 1)].  The centred form takes s
     without cancelling squares, through np.hypot, so no square overflows
-    before sigma**2 does.  At r = 2 the two ends agree:
-    G - tI = [[h, G12], [G12, -h]], h = (G11 - G22) / 2, and s = hypot(h, G12).
-    At r = 1 the single entry is the eigenvalue.
+    before sigma**2 does.  At r = 2 the two ends meet at
+    t + hypot((G11 - G22) / 2, G12).  At r = 1 the single entry is the
+    eigenvalue.
 
     Rounding, u = 2**-53 and c = max(rows, cols): every entry of G and of
     the eigensolver's Gram is a sum of c products, within c u
@@ -136,14 +128,6 @@ def _sigma_bounds(mats: np.ndarray, pool: np.ndarray | None = None) -> tuple[np.
         open_ = ~(t < _GRAM_TRACE_MAX)
         if r == 1:
             lo, hi = t, diag[0]
-        elif r == 2:
-            h = diag[0]
-            h -= diag[1]
-            h *= 0.5
-            np.hypot(h, off[0], out=h)
-            t *= 0.5
-            lo, hi = t, np.add(t, h, out=diag[1])
-            lo += h
         else:
             t /= r
             for x in diag:
@@ -198,16 +182,16 @@ def _gate(
 
 
 def _keep(
-    diff: np.ndarray, w: np.ndarray, sel: np.ndarray, here: np.ndarray, there: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(diff[sel], w[sel]) and the two flat slots, the one holding them
-    first: the matrices are copied into `there`, where diff in `here` is
-    spent, unless sel keeps them all."""
+    diff: np.ndarray, w: np.ndarray, sel: np.ndarray, spare: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(diff[sel], w[sel]) and the flat slot left spare: unless sel keeps
+    them all, the matrices are copied to the front of `spare`, and diff,
+    contiguous and spent, becomes the spare."""
     if sel.size == w.size:
-        return diff, w, here, there
-    kept = there[: sel.size * diff[0].size].reshape((sel.size,) + diff.shape[1:])
+        return diff, w, spare
+    kept = spare[: sel.size * diff[0].size].reshape((sel.size,) + diff.shape[1:])
     np.take(diff, sel, axis=0, out=kept, mode="clip")
-    return kept, w[sel], there, here
+    return kept, w[sel], diff.reshape(-1)
 
 
 def _spectral_pair_quotient(
@@ -232,14 +216,12 @@ def _spectral_pair_quotient(
     which raises no maximum.
 
     `pool` is flat float scratch beside diff, of diff[0].size entries per
-    pair plus out_dim**2 where that is larger.  Each gate's survivors are
-    copied to the other of the two slots, diff's and the pool; the bounds
-    and the eigensolver's Gram matrices go to the slot that holds no
-    survivors, or past them where that is too small.
+    pair.  It takes the Frobenius bounds, then that gate's survivors; the
+    trace bounds go to whichever of it and diff holds no survivors.
     """
     idx = None
     if diff.shape[1] > 1:
-        n, rows = w.size, diff.shape[1]
+        n = w.size
         r = min(diff.shape[1:])
         hi, lo = pool[:n], pool[n : 2 * n]
         np.sqrt(np.einsum("poj,poj->p", diff, diff, out=hi), out=hi)
@@ -249,18 +231,15 @@ def _spectral_pair_quotient(
         hi *= 1.0 + _BOUND_REL
         hi += _BOUND_ABS
         best, idx = _gate(lo, hi, w, expo, best, noise_floor, dead_tol)
-        # `here` holds the pairs left, `there` is spent scratch
-        diff, w, here, there = _keep(diff, w, idx, diff.reshape(-1), pool)
+        diff, w, spare = _keep(diff, w, idx, pool)
         # one matrix left costs the eigensolver what its trace bounds would
         if r > 1 and w.size > 1:
-            lo, hi = _sigma_bounds(diff, there)
+            lo, hi = _sigma_bounds(diff, spare)
             best, sel = _gate(lo, hi, w, expo, best, noise_floor, dead_tol)
-            diff, w, here, there = _keep(diff, w, sel, here, there)
-            idx = idx[sel]
+            diff, w, idx = diff[sel], w[sel], idx[sel]
         if not w.size:
             return 0.0, 0, best
-        pool = there if w.size * rows**2 <= there.size else here[diff.size :]
-    norms = batched_spectral_norms(diff, pool)
+    norms = batched_spectral_norms(diff)
     if noise_floor > 0.0:
         norms[norms <= noise_floor] = 0.0
     q, j = _pair_quotient(norms, w, expo, dead_tol=dead_tol)
@@ -484,12 +463,11 @@ class OneFormPath:
         they are bitwise equal, as the rows of a constant form are."""
         sups = []
         for block in self.levels:
-            if block.shape[1] > 1:
-                lo, hi = _sigma_bounds(block)
-                block = block[hi >= np.max(lo)]
-                bits = block.reshape(len(block), -1).view(np.uint64)
-                if np.all(bits == bits[0]):
-                    block = block[:1]
+            lo, hi = _sigma_bounds(block)
+            block = block[hi >= np.max(lo)]
+            bits = block.reshape(len(block), -1).view(np.uint64)
+            if np.all(bits == bits[0]):
+                block = block[:1]
             sups.append(float(np.max(batched_spectral_norms(block))))
         return tuple(sups)
 
@@ -572,11 +550,11 @@ class OneFormPath:
         packed order, levels inside runs, so the difference matrices of all
         pairs never exist at once; pair (0, 1) attains a zero maximum.  One
         pool serves every run and level, so no run allocates its difference
-        matrices, their temporaries, the bounds, the survivors of the bound
-        steps or their Gram matrices.  It holds a run of the longest
-        `base.pair_runs` run's length, or of the N adjacent pairs if more, at
-        the widest level's need per pair, and at its end the chain-bound,
-        log and quotient tables of the largest row block.
+        matrices, their temporaries, the bounds or the survivors of the
+        Frobenius bounds.  It holds a run of the longest `base.pair_runs`
+        run's length, or of the N adjacent pairs if more, at the widest
+        level's need per pair, and at its end the chain-bound, log and
+        quotient tables of the largest row block.
 
         Single-row forms scan every `base.pair_runs` run.  Wider forms, whose
         quotients reach the eigensolver, first take each level's lower bound
@@ -604,14 +582,11 @@ class OneFormPath:
         if not np.array_equal(omega.times, base.times):
             raise DimensionMismatchError("the control lives on another time grid than the path")
         dead_tol = max(1e-12, noise_floor)
-        # floats per pair that level k needs at once: the kernel's three
-        # result-sized slots (two at level L), or the result and the scratch
-        # `_spectral_pair_quotient` writes
-        gram, needs = self.out_dim**2, []
-        for k in range(1, len(expos) + 1):
-            c = self.out_dim * base.dim**k
-            needs.append(max((3 if k < base.level else 2) * c, 2 * c + (gram if gram > c else 0)))
         n, top, length = base.num_steps, base.level, max(base._longest_run, base.num_steps)
+        # floats per pair that level k needs at once: the kernel's three
+        # result-sized slots (two at level L); past the result they are
+        # `_spectral_pair_quotient`'s scratch
+        needs = [(3 if k < top else 2) * self.out_dim * base.dim**k for k in range(1, len(expos) + 1)]
         blocks = [] if self.out_dim == 1 else list(base._row_blocks())
         # L chain-bound tables, the quotients (the products' scratch before)
         # and the logs, past the head a single-pair probe uses

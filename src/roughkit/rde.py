@@ -29,6 +29,7 @@ from .oneform import (
     DominationCertificate,
     OneFormPath,
     _pair_quotient,
+    batched_spectral_norms,
     check_domination,
     integral_form_from_controlled,
 )
@@ -735,9 +736,7 @@ def uniqueness_probe(
     for _ in range(_PROBE_ROUNDS):
         phi_vals, phi_form = _tower_step(hv, ht, phi_vals, phi_form)
         phi_vals = phi_vals.reshape(npts, m, m)
-        sup_op = float(
-            np.max(np.linalg.norm(phi_vals, ord=2, axis=(1, 2)))
-        ) if m > 1 else float(np.max(np.abs(phi_vals)))
+        sup_op = float(np.max(batched_spectral_norms(phi_vals)))
         op_sups.append(sup_op)
         bounds.append(sup_op * sup_d)
     final = bounds[-1]

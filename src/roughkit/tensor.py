@@ -127,16 +127,15 @@ def stack_exp(u: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     return _stack_series(u, coeffs, _unit_like(u))
 
 
-def sum_squares(x: np.ndarray, squares: np.ndarray | None = None) -> np.ndarray:
+def sum_squares(x: np.ndarray) -> np.ndarray:
     """Sum of the squares of x over its last axis, in numpy's pairwise order.
 
     Bitwise np.add.reduce(x * x, axis=-1) on a C-contiguous copy of x, so
     its np.sqrt is np.linalg.norm's bits in any memory order; numpy sums a
     strided last axis sequentially, other bits from 8 letters on.  It runs
-    letter by letter, vectorised over the rows.  `squares`, scratch of x's
-    shape if given, takes the squares.
+    letter by letter, vectorised over the rows.
     """
-    return _pairwise_sum(np.multiply(x, x, out=squares), 0, x.shape[-1])
+    return _pairwise_sum(x * x, 0, x.shape[-1])
 
 
 def _pairwise_sum(sq: np.ndarray, lo: int, n: int) -> np.ndarray:

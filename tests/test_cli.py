@@ -381,6 +381,51 @@ def test_solve_halted_by_the_norm_cap_reports_an_infinite_error_bar(tmp_path):
     assert rep["form_error_bar"] == "inf"
 
 
+def cubic_solve_inputs(dirpath, dilation):
+    """The cubic fixture at N=64 as CLI inputs, its path scaled by `dilation`."""
+    cubic = cubic_path(64)
+    write_csv(dirpath / "cubic.csv", cubic.times, dilation * cubic.values)
+    write_json(
+        dirpath / "cubic.json",
+        {
+            "type": "poly",
+            "in_dim": 2,
+            "out_shape": [2, 2],
+            "degree": 3,
+            "coeffs": [c.tolist() for c in cubic_field().map.coeffs],
+        },
+    )
+    return ["solve", dirpath / "cubic.csv", "--field", dirpath / "cubic.json", "--xi", "0.5,-0.25", "--gamma", 4]
+
+
+def test_solve_reports_the_dilation_scale_it_used(tmp_path):
+    """Along the cubic path times 4 the distances rise twice in a row and
+    the solver doubles its dilation scale; --no-rescale keeps it at 1."""
+    solve_args = cubic_solve_inputs(tmp_path, 4.0)
+    for flags, scale in (([], 2.0), (["--no-rescale"], 1.0)):
+        res = run_cli(*solve_args, *flags, "--report", tmp_path / "r.json")
+        assert res.returncode == 0, res.stderr
+        rep = json.loads((tmp_path / "r.json").read_text())
+        assert (rep["converged"], rep["scale"]) == (True, scale)
+
+
+def test_radius_changes_no_solve_output(tmp_path):
+    """--radius only sizes the ball of the field's certified Lip bound,
+    which the Python API's rescale_problem reads and the CLI does not."""
+    solve_args = cubic_solve_inputs(tmp_path, 1.0)
+    outputs = []
+    for radius in (3.0, 0.5):
+        work = tmp_path / f"radius{radius}"
+        work.mkdir()
+        res = run_cli(
+            *solve_args, "--radius", radius, "--report", work / "report.json",
+            "--out-csv", work / "solution.csv", "--decay-csv", work / "decay.csv",
+        )
+        assert res.returncode == 0, res.stderr
+        outputs.append({f.name: f.read_bytes() for f in sorted(work.iterdir())})
+    assert len(outputs[0]) == 3 and outputs[0] == outputs[1]
+
+
 def test_strict_mode_exits_three_on_failed_certificate(tmp_path, monkeypatch):
     """Exit 3 needs a failing certificate, which no wellposed fixture
     produces; fake the solver result to pin the plumbing."""

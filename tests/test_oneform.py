@@ -735,10 +735,10 @@ def test_trace_gates_spare_the_eigensolver(monkeypatch):
     counted = []
     full = roughkit.oneform.batched_spectral_norms
 
-    def counting(mats, pool=None):
+    def counting(mats):
         if mats.shape[1] > 1:
             counted.append(len(mats))
-        return full(mats, pool)
+        return full(mats)
 
     def run():
         counted.clear()

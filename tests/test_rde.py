@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import roughkit.path
-from roughkit.funcs import LipFunction, PolyMap
+from roughkit.funcs import LipFunction, PolyMap, ScaledMap, SmoothMap
 from roughkit.integrate import RegularityError, integrate_controlled, rough_integral
-from roughkit.path import Control, SampledPath, SampledRoughPath, signature
+from roughkit.path import Control, SampledPath, SampledRoughPath, control_from_pvar, signature
 from roughkit import rde
 from roughkit.oneform import OneFormPath, integral_form_from_controlled
 from roughkit.rde import (
@@ -307,6 +307,37 @@ def test_norm_cap_triggers_rescaling_hint():
     assert len(sol.report.deltas) >= 1
 
 
+def test_rising_distances_double_the_dilation_scale():
+    """Along the cubic driver dilated by 4 the distance rises twice in a
+    row, so solve doubles its dilation scale once and stops an iteration
+    sooner; every reported delta is the history's distance re-weighed at
+    the final scale.  Without auto_rescale the scale stays 1.0."""
+    prob = cubic_problem(64)
+    big = prob.with_driver(prob.driver.dilate(4.0))
+    for auto, scale, iterations in ((True, 2.0, 18), (False, 1.0, 19)):
+        sol = solve(big, keep_history=True, auto_rescale=auto)
+        assert (sol.scale, sol.iterations, sol.converged) == (scale, iterations, True)
+        want = tuple(s.delta_at_scale(sol.scale, big.gamma) for s in sol.history[1:])
+        assert sol.report.deltas == want
+
+
+def test_vanishing_control_halts_as_diverged():
+    """A zero control makes every nonzero difference quotient +inf: the
+    second distance is infinite, the solve halts there, and the report and
+    the certificate are still built."""
+    prob = cubic_problem(32)
+    prob = RdeProblem(prob.driver, prob.field, prob.xi, control=control_from_pvar(prob.driver).scaled(0.0))
+    sol = solve(prob)
+    assert sol.converged is False
+    assert sol.message.startswith("iteration diverged: form distance is not finite")
+    assert sol.iterations == 2
+    first, second = sol.report.deltas
+    assert 0.0 < first < np.inf and second == np.inf
+    assert sol.report.fitted_C is None
+    assert not sol.certificate.ok
+    assert sol.certificate.level_quotients[0] == np.inf
+
+
 def test_form_error_bar_positive_and_tiny(exp_solutions):
     sol = exp_solutions[128]
     assert 0.0 < sol.form_error_bar < 1e-8
@@ -316,20 +347,58 @@ def test_form_error_bar_positive_and_tiny(exp_solutions):
 # -- rescaling ---------------------------------------------------------------------
 
 
+class DelegatedMap(SmoothMap):
+    """A user map with no `scaled` of its own, so rescaling wraps it in
+    `ScaledMap`."""
+
+    def __init__(self, inner: SmoothMap):
+        self.inner, self.in_dim, self.out_shape = inner, inner.in_dim, inner.out_shape
+
+    def apply(self, Y):
+        return self.inner.apply(Y)
+
+    def derivative(self, Y, order):
+        return self.inner.derivative(Y, order)
+
+    def derivative_sup_bound(self, order, radius):
+        return self.inner.derivative_sup_bound(order, radius)
+
+
+def user_map_problem(n_steps: int, **kw) -> RdeProblem:
+    """The exponential fixture with its field behind `DelegatedMap`."""
+    field = exp_field()
+    user = LipFunction(DelegatedMap(field.map), field.gamma, radius=field.radius)
+    return RdeProblem(exp_problem(n_steps).driver, user, xi=np.array([1.0]), **kw)
+
+
 def test_rescale_identity_at_matching_target():
-    prob = probe_problem()
-    scaled, c = rescale_problem(prob, prob.field.lip_norm_bound)
-    assert c == 1.0
-    assert scaled.field.lip_norm_bound == prob.field.lip_norm_bound
-    for a, b in zip(scaled.driver.step_level_blocks, prob.driver.step_level_blocks):
-        assert np.array_equal(a, b)
+    for prob in (probe_problem(), user_map_problem(64)):
+        scaled, c = rescale_problem(prob, prob.field.lip_norm_bound)
+        assert c == 1.0
+        assert scaled.field.lip_norm_bound == prob.field.lip_norm_bound
+        for a, b in zip(scaled.driver.step_level_blocks, prob.driver.step_level_blocks):
+            assert np.array_equal(a, b)
 
 
 def test_rescale_sets_field_bound_to_target():
-    prob = probe_problem()
+    for prob in (probe_problem(), user_map_problem(64)):
+        scaled, c = rescale_problem(prob, 0.5)
+        assert scaled.field.lip_norm_bound == pytest.approx(0.5, rel=1e-12)
+        assert c == pytest.approx(prob.field.lip_norm_bound / 0.5, rel=1e-12)
+
+
+def test_rescaled_user_map_solves_the_same_equation():
+    """`ScaledMap` carries a user map through `rescale_problem`: the solve
+    along the dilated driver gives the original path, and scaling the
+    wrapper again multiplies its factor."""
+    prob = user_map_problem(64, n_max=16)
     scaled, c = rescale_problem(prob, 0.5)
-    assert scaled.field.lip_norm_bound == pytest.approx(0.5, rel=1e-12)
-    assert c == pytest.approx(prob.field.lip_norm_bound / 0.5, rel=1e-12)
+    wrapped = scaled.field.map
+    assert isinstance(wrapped, ScaledMap) and wrapped.base is prob.field.map
+    assert wrapped.scaled(c) == ScaledMap(c * wrapped.factor, prob.field.map)
+    base, other = solve(prob), solve(scaled)
+    assert base.converged and other.converged
+    assert np.max(np.abs(base.positions - other.positions)) <= 1e-12
 
 
 def test_rescale_rejects_nonpositive_target():
@@ -572,6 +641,19 @@ def test_independent_scalings_declared_equal(probe_solutions):
     # contraction sharpens every round, the mark of factorial decay
     rate = [b / a for a, b in zip(sups, sups[1:])]
     assert all(a > b for a, b in zip(rate, rate[1:]))
+
+
+def test_probe_operator_sups_are_the_svd_norms(monkeypatch):
+    """At m = 2 the probe's operator norms come from the Gram eigensolver;
+    they agree with np.linalg.norm(ord=2), an SVD, to a few ulps."""
+    prob = planar_problem()
+    a, b = solve(prob), solve(rescale_problem(prob, 0.5)[0])
+    got = uniqueness_probe(prob, a.positions, b.positions)
+    monkeypatch.setattr(rde, "batched_spectral_norms", lambda m: np.linalg.norm(m, ord=2, axis=(-2, -1)))
+    want = uniqueness_probe(prob, a.positions, b.positions)
+    assert got.conclusive == want.conclusive
+    assert got.sup_distance == want.sup_distance
+    np.testing.assert_allclose(got.operator_sups, want.operator_sups, rtol=1e-14, atol=0.0)
 
 
 def test_probe_refuses_wrong_start(probe_solutions):
