@@ -60,16 +60,17 @@ def _as_batch(Y: np.ndarray, in_dim: int) -> np.ndarray:
 class SmoothMap:
     """Map R^m -> R^{out_shape} with exact batched derivatives.
 
-    Subclasses implement `apply` (batch of points -> batch of values) and
-    `derivative` (batch -> batch of symmetric derivative tensors, the `order`
-    input slots appended as trailing axes of length m).
+    Subclasses implement `derivative` for every order from 0 (batch of
+    points -> batch of symmetric derivative tensors, the `order` input slots
+    appended as trailing axes of length m) and `derivative_sup_bound`.  A
+    map's value is its order-0 derivative: `apply` reads nothing else.
     """
 
     in_dim: int
     out_shape: tuple[int, ...]
 
     def apply(self, Y: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return self.derivative(Y, 0)
 
     def derivative(self, Y: np.ndarray, order: int) -> np.ndarray:
         raise NotImplementedError
@@ -140,16 +141,7 @@ class PolyMap(SmoothMap):
         value = np.asarray(value, dtype=float)
         return cls(in_dim, value.shape, (value,))
 
-    def apply(self, Y: np.ndarray) -> np.ndarray:
-        Y = _as_batch(Y, self.in_dim)
-        out = np.zeros((Y.shape[0],) + self.out_shape)
-        for l, block in enumerate(self.coeffs):
-            out += _contract_last(block, Y, l)
-        return out
-
     def derivative(self, Y: np.ndarray, order: int) -> np.ndarray:
-        if order == 0:
-            return self.apply(Y)
         Y = _as_batch(Y, self.in_dim)
         shape = (Y.shape[0],) + self.out_shape + (self.in_dim,) * order
         out = np.zeros(shape)
@@ -207,15 +199,12 @@ class SineField(SmoothMap):
     def _angles(self, Y: np.ndarray) -> np.ndarray:
         return np.einsum("...i,ni->n...", self.freq, Y) + self.phase
 
-    def apply(self, Y: np.ndarray) -> np.ndarray:
-        Y = _as_batch(Y, self.in_dim)
-        return self.amp * np.sin(self._angles(Y))
-
     def derivative(self, Y: np.ndarray, order: int) -> np.ndarray:
-        Y = _as_batch(Y, self.in_dim)
-        core = self.amp * np.sin(self._angles(Y) + order * np.pi / 2.0)
+        angles = self._angles(_as_batch(Y, self.in_dim))
         if order == 0:
-            return core
+            # no shift: -0.0 + 0.0 would lose a zero angle's sign
+            return self.amp * np.sin(angles)
+        core = self.amp * np.sin(angles + order * np.pi / 2.0)
         out_letters = string.ascii_lowercase[: len(self.out_shape)]
         in_letters = string.ascii_lowercase[
             len(self.out_shape) : len(self.out_shape) + order
@@ -248,9 +237,6 @@ class ScaledMap(SmoothMap):
     @property
     def out_shape(self) -> tuple[int, ...]:
         return self.base.out_shape
-
-    def apply(self, Y: np.ndarray) -> np.ndarray:
-        return self.factor * self.base.apply(Y)
 
     def derivative(self, Y: np.ndarray, order: int) -> np.ndarray:
         return self.factor * self.base.derivative(Y, order)
@@ -298,25 +284,14 @@ class DividedMap(SmoothMap):
         X, Y = Z[:, :m], Z[:, m:]
         return Y[None, :, :] + self.nodes[:, None, None] * (X - Y)[None, :, :]
 
-    def apply(self, Z: np.ndarray) -> np.ndarray:
-        Z = _as_batch(Z, self.in_dim)
-        P = self._segment_points(Z)
-        q, n, m = P.shape
-        D1 = self.source.derivative(P.reshape(q * n, m), 1).reshape(
-            (q, n) + self.out_shape
-        )
-        return np.einsum("q,qn...->n...", self.weights, D1)
-
     def derivative(self, Z: np.ndarray, order: int) -> np.ndarray:
-        if order == 0:
-            return self.apply(Z)
-        Z = _as_batch(Z, self.in_dim)
-        m = self.source.in_dim
-        P = self._segment_points(Z)
-        q, n, _ = P.shape
+        P = self._segment_points(_as_batch(Z, self.in_dim))
+        q, n, m = P.shape
         full = self.source.derivative(P.reshape(q * n, m), 1 + order).reshape(
             (q, n) + tuple(self.source.out_shape) + (m,) * (1 + order)
         )
+        if order == 0:
+            return np.einsum("q,qn...->n...", self.weights, full)
         out = np.zeros(
             (n,) + self.out_shape + (self.in_dim,) * order
         )
@@ -360,12 +335,13 @@ def divide(f: "SmoothMap | LipFunction"):
 
 
 @dataclass(frozen=True)
-class LipFunction:
+class LipFunction(SmoothMap):
     """A map together with its regularity budget gamma > 1.
 
-    Algorithms may use derivatives up to strict_floor(gamma) only; the norm
-    bound is certified on the stated ball by coefficient propagation, with
-    the top remainder quotient bounded through one extra derivative.
+    Algorithms may use derivatives up to strict_floor(gamma) only, the
+    value among them; the norm bound is certified on the stated ball by
+    coefficient propagation, with the top remainder quotient bounded
+    through one extra derivative.
     """
 
     map: SmoothMap
@@ -391,9 +367,6 @@ class LipFunction:
     def out_shape(self) -> tuple[int, ...]:
         return self.map.out_shape
 
-    def apply(self, Y: np.ndarray) -> np.ndarray:
-        return self.map.apply(Y)
-
     def derivative(self, Y: np.ndarray, order: int) -> np.ndarray:
         if order > self.smoothness:
             raise ValueError(
@@ -401,9 +374,6 @@ class LipFunction:
                 f"(max {self.smoothness})"
             )
         return self.map.derivative(Y, order)
-
-    def __call__(self, y: np.ndarray) -> np.ndarray:
-        return self.map(y)
 
     @cached_property
     def lip_norm_bound(self) -> float:

@@ -38,14 +38,31 @@ def batched_spectral_norms(mats: np.ndarray) -> np.ndarray:
     A single row's is its norm, np.linalg.norm's bits from `sum_squares`,
     which loops over the few letters rather than reducing over them.  The
     leading Gram trick keeps the eigenproblem at out_dim x out_dim, which
-    is tiny for every form this package builds.
+    is tiny for every form this package builds.  A matrix whose Gram
+    overflows is scaled by the power of two that brings its largest entry
+    into [1/2, 1), and its sigma scaled back: exact, unless squares of its
+    smallest entries underflow.  The others keep their bits.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt(_top_gram_eigenvalues(mats))
+        big = ~(norms < np.inf)
+        if np.any(big):
+            expo = np.frexp(np.max(np.abs(mats[big]), axis=(-2, -1)))[1]
+            tops = _top_gram_eigenvalues(np.ldexp(mats[big], -expo[:, None, None]))
+            norms[big] = np.ldexp(np.sqrt(tops), expo)
+    return norms
+
+
+def _top_gram_eigenvalues(mats: np.ndarray) -> np.ndarray:
+    """sigma_max**2 of each matrix, +inf where its Gram is not finite."""
     if mats.shape[-2] == 1:
-        norms = sum_squares(mats[..., 0, :])
-    else:
-        gram = np.matmul(mats, np.swapaxes(mats, -1, -2))
-        norms = np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0)
-    return np.sqrt(norms, out=norms)
+        return sum_squares(mats[..., 0, :])
+    gram = np.matmul(mats, np.swapaxes(mats, -1, -2))
+    bad = ~np.all(np.isfinite(gram), axis=(-2, -1))
+    gram[bad] = 0.0
+    tops = np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0)
+    tops[bad] = np.inf
+    return tops
 
 
 def _pair_quotient(
@@ -228,6 +245,8 @@ def _spectral_pair_quotient(
         np.multiply(hi, 1.0 - _BOUND_REL, out=lo)
         lo -= _BOUND_ABS
         lo /= np.sqrt(r)
+        # an overflowed square bounds nothing from below: the pair stays open
+        lo[hi == np.inf] = -np.inf
         hi *= 1.0 + _BOUND_REL
         hi += _BOUND_ABS
         best, idx = _gate(lo, hi, w, expo, best, noise_floor, dead_tol)
@@ -746,7 +765,8 @@ def check_domination(
 
     With auto_scale the control is multiplied by the smallest constant making
     every difference quotient at most one (possible whenever no quotient is
-    infinite, since theta - k/p > 0 for all participating levels).
+    infinite, since theta - k/p > 0 for all participating levels), unless
+    that constant, or the control times it, overflows.
     """
     if not 1.0 < theta < np.inf:
         raise ValueError(f"theta must be finite and exceed 1, got {theta}")
@@ -755,15 +775,13 @@ def check_domination(
     expos = [theta - k / p for k in range(1, beta.base.level + 1)]
     sups, pairs = beta._level_quotients(omega, expos)
     if auto_scale and all(np.isfinite(q) for q in sups):
-        lam = 1.0
-        for k, q in enumerate(sups, start=1):
-            if q > 0.0:
-                lam = max(lam, q ** (1.0 / (theta - k / p)))
-        if lam > 1.0:
-            omega = omega.scaled(lam)
-            sups = [
-                q / lam ** (theta - k / p) for k, q in enumerate(sups, start=1)
-            ]
+        with np.errstate(over="ignore"):
+            lam = max(1.0, *(np.float64(q) ** (1.0 / e) for q, e in zip(sups, expos)))
+            # past the largest float the control stays as it is, and the
+            # quotients above one fail the certificate
+            if 1.0 < lam and lam * np.max(omega.table) < np.inf:
+                omega = omega.scaled(lam)
+                sups = [float(q / lam**e) for q, e in zip(sups, expos)]
     worst = int(np.argmax(sups))
     return DominationCertificate(
         M=beta.sup_norm,
@@ -814,29 +832,25 @@ class ClosedLift:
     def out_dim(self) -> int:
         return self.form.out_shape[0]
 
-    def _coefficients(self, X: np.ndarray, level: int) -> tuple[np.ndarray, ...]:
-        """Level k = 1..level at points X: D^{k-1}p(X), own letter moved last."""
-        n, d = X.shape[0], self.dim
-        return tuple(
-            self.form.derivative(X, k - 1)
-            .reshape(n, self.out_dim, d, d ** (k - 1))
-            .transpose(0, 1, 3, 2)
-            .reshape(n, self.out_dim, d**k)
-            for k in range(1, level + 1)
-        )
-
     def along(self, g: SampledRoughPath) -> np.ndarray:
         """Cumulative partition sums, shape (N+1, out_dim); exact on lifts."""
         return self.as_oneform(g).integral_values()
 
     def as_oneform(self, g: SampledRoughPath) -> OneFormPath:
-        """Materialize the lift as a one-form path over g."""
+        """Materialize the lift as a one-form path over g: the integral form
+        of p along the points X_t it reaches, whose derivative levels are
+        D^k p(X_t) with the output flattened."""
         if g.dim != self.dim:
             raise DimensionMismatchError("driver dimension mismatch")
         if g.level != self.level:
             raise DimensionMismatchError(f"level-{self.level} lift along a level-{g.level} driver")
         X = self.base_point[None, :] + g.levels[1]
-        return OneFormPath(g, self.out_dim, self._coefficients(X, g.level))
+        n, d = X.shape
+        return integral_form_from_controlled(
+            g,
+            self.form.derivative(X, 0),
+            tuple(self.form.derivative(X, k).reshape(n, -1, d**k) for k in range(1, g.level)),
+        )
 
 
 def lift_polynomial_form(

@@ -413,17 +413,18 @@ class SampledRoughPath:
 
     def _pair_run(self, pairs: slice | np.ndarray, top: bool = False) -> tuple:
         """One `pair_runs` run, or the run of the packed pairs an index array
-        names, levels bitwise the uncertified `increment_levels` rows: level 1
-        is (0.0 + x_t) + (g_s^{-1})_1, the two additions `stack_product` makes
-        there, so signed zeros match too."""
+        names, levels bitwise the uncertified `increment_levels` rows.  With
+        `top` they are the run's product; without, levels 2..L-1 are read
+        from `pairwise_levels` and level 1 is (0.0 + x_t) + (g_s^{-1})_1, the
+        two additions `stack_product` makes there, so signed zeros match too."""
         s, t = self._pair_ends(pairs)
+        if top:
+            return pairs, s, t, self._products(s, t)[1:]
         levels = ()
         if self.level > 1:
             inv, x = (stack[1] for stack in self._letter_major)
             first = (0.0 + np.take(x, t, axis=1)) + np.take(inv, s, axis=1)
             levels = (first.T,) + tuple(block[pairs] for block in self.pairwise_levels)
-        if top:
-            levels += (self._products(s, t)[-1],)
         return pairs, s, t, levels
 
 

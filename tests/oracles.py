@@ -538,10 +538,19 @@ def pushforward_dilate(beta, c):
 
 def lift_pair_value(lift, a, b):
     """A closed lift's value on group elements (a, b): its coefficients at the
-    point a reaches from the base point, paired with the levels of b by the
+    point a reaches from the base point, level k the derivative D^{k-1}p
+    there with its own letter moved last, paired with the levels of b by the
     kernel `OneFormPath.pair_values` uses."""
     from roughkit.oneform import _pairing
 
     x = lift.base_point + a.level_block(1)
+    w, d = lift.out_dim, lift.dim
+    coeffs = tuple(
+        lift.form.derivative(x[None], k - 1)
+        .reshape(1, w, d, d ** (k - 1))
+        .transpose(0, 1, 3, 2)
+        .reshape(1, w, d**k)
+        for k in range(1, b.level + 1)
+    )
     blocks = tuple(b.level_block(k)[None] for k in range(1, b.level + 1))
-    return _pairing(lift._coefficients(x[None], b.level), blocks)[0]
+    return _pairing(coeffs, blocks)[0]

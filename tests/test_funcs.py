@@ -8,12 +8,15 @@ from roughkit.funcs import (
     FieldSpecError,
     LipFunction,
     PolyMap,
+    ScaledMap,
     SineField,
+    _contract_last,
     divide,
     field_from_json,
     strict_floor,
 )
 
+from conftest import assert_bitwise
 from oracles import central_difference, taylor_remainder_check
 
 
@@ -108,6 +111,49 @@ def test_lip_function_rejects_bad_parameters():
         LipFunction(scalar_poly(1.0), gamma=1.0)
     with pytest.raises(ValueError):
         LipFunction(scalar_poly(1.0), gamma=2.0, radius=0.0)
+
+
+def closed_form_values(f, Y):
+    """Each family's value by its own formula: the contracted coefficient
+    blocks summed from zero, the amplitudes times the sines of the angles,
+    the quadrature of Df along the segment, and the factor times the base's
+    value."""
+    if isinstance(f, PolyMap):
+        out = np.zeros((Y.shape[0],) + f.out_shape)
+        for l, block in enumerate(f.coeffs):
+            out += _contract_last(block, Y, l)
+        return out
+    if isinstance(f, SineField):
+        return f.amp * np.sin(np.einsum("...i,ni->n...", f.freq, Y) + f.phase)
+    if isinstance(f, DividedMap):
+        m = f.source.in_dim
+        X, Z = Y[:, :m], Y[:, m:]
+        P = Z[None, :, :] + f.nodes[:, None, None] * (X - Z)[None, :, :]
+        q, n, _ = P.shape
+        D1 = f.source.derivative(P.reshape(q * n, m), 1).reshape((q, n) + f.out_shape)
+        return np.einsum("q,qn...->n...", f.weights, D1)
+    return f.factor * closed_form_values(f.base, Y)
+
+
+def test_value_is_the_order_0_derivative_with_the_closed_form_bits():
+    rng = np.random.default_rng(41)
+    points = np.vstack([rng.standard_normal((6, 2)), np.zeros((1, 2)), -np.zeros((1, 2))])
+    sine = SineField(
+        rng.standard_normal((2, 2)), rng.standard_normal((2, 2, 2)),
+        np.array([[0.0, -0.0], [-0.0, 0.7]]),
+    )
+    maps = [random_cubic_field(rng), sine]
+    maps += [divide(f) for f in maps]
+    maps += [ScaledMap(-1.5, f) for f in maps]
+    for f in maps:
+        Y = points if f.in_dim == 2 else np.hstack([points, points[::-1]])
+        want = closed_form_values(f, Y)
+        assert_bitwise(f.apply(Y), want)
+        assert_bitwise(f.derivative(Y, 0), want)
+        assert_bitwise(f(Y[-1]), want[-1])
+        assert_bitwise(LipFunction(f, 3.5).apply(Y), want)
+    # a zero angle keeps its sign: sin(-0.0) is -0.0, sin(-0.0 + 0.0) is not
+    assert np.signbit(sine.apply(points[-1:])[0, 0, 1])
 
 
 # -- Taylor remainder quotients ------------------------------------------------

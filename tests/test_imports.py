@@ -146,3 +146,32 @@ def test_only_path_walks_the_pairs():
             if name in ("_BUILD_PAIRS", "triu_indices"):
                 found.append(f"{source.name}:{node.lineno}: {name}")
     assert not found, f"all-pairs walks outside path.py: {found}"
+
+
+def test_only_smooth_map_defines_apply():
+    """A map's value is its order-0 derivative: in `funcs.py` only
+    `SmoothMap` binds `apply`, which reads `derivative(Y, 0)`, and no
+    `derivative` reads `apply` back."""
+    funcs = next(source for source in SOURCES if source.name == "funcs.py")
+    owners, forwards = [], []
+    for cls in ast.walk(ast.parse(funcs.read_text(), filename=str(funcs))):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                bound = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            if "apply" in bound:
+                owners.append(cls.name)
+            if "derivative" in bound:
+                forwards += [
+                    f"{cls.name}:{sub.lineno}"
+                    for sub in ast.walk(node)
+                    if isinstance(sub, ast.Attribute) and sub.attr == "apply"
+                ]
+    assert owners == ["SmoothMap"]
+    assert not forwards, f"derivatives that read apply: {forwards}"

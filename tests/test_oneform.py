@@ -695,6 +695,52 @@ def test_sigma_bounds_leave_an_overflowing_gram_open():
     assert lo[2] <= np.linalg.norm(mats[2], 2) <= hi[2] < np.inf
 
 
+def test_spectral_norms_of_an_overflowing_gram():
+    """A matrix whose Gram overflows is taken at a power-of-two scale and
+    scaled back, single rows as well; the others keep their bits."""
+    rng = np.random.default_rng(14)
+    for rows in (1, 2, 3, 4):
+        mats = rng.standard_normal((6, rows, 5))
+        big = mats.copy()
+        big[1::2] *= 2.0**600
+        got = batched_spectral_norms(big)
+        assert_bitwise(got[::2], batched_spectral_norms(mats[::2]))
+        np.testing.assert_allclose(got[1::2], 2.0**600 * batched_spectral_norms(mats[1::2]), rtol=1e-15)
+    assert batched_spectral_norms(np.diag([1e160, 1e160])[None]) == 1e160
+
+
+@pytest.mark.parametrize("out_dim", [2, 3, 4])
+def test_norms_scale_with_a_form_past_the_gram_range(out_dim):
+    """At 1e160 every Gram overflows, and the sups, quotients and worst
+    pairs of 1e160 f are still 1e160 times those of f, to rounding."""
+    rng = np.random.default_rng(70 + out_dim)
+    g = driver_2d(seed=70 + out_dim, n_pts=33, level=3, p=3.0)
+    form = random_form(g, out_dim, rng)
+    omega = control_from_pvar(g)
+    sups, quots, pairs = form.norm_components(3.5, omega)
+    big_sups, big_quots, big_pairs = (form * 1e160).norm_components(3.5, omega)
+    np.testing.assert_allclose(big_sups, 1e160 * np.array(sups), rtol=1e-15)
+    np.testing.assert_allclose(big_quots, 1e160 * np.array(quots), rtol=1e-15)
+    assert big_pairs == pairs
+
+
+def test_auto_scale_keeps_the_control_where_the_scale_overflows():
+    """lambda = q**(1 / (theta - k/p)) past the largest float, or lambda
+    times the control past it (the control taken 1e280 times larger, which
+    divides lambda by 1e280), leaves the control as it is and fails the
+    certificate."""
+    rng = np.random.default_rng(7)
+    t = np.linspace(0.0, 1.0, 33)
+    g = signature(SampledPath(t, np.cumsum(0.3 * rng.standard_normal((33, 1)), axis=0)), 4, p=4.0)
+    beta = random_form(g, 4, rng) * 1e100
+    omega = control_from_pvar(g)
+    for control in (omega, omega.scaled(1e280)):
+        plain = check_domination(beta, 1.3, control)
+        cert = check_domination(beta, 1.3, control, auto_scale=True)
+        assert cert.control is control and not cert.ok
+        assert cert.level_quotients == plain.level_quotients
+
+
 def sup_cases():
     """Forms whose level sups reach the eigensolver: random walks' forms
     at out_dim 2-4, d 1-3 and L 2-3 from 1e-160 to 1e140, one with its

@@ -371,6 +371,32 @@ def user_map_problem(n_steps: int, **kw) -> RdeProblem:
     return RdeProblem(exp_problem(n_steps).driver, user, xi=np.array([1.0]), **kw)
 
 
+class DerivativeOnlyMap(SmoothMap):
+    """A user map that gives its derivatives of every order from 0 and their
+    bounds, and no `apply`: its value is its order-0 derivative."""
+
+    def __init__(self, inner: SmoothMap):
+        self.inner, self.in_dim, self.out_shape = inner, inner.in_dim, inner.out_shape
+
+    def derivative(self, Y, order):
+        return self.inner.derivative(Y, order)
+
+    def derivative_sup_bound(self, order, radius):
+        return self.inner.derivative_sup_bound(order, radius)
+
+
+def test_a_map_with_derivatives_only_solves_bitwise_like_its_inner_map():
+    prob = cubic_problem(32, n_max=16)
+    field = prob.field
+    user = LipFunction(DerivativeOnlyMap(field.map), field.gamma, radius=field.radius)
+    a = solve(prob)
+    b = solve(RdeProblem(prob.driver, user, xi=prob.xi, n_max=16))
+    assert a.converged and b.converged and a.report == b.report
+    assert_bitwise(a.positions, b.positions)
+    for x, y in zip(a.form.levels, b.form.levels):
+        assert_bitwise(x, y)
+
+
 def test_rescale_identity_at_matching_target():
     for prob in (probe_problem(), user_map_problem(64)):
         scaled, c = rescale_problem(prob, prob.field.lip_norm_bound)
@@ -692,6 +718,14 @@ def test_driver_distance_is_bitwise_the_whole_gather(monkeypatch):
         for build_pairs in (97, roughkit.path._BUILD_PAIRS):
             monkeypatch.setattr(roughkit.path, "_BUILD_PAIRS", build_pairs)
             assert driver_distance(driver, other) == want > 0.0
+
+
+def test_driver_distance_builds_no_pair_store():
+    """Level-L runs are the run's product, levels 1..L, so the gauge reads
+    neither path's `pairwise_levels`."""
+    a, b = probe_problem().driver, perturbed_probe_driver(1e-2)
+    assert driver_distance(a, b) > 0.0
+    assert "pairwise_levels" not in a.__dict__ and "pairwise_levels" not in b.__dict__
 
 
 def test_every_all_pairs_walk_reads_the_pair_runs(monkeypatch):
