@@ -72,9 +72,10 @@ def _pair_quotient(
 
     Returns the maximum and the index of the pair attaining it.  Where
     w**expo vanishes a numerator above dead_tol counts as +inf and any
-    other as 0.
+    other as 0; where it overflows, the quotient is 0.
     """
-    denom = w**expo
+    with np.errstate(over="ignore"):
+        denom = w**expo
     quot = np.where(denom > 0.0, num / np.where(denom > 0.0, denom, 1.0), 0.0)
     quot = np.where((denom == 0.0) & (num > dead_tol), np.inf, quot)
     j = int(np.argmax(quot))
@@ -184,12 +185,12 @@ def _gate(
     vanishes the upper quotient is +inf if hi exceeds dead_tol and 0
     otherwise, as `_pair_quotient` counts the pair.
     """
-    denom = w**expo
-    live = denom > 0.0
-    # pairs with lo above the floor cannot be floored: a sound lower bound
-    sure = live & (lo > noise_floor)
-    keep = hi > noise_floor
     with np.errstate(over="ignore"):
+        denom = w**expo
+        live = denom > 0.0
+        # pairs with lo above the floor cannot be floored: a sound lower bound
+        sure = live & (lo > noise_floor)
+        keep = hi > noise_floor
         best = max(best, np.max(np.divide(lo, denom, out=lo, where=sure), where=sure, initial=0.0))
         dead = ~live
         hi[dead] = np.where(hi[dead] > dead_tol, np.inf, 0.0)
@@ -568,11 +569,12 @@ class OneFormPath:
         Each level keeps (max, pair, lower bound) over runs of pairs taken in
         packed order, levels inside runs, so the difference matrices of all
         pairs never exist at once; pair (0, 1) attains a zero maximum.  One
-        pool serves every run and level, so no run allocates its difference
-        matrices, their temporaries, the bounds or the survivors of the
-        Frobenius bounds.  It holds a run of the longest `base.pair_runs`
-        run's length, or of the N adjacent pairs if more, at the widest
-        level's need per pair, and at its end the chain-bound, log and
+        pool serves every run and level, so no run allocates its levels, its
+        difference matrices, their temporaries, the bounds or the survivors
+        of the Frobenius bounds.  It holds the levels of a run of the longest
+        `base.pair_runs` run's length, or of the N adjacent pairs if more,
+        then the widest level's scratch, which level L, last and reading no
+        pair levels, lays over them; and at its end the chain-bound, log and
         quotient tables of the largest row block.
 
         Single-row forms scan every `base.pair_runs` run.  Wider forms, whose
@@ -602,15 +604,16 @@ class OneFormPath:
             raise DimensionMismatchError("the control lives on another time grid than the path")
         dead_tol = max(1e-12, noise_floor)
         n, top, length = base.num_steps, base.level, max(base._longest_run, base.num_steps)
-        # floats per pair that level k needs at once: the kernel's three
-        # result-sized slots (two at level L); past the result they are
-        # `_spectral_pair_quotient`'s scratch
-        needs = [(3 if k < top else 2) * self.out_dim * base.dim**k for k in range(1, len(expos) + 1)]
+        # floats per pair: the product's, or the run's levels and then level
+        # k's three result-sized slots; level L's two go over the levels
+        held, spent = base._run_floats(top - 1)
+        widths = [self.out_dim * base.dim**k for k in range(1, len(expos) + 1)]
+        per_pair = max(spent, *(3 * w + held if k < top else 2 * w for k, w in enumerate(widths, start=1)))
         blocks = [] if self.out_dim == 1 else list(base._row_blocks())
         # L chain-bound tables, the quotients (the products' scratch before)
         # and the logs, past the head a single-pair probe uses
         table = (top + 2) * max(((s1 - s0) * (n - s0) for s0, s1 in blocks), default=0)
-        pool = np.empty(max(length * max(needs), table + max(needs)))
+        pool = np.empty(max(length * per_pair, table + per_pair))
         tables = pool[pool.size - table :]
 
         def scan(k, run, w, state, diff=None, earlier=False):
@@ -619,10 +622,11 @@ class OneFormPath:
             kept wins its ties."""
             q_max, pair, best = state
             _, s, t, _ = run
+            at = s.size * held if k < top else 0
             if diff is None:
-                diff = self.difference_matrices(k, run, pool)
+                diff = self.difference_matrices(k, run, pool[at:])
             q, j, best = _spectral_pair_quotient(
-                diff, w, expos[k - 1], best, noise_floor, dead_tol, pool[diff.size :]
+                diff, w, expos[k - 1], best, noise_floor, dead_tol, pool[at + diff.size :]
             )
             if q > q_max or (earlier and q == q_max > 0.0):
                 q_max, pair = q, (int(s[j]), int(t[j]))
@@ -630,7 +634,7 @@ class OneFormPath:
 
         scans = [(0.0, (0, 1), 0.0)] * len(expos)
         if self.out_dim == 1:
-            for run in base.pair_runs():
+            for run in base.pair_runs(pool=pool):
                 w = omega.at(run[1], run[2])
                 scans = [scan(k, run, w, state) for k, state in enumerate(scans, start=1)]
             return [q for q, _, _ in scans], [pair for _, pair, _ in scans]
@@ -678,7 +682,7 @@ class OneFormPath:
                 keep = quot >= best
                 if probing[k - 1] and 2 * np.count_nonzero(keep) >= end - first:
                     i, j = np.unravel_index(np.argmax(quot), quot.shape)
-                    one = base._pair_run(starts[s0 + i : s0 + i + 1] + j - i)
+                    one = base._pair_run(starts[s0 + i : s0 + i + 1] + j - i, top - k, pool)
                     raised = scan(k, one, omega.at(one[1], one[2]), (0.0, (0, 1), best))[2]
                     if raised > best:
                         scans[k - 1] = q_max, pair, raised
@@ -691,7 +695,7 @@ class OneFormPath:
             kept = [np.count_nonzero(keep) for keep in keeps]
             whole = [k for k, c in enumerate(kept, start=1) if 2 * c >= end - first]
             for a in reversed(range(first, end, length) if whole else ()):
-                run = base._pair_run(slice(a, min(a + length, end)))
+                run = base._pair_run(slice(a, min(a + length, end)), top - whole[0], pool)
                 w = omega.at(run[1], run[2])
                 for k in whole:
                     scans[k - 1] = scan(k, run, w, scans[k - 1], earlier=True)
@@ -699,7 +703,7 @@ class OneFormPath:
                 flat = np.flatnonzero(keep) if 2 * c < end - first else ()
                 for a in reversed(range(0, len(flat), length)):
                     i, j = np.divmod(flat[a : a + length], cols)
-                    run = base._pair_run(starts[s0 + i] + j - i)
+                    run = base._pair_run(starts[s0 + i] + j - i, top - k, pool)
                     scans[k - 1] = scan(k, run, omega.at(run[1], run[2]), scans[k - 1], earlier=True)
         return [q for q, _, _ in scans], [pair for _, pair, _ in scans]
 

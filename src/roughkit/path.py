@@ -19,6 +19,7 @@ from .tensor import (
     TruncatedTensor,
     certify_stack,
     homogeneous_norms,
+    letter_major_views,
     stack_exp,
     stack_inverse,
     stack_product,
@@ -146,8 +147,7 @@ def _element_views(
     stack: tuple[np.ndarray, ...], flags: np.ndarray
 ) -> tuple[GroupElement, ...]:
     """Rows of a certified level stack as elements; freezes the stack to share it."""
-    for x in stack:
-        x.flags.writeable = False
+    _read_only(stack)
     dim, level = stack[1].shape[1], len(stack) - 1
     return tuple(
         GroupElement._trusted(TruncatedTensor._view(dim, level, stack, i), bool(f))
@@ -197,8 +197,7 @@ class SampledRoughPath:
             raise ValueError("times must be finite and strictly increasing")
         scale = np.maximum.accumulate(1.0 + np.linalg.norm(levels[1], axis=1) ** 2)
         certify_stack(levels, rows=grouplike, scale=scale)
-        for arr in (times, grouplike, scale) + levels:
-            arr.flags.writeable = False
+        _read_only((times, grouplike, scale) + levels)
         object.__setattr__(self, "_shuffle_scale", scale)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "levels", levels)
@@ -259,9 +258,7 @@ class SampledRoughPath:
     def _inverse_levels(self) -> tuple[np.ndarray, ...]:
         inv = stack_inverse(self.levels)
         certify_stack(inv, rows=self.grouplike, scale=self._shuffle_scale)
-        for x in inv:
-            x.flags.writeable = False
-        return inv
+        return _read_only(inv)
 
     def increment_levels(
         self, a_idx: np.ndarray, b_idx: np.ndarray
@@ -273,69 +270,63 @@ class SampledRoughPath:
         passes its own certificate.  The indices are arbitrary, so every row is
         certified as `certify_stack` states; a failure raises ValueError.
         """
-        a_idx = np.asarray(a_idx, dtype=int)
-        b_idx = np.asarray(b_idx, dtype=int)
+        # in range and non-negative, as the gathers into a pool take them
+        a_idx, b_idx = (np.arange(self.times.size)[np.asarray(x, dtype=int)] for x in (a_idx, b_idx))
         # row-major, as einsum readers need for the same bits
-        inc = tuple(np.ascontiguousarray(x) for x in self._products(a_idx, b_idx))
+        inc = tuple(np.ascontiguousarray(x) for x in self._products(a_idx, b_idx, self.level))
         scale = np.maximum(np.take(self._shuffle_scale, a_idx), np.take(self._shuffle_scale, b_idx))
         rows = np.take(self.grouplike, a_idx) & np.take(self.grouplike, b_idx)
         certify_stack(inc, rows=rows, scale=scale)
         return inc
 
     @cached_property
-    def _letter_major(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-        """Contiguous (d**k, N+1) transposes of the inverse levels and the
-        levels, the operands the pair products gather from."""
+    def _letter_major(self) -> tuple[np.ndarray, np.ndarray]:
+        """Levels 0..L of the inverse points and of the points, stacked letter
+        by letter in contiguous (S, N+1) arrays: the pair products' operands."""
         return tuple(
-            tuple(np.ascontiguousarray(x.T) for x in stack)
+            np.ascontiguousarray(np.concatenate(stack, axis=1).T)
             for stack in (self._inverse_levels, self.levels)
         )
 
-    def _products(self, a_idx: np.ndarray, b_idx: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Level stacks of g_a^{-1} g_b from gathered rows, not certified;
-        letter-major, each level the (n, d**k) view of a (d**k, n) array."""
-        inv, pts = self._letter_major
-        return stack_product(
-            tuple(np.take(x, a_idx, axis=1).T for x in inv),
-            tuple(np.take(x, b_idx, axis=1).T for x in pts),
-        )
+    def _products(
+        self, a_idx: np.ndarray, b_idx: np.ndarray, upto: int, pool: np.ndarray | None = None
+    ) -> tuple[np.ndarray, ...]:
+        """Level stacks 0..upto of g_a^{-1} g_b from gathered rows, not
+        certified, letter-major: bitwise the full product's levels, since
+        level k reads levels <= k only.  They lead `pool`, flat float scratch
+        of `_run_floats(upto)` per pair, allocated unless given."""
+        n, (rows, spent) = a_idx.size, self._run_floats(upto)
+        pool = np.empty(n * spent) if pool is None else pool
+        # the product's term follows its levels, then its operands, which
+        # mode="clip" writes straight into `out`; the indices are in range
+        ops = pool[n * (spent - 2 * rows) : n * spent].reshape(2, rows, n)
+        for x, idx, out in zip(self._letter_major, (a_idx, b_idx), ops):
+            np.take(x[:rows], idx, axis=1, out=out, mode="clip")
+        widths = [self.dim**k for k in range(upto + 1)]
+        return stack_product(*(letter_major_views(op.reshape(-1), n, widths) for op in ops), pool)
 
     @cached_property
     def step_level_blocks(self) -> tuple[np.ndarray, ...]:
         """Per-level stacks of consecutive increments: blocks[k-1] is (N, d**k)."""
         idx = np.arange(self.num_steps)
-        blocks = self.increment_levels(idx, idx + 1)[1:]
-        for b in blocks:
-            b.flags.writeable = False
-        return blocks
+        return _read_only(self.increment_levels(idx, idx + 1)[1:])
 
     @cached_property
     def half_step_level_blocks(self) -> tuple[np.ndarray, ...]:
         """Per-level stacks of the half-grid increments g_{t_a, t_b}, (a, b) the
         `_coarse_pairs` of the grid: blocks[k-1] is (ceil(N/2), d**k)."""
-        blocks = self.increment_levels(*_coarse_pairs(self.num_steps))[1:]
-        for b in blocks:
-            b.flags.writeable = False
-        return blocks
+        return _read_only(self.increment_levels(*_coarse_pairs(self.num_steps))[1:])
 
     @cached_property
-    def pairwise_levels(self) -> tuple[np.ndarray, ...]:
-        """Level blocks 2..L-1 of g_{s,t} for every pair s < t, packed in pair order.
-
-        Entry [r-2] has shape (P, d**r), P = N(N+1)/2; row j is the degree-r
-        block of g_s^{-1} g_t for the j-th pair (s, t) of np.triu_indices(N+1,
-        k=1), stored letter-major: the view of a contiguous (d**r, P) array,
-        as the pair products build it.  Level 1 comes from the points
-        (`pair_runs`), and level L only through the norms the same pass
-        writes to `pairwise_homogeneous_norms` or from `pair_runs(top=True)`.
-        Built over the runs `pair_runs` reads, each row bitwise
-        `increment_levels`.  Refused when these levels, the norms and one
-        control table would exceed physical memory.
-        """
+    def pairwise_levels(self) -> tuple[np.ndarray]:
+        """The pair geometry the path keeps: (norms,), the homogeneous norm
+        of g_{s,t} for every pair s < t in np.triu_indices(N+1, k=1) order.
+        Built over the runs `pair_runs` reads, with level L, in one pool;
+        every walk that reads a pair's levels forms them again.  Refused when
+        the norms, one control table and that pool exceed physical memory."""
         n = self.times.size
-        pairs = n * (n - 1) // 2
-        widths = [self.dim**k for k in range(2, self.level)]
-        need = (pairs * (sum(widths) + 1) + n * n) * 8
+        pairs, pool = n * (n - 1) // 2, self._longest_run * self._run_floats(self.level)[1]
+        need = (pairs + n * n + pool) * 8
         have = _physical_memory_bytes()
         if have is not None and need > have:
             raise ValueError(
@@ -343,25 +334,17 @@ class SampledRoughPath:
                 f"{self.level}) needs about {need:,} bytes, more than the "
                 f"{have:,} bytes of physical memory; use a coarser grid"
             )
-        out = tuple(np.empty((w, pairs)).T for w in widths)
-        norms = np.empty(pairs)
+        norms, pool = np.empty(pairs), np.empty(pool)
         for a in range(0, pairs, _BUILD_PAIRS):
             run = slice(a, a + _BUILD_PAIRS)
-            block = self._products(*self._pair_ends(run))[1:]
-            norms[run] = homogeneous_norms(block)
-            for dst, src in zip(out, block[1:]):
-                dst[run] = src
-        for x in out + (norms,):
-            x.flags.writeable = False
-        object.__setattr__(self, "_pair_norms", norms)
-        return out
+            norms[run] = homogeneous_norms(self._pair_run(run, self.level, pool)[3])
+        return _read_only((norms,))
 
     @property
     def pairwise_homogeneous_norms(self) -> np.ndarray:
         """Homogeneous norm of g_{s,t} for every pair s < t, shape (P,), in
-        packed pair order; the `pairwise_levels` build fills it, level L included."""
-        self.pairwise_levels
-        return self._pair_norms
+        packed pair order: `pairwise_levels`' one array."""
+        return self.pairwise_levels[0]
 
     @cached_property
     def _reach(self) -> float:
@@ -384,14 +367,14 @@ class SampledRoughPath:
         s = np.searchsorted(starts, pairs, side="right") - 1
         return s, pairs - np.take(starts, s) + s + 1
 
-    def pair_runs(self, top: bool = False):
-        """The packed pairs s < t in runs of `_BUILD_PAIRS`, in np.triu_indices
-        order: yields (pairs, s, t, levels), `pairs` the run's slice of the
-        packed order and `levels` blocks 1..L-1 of g_{s,t}, with level L
-        appended when `top` is set, each letter's column contiguous.  Every
-        all-pairs walk but the build reads these."""
+    def pair_runs(self, top: bool = False, pool: np.ndarray | None = None):
+        """Runs of `_BUILD_PAIRS` packed pairs s < t in np.triu_indices order:
+        yields (pairs, s, t, levels), `pairs` the run's slice of the packed
+        order, `levels` blocks 1..L-1 of g_{s,t} (and L with `top`), in `pool`
+        if given, which the next run overwrites.  Every all-pairs walk but the
+        build reads these."""
         for a in range(0, int(self._row_starts[-1]), _BUILD_PAIRS):
-            yield self._pair_run(slice(a, a + _BUILD_PAIRS), top)
+            yield self._pair_run(slice(a, a + _BUILD_PAIRS), self.level - 1 + top, pool)
 
     @property
     def _longest_run(self) -> int:
@@ -411,27 +394,33 @@ class SampledRoughPath:
             yield s0, s1
             s0 = s1
 
-    def _pair_run(self, pairs: slice | np.ndarray, top: bool = False) -> tuple:
+    def _run_floats(self, upto: int) -> tuple[int, int]:
+        """Floats per pair of a `_products` pool: its levels 0..upto, and in all."""
+        widths = [self.dim**k for k in range(upto + 1)]
+        return sum(widths), 3 * sum(widths) + widths[-1]
+
+    def _pair_run(
+        self, pairs: slice | np.ndarray, upto: int | None = None, pool: np.ndarray | None = None
+    ) -> tuple:
         """One `pair_runs` run, or the run of the packed pairs an index array
-        names, levels bitwise the uncertified `increment_levels` rows.  With
-        `top` they are the run's product; without, levels 2..L-1 are read
-        from `pairwise_levels` and level 1 is (0.0 + x_t) + (g_s^{-1})_1, the
-        two additions `stack_product` makes there, so signed zeros match too."""
+        names: (pairs, s, t, levels), levels 1..upto of g_{s,t}, L-1 unless
+        given, as `_products` forms them in `pool`."""
         s, t = self._pair_ends(pairs)
-        if top:
-            return pairs, s, t, self._products(s, t)[1:]
-        levels = ()
-        if self.level > 1:
-            inv, x = (stack[1] for stack in self._letter_major)
-            first = (0.0 + np.take(x, t, axis=1)) + np.take(inv, s, axis=1)
-            levels = (first.T,) + tuple(block[pairs] for block in self.pairwise_levels)
-        return pairs, s, t, levels
+        upto = self.level - 1 if upto is None else upto
+        return pairs, s, t, self._products(s, t, upto, pool)[1:] if upto else ()
 
 
-# Pairs per run of work on the pair geometry: `pairwise_levels` is built, and
-# `pair_runs` yields, runs of _BUILD_PAIRS pairs, so the temporaries of every
-# all-pairs walk stay at a few MB whatever the grid size.
+# Pairs per run of work on the pair geometry: `pair_runs` yields runs of
+# _BUILD_PAIRS pairs, so the temporaries of every all-pairs walk stay at a
+# few MB whatever the grid size.
 _BUILD_PAIRS = 1 << 12
+
+
+def _read_only(arrays: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """The arrays, each made read-only in place."""
+    for x in arrays:
+        x.flags.writeable = False
+    return arrays
 
 
 def _coarse_pairs(num_steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -567,7 +556,9 @@ def control_from_pvar(g: SampledRoughPath) -> Control:
             np.maximum(diag, high, out=diag)
             at += gap * (n1 - 1)
             flat[at : at + rows * (n1 + 1) : n1 + 1] = diag
-    V[np.tri(n1, dtype=bool)] = 0.0
+    # the lower triangle, row by row: a mask would be a second table's worth
+    for i in range(n1):
+        V[i, : i + 1] = 0.0
     return Control(g.times, V)
 
 

@@ -57,8 +57,14 @@ def _unit_like(t: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     return (np.ones(t[0].shape),) + tuple(np.zeros(x.shape) for x in t[1:])
 
 
+def letter_major_views(pool: np.ndarray, n: int, widths: list[int]) -> list[np.ndarray]:
+    """Consecutive letter-major (n, w) views of flat float scratch."""
+    block = pool[: n * sum(widths)].reshape(-1, n)
+    return [block[at - w : at].T for w, at in zip(widths, itertools.accumulate(widths))]
+
+
 def stack_product(
-    a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...]
+    a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...], pool: np.ndarray | None = None
 ) -> tuple[np.ndarray, ...]:
     """Row-wise graded (truncated) tensor product of two level stacks.
 
@@ -72,23 +78,26 @@ def stack_product(
     Each level takes the memory order of b's: letter-major operands (rows
     on the contiguous axis) give letter-major levels, whose outer products
     loop over rows, not a few letters.  The sums are elementwise, so the
-    bits do not depend on the layout.
+    bits do not depend on the layout.  With `pool`, flat float scratch for
+    stacks of n rows, the levels and then a term are its `letter_major_views`.
     """
     # level-0 blocks end in an axis of length 1, so this is the leading shape
     lead = np.broadcast(a[0], b[0]).shape[:-1]
     unital = bool((a[0] == 1.0).all() and (b[0] == 1.0).all())
-    out = [np.ones(lead + (1,))] if unital else []
-    for k in range(len(out), len(a)):
-        shape = lead + a[k].shape[-1:]
-        acc = np.empty_like(b[k], shape=shape)
+    widths = [x.shape[-1] for x in a]
+    slots = None if pool is None else letter_major_views(pool, lead[0], widths + widths[-1:])
+    out = []
+    for k, width in enumerate(widths):
+        acc = np.empty_like(b[k], shape=lead + (width,)) if pool is None else slots[k]
         if unital:
             np.add(b[k], 0.0, out=acc)
         else:
             acc.fill(0.0)
         for j in range(unital, k + 1 - unital):
             # a row-wise outer product concatenates letter indices
-            acc += (a[j][..., :, None] * b[k - j][..., None, :]).reshape(lead + (-1,))
-        if unital:
+            term = None if pool is None else slots[-1][:, :width].reshape(lead + (widths[j], -1))
+            acc += np.multiply(a[j][..., :, None], b[k - j][..., None, :], out=term).reshape(lead + (-1,))
+        if unital and k:
             acc += a[k]
         out.append(acc)
     return tuple(out)

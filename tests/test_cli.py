@@ -719,7 +719,7 @@ def test_pure_area_needs_level_two_exponent(tmp_path):
 
 
 def test_pair_geometry_over_physical_memory_exits_two(tmp_path, monkeypatch, capsys):
-    """The pair levels are refused before they are allocated when their
+    """The pair geometry is refused before it is allocated when its
     estimated size exceeds physical memory, here faked down to 1 kB."""
     monkeypatch.setattr(roughkit.path, "_physical_memory_bytes", lambda: 1024)
     rng = np.random.default_rng(2)
@@ -730,8 +730,9 @@ def test_pair_geometry_over_physical_memory_exits_two(tmp_path, monkeypatch, cap
          "--p", "3.0", "--gamma", "4.0"]
     )
     assert code == 2
-    # level 2 and the packed norm of the 210 pairs s < t, then one control table
-    need = (210 * (4 + 1) + 21 * 21) * 8
-    assert need == 11_928
+    # the packed norms of the 210 pairs s < t, one control table, and the
+    # build's pool of one run of all 210 pairs at 3 * 15 + 8 floats a pair
+    need = (210 + 21 * 21 + 210 * (3 * 15 + 8)) * 8
+    assert need == 94_248
     err = capsys.readouterr().err
     assert f"{need:,} bytes" in err and "physical memory" in err

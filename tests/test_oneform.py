@@ -741,6 +741,24 @@ def test_auto_scale_keeps_the_control_where_the_scale_overflows():
         assert cert.level_quotients == plain.level_quotients
 
 
+def test_quotients_against_an_overflowing_control_power_are_zero():
+    """omega**(theta - k/p) past the largest float is +inf, and a pair's
+    quotient against it 0, without an overflow warning: at 1e300 times the
+    p-variation control every level-1 power overflows, while the levels
+    whose powers stay finite keep the full scan's quotients."""
+    rng = np.random.default_rng(7)
+    t = np.linspace(0.0, 1.0, 33)
+    g = signature(SampledPath(t, np.cumsum(rng.standard_normal((33, 1)), axis=0)), 4, p=4.0)
+    beta = random_form(g, 4, rng)
+    omega = control_from_pvar(g).scaled(1e300)
+    cert = check_domination(beta, 1.3, omega)
+    s, t = np.triu_indices(33, k=1)
+    with np.errstate(over="ignore"):
+        want = [full_scan_quotient(beta.difference_matrices(k), omega.at(s, t), 1.3 - k / 4.0)[0] for k in range(1, 5)]
+    assert cert.level_quotients == tuple(want)
+    assert cert.level_quotients[0] == 0.0 < min(cert.level_quotients[1:])
+
+
 def sup_cases():
     """Forms whose level sups reach the eigensolver: random walks' forms
     at out_dim 2-4, d 1-3 and L 2-3 from 1e-160 to 1e140, one with its
@@ -1364,14 +1382,15 @@ def test_integral_form_reads_derivative_levels_below_the_top():
 
 def test_pair_geometry_peak_memory_matches_the_estimate():
     """The memory estimate counts what the pair build, the control and one
-    norm pass hold at N=768 (d=2, L=3): pair level 2, the packed norms and
-    one control table."""
+    norm pass hold at N=768 (d=2, L=3): the packed norms, one control table
+    and the build's pool of one 4,096-pair run, whose levels 0..3 and their
+    product's term and operands take 3 * 15 + 8 floats per pair."""
     problem = cubic_problem(768)
     g = problem.driver
     identity = OneFormPath.constant_linear(g, np.eye(2))
     form = compose_integrand(problem.field, g.positions(problem.xi), identity)
     n = g.times.size
-    need = (n * (n - 1) // 2 * (4 + 1) + n * n) * 8
+    need = (n * (n - 1) // 2 + n * n + 4096 * (3 * 15 + 8)) * 8
     tracemalloc.start()
     try:
         g.pairwise_levels

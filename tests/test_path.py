@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -22,7 +23,7 @@ from roughkit.path import (
 )
 from roughkit.tensor import TruncatedTensor, certify_stack, tensor_exp
 
-from conftest import assert_bitwise, element_norm, level_tensor, reversed_path
+from conftest import assert_bitwise, cubic_problem, element_norm, level_tensor, reversed_path
 from oracles import (
     control_band_loop,
     form_value,
@@ -471,43 +472,64 @@ def test_increment_levels_are_bitwise_the_object_increments(mixed):
             assert np.array_equal(inverses[k][i], pt.inverse().level_block(k))
 
 
+def assert_run_is_the_increment_levels(g, run, stacks, upto, pool=None):
+    """One run's (s, t) against np.triu_indices and its levels 1..upto
+    against the rows of `stacks`, the `increment_levels` of all pairs, by
+    bytes.  Each letter's column holds the run's pairs contiguously; with a
+    pool, the levels lie in its lead."""
+    pairs, s, t, levels = run
+    s_idx, t_idx = np.triu_indices(g.times.size, k=1)
+    assert s.dtype == t.dtype == s_idx.dtype
+    assert s.tobytes() == s_idx[pairs].tobytes()
+    assert t.tobytes() == t_idx[pairs].tobytes()
+    assert len(levels) == upto
+    for k, block in enumerate(levels, start=1):
+        assert block.shape[0] < 2 or block.strides[0] == block.itemsize
+        assert block.tobytes() == stacks[k][pairs].tobytes()
+        if pool is not None:
+            assert np.shares_memory(block, pool[: s.size * g._run_floats(upto)[0]])
+
+
 def assert_pair_levels_are_the_increment_levels(g, monkeypatch, build_pairs=None):
-    """Stored levels 2..L-1, and every `pair_runs` run's (s, t) and levels
-    1..L-1 or 1..L, against np.triu_indices and `increment_levels`, by
-    bytes.  The pair build and the runs take blocks of 1, 2(N+1) and 4,096
-    pairs unless `build_pairs` names others."""
+    """Every `pair_runs` run at both `top` values, and runs of a scattered
+    index array truncated at every level, allocated and in a pool, against
+    np.triu_indices and `increment_levels`, by bytes; the build keeps the
+    packed norms alone.
+    Runs take 1, 2(N+1) and 4,096 pairs unless `build_pairs` names others."""
     n = len(g.points)
     s_idx, t_idx = np.triu_indices(n, k=1)
     stacks = g.increment_levels(s_idx, t_idx)
     # einsum readers need row-major increments for the same bits
     assert all(x.flags.c_contiguous for x in stacks)
+    rng = np.random.default_rng(n)
+    scattered = np.sort(rng.choice(s_idx.size, size=(s_idx.size + 1) // 2, replace=False))
     for size in build_pairs or (1, 2 * n, roughkit.path._BUILD_PAIRS):
         monkeypatch.setattr(roughkit.path, "_BUILD_PAIRS", size)
         h = SampledRoughPath(g.times, g.levels, g.p, g.grouplike)
-        assert len(h.pairwise_levels) == max(g.level - 2, 0)
-        for k, block in enumerate(h.pairwise_levels, start=2):
-            assert block.shape == (s_idx.size, g.dim**k)
-            # letter-major: a view of one contiguous (d**k, P) array
-            assert block.T.flags.c_contiguous
-            assert block.tobytes() == stacks[k].tobytes()
+        assert [x.shape for x in h.pairwise_levels] == [s_idx.shape]
         for top in (False, True):
             runs = list(h.pair_runs(top))
             assert [r[0] for r in runs] == [slice(a, a + size) for a in range(0, s_idx.size, size)]
-            for pairs, s, t, levels in runs:
-                assert s.dtype == t.dtype == s_idx.dtype
-                assert s.tobytes() == s_idx[pairs].tobytes()
-                assert t.tobytes() == t_idx[pairs].tobytes()
-                assert len(levels) == g.level - 1 + top
-                for k, block in enumerate(levels, start=1):
-                    # each letter's column holds the run's pairs contiguously
-                    assert block.shape[0] < 2 or block.strides[0] == block.itemsize
-                    assert block.tobytes() == stacks[k][pairs].tobytes()
+            for run in runs:
+                assert_run_is_the_increment_levels(h, run, stacks, g.level - 1 + top)
+            # a pooled run's levels hold until the next run overwrites them
+            upto = g.level - 1 + top
+            pool = np.full(h._longest_run * h._run_floats(upto)[1], np.nan)
+            for run in h.pair_runs(top, pool):
+                assert_run_is_the_increment_levels(h, run, stacks, upto, pool)
+        # index-array runs truncated at every level, as the pair scan forms them
+        for upto in range(g.level + 1):
+            for a in range(0, scattered.size, size):
+                pairs = scattered[a : a + size]
+                assert_run_is_the_increment_levels(h, h._pair_run(pairs, upto), stacks, upto)
+                pool = np.full(pairs.size * h._run_floats(upto)[1], np.nan)
+                assert_run_is_the_increment_levels(h, h._pair_run(pairs, upto, pool), stacks, upto, pool)
 
 
 @pytest.mark.parametrize("mixed", [False, True])
 def test_pairwise_levels_are_bitwise_the_increment_levels(mixed, monkeypatch):
-    # only pairs s < t and levels 2..L-1 are stored, in row-major order;
-    # level 1 comes from the points and level L from the product, run by run
+    # no pair level is stored: each run forms its levels from the points,
+    # one product truncated at level L-1, or at L
     rng = np.random.default_rng(32)
     g = mixed_certificate_path(rng) if mixed else signature(random_polyline(rng), 3, p=3.0)
     assert_pair_levels_are_the_increment_levels(g, monkeypatch)
@@ -522,8 +544,8 @@ def signed_zero_path() -> SampledRoughPath:
 
 
 def test_pair_levels_keep_the_signs_of_zero_coordinates(monkeypatch):
-    # level 1 of a run is (0.0 + x_t) + (g_s^{-1})_1, the additions the
-    # product makes, so -0.0 and +0.0 coordinates come out as it has them
+    # level 1 of a run is (0.0 + x_t) + (g_s^{-1})_1 in the truncated
+    # product as in the full one, so -0.0 and +0.0 coordinates keep their signs
     g = signed_zero_path()
     assert np.signbit(g.levels[1]).any()
     assert_pair_levels_are_the_increment_levels(g, monkeypatch)
@@ -598,8 +620,7 @@ def test_homogeneous_norm_is_bitwise_the_pairwise_table(seed, monkeypatch):
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_norm_table_and_control_are_bitwise_the_full_level_norms(d, level, monkeypatch):
-    # levels 1 and L are never stored, yet the norms read them: at L = 1 and
-    # L = 2 nothing is stored and the packed norms must still be filled
+    # no pair level is stored, yet the norms read all of them, level L too
     rng = np.random.default_rng(10 * d + level)
     walk = np.vstack([np.zeros((1, d)), np.cumsum(rng.standard_normal((30, d)), axis=0)])
     p = level + 0.5 if level < 4 else 4.0
@@ -609,9 +630,26 @@ def test_norm_table_and_control_are_bitwise_the_full_level_norms(d, level, monke
     for build_pairs in (1, 2 * 31, roughkit.path._BUILD_PAIRS):
         monkeypatch.setattr(roughkit.path, "_BUILD_PAIRS", build_pairs)
         h = SampledRoughPath(g.times, g.levels, g.p, g.grouplike)
-        assert len(h.pairwise_levels) == max(level - 2, 0)
+        assert [x.shape for x in h.pairwise_levels] == [(31 * 30 // 2,)]
         assert_bitwise(norm_square(h), want)
         assert_bitwise(control_from_pvar(h).table, control)
+
+
+@pytest.mark.parametrize("n_steps", [256, 512])
+def test_pair_geometry_keeps_only_the_packed_norms(n_steps):
+    """After the build the path holds the P packed norms and a few kB
+    besides, with its point caches (O(N)) taken first: no pair level, where
+    level 2 alone would be 4P floats more (d=2, L=3)."""
+    g = cubic_problem(n_steps).driver
+    g._letter_major, g._row_starts
+    tracemalloc.start()
+    try:
+        g.pairwise_levels
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    pairs = g.times.size * (g.times.size - 1) // 2
+    assert pairs * 8 <= kept <= pairs * 8 + 8192
 
 
 # -- level-stack storage ------------------------------------------------------

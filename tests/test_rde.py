@@ -737,8 +737,8 @@ def test_every_all_pairs_walk_reads_the_pair_runs(monkeypatch):
     reader = SampledRoughPath.pair_runs
     walkers = Counter()
 
-    def counting(self, top=False):
-        for run in reader(self, top):
+    def counting(self, *args, **kwargs):
+        for run in reader(self, *args, **kwargs):
             # the frame that resumed the reader is the walk reading it
             walkers[sys._getframe(1).f_code.co_name] += 1
             yield run
