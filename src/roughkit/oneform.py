@@ -711,7 +711,8 @@ class OneFormPath:
         """Absolute slack of `_chain_bounds` per level k: (N+1) _CHAIN_ABS M_k
         + _BOUND_ABS, M_k the largest Frobenius norm of the form's blocks of
         the levels above k (none at level L) times (1 + r)**L, r the base's
-        `_reach`.  See `_chain_bounds` for what it covers."""
+        `_reach`, a bound on every point's and pair's norm taken from the
+        points.  See `_chain_bounds` for what it covers."""
         base = self.base
         with np.errstate(over="ignore", invalid="ignore"):
             squares = [float(np.max(np.einsum("toj,toj->t", A, A))) for A in self.levels]

@@ -319,25 +319,15 @@ class SampledRoughPath:
 
     @cached_property
     def pairwise_levels(self) -> tuple[np.ndarray]:
-        """The pair geometry the path keeps: (norms,), the homogeneous norm
-        of g_{s,t} for every pair s < t in np.triu_indices(N+1, k=1) order.
-        Built over the runs `pair_runs` reads, with level L, in one pool;
-        every walk that reads a pair's levels forms them again.  Refused when
-        the norms, one control table and that pool exceed physical memory."""
-        n = self.times.size
-        pairs, pool = n * (n - 1) // 2, self._longest_run * self._run_floats(self.level)[1]
-        need = (pairs + n * n + pool) * 8
-        have = _physical_memory_bytes()
-        if have is not None and need > have:
-            raise ValueError(
-                f"pair geometry of {n} grid points (d={self.dim}, level "
-                f"{self.level}) needs about {need:,} bytes, more than the "
-                f"{have:,} bytes of physical memory; use a coarser grid"
-            )
-        norms, pool = np.empty(pairs), np.empty(pool)
-        for a in range(0, pairs, _BUILD_PAIRS):
-            run = slice(a, a + _BUILD_PAIRS)
-            norms[run] = homogeneous_norms(self._pair_run(run, self.level, pool)[3])
+        """(norms,): the homogeneous norm of g_{s,t} for every pair s < t in
+        np.triu_indices(N+1, k=1) order, from the runs of `pair_runs(top=True)`.
+        No walk of the package reads it: the control writes each run's norms
+        into its table.  Refused when the norms and a run's pool do not fit."""
+        pairs = int(self._row_starts[-1])
+        pool = self._pair_pool(pairs)
+        norms = np.empty(pairs)
+        for run, _, _, levels in self.pair_runs(top=True, pool=pool):
+            norms[run] = homogeneous_norms(levels)
         return _read_only((norms,))
 
     @property
@@ -346,11 +336,30 @@ class SampledRoughPath:
         packed pair order: `pairwise_levels`' one array."""
         return self.pairwise_levels[0]
 
+    def _pair_pool(self, held: int) -> np.ndarray:
+        """The pool of one `pair_runs(top=True)` run, once a build holding
+        `held` floats beside it fits in physical memory; ValueError if not."""
+        pool = self._longest_run * self._run_floats(self.level)[1]
+        need, have = (held + pool) * 8, _physical_memory_bytes()
+        if have is not None and need > have:
+            raise ValueError(
+                f"pair geometry of {self.times.size} grid points (d={self.dim}, level "
+                f"{self.level}) needs about {need:,} bytes, more than the "
+                f"{have:,} bytes of physical memory; use a coarser grid"
+            )
+        return np.empty(pool)
+
     @cached_property
     def _reach(self) -> float:
-        """Largest homogeneous norm of a point g_t or a pair increment g_{s,t}."""
-        points = homogeneous_norms(self.levels[1:])
-        return float(max(np.max(points), np.max(self.pairwise_homogeneous_norms)))
+        """r = L (max_s N(g_s^{-1}) + max_t N(g_t)) >= N(g_t), N(g_{s,t}) for
+        every point and pair, N the homogeneous norm, in O(N).  Euclidean
+        level norms are cross norms, so with A = max_j |a^j|^{1/j} <= N(a), B
+        likewise, |(ab)^k| <= sum_j |a^j| |b^{k-j}| <= (A + B)^k: each of the
+        L terms of N(ab) is at most A + B, so N(ab) <= L (N(a) + N(b)).
+        `_chain_slack` reads r at L >= 2 only, where the factor L leaves
+        room for the rounding of the products and of the norms."""
+        inverses, points = (float(np.max(homogeneous_norms(x[1:]))) for x in (self._inverse_levels, self.levels))
+        return self.level * (inverses + points)
 
     @cached_property
     def _row_starts(self) -> np.ndarray:
@@ -371,8 +380,8 @@ class SampledRoughPath:
         """Runs of `_BUILD_PAIRS` packed pairs s < t in np.triu_indices order:
         yields (pairs, s, t, levels), `pairs` the run's slice of the packed
         order, `levels` blocks 1..L-1 of g_{s,t} (and L with `top`), in `pool`
-        if given, which the next run overwrites.  Every all-pairs walk but the
-        build reads these."""
+        if given, which the next run overwrites.  Every all-pairs walk reads
+        these."""
         for a in range(0, int(self._row_starts[-1]), _BUILD_PAIRS):
             yield self._pair_run(slice(a, a + _BUILD_PAIRS), self.level - 1 + top, pool)
 
@@ -440,24 +449,29 @@ def _physical_memory_bytes() -> int | None:
 def p_variation(g: SampledRoughPath, i0: int = 0, i1: int | None = None) -> float:
     """p-variation of the rough path over grid partitions of [t_{i0}, t_{i1}].
 
-    Dynamic program over partition points drawn from the sample grid; the
-    supremum over such partitions is attained because inserting a point never
-    decreases the sum.  Returns the variation itself (not its p-th power).
+    Dynamic program over the grid's partition points, on the
+    `_powered_norms` of `g.restricted(i0, i1)`.  The grid has finitely many
+    partitions, so the maximum exists; a point inserted can lower the sum:
+    for p > 1, splitting a straight segment scales its term by 2**(1 - p).
+    Returns the variation itself (not its p-th power).
     """
     if i1 is None:
         i1 = g.num_steps
     if not 0 <= i0 < i1 <= g.num_steps:
         raise ValueError("bad interval indices")
-    return float(_best_partition_sum(_powered_norms(g, i0, i1)) ** (1.0 / g.p))
+    return float(_best_partition_sum(_powered_norms(g.restricted(i0, i1))) ** (1.0 / g.p))
 
 
-def _powered_norms(g: SampledRoughPath, i0: int, i1: int) -> np.ndarray:
-    """norm(g_{s,t})**p at [s - i0, t - i0] for i0 <= s < t <= i1, zero elsewhere,
-    filled row by row from the packed `pairwise_homogeneous_norms`."""
-    norms, starts = g.pairwise_homogeneous_norms, g._row_starts
-    E = np.zeros((i1 - i0 + 1, i1 - i0 + 1))
-    for s in range(i0, i1):
-        E[s - i0, s - i0 + 1 :] = norms[starts[s] : starts[s] + i1 - s] ** g.p
+def _powered_norms(g: SampledRoughPath) -> np.ndarray:
+    """norm(g_{s,t})**p at [s, t] of an (N+1)^2 table, zero elsewhere: each
+    `pair_runs(top=True)` run writes its norms in, so no packed norms exist.
+    Refused before it is allocated when the table and one run's pool exceed
+    physical memory."""
+    n1 = g.times.size
+    pool = g._pair_pool(n1 * n1)
+    E = np.zeros((n1, n1))
+    for _, s, t, levels in g.pair_runs(top=True, pool=pool):
+        E[s, t] = homogeneous_norms(levels) ** g.p
     return E
 
 
@@ -515,9 +529,9 @@ def control_from_pvar(g: SampledRoughPath) -> Control:
     """The canonical control: omega(s, t) = ||g||_{p-var;[s,t]}^p on the grid.
 
     All-pairs interval dynamic program over gaps j - i = 2..N:
-    V[i, j] = max(E[i, j], max_m V[i, m] + V[m, j]).  O(N^3) flops in one
-    table, whose lower triangle holds the transpose while the gaps run and
-    is zeroed after.  The rows are visited in blocks of R, the bottom block
+    V[i, j] = max(E[i, j], max_m V[i, m] + V[m, j]), E the `_powered_norms`.
+    O(N^3) flops in E's table, whose lower triangle holds the transpose
+    while the gaps run and is zeroed after.  The rows are visited in blocks of R, the bottom block
     first and gaps in ascending order inside a block, so every entry a band
     reads has a smaller gap or a lower row and is final; R rows and the R
     transposed rows they read fit in `_DP_BLOCK_BYTES`.  Each candidate is
@@ -525,7 +539,7 @@ def control_from_pvar(g: SampledRoughPath) -> Control:
     the gap-by-gap order's.  Superadditive by construction and exactly
     additive where the path is one-dimensional and monotone.
     """
-    V = _powered_norms(g, 0, g.num_steps)
+    V = _powered_norms(g)
     n1 = V.shape[0]
     flat = V.reshape(-1)
     # V[j, i] = V[i, j] below the diagonal: gap 1 now, each later band as it is done

@@ -730,9 +730,32 @@ def test_pair_geometry_over_physical_memory_exits_two(tmp_path, monkeypatch, cap
          "--p", "3.0", "--gamma", "4.0"]
     )
     assert code == 2
-    # the packed norms of the 210 pairs s < t, one control table, and the
-    # build's pool of one run of all 210 pairs at 3 * 15 + 8 floats a pair
-    need = (210 + 21 * 21 + 210 * (3 * 15 + 8)) * 8
-    assert need == 94_248
+    # the control table, into which each run writes its norms, and the
+    # pool of one run of all 210 pairs s < t at 3 * 15 + 8 floats a pair
+    need = (21 * 21 + 210 * (3 * 15 + 8)) * 8
+    assert need == 92_568
     err = capsys.readouterr().err
     assert f"{need:,} bytes" in err and "physical memory" in err
+
+
+def test_integrate_and_solve_build_no_pair_store(tmp_path, monkeypatch):
+    """The control writes each run's norms into its table and the chain
+    slack bounds the pairs from the points, so neither command leaves
+    `pairwise_levels` on the driver it lifted."""
+    drivers = []
+
+    def lift(*args, **kw):
+        drivers.append(signature(*args, **kw))
+        return drivers[-1]
+
+    monkeypatch.setattr(cli, "signature", lift)
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(7)
+    write_csv(tmp_path / "walk.csv", np.linspace(0.0, 1.0, 41), rng.standard_normal((41, 2)) / 6.0)
+    write_json(tmp_path / "g.json", GRAD_FORM)
+    integrate = ["integrate", "walk.csv", "--form", "g.json", "--p", "3.0", "--gamma", "4.0"]
+    assert cli.main(integrate + ["--out", "integral.json"]) == 0
+    solve_args = [str(x) for x in cubic_solve_inputs(tmp_path, 1.0)]
+    assert cli.main(solve_args + ["--report", "report.json"]) == 0
+    assert len(drivers) == 2
+    assert all("pairwise_levels" not in g.__dict__ for g in drivers)

@@ -1381,19 +1381,18 @@ def test_integral_form_reads_derivative_levels_below_the_top():
 
 
 def test_pair_geometry_peak_memory_matches_the_estimate():
-    """The memory estimate counts what the pair build, the control and one
-    norm pass hold at N=768 (d=2, L=3): the packed norms, one control table
-    and the build's pool of one 4,096-pair run, whose levels 0..3 and their
+    """The memory estimate counts what the control and one norm pass hold
+    at N=768 (d=2, L=3): one control table, into which each run writes its
+    norms, and the pool of one 4,096-pair run, whose levels 0..3 and their
     product's term and operands take 3 * 15 + 8 floats per pair."""
     problem = cubic_problem(768)
     g = problem.driver
     identity = OneFormPath.constant_linear(g, np.eye(2))
     form = compose_integrand(problem.field, g.positions(problem.xi), identity)
     n = g.times.size
-    need = (n * (n - 1) // 2 + n * n + 4096 * (3 * 15 + 8)) * 8
+    need = (n * n + 4096 * (3 * 15 + 8)) * 8
     tracemalloc.start()
     try:
-        g.pairwise_levels
         omega = control_from_pvar(g)
         form.norm_components(problem.gamma, omega)
         peak = tracemalloc.get_traced_memory()[1]
@@ -1402,16 +1401,23 @@ def test_pair_geometry_peak_memory_matches_the_estimate():
     assert abs(peak / need - 1.0) <= 0.15
 
 
-def test_control_dynamic_program_holds_one_table():
-    """With the pair norms built, `control_from_pvar` at N=300 peaks within
-    1.6 square tables: the table itself and its per-gap temporaries, with
-    no second table for the transpose."""
+def test_control_dynamic_program_holds_one_table(monkeypatch):
+    """With the path's point caches taken first, `control_from_pvar` at
+    N=300 peaks within 1.6 square tables plus one run's pool: the table,
+    the runs that write their norms into it and the per-gap temporaries.
+    Runs of 256 pairs keep the pool at 109 kB, so a second table for the
+    transpose would exceed the bound; at 4,096 pairs the pool (1.74 MB)
+    and its norms' temporaries would hide it."""
+    monkeypatch.setattr(roughkit.path, "_BUILD_PAIRS", 256)
     g = cubic_problem(300).driver
-    g.pairwise_levels
+    g._letter_major, g._row_starts
+    table = g.times.size**2 * 8
+    pool = g._longest_run * g._run_floats(g.level)[1] * 8
+    assert 1.6 * table + pool < 2 * table
     tracemalloc.start()
     try:
         control_from_pvar(g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.6 * g.times.size**2 * 8
+    assert peak <= 1.6 * table + pool

@@ -20,8 +20,9 @@ from roughkit.path import (
     signature,
     write_path_csv,
     write_solution_csv,
+    _best_partition_sum,
 )
-from roughkit.tensor import TruncatedTensor, certify_stack, tensor_exp
+from roughkit.tensor import TruncatedTensor, certify_stack, homogeneous_norms, tensor_exp
 
 from conftest import assert_bitwise, cubic_problem, element_norm, level_tensor, reversed_path
 from oracles import (
@@ -186,6 +187,44 @@ def test_p_variation_monotone_in_interval():
     inner = p_variation(g, 2, 5)
     outer = p_variation(g, 1, 6)
     assert inner <= outer + 1e-14
+
+
+@pytest.mark.parametrize("build_pairs", [7, roughkit.path._BUILD_PAIRS])
+@pytest.mark.parametrize("steps, dim, level", [(9, 1, 2), (40, 2, 3), (25, 3, 4)])
+def test_p_variation_of_sub_ranges_is_bitwise_the_norm_square(steps, dim, level, build_pairs, monkeypatch):
+    # the restricted path's runs form the whole path's products, row by row
+    g = walk_lift(steps, dim, level, seed=steps)
+    powered = norm_square(g) ** g.p
+    monkeypatch.setattr(roughkit.path, "_BUILD_PAIRS", build_pairs)
+    for i0, i1 in [(0, steps), (0, 1), (2, 7), (steps // 3, steps), (steps - 1, steps)]:
+        want = _best_partition_sum(powered[i0 : i1 + 1, i0 : i1 + 1]) ** (1.0 / g.p)
+        assert p_variation(g, i0, i1) == float(want)
+
+
+def test_control_and_p_variation_build_no_pair_store():
+    g = walk_lift(64, 2, 3, seed=5)
+    control_from_pvar(g), p_variation(g), p_variation(g, 3, 40)
+    assert "pairwise_levels" not in g.__dict__
+
+
+@given(
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=2, max_value=4),
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_reach_bounds_every_point_and_pair_norm(dim, level, log_scale, seed):
+    """r = L (max_s N(g_s^{-1}) + max_t N(g_t)) bounds the homogeneous norm
+    of every point and pair of a walk at scale 10**log_scale with one zero
+    step, which then loops out and back over its first four steps."""
+    rng = np.random.default_rng(seed)
+    steps = 10.0**log_scale * rng.standard_normal((8, dim))
+    steps[3] = 0.0
+    steps = np.vstack([steps, steps[:4], -steps[3::-1]])
+    x = np.vstack([np.zeros((1, dim)), np.cumsum(steps, axis=0)])
+    g = signature(SampledPath(np.linspace(0.0, 1.0, len(x)), x), level, p=level + 0.5)
+    points = homogeneous_norms(g.levels[1:])
+    assert g._reach >= max(np.max(points), np.max(g.pairwise_homogeneous_norms)) > 0.0
 
 
 def test_control_of_constant_path_vanishes():
