@@ -303,7 +303,7 @@ class SampledRoughPath:
         for x, idx, out in zip(self._letter_major, (a_idx, b_idx), ops):
             np.take(x[:rows], idx, axis=1, out=out, mode="clip")
         widths = [self.dim**k for k in range(upto + 1)]
-        return stack_product(*(letter_major_views(op.reshape(-1), n, widths) for op in ops), pool)
+        return stack_product(*(letter_major_views(op.reshape(-1), (n,), widths) for op in ops), pool)
 
     @cached_property
     def step_level_blocks(self) -> tuple[np.ndarray, ...]:
@@ -321,33 +321,27 @@ class SampledRoughPath:
     def pairwise_levels(self) -> tuple[np.ndarray]:
         """(norms,): the homogeneous norm of g_{s,t} for every pair s < t in
         np.triu_indices(N+1, k=1) order, from the runs of `pair_runs(top=True)`.
-        No walk of the package reads it: the control writes each run's norms
-        into its table.  Refused when the norms and a run's pool do not fit."""
+        No walk of the package reads it: the control forms its norms in
+        rectangles of the table.  Refused when the norms and a run's pool do
+        not fit."""
         pairs = int(self._row_starts[-1])
-        pool = self._pair_pool(pairs)
+        pool = self._pair_pool(pairs, self._longest_run * self._run_floats(self.level)[1])
         norms = np.empty(pairs)
         for run, _, _, levels in self.pair_runs(top=True, pool=pool):
             norms[run] = homogeneous_norms(levels)
         return _read_only((norms,))
 
-    @property
-    def pairwise_homogeneous_norms(self) -> np.ndarray:
-        """Homogeneous norm of g_{s,t} for every pair s < t, shape (P,), in
-        packed pair order: `pairwise_levels`' one array."""
-        return self.pairwise_levels[0]
-
-    def _pair_pool(self, held: int) -> np.ndarray:
-        """The pool of one `pair_runs(top=True)` run, once a build holding
-        `held` floats beside it fits in physical memory; ValueError if not."""
-        pool = self._longest_run * self._run_floats(self.level)[1]
-        need, have = (held + pool) * 8, _physical_memory_bytes()
+    def _pair_pool(self, held: int, floats: int) -> np.ndarray:
+        """`floats` floats of scratch for an all-pairs walk, once the walk's
+        `held` floats beside them fit in physical memory; ValueError if not."""
+        need, have = (held + floats) * 8, _physical_memory_bytes()
         if have is not None and need > have:
             raise ValueError(
                 f"pair geometry of {self.times.size} grid points (d={self.dim}, level "
                 f"{self.level}) needs about {need:,} bytes, more than the "
                 f"{have:,} bytes of physical memory; use a coarser grid"
             )
-        return np.empty(pool)
+        return np.empty(floats)
 
     @cached_property
     def _reach(self) -> float:
@@ -390,16 +384,17 @@ class SampledRoughPath:
         """Pairs in the longest `pair_runs` run."""
         return min(_BUILD_PAIRS, int(self._row_starts[-1]))
 
-    def _row_blocks(self):
+    def _row_blocks(self, entries: int | None = None):
         """The rows s = 0..N-1 of the packed pairs in blocks: yields (s0, s1)
         for rows s0..s1-1, whose pairs s < t fill the upper triangle of a
-        (s1 - s0, N - s0) rectangle of at most 2 `_BUILD_PAIRS` entries, or
-        a single row where one row holds more.  Their pairs are the packed
-        slice from `_row_starts[s0]` to `_row_starts[s1]`, which may be
-        longer than a run."""
+        (s1 - s0, N - s0) rectangle of at most `entries` entries, 2
+        `_BUILD_PAIRS` unless given, or a single row where one row holds
+        more.  Their pairs are the packed slice from `_row_starts[s0]` to
+        `_row_starts[s1]`, which may be longer than a run."""
         n, s0 = self.num_steps, 0
+        entries = 2 * _BUILD_PAIRS if entries is None else entries
         while s0 < n:
-            s1 = min(n, s0 + max(1, 2 * _BUILD_PAIRS // (n - s0)))
+            s1 = min(n, s0 + max(1, entries // (n - s0)))
             yield s0, s1
             s0 = s1
 
@@ -463,15 +458,31 @@ def p_variation(g: SampledRoughPath, i0: int = 0, i1: int | None = None) -> floa
 
 
 def _powered_norms(g: SampledRoughPath) -> np.ndarray:
-    """norm(g_{s,t})**p at [s, t] of an (N+1)^2 table, zero elsewhere: each
-    `pair_runs(top=True)` run writes its norms in, so no packed norms exist.
-    Refused before it is allocated when the table and one run's pool exceed
-    physical memory."""
-    n1 = g.times.size
-    pool = g._pair_pool(n1 * n1)
+    """norm(g_{s,t})**p at [s, t] of an (N+1)^2 table, zero elsewhere.
+
+    Filled one `_row_blocks` rectangle of at most `_BUILD_PAIRS` entries at
+    a time: rows s0..s1-1 against the points s0+1..N, whose products
+    g_s^{-1} g_t are one `stack_product` of views of the cached letter-major
+    operands, broadcast, in a pool of S + d**L floats an entry (S the
+    floats of levels 0..L).  Each entry is the sum a `pair_runs` run forms
+    for its pair, so the table is bitwise theirs.  Refused before it is
+    allocated when the table and the pool exceed physical memory."""
+    n, n1 = g.num_steps, g.times.size
+    widths = [g.dim**k for k in range(g.level + 1)]
+    blocks = list(g._row_blocks(_BUILD_PAIRS))
+    entries = max((s1 - s0) * (n - s0) for s0, s1 in blocks)
+    pool = g._pair_pool(n1 * n1, entries * (sum(widths) + widths[-1]))
     E = np.zeros((n1, n1))
-    for _, s, t, levels in g.pair_runs(top=True, pool=pool):
-        E[s, t] = homogeneous_norms(levels) ** g.p
+    inverses, points = (np.split(x.T, np.cumsum(widths)[:-1], axis=1) for x in g._letter_major)
+    for s0, s1 in blocks:
+        levels = stack_product(
+            tuple(x[s0:s1, None] for x in inverses), tuple(x[None, s0 + 1 :] for x in points), pool
+        )
+        norms = homogeneous_norms(levels[1:])
+        # entries left of the diagonal are no pairs: zeroed, their power cannot overflow
+        norms[:, : s1 - s0][np.tri(s1 - s0, k=-1, dtype=bool)] = 0.0
+        norms **= g.p
+        E[s0:s1, s0 + 1 :] = norms
     return E
 
 

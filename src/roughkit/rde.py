@@ -328,7 +328,8 @@ def solve(
     doubling of the dilation scale when auto_rescale is set; the path
     iterates themselves are scale-invariant, so only the reported
     distances change.  A distance exceeding norm_cap halts with a
-    divergence message suggesting rescaling.
+    divergence message suggesting rescaling.  Without keep_history a
+    superseded iterate keeps only its distances, which the loop re-reads.
     """
     gamma = problem.gamma
     state = initial_state(problem)
@@ -339,6 +340,8 @@ def solve(
     message = f"no iterations performed (n_max={problem.n_max})"
     for _ in range(problem.n_max):
         state = picard_step(state, problem)
+        if not keep_history:
+            states[-1] = replace(states[-1], positions=None, form=None)
         states.append(state)
         current = state.delta_at_scale(c, gamma)
         if not math.isfinite(current):
@@ -755,17 +758,23 @@ def driver_distance(a: SampledRoughPath, b: SampledRoughPath) -> float:
     Gap contributions sum the per-level block distances of the two
     signature increments and are raised to the p-th power; the value is
     the single-interval supremum accumulated over partitions, taken to
-    the 1/p.  Linear in the perturbation size for nearby drivers.
+    the 1/p.  Linear in the perturbation size for nearby drivers.  Refused
+    before its table is allocated when the table and a run's pool for each
+    path exceed physical memory.
     """
     if a.dim != b.dim or a.level != b.level or a.num_steps != b.num_steps:
         raise ValueError("drivers must share dimension, level, and grid size")
     if a.p != b.p:
         raise ValueError("drivers must share the variation exponent")
-    n = a.num_steps + 1
+    n, run = a.num_steps + 1, a._longest_run * a._run_floats(a.level)[1]
+    pool_a, pool_b = a._pair_pool(n * n, 2 * run).reshape(2, run)
     gaps = np.zeros((n, n))
-    for (_, s, t, da), (_, _, _, db) in zip(a.pair_runs(top=True), b.pair_runs(top=True)):
+    runs = a.pair_runs(top=True, pool=pool_a), b.pair_runs(top=True, pool=pool_b)
+    for (_, s, t, da), (_, _, _, db) in zip(*runs):
         np.put(gaps, s * n + t, sum(np.sqrt(sum_squares(x - y)) for x, y in zip(da, db)))
-    return float(_best_partition_sum(gaps**a.p) ** (1.0 / a.p))
+    # in place, so the table is the only one the guard counts
+    gaps **= a.p
+    return float(_best_partition_sum(gaps) ** (1.0 / a.p))
 
 
 @dataclass(frozen=True)

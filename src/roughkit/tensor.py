@@ -57,10 +57,11 @@ def _unit_like(t: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     return (np.ones(t[0].shape),) + tuple(np.zeros(x.shape) for x in t[1:])
 
 
-def letter_major_views(pool: np.ndarray, n: int, widths: list[int]) -> list[np.ndarray]:
-    """Consecutive letter-major (n, w) views of flat float scratch."""
-    block = pool[: n * sum(widths)].reshape(-1, n)
-    return [block[at - w : at].T for w, at in zip(widths, itertools.accumulate(widths))]
+def letter_major_views(pool: np.ndarray, lead: tuple[int, ...], widths: list[int]) -> list[np.ndarray]:
+    """Consecutive letter-major lead + (w,) views of flat float scratch: each
+    letter a contiguous block of the lead's entries in C order."""
+    block = pool[: math.prod(lead) * sum(widths)].reshape((-1,) + lead)
+    return [np.moveaxis(block[at - w : at], 0, -1) for w, at in zip(widths, itertools.accumulate(widths))]
 
 
 def stack_product(
@@ -79,13 +80,14 @@ def stack_product(
     on the contiguous axis) give letter-major levels, whose outer products
     loop over rows, not a few letters.  The sums are elementwise, so the
     bits do not depend on the layout.  With `pool`, flat float scratch for
-    stacks of n rows, the levels and then a term are its `letter_major_views`.
+    the leading shape's entries, the levels and then a term are its
+    `letter_major_views`.
     """
     # level-0 blocks end in an axis of length 1, so this is the leading shape
     lead = np.broadcast(a[0], b[0]).shape[:-1]
     unital = bool((a[0] == 1.0).all() and (b[0] == 1.0).all())
     widths = [x.shape[-1] for x in a]
-    slots = None if pool is None else letter_major_views(pool, lead[0], widths + widths[-1:])
+    slots = None if pool is None else letter_major_views(pool, lead, widths + widths[-1:])
     out = []
     for k, width in enumerate(widths):
         acc = np.empty_like(b[k], shape=lead + (width,)) if pool is None else slots[k]
@@ -95,7 +97,7 @@ def stack_product(
             acc.fill(0.0)
         for j in range(unital, k + 1 - unital):
             # a row-wise outer product concatenates letter indices
-            term = None if pool is None else slots[-1][:, :width].reshape(lead + (widths[j], -1))
+            term = None if pool is None else slots[-1][..., :width].reshape(lead + (widths[j], -1))
             acc += np.multiply(a[j][..., :, None], b[k - j][..., None, :], out=term).reshape(lead + (-1,))
         if unital and k:
             acc += a[k]

@@ -730,10 +730,11 @@ def test_pair_geometry_over_physical_memory_exits_two(tmp_path, monkeypatch, cap
          "--p", "3.0", "--gamma", "4.0"]
     )
     assert code == 2
-    # the control table, into which each run writes its norms, and the
-    # pool of one run of all 210 pairs s < t at 3 * 15 + 8 floats a pair
-    need = (21 * 21 + 210 * (3 * 15 + 8)) * 8
-    assert need == 92_568
+    # the control table and the pool of its one rectangle, 20 rows s by the
+    # 20 points t > 0, whose levels 0..3 and product term take 15 + 8 floats
+    # an entry
+    need = (21 * 21 + 20 * 20 * (15 + 8)) * 8
+    assert need == 77_128
     err = capsys.readouterr().err
     assert f"{need:,} bytes" in err and "physical memory" in err
 

@@ -134,7 +134,8 @@ def test_every_unexported_definition_has_a_library_caller():
 def test_only_path_walks_the_pairs():
     """`path.py` owns the walk over all pairs s < t: its run length
     `_BUILD_PAIRS` and the np.triu_indices order appear nowhere else in the
-    package, so every all-pairs walk reads `SampledRoughPath.pair_runs`."""
+    package, so every all-pairs walk reads `SampledRoughPath.pair_runs`, or
+    for the control's table its `_row_blocks` rectangles."""
     found = []
     for source in SOURCES:
         if source.name == "path.py":

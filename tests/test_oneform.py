@@ -1381,39 +1381,46 @@ def test_integral_form_reads_derivative_levels_below_the_top():
 
 
 def test_pair_geometry_peak_memory_matches_the_estimate():
-    """The memory estimate counts what the control and one norm pass hold
-    at N=768 (d=2, L=3): one control table, into which each run writes its
-    norms, and the pool of one 4,096-pair run, whose levels 0..3 and their
-    product's term and operands take 3 * 15 + 8 floats per pair."""
+    """The memory estimate counts what the control holds at N=768 (d=2,
+    L=3): its table and the pool of one rectangle of at most 4,096
+    entries, whose levels 0..3 and product term take 15 + 8 floats an
+    entry.  With the path's point caches taken first, the control peaks
+    within 15% above it, and one norm pass over the table adds at most the
+    1.6 MB that bounds its transient."""
     problem = cubic_problem(768)
     g = problem.driver
     identity = OneFormPath.constant_linear(g, np.eye(2))
     form = compose_integrand(problem.field, g.positions(problem.xi), identity)
+    g._letter_major
     n = g.times.size
-    need = (n * n + 4096 * (3 * 15 + 8)) * 8
+    need = (n * n + 4096 * (15 + 8)) * 8
     tracemalloc.start()
     try:
         omega = control_from_pvar(g)
+        control = tracemalloc.get_traced_memory()[1]
         form.norm_components(problem.gamma, omega)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert abs(peak / need - 1.0) <= 0.15
+    assert 1.0 <= control / need <= 1.15
+    assert peak <= need + 1.6e6
 
 
 def test_control_dynamic_program_holds_one_table(monkeypatch):
     """With the path's point caches taken first, `control_from_pvar` at
-    N=300 peaks within 1.6 square tables plus one run's pool: the table,
-    the runs that write their norms into it and the per-gap temporaries.
-    Runs of 256 pairs keep the pool at 109 kB, so a second table for the
-    transpose would exceed the bound; at 4,096 pairs the pool (1.74 MB)
-    and its norms' temporaries would hide it."""
+    N=300 peaks within 1.6 square tables plus its rectangles' pool: the
+    table, the rectangles that write their norms into it and the per-gap
+    temporaries.  Rectangles of 256 entries, here single rows of up to
+    300, keep the pool at 55 kB, so a second table for the transpose would
+    exceed the bound; at 4,096 entries the pool (754 kB) and its norms'
+    temporaries would hide it."""
     monkeypatch.setattr(roughkit.path, "_BUILD_PAIRS", 256)
     g = cubic_problem(300).driver
-    g._letter_major, g._row_starts
+    g._letter_major
     table = g.times.size**2 * 8
-    pool = g._longest_run * g._run_floats(g.level)[1] * 8
-    assert 1.6 * table + pool < 2 * table
+    entries = max((s1 - s0) * (g.num_steps - s0) for s0, s1 in g._row_blocks(256))
+    pool = entries * (15 + 8) * 8
+    assert pool == 55_200 and 1.6 * table + pool < 2 * table
     tracemalloc.start()
     try:
         control_from_pvar(g)

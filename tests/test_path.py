@@ -21,6 +21,7 @@ from roughkit.path import (
     write_path_csv,
     write_solution_csv,
     _best_partition_sum,
+    _powered_norms,
 )
 from roughkit.tensor import TruncatedTensor, certify_stack, homogeneous_norms, tensor_exp
 
@@ -167,7 +168,7 @@ def norm_square(g):
     """The packed pair norms spread over the upper triangle of a square table."""
     n = g.times.size
     table = np.zeros((n, n))
-    table[np.triu_indices(n, k=1)] = g.pairwise_homogeneous_norms
+    table[np.triu_indices(n, k=1)] = g.pairwise_levels[0]
     return table
 
 
@@ -190,15 +191,50 @@ def test_p_variation_monotone_in_interval():
 
 
 @pytest.mark.parametrize("build_pairs", [7, roughkit.path._BUILD_PAIRS])
-@pytest.mark.parametrize("steps, dim, level", [(9, 1, 2), (40, 2, 3), (25, 3, 4)])
+@pytest.mark.parametrize("steps, dim, level", [(9, 1, 2), (40, 2, 3), (25, 3, 4), (16, 2, 1), (20, 3, 3)])
 def test_p_variation_of_sub_ranges_is_bitwise_the_norm_square(steps, dim, level, build_pairs, monkeypatch):
-    # the restricted path's runs form the whole path's products, row by row
-    g = walk_lift(steps, dim, level, seed=steps)
-    powered = norm_square(g) ** g.p
-    monkeypatch.setattr(roughkit.path, "_BUILD_PAIRS", build_pairs)
-    for i0, i1 in [(0, steps), (0, 1), (2, 7), (steps // 3, steps), (steps - 1, steps)]:
-        want = _best_partition_sum(powered[i0 : i1 + 1, i0 : i1 + 1]) ** (1.0 / g.p)
-        assert p_variation(g, i0, i1) == float(want)
+    """The restricted path's rectangles form the whole path's products, row
+    by row: single rows longer than 7 entries at the top, blocks of rows
+    at the bottom.  The walk as drawn, then scaled by 1e3 and 1e-3 with a
+    zero step."""
+    for scale, zero_step in ((1.0, None), (1e3, steps // 2), (1e-3, steps // 3)):
+        g = walk_lift(steps, dim, level, seed=steps, scale=scale, zero_step=zero_step)
+        powered = norm_square(g) ** g.p
+        monkeypatch.setattr(roughkit.path, "_BUILD_PAIRS", build_pairs)
+        for i0, i1 in [(0, steps), (0, 1), (2, 7), (steps // 3, steps), (steps - 1, steps)]:
+            want = _best_partition_sum(powered[i0 : i1 + 1, i0 : i1 + 1]) ** (1.0 / g.p)
+            assert p_variation(g, i0, i1) == float(want)
+        monkeypatch.undo()
+
+
+def test_control_forms_its_pairs_in_rectangles_without_gathers(monkeypatch):
+    """The control's norm pass makes one `stack_product` per `_row_blocks`
+    rectangle of at most `_BUILD_PAIRS` entries, or one row where a row
+    holds more, on views of the path's letter-major inverse points and
+    points: no pair run, gather or pair ends."""
+    g = walk_lift(40, 2, 3, seed=4)
+    inverses, points = g._letter_major
+    monkeypatch.setattr(roughkit.path, "_BUILD_PAIRS", 31)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the control read a pair run")
+
+    for name in ("pair_runs", "_pair_run", "_products", "_pair_ends"):
+        monkeypatch.setattr(SampledRoughPath, name, refused)
+    real, leads = roughkit.path.stack_product, []
+
+    def recording(a, b, pool=None):
+        assert all(np.shares_memory(x, inverses) for x in a)
+        assert all(np.shares_memory(x, points) for x in b)
+        leads.append(np.broadcast(a[0], b[0]).shape[:-1])
+        return real(a, b, pool)
+
+    monkeypatch.setattr(roughkit.path, "stack_product", recording)
+    control_from_pvar(g)
+    assert leads == [(s1 - s0, 40 - s0) for s0, s1 in g._row_blocks(31)]
+    # single rows of 40 down to 16 points, then blocks of rows
+    assert leads[:25] == [(1, cols) for cols in range(40, 15, -1)] and leads[25] == (2, 15)
+    assert all(rows * cols <= 31 for rows, cols in leads[25:])
 
 
 def test_control_and_p_variation_build_no_pair_store():
@@ -224,7 +260,7 @@ def test_reach_bounds_every_point_and_pair_norm(dim, level, log_scale, seed):
     x = np.vstack([np.zeros((1, dim)), np.cumsum(steps, axis=0)])
     g = signature(SampledPath(np.linspace(0.0, 1.0, len(x)), x), level, p=level + 0.5)
     points = homogeneous_norms(g.levels[1:])
-    assert g._reach >= max(np.max(points), np.max(g.pairwise_homogeneous_norms)) > 0.0
+    assert g._reach >= max(np.max(points), np.max(g.pairwise_levels[0])) > 0.0
 
 
 def test_control_of_constant_path_vanishes():
@@ -278,11 +314,15 @@ def test_control_superadditivity(seed):
     assert defect <= 0.0
 
 
-def walk_lift(steps, dim, level, seed):
-    """Scaled random-walk lift with p just above the level."""
+def walk_lift(steps, dim, level, seed, scale=1.0, zero_step=None):
+    """Scaled random-walk lift with p just above the level, with no move at
+    step `zero_step` if given."""
     rng = np.random.default_rng(seed)
     t = np.linspace(0.0, 1.0, steps + 1)
-    x = np.cumsum(rng.standard_normal((steps + 1, dim)), axis=0) / np.sqrt(steps)
+    moves = rng.standard_normal((steps + 1, dim))
+    if zero_step is not None:
+        moves[zero_step + 1] = 0.0
+    x = scale * (np.cumsum(moves, axis=0) / np.sqrt(steps))
     return signature(SampledPath(t, x), level, p=level + 0.2)
 
 
@@ -650,7 +690,7 @@ def test_homogeneous_norm_is_bitwise_the_pairwise_table(seed, monkeypatch):
     s_idx, t_idx = np.triu_indices(n, k=1)
     for build_pairs in (1, 2 * n, roughkit.path._BUILD_PAIRS):
         monkeypatch.setattr(roughkit.path, "_BUILD_PAIRS", build_pairs)
-        norms = SampledRoughPath(g.times, g.levels, g.p, g.grouplike).pairwise_homogeneous_norms
+        norms = SampledRoughPath(g.times, g.levels, g.p, g.grouplike).pairwise_levels[0]
         assert norms.shape == s_idx.shape
         for j, (s, t) in enumerate(zip(s_idx, t_idx)):
             assert element_norm(g.increment(s, t)) == norms[j]
@@ -659,19 +699,30 @@ def test_homogeneous_norm_is_bitwise_the_pairwise_table(seed, monkeypatch):
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_norm_table_and_control_are_bitwise_the_full_level_norms(d, level, monkeypatch):
-    # no pair level is stored, yet the norms read all of them, level L too
+    """No pair level is stored, yet the norms read all of them, level L
+    too: on the walk as drawn, then with one zero step at scales 1e-3, 1
+    and 1e3.  The control's table holds their powers at [s, t] and +0.0
+    elsewhere, formed in rectangles of 1 entry (single rows longer than the
+    budget), of two 30-point rows, and of the whole 30 x 30 square, whose
+    entries t <= s are no pairs."""
     rng = np.random.default_rng(10 * d + level)
-    walk = np.vstack([np.zeros((1, d)), np.cumsum(rng.standard_normal((30, d)), axis=0)])
+    drawn = rng.standard_normal((30, d))
     p = level + 0.5 if level < 4 else 4.0
-    g = signature(SampledPath(np.linspace(0.0, 1.0, 31), walk), level, p=p)
-    want = pairwise_norm_table(g)
-    control = interval_dp_loop(want**p)
-    for build_pairs in (1, 2 * 31, roughkit.path._BUILD_PAIRS):
-        monkeypatch.setattr(roughkit.path, "_BUILD_PAIRS", build_pairs)
-        h = SampledRoughPath(g.times, g.levels, g.p, g.grouplike)
-        assert [x.shape for x in h.pairwise_levels] == [(31 * 30 // 2,)]
-        assert_bitwise(norm_square(h), want)
-        assert_bitwise(control_from_pvar(h).table, control)
+    for scale, zero_step in ((1.0, None), (1e-3, 11), (1.0, 11), (1e3, 11)):
+        steps = scale * drawn
+        if zero_step is not None:
+            steps[zero_step] = 0.0
+        walk = np.vstack([np.zeros((1, d)), np.cumsum(steps, axis=0)])
+        g = signature(SampledPath(np.linspace(0.0, 1.0, 31), walk), level, p=p)
+        want = pairwise_norm_table(g)
+        control = interval_dp_loop(want**p)
+        for build_pairs in (1, 2 * 30, roughkit.path._BUILD_PAIRS):
+            monkeypatch.setattr(roughkit.path, "_BUILD_PAIRS", build_pairs)
+            h = SampledRoughPath(g.times, g.levels, g.p, g.grouplike)
+            assert [x.shape for x in h.pairwise_levels] == [(31 * 30 // 2,)]
+            assert_bitwise(norm_square(h), want)
+            assert_bitwise(_powered_norms(h), norm_square(h) ** p)
+            assert_bitwise(control_from_pvar(h).table, control)
 
 
 @pytest.mark.parametrize("n_steps", [256, 512])

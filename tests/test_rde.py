@@ -1,3 +1,4 @@
+import gc
 import math
 import sys
 import tracemalloc
@@ -319,6 +320,35 @@ def test_rising_distances_double_the_dilation_scale():
         assert (sol.scale, sol.iterations, sol.converged) == (scale, iterations, True)
         want = tuple(s.delta_at_scale(sol.scale, big.gamma) for s in sol.history[1:])
         assert sol.report.deltas == want
+        # without the history the superseded iterates keep their distances alone
+        plain = solve(big, auto_rescale=auto)
+        assert plain.history is None
+        assert (plain.scale, plain.iterations, plain.message) == (sol.scale, sol.iterations, sol.message)
+        assert plain.report == sol.report
+        assert_bitwise(plain.positions, sol.positions)
+
+
+def test_solve_peak_memory_does_not_grow_with_its_iterations():
+    """Without keep_history a superseded iterate drops its positions and
+    form, so 12 iterations of the cubic solve at N=128 peak no higher than
+    4 do, within one iterate's arrays; kept, the 8 more iterates would add
+    31 kB each."""
+    peaks = []
+    for n_max in (4, 12):
+        problem = cubic_problem(128, tol=1e-300, n_max=n_max)
+        problem.omega, problem.driver._letter_major
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            sol = solve(problem)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+        assert (sol.iterations, sol.converged) == (n_max, False)
+    iterate = sol.positions.nbytes + sum(x.nbytes for x in sol.form.levels)
+    assert iterate > 30_000
+    assert peaks[1] <= peaks[0] + iterate
 
 
 def test_vanishing_control_halts_as_diverged():
@@ -761,6 +791,31 @@ def test_every_all_pairs_walk_reads_the_pair_runs(monkeypatch):
     assert set(counts[0]) == set(counts[1]) == names
     for name in names:
         assert counts[1][name] == 4 * counts[0][name] > 0
+
+
+def test_driver_distance_over_physical_memory_is_refused(monkeypatch):
+    """The gauge's table and one run's pool for each path are counted before
+    the table is allocated; over physical memory the gauge raises the
+    control's ValueError rather than running out of memory.  What it
+    counts is most of what it holds: with the paths' point caches taken
+    first it peaks within 1.5 times the estimate, its runs' temporaries
+    included (1.29 at N=200); a second table for the powers would add 0.27."""
+    a, b = probe_problem().driver, perturbed_probe_driver(1e-2)
+    n, run = a.times.size, a._longest_run * a._run_floats(a.level)[1]
+    need = (n * n + 2 * run) * 8
+    monkeypatch.setattr(roughkit.path, "_physical_memory_bytes", lambda: need - 1)
+    with pytest.raises(ValueError, match=f"needs about {need:,} bytes, more than the {need - 1:,} bytes of physical memory"):
+        driver_distance(a, b)
+    monkeypatch.setattr(roughkit.path, "_physical_memory_bytes", lambda: need)
+    a._letter_major, b._letter_major, a._row_starts, b._row_starts
+    tracemalloc.start()
+    try:
+        got = driver_distance(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == driver_distance_whole_gather(a, b) > 0.0
+    assert peak <= 1.5 * need
 
 
 def test_driver_distance_rejects_mismatched_grids():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -166,17 +168,18 @@ def unital_stack(rng, n, dim=2, level=4):
 
 
 def assert_product_is_the_loop(a, b):
-    """Allocated, and for stacks of rows also in a NaN-filled pool, whose
-    leading letter-major views then hold the levels."""
+    """Allocated, and also in a NaN-filled pool, whose leading letter-major
+    views then hold the levels: each letter a C-ordered block of the
+    leading shape's n entries, for rows and for broadcast rectangles alike."""
     want = stack_product_loop(a, b)
     got = [stack_product(a, b)]
-    if a[0].ndim == b[0].ndim == 2:
-        n, widths = np.broadcast(a[0], b[0]).shape[0], [x.shape[-1] for x in a]
-        pool = np.full(n * (sum(widths) + widths[-1]), np.nan)
-        got.append(stack_product(a, b, pool))
-        for x, w, at in zip(got[-1], widths, np.cumsum([0] + widths) * n):
-            assert x.base is not None and np.shares_memory(x, pool[at : at + n * w])
-            assert x.shape == (n, w) and x.T.flags.c_contiguous
+    lead, widths = np.broadcast(a[0], b[0]).shape[:-1], [x.shape[-1] for x in a]
+    n = math.prod(lead)
+    pool = np.full(n * (sum(widths) + widths[-1]), np.nan)
+    got.append(stack_product(a, b, pool))
+    for x, w, at in zip(got[-1], widths, np.cumsum([0] + widths) * n):
+        assert x.base is not None and np.shares_memory(x, pool[at : at + n * w])
+        assert x.shape == lead + (w,) and np.moveaxis(x, -1, 0).flags.c_contiguous
     for levels in got:
         assert len(levels) == len(want)
         for x, y in zip(levels, want):
