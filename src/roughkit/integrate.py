@@ -226,13 +226,16 @@ def integrate_controlled(
     flat = eta.levels[0].reshape(n, w * d)
 
     beta_norm = beta.operator_norm(gamma, omega)
-    # folded run by run: max keeps the earlier of equal values, so this is
-    # the maximum over all pairs at once
+    # folded rectangle by rectangle into the maximum over all pairs; a
+    # non-pair's residual is zeroed, so its quotient is 0
     worst = 0.0
-    for _, s, t, incs in base.pair_runs(top=True):
-        pred = beta.pair_values(s, incs)
-        resid = np.sqrt(sum_squares(np.take(flat, t, axis=0) - np.take(flat, s, axis=0) - pred))
-        worst = max(worst, _pair_quotient(resid, omega.at(s, t), gamma / base.p)[0])
+    for s0, s1 in base._row_blocks():
+        s, t = np.ogrid[s0:s1, s0 + 1 : n]
+        incs = tuple(x.reshape(s.size * t.size, -1) for x in base._rectangle_products(s0, s1, base.level)[1:])
+        pred = beta.pair_values(np.repeat(s, t.size), incs).reshape(s.size, t.size, -1)
+        resid = np.sqrt(sum_squares(flat[t] - flat[s] - pred))
+        resid[t <= s] = 0.0
+        worst = max(worst, _pair_quotient(resid.reshape(-1), omega.at(s, t).reshape(-1), gamma / base.p)[0])
     measured_M = worst / beta_norm if beta_norm > 0.0 else 0.0
     result = rough_integral(eta, gamma=gamma + 1.0, omega=omega)
     diagnostics = {

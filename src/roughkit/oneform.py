@@ -11,6 +11,7 @@ one-forms exactly along group elements.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
@@ -41,11 +42,12 @@ def batched_spectral_norms(mats: np.ndarray) -> np.ndarray:
     is tiny for every form this package builds.  A matrix whose Gram
     overflows is scaled by the power of two that brings its largest entry
     into [1/2, 1), and its sigma scaled back: exact, unless squares of its
-    smallest entries underflow.  The others keep their bits.
+    smallest entries underflow.  The others keep their bits; a row of NaN
+    has a NaN norm.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.sqrt(_top_gram_eigenvalues(mats))
-        big = ~(norms < np.inf)
+        big = norms == np.inf
         if np.any(big):
             expo = np.frexp(np.max(np.abs(mats[big]), axis=(-2, -1)))[1]
             tops = _top_gram_eigenvalues(np.ldexp(mats[big], -expo[:, None, None]))
@@ -216,12 +218,12 @@ def _spectral_pair_quotient(
     diff: np.ndarray, w: np.ndarray, expo: float, best: float,
     noise_floor: float, dead_tol: float, pool: np.ndarray,
 ) -> tuple[float, int, float]:
-    """One run's worst sigma_max(diff[i]) / w[i]**expo, numerators floored.
+    """One read's worst sigma_max(diff[i]) / w[i]**expo, numerators floored.
 
-    Returns the run's quotient, its index within the run and `best`, a
-    lower bound on the maximum over the runs so far (0.0 before the first),
-    raised by this run.  Keeping a run's quotient only when it is strictly
-    larger than the maximum so far gives, over the runs in pair order,
+    Returns the read's quotient, its index within the read and `best`, a
+    lower bound on the maximum over the reads so far (0.0 before the first),
+    raised by this read.  Keeping a read's quotient only when it is strictly
+    larger than the maximum so far gives, over the reads in pair order,
     bitwise the (max, argmax) of `_pair_quotient` on the spectral norms of
     every pair floored at noise_floor, ties to the first pair.  Single-row
     forms take row norms on every pair.  Otherwise the eigensolver runs
@@ -230,7 +232,7 @@ def _spectral_pair_quotient(
     d**k) on every pair, then the trace bounds of `_sigma_bounds` where
     more than one pair is left, which pin sigma_max to the slack at r = 2.
     Any exact quotient of any pair is such a bound, so a caller may seed
-    `best` with one.  A run left with no pair returns the quotient 0.0,
+    `best` with one.  A read left with no pair returns the quotient 0.0,
     which raises no maximum.
 
     `pool` is flat float scratch beside diff, of diff[0].size entries per
@@ -341,6 +343,12 @@ def _chain_bounds(
             # the sums grow along the row, so inf or nan reaches its end
             u[~(u[:, -1] < np.inf)] = np.inf
     return bounds
+
+
+def _gather(x: np.ndarray, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """x at the indices idx of its last axis, straight into `out` if idx is
+    flat, else a small array that broadcasts; mode="clip": they are in range."""
+    return np.take(x, idx, axis=-1, out=out if idx.ndim == 1 else None, mode="clip")
 
 
 def _pairing(coeffs: Iterable[np.ndarray], blocks: Iterable[np.ndarray]) -> np.ndarray:
@@ -501,42 +509,47 @@ class OneFormPath:
         return max(self.level_sups)
 
     def difference_matrices(
-        self, k: int, run: tuple | None = None, pool: np.ndarray | None = None
+        self, k: int, pairs: tuple[np.ndarray, np.ndarray], incs: tuple[np.ndarray, ...],
+        pool: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Level-k matrices of (beta_t - beta_s)(g_t, .) on the pairs s < t of
-        one `base.pair_runs` run, all pairs as a single run by default.
+        """Level-k matrices of (beta_t - beta_s)(g_t, .) on the pairs (s, t):
+        flat index arrays, or np.ogrid[s0:s1, s0+1:N+1] for a `base._row_blocks`
+        rectangle, whose entries t <= s are no pairs and NaN.  incs are
+        levels 1..L-k of g_{s,t} there, as `base._products` or
+        `base._rectangle_products` form them.
 
         beta_s(g_t, b) re-expands through the increment: the level-k piece is
         sum_{m >= k} A_s^(m) (pi_{m-k}(g_{s,t}) x id), summed from zero over
-        per-letter gathers in ascending letter order: bitwise the einsum
+        per-letter terms in ascending letter order: bitwise the einsum
         "powj,pw->poj" when d**k >= 2 or one letter is summed, as always here.
 
-        The result and its temporaries live in `pool`, flat float scratch of
-        three result sizes below level L and two at level L; the result is
-        its leading view.  Without a pool one is allocated.
+        The sums run letter-major, so each loops over the pairs, not over a
+        few letters.  They live in `pool`, flat float scratch of three result
+        sizes below level L and two at level L, allocated unless given; the
+        result, laid out (..., out_dim, d**k) at the end, is its leading view.
         """
-        _, s_idx, t_idx, incs = run or self.base._pair_run(slice(None))
         d, top = self.base.dim, self.base.level
-        block = self.levels[k - 1]
-        shape = (s_idx.size,) + block.shape[1:]
-        size = s_idx.size * block[0].size
-        if pool is None:
-            pool = np.empty((3 if k < top else 2) * size)
-        diff, term = (pool[i * size : (i + 1) * size].reshape(shape) for i in range(2))
-        # mode="clip" writes straight into `out`; the indices are in range
-        np.take(block, t_idx, axis=0, out=diff, mode="clip")
-        diff -= np.take(block, s_idx, axis=0, out=term, mode="clip")
+        s, t = pairs
+        lead = np.broadcast_shapes(s.shape, t.shape)
+        letters = self.levels[k - 1].shape[1:]
+        size = math.prod(lead + letters)
+        slots = 3 if k < top else 2
+        pool = np.empty(slots * size) if pool is None else pool
+        # level L sums no terms, so its term takes the sum's slot
+        acc, diff, term = (pool[i % slots * size : (i % slots + 1) * size].reshape(letters + lead) for i in range(3))
+        block = self.levels[k - 1].transpose(1, 2, 0)
+        np.subtract(_gather(block, t, diff), _gather(block, s, term), out=diff)
         for m in range(k + 1, top + 1):
-            A = self.levels[m - 1].reshape(-1, self.out_dim, d ** (m - k), d**k)
+            A = self.levels[m - 1].reshape(-1, self.out_dim, d ** (m - k), d**k).transpose(1, 3, 2, 0)
             inc = incs[m - k - 1]
-            acc = pool[2 * size : 3 * size].reshape(shape)
             acc.fill(0.0)
             for w in range(d ** (m - k)):
-                np.take(A[:, :, w, :], s_idx, axis=0, out=term, mode="clip")
-                term *= inc[:, w, None, None]
-                acc += term
+                acc += np.multiply(_gather(A[:, :, w], s, term), inc[..., w], out=term)
             diff -= acc
-        return diff
+        np.copyto(diff, np.nan, where=t <= s)
+        result = pool[:size].reshape(lead + letters)
+        np.copyto(result, diff.transpose(*range(2, 2 + len(lead)), 0, 1))
+        return result
 
     def norm_components(
         self, gamma: float, omega: Control, noise_floor: float = 0.0
@@ -566,107 +579,120 @@ class OneFormPath:
     ) -> tuple[list[float], list[tuple[int, int]]]:
         """Worst sigma_max(difference) / omega**expos[k-1] and its pair, per level k.
 
-        Each level keeps (max, pair, lower bound) over runs of pairs taken in
-        packed order, levels inside runs, so the difference matrices of all
-        pairs never exist at once; pair (0, 1) attains a zero maximum.  One
-        pool serves every run and level, so no run allocates its levels, its
+        Each level keeps (max, pair, lower bound) over reads, levels inside
+        reads, so the difference matrices of all pairs never exist at once;
+        pair (0, 1) attains a zero maximum.  A read is a set of pairs (s, t)
+        or a `base._row_blocks` rectangle of one `_BUILD_PAIRS` entries,
+        whose non-pairs t <= s get NaN numerators and zero weights: no gate
+        keeps them, and their quotient 0 raises no maximum.  One pool serves
+        every read and level, so no read allocates its levels, its
         difference matrices, their temporaries, the bounds or the survivors
-        of the Frobenius bounds.  It holds the levels of a run of the longest
-        `base.pair_runs` run's length, or of the N adjacent pairs if more,
+        of the Frobenius bounds.  It holds the levels of the largest read,
         then the widest level's scratch, which level L, last and reading no
         pair levels, lays over them; and at its end the chain-bound, log and
         quotient tables of the largest row block.
 
-        Single-row forms scan every `base.pair_runs` run.  Wider forms, whose
-        quotients reach the eigensolver, first take each level's lower bound
-        from the exact maximum over the adjacent pairs (s, s+1), read as one
-        run of the packed indices of the row starts, and keep those pairs'
-        remainder norms.  From them `_chain_bounds` bounds every pair's
-        remainder, one `base._row_blocks` block at a time, bottom rows
-        first.  Only the pairs whose bound quotient reaches the level's lower
-        bound and whose bound exceeds the noise floor form difference
-        matrices: as runs of their packed indices, or of the block's packed
-        slice when at least half of its pairs do.  Before a level
-        reads a block whole, its pair of largest bound quotient is evaluated
-        alone, which may raise the lower bound enough to spare the rest; once
-        such a probe leaves the bound where it was, the level stops probing.
-        An evaluated quotient is attained, so each lower bound stays below
-        the maximum, and a pair left out has a smaller quotient or a floored
-        numerator.  A block, whose rectangle holds two runs' entries, or a
-        level's kept pairs may be longer than a run; they are read in runs,
-        the last first.  Every run thus comes earlier in packed order than
-        every run before it and keeps its quotient where it is strictly
-        larger, or equal and positive: the results, worst pairs included,
-        are bitwise the full scan's.
+        Single-row forms read every rectangle.  Wider forms, whose quotients
+        reach the eigensolver, first take each level's lower bound from the
+        exact maximum over the adjacent pairs (s, s+1), read as one set, and
+        keep their remainder norms.  From them `_chain_bounds` bounds every
+        pair's remainder, one `_row_blocks(2)` block at a time, bottom rows
+        first.  Only the pairs whose bound
+        quotient reaches the level's lower bound and whose bound exceeds the
+        noise floor form difference matrices: the kept entries (i, j), pairs
+        (s0 + i, s0 + 1 + j), in sets of at most a read's size, the last
+        first, or the block's rectangles, bottom first, when at least half
+        of its pairs are kept.  Before a level reads a block whole, its pair
+        of largest bound quotient is evaluated alone, which may raise the
+        lower bound enough to spare the rest; once such a probe leaves the
+        bound where it was, the level stops probing.  An evaluated quotient
+        is attained, so each lower bound stays below the maximum, and a pair
+        left out has a smaller quotient or a floored numerator.  Every read
+        comes earlier in row-major pair order than every read before it and
+        keeps its quotient where it is strictly larger, or equal and
+        positive: quotients and worst pairs are bitwise the full scan's.
         """
         base = self.base
         if not np.array_equal(omega.times, base.times):
             raise DimensionMismatchError("the control lives on another time grid than the path")
         dead_tol = max(1e-12, noise_floor)
-        n, top, length = base.num_steps, base.level, max(base._longest_run, base.num_steps)
-        # floats per pair: the product's, or the run's levels and then level
-        # k's three result-sized slots; level L's two go over the levels
+        n, top = base.num_steps, base.level
+        blocks = [] if self.out_dim == 1 else list(base._row_blocks(2))
+        rects = list(base._row_blocks()) if self.out_dim == 1 else [r for b in blocks for r in base._row_blocks(1, *b)]
+        length = max(n, *((s1 - s0) * (n - s0) for s0, s1 in rects))
+        # floats per pair: a set's products, or the read's levels and then
+        # level k's three result-sized slots; level L's two go over the levels
         held, spent = base._run_floats(top - 1)
         widths = [self.out_dim * base.dim**k for k in range(1, len(expos) + 1)]
         per_pair = max(spent, *(3 * w + held if k < top else 2 * w for k, w in enumerate(widths, start=1)))
-        blocks = [] if self.out_dim == 1 else list(base._row_blocks())
         # L chain-bound tables, the quotients (the products' scratch before)
         # and the logs, past the head a single-pair probe uses
         table = (top + 2) * max(((s1 - s0) * (n - s0) for s0, s1 in blocks), default=0)
         pool = np.empty(max(length * per_pair, table + per_pair))
         tables = pool[pool.size - table :]
 
-        def scan(k, run, w, state, diff=None, earlier=False):
-            """Level k's (max, pair, lower bound) after one more run, w its
-            control weights; a run `earlier` in packed order than the pair
-            kept wins its ties."""
+        def read_pairs(s, t, upto):
+            """The pairs (s, t), flat or a rectangle's np.ogrid, their levels
+            1..upto and their weights, zero at the non-pairs t <= s."""
+            if s.ndim == 1:
+                incs = base._products(s, t, upto, pool)
+            else:
+                incs = base._rectangle_products(s[0, 0], s[-1, 0] + 1, upto, pool)
+            w = omega.at(s, t)
+            w[t <= s] = 0.0
+            return (s, t), incs[1:], w.reshape(-1)
+
+        def scan(k, read, state, diff=None, earlier=False):
+            """Level k's (max, pair, lower bound) after one more read from
+            `read_pairs`; one `earlier` in pair order than the pair kept wins
+            its ties."""
             q_max, pair, best = state
-            _, s, t, _ = run
-            at = s.size * held if k < top else 0
+            pairs, incs, w = read
+            at = w.size * held if k < top else 0
             if diff is None:
-                diff = self.difference_matrices(k, run, pool[at:])
+                diff = self.difference_matrices(k, pairs, incs, pool[at:])
             q, j, best = _spectral_pair_quotient(
-                diff, w, expos[k - 1], best, noise_floor, dead_tol, pool[at + diff.size :]
+                diff.reshape((w.size,) + diff.shape[-2:]), w, expos[k - 1], best, noise_floor, dead_tol,
+                pool[at + diff.size :],
             )
             if q > q_max or (earlier and q == q_max > 0.0):
-                q_max, pair = q, (int(s[j]), int(t[j]))
+                q_max, pair = q, tuple(int(x.flat[j]) for x in np.broadcast_arrays(*pairs))
             return q_max, pair, best
 
         scans = [(0.0, (0, 1), 0.0)] * len(expos)
         if self.out_dim == 1:
-            for run in base.pair_runs(pool=pool):
-                w = omega.at(run[1], run[2])
-                scans = [scan(k, run, w, state) for k, state in enumerate(scans, start=1)]
+            for s0, s1 in rects:
+                rect = read_pairs(*np.ogrid[s0:s1, s0 + 1 : n + 1], top - 1)
+                scans = [scan(k, rect, state) for k, state in enumerate(scans, start=1)]
             return [q for q, _, _ in scans], [pair for _, pair, _ in scans]
 
-        adjacent = base._pair_run(base._row_starts[:-1])
-        w = omega.at(adjacent[1], adjacent[2])
+        idx = np.arange(n)
+        adjacent = (idx, idx + 1), base._products(idx, idx + 1, top - 1)[1:], omega.at(idx, idx + 1)
         sizes = []
         for k in range(1, top + 1):
-            diff = self.difference_matrices(k, adjacent, pool if k <= len(expos) else None)
+            diff = self.difference_matrices(k, *adjacent[:2], pool if k <= len(expos) else None)
             with np.errstate(over="ignore"):
                 sizes.append(np.sqrt(np.einsum("poj,poj->p", diff, diff)))
             if k <= len(expos):
-                scans[k - 1] = (0.0, (0, 1), scan(k, adjacent, w, scans[k - 1], diff)[2])
+                scans[k - 1] = (0.0, (0, 1), scan(k, adjacent, scans[k - 1], diff)[2])
         with np.errstate(over="ignore"):
-            steps = [np.sqrt(sum_squares(x)) for x in adjacent[3]]
+            steps = [np.sqrt(sum_squares(x)) for x in adjacent[1]]
         del adjacent, diff
         slack = self._chain_slack()
-        starts = base._row_starts
         probing = [True] * len(expos)
         # bottom rows first: a Picard difference grows along the path, so
         # the late pairs raise the lower bounds soonest
         for s0, s1 in reversed(blocks):
             rows, cols = s1 - s0, n - s0
-            first, end = int(starts[s0]), int(starts[s1])
             size = rows * cols
+            n_pairs = size - rows * (rows - 1) // 2
             bounds = _chain_bounds(sizes, steps, s0, s1, slack, tables[: (top + 1) * size])
             quot, logs = (tables[i * size : (i + 1) * size].reshape(rows, cols) for i in (top, top + 1))
             # omega**e as exp(e log omega): a few ulps off the exact scan's
             # power, far inside the bounds' relative slack, at a tenth of its cost
             with np.errstate(divide="ignore"):
                 np.log(omega.table[s0:s1, s0 + 1 :], out=logs)
-            head = np.tri(rows, k=-1, dtype=bool)
+            s, t = np.ogrid[s0:s1, s0 + 1 : n + 1]
             keeps = []
             for k, bound in enumerate(bounds[: len(expos)], start=1):
                 q_max, pair, best = scans[k - 1]
@@ -677,13 +703,12 @@ class OneFormPath:
                     np.divide(bound, quot, out=quot)
                 if noise_floor > 0.0:
                     quot[bound <= noise_floor] = -1.0
-                # entries left of the diagonal are no pairs
-                quot[:, :rows][head] = -1.0
+                quot[t <= s] = -1.0
                 keep = quot >= best
-                if probing[k - 1] and 2 * np.count_nonzero(keep) >= end - first:
+                if probing[k - 1] and 2 * np.count_nonzero(keep) >= n_pairs:
                     i, j = np.unravel_index(np.argmax(quot), quot.shape)
-                    one = base._pair_run(starts[s0 + i : s0 + i + 1] + j - i, top - k, pool)
-                    raised = scan(k, one, omega.at(one[1], one[2]), (0.0, (0, 1), best))[2]
+                    one = read_pairs(np.array([s0 + i]), np.array([s0 + 1 + j]), top - k)
+                    raised = scan(k, one, (0.0, (0, 1), best))[2]
                     if raised > best:
                         scans[k - 1] = q_max, pair, raised
                         keep = quot >= raised
@@ -693,18 +718,16 @@ class OneFormPath:
                 keeps.append(keep)
             # reading a block whole costs about what gathering half of it would
             kept = [np.count_nonzero(keep) for keep in keeps]
-            whole = [k for k, c in enumerate(kept, start=1) if 2 * c >= end - first]
-            for a in reversed(range(first, end, length) if whole else ()):
-                run = base._pair_run(slice(a, min(a + length, end)), top - whole[0], pool)
-                w = omega.at(run[1], run[2])
+            whole = [k for k, c in enumerate(kept, start=1) if 2 * c >= n_pairs]
+            for r0, r1 in reversed(list(base._row_blocks(1, s0, s1)) if whole else ()):
+                rect = read_pairs(*np.ogrid[r0:r1, r0 + 1 : n + 1], top - whole[0])
                 for k in whole:
-                    scans[k - 1] = scan(k, run, w, scans[k - 1], earlier=True)
+                    scans[k - 1] = scan(k, rect, scans[k - 1], earlier=True)
             for k, (keep, c) in enumerate(zip(keeps, kept), start=1):
-                flat = np.flatnonzero(keep) if 2 * c < end - first else ()
+                flat = np.flatnonzero(keep) if 2 * c < n_pairs else ()
                 for a in reversed(range(0, len(flat), length)):
                     i, j = np.divmod(flat[a : a + length], cols)
-                    run = base._pair_run(starts[s0 + i] + j - i, top - k, pool)
-                    scans[k - 1] = scan(k, run, omega.at(run[1], run[2]), scans[k - 1], earlier=True)
+                    scans[k - 1] = scan(k, read_pairs(s0 + i, s0 + 1 + j, top - k), scans[k - 1], earlier=True)
         return [q for q, _, _ in scans], [pair for _, pair, _ in scans]
 
     def _chain_slack(self) -> list[float]:

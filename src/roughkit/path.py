@@ -319,29 +319,36 @@ class SampledRoughPath:
 
     @cached_property
     def pairwise_levels(self) -> tuple[np.ndarray]:
-        """(norms,): the homogeneous norm of g_{s,t} for every pair s < t in
-        np.triu_indices(N+1, k=1) order, from the runs of `pair_runs(top=True)`.
-        No walk of the package reads it: the control forms its norms in
-        rectangles of the table.  Refused when the norms and a run's pool do
-        not fit."""
-        pairs = int(self._row_starts[-1])
-        pool = self._pair_pool(pairs, self._longest_run * self._run_floats(self.level)[1])
-        norms = np.empty(pairs)
-        for run, _, _, levels in self.pair_runs(top=True, pool=pool):
-            norms[run] = homogeneous_norms(levels)
+        """(norms,): the homogeneous norm of g_{s,t} for every pair s < t,
+        row by row with t ascending in each: the upper triangles of the
+        `_row_blocks` rectangles in turn.  No walk of the package reads it.
+        Refused when the norms and a rectangle's pool do not fit."""
+        n, at = self.num_steps, 0
+        norms = np.empty(n * (n + 1) // 2)
+        pool = self._pair_pool(norms.size)[0]
+        for s0, s1 in self._row_blocks():
+            rect = homogeneous_norms(self._rectangle_products(s0, s1, self.level, pool)[1:])
+            s, t = np.ogrid[s0:s1, s0 + 1 : n + 1]
+            upper = rect[t > s]
+            norms[at : at + upper.size] = upper
+            at += upper.size
         return _read_only((norms,))
 
-    def _pair_pool(self, held: int, floats: int) -> np.ndarray:
-        """`floats` floats of scratch for an all-pairs walk, once the walk's
-        `held` floats beside them fit in physical memory; ValueError if not."""
-        need, have = (held + floats) * 8, _physical_memory_bytes()
+    def _pair_pool(self, held: int, copies: int = 1) -> np.ndarray:
+        """`copies` pools for the `_rectangle_products` of levels 0..L of the
+        largest `_row_blocks` rectangle, once they and the walk's `held`
+        floats beside them fit in physical memory; ValueError if not."""
+        widths = [self.dim**k for k in range(self.level + 1)]
+        entries = max((s1 - s0) * (self.num_steps - s0) for s0, s1 in self._row_blocks())
+        floats = entries * (sum(widths) + widths[-1])
+        need, have = (held + copies * floats) * 8, _physical_memory_bytes()
         if have is not None and need > have:
             raise ValueError(
                 f"pair geometry of {self.times.size} grid points (d={self.dim}, level "
                 f"{self.level}) needs about {need:,} bytes, more than the "
                 f"{have:,} bytes of physical memory; use a coarser grid"
             )
-        return np.empty(floats)
+        return np.empty((copies, floats))
 
     @cached_property
     def _reach(self) -> float:
@@ -355,46 +362,17 @@ class SampledRoughPath:
         inverses, points = (float(np.max(homogeneous_norms(x[1:]))) for x in (self._inverse_levels, self.levels))
         return self.level * (inverses + points)
 
-    @cached_property
-    def _row_starts(self) -> np.ndarray:
-        """Packed index s(N+1) - s(s+1)/2 of the pair (s, s+1), s = 0..N; the last is P."""
-        rows = np.arange(self.times.size)
-        return rows * rows.size - rows * (rows + 1) // 2
-
-    def _pair_ends(self, pairs: slice | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(s, t) of a slice or an index array of the packed pairs: those
-        entries of np.triu_indices(N+1, k=1)."""
-        starts = self._row_starts
-        if isinstance(pairs, slice):
-            pairs = np.arange(*pairs.indices(int(starts[-1])))
-        s = np.searchsorted(starts, pairs, side="right") - 1
-        return s, pairs - np.take(starts, s) + s + 1
-
-    def pair_runs(self, top: bool = False, pool: np.ndarray | None = None):
-        """Runs of `_BUILD_PAIRS` packed pairs s < t in np.triu_indices order:
-        yields (pairs, s, t, levels), `pairs` the run's slice of the packed
-        order, `levels` blocks 1..L-1 of g_{s,t} (and L with `top`), in `pool`
-        if given, which the next run overwrites.  Every all-pairs walk reads
-        these."""
-        for a in range(0, int(self._row_starts[-1]), _BUILD_PAIRS):
-            yield self._pair_run(slice(a, a + _BUILD_PAIRS), self.level - 1 + top, pool)
-
-    @property
-    def _longest_run(self) -> int:
-        """Pairs in the longest `pair_runs` run."""
-        return min(_BUILD_PAIRS, int(self._row_starts[-1]))
-
-    def _row_blocks(self, entries: int | None = None):
-        """The rows s = 0..N-1 of the packed pairs in blocks: yields (s0, s1)
-        for rows s0..s1-1, whose pairs s < t fill the upper triangle of a
-        (s1 - s0, N - s0) rectangle of at most `entries` entries, 2
-        `_BUILD_PAIRS` unless given, or a single row where one row holds
-        more.  Their pairs are the packed slice from `_row_starts[s0]` to
-        `_row_starts[s1]`, which may be longer than a run."""
-        n, s0 = self.num_steps, 0
-        entries = 2 * _BUILD_PAIRS if entries is None else entries
-        while s0 < n:
-            s1 = min(n, s0 + max(1, entries // (n - s0)))
+    def _row_blocks(self, multiple: int = 1, s0: int = 0, end: int | None = None):
+        """Rows s0..end-1, all N by default, in blocks: yields (s0, s1) for
+        rows s0..s1-1, whose pairs s < t fill the upper triangle of a
+        (s1 - s0, N - s0) rectangle of at most `multiple` `_BUILD_PAIRS`
+        entries, or a single row where one row holds more.  Row-major order
+        over the upper triangles of the blocks in turn visits every pair
+        once, each row's in ascending t."""
+        n = self.num_steps
+        end = n if end is None else end
+        while s0 < end:
+            s1 = min(end, s0 + max(1, multiple * _BUILD_PAIRS // (n - s0)))
             yield s0, s1
             s0 = s1
 
@@ -403,20 +381,20 @@ class SampledRoughPath:
         widths = [self.dim**k for k in range(upto + 1)]
         return sum(widths), 3 * sum(widths) + widths[-1]
 
-    def _pair_run(
-        self, pairs: slice | np.ndarray, upto: int | None = None, pool: np.ndarray | None = None
-    ) -> tuple:
-        """One `pair_runs` run, or the run of the packed pairs an index array
-        names: (pairs, s, t, levels), levels 1..upto of g_{s,t}, L-1 unless
-        given, as `_products` forms them in `pool`."""
-        s, t = self._pair_ends(pairs)
-        upto = self.level - 1 if upto is None else upto
-        return pairs, s, t, self._products(s, t, upto, pool)[1:] if upto else ()
+    def _rectangle_products(self, s0: int, s1: int, upto: int, pool: np.ndarray | None = None) -> tuple:
+        """Levels 0..upto of g_s^{-1} g_t, each (s1 - s0, N - s0, d**k), for
+        the rows s = s0..s1-1 against the points t = s0+1..N, of which t <= s
+        are no pairs: one `stack_product` of broadcast views of the
+        letter-major operands, with no gather, bitwise `_products`.  Not
+        certified.  The levels lead `pool`, allocated unless given."""
+        widths = [self.dim**k for k in range(upto + 1)]
+        inverses, points = (np.split(x[: sum(widths)].T, np.cumsum(widths)[:-1], axis=1) for x in self._letter_major)
+        return stack_product(tuple(x[s0:s1, None] for x in inverses), tuple(x[None, s0 + 1 :] for x in points), pool)
 
 
-# Pairs per run of work on the pair geometry: `pair_runs` yields runs of
-# _BUILD_PAIRS pairs, so the temporaries of every all-pairs walk stay at a
-# few MB whatever the grid size.
+# Entries per `_row_blocks` rectangle of every all-pairs walk, twice that for
+# the pair scan's bound tables: their temporaries stay at a few MB whatever
+# the grid size.
 _BUILD_PAIRS = 1 << 12
 
 
@@ -444,8 +422,8 @@ def _physical_memory_bytes() -> int | None:
 def p_variation(g: SampledRoughPath, i0: int = 0, i1: int | None = None) -> float:
     """p-variation of the rough path over grid partitions of [t_{i0}, t_{i1}].
 
-    Dynamic program over the grid's partition points, on the
-    `_powered_norms` of `g.restricted(i0, i1)`.  The grid has finitely many
+    Dynamic program over the grid's partition points, on the powered norms
+    of `g.restricted(i0, i1)`.  The grid has finitely many
     partitions, so the maximum exists; a point inserted can lower the sum:
     for p > 1, splitting a straight segment scales its term by 2**(1 - p).
     Returns the variation itself (not its p-th power).
@@ -454,35 +432,27 @@ def p_variation(g: SampledRoughPath, i0: int = 0, i1: int | None = None) -> floa
         i1 = g.num_steps
     if not 0 <= i0 < i1 <= g.num_steps:
         raise ValueError("bad interval indices")
-    return float(_best_partition_sum(_powered_norms(g.restricted(i0, i1))) ** (1.0 / g.p))
+    return float(_best_partition_sum(_powered_gauge(homogeneous_norms, g.restricted(i0, i1))) ** (1.0 / g.p))
 
 
-def _powered_norms(g: SampledRoughPath) -> np.ndarray:
-    """norm(g_{s,t})**p at [s, t] of an (N+1)^2 table, zero elsewhere.
+def _powered_gauge(gauge, *paths: SampledRoughPath) -> np.ndarray:
+    """gauge(levels 1..L of g_{s,t} for each of the paths)**p at [s, t] of
+    an (N+1)^2 table, zero elsewhere, p the first path's.
 
     Filled one `_row_blocks` rectangle of at most `_BUILD_PAIRS` entries at
-    a time: rows s0..s1-1 against the points s0+1..N, whose products
-    g_s^{-1} g_t are one `stack_product` of views of the cached letter-major
-    operands, broadcast, in a pool of S + d**L floats an entry (S the
-    floats of levels 0..L).  Each entry is the sum a `pair_runs` run forms
-    for its pair, so the table is bitwise theirs.  Refused before it is
-    allocated when the table and the pool exceed physical memory."""
-    n, n1 = g.num_steps, g.times.size
-    widths = [g.dim**k for k in range(g.level + 1)]
-    blocks = list(g._row_blocks(_BUILD_PAIRS))
-    entries = max((s1 - s0) * (n - s0) for s0, s1 in blocks)
-    pool = g._pair_pool(n1 * n1, entries * (sum(widths) + widths[-1]))
+    a time from each path's `_rectangle_products`, whose pool holds S + d**L
+    floats an entry (S the floats of levels 0..L).  Refused before it is
+    allocated when the table and the pools exceed physical memory."""
+    g, n1 = paths[0], paths[0].times.size
+    pools = g._pair_pool(n1 * n1, copies=len(paths))
     E = np.zeros((n1, n1))
-    inverses, points = (np.split(x.T, np.cumsum(widths)[:-1], axis=1) for x in g._letter_major)
-    for s0, s1 in blocks:
-        levels = stack_product(
-            tuple(x[s0:s1, None] for x in inverses), tuple(x[None, s0 + 1 :] for x in points), pool
-        )
-        norms = homogeneous_norms(levels[1:])
-        # entries left of the diagonal are no pairs: zeroed, their power cannot overflow
-        norms[:, : s1 - s0][np.tri(s1 - s0, k=-1, dtype=bool)] = 0.0
-        norms **= g.p
-        E[s0:s1, s0 + 1 :] = norms
+    for s0, s1 in g._row_blocks():
+        rect = gauge(*(h._rectangle_products(s0, s1, g.level, pool)[1:] for h, pool in zip(paths, pools)))
+        s, t = np.ogrid[s0:s1, s0 + 1 : n1]
+        # zeroed, the non-pairs' power cannot overflow
+        rect[t <= s] = 0.0
+        rect **= g.p
+        E[s0:s1, s0 + 1 :] = rect
     return E
 
 
@@ -540,7 +510,8 @@ def control_from_pvar(g: SampledRoughPath) -> Control:
     """The canonical control: omega(s, t) = ||g||_{p-var;[s,t]}^p on the grid.
 
     All-pairs interval dynamic program over gaps j - i = 2..N:
-    V[i, j] = max(E[i, j], max_m V[i, m] + V[m, j]), E the `_powered_norms`.
+    V[i, j] = max(E[i, j], max_m V[i, m] + V[m, j]), E the table of the
+    powered homogeneous norms, `_powered_gauge`.
     O(N^3) flops in E's table, whose lower triangle holds the transpose
     while the gaps run and is zeroed after.  The rows are visited in blocks of R, the bottom block
     first and gaps in ascending order inside a block, so every entry a band
@@ -550,7 +521,7 @@ def control_from_pvar(g: SampledRoughPath) -> Control:
     the gap-by-gap order's.  Superadditive by construction and exactly
     additive where the path is one-dimensional and monotone.
     """
-    V = _powered_norms(g)
+    V = _powered_gauge(homogeneous_norms, g)
     n1 = V.shape[0]
     flat = V.reshape(-1)
     # V[j, i] = V[i, j] below the diagonal: gap 1 now, each later band as it is done

@@ -37,6 +37,7 @@ from .path import (
     Control,
     SampledRoughPath,
     _best_partition_sum,
+    _powered_gauge,
     control_from_pvar,
 )
 from .tensor import DimensionMismatchError, split_matrix, sum_squares
@@ -758,22 +759,16 @@ def driver_distance(a: SampledRoughPath, b: SampledRoughPath) -> float:
     Gap contributions sum the per-level block distances of the two
     signature increments and are raised to the p-th power; the value is
     the single-interval supremum accumulated over partitions, taken to
-    the 1/p.  Linear in the perturbation size for nearby drivers.  Refused
-    before its table is allocated when the table and a run's pool for each
-    path exceed physical memory.
+    the 1/p.  Linear in the perturbation size for nearby drivers.  The
+    table of powered gaps is the control's, `path._powered_gauge`: refused
+    before it is allocated when it and a rectangle's pool for each path
+    exceed physical memory.
     """
     if a.dim != b.dim or a.level != b.level or a.num_steps != b.num_steps:
         raise ValueError("drivers must share dimension, level, and grid size")
     if a.p != b.p:
         raise ValueError("drivers must share the variation exponent")
-    n, run = a.num_steps + 1, a._longest_run * a._run_floats(a.level)[1]
-    pool_a, pool_b = a._pair_pool(n * n, 2 * run).reshape(2, run)
-    gaps = np.zeros((n, n))
-    runs = a.pair_runs(top=True, pool=pool_a), b.pair_runs(top=True, pool=pool_b)
-    for (_, s, t, da), (_, _, _, db) in zip(*runs):
-        np.put(gaps, s * n + t, sum(np.sqrt(sum_squares(x - y)) for x, y in zip(da, db)))
-    # in place, so the table is the only one the guard counts
-    gaps **= a.p
+    gaps = _powered_gauge(lambda da, db: sum(np.sqrt(sum_squares(x - y)) for x, y in zip(da, db)), a, b)
     return float(_best_partition_sum(gaps) ** (1.0 / a.p))
 
 

@@ -61,7 +61,8 @@ def letter_major_views(pool: np.ndarray, lead: tuple[int, ...], widths: list[int
     """Consecutive letter-major lead + (w,) views of flat float scratch: each
     letter a contiguous block of the lead's entries in C order."""
     block = pool[: math.prod(lead) * sum(widths)].reshape((-1,) + lead)
-    return [np.moveaxis(block[at - w : at], 0, -1) for w, at in zip(widths, itertools.accumulate(widths))]
+    axes = (*range(1, block.ndim), 0)
+    return [block[at - w : at].transpose(axes) for w, at in zip(widths, itertools.accumulate(widths))]
 
 
 def stack_product(
@@ -201,9 +202,10 @@ def certify_stack(
     the test that the first failing row fails, shuffle before inverse.
 
     A path certifies its points once, at its running shuffle scale.  The
-    product g_s^{-1} g_t of two of them is trusted on the all-pairs walk
-    (the pair build and `pair_runs`); at caller-chosen pairs
-    (`increment_levels`) it is checked here, at the larger of the two scales.
+    product g_s^{-1} g_t of two of them is trusted on the all-pairs walks
+    (the `_row_blocks` rectangles and the pair scan's kept pairs); at
+    caller-chosen pairs (`increment_levels`) it is checked here, at the
+    larger of the two scales.
     """
     if rows is not None:
         t = tuple(x[rows] for x in t)

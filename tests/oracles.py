@@ -16,8 +16,9 @@ one-form path's arrays and its base's `increment_levels`,
 `split_matrix`, `permuted_divided_seed` reads a form's level blocks, and
 `pairwise_norm_table`, `controlled_residuals_whole_gather` and
 `driver_distance_whole_gather` read paths' `increment_levels` over every
-pair at once.  None reads the packed pair geometry (`pairwise_levels`,
-`pair_runs`, the packed norms): pair indices come from `np.triu_indices`.
+pair at once.  None reads the pair geometry (`pairwise_levels`, the
+`_row_blocks` rectangles): pair indices come from `np.triu_indices`, and
+the package itself never names that order.
 """
 
 import itertools
@@ -324,22 +325,25 @@ def full_scan_quotient(diff, w, expo, noise_floor=0.0, dead_tol=1e-12):
     return float(quot[j]), j
 
 
-def difference_matrices_einsum(form, k, run=None, pool=None):
+def difference_matrices_einsum(form, k, pairs=None, incs=None, pool=None):
     """Level-k pair difference matrices of a one-form path by one einsum per level.
 
-    Over the (s, t) pairs s < t in row-major order, all of them or the
-    packed pairs that a run names, by a slice, a range or an index array;
-    the run's pair ends and levels are not read, nor is `pool`, the kernel's
-    scratch.  Reads the form's arrays and
-    recomputes each pair increment from the base's points with
-    `increment_levels`, never the cached pair geometry: the level
+    Over the pairs (s, t): every s < t in row-major order by default, else
+    index arrays that broadcast, flat or a rectangle's np.ogrid, whose
+    entries t <= s are no pairs and NaN, as the kernel's; `incs` and
+    `pool`, the kernel's pair levels and scratch, are not read.  Reads the
+    form's arrays and recomputes each pair increment from the base's points
+    with `increment_levels`, never the cached pair geometry: the level
     blocks of both pair ends, then for each higher level m the whole gathered
     block A_s^(m) reshaped to (pairs, out, d**(m-k), d**k) contracted with
     pi_{m-k}(g_{s,t}) over its leading letter.  The reference a per-letter
     kernel must reproduce bitwise.
     """
-    pairs = slice(None) if run is None else run[0]
-    s_idx, t_idx = (x[pairs] for x in np.triu_indices(form.base.times.size, k=1))
+    s, t = np.triu_indices(form.base.times.size, k=1) if pairs is None else pairs
+    shape = np.broadcast_shapes(s.shape, t.shape)
+    s, t = (np.broadcast_to(x, shape).ravel() for x in (s, t))
+    live = t > s
+    s_idx, t_idx = s[live], t[live]
     d = form.base.dim
     diff = form.levels[k - 1][t_idx] - form.levels[k - 1][s_idx]
     for m in range(k + 1, form.base.level + 1):
@@ -348,7 +352,9 @@ def difference_matrices_einsum(form, k, run=None, pool=None):
         )
         inc = form.base.increment_levels(s_idx, t_idx)[m - k]
         diff = diff - np.einsum("powj,pw->poj", A_s, inc)
-    return diff
+    out = np.full((s.size,) + diff.shape[1:], np.nan)
+    out[live] = diff
+    return out.reshape(shape + diff.shape[1:])
 
 
 def product_form_two_branch(H_values, H_form, E_values, E_form):
@@ -446,7 +452,7 @@ def controlled_residuals_whole_gather(flat, beta):
     flat is the integrand (N+1, w*d) and beta its controlling form: every
     level of beta gathered at all pairs, paired with the increments of one
     `increment_levels` call by "nok,nk->no" and summed from zero in level
-    order.  The residuals a run-wise gather must reproduce bitwise.
+    order.  The residuals a rectangle-wise walk must reproduce bitwise.
     """
     base = beta.base
     s_idx, t_idx = np.triu_indices(base.times.size, k=1)

@@ -132,21 +132,21 @@ def test_every_unexported_definition_has_a_library_caller():
 
 
 def test_only_path_walks_the_pairs():
-    """`path.py` owns the walk over all pairs s < t: its run length
-    `_BUILD_PAIRS` and the np.triu_indices order appear nowhere else in the
-    package, so every all-pairs walk reads `SampledRoughPath.pair_runs`, or
-    for the control's table its `_row_blocks` rectangles."""
+    """`path.py` owns the walk over all pairs s < t: its rectangle size
+    `_BUILD_PAIRS` appears nowhere else in the package, so every all-pairs
+    walk reads `SampledRoughPath._row_blocks`.  No module, `path.py`
+    included, names the packed pair order of np.triu_indices or recovers
+    pairs from it with a searchsorted; that order lives in the tests'
+    oracles alone."""
     found = []
     for source in SOURCES:
-        if source.name == "path.py":
-            continue
         for node in ast.walk(ast.parse(source.read_text(), filename=str(source))):
             name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
             if isinstance(node, ast.alias):
                 name = node.name
-            if name in ("_BUILD_PAIRS", "triu_indices"):
+            if name in ("triu_indices", "searchsorted") or (name == "_BUILD_PAIRS" and source.name != "path.py"):
                 found.append(f"{source.name}:{node.lineno}: {name}")
-    assert not found, f"all-pairs walks outside path.py: {found}"
+    assert not found, f"all-pairs walks outside the row blocks: {found}"
 
 
 def test_only_smooth_map_defines_apply():

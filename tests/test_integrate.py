@@ -334,9 +334,9 @@ def test_controlled_integral_form_has_finite_raised_norm():
 
 
 def test_controlled_residuals_are_bitwise_the_whole_array_gather(monkeypatch):
-    # the residuals are taken and their quotients folded in runs of pairs;
-    # the pairing kernel's rounding must not depend on the run length.  A
-    # random form reads every level, level L included.
+    # the residuals are taken and their quotients folded a `_row_blocks`
+    # rectangle at a time; the pairing kernel's rounding must not depend on
+    # the rectangle's size.  A random form reads every level, level L included.
     rng = np.random.default_rng(12)
     g = smooth_driver(40, level=3, p=3.0)
     f = linear_field(gamma=3.5)
@@ -357,8 +357,16 @@ def test_controlled_residuals_are_bitwise_the_whole_array_gather(monkeypatch):
         monkeypatch.setattr(roughkit.path, "_BUILD_PAIRS", build_pairs)
         seen.clear()
         eta, res, diag = integrate_controlled(phi, beta, gamma=f.gamma, omega=omega)
-        assert len(seen) == -(-want.size // build_pairs)
-        assert_bitwise(np.concatenate(seen), want)
+        # one numerator per rectangle: its pairs row-major, its non-pairs zero
+        blocks = list(g._row_blocks())
+        assert len(seen) == len(blocks)
+        pairs = []
+        for num, (s0, s1) in zip(seen, blocks):
+            s, t = np.ogrid[s0:s1, s0 + 1 : g.times.size]
+            num = num.reshape(s1 - s0, -1)
+            assert not np.any(num[t <= s])
+            pairs.append(num[t > s])
+        assert_bitwise(np.concatenate(pairs), want)
         diags.append(diag)
     s_idx, t_idx = np.triu_indices(g.times.size, k=1)
     worst, _ = quotient(want, omega.table[s_idx, t_idx], f.gamma / g.p)

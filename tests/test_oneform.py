@@ -754,7 +754,7 @@ def test_quotients_against_an_overflowing_control_power_are_zero():
     cert = check_domination(beta, 1.3, omega)
     s, t = np.triu_indices(33, k=1)
     with np.errstate(over="ignore"):
-        want = [full_scan_quotient(beta.difference_matrices(k), omega.at(s, t), 1.3 - k / 4.0)[0] for k in range(1, 5)]
+        want = [full_scan_quotient(kernel_differences(beta, k), omega.at(s, t), 1.3 - k / 4.0)[0] for k in range(1, 5)]
     assert cert.level_quotients == tuple(want)
     assert cert.level_quotients[0] == 0.0 < min(cert.level_quotients[1:])
 
@@ -836,7 +836,7 @@ def test_picard_norms_and_certificates_bitwise_full_scan():
         floor = 64.0 * np.finfo(float).eps * scale
         ref = [
             full_scan_quotient(
-                diff.difference_matrices(k), w, (gamma - k) / g.p, floor, max(1e-12, floor)
+                kernel_differences(diff, k), w, (gamma - k) / g.p, floor, max(1e-12, floor)
             )
             for k in range(1, k_max + 1)
         ]
@@ -852,7 +852,7 @@ def test_picard_norms_and_certificates_bitwise_full_scan():
     for state in history:
         expos = [theta - k / g.p for k in range(1, g.level + 1)]
         ref = [
-            full_scan_quotient(state.form.difference_matrices(k), w, e)
+            full_scan_quotient(kernel_differences(state.form, k), w, e)
             for k, e in enumerate(expos, start=1)
         ]
         quots = [q for q, _ in ref]
@@ -898,6 +898,28 @@ def form_over_walk(rng, d, level, out_dim, n_pts=6, kinds=("wide",)):
     return OneFormPath(g, out_dim, tuple(levels))
 
 
+def kernel_differences(form, k):
+    """`difference_matrices` at level k on every pair s < t in row-major
+    order: the pairs of the whole grid's rectangle."""
+    g = form.base
+    s, t = np.ogrid[0 : g.num_steps, 1 : g.times.size]
+    return form.difference_matrices(k, (s, t), g._rectangle_products(0, g.num_steps, g.level - k)[1:])[t > s]
+
+
+def assert_kernel_is_the_einsum(form, k):
+    """`difference_matrices` bitwise the einsum, NaN non-pairs included, on
+    the rectangles of the whole grid and of its lower half of rows, and on
+    every pair as one set."""
+    g = form.base
+    for s0 in (0, g.num_steps // 2):
+        rect = np.ogrid[s0 : g.num_steps, s0 + 1 : g.times.size]
+        got = form.difference_matrices(k, rect, g._rectangle_products(s0, g.num_steps, g.level - k)[1:])
+        assert_bitwise(got, difference_matrices_einsum(form, k, rect))
+    pairs = np.triu_indices(g.times.size, k=1)
+    got = form.difference_matrices(k, pairs, g._products(*pairs, g.level - k)[1:])
+    assert_bitwise(got, difference_matrices_einsum(form, k))
+
+
 @pytest.mark.parametrize("out_dim", [1, 2, 3])
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -906,7 +928,7 @@ def test_difference_matrices_bitwise_einsum(d, level, out_dim):
     for kinds in [("wide", "signed", "converged"), ("signed",)]:
         form = form_over_walk(rng, d, level, out_dim, kinds=kinds)
         for k in range(1, level + 1):
-            assert_bitwise(form.difference_matrices(k), difference_matrices_einsum(form, k))
+            assert_kernel_is_the_einsum(form, k)
 
 
 @given(
@@ -924,15 +946,16 @@ def test_difference_matrices_bitwise_einsum_hypothesis(
 ):
     form = form_over_walk(np.random.default_rng(seed), d, level, out_dim, n_pts, kinds)
     for k in range(1, level + 1):
-        assert_bitwise(form.difference_matrices(k), difference_matrices_einsum(form, k))
+        assert_kernel_is_the_einsum(form, k)
 
 
 def test_picard_solve_bitwise_with_einsum_difference_matrices(monkeypatch):
     """The cubic fixture solved with the per-letter kernel and again with the
     einsum: every Picard step, its difference matrices, quotients and worst
     pairs, and every iterate's certificate carry the same bits.  Both scan
-    the 2,080 pairs in chunks of 97, so every scan crosses chunk boundaries,
-    after the run of the 64 adjacent pairs that seeds each level's bound."""
+    the 2,080 pairs in rectangles of 97 entries, so every scan crosses
+    rectangle boundaries, after the set of the 64 adjacent pairs that seeds
+    each level's bound."""
     monkeypatch.setattr(roughkit.path, "_BUILD_PAIRS", 97)
     problem = cubic_problem(64, n_max=16)
     g, omega = problem.driver, problem.omega
@@ -966,7 +989,7 @@ def test_picard_solve_bitwise_with_einsum_difference_matrices(monkeypatch):
     forms += [new - old for old, new in zip(forms, forms[1:])]
     for form in forms:
         for k in range(1, g.level + 1):
-            assert_bitwise(form.difference_matrices(k), difference_matrices_einsum(form, k))
+            assert_kernel_is_the_einsum(form, k)
 
 
 # -- chunked quotient scan ----------------------------------------------------
@@ -1017,7 +1040,7 @@ def chunk_case(case, out_dim, chunk):
             floor = float(np.median(np.sqrt(np.einsum("poj,poj->p", diff, diff))))
         return form, control_from_pvar(form.base), [0.9, 0.6, 0.3], floor, None
     if case == "tie-straddles-chunk":
-        # quotient sigma at pairs chunk-1 and chunk, the last of one chunk and
+        # quotient sigma at pairs chunk-1 and chunk, the last of one read and
         # the first of the next; sigma / 2 everywhere else
         form = ramp_form(out_dim, np.arange(N_PTS))
         table = gap_control(form.base, 2.0).table.copy()
@@ -1026,6 +1049,12 @@ def chunk_case(case, out_dim, chunk):
             table[s_idx[j], t_idx[j]] /= 2.0
         pair = (int(s_idx[chunk - 1]), int(t_idx[chunk - 1]))
         return form, Control(form.base.times, table), [1.0], 0.0, (sigma, pair)
+    if case == "symmetric-control":
+        # a control whose table also holds omega(t, s) below its diagonal:
+        # the rectangles' entries t <= s there weigh nothing
+        form = form_over_walk(np.random.default_rng(75 + out_dim), 2, 3, out_dim, N_PTS, ("wide", "signed"))
+        table = control_from_pvar(form.base).table
+        return form, Control(form.base.times, table + table.T), [0.9, 0.6, 0.3], 0.0, None
     if case == "all-zero":
         form = ramp_form(out_dim, np.zeros(N_PTS))
         return form, gap_control(form.base, 1.0), [1.0], 0.0, (0.0, (0, 1))
@@ -1036,14 +1065,17 @@ def chunk_case(case, out_dim, chunk):
     raise ValueError(case)
 
 
-CHUNK_CASES = ["walk", "walk-noise-floor", "tie-straddles-chunk", "all-zero", "zero-control"]
+CHUNK_CASES = ["walk", "walk-noise-floor", "tie-straddles-chunk", "all-zero", "zero-control", "symmetric-control"]
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 7, N_PAIRS - 1])
 @pytest.mark.parametrize("out_dim", [1, 2])
 @pytest.mark.parametrize("case", CHUNK_CASES)
 def test_level_quotients_bitwise_full_scan_across_chunks(case, out_dim, chunk, monkeypatch):
-    form, omega, expos, floor, expected = chunk_case(case, out_dim, chunk)
+    # rectangles of `chunk` entries: the tie case puts its two equal
+    # quotients on the last pair of the top rectangle and the first of the next
+    rows = max(1, chunk // (N_PTS - 1))
+    form, omega, expos, floor, expected = chunk_case(case, out_dim, rows * (N_PTS - 1) - rows * (rows - 1) // 2)
     want = full_scan_level_quotients(form, omega, expos, floor)
     monkeypatch.setattr(roughkit.path, "_BUILD_PAIRS", chunk)
     assert form._level_quotients(omega, expos, floor) == want
@@ -1137,8 +1169,8 @@ def test_seeded_level_quotients_bitwise_full_scan(case, out_dim, chunk, monkeypa
         # the top level's worst pair ties with a later pair three points on
         s, t = want[1][-1]
         diff = difference_matrices_einsum(form, 2)
-        j = form.base._row_starts[s] + t - s - 1
-        k = form.base._row_starts[s + 3] + t - s - 1
+        s_idx, t_idx = np.triu_indices(N_PTS, k=1)
+        j, k = (np.flatnonzero((s_idx == s + a) & (t_idx == t + a))[0] for a in (0, 3))
         assert t + 3 < N_PTS and diff[j].tobytes() == diff[k].tobytes()
 
 
@@ -1159,18 +1191,21 @@ def test_pruned_level_quotients_bitwise_full_scan_in_row_blocks(case, out_dim, r
         form, omega, expos, floor, _ = chunk_case(case, out_dim, first)
     want = full_scan_level_quotients(form, omega, expos, floor)
     monkeypatch.setattr(roughkit.path, "_BUILD_PAIRS", (rows * n_steps + 1) // 2)
-    assert next(form.base._row_blocks()) == (0, rows)
+    assert next(form.base._row_blocks(2)) == (0, rows)
     assert form._level_quotients(omega, expos, floor) == want
 
 
 def record_runs(monkeypatch, g):
-    """The packed pair indices of every run the difference kernel forms
-    over g, in call order, once the test has run the scan."""
-    kernel, runs = OneFormPath.difference_matrices, []
+    """The packed indices, in np.triu_indices order, of the pairs t > s of
+    every read the difference kernel forms over g, in call order, once the
+    test has run the scan."""
+    kernel, runs, n = OneFormPath.difference_matrices, [], g.times.size
 
-    def recording(self, k, run=None, pool=None):
-        runs.append(g._row_starts[run[1]] + run[2] - run[1] - 1)
-        return kernel(self, k, run, pool)
+    def recording(self, k, pairs, incs, pool=None):
+        s, t = np.broadcast_arrays(*pairs)
+        s, t = s[t > s], t[t > s]
+        runs.append(s * n - s * (s + 1) // 2 + t - s - 1)
+        return kernel(self, k, pairs, incs, pool)
 
     monkeypatch.setattr(OneFormPath, "difference_matrices", recording)
     return runs
@@ -1181,9 +1216,9 @@ def record_runs(monkeypatch, g):
 def test_row_block_read_in_pool_runs_keeps_the_first_of_a_tie(out_dim, rows, monkeypatch):
     """Every pair of a ramp form over a gap control has the quotient
     sigma / 2 = 2, so every block is read whole.  The top block holds more
-    pairs than a pool run and is read in runs, the last first; the positive
-    tie across each run boundary goes to the earlier run, so the worst pair
-    is (0, 1), as in the full scan."""
+    entries than a rectangle read and is read in rectangles, the bottom
+    first; the positive tie across each rectangle boundary goes to the
+    earlier one, so the worst pair is (0, 1), as in the full scan."""
     form = ramp_form(out_dim, np.arange(N_PTS))
     omega = gap_control(form.base, 2.0)
     want = full_scan_level_quotients(form, omega, [1.0], 0.0)
@@ -1191,11 +1226,11 @@ def test_row_block_read_in_pool_runs_keeps_the_first_of_a_tie(out_dim, rows, mon
     n_steps = N_PTS - 1
     monkeypatch.setattr(roughkit.path, "_BUILD_PAIRS", (rows * n_steps + 1) // 2)
     g = form.base
-    first = int(g._row_starts[rows])
-    assert next(g._row_blocks()) == (0, rows) and first > max(g._longest_run, n_steps)
+    first = rows * n_steps - rows * (rows - 1) // 2
+    assert next(g._row_blocks(2)) == (0, rows) and len(list(g._row_blocks(1, 0, rows))) >= 2
     runs = record_runs(monkeypatch, g)
     assert form._level_quotients(omega, [1.0], 0.0) == want
-    # the top block's runs, after the adjacent run and a single-pair probe
+    # the top block's rectangles, after the adjacent set and a single-pair probe
     top = [pairs for pairs in runs[1:] if pairs.size > 1 and pairs[-1] < first]
     assert len(top) >= 2
     assert np.array_equal(np.concatenate(top[::-1]), np.arange(first))
@@ -1206,9 +1241,9 @@ def test_kept_pairs_longer_than_a_run_keep_the_first_of_a_tie(out_dim, monkeypat
     """With every row in one block, level 1 of a ramp form keeps the 11
     adjacent pairs and the 9 pairs three steps apart, at the quotient 2,
     which the other pairs, at 0.5, do not reach: under half of the block's
-    66 pairs, but more than a run of 11.  They are read in runs of their
-    packed indices, the last first, and the tie across the runs goes to
-    the first pair, (0, 1), as in the full scan."""
+    66 pairs, but more than a read of 11.  They are read in sets of 11, the
+    last first, and the tie across the sets goes to the first pair, (0, 1),
+    as in the full scan."""
     form = ramp_form(out_dim, np.arange(N_PTS))
     g = form.base
     i = np.arange(N_PTS)
@@ -1217,13 +1252,20 @@ def test_kept_pairs_longer_than_a_run_keep_the_first_of_a_tie(out_dim, monkeypat
     want = full_scan_level_quotients(form, omega, [1.0], 0.0)
     assert want == ([2.0], [(0, 1)])
     monkeypatch.setattr(roughkit.path, "_BUILD_PAIRS", 7)
-    monkeypatch.setattr(type(g), "_row_blocks", lambda self: iter([(0, self.num_steps)]))
-    assert max(g._longest_run, g.num_steps) == 11
+    # the rectangles of a block read whole, the largest read, hold at most 11 entries
+    assert max((s1 - s0) * (11 - s0) for s0, s1 in g._row_blocks(1, 0, 11)) == 11
+    blocks = type(g)._row_blocks
+
+    def one_block(self, multiple=1, *rows):
+        # every row in one block of the scan's bound tables
+        return iter([(0, 11)]) if multiple == 2 else blocks(self, multiple, *rows)
+
+    monkeypatch.setattr(type(g), "_row_blocks", one_block)
     runs = record_runs(monkeypatch, g)
     assert form._level_quotients(omega, [1.0], 0.0) == want
     s_idx, t_idx = np.triu_indices(N_PTS, k=1)
     kept = np.flatnonzero(np.isin(t_idx - s_idx, (1, 3)))
-    # after the adjacent run: the kept pairs in runs of 11, the last first
+    # after the adjacent set: the kept pairs in sets of 11, the last first
     assert [pairs.size for pairs in runs[1:]] == [9, 11]
     assert np.array_equal(np.concatenate(runs[:0:-1]), kept)
 
@@ -1233,7 +1275,7 @@ def chain_bound_table(form):
     bounds the level-k remainder of the pair (s, t), from the adjacent
     pairs' einsum differences and the steps' level norms."""
     g = form.base
-    adjacent = (g._row_starts[:-1],)
+    adjacent = (np.arange(g.num_steps), np.arange(1, g.times.size))
     sizes = [
         np.sqrt(np.einsum("poj,poj->p", *2 * (difference_matrices_einsum(form, k, adjacent),)))
         for k in range(1, g.level + 1)
@@ -1306,10 +1348,10 @@ def test_pruned_scans_form_few_pairs_in_late_picard_steps(monkeypatch):
     formed = {}
     kernel = OneFormPath.difference_matrices
 
-    def counting(self, k, run=None, pool=None):
-        _, s, t, _ = run
+    def counting(self, k, pairs, incs, pool=None):
+        s, t = pairs
         formed[k] = formed.get(k, 0) + int(np.count_nonzero(t - s > 1))
-        return kernel(self, k, run, pool)
+        return kernel(self, k, pairs, incs, pool)
 
     monkeypatch.setattr(OneFormPath, "difference_matrices", counting)
     far = 64 * 65 // 2 - 64
@@ -1418,7 +1460,7 @@ def test_control_dynamic_program_holds_one_table(monkeypatch):
     g = cubic_problem(300).driver
     g._letter_major
     table = g.times.size**2 * 8
-    entries = max((s1 - s0) * (g.num_steps - s0) for s0, s1 in g._row_blocks(256))
+    entries = max((s1 - s0) * (g.num_steps - s0) for s0, s1 in g._row_blocks())
     pool = entries * (15 + 8) * 8
     assert pool == 55_200 and 1.6 * table + pool < 2 * table
     tracemalloc.start()

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from dataclasses import fields
 
@@ -21,7 +22,7 @@ from roughkit.path import (
     write_path_csv,
     write_solution_csv,
     _best_partition_sum,
-    _powered_norms,
+    _powered_gauge,
 )
 from roughkit.tensor import TruncatedTensor, certify_stack, homogeneous_norms, tensor_exp
 
@@ -211,16 +212,15 @@ def test_control_forms_its_pairs_in_rectangles_without_gathers(monkeypatch):
     """The control's norm pass makes one `stack_product` per `_row_blocks`
     rectangle of at most `_BUILD_PAIRS` entries, or one row where a row
     holds more, on views of the path's letter-major inverse points and
-    points: no pair run, gather or pair ends."""
+    points: no gathered set of pairs."""
     g = walk_lift(40, 2, 3, seed=4)
     inverses, points = g._letter_major
     monkeypatch.setattr(roughkit.path, "_BUILD_PAIRS", 31)
 
     def refused(*args, **kwargs):
-        raise AssertionError("the control read a pair run")
+        raise AssertionError("the control gathered a set of pairs")
 
-    for name in ("pair_runs", "_pair_run", "_products", "_pair_ends"):
-        monkeypatch.setattr(SampledRoughPath, name, refused)
+    monkeypatch.setattr(SampledRoughPath, "_products", refused)
     real, leads = roughkit.path.stack_product, []
 
     def recording(a, b, pool=None):
@@ -231,7 +231,7 @@ def test_control_forms_its_pairs_in_rectangles_without_gathers(monkeypatch):
 
     monkeypatch.setattr(roughkit.path, "stack_product", recording)
     control_from_pvar(g)
-    assert leads == [(s1 - s0, 40 - s0) for s0, s1 in g._row_blocks(31)]
+    assert leads == [(s1 - s0, 40 - s0) for s0, s1 in g._row_blocks()]
     # single rows of 40 down to 16 points, then blocks of rows
     assert leads[:25] == [(1, cols) for cols in range(40, 15, -1)] and leads[25] == (2, 15)
     assert all(rows * cols <= 31 for rows, cols in leads[25:])
@@ -551,30 +551,35 @@ def test_increment_levels_are_bitwise_the_object_increments(mixed):
             assert np.array_equal(inverses[k][i], pt.inverse().level_block(k))
 
 
-def assert_run_is_the_increment_levels(g, run, stacks, upto, pool=None):
-    """One run's (s, t) against np.triu_indices and its levels 1..upto
-    against the rows of `stacks`, the `increment_levels` of all pairs, by
-    bytes.  Each letter's column holds the run's pairs contiguously; with a
-    pool, the levels lie in its lead."""
-    pairs, s, t, levels = run
-    s_idx, t_idx = np.triu_indices(g.times.size, k=1)
-    assert s.dtype == t.dtype == s_idx.dtype
-    assert s.tobytes() == s_idx[pairs].tobytes()
-    assert t.tobytes() == t_idx[pairs].tobytes()
-    assert len(levels) == upto
-    for k, block in enumerate(levels, start=1):
-        assert block.shape[0] < 2 or block.strides[0] == block.itemsize
-        assert block.tobytes() == stacks[k][pairs].tobytes()
+def assert_products_are_the_increment_levels(g, levels, rows, upto, stacks, pool=None):
+    """Levels 0..upto of a pair read against the rows of `stacks`, the
+    `increment_levels` of all pairs in np.triu_indices order, by bytes.  A
+    set's levels, and a pooled rectangle's, hold each letter's entries
+    contiguously; with a pool they lie in it.  A rectangle's pairs t > s,
+    read row-major, are the triu slice `rows`; its other entries are no
+    pairs."""
+    assert len(levels) == upto + 1
+    for k, block in enumerate(levels[1:], start=1):
+        lead = block.shape[:-1]
+        assert block.shape[-1] == g.dim**k
+        if pool is not None or len(lead) == 1:
+            assert math.prod(lead) < 2 or block.strides[len(lead) - 1] == block.itemsize
         if pool is not None:
-            assert np.shares_memory(block, pool[: s.size * g._run_floats(upto)[0]])
+            assert np.shares_memory(block, pool)
+        if len(lead) == 2:
+            s, t = np.ogrid[: lead[0], 1 : lead[1] + 1]
+            block = block[t > s]
+        assert block.tobytes() == stacks[k][rows].tobytes()
 
 
 def assert_pair_levels_are_the_increment_levels(g, monkeypatch, build_pairs=None):
-    """Every `pair_runs` run at both `top` values, and runs of a scattered
-    index array truncated at every level, allocated and in a pool, against
-    np.triu_indices and `increment_levels`, by bytes; the build keeps the
-    packed norms alone.
-    Runs take 1, 2(N+1) and 4,096 pairs unless `build_pairs` names others."""
+    """The `_rectangle_products` of every `_row_blocks` rectangle and the
+    `_products` of a scattered set of pairs, truncated at every level,
+    allocated and in a pool, against np.triu_indices and
+    `increment_levels`, by bytes; the rectangles cover the rows in order,
+    so their pairs read row-major are the triu order, and the packed norms
+    have its length.  Rectangles hold 1, 2(N+1) and 4,096 entries, and sets
+    as many pairs, unless `build_pairs` names others."""
     n = len(g.points)
     s_idx, t_idx = np.triu_indices(n, k=1)
     stacks = g.increment_levels(s_idx, t_idx)
@@ -586,23 +591,25 @@ def assert_pair_levels_are_the_increment_levels(g, monkeypatch, build_pairs=None
         monkeypatch.setattr(roughkit.path, "_BUILD_PAIRS", size)
         h = SampledRoughPath(g.times, g.levels, g.p, g.grouplike)
         assert [x.shape for x in h.pairwise_levels] == [s_idx.shape]
-        for top in (False, True):
-            runs = list(h.pair_runs(top))
-            assert [r[0] for r in runs] == [slice(a, a + size) for a in range(0, s_idx.size, size)]
-            for run in runs:
-                assert_run_is_the_increment_levels(h, run, stacks, g.level - 1 + top)
-            # a pooled run's levels hold until the next run overwrites them
-            upto = g.level - 1 + top
-            pool = np.full(h._longest_run * h._run_floats(upto)[1], np.nan)
-            for run in h.pair_runs(top, pool):
-                assert_run_is_the_increment_levels(h, run, stacks, upto, pool)
-        # index-array runs truncated at every level, as the pair scan forms them
+        blocks = list(h._row_blocks())
+        assert [s0 for s0, _ in blocks] == [0] + [s1 for _, s1 in blocks[:-1]] and blocks[-1][1] == n - 1
+        assert all((s1 - s0) * (n - 1 - s0) <= size or s1 == s0 + 1 for s0, s1 in blocks)
+        # a pooled rectangle's levels hold until the next one overwrites them
+        pool = np.full(h._pair_pool(0).size, np.nan)
         for upto in range(g.level + 1):
+            for s0, s1 in blocks:
+                rows = (s0 <= s_idx) & (s_idx < s1)
+                for scratch in (None, pool):
+                    levels = h._rectangle_products(s0, s1, upto, scratch)
+                    assert_products_are_the_increment_levels(h, levels, rows, upto, stacks, scratch)
+            # sets of pairs, as the pair scan gathers its kept pairs
             for a in range(0, scattered.size, size):
                 pairs = scattered[a : a + size]
-                assert_run_is_the_increment_levels(h, h._pair_run(pairs, upto), stacks, upto)
-                pool = np.full(pairs.size * h._run_floats(upto)[1], np.nan)
-                assert_run_is_the_increment_levels(h, h._pair_run(pairs, upto, pool), stacks, upto, pool)
+                s, t = s_idx[pairs], t_idx[pairs]
+                assert_products_are_the_increment_levels(h, h._products(s, t, upto), pairs, upto, stacks)
+                scratch = np.full(pairs.size * h._run_floats(upto)[1], np.nan)
+                levels = h._products(s, t, upto, scratch)
+                assert_products_are_the_increment_levels(h, levels, pairs, upto, stacks, scratch)
 
 
 @pytest.mark.parametrize("mixed", [False, True])
@@ -633,37 +640,38 @@ def test_pair_levels_keep_the_signs_of_zero_coordinates(monkeypatch):
 @pytest.mark.parametrize("n_pts", [2, 3, 65])
 @pytest.mark.parametrize("run", [1, 97, 4096])
 def test_pair_ends_are_the_triu_slices(n_pts, run, monkeypatch):
-    # runs from the first pair on, which cross s-rows wherever the run
-    # length does not divide them; level 1 alone, and level 1 with level 3
+    # rectangles from the first row on: single rows where a row holds more
+    # than `run` entries, blocks of rows below; level 1 alone, and level 1
+    # with level 3
     rng = np.random.default_rng(n_pts)
     assert_pair_levels_are_the_increment_levels(
         signature(random_polyline(rng, n_pts=n_pts), 1, p=1.0), monkeypatch, (run,)
     )
     g = signature(random_polyline(rng, n_pts=n_pts), 3, p=3.0)
     assert_pair_levels_are_the_increment_levels(g, monkeypatch, (run,))
-    # the single run that `difference_matrices` reads by default
-    s_idx, t_idx = np.triu_indices(n_pts, k=1)
-    _, s, t, levels = g._pair_run(slice(None))
-    assert s.tobytes() == s_idx.tobytes() and t.tobytes() == t_idx.tobytes()
-    for k, block in enumerate(levels, start=1):
-        assert block.tobytes() == g.increment_levels(s_idx, t_idx)[k].tobytes()
+    # the ends (s, t) of the rectangles' pairs, row-major, are np.triu_indices
+    ends = [np.broadcast_arrays(*np.ogrid[s0:s1, s0 + 1 : n_pts]) for s0, s1 in g._row_blocks()]
+    for i, want in enumerate(np.triu_indices(n_pts, k=1)):
+        got = np.concatenate([x[i][x[1] > x[0]] for x in ends])
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n_pts", [2, 3, 65])
 def test_index_array_runs_are_the_triu_entries(n_pts):
-    # the adjacent pairs, the run of the row starts the pair scan seeds its
-    # bounds with, and a scattered sorted subset of the packed pairs
+    # the adjacent pairs, the set the pair scan seeds its bounds with, whose
+    # levels are bitwise the cached steps', and a scattered sorted subset of
+    # the pairs, each formed from index arrays
     rng = np.random.default_rng(n_pts)
     g = signature(random_polyline(rng, n_pts=n_pts), 3, p=3.0)
     s_idx, t_idx = np.triu_indices(n_pts, k=1)
     scattered = np.sort(rng.choice(s_idx.size, size=(s_idx.size + 1) // 2, replace=False))
-    for pairs in (g._row_starts[:-1], scattered):
-        got, s, t, levels = g._pair_run(pairs)
-        assert got is pairs
-        assert s.tobytes() == s_idx[pairs].tobytes() and t.tobytes() == t_idx[pairs].tobytes()
-        for k, block in enumerate(levels, start=1):
+    adjacent = np.arange(n_pts - 1)
+    for s, t in ((adjacent, adjacent + 1), (s_idx[scattered], t_idx[scattered])):
+        levels = g._products(s, t, g.level)
+        for k, block in enumerate(levels[1:], start=1):
             assert block.tobytes() == g.increment_levels(s, t)[k].tobytes()
-    assert np.array_equal(g._pair_run(g._row_starts[:-1])[2], np.arange(1, n_pts))
+    for got, want in zip(g.step_level_blocks, g._products(adjacent, adjacent + 1, g.level)[1:], strict=True):
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 @pytest.mark.parametrize("n_steps", [1, 12, 13])
@@ -721,7 +729,7 @@ def test_norm_table_and_control_are_bitwise_the_full_level_norms(d, level, monke
             h = SampledRoughPath(g.times, g.levels, g.p, g.grouplike)
             assert [x.shape for x in h.pairwise_levels] == [(31 * 30 // 2,)]
             assert_bitwise(norm_square(h), want)
-            assert_bitwise(_powered_norms(h), norm_square(h) ** p)
+            assert_bitwise(_powered_gauge(homogeneous_norms, h), norm_square(h) ** p)
             assert_bitwise(control_from_pvar(h).table, control)
 
 
@@ -731,7 +739,7 @@ def test_pair_geometry_keeps_only_the_packed_norms(n_steps):
     besides, with its point caches (O(N)) taken first: no pair level, where
     level 2 alone would be 4P floats more (d=2, L=3)."""
     g = cubic_problem(n_steps).driver
-    g._letter_major, g._row_starts
+    g._letter_major
     tracemalloc.start()
     try:
         g.pairwise_levels
@@ -923,13 +931,17 @@ def test_planted_shuffle_defect_is_refused_after_an_excursion(row, defect):
 
 
 def assert_trusted_pair_products_pass_the_certificate(g):
-    """Every `pair_runs` product, levels 1..L, passes `certify_stack` where
-    both its points are group-like, at the larger of their running scales:
-    the check `increment_levels` makes and the runs trust.  Returns the
-    stacked products and that scale, so a caller can widen the check."""
+    """Every `_row_blocks` rectangle's products at its pairs t > s, levels
+    1..L, pass `certify_stack` where both points are group-like, at the
+    larger of their running scales: the check `increment_levels` makes and
+    the rectangles trust.  Returns the last rectangle's products and that
+    scale, so a caller can widen the check."""
     scale = g._shuffle_scale
-    for _, s, t, levels in g.pair_runs(top=True):
-        stack = (np.ones((s.size, 1)),) + levels
+    for s0, s1 in g._row_blocks():
+        s, t = np.broadcast_arrays(*np.ogrid[s0:s1, s0 + 1 : g.times.size])
+        pairs = t > s
+        s, t = s[pairs], t[pairs]
+        stack = (np.ones((s.size, 1)),) + tuple(x[pairs] for x in g._rectangle_products(s0, s1, g.level)[1:])
         pair_scale = np.maximum(np.take(scale, s), np.take(scale, t))
         rows = np.take(g.grouplike, s) & np.take(g.grouplike, t)
         certify_stack(stack, rows=rows, scale=pair_scale)
@@ -938,8 +950,8 @@ def assert_trusted_pair_products_pass_the_certificate(g):
 
 @pytest.mark.parametrize("case", ["mixed", "loops", "signed-zero"])
 def test_trusted_pair_products_pass_the_certificate(case, monkeypatch):
-    """The pair build and `pair_runs` do not certify g_s^{-1} g_t, since
-    both points were certified when the path was built.  On paths that
+    """The pair rectangles do not certify g_s^{-1} g_t, since both points
+    were certified when the path was built.  On paths that
     stress that rule, each such product does pass the certificate."""
     if case == "mixed":
         paths = [mixed_certificate_path(np.random.default_rng(seed)) for seed in range(34, 44)]

@@ -740,7 +740,7 @@ def test_driver_distance_linear_in_perturbation():
 
 
 def test_driver_distance_is_bitwise_the_whole_gather(monkeypatch):
-    # the per-level distances are summed a run of pairs at a time
+    # the per-level distances are summed a rectangle of pairs at a time
     driver = probe_problem().driver
     for delta in (1e-1, 1e-2, 1e-3):
         other = perturbed_probe_driver(delta)
@@ -751,29 +751,34 @@ def test_driver_distance_is_bitwise_the_whole_gather(monkeypatch):
 
 
 def test_driver_distance_builds_no_pair_store():
-    """Level-L runs are the run's product, levels 1..L, so the gauge reads
+    """Each rectangle's levels 1..L are its own product, so the gauge reads
     neither path's `pairwise_levels`."""
     a, b = probe_problem().driver, perturbed_probe_driver(1e-2)
     assert driver_distance(a, b) > 0.0
     assert "pairwise_levels" not in a.__dict__ and "pairwise_levels" not in b.__dict__
 
 
-def test_every_all_pairs_walk_reads_the_pair_runs(monkeypatch):
-    """The level scan, the controlled residuals and the driver gauge take
-    their pairs from `SampledRoughPath.pair_runs`, so runs of 97 pairs there
+def test_every_all_pairs_walk_reads_the_row_blocks(monkeypatch):
+    """The level scan, the controlled residuals and the driver gauge's
+    table of powers, `_powered_gauge`, take their pairs from the rectangles
+    of `SampledRoughPath._row_blocks`, so rectangles of 97 entries there
     split each of their walks over the 300 pairs of the tower fixture into
-    four runs.  The tower walks starts, not pair runs; its iterates' norms
+    five, where 4,096 entries make one.  A walk's frame is the first named
+    one that resumes the reader; the memory guard reads the rectangles to
+    size its pool.  The tower walks starts, not pairs; its iterates' norms
     are level scans."""
-    reader = SampledRoughPath.pair_runs
+    reader = SampledRoughPath._row_blocks
     walkers = Counter()
 
     def counting(self, *args, **kwargs):
-        for run in reader(self, *args, **kwargs):
-            # the frame that resumed the reader is the walk reading it
-            walkers[sys._getframe(1).f_code.co_name] += 1
-            yield run
+        for block in reader(self, *args, **kwargs):
+            frame = sys._getframe(1)
+            while frame.f_code.co_name.startswith("<"):
+                frame = frame.f_back
+            walkers[frame.f_code.co_name] += 1
+            yield block
 
-    monkeypatch.setattr(SampledRoughPath, "pair_runs", counting)
+    monkeypatch.setattr(SampledRoughPath, "_row_blocks", counting)
     problem = tower_problem()
     g, omega, gamma = problem.driver, problem.omega, problem.gamma
     beta = OneFormPath.constant_linear(g, np.eye(1))
@@ -787,27 +792,30 @@ def test_every_all_pairs_walk_reads_the_pair_runs(monkeypatch):
         driver_distance(g, g.dilate(1.5))
         difference_tower(problem, 0, 1)
         counts.append(dict(walkers))
-    names = {"_level_quotients", "integrate_controlled", "driver_distance"}
+    names = {"_level_quotients", "integrate_controlled", "_powered_gauge", "_pair_pool"}
     assert set(counts[0]) == set(counts[1]) == names
     for name in names:
-        assert counts[1][name] == 4 * counts[0][name] > 0
+        assert counts[1][name] == 5 * counts[0][name] > 0
 
 
 def test_driver_distance_over_physical_memory_is_refused(monkeypatch):
-    """The gauge's table and one run's pool for each path are counted before
-    the table is allocated; over physical memory the gauge raises the
-    control's ValueError rather than running out of memory.  What it
-    counts is most of what it holds: with the paths' point caches taken
-    first it peaks within 1.5 times the estimate, its runs' temporaries
-    included (1.29 at N=200); a second table for the powers would add 0.27."""
+    """The gauge's table and the pool of its largest rectangle for each path,
+    levels 0..L and a product term an entry, are counted before the table
+    is allocated; over physical memory the gauge raises the control's
+    ValueError rather than running out of memory.  What it counts is most
+    of what it holds: with the paths' point caches taken first it peaks
+    within 1.5 times the estimate, its rectangles' temporaries included
+    (1.27 at N=200); a second table for the powers would add 0.5."""
     a, b = probe_problem().driver, perturbed_probe_driver(1e-2)
-    n, run = a.times.size, a._longest_run * a._run_floats(a.level)[1]
-    need = (n * n + 2 * run) * 8
+    n, widths = a.times.size, [a.dim**k for k in range(a.level + 1)]
+    entries = max((s1 - s0) * (a.num_steps - s0) for s0, s1 in a._row_blocks())
+    need = (n * n + 2 * entries * (sum(widths) + widths[-1])) * 8
+    assert entries == 4096 and need == 650_888
     monkeypatch.setattr(roughkit.path, "_physical_memory_bytes", lambda: need - 1)
     with pytest.raises(ValueError, match=f"needs about {need:,} bytes, more than the {need - 1:,} bytes of physical memory"):
         driver_distance(a, b)
     monkeypatch.setattr(roughkit.path, "_physical_memory_bytes", lambda: need)
-    a._letter_major, b._letter_major, a._row_starts, b._row_starts
+    a._letter_major, b._letter_major
     tracemalloc.start()
     try:
         got = driver_distance(a, b)

@@ -11,6 +11,7 @@ from roughkit.tensor import (
     GroupElement,
     TruncatedTensor,
     certify_stack,
+    letter_major_views,
     split_matrix,
     stack_inverse,
     stack_product,
@@ -170,12 +171,17 @@ def unital_stack(rng, n, dim=2, level=4):
 def assert_product_is_the_loop(a, b):
     """Allocated, and also in a NaN-filled pool, whose leading letter-major
     views then hold the levels: each letter a C-ordered block of the
-    leading shape's n entries, for rows and for broadcast rectangles alike."""
+    leading shape's n entries, for rows and for broadcast rectangles alike.
+    The views are np.moveaxis's: the same shape, strides and data."""
     want = stack_product_loop(a, b)
     got = [stack_product(a, b)]
     lead, widths = np.broadcast(a[0], b[0]).shape[:-1], [x.shape[-1] for x in a]
     n = math.prod(lead)
     pool = np.full(n * (sum(widths) + widths[-1]), np.nan)
+    block = pool.reshape((-1,) + lead)
+    for x, at in zip(letter_major_views(pool, lead, widths + widths[-1:]), np.cumsum([0] + widths)):
+        ref = np.moveaxis(block[at : at + x.shape[-1]], 0, -1)
+        assert (x.shape, x.strides, x.ctypes.data) == (ref.shape, ref.strides, ref.ctypes.data)
     got.append(stack_product(a, b, pool))
     for x, w, at in zip(got[-1], widths, np.cumsum([0] + widths) * n):
         assert x.base is not None and np.shares_memory(x, pool[at : at + n * w])
