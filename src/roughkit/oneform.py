@@ -617,9 +617,9 @@ class OneFormPath:
             raise DimensionMismatchError("the control lives on another time grid than the path")
         dead_tol = max(1e-12, noise_floor)
         n, top = base.num_steps, base.level
-        blocks = [] if self.out_dim == 1 else list(base._row_blocks(2))
-        rects = list(base._row_blocks()) if self.out_dim == 1 else [r for b in blocks for r in base._row_blocks(1, *b)]
-        length = max(n, *((s1 - s0) * (n - s0) for s0, s1 in rects))
+        # a single-row form's one block is all rows; a block's largest rectangle need not be its first
+        blocks = [(0, n)] if self.out_dim == 1 else list(base._row_blocks(2))
+        length = max(n, *((r1 - r0) * (n - r0) for b in blocks for r0, r1 in base._row_blocks(1, *b)))
         # floats per pair: a set's products, or the read's levels and then
         # level k's three result-sized slots; level L's two go over the levels
         held, spent = base._run_floats(top - 1)
@@ -627,25 +627,28 @@ class OneFormPath:
         per_pair = max(spent, *(3 * w + held if k < top else 2 * w for k, w in enumerate(widths, start=1)))
         # L chain-bound tables, the quotients (the products' scratch before)
         # and the logs, past the head a single-pair probe uses
-        table = (top + 2) * max(((s1 - s0) * (n - s0) for s0, s1 in blocks), default=0)
+        table = 0 if self.out_dim == 1 else (top + 2) * max((s1 - s0) * (n - s0) for s0, s1 in blocks)
         pool = np.empty(max(length * per_pair, table + per_pair))
         tables = pool[pool.size - table :]
 
-        def read_pairs(s, t, upto):
-            """The pairs (s, t), flat or a rectangle's np.ogrid, their levels
-            1..upto and their weights, zero at the non-pairs t <= s."""
-            if s.ndim == 1:
-                incs = base._products(s, t, upto, pool)
-            else:
-                incs = base._rectangle_products(s[0, 0], s[-1, 0] + 1, upto, pool)
+        def read_set(s, t, upto):
+            """Index arrays (s, t), their levels 1..upto and their weights."""
+            incs = base._products(s, t, upto, pool)[1:] if upto else ()
+            return (s, t), incs, omega.at(s, t)
+
+        def read_rectangle(s0, s1, upto):
+            """Rows s0..s1-1 against points s0+1..N as np.ogrid (s, t), their
+            levels 1..upto and their weights, zero at the non-pairs t <= s."""
+            s, t = np.ogrid[s0:s1, s0 + 1 : n + 1]
+            incs = base._rectangle_products(s0, s1, upto, pool)[1:] if upto else ()
             w = omega.at(s, t)
             w[t <= s] = 0.0
-            return (s, t), incs[1:], w.reshape(-1)
+            return (s, t), incs, w.reshape(-1)
 
         def scan(k, read, state, diff=None, earlier=False):
             """Level k's (max, pair, lower bound) after one more read from
-            `read_pairs`; one `earlier` in pair order than the pair kept wins
-            its ties."""
+            `read_set` or `read_rectangle`; one `earlier` in pair order than
+            the pair kept wins its ties."""
             q_max, pair, best = state
             pairs, incs, w = read
             at = w.size * held if k < top else 0
@@ -661,8 +664,8 @@ class OneFormPath:
 
         scans = [(0.0, (0, 1), 0.0)] * len(expos)
         if self.out_dim == 1:
-            for s0, s1 in rects:
-                rect = read_pairs(*np.ogrid[s0:s1, s0 + 1 : n + 1], top - 1)
+            for s0, s1 in base._row_blocks():
+                rect = read_rectangle(s0, s1, top - 1)
                 scans = [scan(k, rect, state) for k, state in enumerate(scans, start=1)]
             return [q for q, _, _ in scans], [pair for _, pair, _ in scans]
 
@@ -707,7 +710,7 @@ class OneFormPath:
                 keep = quot >= best
                 if probing[k - 1] and 2 * np.count_nonzero(keep) >= n_pairs:
                     i, j = np.unravel_index(np.argmax(quot), quot.shape)
-                    one = read_pairs(np.array([s0 + i]), np.array([s0 + 1 + j]), top - k)
+                    one = read_set(np.array([s0 + i]), np.array([s0 + 1 + j]), top - k)
                     raised = scan(k, one, (0.0, (0, 1), best))[2]
                     if raised > best:
                         scans[k - 1] = q_max, pair, raised
@@ -720,14 +723,14 @@ class OneFormPath:
             kept = [np.count_nonzero(keep) for keep in keeps]
             whole = [k for k, c in enumerate(kept, start=1) if 2 * c >= n_pairs]
             for r0, r1 in reversed(list(base._row_blocks(1, s0, s1)) if whole else ()):
-                rect = read_pairs(*np.ogrid[r0:r1, r0 + 1 : n + 1], top - whole[0])
+                rect = read_rectangle(r0, r1, top - whole[0])
                 for k in whole:
                     scans[k - 1] = scan(k, rect, scans[k - 1], earlier=True)
             for k, (keep, c) in enumerate(zip(keeps, kept), start=1):
                 flat = np.flatnonzero(keep) if 2 * c < n_pairs else ()
                 for a in reversed(range(0, len(flat), length)):
                     i, j = np.divmod(flat[a : a + length], cols)
-                    scans[k - 1] = scan(k, read_pairs(s0 + i, s0 + 1 + j, top - k), scans[k - 1], earlier=True)
+                    scans[k - 1] = scan(k, read_set(s0 + i, s0 + 1 + j, top - k), scans[k - 1], earlier=True)
         return [q for q, _, _ in scans], [pair for _, pair, _ in scans]
 
     def _chain_slack(self) -> list[float]:

@@ -490,7 +490,7 @@ class Control:
         return float(self.table[i, j])
 
     def at(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """omega(t_s, t_t) for index arrays of equal length, one flat gather."""
+        """omega(t_s, t_t) in the broadcast shape of index arrays s and t: one flat gather."""
         return np.take(self.table.ravel(), s * self.table.shape[1] + t)
 
     def total(self) -> float:

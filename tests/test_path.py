@@ -555,7 +555,7 @@ def assert_products_are_the_increment_levels(g, levels, rows, upto, stacks, pool
     """Levels 0..upto of a pair read against the rows of `stacks`, the
     `increment_levels` of all pairs in np.triu_indices order, by bytes.  A
     set's levels, and a pooled rectangle's, hold each letter's entries
-    contiguously; with a pool they lie in it.  A rectangle's pairs t > s,
+    contiguously; with a pool they lie in its lead.  A rectangle's pairs t > s,
     read row-major, are the triu slice `rows`; its other entries are no
     pairs."""
     assert len(levels) == upto + 1
@@ -565,7 +565,8 @@ def assert_products_are_the_increment_levels(g, levels, rows, upto, stacks, pool
         if pool is not None or len(lead) == 1:
             assert math.prod(lead) < 2 or block.strides[len(lead) - 1] == block.itemsize
         if pool is not None:
-            assert np.shares_memory(block, pool)
+            head = math.prod(lead) * g._run_floats(upto)[0]
+            assert np.shares_memory(block, pool[:head]) and not np.shares_memory(block, pool[head:])
         if len(lead) == 2:
             s, t = np.ogrid[: lead[0], 1 : lead[1] + 1]
             block = block[t > s]
