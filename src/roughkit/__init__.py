@@ -70,9 +70,6 @@ from .rde import (
 from .tensor import (
     DimensionMismatchError,
     GroupElement,
-    TruncatedTensor,
-    tensor_exp,
-    tensor_log,
 )
 
 __version__ = "0.1.0"
@@ -98,7 +95,6 @@ __all__ = [
     "SampledRoughPath",
     "SineField",
     "TowerReport",
-    "TruncatedTensor",
     "UniquenessReport",
     "check_domination",
     "compose_integrand",
@@ -120,8 +116,6 @@ __all__ = [
     "signature",
     "solve",
     "taylor_oneform",
-    "tensor_exp",
-    "tensor_log",
     "uniqueness_probe",
     "write_path_csv",
     "write_solution_csv",

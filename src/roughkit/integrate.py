@@ -230,7 +230,7 @@ def integrate_controlled(
     # non-pair's residual is zeroed, so its quotient is 0
     worst = 0.0
     for s0, s1 in base._row_blocks():
-        s, t = np.ogrid[s0:s1, s0 + 1 : n]
+        s, t = np.arange(s0, s1)[:, None], np.arange(s0 + 1, n)[None, :]
         incs = tuple(x.reshape(s.size * t.size, -1) for x in base._rectangle_products(s0, s1, base.level)[1:])
         pred = beta.pair_values(np.repeat(s, t.size), incs).reshape(s.size, t.size, -1)
         resid = np.sqrt(sum_squares(flat[t] - flat[s] - pred))

@@ -513,10 +513,11 @@ class OneFormPath:
         pool: np.ndarray | None = None,
     ) -> np.ndarray:
         """Level-k matrices of (beta_t - beta_s)(g_t, .) on the pairs (s, t):
-        flat index arrays, or np.ogrid[s0:s1, s0+1:N+1] for a `base._row_blocks`
-        rectangle, whose entries t <= s are no pairs and NaN.  incs are
-        levels 1..L-k of g_{s,t} there, as `base._products` or
-        `base._rectangle_products` form them.
+        flat index arrays, or the (rows, 1) and (1, cols) aranges of rows
+        s0..s1-1 and points s0+1..N of a `base._row_blocks` rectangle, whose
+        entries t <= s are no pairs and NaN.  incs are levels 1..L-k of
+        g_{s,t} there, as `base._products` or `base._rectangle_products`
+        form them.
 
         beta_s(g_t, b) re-expands through the increment: the level-k piece is
         sum_{m >= k} A_s^(m) (pi_{m-k}(g_{s,t}) x id), summed from zero over
@@ -637,9 +638,10 @@ class OneFormPath:
             return (s, t), incs, omega.at(s, t)
 
         def read_rectangle(s0, s1, upto):
-            """Rows s0..s1-1 against points s0+1..N as np.ogrid (s, t), their
-            levels 1..upto and their weights, zero at the non-pairs t <= s."""
-            s, t = np.ogrid[s0:s1, s0 + 1 : n + 1]
+            """Rows s0..s1-1 against points s0+1..N as broadcasting aranges
+            (s, t), their levels 1..upto and their weights, zero at the
+            non-pairs t <= s."""
+            s, t = np.arange(s0, s1)[:, None], np.arange(s0 + 1, n + 1)[None, :]
             incs = base._rectangle_products(s0, s1, upto, pool)[1:] if upto else ()
             w = omega.at(s, t)
             w[t <= s] = 0.0
@@ -695,7 +697,7 @@ class OneFormPath:
             # power, far inside the bounds' relative slack, at a tenth of its cost
             with np.errstate(divide="ignore"):
                 np.log(omega.table[s0:s1, s0 + 1 :], out=logs)
-            s, t = np.ogrid[s0:s1, s0 + 1 : n + 1]
+            s, t = np.arange(s0, s1)[:, None], np.arange(s0 + 1, n + 1)[None, :]
             keeps = []
             for k, bound in enumerate(bounds[: len(expos)], start=1):
                 q_max, pair, best = scans[k - 1]

@@ -16,7 +16,6 @@ import numpy as np
 from .tensor import (
     DimensionMismatchError,
     GroupElement,
-    TruncatedTensor,
     certify_stack,
     homogeneous_norms,
     letter_major_views,
@@ -113,12 +112,13 @@ def signature(path: SampledPath, level: int, p: float | None = None) -> "Sampled
         raise ValueError("level must be >= 1")
     if p is None:
         p = float(level)
+    _check_lift_memory(path.times.size, path.dim, level)
     steps = path.increments()
     lie = [np.zeros((steps.shape[0], path.dim**k)) for k in range(level + 1)]
     lie[1] = steps
     segs = stack_exp(tuple(lie))
     certify_stack(segs)
-    points = [GroupElement(TruncatedTensor.unit(path.dim, level))]
+    points = [GroupElement.unit(path.dim, level)]
     for seg in _element_views(segs, np.ones(steps.shape[0], dtype=bool)):
         points.append(points[-1] @ seg)
     levels = tuple(np.stack([g.level_block(k) for g in points]) for k in range(level + 1))
@@ -136,6 +136,7 @@ def pure_area_path(area: float, steps: int) -> "SampledRoughPath":
         raise ValueError("steps must be >= 1")
     if not np.isfinite(area):
         raise ValueError(f"area must be finite, got {area}")
+    _check_lift_memory(steps + 1, 2, 2)
     gen = np.array([0.0, 1.0, -1.0, 0.0])
     area_k = (np.arange(steps + 1) / steps * area)[:, None] * gen
     lie = (np.zeros((steps + 1, 1)), np.zeros((steps + 1, 2)), area_k)
@@ -148,11 +149,7 @@ def _element_views(
 ) -> tuple[GroupElement, ...]:
     """Rows of a certified level stack as elements; freezes the stack to share it."""
     _read_only(stack)
-    dim, level = stack[1].shape[1], len(stack) - 1
-    return tuple(
-        GroupElement._trusted(TruncatedTensor._view(dim, level, stack, i), bool(f))
-        for i, f in enumerate(flags)
-    )
+    return tuple(GroupElement._trusted(tuple(x[i] for x in stack), bool(f)) for i, f in enumerate(flags))
 
 
 @dataclass(frozen=True)
@@ -219,12 +216,6 @@ class SampledRoughPath:
     def points(self) -> tuple[GroupElement, ...]:
         """The grid points g_{t_i} as views of `levels`."""
         return _element_views(self.levels, self.grouplike)
-
-    def increment(self, i: int, j: int) -> GroupElement:
-        """g_i^{-1} g_j as a view of its `increment_levels` row, so it is
-        certified at the path's shuffle scale rather than its own size."""
-        flags = self.grouplike[[i]] & self.grouplike[[j]]
-        return _element_views(self.increment_levels([i], [j]), flags)[0]
 
     def positions(self, base_point: np.ndarray | None = None) -> np.ndarray:
         base = np.zeros(self.dim) if base_point is None else np.asarray(base_point, float)
@@ -328,7 +319,7 @@ class SampledRoughPath:
         pool = self._pair_pool(norms.size)[0]
         for s0, s1 in self._row_blocks():
             rect = homogeneous_norms(self._rectangle_products(s0, s1, self.level, pool)[1:])
-            s, t = np.ogrid[s0:s1, s0 + 1 : n + 1]
+            s, t = np.arange(s0, s1)[:, None], np.arange(s0 + 1, n + 1)[None, :]
             upper = rect[t > s]
             norms[at : at + upper.size] = upper
             at += upper.size
@@ -419,6 +410,26 @@ def _physical_memory_bytes() -> int | None:
         return None
 
 
+def _check_lift_memory(points: int, dim: int, level: int) -> None:
+    """Refuse, before anything is allocated, a lift of `points` grid points
+    whose level stacks do not fit in physical memory.  tracemalloc puts the
+    peak of `signature` and `pure_area_path` within 12 stacks of N+1 rows of
+    S + 8(L+1) floats, S = sum_k d**k: up to 11 stacks of S floats where S
+    is large, and where it is small the per-point elements' objects and
+    array headers, about 8 floats a level of each row.  The few tens of kB
+    that any lift costs are not counted."""
+    have = _physical_memory_bytes()
+    # past 64 levels at d >= 2 no memory holds one row
+    size = level + 1 if dim == 1 else (dim ** min(level + 1, 64) - 1) // (dim - 1)
+    need = 12 * points * (size + 8 * (level + 1)) * 8
+    if have is not None and need > have:
+        raise ValueError(
+            f"signature lift of {points} grid points (d={dim}, level {level}) needs "
+            f"about {need:,} bytes, more than the {have:,} bytes of physical memory; "
+            f"use a lower level or a coarser grid"
+        )
+
+
 def p_variation(g: SampledRoughPath, i0: int = 0, i1: int | None = None) -> float:
     """p-variation of the rough path over grid partitions of [t_{i0}, t_{i1}].
 
@@ -448,7 +459,7 @@ def _powered_gauge(gauge, *paths: SampledRoughPath) -> np.ndarray:
     E = np.zeros((n1, n1))
     for s0, s1 in g._row_blocks():
         rect = gauge(*(h._rectangle_products(s0, s1, g.level, pool)[1:] for h, pool in zip(paths, pools)))
-        s, t = np.ogrid[s0:s1, s0 + 1 : n1]
+        s, t = np.arange(s0, s1)[:, None], np.arange(s0 + 1, n1)[None, :]
         # zeroed, the non-pairs' power cannot overflow
         rect[t <= s] = 0.0
         rect **= g.p

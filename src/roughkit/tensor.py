@@ -16,10 +16,7 @@ import numpy as np
 
 __all__ = [
     "DimensionMismatchError",
-    "TruncatedTensor",
     "GroupElement",
-    "tensor_exp",
-    "tensor_log",
     "homogeneous_norms",
     "sum_squares",
     "split_matrix",
@@ -35,18 +32,12 @@ class DimensionMismatchError(ValueError):
     """Raised when operands live in different algebras (dim or level disagree)."""
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float)
-    out.flags.writeable = False
-    return out
-
-
 # -- level-stack kernel -------------------------------------------------------
 #
 # A level stack holds n elements of the truncated algebra side by side: a
-# tuple of L+1 arrays, stack[k] of shape (n, d**k).  The single-element
-# classes below are 1-row views over these functions, so the graded product,
-# the nilpotent series and the group-like certificate each exist once.
+# tuple of L+1 arrays, stack[k] of shape (n, d**k).  `GroupElement` below
+# is a 1-row view over these functions, so the graded product, the
+# nilpotent series and the group-like certificate each exist once.
 
 GROUPLIKE_SHUFFLE_TOL = 1e-10
 GROUPLIKE_INVERSE_TOL = 1e-12
@@ -237,222 +228,82 @@ def certify_stack(
 
 
 @dataclass(frozen=True)
-class TruncatedTensor:
-    """Element of the tensor algebra over R^dim, truncated beyond `level`.
+class GroupElement:
+    """Unital element of the truncated algebra, optionally certified group-like.
 
-    Parameters
-    ----------
-    dim:
-        Dimension d of the underlying vector space.
-    level:
-        Truncation level L; blocks of degree > L are dropped by every operation.
-    coeffs:
-        Tuple of L+1 flat arrays, coeffs[k] of length d**k.  coeffs[0] is the
-        scalar part as a length-1 array.
+    `levels[k]` holds the d**k coefficients of degree k, for k = 0..L with
+    L >= 1, stored read-only.  The scalar part must be exactly 1.  With
+    `grouplike=True` the level-2 shuffle relation and the inverse identity
+    are checked at construction, so the flag really is a certificate rather
+    than a label.
     """
 
-    dim: int
-    level: int
-    coeffs: tuple[np.ndarray, ...] = field(repr=False)
+    levels: tuple[np.ndarray, ...] = field(repr=False)
+    grouplike: bool = False
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if self.level < 0:
-            raise ValueError(f"level must be >= 0, got {self.level}")
-        if len(self.coeffs) != self.level + 1:
-            raise ValueError(
-                f"expected {self.level + 1} level blocks, got {len(self.coeffs)}"
-            )
+        if len(self.levels) < 2:
+            raise ValueError(f"need levels 0..L with L >= 1, got {len(self.levels)} blocks")
+        dim = np.size(self.levels[1])
+        if dim < 1:
+            raise ValueError(f"dim must be >= 1, got {dim}")
         blocks = []
-        for k, block in enumerate(self.coeffs):
-            arr = np.asarray(block, dtype=float).reshape(-1)
-            if arr.size != self.dim**k:
-                raise DimensionMismatchError(
-                    f"level-{k} block has {arr.size} entries, expected {self.dim**k}"
-                )
+        for k, block in enumerate(self.levels):
+            arr = np.array(np.reshape(block, -1), dtype=float)
+            if arr.size != dim**k:
+                raise DimensionMismatchError(f"level-{k} block has {arr.size} entries, expected {dim**k}")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"level-{k} block contains non-finite entries")
-            blocks.append(_frozen(arr))
-        object.__setattr__(self, "coeffs", tuple(blocks))
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, dim: int, level: int) -> "TruncatedTensor":
-        return cls(dim, level, tuple(np.zeros(dim**k) for k in range(level + 1)))
-
-    @classmethod
-    def unit(cls, dim: int, level: int) -> "TruncatedTensor":
-        blocks = [np.zeros(dim**k) for k in range(level + 1)]
-        blocks[0] = np.ones(1)
-        return cls(dim, level, tuple(blocks))
+            arr.flags.writeable = False
+            blocks.append(arr)
+        if blocks[0][0] != 1.0:
+            raise ValueError("group elements must have scalar part exactly 1")
+        object.__setattr__(self, "levels", tuple(blocks))
+        if self.grouplike:
+            certify_stack(self._stack())
 
     @classmethod
-    def _view(
-        cls, dim: int, level: int, stack: tuple[np.ndarray, ...], row: int
-    ) -> "TruncatedTensor":
-        """One row of a read-only level stack, wrapped without copy or checks.
+    def unit(cls, dim: int, level: int) -> "GroupElement":
+        """The unit, uncertified, so products with it are not certified."""
+        return cls((np.ones(1),) + tuple(np.zeros(dim**k) for k in range(1, level + 1)))
 
-        Only for kernel results built from validated operands; the public
-        operations copy and validate their results instead.
-        """
-        blocks = tuple(block[row] for block in stack)
+    @classmethod
+    def _trusted(cls, levels: tuple[np.ndarray, ...], grouplike: bool) -> "GroupElement":
+        """Wrap read-only level rows whose certificate already ran on their
+        stack, without copy or checks."""
         out = object.__new__(cls)
-        object.__setattr__(out, "dim", dim)
-        object.__setattr__(out, "level", level)
-        object.__setattr__(out, "coeffs", blocks)
+        object.__setattr__(out, "levels", levels)
+        object.__setattr__(out, "grouplike", grouplike)
         return out
 
     def _stack(self) -> tuple[np.ndarray, ...]:
         """This element as a 1-row level stack."""
-        return tuple(b[None, :] for b in self.coeffs)
-
-    # -- accessors ---------------------------------------------------------
+        return tuple(b[None, :] for b in self.levels)
 
     @property
-    def scalar(self) -> float:
-        return float(self.coeffs[0][0])
+    def dim(self) -> int:
+        return self.levels[1].size
+
+    @property
+    def level(self) -> int:
+        return len(self.levels) - 1
 
     def level_block(self, k: int) -> np.ndarray:
-        return self.coeffs[k]
+        return self.levels[k]
 
-    def norm(self) -> float:
-        """Algebra norm: sum over degrees of the Euclidean block norms.
-
-        Euclidean block norms are cross norms, so this norm is
-        submultiplicative with constant exactly one.
-        """
-        return float(sum(np.linalg.norm(b) for b in self.coeffs))
-
-    # -- linear structure ----------------------------------------------------
-
-    def _check_compatible(self, other: "TruncatedTensor") -> None:
-        if self.dim != other.dim or self.level != other.level:
+    def __matmul__(self, other: "GroupElement") -> "GroupElement":
+        """Graded (truncated) product, validated like a constructed element."""
+        if (self.dim, self.level) != (other.dim, other.level):
             raise DimensionMismatchError(
                 f"cannot combine (dim={self.dim}, level={self.level}) with "
                 f"(dim={other.dim}, level={other.level})"
             )
-
-    def __add__(self, other: "TruncatedTensor") -> "TruncatedTensor":
-        self._check_compatible(other)
-        return TruncatedTensor(
-            self.dim,
-            self.level,
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-        )
-
-    def __sub__(self, other: "TruncatedTensor") -> "TruncatedTensor":
-        # a + (-b) is a - b exactly in IEEE arithmetic
-        return self + -other
-
-    def __neg__(self) -> "TruncatedTensor":
-        return TruncatedTensor(self.dim, self.level, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, c: float) -> "TruncatedTensor":
-        c = float(c)
-        return TruncatedTensor(self.dim, self.level, tuple(c * a for a in self.coeffs))
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "TruncatedTensor") -> "TruncatedTensor":
-        """Graded (truncated) tensor product."""
-        self._check_compatible(other)
         prod = stack_product(self._stack(), other._stack())
-        return TruncatedTensor(self.dim, self.level, tuple(b[0] for b in prod))
-
-    def without_scalar(self) -> "TruncatedTensor":
-        blocks = list(self.coeffs)
-        blocks[0] = np.zeros(1)
-        return TruncatedTensor(self.dim, self.level, tuple(blocks))
-
-    def dilate(self, c: float) -> "TruncatedTensor":
-        """Degree-homogeneous dilation: level k is scaled by c**k."""
-        c = float(c)
-        return TruncatedTensor(
-            self.dim,
-            self.level,
-            tuple((c**k) * b for k, b in enumerate(self.coeffs)),
-        )
-
-
-def tensor_exp(v: TruncatedTensor) -> "GroupElement":
-    """Exponential of an element with zero scalar part; see `stack_exp`."""
-    if abs(v.scalar) > 0:
-        raise ValueError("tensor_exp requires a zero scalar part")
-    acc = stack_exp(v._stack())
-    return GroupElement(TruncatedTensor(v.dim, v.level, tuple(b[0] for b in acc)))
-
-
-def tensor_log(a: "TruncatedTensor | GroupElement") -> TruncatedTensor:
-    """Logarithm of a unital element; finite series by nilpotency."""
-    t = a.tensor if isinstance(a, GroupElement) else a
-    if abs(t.scalar - 1.0) > 1e-9:
-        raise ValueError("tensor_log requires scalar part 1")
-    u = t.without_scalar()._stack()
-    coeffs = [(-1.0) ** (n + 1) / n for n in range(1, t.level + 1)]
-    acc = _stack_series(u, coeffs, tuple(np.zeros(b.shape) for b in u))
-    return TruncatedTensor(t.dim, t.level, tuple(b[0] for b in acc))
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """Unital element of the truncated algebra, optionally certified group-like.
-
-    The scalar part must be exactly 1.  With `grouplike=True` the level-2
-    shuffle relation and the inverse identity are checked at construction,
-    so the flag really is a certificate rather than a label.
-    """
-
-    tensor: TruncatedTensor
-    grouplike: bool = False
-
-    def __post_init__(self) -> None:
-        if self.tensor.scalar != 1.0:
-            raise ValueError("group elements must have scalar part exactly 1")
-        if self.grouplike:
-            certify_stack(self.tensor._stack())
-
-    @classmethod
-    def _trusted(cls, tensor: TruncatedTensor, grouplike: bool) -> "GroupElement":
-        """Wrap a unital tensor whose certificate already ran on its stack."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "tensor", tensor)
-        object.__setattr__(out, "grouplike", grouplike)
-        return out
-
-    # passthroughs
-    @property
-    def dim(self) -> int:
-        return self.tensor.dim
-
-    @property
-    def level(self) -> int:
-        return self.tensor.level
-
-    def level_block(self, k: int) -> np.ndarray:
-        return self.tensor.level_block(k)
-
-    def __matmul__(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(
-            self.tensor @ other.tensor,
-            grouplike=self.grouplike and other.grouplike,
-        )
+        return GroupElement(tuple(b[0] for b in prod), grouplike=self.grouplike and other.grouplike)
 
     def inverse(self) -> "GroupElement":
-        t = self.tensor
-        inv = stack_inverse(t._stack())
-        return GroupElement(
-            TruncatedTensor(t.dim, t.level, tuple(b[0] for b in inv)),
-            grouplike=self.grouplike,
-        )
-
-    def dilate(self, c: float) -> "GroupElement":
-        # Dilation is an automorphism of the group, so the flag survives.
-        return GroupElement(self.tensor.dilate(c), grouplike=self.grouplike)
-
-    def norm(self) -> float:
-        return self.tensor.norm()
+        inv = stack_inverse(self._stack())
+        return GroupElement(tuple(b[0] for b in inv), grouplike=self.grouplike)
 
 
 @lru_cache(maxsize=None)

@@ -1,7 +1,7 @@
 """Shared fixtures: the frozen solver fixtures used across rde, CLI, and
 acceptance tests, solved once per session, the environment for CLI
-subprocesses, the bitwise array comparison, and small builders of tensors,
-fields and loops."""
+subprocesses, the bitwise array comparison, and small builders of level
+rows, fields and loops."""
 
 import os
 from pathlib import Path
@@ -14,7 +14,7 @@ import roughkit
 from roughkit.funcs import LipFunction, PolyMap
 from roughkit.path import SampledPath, SampledRoughPath, pure_area_path, signature
 from roughkit.rde import RdeProblem, continuity_probe, rescale_problem, solve
-from roughkit.tensor import TruncatedTensor, homogeneous_norms
+from roughkit.tensor import homogeneous_norms
 
 settings.register_profile(
     "suite", deadline=None, max_examples=25, derandomize=True
@@ -47,16 +47,49 @@ def assert_bitwise(a, b):
 # -- small builders ------------------------------------------------------------
 
 
-def level_tensor(dim: int, level: int, blocks: dict) -> TruncatedTensor:
-    """Truncated tensor from a sparse {degree: flat block} map; other degrees are zero."""
-    return TruncatedTensor(
-        dim, level, tuple(blocks.get(k, np.zeros(dim**k)) for k in range(level + 1))
-    )
+def level_rows(dim: int, level: int, blocks: dict) -> tuple[np.ndarray, ...]:
+    """One element's flat level rows 0..level from a sparse {degree: flat
+    block} map; other degrees are zero."""
+    return tuple(np.asarray(blocks.get(k, np.zeros(dim**k)), dtype=float) for k in range(level + 1))
 
 
-def element_norm(g) -> float:
-    """Homogeneous norm of one element, as the 1-row stack `homogeneous_norms` reads."""
-    return float(homogeneous_norms(tuple(b[None] for b in g.tensor.coeffs[1:]))[0])
+def one_row(levels) -> tuple[np.ndarray, ...]:
+    """One element's flat level rows as a 1-row level stack."""
+    return tuple(np.asarray(b)[None] for b in levels)
+
+
+def row(stack, i: int) -> tuple[np.ndarray, ...]:
+    """Row i of a level stack as one element's flat level rows."""
+    return tuple(x[i] for x in stack)
+
+
+def increment_rows(g: SampledRoughPath, i: int, j: int) -> tuple[np.ndarray, ...]:
+    """g_i^{-1} g_j as flat level rows: the row of `increment_levels([i], [j])`,
+    certified at the path's shuffle scale rather than its own size."""
+    return row(g.increment_levels([i], [j]), 0)
+
+
+def element_norm(levels) -> float:
+    """Homogeneous norm of one element's level rows, as the 1-row stack
+    `homogeneous_norms` reads."""
+    return float(homogeneous_norms(one_row(levels[1:]))[0])
+
+
+def algebra_norms(stack) -> np.ndarray:
+    """The algebra norm, the sum over degrees of the Euclidean level norms,
+    of each row of a level stack; of one element's flat rows, a scalar."""
+    return sum(np.linalg.norm(x, axis=-1) for x in stack)
+
+
+def rows_distance(a, b) -> float:
+    """Algebra norm of the difference of two elements' level rows."""
+    assert len(a) == len(b)
+    return float(algebra_norms([x - y for x, y in zip(a, b)]))
+
+
+def dilated(stack, c: float) -> tuple[np.ndarray, ...]:
+    """Degree-homogeneous dilation: level k scaled by c**k."""
+    return tuple((c**k) * x for k, x in enumerate(stack))
 
 
 def linear_vector_field(mats) -> PolyMap:

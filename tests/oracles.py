@@ -5,10 +5,11 @@ not use: brute-force enumeration instead of dynamic programming, ODE
 stepping instead of group products, matrix exponentials instead of
 Picard iteration, finite differences instead of coefficient calculus.
 Only numpy/scipy, never roughkit internals; `per_point_lift` alone uses
-roughkit's public single-element API, as the reference for the stacked lift;
-`taylor_remainder_check` reads a map's public derivatives; `form_value`,
-`value_on_increment`, `pushforward_dilate` and `lift_pair_value` evaluate
-one-forms on single group elements through the forms' arrays, `pair_values`,
+roughkit's public single-element API, `GroupElement`, as the reference for
+the stacked lift; `taylor_remainder_check` reads a map's public derivatives;
+`form_value`, `value_on_increment`, `pushforward_dilate` and
+`lift_pair_value` evaluate one-forms on single elements' level rows through
+the forms' arrays, `pair_values`,
 the base's inverse stack and a closed lift's coefficient builder and pairing
 kernel; `difference_matrices_einsum` reads a
 one-form path's arrays and its base's `increment_levels`,
@@ -213,33 +214,54 @@ def stack_product_loop(a, b):
     return tuple(out)
 
 
+def series_loop(u, coeffs, acc):
+    """acc + sum_n coeffs[n-1] u^n term by term, the powers of u by
+    graded_product_loop from the unit: the order of the library's one
+    nilpotent series."""
+    power = [np.ones(1)] + [np.zeros(b.size) for b in u[1:]]
+    for c in coeffs:
+        power = graded_product_loop(power, u)
+        acc = [x + c * p for x, p in zip(acc, power)]
+    return acc
+
+
 def series_inverse_loop(blocks):
     """(1 + u)^{-1} = sum_n (-u)^n term by term, in graded_product_loop order."""
     u = [np.zeros(1)] + [np.asarray(b, dtype=float) for b in blocks[1:]]
     acc = [np.ones(1)] + [np.zeros(b.size) for b in u[1:]]
-    power = [np.ones(1)] + [np.zeros(b.size) for b in u[1:]]
-    for n in range(1, len(blocks)):
-        power = graded_product_loop(power, u)
-        acc = [x + ((-1.0) ** n) * p for x, p in zip(acc, power)]
-    return acc
+    return series_loop(u, [(-1.0) ** n for n in range(1, len(blocks))], acc)
+
+
+def series_exp_loop(blocks):
+    """exp(u) = sum_n u^n / n! for blocks u with zero scalar part."""
+    u = [np.asarray(b, dtype=float) for b in blocks]
+    acc = [np.ones(1)] + [np.zeros(b.size) for b in u[1:]]
+    return series_loop(u, [1.0 / math.factorial(n) for n in range(1, len(u))], acc)
+
+
+def series_log_loop(blocks):
+    """log(1 + u) = sum_n (-1)^(n+1) u^n / n for a unital element, its
+    scalar part dropped."""
+    u = [np.zeros(1)] + [np.asarray(b, dtype=float) for b in blocks[1:]]
+    return series_loop(u, [(-1.0) ** (n + 1) / n for n in range(1, len(u))], [np.zeros(b.size) for b in u])
 
 
 def per_point_lift(values, level):
     """Signature points of a polyline built one group element at a time.
 
-    Each segment is `tensor_exp` of its increment, certified, and each point
-    the certified product of the previous point and the segment.  Returns
-    the level stacks, entry [k] of shape (N+1, d**k).
+    Each segment is `series_exp_loop` of its increment, certified, and each
+    point the certified product of the previous point and the segment.
+    Returns the level stacks, entry [k] of shape (N+1, d**k).
     """
-    from roughkit.tensor import GroupElement, TruncatedTensor, tensor_exp
+    from roughkit.tensor import GroupElement
 
     values = np.asarray(values, dtype=float)
     dim = values.shape[1]
-    points = [GroupElement(TruncatedTensor.unit(dim, level), grouplike=True)]
+    unit = [np.ones(1)] + [np.zeros(dim**k) for k in range(1, level + 1)]
+    points = [GroupElement(tuple(unit), grouplike=True)]
     for step in np.diff(values, axis=0):
         lie = [step if k == 1 else np.zeros(dim**k) for k in range(level + 1)]
-        seg = tensor_exp(TruncatedTensor(dim, level, tuple(lie))).tensor
-        points.append(points[-1] @ GroupElement(seg, grouplike=True))
+        points.append(points[-1] @ GroupElement(tuple(series_exp_loop(lie)), grouplike=True))
     return [np.stack([g.level_block(k) for g in points]) for k in range(level + 1)]
 
 
@@ -512,23 +534,22 @@ def taylor_remainder_check(f, x, y):
 
 
 def value_on_increment(beta, i, inc):
-    """beta_{t_i}(g_{t_i}, inc) for one element inc, by `pair_values` on row i."""
-    blocks = tuple(inc.level_block(k)[None] for k in range(1, beta.base.level + 1))
+    """beta_{t_i}(g_{t_i}, inc) for one element's flat level rows inc, by
+    `pair_values` on row i."""
+    blocks = tuple(np.asarray(inc[k])[None] for k in range(1, beta.base.level + 1))
     return beta.pair_values([i], blocks)[0]
 
 
 def form_value(beta, i, a, b):
     """beta_{t_i}(a, b) = sum_k A_{t_i}^(k) pi_k(g_{t_i}^{-1} a (b - 1)) at grid index i.
 
-    g_{t_i}^{-1} is row i of the base's certified inverse stack, so a path's
-    large loops are read at the path's scale; the products are the
-    single-element algebra's.
+    a and b are elements' flat level rows.  g_{t_i}^{-1} is row i of the
+    base's certified inverse stack, so a path's large loops are read at the
+    path's scale; the products are graded_product_loop's.
     """
-    from roughkit.tensor import TruncatedTensor
-
-    g = beta.base
-    inv = TruncatedTensor(g.dim, g.level, tuple(x[i] for x in g._inverse_levels))
-    u = inv @ a.tensor @ (b.tensor - TruncatedTensor.unit(b.dim, b.level))
+    inv = [x[i] for x in beta.base._inverse_levels]
+    b_minus_one = [b[0] - 1.0] + list(b[1:])
+    u = graded_product_loop(graded_product_loop(inv, a), b_minus_one)
     return value_on_increment(beta, i, u)
 
 
@@ -543,20 +564,20 @@ def pushforward_dilate(beta, c):
 
 
 def lift_pair_value(lift, a, b):
-    """A closed lift's value on group elements (a, b): its coefficients at the
-    point a reaches from the base point, level k the derivative D^{k-1}p
-    there with its own letter moved last, paired with the levels of b by the
-    kernel `OneFormPath.pair_values` uses."""
+    """A closed lift's value on elements' flat level rows (a, b): its
+    coefficients at the point a reaches from the base point, level k the
+    derivative D^{k-1}p there with its own letter moved last, paired with
+    the levels of b by the kernel `OneFormPath.pair_values` uses."""
     from roughkit.oneform import _pairing
 
-    x = lift.base_point + a.level_block(1)
+    x = lift.base_point + a[1]
     w, d = lift.out_dim, lift.dim
     coeffs = tuple(
         lift.form.derivative(x[None], k - 1)
         .reshape(1, w, d, d ** (k - 1))
         .transpose(0, 1, 3, 2)
         .reshape(1, w, d**k)
-        for k in range(1, b.level + 1)
+        for k in range(1, len(b))
     )
-    blocks = tuple(b.level_block(k)[None] for k in range(1, b.level + 1))
+    blocks = tuple(np.asarray(b[k])[None] for k in range(1, len(b)))
     return _pairing(coeffs, blocks)[0]

@@ -136,9 +136,9 @@ def test_04_closed_lift_is_cocyclic_and_exact():
         b = signature(random_polyline(rng, dim=2), 3).points[-1]
         c = signature(random_polyline(rng, dim=2), 3).points[-1]
         res = (
-            lift_pair_value(lift, a, b)
-            + lift_pair_value(lift, a @ b, c)
-            - lift_pair_value(lift, a, b @ c)
+            lift_pair_value(lift, a.levels, b.levels)
+            + lift_pair_value(lift, (a @ b).levels, c.levels)
+            - lift_pair_value(lift, a.levels, (b @ c).levels)
         )
         coc = max(coc, float(np.max(np.abs(res))))
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import resource
 import subprocess
 import sys
 import warnings
@@ -720,23 +721,65 @@ def test_pure_area_needs_level_two_exponent(tmp_path):
 
 def test_pair_geometry_over_physical_memory_exits_two(tmp_path, monkeypatch, capsys):
     """The pair geometry is refused before it is allocated when its
-    estimated size exceeds physical memory, here faked down to 1 kB."""
-    monkeypatch.setattr(roughkit.path, "_physical_memory_bytes", lambda: 1024)
+    estimated size exceeds physical memory, here faked down to one byte
+    under it, on a grid whose lift fits in that."""
+    monkeypatch.setattr(roughkit.path, "_physical_memory_bytes", lambda: 817_607)
     rng = np.random.default_rng(2)
-    write_csv(tmp_path / "walk.csv", np.linspace(0.0, 1.0, 21), rng.standard_normal((21, 2)))
+    write_csv(tmp_path / "walk.csv", np.linspace(0.0, 1.0, 101), rng.standard_normal((101, 2)))
     write_json(tmp_path / "g.json", GRAD_FORM)
     code = cli.main(
         ["integrate", str(tmp_path / "walk.csv"), "--form", str(tmp_path / "g.json"),
          "--p", "3.0", "--gamma", "4.0"]
     )
     assert code == 2
-    # the control table and the pool of its one rectangle, 20 rows s by the
-    # 20 points t > 0, whose levels 0..3 and product term take 15 + 8 floats
-    # an entry
-    need = (21 * 21 + 20 * 20 * (15 + 8)) * 8
-    assert need == 77_128
+    # the control table and the pool of its largest rectangle, 40 rows s by
+    # the 100 points t > 0, whose levels 0..3 and product term take 15 + 8
+    # floats an entry; the lift's estimate is 12 * 101 * (15 + 32) * 8
+    need = (101 * 101 + 40 * 100 * (15 + 8)) * 8
+    assert need == 817_608 > 12 * 101 * (15 + 32) * 8
     err = capsys.readouterr().err
     assert f"{need:,} bytes" in err and "physical memory" in err
+
+
+def run_cli_capped(*args):
+    """`run_cli` with the child's address space capped at 4 GiB and one BLAS
+    thread, so a lift that escaped its memory guard fails to allocate
+    instead of exhausting the machine."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+    return subprocess.run(
+        [sys.executable, "-m", "roughkit.cli", *map(str, args)],
+        capture_output=True,
+        text=True,
+        env=cli_env(blas_threads=1),
+        preexec_fn=cap,
+    )
+
+
+@pytest.mark.parametrize("route", ["level-45", "level-1e12", "solve-p-40", "pure-area-steps"])
+def test_lift_over_physical_memory_exits_two_before_allocating(tmp_path, route):
+    """A lift whose level stacks exceed physical memory is refused with exit
+    2 and its estimated need before any stack is allocated: one row of level
+    45 over R^2 alone is 2**45 floats, where the parent crashed with an
+    allocation error.  Past 64 levels the estimate is capped, so a huge
+    level costs no time either."""
+    csv = tmp_path / "tiny.csv"
+    write_csv(csv, [0.0, 0.5, 1.0], [[0.0, 0.0], [1.0, 0.5], [0.2, 1.0]])
+    args = {
+        "level-45": ["signature", csv, "--level", 45],
+        "level-1e12": ["signature", csv, "--level", 10**12],
+        "solve-p-40": [*cubic_solve_inputs(tmp_path, 1.0), "--p", 40],
+        "pure-area-steps": [
+            "integrate", "--pure-area", 1, "--steps", 10**15, "--form", area_form_json(tmp_path),
+            "--gamma", 4, "--p", 2.5,
+        ],
+    }[route]
+    res = run_cli_capped(*args)
+    assert res.returncode == 2, res.stderr
+    assert "signature lift of" in res.stderr and "bytes of physical memory" in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_integrate_and_solve_build_no_pair_store(tmp_path, monkeypatch):

@@ -176,3 +176,19 @@ def test_only_smooth_map_defines_apply():
                 ]
     assert owners == ["SmoothMap"]
     assert not forwards, f"derivatives that read apply: {forwards}"
+
+
+def test_group_element_is_named_only_by_its_definition_the_lift_and_the_export():
+    """The single-element class is the lift's step product and `points`'
+    element type, nothing more: among the package's modules only
+    `tensor.py`, `path.py` and `__init__.py` name `GroupElement`, and none
+    names the retired tensor class or its exponential and logarithm."""
+    owners = {"tensor.py", "path.py", "__init__.py"}
+    retired = {"TruncatedTensor", "tensor_exp", "tensor_log"}
+    found = []
+    for source in SOURCES:
+        names = referenced_names(ast.parse(source.read_text(), filename=str(source)))
+        if names["GroupElement"] and source.name not in owners:
+            found.append(f"{source.name}: GroupElement")
+        found += [f"{source.name}: {name}" for name in sorted(retired) if names[name]]
+    assert not found, f"single-element API outside its modules: {found}"

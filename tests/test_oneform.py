@@ -33,14 +33,14 @@ from roughkit.rde import picard_step, solve
 from roughkit.tensor import (
     DimensionMismatchError,
     GroupElement,
-    TruncatedTensor,
     sum_squares,
 )
 
 from conftest import (
     assert_bitwise,
     cubic_problem,
-    level_tensor,
+    increment_rows,
+    level_rows,
     linear_vector_field,
     reversed_path,
 )
@@ -84,10 +84,10 @@ def random_form(g, out_dim, rng):
 
 
 def basis_argument(dim, level, k, j):
-    """Group-algebra element with (b - 1) equal to the j-th level-k basis vector."""
+    """Level rows of an element with (b - 1) equal to the j-th level-k basis vector."""
     e = np.zeros(dim**k)
     e[j] = 1.0
-    return GroupElement(level_tensor(dim, level, {0: np.ones(1), k: e}))
+    return level_rows(dim, level, {0: np.ones(1), k: e})
 
 
 def functional_matrix(beta, slot, at, k):
@@ -96,7 +96,7 @@ def functional_matrix(beta, slot, at, k):
     cols = []
     for j in range(g.dim**k):
         b = basis_argument(g.dim, g.level, k, j)
-        cols.append(form_value(beta, slot, g.points[at], b))
+        cols.append(form_value(beta, slot, g.points[at].levels, b))
     return np.stack(cols, axis=1)
 
 
@@ -106,8 +106,7 @@ def functional_matrix(beta, slot, at, k):
 def test_unit_argument_evaluates_to_zero():
     g = driver_2d()
     beta = OneFormPath.constant_linear(g, np.array([[1.0, 2.0], [3.0, -1.0]]))
-    unit = GroupElement(TruncatedTensor.unit(2, 2), grouplike=True)
-    out = form_value(beta, 3, g.points[3], unit)
+    out = form_value(beta, 3, g.points[3].levels, GroupElement.unit(2, 2).levels)
     np.testing.assert_allclose(out, 0.0, atol=1e-15)
 
 
@@ -115,9 +114,9 @@ def test_constant_functional_reads_first_level():
     g = driver_2d()
     A = np.array([[1.0, 2.0], [3.0, -1.0]])
     beta = OneFormPath.constant_linear(g, A)
-    b = g.increment(2, 4)
-    out = form_value(beta, 2, g.points[2], b)
-    np.testing.assert_allclose(out, A @ b.level_block(1), atol=1e-14)
+    b = increment_rows(g, 2, 4)
+    out = form_value(beta, 2, g.points[2].levels, b)
+    np.testing.assert_allclose(out, A @ b[1], atol=1e-14)
 
 
 def test_cocycle_identity_on_random_triples():
@@ -126,11 +125,10 @@ def test_cocycle_identity_on_random_triples():
     rng = np.random.default_rng(52)
     for _ in range(20):
         i, j, k = sorted(rng.choice(np.arange(9), size=3, replace=False))
-        a = g.increment(0, i) if i > 0 else g.points[0]
-        b = g.increment(i, j)
-        c = g.increment(j, k)
-        lhs = form_value(beta, 2, a, b) + form_value(beta, 2, a @ b, c)
-        rhs = form_value(beta, 2, a, b @ c)
+        a = GroupElement(increment_rows(g, 0, i)) if i > 0 else g.points[0]
+        b, c = GroupElement(increment_rows(g, i, j)), GroupElement(increment_rows(g, j, k))
+        lhs = form_value(beta, 2, a.levels, b.levels) + form_value(beta, 2, (a @ b).levels, c.levels)
+        rhs = form_value(beta, 2, a.levels, (b @ c).levels)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
@@ -259,12 +257,11 @@ def test_lift_cocyclicity_on_grouplike_triples():
     for _ in range(20):
         i, j, k = sorted(rng.choice(np.arange(9), size=3, replace=False))
         a = g.points[i]
-        b = g.increment(i, j)
-        c = g.increment(j, k)
+        b, c = GroupElement(increment_rows(g, i, j)), GroupElement(increment_rows(g, j, k))
         resid = (
-            lift_pair_value(lift, a, b)
-            + lift_pair_value(lift, a @ b, c)
-            - lift_pair_value(lift, a, b @ c)
+            lift_pair_value(lift, a.levels, b.levels)
+            + lift_pair_value(lift, (a @ b).levels, c.levels)
+            - lift_pair_value(lift, a.levels, (b @ c).levels)
         )
         assert np.max(np.abs(resid)) <= 1e-10
 
@@ -283,8 +280,8 @@ def test_lift_pair_value_is_bitwise_its_oneform():
     beta = lift.as_oneform(g)
     for i in range(8):
         for j in range(i + 1, 9):
-            inc = g.increment(i, j)
-            assert_bitwise(lift_pair_value(lift, g.points[i], inc), value_on_increment(beta, i, inc))
+            inc = increment_rows(g, i, j)
+            assert_bitwise(lift_pair_value(lift, g.points[i].levels, inc), value_on_increment(beta, i, inc))
 
 
 def test_lift_is_path_independent_at_group_level():
@@ -442,9 +439,9 @@ def test_form_algebra_is_pointwise():
     rng = np.random.default_rng(72)
     b1 = random_form(g, 2, rng)
     b2 = random_form(g, 2, rng)
-    arg = g.increment(1, 5)
-    lhs = form_value(b1 + 2.0 * b2 - b1, 3, g.points[3], arg)
-    rhs = 2.0 * form_value(b2, 3, g.points[3], arg)
+    arg = increment_rows(g, 1, 5)
+    lhs = form_value(b1 + 2.0 * b2 - b1, 3, g.points[3].levels, arg)
+    rhs = 2.0 * form_value(b2, 3, g.points[3].levels, arg)
     np.testing.assert_allclose(lhs, rhs, atol=1e-13)
 
 

@@ -24,9 +24,19 @@ from roughkit.path import (
     _best_partition_sum,
     _powered_gauge,
 )
-from roughkit.tensor import TruncatedTensor, certify_stack, homogeneous_norms, tensor_exp
+from roughkit.tensor import GroupElement, certify_stack, homogeneous_norms, stack_exp
 
-from conftest import assert_bitwise, cubic_problem, element_norm, level_tensor, reversed_path
+from conftest import (
+    assert_bitwise,
+    cubic_problem,
+    dilated,
+    element_norm,
+    increment_rows,
+    level_rows,
+    row,
+    rows_distance,
+    reversed_path,
+)
 from oracles import (
     control_band_loop,
     form_value,
@@ -35,6 +45,7 @@ from oracles import (
     pairwise_norm_table,
     per_point_lift,
     pvar_exhaustive,
+    series_exp_loop,
     superadditivity_loop,
 )
 
@@ -58,10 +69,10 @@ def random_polyline(rng, dim=2, n_pts=7, scale=0.6) -> SampledPath:
 def test_single_segment_signature_is_exponential():
     v = np.array([0.3, -0.7])
     g = signature(polyline([[0.0, 0.0], v]), 3)
-    expected = tensor_exp(level_tensor(2, 3, {1: v}))
+    expected = series_exp_loop(level_rows(2, 3, {1: v}))
     for k in range(4):
         np.testing.assert_allclose(
-            g.points[-1].level_block(k), expected.level_block(k), atol=1e-15
+            g.points[-1].level_block(k), expected[k], atol=1e-15
         )
 
 
@@ -92,7 +103,7 @@ def test_reversal_cancels_signature():
     path = random_polyline(rng)
     full = path.concatenated(reversed_path(path))
     end = signature(full, 3).points[-1]
-    assert (end.tensor - TruncatedTensor.unit(2, 3)).norm() <= 1e-12
+    assert rows_distance(end.levels, GroupElement.unit(2, 3).levels) <= 1e-12
 
 
 def test_chen_identity_under_concatenation():
@@ -102,7 +113,7 @@ def test_chen_identity_under_concatenation():
         b = random_polyline(rng, n_pts=6)
         joint = signature(a.concatenated(b), 3).points[-1]
         split = signature(a, 3).points[-1] @ signature(b, 3).points[-1]
-        assert (joint.tensor - split.tensor).norm() <= 1e-12
+        assert rows_distance(joint.levels, split.levels) <= 1e-12
 
 
 def test_concatenation_lays_the_time_steps_end_to_end():
@@ -129,7 +140,7 @@ def test_reparameterization_invariance():
     refined = SampledPath(tt, vv)
     end_a = signature(path, 3).points[-1]
     end_b = signature(refined, 3).points[-1]
-    assert (end_a.tensor - end_b.tensor).norm() <= 1e-12
+    assert rows_distance(end_a.levels, end_b.levels) <= 1e-12
 
 
 def test_signature_factorial_decay():
@@ -372,16 +383,16 @@ def test_dilate_by_one_is_identity():
     rng = np.random.default_rng(18)
     g = signature(random_polyline(rng), 3, p=3.0)
     h = g.dilate(1.0)
-    for a, b in zip(g.points, h.points):
-        assert (a.tensor - b.tensor).norm() == 0.0
+    for a, b in zip(g.levels, h.levels, strict=True):
+        assert np.array_equal(a, b)
 
 
 def test_dilate_scales_homogeneous_norm_linearly():
     rng = np.random.default_rng(19)
     g = signature(random_polyline(rng), 3, p=3.0)
     h = g.dilate(2.5)
-    inc_g = g.increment(1, 4)
-    inc_h = h.increment(1, 4)
+    inc_g = increment_rows(g, 1, 4)
+    inc_h = increment_rows(h, 1, 4)
     assert element_norm(inc_h) == pytest.approx(
         2.5 * element_norm(inc_g), rel=1e-12
     )
@@ -410,7 +421,7 @@ def test_dilate_rejects_nonpositive():
 def test_pure_area_zero_is_constant_identity():
     g = pure_area_path(0.0, 8)
     for pt in g.points:
-        assert (pt.tensor - TruncatedTensor.unit(2, 2)).norm() == 0.0
+        assert rows_distance(pt.levels, GroupElement.unit(2, 2).levels) == 0.0
 
 
 def test_pure_area_blocks():
@@ -432,7 +443,7 @@ def test_pure_area_is_limit_of_shrinking_circles():
     path = SampledPath(np.arange(pts.shape[0], dtype=float), pts)
     end = signature(path, 2).points[-1]
     target = pure_area_path(a, 1).points[-1]
-    assert (end.tensor - target.tensor).norm() <= 1e-3
+    assert rows_distance(end.levels, target.levels) <= 1e-3
 
 
 # -- CSV round trips and input validation -------------------------------------
@@ -517,8 +528,8 @@ def test_chen_consistency_of_stored_increments():
     rng = np.random.default_rng(23)
     g = signature(random_polyline(rng, n_pts=6), 3, p=3.0)
     for (s, u, t) in [(0, 2, 5), (1, 3, 4)]:
-        joined = g.increment(s, u) @ g.increment(u, t)
-        assert (joined.tensor - g.increment(s, t).tensor).norm() <= 1e-13
+        joined = GroupElement(increment_rows(g, s, u)) @ GroupElement(increment_rows(g, u, t))
+        assert rows_distance(joined.levels, increment_rows(g, s, t)) <= 1e-13
 
 
 def mixed_certificate_path(rng) -> SampledRoughPath:
@@ -702,7 +713,7 @@ def test_homogeneous_norm_is_bitwise_the_pairwise_table(seed, monkeypatch):
         norms = SampledRoughPath(g.times, g.levels, g.p, g.grouplike).pairwise_levels[0]
         assert norms.shape == s_idx.shape
         for j, (s, t) in enumerate(zip(s_idx, t_idx)):
-            assert element_norm(g.increment(s, t)) == norms[j]
+            assert element_norm(increment_rows(g, s, t)) == norms[j]
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
@@ -771,17 +782,65 @@ def test_signature_is_bitwise_the_per_point_lift(dim, level):
     assert all(np.array_equal(a, b) for a, b in zip(g.levels, ref, strict=True))
 
 
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n, d, level", [(300, 1, 1), (200, 2, 3), (100, 3, 4), (20, 2, 8), (2, 2, 12)])
+def test_lift_memory_estimate_bounds_the_lifts_peak(n, d, level, monkeypatch):
+    """`signature` counts 12 stacks of N+1 rows of S + 8(L+1) floats, S the
+    floats of levels 0..L, before it allocates anything: one byte over
+    physical memory it refuses, and at it the lift's traced peak stays
+    within the count, small rows with their per-point arrays and large rows
+    alike."""
+    path = random_polyline(np.random.default_rng(38), dim=d, n_pts=n + 1)
+    need = 12 * (n + 1) * (sum(d**k for k in range(level + 1)) + 8 * (level + 1)) * 8
+    monkeypatch.setattr(roughkit.path, "_physical_memory_bytes", lambda: need - 1)
+    with pytest.raises(ValueError, match=f"needs about {need:,} bytes, more than the {need - 1:,} bytes"):
+        signature(path, level)
+    monkeypatch.setattr(roughkit.path, "_physical_memory_bytes", lambda: need)
+    assert traced_peak(signature, path, level) <= need
+
+
+@pytest.mark.parametrize("steps", [8, 320, 5000])
+def test_pure_area_memory_estimate_bounds_its_peak(steps, monkeypatch):
+    need = 12 * (steps + 1) * (7 + 8 * 3) * 8
+    monkeypatch.setattr(roughkit.path, "_physical_memory_bytes", lambda: need - 1)
+    with pytest.raises(ValueError, match=f"signature lift of {steps + 1} grid points \\(d=2, level 2\\) needs about {need:,}"):
+        pure_area_path(0.35, steps)
+    monkeypatch.setattr(roughkit.path, "_physical_memory_bytes", lambda: need)
+    assert traced_peak(pure_area_path, 0.35, steps) <= need
+
+
+def test_each_lift_step_is_one_trusted_group_product():
+    """The lift's contract: row i+1 of `levels` is bitwise point i times the
+    exponential of step i, wrapped without a second certificate."""
+    path = random_polyline(np.random.default_rng(37), dim=3, n_pts=12, scale=0.4)
+    g = signature(path, 3)
+    lie = [np.zeros((path.num_steps, 3**k)) for k in range(4)]
+    lie[1] = path.increments()
+    segs = stack_exp(tuple(lie))
+    for i in range(path.num_steps):
+        step = GroupElement._trusted(row(segs, i), True)
+        got = (g.points[i] @ step).levels
+        assert all(np.array_equal(x.view(np.uint64), y.view(np.uint64)) for x, y in zip(got, row(g.levels, i + 1), strict=True))
+
+
 def test_pure_area_and_dilate_are_bitwise_the_per_point_versions():
     area, steps = 0.35, 6
     g = pure_area_path(area, steps)
     gen = np.array([0.0, 1.0, -1.0, 0.0])
     for k, pt in enumerate(g.points):
-        lie = level_tensor(2, 2, {2: (k / steps) * area * gen})
-        ref = tensor_exp(lie)
-        assert all(np.array_equal(pt.level_block(j), ref.level_block(j)) for j in range(3))
+        ref = series_exp_loop(level_rows(2, 2, {2: (k / steps) * area * gen}))
+        assert all(np.array_equal(pt.level_block(j), ref[j]) for j in range(3))
     lift = signature(random_polyline(np.random.default_rng(35)), 3)
     for pt, lift_pt in zip(lift.dilate(2.5).points, lift.points):
-        ref = lift_pt.dilate(2.5)
+        ref = GroupElement(dilated(lift_pt.levels, 2.5), grouplike=True)
         assert pt.grouplike and ref.grouplike
         assert all(np.array_equal(pt.level_block(j), ref.level_block(j)) for j in range(4))
 
@@ -881,20 +940,17 @@ def test_loop_lifts_pass_the_certificate(seed, d, radius):
 
 
 def test_single_element_increments_of_a_large_loop_are_its_certified_rows():
-    """`increment`, and a one-form evaluated on it, certify at the path's
-    scale, as `increment_levels` does, so a loop's returning point is
-    accepted there too; both agree bitwise with the `increment_levels` row."""
+    """`increment_levels` certifies a pair at the path's scale, so a loop's
+    returning point is accepted there, and a one-form evaluated on that row
+    as a single element agrees bitwise with `pair_values` on it."""
     for seed in range(10):
         g = signature(_loop(np.random.default_rng(seed), 1e3), 3)
         n = g.num_steps
-        row = g.increment_levels([0], [n])
-        inc = g.increment(0, n)
-        for k in range(g.level + 1):
-            assert_bitwise(inc.level_block(k), row[k][0])
+        inc = g.increment_levels([0], [n])
         # g_n^{-1} g_n has scalar part exactly 1, so level 1 of the argument is pi_1(inc)
         beta = OneFormPath.constant_linear(g, np.eye(g.dim))
-        got = form_value(beta, n, g.points[n], inc)
-        assert_bitwise(got, beta.pair_values([n], row[1:])[0])
+        got = form_value(beta, n, g.points[n].levels, row(inc, 0))
+        assert_bitwise(got, beta.pair_values([n], inc[1:])[0])
 
 
 def test_restriction_keeps_the_certified_rows_of_a_large_loop():

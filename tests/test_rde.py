@@ -25,7 +25,7 @@ from roughkit.rde import (
     solve,
     uniqueness_probe,
 )
-from roughkit.tensor import DimensionMismatchError, tensor_exp
+from roughkit.tensor import DimensionMismatchError
 
 from conftest import (
     AREA_A1,
@@ -38,7 +38,8 @@ from conftest import (
     cubic_problem,
     exp_field,
     exp_problem,
-    level_tensor,
+    dilated,
+    level_rows,
     linear_vector_field,
     perturbed_probe_driver,
     probe_problem,
@@ -51,6 +52,7 @@ from oracles import (
     product_form_two_branch,
     pushforward_dilate,
     rk4_polyline,
+    series_exp_loop,
 )
 
 
@@ -487,9 +489,9 @@ def test_rescaled_form_agrees_on_dilated_arguments(probe_solutions):
     rng = np.random.default_rng(3)
     for _ in range(10):
         i = int(rng.integers(0, n))
-        v = tensor_exp(level_tensor(1, 3, {1: 0.3 * rng.standard_normal(1)}))
+        v = series_exp_loop(level_rows(1, 3, {1: 0.3 * rng.standard_normal(1)}))
         lhs = form_value(base.form, i, v, v)
-        rhs = form_value(other.form, i, v.dilate(c), v.dilate(c))
+        rhs = form_value(other.form, i, dilated(v, c), dilated(v, c))
         assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
 

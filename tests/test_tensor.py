@@ -9,30 +9,39 @@ from roughkit.path import SampledPath, signature
 from roughkit.tensor import (
     DimensionMismatchError,
     GroupElement,
-    TruncatedTensor,
     certify_stack,
     letter_major_views,
     split_matrix,
+    stack_exp,
     stack_inverse,
     stack_product,
     sum_squares,
-    tensor_exp,
-    tensor_log,
 )
 
-from conftest import assert_bitwise, element_norm, level_tensor
+from conftest import (
+    algebra_norms,
+    assert_bitwise,
+    dilated,
+    element_norm,
+    level_rows,
+    one_row,
+    row,
+    rows_distance,
+)
 from oracles import (
     graded_product_loop,
     rebracket_product_rhs,
     series_inverse_loop,
+    series_log_loop,
     stack_product_loop,
 )
 
 
 def basis(i, dim, level):
+    """Level rows of the letter e_i, zero at every other degree, the scalar included."""
     v = np.zeros(dim)
     v[i] = 1.0
-    return level_tensor(dim, level, {1: v})
+    return level_rows(dim, level, {1: v})
 
 
 def random_signature(rng, dim=3, level=4, n_pts=6) -> GroupElement:
@@ -42,27 +51,30 @@ def random_signature(rng, dim=3, level=4, n_pts=6) -> GroupElement:
     return signature(SampledPath(t, pts), level).points[-1]
 
 
-def random_tensor(rng, dim, level, from_level=0) -> TruncatedTensor:
-    return level_tensor(
-        dim,
-        level,
-        {k: rng.standard_normal(dim**k) for k in range(from_level, level + 1)},
+def random_stack(rng, n, dim, level, from_level=0) -> tuple[np.ndarray, ...]:
+    """n random elements, not unital; levels below from_level are zero."""
+    return tuple(
+        rng.standard_normal((n, dim**k)) if k >= from_level else np.zeros((n, dim**k))
+        for k in range(level + 1)
     )
 
 
+def exp_rows(lie):
+    """`stack_exp` of one element's level rows with zero scalar part."""
+    return row(stack_exp(one_row(lie)), 0)
+
+
 def assert_close(a, b, tol=1e-12):
-    """Same algebra, every coefficient within tol."""
-    assert (a.dim, a.level) == (b.dim, b.level)
-    for x, y in zip(a.coeffs, b.coeffs):
+    """Same shapes at every degree, every coefficient within tol."""
+    assert [np.shape(x) for x in a] == [np.shape(y) for y in b]
+    for x, y in zip(a, b):
         assert np.max(np.abs(x - y), initial=0.0) <= tol
 
 
 def test_product_of_one_plus_basis_vectors():
-    one = TruncatedTensor.unit(2, 2)
-    e1 = basis(0, 2, 2)
-    e2 = basis(1, 2, 2)
-    prod = (one + e1) @ (one + e2)
-    assert prod.scalar == 1.0
+    one_plus = [GroupElement(level_rows(2, 2, {0: np.ones(1), 1: v})) for v in np.eye(2)]
+    prod = one_plus[0] @ one_plus[1]
+    assert prod.level_block(0)[0] == 1.0
     np.testing.assert_allclose(prod.level_block(1), [1.0, 1.0])
     np.testing.assert_allclose(
         prod.level_block(2), [0.0, 1.0, 0.0, 0.0], atol=0.0
@@ -71,67 +83,58 @@ def test_product_of_one_plus_basis_vectors():
 
 def test_multiplication_by_unit_is_identity():
     rng = np.random.default_rng(0)
-    for _ in range(10):
-        a = random_tensor(rng, dim=3, level=3)
-        one = TruncatedTensor.unit(3, 3)
-        assert_close(a @ one, a)
-        assert_close(one @ a, a)
+    a = random_stack(rng, 10, dim=3, level=3)
+    one = one_row(GroupElement.unit(3, 3).levels)
+    assert_close(stack_product(a, one), a)
+    assert_close(stack_product(one, a), a)
 
 
 def test_commuting_exponentials_add():
     e1 = basis(0, 2, 3)
-    prod = tensor_exp(e1) @ tensor_exp(e1)
-    double = tensor_exp(e1 * 2.0)
+    prod = stack_product(one_row(exp_rows(e1)), one_row(exp_rows(e1)))
+    double = exp_rows(tuple(2.0 * x for x in e1))
     for k in range(4):
-        np.testing.assert_allclose(
-            prod.level_block(k), double.level_block(k), atol=1e-14
-        )
+        np.testing.assert_allclose(prod[k][0], double[k], atol=1e-14)
 
 
 def test_exp_of_zero_is_unit():
-    z = TruncatedTensor.zero(2, 2)
-    assert_close(tensor_exp(z).tensor, TruncatedTensor.unit(2, 2))
+    assert_close(exp_rows(level_rows(2, 2, {})), GroupElement.unit(2, 2).levels)
 
 
 def test_log_exp_round_trip():
-    v = basis(0, 2, 3) + basis(1, 2, 3)
-    back = tensor_log(tensor_exp(v))
+    v = level_rows(2, 3, {1: np.ones(2)})
+    back = series_log_loop(exp_rows(v))
     for k in range(4):
-        np.testing.assert_allclose(
-            back.level_block(k), v.level_block(k), atol=1e-14
-        )
+        np.testing.assert_allclose(back[k], v[k], atol=1e-14)
 
 
 def test_exp_series_truncation():
-    a = tensor_exp(basis(0, 2, 2))
-    assert a.tensor.scalar == 1.0
-    np.testing.assert_allclose(a.level_block(1), [1.0, 0.0])
-    np.testing.assert_allclose(a.level_block(2), [0.5, 0.0, 0.0, 0.0])
+    a = exp_rows(basis(0, 2, 2))
+    assert a[0][0] == 1.0
+    np.testing.assert_allclose(a[1], [1.0, 0.0])
+    np.testing.assert_allclose(a[2], [0.5, 0.0, 0.0, 0.0])
 
 
 def test_inverse_of_unit():
-    one = GroupElement(TruncatedTensor.unit(2, 2))
-    assert_close(one.inverse().tensor, one.tensor)
+    one = GroupElement.unit(2, 2)
+    assert_close(one.inverse().levels, one.levels)
 
 
 def test_inverse_of_exponential_negates():
     rng = np.random.default_rng(1)
-    v = random_tensor(rng, dim=2, level=3, from_level=1)
-    inv = tensor_exp(v).inverse()
-    neg = tensor_exp(-v)
+    v = row(random_stack(rng, 1, dim=2, level=3, from_level=1), 0)
+    inv = GroupElement(exp_rows(v)).inverse()
+    neg = exp_rows(tuple(-x for x in v))
     for k in range(4):
-        np.testing.assert_allclose(
-            inv.level_block(k), neg.level_block(k), atol=1e-13
-        )
+        np.testing.assert_allclose(inv.level_block(k), neg[k], atol=1e-13)
 
 
 def test_inverse_cancels_on_random_signatures():
     rng = np.random.default_rng(2)
-    one = TruncatedTensor.unit(3, 4)
+    one = GroupElement.unit(3, 4).levels
     for _ in range(100):
         a = random_signature(rng)
-        prod = (a @ a.inverse()).tensor
-        assert (prod - one).norm() <= 1e-12
+        assert rows_distance((a @ a.inverse()).levels, one) <= 1e-12
 
 
 def stack_of(elems) -> tuple[np.ndarray, ...]:
@@ -147,8 +150,8 @@ def test_stack_kernel_is_bitwise_the_loop_arithmetic():
     inv = stack_inverse(stack_of(elems))
     prod = stack_product(stack_of(elems), stack_of(others))
     for i, (g, h) in enumerate(zip(elems, others)):
-        ref_inv = series_inverse_loop(g.tensor.coeffs)
-        ref_prod = graded_product_loop(g.tensor.coeffs, h.tensor.coeffs)
+        ref_inv = series_inverse_loop(g.levels)
+        ref_prod = graded_product_loop(g.levels, h.levels)
         for k in range(g.level + 1):
             assert np.array_equal(inv[k][i], ref_inv[k])
             assert np.array_equal(inv[k][i], g.inverse().level_block(k))
@@ -268,7 +271,7 @@ def test_row_major_operands_give_c_contiguous_levels():
         assert all(x.flags.c_contiguous for x in stack_product(u, v))
     # the one-row products of the object lift
     g, h = random_signature(rng), random_signature(rng)
-    assert all(x.flags.c_contiguous for x in stack_product(g.tensor._stack(), h.tensor._stack()))
+    assert all(x.flags.c_contiguous for x in stack_product(one_row(g.levels), one_row(h.levels)))
 
 
 def test_sum_squares_is_bitwise_numpys_norm_in_either_layout():
@@ -317,10 +320,9 @@ def test_batched_certificate_matches_per_element(rows):
     tensors, selected = [], []
     for seed, eps, c, keep in rows:
         rng = np.random.default_rng(seed)
-        t = random_signature(rng, dim=2, level=3).tensor.dilate(c)
-        blocks = dict(enumerate(t.coeffs))
+        blocks = list(dilated(random_signature(rng, dim=2, level=3).levels, c))
         blocks[2] = blocks[2] + eps * rng.standard_normal(4)
-        tensors.append(level_tensor(2, 3, blocks))
+        tensors.append(tuple(blocks))
         selected.append(keep)
     per_element = [
         _verdict(lambda t=t: GroupElement(t, grouplike=True)) for t in tensors
@@ -336,8 +338,7 @@ def test_inverse_identity_bound_is_relative_to_the_row():
     """A row whose product with its series inverse misses the unit by more
     than 1e-12 (1 + size**k) at some level k fails the inverse identity."""
     rng = np.random.default_rng(5)
-    g = random_signature(rng, dim=2, level=3).tensor.dilate(1e3)
-    stack = tuple(b[None, :] for b in g.coeffs)
+    stack = one_row(dilated(random_signature(rng, dim=2, level=3).levels, 1e3))
     certify_stack(stack)
     off_unit = (stack[0] * (1.0 + 1e-9),) + stack[1:]
     with pytest.raises(ValueError, match="group-like certificate failed: inverse identity"):
@@ -345,19 +346,19 @@ def test_inverse_identity_bound_is_relative_to_the_row():
 
 
 def test_homogeneous_norm_of_unit_is_zero():
-    assert element_norm(GroupElement(TruncatedTensor.unit(2, 2))) == 0.0
+    assert element_norm(GroupElement.unit(2, 2).levels) == 0.0
 
 
 def test_homogeneous_norm_of_segment_exponential():
-    val = element_norm(tensor_exp(basis(0, 2, 2)))
+    val = element_norm(exp_rows(basis(0, 2, 2)))
     assert val == pytest.approx(1.0 + 0.5**0.5, abs=1e-14)
 
 
 def test_homogeneous_norm_dilation_homogeneity():
     rng = np.random.default_rng(3)
     for lam in (0.3, 2.0, 4.0):
-        a = random_signature(rng)
-        assert element_norm(a.dilate(lam)) == pytest.approx(
+        a = random_signature(rng).levels
+        assert element_norm(dilated(a, lam)) == pytest.approx(
             lam * element_norm(a), rel=1e-12
         )
 
@@ -367,10 +368,11 @@ def test_associativity(seed):
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(1, 4))
     level = int(rng.integers(2, 5))
-    a, b, c = (random_tensor(rng, dim, level) for _ in range(3))
-    left = (a @ b) @ c
-    right = a @ (b @ c)
-    assert (left - right).norm() <= 1e-12 * max(1.0, left.norm())
+    a, b, c = (random_stack(rng, 4, dim, level) for _ in range(3))
+    left = stack_product(stack_product(a, b), c)
+    right = stack_product(a, stack_product(b, c))
+    gap = algebra_norms([x - y for x, y in zip(left, right)])
+    assert np.all(gap <= 1e-12 * np.maximum(1.0, algebra_norms(left)))
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -379,46 +381,86 @@ def test_grading_of_products(seed):
     changes nothing at level k."""
     rng = np.random.default_rng(seed)
     level = 4
-    a, b = (random_tensor(rng, dim=2, level=level) for _ in range(2))
+    a, b = (random_stack(rng, 4, dim=2, level=level) for _ in range(2))
     k = int(rng.integers(1, level + 1))
-    full = (a @ b).level_block(k)
+    full = stack_product(a, b)[k]
 
     def chop(t):
-        return level_tensor(2, level, {j: t.level_block(j) for j in range(k + 1)})
+        return tuple(x if j <= k else np.zeros_like(x) for j, x in enumerate(t))
 
-    np.testing.assert_allclose(
-        (chop(a) @ chop(b)).level_block(k), full, atol=1e-13
-    )
+    np.testing.assert_allclose(stack_product(chop(a), chop(b))[k], full, atol=1e-13)
 
 
 def test_exp_log_bijection_on_slices():
+    """The library's exponential against the loop oracle of the log series,
+    both ways round."""
     rng = np.random.default_rng(4)
     for _ in range(20):
-        v = random_tensor(rng, dim=3, level=3, from_level=1)
-        assert (tensor_log(tensor_exp(v)) - v).norm() <= 1e-13
-        a = random_signature(rng, dim=3, level=3)
-        redone = tensor_exp(tensor_log(a)).tensor
-        assert (redone - a.tensor).norm() <= 1e-13
+        v = row(random_stack(rng, 1, dim=3, level=3, from_level=1), 0)
+        assert rows_distance(series_log_loop(exp_rows(v)), v) <= 1e-13
+        a = random_signature(rng, dim=3, level=3).levels
+        assert rows_distance(exp_rows(series_log_loop(a)), a) <= 1e-13
 
 
 def test_norm_submultiplicative_up_to_pinned_constant():
     """The per-level Euclidean norms are admissible only up to a
     combinatorial constant; 4.1 covers every level pair at L = 4."""
     rng = np.random.default_rng(5)
-    worst = 0.0
-    for _ in range(50):
-        a, b = (random_tensor(rng, dim=2, level=4) for _ in range(2))
-        worst = max(worst, (a @ b).norm() / (a.norm() * b.norm()))
+    a, b = (random_stack(rng, 50, dim=2, level=4) for _ in range(2))
+    worst = np.max(algebra_norms(stack_product(a, b)) / (algebra_norms(a) * algebra_norms(b)))
     assert worst <= 4.1
 
 
-def test_dimension_mismatch_rejected():
-    a = TruncatedTensor.unit(2, 2)
-    b = TruncatedTensor.unit(3, 2)
-    with pytest.raises(DimensionMismatchError):
-        a @ b
-    with pytest.raises(DimensionMismatchError):
-        a + TruncatedTensor.unit(2, 3)
+# -- the single-element class ---------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "levels, error, match",
+    [
+        ((np.ones(1),), ValueError, "L >= 1"),
+        ((np.ones(1), np.zeros(0)), ValueError, "dim must be >= 1"),
+        ((np.ones(1), np.zeros(2), np.zeros(3)), DimensionMismatchError, "level-2 block has 3 entries, expected 4"),
+        ((np.ones(1), np.array([0.0, np.inf])), ValueError, "level-1 block contains non-finite entries"),
+        ((np.ones(1), np.array([np.nan, 0.0]), np.zeros(4)), ValueError, "level-1 block contains non-finite"),
+        ((np.array([np.nextafter(1.0, 2.0)]), np.zeros(2)), ValueError, "scalar part exactly 1"),
+        ((np.zeros(1), np.zeros(2)), ValueError, "scalar part exactly 1"),
+    ],
+    ids=["no-level-1", "dim-0", "block-size", "inf", "nan", "scalar-ulp", "scalar-0"],
+)
+def test_group_element_refuses_malformed_levels(levels, error, match):
+    with pytest.raises(error, match=match):
+        GroupElement(levels)
+
+
+def test_group_element_certificate_refuses_a_broken_shuffle_relation():
+    """Level 2 of 1 + e1 + e1 x e1/2 is its symmetric part; 1e-3 off it, the
+    flag is refused while the uncertified element is accepted."""
+    levels = level_rows(2, 2, {0: np.ones(1), 1: np.array([1.0, 0.0]), 2: np.array([0.5, 0.0, 0.0, 0.0])})
+    assert GroupElement(levels, grouplike=True).grouplike
+    broken = levels[:2] + (levels[2] + np.array([1e-3, 0.0, 0.0, 0.0]),)
+    assert not GroupElement(broken).grouplike
+    with pytest.raises(ValueError, match="group-like certificate failed: level-2 shuffle relation"):
+        GroupElement(broken, grouplike=True)
+
+
+def test_group_element_copies_and_freezes_its_levels():
+    levels = [np.ones(1), np.array([0.5, -0.5]), np.zeros(4)]
+    g = GroupElement(levels)
+    levels[1][0] = 7.0
+    assert g.level_block(1)[0] == 0.5 and (g.dim, g.level) == (2, 2)
+    assert not any(x.flags.writeable for x in g.levels)
+
+
+@pytest.mark.parametrize("other", [(3, 2), (2, 3), (1, 2)])
+def test_dimension_mismatch_rejected(other):
+    with pytest.raises(DimensionMismatchError, match="cannot combine"):
+        GroupElement.unit(2, 2) @ GroupElement.unit(*other)
+
+
+def test_group_product_that_overflows_is_refused():
+    big = GroupElement(level_rows(2, 2, {0: np.ones(1), 1: np.full(2, 1e200)}))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="level-2 block contains non-finite"):
+        big @ big
 
 
 # -- last-letter rebracketing (the final-integration extractor) --------------
@@ -431,14 +473,14 @@ def lls_blocks(g: GroupElement) -> dict:
 
 
 def test_rebracket_of_unit_vanishes():
-    one = GroupElement(TruncatedTensor.unit(3, 3))
+    one = GroupElement.unit(3, 3)
     for block in lls_blocks(one).values():
         np.testing.assert_array_equal(block, np.zeros_like(block))
 
 
 def test_rebracket_of_segment_matches_quadrature():
     """On exp(e1) the rebracketed level-2 block is int_0^1 u du e1 (x) e1."""
-    a = tensor_exp(basis(0, 2, 2))
+    a = GroupElement(exp_rows(basis(0, 2, 2)))
     u = np.linspace(0.0, 1.0, 20001)
     quad = np.trapezoid(u, u)
     block = lls_blocks(a)[1]
