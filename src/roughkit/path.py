@@ -332,13 +332,8 @@ class SampledRoughPath:
         widths = [self.dim**k for k in range(self.level + 1)]
         entries = max((s1 - s0) * (self.num_steps - s0) for s0, s1 in self._row_blocks())
         floats = entries * (sum(widths) + widths[-1])
-        need, have = (held + copies * floats) * 8, _physical_memory_bytes()
-        if have is not None and need > have:
-            raise ValueError(
-                f"pair geometry of {self.times.size} grid points (d={self.dim}, level "
-                f"{self.level}) needs about {need:,} bytes, more than the "
-                f"{have:,} bytes of physical memory; use a coarser grid"
-            )
+        what = f"pair geometry of {self.times.size} grid points (d={self.dim}, level {self.level})"
+        _refuse_over_memory(what, (held + copies * floats) * 8, "a coarser grid")
         return np.empty((copies, floats))
 
     @cached_property
@@ -410,6 +405,14 @@ def _physical_memory_bytes() -> int | None:
         return None
 
 
+def _refuse_over_memory(what: str, need: int, remedy: str) -> None:
+    """ValueError when `need` bytes for `what` exceed physical memory."""
+    have = _physical_memory_bytes()
+    if have is not None and need > have:
+        tail = f"more than the {have:,} bytes of physical memory; use {remedy}"
+        raise ValueError(f"{what} needs about {need:,} bytes, {tail}")
+
+
 def _check_lift_memory(points: int, dim: int, level: int) -> None:
     """Refuse, before anything is allocated, a lift of `points` grid points
     whose level stacks do not fit in physical memory.  tracemalloc puts the
@@ -418,16 +421,10 @@ def _check_lift_memory(points: int, dim: int, level: int) -> None:
     is large, and where it is small the per-point elements' objects and
     array headers, about 8 floats a level of each row.  The few tens of kB
     that any lift costs are not counted."""
-    have = _physical_memory_bytes()
     # past 64 levels at d >= 2 no memory holds one row
     size = level + 1 if dim == 1 else (dim ** min(level + 1, 64) - 1) // (dim - 1)
-    need = 12 * points * (size + 8 * (level + 1)) * 8
-    if have is not None and need > have:
-        raise ValueError(
-            f"signature lift of {points} grid points (d={dim}, level {level}) needs "
-            f"about {need:,} bytes, more than the {have:,} bytes of physical memory; "
-            f"use a lower level or a coarser grid"
-        )
+    what = f"signature lift of {points} grid points (d={dim}, level {level})"
+    _refuse_over_memory(what, 12 * points * (size + 8 * (level + 1)) * 8, "a lower level or a coarser grid")
 
 
 def p_variation(g: SampledRoughPath, i0: int = 0, i1: int | None = None) -> float:

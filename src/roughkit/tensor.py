@@ -227,7 +227,7 @@ def certify_stack(
         raise ValueError(f"group-like certificate failed: {what}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupElement:
     """Unital element of the truncated algebra, optionally certified group-like.
 
@@ -235,7 +235,7 @@ class GroupElement:
     L >= 1, stored read-only.  The scalar part must be exactly 1.  With
     `grouplike=True` the level-2 shuffle relation and the inverse identity
     are checked at construction, so the flag really is a certificate rather
-    than a label.
+    than a label.  Equality and hashing are by identity.
     """
 
     levels: tuple[np.ndarray, ...] = field(repr=False)

@@ -12,7 +12,7 @@ from hypothesis import settings
 
 import roughkit
 from roughkit.funcs import LipFunction, PolyMap
-from roughkit.path import SampledPath, SampledRoughPath, pure_area_path, signature
+from roughkit.path import SampledPath, SampledRoughPath, _element_views, pure_area_path, signature
 from roughkit.rde import RdeProblem, continuity_probe, rescale_problem, solve
 from roughkit.tensor import homogeneous_norms
 
@@ -67,6 +67,13 @@ def increment_rows(g: SampledRoughPath, i: int, j: int) -> tuple[np.ndarray, ...
     """g_i^{-1} g_j as flat level rows: the row of `increment_levels([i], [j])`,
     certified at the path's shuffle scale rather than its own size."""
     return row(g.increment_levels([i], [j]), 0)
+
+
+def increment_element(g: SampledRoughPath, i: int, j: int):
+    """g_i^{-1} g_j as a GroupElement over its `increment_rows`, carrying the
+    certificate flag of both ends as `points` carries each point's, so that
+    products of such elements run `certify_stack`."""
+    return _element_views(g.increment_levels([i], [j]), g.grouplike[[i]] & g.grouplike[[j]])[0]
 
 
 def element_norm(levels) -> float:

@@ -39,6 +39,7 @@ from roughkit.tensor import (
 from conftest import (
     assert_bitwise,
     cubic_problem,
+    increment_element,
     increment_rows,
     level_rows,
     linear_vector_field,
@@ -125,8 +126,9 @@ def test_cocycle_identity_on_random_triples():
     rng = np.random.default_rng(52)
     for _ in range(20):
         i, j, k = sorted(rng.choice(np.arange(9), size=3, replace=False))
-        a = GroupElement(increment_rows(g, 0, i)) if i > 0 else g.points[0]
-        b, c = GroupElement(increment_rows(g, i, j)), GroupElement(increment_rows(g, j, k))
+        a = increment_element(g, 0, i) if i > 0 else g.points[0]
+        b, c = increment_element(g, i, j), increment_element(g, j, k)
+        assert (a @ b).grouplike and (b @ c).grouplike
         lhs = form_value(beta, 2, a.levels, b.levels) + form_value(beta, 2, (a @ b).levels, c.levels)
         rhs = form_value(beta, 2, a.levels, (b @ c).levels)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
@@ -257,7 +259,8 @@ def test_lift_cocyclicity_on_grouplike_triples():
     for _ in range(20):
         i, j, k = sorted(rng.choice(np.arange(9), size=3, replace=False))
         a = g.points[i]
-        b, c = GroupElement(increment_rows(g, i, j)), GroupElement(increment_rows(g, j, k))
+        b, c = increment_element(g, i, j), increment_element(g, j, k)
+        assert (a @ b).grouplike and (b @ c).grouplike
         resid = (
             lift_pair_value(lift, a.levels, b.levels)
             + lift_pair_value(lift, (a @ b).levels, c.levels)

@@ -31,6 +31,7 @@ from conftest import (
     cubic_problem,
     dilated,
     element_norm,
+    increment_element,
     increment_rows,
     level_rows,
     row,
@@ -528,7 +529,8 @@ def test_chen_consistency_of_stored_increments():
     rng = np.random.default_rng(23)
     g = signature(random_polyline(rng, n_pts=6), 3, p=3.0)
     for (s, u, t) in [(0, 2, 5), (1, 3, 4)]:
-        joined = GroupElement(increment_rows(g, s, u)) @ GroupElement(increment_rows(g, u, t))
+        joined = increment_element(g, s, u) @ increment_element(g, u, t)
+        assert joined.grouplike
         assert rows_distance(joined.levels, increment_rows(g, s, t)) <= 1e-13
 
 

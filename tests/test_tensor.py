@@ -451,6 +451,11 @@ def test_group_element_copies_and_freezes_its_levels():
     assert not any(x.flags.writeable for x in g.levels)
 
 
+def test_group_elements_compare_and_hash_by_identity():
+    a, b = GroupElement.unit(2, 2), GroupElement.unit(2, 2)
+    assert a == a and a != b and len({a, a, b}) == 2
+
+
 @pytest.mark.parametrize("other", [(3, 2), (2, 3), (1, 2)])
 def test_dimension_mismatch_rejected(other):
     with pytest.raises(DimensionMismatchError, match="cannot combine"):
