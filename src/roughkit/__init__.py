@@ -32,12 +32,11 @@ from .integrate import (
     young_integral,
 )
 from .oneform import (
-    ClosedLift,
     DominationCertificate,
     OneFormPath,
     check_domination,
+    closed_lift_form,
     integral_form_from_controlled,
-    lift_polynomial_form,
 )
 from .path import (
     Control,
@@ -75,7 +74,6 @@ from .tensor import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClosedLift",
     "ContinuityReport",
     "Control",
     "DecayReport",
@@ -97,6 +95,7 @@ __all__ = [
     "TowerReport",
     "UniquenessReport",
     "check_domination",
+    "closed_lift_form",
     "compose_integrand",
     "continuity_probe",
     "control_from_pvar",
@@ -108,7 +107,6 @@ __all__ = [
     "fixed_point_residual",
     "integral_form_from_controlled",
     "integrate_controlled",
-    "lift_polynomial_form",
     "pure_area_path",
     "read_path_csv",
     "rescale_problem",

@@ -21,7 +21,7 @@ import numpy as np
 
 from .funcs import FieldSpecError, LipFunction, PolyMap, field_from_json
 from .integrate import RegularityError, compose_integrand, rough_integral
-from .oneform import OneFormPath, lift_polynomial_form
+from .oneform import OneFormPath, closed_lift_form
 from .path import (
     PathFormatError,
     pure_area_path,
@@ -153,9 +153,7 @@ def cmd_integrate(args) -> int:
         )
     exact_lift = isinstance(fmap, PolyMap) and fmap.degree <= driver.level - 1
     if exact_lift:
-        beta = lift_polynomial_form(fmap, driver.level, start).as_oneform(
-            driver
-        )
+        beta = closed_lift_form(fmap, driver, start)
         route = "closed-lift"
     else:
         f = LipFunction(fmap, gamma=gamma, radius=args.radius)
@@ -165,8 +163,14 @@ def cmd_integrate(args) -> int:
     from .path import control_from_pvar
 
     omega = control_from_pvar(driver)
-    result = rough_integral(beta, gamma=gamma, omega=omega)
-    certified = bool(result.certified)
+    if gamma <= driver.p - 1.0:
+        raise ValueError(
+            f"gamma = {gamma} is not above p - 1 = {driver.p - 1.0}; "
+            "the compensated sums have no meaning there"
+        )
+    result = rough_integral(beta)
+    norm = beta.operator_norm(gamma, omega)
+    certified = bool(np.isfinite(norm) and gamma > driver.p)
     _emit_json(
         {
             "schema": SCHEMA,
@@ -176,7 +180,7 @@ def cmd_integrate(args) -> int:
             "route": route,
             "total": result.total,
             "discrepancy": result.discrepancy,
-            "operator_norm": result.operator_norm,
+            "operator_norm": norm,
             "certified": certified,
             "uncertified": not certified,
         },

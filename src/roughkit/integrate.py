@@ -39,9 +39,6 @@ class IntegralResult:
     times: np.ndarray
     values: np.ndarray
     discrepancy: float
-    certified: bool | None = None
-    operator_norm: float | None = None
-    gamma: float | None = None
 
     @property
     def total(self) -> np.ndarray:
@@ -88,36 +85,18 @@ def _discrepancy(values: np.ndarray, coarse_steps: np.ndarray) -> float:
     return float(np.linalg.norm(values[-1] - np.cumsum(coarse_steps, axis=0)[-1]))
 
 
-def rough_integral(
-    beta: OneFormPath,
-    gamma: float | None = None,
-    omega: Control | None = None,
-) -> IntegralResult:
+def rough_integral(beta: OneFormPath) -> IntegralResult:
     """Integral of a one-form along its base path.
 
     Cumulative left sums of beta_{t_k}(g_{t_k}, g_{t_k,t_{k+1}}); the
-    half-grid sum provides the discrepancy.  When gamma and a control are
-    supplied the operator norm is evaluated and the result is certified iff
-    the norm is finite and gamma > p.
+    half-grid sum provides the discrepancy.  The caller certifies the sums:
+    they converge when the form's `operator_norm` at some gamma > p is finite.
     """
     base = beta.base
-    if gamma is not None and gamma <= base.p - 1.0:
-        raise ValueError(
-            f"gamma = {gamma} is not above p - 1 = {base.p - 1.0}; "
-            "the compensated sums have no meaning there"
-        )
     values = beta.integral_values()
     starts, _ = _coarse_pairs(base.num_steps)
     disc = _discrepancy(values, beta.pair_values(starts, base.half_step_level_blocks))
-
-    certified = None
-    norm = None
-    if gamma is not None and omega is not None:
-        norm = beta.operator_norm(gamma, omega)
-        certified = bool(np.isfinite(norm) and gamma > base.p)
-    return IntegralResult(
-        base.times, values, disc, certified=certified, operator_norm=norm, gamma=gamma
-    )
+    return IntegralResult(base.times, values, disc)
 
 
 def taylor_oneform(
@@ -237,7 +216,7 @@ def integrate_controlled(
         resid[t <= s] = 0.0
         worst = max(worst, _pair_quotient(resid.reshape(-1), omega.at(s, t).reshape(-1), gamma / base.p)[0])
     measured_M = worst / beta_norm if beta_norm > 0.0 else 0.0
-    result = rough_integral(eta, gamma=gamma + 1.0, omega=omega)
+    result = rough_integral(eta)
     diagnostics = {
         "beta_norm": beta_norm,
         "controlled_quotient": worst,

@@ -6,8 +6,8 @@ That representation makes the additive cocycle identity structural, so the
 interesting content is in the norms: the level-wise operator norm with
 control-weighted difference quotients, and the domination certificate.
 
-Also here: the closed lift of a polynomial form, which integrates polynomial
-one-forms exactly along group elements.
+Also here: the closed lift of a polynomial form, the one-form that integrates
+it exactly along group elements.
 """
 from __future__ import annotations
 
@@ -26,8 +26,7 @@ __all__ = [
     "OneFormPath",
     "DominationCertificate",
     "check_domination",
-    "ClosedLift",
-    "lift_polynomial_form",
+    "closed_lift_form",
     "integral_form_from_controlled",
     "batched_spectral_norms",
 ]
@@ -829,69 +828,39 @@ def check_domination(
 # -- closed lift of polynomial forms ----------------------------------------
 
 
-@dataclass(frozen=True)
-class ClosedLift:
-    """Exact group-level integrator of a polynomial form p: R^d -> L(R^d, R^w).
+def closed_lift_form(
+    form: PolyMap, g: SampledRoughPath, base_point: np.ndarray | None = None
+) -> OneFormPath:
+    """Exact group-level integrator of a polynomial form p: R^d -> L(R^d, R^w)
+    along g: the integral form of p along the points X_t = base_point + x_t
+    that g reaches, whose derivative levels are D^k p(X_t) with the output
+    flattened.
 
     The pair value on (a, b) Taylor-expands p at the point reached by a and
     pairs the derivative stack with the rebracketed levels of b; summed along
     a partition it reproduces the line integral of p exactly on polylines.
+    Levels of g above deg p + 1 pair with D^k p = 0.
     """
-
-    form: PolyMap
-    level: int
-    base_point: np.ndarray
-
-    def __post_init__(self) -> None:
-        if len(self.form.out_shape) != 2 or self.form.out_shape[1] != self.form.in_dim:
-            raise DimensionMismatchError(
-                "polynomial form must have out_shape (w, d) with d = in_dim"
-            )
-        if self.form.degree > self.level - 1:
-            raise ValueError(
-                f"degree {self.form.degree} needs level >= {self.form.degree + 1}"
-            )
-        base = np.asarray(self.base_point, dtype=float).reshape(-1)
-        if base.size != self.form.in_dim:
-            raise DimensionMismatchError("base point dimension mismatch")
-        base.flags.writeable = False
-        object.__setattr__(self, "base_point", base)
-
-    @property
-    def dim(self) -> int:
-        return self.form.in_dim
-
-    @property
-    def out_dim(self) -> int:
-        return self.form.out_shape[0]
-
-    def along(self, g: SampledRoughPath) -> np.ndarray:
-        """Cumulative partition sums, shape (N+1, out_dim); exact on lifts."""
-        return self.as_oneform(g).integral_values()
-
-    def as_oneform(self, g: SampledRoughPath) -> OneFormPath:
-        """Materialize the lift as a one-form path over g: the integral form
-        of p along the points X_t it reaches, whose derivative levels are
-        D^k p(X_t) with the output flattened."""
-        if g.dim != self.dim:
-            raise DimensionMismatchError("driver dimension mismatch")
-        if g.level != self.level:
-            raise DimensionMismatchError(f"level-{self.level} lift along a level-{g.level} driver")
-        X = self.base_point[None, :] + g.levels[1]
-        n, d = X.shape
-        return integral_form_from_controlled(
-            g,
-            self.form.derivative(X, 0),
-            tuple(self.form.derivative(X, k).reshape(n, -1, d**k) for k in range(1, g.level)),
+    if len(form.out_shape) != 2 or form.out_shape[1] != form.in_dim:
+        raise DimensionMismatchError(
+            "polynomial form must have out_shape (w, d) with d = in_dim"
         )
-
-
-def lift_polynomial_form(
-    form: PolyMap, level: int, base_point: np.ndarray | None = None
-) -> ClosedLift:
+    if form.degree > g.level - 1:
+        raise ValueError(f"degree {form.degree} needs level >= {form.degree + 1}")
     if base_point is None:
         base_point = np.zeros(form.in_dim)
-    return ClosedLift(form, level, base_point)
+    base_point = np.asarray(base_point, dtype=float).reshape(-1)
+    if base_point.size != form.in_dim:
+        raise DimensionMismatchError("base point dimension mismatch")
+    if g.dim != form.in_dim:
+        raise DimensionMismatchError("driver dimension mismatch")
+    X = base_point[None, :] + g.levels[1]
+    n, d = X.shape
+    return integral_form_from_controlled(
+        g,
+        form.derivative(X, 0),
+        tuple(form.derivative(X, k).reshape(n, -1, d**k) for k in range(1, g.level)),
+    )
 
 
 def integral_form_from_controlled(

@@ -53,6 +53,7 @@ __all__ = [
     "initial_state",
     "picard_step",
     "solve",
+    "fit_decay",
     "rescale_problem",
     "fixed_point_form",
     "fixed_point_residual",
@@ -62,8 +63,6 @@ __all__ = [
     "driver_distance",
 ]
 
-_FIXED_POINT_ITERS = 30
-_FIXED_POINT_TOL = 1e-13
 _PROBE_ROUNDS = 10
 _PROBE_RESIDUAL_TOL = 1e-8
 
@@ -428,18 +427,16 @@ def rescale_problem(
 def fixed_point_form(problem: RdeProblem, positions: np.ndarray) -> OneFormPath:
     """Integrand form of a frozen candidate path, by iterating composition.
 
-    For a genuine solution this converges to the form whose integral
-    reproduces the path; it lets probes rebuild certificates for paths
-    produced elsewhere (other scalings, other runs).
+    Level j of a composition reads only the levels below j of the form it
+    composes, so L compositions from zero reach the fixed point, the form
+    whose integral reproduces the path for a genuine solution.  It lets
+    probes rebuild certificates for paths produced elsewhere (other
+    scalings, other runs).
     """
     positions = np.asarray(positions, dtype=float)
     form = OneFormPath.zero(problem.driver, problem.state_dim)
-    for _ in range(_FIXED_POINT_ITERS):
-        new = compose_integrand(problem.field, positions, form)
-        change = max(float(np.max(np.abs(a - b))) for a, b in zip(new.levels, form.levels))
-        form = new
-        if change < _FIXED_POINT_TOL:
-            break
+    for _ in range(problem.driver.level):
+        form = compose_integrand(problem.field, positions, form)
     return form
 
 

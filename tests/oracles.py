@@ -563,17 +563,18 @@ def pushforward_dilate(beta, c):
     return OneFormPath(beta.base.dilate(c), beta.out_dim, levels)
 
 
-def lift_pair_value(lift, a, b):
-    """A closed lift's value on elements' flat level rows (a, b): its
-    coefficients at the point a reaches from the base point, level k the
-    derivative D^{k-1}p there with its own letter moved last, paired with
-    the levels of b by the kernel `OneFormPath.pair_values` uses."""
+def lift_pair_value(form, base_point, a, b):
+    """The closed lift of a polynomial form p on elements' flat level rows
+    (a, b): its coefficients at the point a reaches from the base point,
+    level k the derivative D^{k-1}p there with its own letter moved last,
+    paired with the levels of b by the kernel `OneFormPath.pair_values`
+    uses."""
     from roughkit.oneform import _pairing
 
-    x = lift.base_point + a[1]
-    w, d = lift.out_dim, lift.dim
+    x = np.asarray(base_point, dtype=float) + a[1]
+    w, d = form.out_shape[0], form.in_dim
     coeffs = tuple(
-        lift.form.derivative(x[None], k - 1)
+        form.derivative(x[None], k - 1)
         .reshape(1, w, d, d ** (k - 1))
         .transpose(0, 1, 3, 2)
         .reshape(1, w, d**k)

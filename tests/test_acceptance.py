@@ -15,7 +15,7 @@ import numpy as np
 
 from roughkit.funcs import LipFunction, PolyMap
 from roughkit.integrate import rough_integral, young_integral
-from roughkit.oneform import OneFormPath, lift_polynomial_form
+from roughkit.oneform import OneFormPath, closed_lift_form
 from roughkit.path import SampledPath, signature
 from roughkit.rde import fit_decay, uniqueness_probe
 
@@ -128,7 +128,7 @@ def test_04_closed_lift_is_cocyclic_and_exact():
         np.array([[[[0.4, 0.0], [0.0, -0.3]], [[0.2, 0.6], [0.0, 0.1]]]]),
     ]
     form = PolyMap(2, (1, 2), coeffs)
-    lift = lift_polynomial_form(form, level=3, base_point=np.array([0.2, -0.1]))
+    start = np.array([0.2, -0.1])
     rng = np.random.default_rng(404)
     coc = 0.0
     for _ in range(50):
@@ -136,22 +136,20 @@ def test_04_closed_lift_is_cocyclic_and_exact():
         b = signature(random_polyline(rng, dim=2), 3).points[-1]
         c = signature(random_polyline(rng, dim=2), 3).points[-1]
         res = (
-            lift_pair_value(lift, a.levels, b.levels)
-            + lift_pair_value(lift, (a @ b).levels, c.levels)
-            - lift_pair_value(lift, a.levels, (b @ c).levels)
+            lift_pair_value(form, start, a.levels, b.levels)
+            + lift_pair_value(form, start, (a @ b).levels, c.levels)
+            - lift_pair_value(form, start, a.levels, (b @ c).levels)
         )
         coc = max(coc, float(np.max(np.abs(res))))
 
     out = random_polyline(rng, n_pts=9, dim=2)
     loop = signature(out.concatenated(reversed_path(out)), 3)
-    loop_lift = lift_polynomial_form(form, level=3, base_point=out.values[0])
-    loop_err = float(np.max(np.abs(loop_lift.along(loop)[-1])))
+    loop_lift = closed_lift_form(form, loop, out.values[0])
+    loop_err = float(np.max(np.abs(loop_lift.integral_values()[-1])))
 
     xdx = PolyMap(1, (1, 1), [np.zeros((1, 1)), np.array([[[1.0]]])])
     seg = SampledPath(np.array([0.0, 0.5, 1.0]), np.array([[0.0], [1.0], [3.0]]))
-    total = lift_polynomial_form(xdx, level=2, base_point=seg.values[0]).along(
-        signature(seg, 2)
-    )[-1][0]
+    total = closed_lift_form(xdx, signature(seg, 2), seg.values[0]).integral_values()[-1][0]
     exact_err = abs(total - 4.5)
 
     ok = coc <= 1e-10 and loop_err <= 1e-10 and exact_err <= 1e-12

@@ -227,6 +227,8 @@ def test_integrate_flags_uncertified_regularity(tmp_path):
     rep = json.loads(res.stdout)
     assert rep["uncertified"] is True
     assert rep["certified"] is False
+    # the norm is finite: gamma = 1.5 <= p alone leaves the sums uncertified
+    assert math.isfinite(rep["operator_norm"])
     assert rep["route"] == "taylor"
 
 
@@ -620,7 +622,7 @@ NON_FINITE_CASES = [
     ("solve", "--p", "p must be finite"),
     ("pure-area", "--p", "p must be finite"),
     ("pure-area", "--pure-area", "area must be finite"),
-    # the closed lift builds no LipFunction: rough_integral refuses -inf
+    # the closed lift builds no LipFunction: cmd_integrate refuses -inf
     # as not above p - 1, and the norm scan refuses inf and nan
     ("closed-lift", "--gamma", "gamma"),
     ("taylor", "--gamma", "gamma must be finite"),
@@ -630,6 +632,24 @@ NON_FINITE_CASES = [
     ("closed-lift", "--radius", "radius must be finite and positive"),
     ("solve", "--xi", "initial condition must be finite"),
 ]
+
+
+def grad_form_json(dirpath):
+    form = dirpath / "grad.json"
+    write_json(form, GRAD_FORM)
+    return form
+
+
+def cubic_form_json(dirpath):
+    """A cubic gradient, above the closed lift's degree at level 3."""
+    cubic = [np.zeros((1,) + (2,) * (l + 1)) for l in range(4)]
+    cubic[3][0, 0, 0, 0, 0] = 1.0
+    form = dirpath / "cubic.json"
+    write_json(form, {
+        "type": "poly", "in_dim": 2, "out_shape": [1, 2], "degree": 3,
+        "coeffs": [c.tolist() for c in cubic],
+    })
+    return form
 
 
 @pytest.mark.parametrize(
@@ -647,18 +667,10 @@ def test_non_finite_numeric_input_exits_two(tmp_path, capsys, route, flag, value
     rng = np.random.default_rng(4)
     walk = tmp_path / "walk.csv"
     write_csv(walk, np.linspace(0.0, 1.0, 9), 0.3 * rng.standard_normal((9, 2)))
-    write_json(tmp_path / "grad.json", GRAD_FORM)
-    # a cubic gradient is above the closed lift's degree at level 3
-    cubic = [np.zeros((1,) + (2,) * (l + 1)) for l in range(4)]
-    cubic[3][0, 0, 0, 0, 0] = 1.0
-    write_json(tmp_path / "cubic.json", {
-        "type": "poly", "in_dim": 2, "out_shape": [1, 2], "degree": 3,
-        "coeffs": [c.tolist() for c in cubic],
-    })
     linear = area_form_json(tmp_path)
     argv = {
-        "closed-lift": ["integrate", walk, "--form", tmp_path / "grad.json"],
-        "taylor": ["integrate", walk, "--form", tmp_path / "cubic.json"],
+        "closed-lift": ["integrate", walk, "--form", grad_form_json(tmp_path)],
+        "taylor": ["integrate", walk, "--form", cubic_form_json(tmp_path)],
         "pure-area": ["integrate", "--pure-area", 0.5, "--steps", 8, "--form", linear, "--p", 2.5],
         "solve": ["solve", walk, "--field", linear, "--xi", "0.1,0.2"],
     }[route]
@@ -667,6 +679,19 @@ def test_non_finite_numeric_input_exits_two(tmp_path, capsys, route, flag, value
     assert cli.main([str(a) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("roughkit: input error:") and message in err
+
+
+@pytest.mark.parametrize("route, form_json", [("closed-lift", grad_form_json), ("taylor", cubic_form_json)])
+def test_integrate_refuses_gamma_at_most_p_minus_one(tmp_path, capsys, route, form_json):
+    """At gamma <= p - 1 the compensated sums have no meaning: each route
+    refuses a finite gamma = p - 1 as an input error."""
+    rng = np.random.default_rng(4)
+    walk = tmp_path / "walk.csv"
+    write_csv(walk, np.linspace(0.0, 1.0, 9), 0.3 * rng.standard_normal((9, 2)))
+    argv = ["integrate", walk, "--form", form_json(tmp_path), "--p", 3.0, "--gamma", 2.0]
+    assert cli.main([str(a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("roughkit: input error:") and "p - 1" in err
 
 
 def test_overflowing_pure_area_prints_only_the_refusal(tmp_path, capsys):

@@ -52,6 +52,28 @@ def test_the_package_sources_are_found():
     assert {"tensor.py", "path.py", "rde.py", "__init__.py"} <= {p.name for p in SOURCES}
 
 
+def test_every_package_export_is_exported_by_its_module():
+    """A name `roughkit/__init__.py` imports from a module and exports is in
+    that module's `__all__` too, so the two lists cannot drift apart."""
+    init = next(source for source in SOURCES if source.name == "__init__.py")
+    homes = {
+        alias.asname or alias.name: node.module
+        for node in ast.parse(init.read_text(), filename=str(init)).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    module_all = {
+        source.stem: exported_names(ast.parse(source.read_text(), filename=str(source)))
+        for source in SOURCES
+    }
+    missing = sorted(
+        f"{homes[name]}.{name}"
+        for name in roughkit.__all__
+        if name in homes and name not in module_all[homes[name]]
+    )
+    assert not missing, f"exported by the package but not by its module: {missing}"
+
+
 @pytest.mark.parametrize("source", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(source):
     tree = ast.parse(source.read_text(), filename=str(source))

@@ -11,7 +11,7 @@ from roughkit.integrate import (
     taylor_oneform,
     young_integral,
 )
-from roughkit.oneform import OneFormPath, lift_polynomial_form
+from roughkit.oneform import OneFormPath, closed_lift_form
 from roughkit.path import (
     SampledPath,
     SampledRoughPath,
@@ -160,11 +160,12 @@ def test_rough_gradient_form_is_exact():
     t = np.linspace(0.0, 1.0, 15)
     path = SampledPath(t, 0.6 * rng.standard_normal((15, 2)))
     g = signature(path, 3, p=3.0)
-    beta = lift_polynomial_form(grad, level=3, base_point=path.values[0]).as_oneform(g)
-    res = rough_integral(beta, gamma=4.0, omega=control_from_pvar(g))
+    beta = closed_lift_form(grad, g, path.values[0])
+    res = rough_integral(beta)
     want = phi(path.values[-1]) - phi(path.values[0])
     assert abs(res.total[0] - want) <= 1e-10
-    assert res.certified is True
+    # certified: the norm at gamma = 4 > p is finite
+    assert np.isfinite(beta.operator_norm(4.0, control_from_pvar(g))) and 4.0 > g.p
 
 
 def test_rough_pure_area_against_polygon_oracle():
@@ -185,24 +186,6 @@ def test_rough_pure_area_against_polygon_oracle():
     field_vals = np.stack([mids @ A1.T, mids @ A2.T], axis=2)
     oracle = np.einsum("noj,nj->o", field_vals, np.diff(pts, axis=0))
     assert np.max(np.abs(res.total - oracle)) <= 1e-3
-
-
-def test_rough_uncertified_when_gamma_at_most_p():
-    g = smooth_driver(16)
-    beta = field_integral_form(g, linear_field(gamma=1.5))
-    res = rough_integral(beta, gamma=1.5, omega=control_from_pvar(g))
-    assert res.certified is False
-    assert np.isfinite(res.operator_norm)
-    plain = rough_integral(beta)
-    assert plain.certified is None
-    np.testing.assert_allclose(plain.total, res.total, atol=0.0)
-
-
-def test_rough_rejects_gamma_at_most_p_minus_one():
-    g = smooth_driver(8)
-    beta = OneFormPath.constant_linear(g, np.eye(2))
-    with pytest.raises(ValueError):
-        rough_integral(beta, gamma=1.0, omega=control_from_pvar(g))
 
 
 def test_young_rough_agreement_below_p_two():
@@ -328,9 +311,27 @@ def test_controlled_integral_form_has_finite_raised_norm():
     omega = control_from_pvar(g)
     eta, res, diag = integrate_controlled(phi, beta, gamma=f.gamma, omega=omega)
     raised = eta.operator_norm(f.gamma + 1.0, omega)
-    assert np.isfinite(raised)
+    assert np.isfinite(raised) and f.gamma + 1.0 > g.p
     assert np.isfinite(diag["controlled_quotient"])
-    assert res.certified is True
+
+
+def test_controlled_integral_scans_the_pairs_once(monkeypatch):
+    """beta's norm is the one pair scan of `integrate_controlled`: the
+    integral of eta is certified, if at all, by its caller."""
+    g = smooth_driver(24)
+    f = linear_field()
+    pos = g.positions()
+    beta = taylor_oneform(f, pos, OneFormPath.constant_linear(g, np.eye(2)))
+    scan = OneFormPath._level_quotients
+    calls = []
+
+    def counting(self, *args, **kw):
+        calls.append(self)
+        return scan(self, *args, **kw)
+
+    monkeypatch.setattr(OneFormPath, "_level_quotients", counting)
+    integrate_controlled(f.apply(pos), beta, gamma=f.gamma, omega=control_from_pvar(g))
+    assert len(calls) == 1 and calls[0] is beta
 
 
 def test_controlled_residuals_are_bitwise_the_whole_array_gather(monkeypatch):

@@ -12,7 +12,6 @@ from roughkit.integrate import compose_integrand
 from roughkit.oneform import (
     _BOUND_ABS,
     _BOUND_REL,
-    ClosedLift,
     OneFormPath,
     _chain_bounds,
     _pair_quotient,
@@ -20,8 +19,8 @@ from roughkit.oneform import (
     _spectral_pair_quotient,
     batched_spectral_norms,
     check_domination,
+    closed_lift_form,
     integral_form_from_controlled,
-    lift_polynomial_form,
 )
 from roughkit.path import (
     Control,
@@ -227,9 +226,8 @@ def test_norm_scans_refuse_a_control_from_another_grid():
 
 def test_constant_form_lift_reads_displacement():
     c = np.array([[2.0, -1.0]])
-    lift = lift_polynomial_form(PolyMap.constant(c, 2), level=2)
     g = driver_2d(seed=60)
-    vals = lift.along(g)
+    vals = closed_lift_form(PolyMap.constant(c, 2), g).integral_values()
     disp = g.positions() - g.positions()[0]
     np.testing.assert_allclose(vals, disp @ c.T, atol=1e-13)
 
@@ -237,9 +235,8 @@ def test_constant_form_lift_reads_displacement():
 def test_scalar_x_dx_over_two_segments():
     """0 -> 1 -> 3 against x dx gives the classical 9/2."""
     form = PolyMap(1, (1, 1), (np.zeros((1, 1)), np.eye(1).reshape(1, 1, 1)))
-    lift = lift_polynomial_form(form, level=2)
     path = SampledPath(np.array([0.0, 1.0, 2.0]), np.array([[0.0], [1.0], [3.0]]))
-    total = lift.along(signature(path, 2))[-1]
+    total = closed_lift_form(form, signature(path, 2)).integral_values()[-1]
     assert abs(total[0] - 4.5) <= 1e-12
 
 
@@ -254,7 +251,7 @@ def test_lift_cocyclicity_on_grouplike_triples():
             0.5 * rng.standard_normal((1, 2, 2, 2)),
         ),
     )
-    lift = lift_polynomial_form(quad, level=3)
+    origin = np.zeros(2)
     g = driver_2d(seed=62, n_pts=9, level=3, p=3.0)
     for _ in range(20):
         i, j, k = sorted(rng.choice(np.arange(9), size=3, replace=False))
@@ -262,29 +259,29 @@ def test_lift_cocyclicity_on_grouplike_triples():
         b, c = increment_element(g, i, j), increment_element(g, j, k)
         assert (a @ b).grouplike and (b @ c).grouplike
         resid = (
-            lift_pair_value(lift, a.levels, b.levels)
-            + lift_pair_value(lift, (a @ b).levels, c.levels)
-            - lift_pair_value(lift, a.levels, (b @ c).levels)
+            lift_pair_value(quad, origin, a.levels, b.levels)
+            + lift_pair_value(quad, origin, (a @ b).levels, c.levels)
+            - lift_pair_value(quad, origin, a.levels, (b @ c).levels)
         )
         assert np.max(np.abs(resid)) <= 1e-10
 
 
 def test_lift_pair_value_is_bitwise_its_oneform():
     """A pair value from the lift's coefficient builder and pairing kernel at
-    one point is bitwise the value of `as_oneform` at that grid point."""
+    one point is bitwise the value of `closed_lift_form` at that grid point."""
     rng = np.random.default_rng(64)
     cubic = PolyMap(
         2,
         (2, 2),
         tuple(rng.standard_normal((2, 2) + (2,) * l) for l in range(3)),
     )
-    lift = lift_polynomial_form(cubic, level=3, base_point=np.array([0.3, -0.1]))
+    start = np.array([0.3, -0.1])
     g = driver_2d(seed=65, n_pts=9, level=3, p=3.0)
-    beta = lift.as_oneform(g)
+    beta = closed_lift_form(cubic, g, start)
     for i in range(8):
         for j in range(i + 1, 9):
             inc = increment_rows(g, i, j)
-            assert_bitwise(lift_pair_value(lift, g.points[i].levels, inc), value_on_increment(beta, i, inc))
+            assert_bitwise(lift_pair_value(cubic, start, g.points[i].levels, inc), value_on_increment(beta, i, inc))
 
 
 def test_lift_is_path_independent_at_group_level():
@@ -299,13 +296,12 @@ def test_lift_is_path_independent_at_group_level():
             0.4 * rng.standard_normal((1, 2, 2, 2)),
         ),
     )
-    lift = lift_polynomial_form(quad, level=3)
     pts = np.array([[0.0, 0.0], [0.6, 0.2], [0.1, 0.9], [0.8, 1.0]])
     spur = np.array(
         [[0.0, 0.0], [0.6, 0.2], [0.9, -0.3], [0.6, 0.2], [0.1, 0.9], [0.8, 1.0]]
     )
-    plain = lift.along(signature(SampledPath(np.arange(4.0), pts), 3))[-1]
-    spurred = lift.along(signature(SampledPath(np.arange(6.0), spur), 3))[-1]
+    plain = closed_lift_form(quad, signature(SampledPath(np.arange(4.0), pts), 3)).integral_values()[-1]
+    spurred = closed_lift_form(quad, signature(SampledPath(np.arange(6.0), spur), 3)).integral_values()[-1]
     assert np.max(np.abs(plain - spurred)) <= 1e-10
 
 
@@ -316,32 +312,33 @@ def test_lift_kills_loops():
         (1, 2),
         (np.zeros((1, 2)), rng.standard_normal((1, 2, 2)), np.zeros((1, 2, 2, 2))),
     )
-    lift = lift_polynomial_form(quad, level=3)
     t = np.linspace(0.0, 1.0, 7)
     pts = 0.5 * rng.standard_normal((7, 2))
     path = SampledPath(t, pts)
     loop = path.concatenated(reversed_path(path))
-    total = lift.along(signature(loop, 3))[-1]
+    total = closed_lift_form(quad, signature(loop, 3)).integral_values()[-1]
     assert np.max(np.abs(total)) <= 1e-10
 
 
-def test_lift_refuses_a_driver_of_another_level():
-    """A level-3 lift of a quadratic form along a level-2 lift would drop
-    the level-3 term its exactness needs."""
+def test_lift_along_a_driver_of_higher_level_is_exact():
+    """A quadratic form needs a level-3 driver: along a level-2 one it would
+    drop the level-3 term its exactness needs, and is refused.  The levels
+    a higher driver adds pair with derivatives D^k p = 0, so the values
+    along level-4 and level-5 lifts are bitwise those along the level-3 one."""
     rng = np.random.default_rng(66)
     quad = PolyMap(
         2,
         (1, 2),
         (np.array([[0.3, -0.2]]), rng.standard_normal((1, 2, 2)), rng.standard_normal((1, 2, 2, 2))),
     )
-    lift = lift_polynomial_form(quad, level=3)
     steps = 0.1 * rng.standard_normal((51, 2))
     walk = SampledPath(np.linspace(0.0, 1.0, 51), np.cumsum(steps, axis=0))
-    assert lift.along(signature(walk, 3)).shape == (51, 1)
-    with pytest.raises(DimensionMismatchError, match="level-3 lift along a level-2 driver"):
-        lift.as_oneform(signature(walk, 2))
-    with pytest.raises(DimensionMismatchError, match="level-3 lift along a level-4 driver"):
-        lift.along(signature(walk, 4))
+    want = closed_lift_form(quad, signature(walk, 3)).integral_values()
+    assert want.shape == (51, 1)
+    with pytest.raises(ValueError, match="degree 2 needs level >= 3"):
+        closed_lift_form(quad, signature(walk, 2))
+    for level in (4, 5):
+        assert_bitwise(closed_lift_form(quad, signature(walk, level)).integral_values(), want)
 
 
 def test_lift_rejects_degree_above_level():
@@ -350,9 +347,20 @@ def test_lift_rejects_degree_above_level():
         (1, 1),
         tuple(np.zeros((1, 1) + (1,) * l) for l in range(4)),
     )
+    walk = SampledPath(np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 5)[:, None])
     with pytest.raises(ValueError):
-        lift_polynomial_form(cubic, level=3)
-    assert isinstance(lift_polynomial_form(cubic, level=4), ClosedLift)
+        closed_lift_form(cubic, signature(walk, 3))
+    assert isinstance(closed_lift_form(cubic, signature(walk, 4)), OneFormPath)
+
+
+def test_lift_refuses_mismatched_shapes():
+    g = driver_2d(seed=67)
+    with pytest.raises(DimensionMismatchError, match="out_shape"):
+        closed_lift_form(PolyMap.constant(np.ones((1, 3)), 2), g)
+    with pytest.raises(DimensionMismatchError, match="base point"):
+        closed_lift_form(PolyMap.constant(np.ones((1, 2)), 2), g, np.zeros(3))
+    with pytest.raises(DimensionMismatchError, match="driver dimension"):
+        closed_lift_form(PolyMap.constant(np.ones((1, 3)), 3), g)
 
 
 # -- domination certificates ------------------------------------------------------

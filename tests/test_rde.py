@@ -9,7 +9,7 @@ import pytest
 
 import roughkit.path
 from roughkit.funcs import LipFunction, PolyMap, ScaledMap, SmoothMap
-from roughkit.integrate import RegularityError, integrate_controlled, rough_integral
+from roughkit.integrate import RegularityError, compose_integrand, integrate_controlled, rough_integral
 from roughkit.path import Control, SampledPath, SampledRoughPath, control_from_pvar, signature
 from roughkit import rde
 from roughkit.oneform import OneFormPath, integral_form_from_controlled
@@ -19,6 +19,7 @@ from roughkit.rde import (
     difference_tower,
     driver_distance,
     fit_decay,
+    fixed_point_form,
     initial_state,
     picard_step,
     rescale_problem,
@@ -272,6 +273,20 @@ def test_fixed_point_residual_within_budget(
     sols.append(area_solution)
     for sol in sols:
         assert sol.fixed_point_residual <= 10.0 * sol.problem.tol
+
+
+def test_fixed_point_form_is_fixed_by_one_more_composition():
+    """Level j of a composition reads only the levels below j, so L
+    compositions from zero are the fixed point, one more returns it
+    bitwise.  With a tiny field every change is tiny, and a stop on a small
+    change would leave the upper levels at zero."""
+    cubic = cubic_problem(64)
+    prob = RdeProblem(cubic.driver, cubic.field.scaled(1e-14), xi=cubic.xi)
+    positions = prob.driver.positions(prob.xi)
+    form = fixed_point_form(prob, positions)
+    assert all(np.any(level) for level in form.levels)
+    for again, level in zip(compose_integrand(prob.field, positions, form).levels, form.levels):
+        assert_bitwise(again, level)
 
 
 def test_delta_ratios_decay_factorially(exp_solutions, cubic_solutions):
