@@ -44,6 +44,7 @@ from .path import (
     SampledPath,
     SampledRoughPath,
     control_from_pvar,
+    p_variation,
     pure_area_path,
     read_path_csv,
     signature,
@@ -107,6 +108,7 @@ __all__ = [
     "fixed_point_residual",
     "integral_form_from_controlled",
     "integrate_controlled",
+    "p_variation",
     "pure_area_path",
     "read_path_csv",
     "rescale_problem",

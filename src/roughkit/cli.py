@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .funcs import FieldSpecError, LipFunction, PolyMap, field_from_json
-from .integrate import RegularityError, compose_integrand, rough_integral
+from .integrate import RegularityError, _check_gamma, compose_integrand, rough_integral
 from .oneform import OneFormPath, closed_lift_form
 from .path import (
     PathFormatError,
@@ -103,8 +103,6 @@ def _driver_from_args(args) -> tuple:
 def cmd_signature(args) -> int:
     path = read_path_csv(args.path)
     level = args.level
-    if level < 1:
-        raise ValueError(f"level must be at least 1, got {level}")
     lifted = signature(path, level)
     length = path.length()
     levels = {}
@@ -134,13 +132,8 @@ def cmd_signature(args) -> int:
 
 
 def cmd_integrate(args) -> int:
-    # the closed lift reads no radius, so it is refused here for every route
-    if not 0.0 < args.radius < math.inf:
-        raise ValueError(f"radius must be finite and positive, got {args.radius}")
     driver, start = _driver_from_args(args)
-    gamma = args.gamma
-    spec = _load_json(args.form)
-    fmap = field_from_json(spec)
+    fmap = field_from_json(_load_json(args.form))
     if len(fmap.out_shape) != 2 or fmap.out_shape[1] != driver.dim:
         raise FieldSpecError(
             f"form output {fmap.out_shape} cannot pair with a dim-"
@@ -151,32 +144,28 @@ def cmd_integrate(args) -> int:
             f"form domain {fmap.in_dim} must match the driver dimension "
             f"{driver.dim}"
         )
-    exact_lift = isinstance(fmap, PolyMap) and fmap.degree <= driver.level - 1
-    if exact_lift:
+    # every exponent and radius refusal comes before any form or control is built
+    f = LipFunction(fmap, gamma=args.gamma, radius=args.radius)
+    convergent = _check_gamma(f.gamma, driver.p)
+    if isinstance(fmap, PolyMap) and fmap.degree <= driver.level - 1:
         beta = closed_lift_form(fmap, driver, start)
         route = "closed-lift"
     else:
-        f = LipFunction(fmap, gamma=gamma, radius=args.radius)
         identity = OneFormPath.constant_linear(driver, np.eye(driver.dim))
         beta = compose_integrand(f, driver.positions(start), identity)
         route = "taylor"
     from .path import control_from_pvar
 
     omega = control_from_pvar(driver)
-    if gamma <= driver.p - 1.0:
-        raise ValueError(
-            f"gamma = {gamma} is not above p - 1 = {driver.p - 1.0}; "
-            "the compensated sums have no meaning there"
-        )
     result = rough_integral(beta)
-    norm = beta.operator_norm(gamma, omega)
-    certified = bool(np.isfinite(norm) and gamma > driver.p)
+    norm = beta.operator_norm(f.gamma, omega)
+    certified = bool(np.isfinite(norm) and convergent)
     _emit_json(
         {
             "schema": SCHEMA,
             "command": "integrate",
             "p": driver.p,
-            "gamma": gamma,
+            "gamma": f.gamma,
             "route": route,
             "total": result.total,
             "discrepancy": result.discrepancy,
@@ -191,10 +180,8 @@ def cmd_integrate(args) -> int:
 
 def cmd_solve(args) -> int:
     driver, _ = _driver_from_args(args)
-    gamma = args.gamma
-    spec = _load_json(args.field)
-    fmap = field_from_json(spec)
-    field = LipFunction(fmap, gamma=gamma, radius=args.radius)
+    fmap = field_from_json(_load_json(args.field))
+    field = LipFunction(fmap, gamma=args.gamma, radius=args.radius)
     xi = _parse_vector(args.xi)
     problem = RdeProblem(
         driver,
@@ -218,7 +205,7 @@ def cmd_solve(args) -> int:
             "schema": SCHEMA,
             "command": "solve",
             "p": driver.p,
-            "gamma": gamma,
+            "gamma": field.gamma,
             "converged": sol.converged,
             "message": sol.message,
             "iterations": sol.iterations,

@@ -59,6 +59,8 @@ class SampledPath:
         values = np.asarray(self.values, dtype=float)
         if values.ndim == 1:
             values = values[:, None]
+        if values.ndim != 2:
+            raise DimensionMismatchError(f"values must have shape (N+1, d), got {values.shape}")
         if times.size != values.shape[0]:
             raise DimensionMismatchError(
                 f"{times.size} times vs {values.shape[0]} samples"
@@ -109,7 +111,7 @@ def signature(path: SampledPath, level: int, p: float | None = None) -> "Sampled
     are certified group-like in one batch, the points in another.
     """
     if level < 1:
-        raise ValueError("level must be >= 1")
+        raise ValueError(f"level must be at least 1, got {level}")
     if p is None:
         p = float(level)
     _check_lift_memory(path.times.size, path.dim, level)

@@ -21,6 +21,7 @@ import numpy as np
 from .funcs import LipFunction, divide
 from .integrate import (
     RegularityError,
+    _check_gamma,
     _taylor_levels,
     compose_integrand,
     rough_integral,
@@ -105,18 +106,12 @@ class RdeProblem:
             )
         if self.control is not None and not np.array_equal(self.control.times, self.driver.times):
             raise DimensionMismatchError("the control lives on another time grid than the driver")
-        p = self.driver.p
-        gamma = self.field.gamma
-        if gamma <= p - 1.0:
-            raise RegularityError(
-                f"field regularity gamma={gamma} must exceed p-1={p - 1.0} "
-                "for the integral map to be defined"
-            )
-        if gamma <= p:
+        if not _check_gamma(self.field.gamma, self.driver.p):
+            # level 2 is the dataclass's generated __init__, level 3 its caller
             warnings.warn(
-                f"gamma={gamma} is in the band (p-1, p]: the integral map is "
-                "defined but convergence of the iteration is not guaranteed",
-                stacklevel=2,
+                f"gamma={self.field.gamma} is in the band (p-1, p]: the integral "
+                "map is defined but convergence of the iteration is not guaranteed",
+                stacklevel=3,
             )
 
     @property

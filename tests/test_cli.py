@@ -11,6 +11,7 @@ import pytest
 
 import roughkit.cli as cli
 import roughkit.path
+from roughkit.integrate import RegularityError
 from roughkit.path import SampledPath, read_path_csv, signature
 from roughkit.rde import RdeProblem, solve
 
@@ -622,13 +623,10 @@ NON_FINITE_CASES = [
     ("solve", "--p", "p must be finite"),
     ("pure-area", "--p", "p must be finite"),
     ("pure-area", "--pure-area", "area must be finite"),
-    # the closed lift builds no LipFunction: cmd_integrate refuses -inf
-    # as not above p - 1, and the norm scan refuses inf and nan
-    ("closed-lift", "--gamma", "gamma"),
+    ("closed-lift", "--gamma", "gamma must be finite"),
     ("taylor", "--gamma", "gamma must be finite"),
     ("solve", "--gamma", "gamma must be finite"),
     ("solve", "--radius", "radius must be finite"),
-    # the closed lift reads no radius, but refuses a bad one as the Taylor route does
     ("closed-lift", "--radius", "radius must be finite and positive"),
     ("solve", "--xi", "initial condition must be finite"),
 ]
@@ -682,16 +680,25 @@ def test_non_finite_numeric_input_exits_two(tmp_path, capsys, route, flag, value
 
 
 @pytest.mark.parametrize("route, form_json", [("closed-lift", grad_form_json), ("taylor", cubic_form_json)])
-def test_integrate_refuses_gamma_at_most_p_minus_one(tmp_path, capsys, route, form_json):
+def test_integrate_refuses_gamma_at_most_p_minus_one(tmp_path, capsys, monkeypatch, route, form_json):
     """At gamma <= p - 1 the compensated sums have no meaning: each route
-    refuses a finite gamma = p - 1 as an input error."""
+    refuses a finite gamma = p - 1 with the regularity gate's one line, and
+    from the exponents alone, so the O(N^3) control is never built."""
+    from roughkit.integrate import _check_gamma
+
+    def no_control(driver):
+        raise AssertionError("the control was built for a refused gamma")
+
+    monkeypatch.setattr(roughkit.path, "control_from_pvar", no_control)
     rng = np.random.default_rng(4)
     walk = tmp_path / "walk.csv"
     write_csv(walk, np.linspace(0.0, 1.0, 9), 0.3 * rng.standard_normal((9, 2)))
     argv = ["integrate", walk, "--form", form_json(tmp_path), "--p", 3.0, "--gamma", 2.0]
     assert cli.main([str(a) for a in argv]) == 2
+    with pytest.raises(RegularityError) as gate:
+        _check_gamma(2.0, 3.0)
     err = capsys.readouterr().err
-    assert err.startswith("roughkit: input error:") and "p - 1" in err
+    assert err == f"roughkit: input error: {gate.value}\n" and "p - 1" in err
 
 
 def test_overflowing_pure_area_prints_only_the_refusal(tmp_path, capsys):
@@ -713,6 +720,7 @@ def test_bad_level_exits_two(tmp_path):
     csv = exp_csv(tmp_path, 8)
     res = run_cli("signature", csv, "--level", 0)
     assert res.returncode == 2
+    assert res.stderr == "roughkit: input error: level must be at least 1, got 0\n"
 
 
 def test_threads_flag_is_gone(tmp_path):

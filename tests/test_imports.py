@@ -214,3 +214,12 @@ def test_group_element_is_named_only_by_its_definition_the_lift_and_the_export()
             found.append(f"{source.name}: GroupElement")
         found += [f"{source.name}: {name}" for name in sorted(retired) if names[name]]
     assert not found, f"single-element API outside its modules: {found}"
+
+
+def test_the_integral_layer_lifts_no_driver():
+    """`integrate.py` reads a driver it is handed and never lifts one: it
+    neither imports nor names `signature` or `p_variation`, so no exponent
+    refusal can measure variations or build pair geometry first."""
+    integrate = next(source for source in SOURCES if source.name == "integrate.py")
+    refs = referenced_names(ast.parse(integrate.read_text(), filename=str(integrate)))
+    assert not refs["signature"] and not refs["p_variation"]

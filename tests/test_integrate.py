@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import roughkit.integrate
+import roughkit.path
 from roughkit.funcs import LipFunction, PolyMap
 from roughkit.integrate import (
     RegularityError,
@@ -105,10 +106,22 @@ def test_young_discrepancy_matches_the_half_grid_loop(n_steps):
     assert abs(res.discrepancy - ref) <= 8.0 * np.spacing(np.max(np.abs(res.total)))
 
 
-def test_young_rejects_failing_exponents():
+@pytest.mark.parametrize("exponent", [2.2, np.inf, np.nan])
+def test_young_rejects_failing_exponents(exponent):
     t = np.linspace(0.0, 1.0, 17)
     s = np.sin(2.0 * np.pi * t)
-    with pytest.raises(RegularityError, match="measured variations"):
+    with pytest.raises(RegularityError, match=f"fails at p = {exponent}, q = {exponent}"):
+        young_integral(s[:, None, None], SampledPath(t, s[:, None]), q=exponent, p=exponent)
+
+
+def test_young_refuses_from_the_exponents_alone(monkeypatch):
+    """The refusal reads p and q only: with physical memory reported as
+    1 kB, any lift or pair table would hit the memory guard's ValueError
+    first."""
+    monkeypatch.setattr(roughkit.path, "_physical_memory_bytes", lambda: 1024)
+    t = np.linspace(0.0, 1.0, 2001)
+    s = np.sin(2.0 * np.pi * t)
+    with pytest.raises(RegularityError, match="Young's condition"):
         young_integral(s[:, None, None], SampledPath(t, s[:, None]), q=2.2, p=2.2)
 
 
@@ -121,8 +134,7 @@ def test_young_validates_operator_shape():
 
 @pytest.mark.parametrize("shape", [(16, 1, 1), (17, 1, 2)], ids=["short", "wide"])
 def test_young_checks_the_operator_shape_before_the_exponents(shape):
-    # the exponents fail as well; the shape error names the input at fault,
-    # and no variation is measured on an operator of the wrong shape
+    # the exponents fail as well; the shape error names the input at fault
     t = np.linspace(0.0, 1.0, 17)
     s = np.sin(2.0 * np.pi * t)
     with pytest.raises(DimensionMismatchError, match="tau must have shape"):

@@ -24,7 +24,7 @@ from roughkit.path import (
     _best_partition_sum,
     _powered_gauge,
 )
-from roughkit.tensor import GroupElement, certify_stack, homogeneous_norms, stack_exp
+from roughkit.tensor import DimensionMismatchError, GroupElement, certify_stack, homogeneous_norms, stack_exp
 
 from conftest import (
     assert_bitwise,
@@ -158,8 +158,15 @@ def test_signature_factorial_decay():
 
 
 def test_signature_rejects_level_zero():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="level must be at least 1, got 0"):
         signature(polyline([[0.0], [1.0]]), 0)
+
+
+def test_sampled_path_refuses_values_with_more_than_two_axes():
+    """A (N+1, a, b) array is no path in R^d: it is refused where it is
+    built, not by a broadcast deep in the lift."""
+    with pytest.raises(DimensionMismatchError, match=r"got \(5, 2, 2\)"):
+        SampledPath(np.linspace(0.0, 1.0, 5), np.zeros((5, 2, 2)))
 
 
 # -- p-variation and controls -------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,7 +162,7 @@ def test_problem_validates_dimensions():
     driver = probe_problem().driver
     with pytest.raises(ValueError, match="field must map"):
         RdeProblem(driver, cubic_field(), xi=np.array([1.0, 0.0]))
-    with pytest.raises(RegularityError):
+    with pytest.raises(RegularityError, match="must exceed p - 1"):
         RdeProblem(
             driver,
             LipFunction(
@@ -169,7 +170,7 @@ def test_problem_validates_dimensions():
             ),
             xi=np.array([1.0]),
         )
-    with pytest.warns(UserWarning, match="band"):
+    with pytest.warns(UserWarning, match="band") as caught:
         RdeProblem(
             driver,
             LipFunction(
@@ -177,6 +178,8 @@ def test_problem_validates_dimensions():
             ),
             xi=np.array([1.0]),
         )
+    # the warning names the line that built the problem, not the generated __init__
+    assert [Path(w.filename) for w in caught] == [Path(__file__)]
 
 
 # -- decay reports -----------------------------------------------------------------
