@@ -103,7 +103,7 @@ def _contract_last(T: np.ndarray, Y: np.ndarray, times: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolyMap(SmoothMap):
     """f(y) = sum_l A_l[y, ..., y] with A_l symmetric in its l input slots.
 
@@ -164,7 +164,7 @@ class PolyMap(SmoothMap):
         return PolyMap(self.in_dim, self.out_shape, tuple(c * b for b in self.coeffs))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SineField(SmoothMap):
     """Componentwise f(y)[o] = amp[o] sin(freq[o] . y + phase[o]).
 
@@ -248,7 +248,7 @@ class ScaledMap(SmoothMap):
         return ScaledMap(c * self.factor, self.base)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DividedMap(SmoothMap):
     """h(x, y) = integral over t of Df(y + t(x - y)), on doubled input.
 

@@ -29,9 +29,9 @@ __all__ = [
 
 
 class RegularityError(ValueError):
-    """An exponent condition fails: Young's 1/p + 1/q > 1 for a Young
-    integral, or gamma > p - 1 for the integral map of a Lip(gamma) form
-    along a p-rough path."""
+    """An exponent condition fails: Young's p, q >= 1 and 1/p + 1/q > 1 for
+    a Young integral, or gamma > p - 1 for the integral map of a Lip(gamma)
+    form along a p-rough path."""
 
 
 def _check_gamma(gamma: float, p: float) -> bool:
@@ -45,7 +45,7 @@ def _check_gamma(gamma: float, p: float) -> bool:
     return gamma > p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntegralResult:
     """Cumulative integral values on the grid plus an error proxy."""
 
@@ -73,9 +73,9 @@ def young_integral(
         raise DimensionMismatchError(
             f"tau must have shape (N+1, w, {sigma.dim}), got {tau_values.shape}"
         )
-    # the comparison is false on NaN, so NaN exponents are refused too
-    if not 1.0 / p + 1.0 / q > 1.0:
-        raise RegularityError(f"Young's condition 1/p + 1/q > 1 fails at p = {p}, q = {q}")
+    # false on NaN; exponents below 1 go before 1/p or 1/q could divide by zero
+    if not (p >= 1.0 and q >= 1.0 and 1.0 / p + 1.0 / q > 1.0):
+        raise RegularityError(f"Young's condition p, q >= 1, 1/p + 1/q > 1 fails at p = {p}, q = {q}")
     steps = sigma.increments()
     mids = 0.5 * (tau_values[:-1] + tau_values[1:])
     contrib = np.einsum("nwd,nd->nw", mids, steps)

@@ -361,7 +361,7 @@ def _pairing(coeffs: Iterable[np.ndarray], blocks: Iterable[np.ndarray]) -> np.n
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OneFormPath:
     """Per-time level matrices A_t^(k), shape (N+1, out_dim, d**k).
 
@@ -472,10 +472,10 @@ class OneFormPath:
         """All beta_{t_i}(g_{t_i}, g_{t_i, t_{i+1}}) at once, shape (N, out)."""
         return self.pair_values(slice(None, -1), self.base.step_level_blocks)
 
-    def integral_values(self, start: int = 0) -> np.ndarray:
-        """Left sums of `step_values` from grid index start, shape (N+1, out)."""
+    def integral_values(self) -> np.ndarray:
+        """Left sums of `step_values` from t_0, shape (N+1, out)."""
         out = np.zeros((self.base.times.size, self.out_dim))
-        np.cumsum(self.step_values()[start:], axis=0, out=out[start + 1 :])
+        np.cumsum(self.step_values(), axis=0, out=out[1:])
         return out
 
     # -- norms -------------------------------------------------------------------

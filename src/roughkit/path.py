@@ -47,7 +47,7 @@ class PathFormatError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledPath:
     """Piecewise-linear path: times (N+1,) strictly increasing, values (N+1, d)."""
 
@@ -154,7 +154,7 @@ def _element_views(
     return tuple(GroupElement._trusted(tuple(x[i] for x in stack), bool(f)) for i, f in enumerate(flags))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledRoughPath:
     """Group-valued sampled path g_{t_i}, with g_{t_0} = 1 typically.
 
@@ -232,9 +232,9 @@ class SampledRoughPath:
         return SampledRoughPath(self.times, levels, self.p, self.grouplike)
 
     def restricted(self, i0: int, i1: int) -> "SampledRoughPath":
-        """Rows i0..i1 as views of this path's frozen arrays.  They keep the
-        running shuffle scale they were certified at: restarting it at i0
-        would refuse exact lifts rounded on the way to t_{i0}."""
+        """Rows i0..i1 as views of this path's frozen arrays and cached step
+        blocks.  They keep the running shuffle scale they were certified at:
+        restarting it at i0 would refuse exact lifts rounded on the way to t_{i0}."""
         if not 0 <= i0 < i1 <= self.num_steps:
             raise ValueError("bad restriction indices")
         rows = slice(i0, i1 + 1)
@@ -243,6 +243,8 @@ class SampledRoughPath:
         object.__setattr__(out, "levels", tuple(x[rows] for x in self.levels))
         for name in ("times", "grouplike", "_shuffle_scale"):
             object.__setattr__(out, name, getattr(self, name)[rows])
+        if "step_level_blocks" in vars(self):
+            vars(out)["step_level_blocks"] = tuple(x[i0:i1] for x in self.step_level_blocks)
         return out
 
     # -- cached bulk geometry ------------------------------------------------
@@ -477,7 +479,7 @@ def _best_partition_sum(E: np.ndarray) -> np.float64:
     return best[-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Control:
     """Superadditive control on grid intervals: table[i, j] = omega(t_i, t_j)."""
 

@@ -68,7 +68,7 @@ _PROBE_ROUNDS = 10
 _PROBE_RESIDUAL_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RdeProblem:
     """dy = f(y) dx with y_0 = xi, driven by a sampled rough path."""
 
@@ -133,7 +133,7 @@ class RdeProblem:
         return replace(self, driver=driver, control=None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PicardState:
     """One iterate: candidate solution path and its integrand form."""
 
@@ -278,7 +278,7 @@ def fit_decay(deltas: list[float], p: float) -> DecayReport:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RdeSolution:
     """Converged (or halted) result of the Picard iteration."""
 
@@ -510,16 +510,14 @@ def _pair_integrand(
 
 
 def _tower_step(
-    hv: np.ndarray, ht: tuple, E_values: np.ndarray, E_form: OneFormPath, start: int = 0
+    hv: np.ndarray, ht: tuple, E_values: np.ndarray, E_form: OneFormPath
 ) -> tuple[np.ndarray, OneFormPath]:
     """One step E -> integral of h(y_a, y_b) E dx of the Schwartz iteration,
-    with h as `_pair_integrand` gives it: values hv and form levels ht.
-
-    Returns the cumulative integral from grid index `start`, shape (N+1, w),
-    and the form of the integral.
+    h as `_pair_integrand` gives it (values hv, form levels ht), on E_form's
+    grid.  Returns the integral from its first point, (N+1, w), and its form.
     """
     form = integral_form_from_controlled(E_form.base, *_product_form(hv, ht, E_values, E_form))
-    return form.integral_values(start), form
+    return form.integral_values(), form
 
 
 @dataclass(frozen=True)
@@ -579,7 +577,7 @@ def difference_tower(
         for a, b in zip(iterates[1:], iterates)
     ]
 
-    # the seeds eta^{l,l} start at 0; row s of a seed is its values minus those at s
+    # the seeds eta^{l,l} start at 0; start s takes a seed's rows from s less row s
     f0 = problem.field.apply(problem.xi[None, :]).reshape(m, problem.driver.dim)
     seed_form = OneFormPath.constant_linear(problem.driver, f0)
     seeds = [(seed_form.integral_values(), seed_form)]
@@ -606,21 +604,23 @@ def difference_tower(
             kept_at.update(((l, j), s) for j in range(l, n + 1))
             kept_at.update(((j, n), u) for j in range(l, n + 1))
 
-    # row entries t <= s are zero: pairs s < t, none at the last start, carry every max
+    # start s runs from t_s (row entry t - s); pairs s < t, none at the last start, carry every max
     eta_sup = dict.fromkeys(keys, 0.0)
     worst = dict.fromkeys(keys, 0.0)
     z_res = 0.0
     rows, first_forms = {}, {}
     for s in range(npts - 1):
-        for l, (full, form) in enumerate(seeds):
-            row = full - full[s]
-            row[:s] = 0.0
+        base = problem.driver.restricted(s, npts - 1)
+        cut = [(hv[s:], tuple(x[s:] for x in ht)) for hv, ht in pairs]
+        for l, (full, seed) in enumerate(seeds):
+            row = full[s:] - full[s]
+            form = OneFormPath(base, seed.out_dim, tuple(A[s:] for A in seed.levels))
             for n in range(l, n_max + 1):
                 if n > l:
-                    vals, form = _tower_step(*pairs[n - 1], row, form, start=s)
+                    vals, form = _tower_step(*cut[n - 1], row, form)
                     row = vals.reshape(row.shape)
                 key = (l, n)
-                sizes = np.abs(row[s + 1 :]).reshape(npts - s - 1, -1).max(axis=1)
+                sizes = np.abs(row[1:]).reshape(npts - s - 1, -1).max(axis=1)
                 eta_sup[key] = np.maximum(eta_sup[key], sizes.max())
                 quot = _pair_quotient(sizes, omega.table[s, s + 1 :], keys[key], dead_tol=0.0)
                 worst[key] = max(worst[key], quot[0])
@@ -634,10 +634,10 @@ def difference_tower(
 
     chasles = 0.0
     for l, n, s, u, t in triples:
-        lhs = rows[(l, n), s][t]
-        rhs = rows[(l, n), s][u] + rows[(l, n), u][t]
+        lhs = rows[(l, n), s][t - s]
+        rhs = rows[(l, n), s][u - s] + rows[(l, n), u][t - u]
         for j in range(l + 1, n + 1):
-            rhs = rhs + rows[(j, n), u][t] @ rows[(l, j - 1), s][u]
+            rhs = rhs + rows[(j, n), u][t - u] @ rows[(l, j - 1), s][u - s]
         chasles = max(chasles, float(np.max(np.abs(lhs - rhs))))
 
     fitted_M = 1.0

@@ -223,3 +223,17 @@ def test_the_integral_layer_lifts_no_driver():
     integrate = next(source for source in SOURCES if source.name == "integrate.py")
     refs = referenced_names(ast.parse(integrate.read_text(), filename=str(integrate)))
     assert not refs["signature"] and not refs["p_variation"]
+
+
+def test_no_library_function_takes_a_start_offset():
+    """Work on the grid from some t_s runs on `SampledRoughPath.restricted`,
+    whose rows start there: no function takes a `start` index and pads the
+    rows before it with zeros."""
+    found = []
+    for source in SOURCES:
+        for node in ast.walk(ast.parse(source.read_text(), filename=str(source))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                if "start" in [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]:
+                    found.append(f"{source.name}:{node.lineno}")
+    assert not found, f"functions that take a start offset: {found}"

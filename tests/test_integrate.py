@@ -106,7 +106,7 @@ def test_young_discrepancy_matches_the_half_grid_loop(n_steps):
     assert abs(res.discrepancy - ref) <= 8.0 * np.spacing(np.max(np.abs(res.total)))
 
 
-@pytest.mark.parametrize("exponent", [2.2, np.inf, np.nan])
+@pytest.mark.parametrize("exponent", [2.2, np.inf, np.nan, 0.0, 0.5])
 def test_young_rejects_failing_exponents(exponent):
     t = np.linspace(0.0, 1.0, 17)
     s = np.sin(2.0 * np.pi * t)

@@ -708,6 +708,22 @@ def test_half_step_blocks_are_the_cached_half_grid_increments(n_steps):
         assert not got.flags.writeable
 
 
+@pytest.mark.parametrize("i0, i1", [(0, 12), (0, 1), (3, 9), (11, 12)])
+def test_restricted_path_hands_on_the_cached_step_blocks(i0, i1):
+    """A restriction reads its parent's cached step blocks as read-only
+    views, bitwise its own consecutive increments, and leaves them
+    uncomputed when the parent has not cached them."""
+    g = signature(random_polyline(np.random.default_rng(12), n_pts=13), 3, p=3.0)
+    assert "step_level_blocks" not in vars(g.restricted(i0, i1))
+    parent = g.step_level_blocks
+    h = g.restricted(i0, i1)
+    idx = np.arange(i1 - i0)
+    own = h.increment_levels(idx, idx + 1)[1:]
+    for got, whole, want in zip(h.step_level_blocks, parent, own, strict=True):
+        assert np.shares_memory(got, whole) and not got.flags.writeable
+        assert got.tobytes() == want.tobytes() and got.shape == want.shape
+
+
 @pytest.mark.parametrize("seed", range(34, 44))
 def test_homogeneous_norm_is_bitwise_the_pairwise_table(seed, monkeypatch):
     # one kernel serves single elements and the packed pair norms; a scalar

@@ -3,13 +3,14 @@ import math
 import sys
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import roughkit.path
-from roughkit.funcs import LipFunction, PolyMap, ScaledMap, SmoothMap
+from roughkit.funcs import LipFunction, PolyMap, ScaledMap, SineField, SmoothMap, divide
 from roughkit.integrate import RegularityError, compose_integrand, integrate_controlled, rough_integral
 from roughkit.path import Control, SampledPath, SampledRoughPath, control_from_pvar, signature
 from roughkit import rde
@@ -180,6 +181,32 @@ def test_problem_validates_dimensions():
         )
     # the warning names the line that built the problem, not the generated __init__
     assert [Path(w.filename) for w in caught] == [Path(__file__)]
+
+
+IDENTITY_TYPES = {
+    "SampledPath": lambda: SampledPath(np.arange(3.0), np.ones((3, 1))),
+    "SampledRoughPath": lambda: exp_problem(4).driver,
+    "Control": lambda: exp_problem(4).omega,
+    "OneFormPath": lambda: initial_state(exp_problem(4)).form,
+    "PolyMap": lambda: cubic_field().map,
+    "SineField": lambda: SineField(np.array([0.7]), np.array([[1.2, -0.6]]), np.array([0.3])),
+    "DividedMap": lambda: divide(cubic_field()).map,
+    "IntegralResult": lambda: rough_integral(initial_state(exp_problem(4)).form),
+    "RdeProblem": lambda: exp_problem(4),
+    "PicardState": lambda: initial_state(exp_problem(4)),
+    "RdeSolution": lambda: solve(exp_problem(4, n_max=2)),
+}
+
+
+@pytest.mark.parametrize("make", list(IDENTITY_TYPES.values()), ids=list(IDENTITY_TYPES))
+def test_array_dataclasses_compare_and_hash_by_identity(make):
+    """Frozen dataclasses that hold arrays compare and hash by identity, as
+    `GroupElement` does: generated value equality raises on an array's truth
+    value, and the generated hash on an unhashable array."""
+    a = make()
+    twin = replace(a)
+    assert a == a and a != twin
+    assert hash(a) == hash(a) and len({a, twin}) == 2
 
 
 # -- decay reports -----------------------------------------------------------------
@@ -585,8 +612,8 @@ def test_tower_seeds_are_bitwise_the_permuted_divided_field(make, monkeypatch):
     calls = []
     step = rde._tower_step
 
-    def recording(hv, ht, E_values, E_form, start=0):
-        out = step(hv, ht, E_values, E_form, start)
+    def recording(hv, ht, E_values, E_form):
+        out = step(hv, ht, E_values, E_form)
         calls.append((hv, ht, E_values, E_form, out))
         return out
 
