@@ -4,7 +4,7 @@ The layers, bottom to top:
 
 - `tensor`: truncated tensor algebra over R^d with exact group operations.
 - `path`: sampled paths, their signature lifts, and p-variation controls.
-- `funcs`: polynomial and closed-form smooth maps with graded Lip norms.
+- `funcs`: smooth maps with exact derivatives and a regularity budget γ.
 - `oneform`: one-forms indexed by two group points, operator norms, and
   domination certificates.
 - `integrate`: the sewing construction for rough integrals, plus Young

@@ -76,6 +76,12 @@ def _parse_vector(text: str) -> np.ndarray:
         raise ValueError(f"cannot parse vector {text!r}: {exc}") from exc
 
 
+def _check_radius(radius: float) -> None:
+    # --radius is read by nothing; it is still refused out of range
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be finite and positive, got {radius}")
+
+
 def _driver_from_args(args) -> tuple:
     """Build (driver, start); either a lifted CSV polyline or a pure-area path.
 
@@ -145,7 +151,8 @@ def cmd_integrate(args) -> int:
             f"{driver.dim}"
         )
     # every exponent and radius refusal comes before any form or control is built
-    f = LipFunction(fmap, gamma=args.gamma, radius=args.radius)
+    f = LipFunction(fmap, gamma=args.gamma)
+    _check_radius(args.radius)
     convergent = _check_gamma(f.gamma, driver.p)
     if isinstance(fmap, PolyMap) and fmap.degree <= driver.level - 1:
         beta = closed_lift_form(fmap, driver, start)
@@ -181,7 +188,8 @@ def cmd_integrate(args) -> int:
 def cmd_solve(args) -> int:
     driver, _ = _driver_from_args(args)
     fmap = field_from_json(_load_json(args.field))
-    field = LipFunction(fmap, gamma=args.gamma, radius=args.radius)
+    field = LipFunction(fmap, gamma=args.gamma)
+    _check_radius(args.radius)
     xi = _parse_vector(args.xi)
     problem = RdeProblem(
         driver,
@@ -247,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     driver.add_argument("--steps", type=int, default=256, help="pure-area grid steps")
     driver.add_argument("--p", type=float, default=None, help="variation exponent")
     driver.add_argument("--radius", type=float, default=4.0,
-                        help="radius of the ball where the field's Lip-norm bound is certified; no output reads it")
+                        help="checked to be finite and positive, then read by nothing")
 
     sig = sub.add_parser("signature", help="lift a path CSV to its signature")
     sig.add_argument("path", help="CSV with header t,x1,..,xd")

@@ -12,7 +12,6 @@ import itertools
 import math
 import string
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -62,8 +61,8 @@ class SmoothMap:
 
     Subclasses implement `derivative` for every order from 0 (batch of
     points -> batch of symmetric derivative tensors, the `order` input slots
-    appended as trailing axes of length m) and `derivative_sup_bound`.  A
-    map's value is its order-0 derivative: `apply` reads nothing else.
+    appended as trailing axes of length m), and nothing else.  A map's value
+    is its order-0 derivative: `apply` reads nothing else.
     """
 
     in_dim: int
@@ -73,10 +72,6 @@ class SmoothMap:
         return self.derivative(Y, 0)
 
     def derivative(self, Y: np.ndarray, order: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def derivative_sup_bound(self, order: int, radius: float) -> float:
-        """Certified bound on sup over the radius ball of ||D^order||_F."""
         raise NotImplementedError
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
@@ -150,16 +145,6 @@ class PolyMap(SmoothMap):
             out += math.perm(l, order) * term
         return out
 
-    def derivative_sup_bound(self, order: int, radius: float) -> float:
-        total = 0.0
-        for l in range(order, self.degree + 1):
-            total += (
-                math.perm(l, order)
-                * float(np.linalg.norm(self.coeffs[l]))
-                * radius ** (l - order)
-            )
-        return total
-
     def scaled(self, c: float) -> "PolyMap":
         return PolyMap(self.in_dim, self.out_shape, tuple(c * b for b in self.coeffs))
 
@@ -217,10 +202,6 @@ class SineField(SmoothMap):
         spec = ",".join(parts) + "->n" + out_letters + in_letters
         return np.einsum(spec, *ops)
 
-    def derivative_sup_bound(self, order: int, radius: float) -> float:
-        rates = np.linalg.norm(self.freq, axis=-1)
-        return float(np.linalg.norm(self.amp * rates**order))
-
     def scaled(self, c: float) -> "SineField":
         return SineField(c * self.amp, self.freq, self.phase)
 
@@ -240,9 +221,6 @@ class ScaledMap(SmoothMap):
 
     def derivative(self, Y: np.ndarray, order: int) -> np.ndarray:
         return self.factor * self.base.derivative(Y, order)
-
-    def derivative_sup_bound(self, order: int, radius: float) -> float:
-        return abs(self.factor) * self.base.derivative_sup_bound(order, radius)
 
     def scaled(self, c: float) -> "ScaledMap":
         return ScaledMap(c * self.factor, self.base)
@@ -305,11 +283,6 @@ class DividedMap(SmoothMap):
             out += self.weights[k] * arr
         return out
 
-    def derivative_sup_bound(self, order: int, radius: float) -> float:
-        # segment points stay in the source's radius ball; the slot map
-        # t u + (1 - t) v is a contraction
-        return self.source.derivative_sup_bound(order + 1, radius)
-
 
 def gauss_nodes(num: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [0, 1]."""
@@ -328,7 +301,7 @@ def divide(f: "SmoothMap | LipFunction"):
         inner = divide(f.map)
         if f.gamma - 1.0 <= 1.0:
             return inner
-        return LipFunction(inner, f.gamma - 1.0, radius=f.radius)
+        return LipFunction(inner, f.gamma - 1.0)
     num_nodes = max(1, math.ceil(f.degree / 2)) if isinstance(f, PolyMap) else 12
     nodes, weights = gauss_nodes(num_nodes)
     return DividedMap(f, nodes, weights)
@@ -339,21 +312,17 @@ class LipFunction(SmoothMap):
     """A map together with its regularity budget gamma > 1.
 
     Algorithms may use derivatives up to strict_floor(gamma) only, the
-    value among them; the norm bound is certified on the stated ball by
-    coefficient propagation, with the top remainder quotient bounded
-    through one extra derivative.
+    value among them.  No norm bound is kept: the solver and its certificate
+    read only the measured one-forms.
     """
 
     map: SmoothMap
     gamma: float
-    radius: float = 1.0
 
     def __post_init__(self) -> None:
         # the comparisons are false on NaN, so NaN is refused with inf
         if not 1.0 < self.gamma < math.inf:
             raise ValueError(f"gamma must be finite and exceed 1, got {self.gamma}")
-        if not 0.0 < self.radius < math.inf:
-            raise ValueError(f"radius must be finite and positive, got {self.radius}")
 
     @property
     def smoothness(self) -> int:
@@ -375,21 +344,8 @@ class LipFunction(SmoothMap):
             )
         return self.map.derivative(Y, order)
 
-    @cached_property
-    def lip_norm_bound(self) -> float:
-        n = self.smoothness
-        worst = 0.0
-        for j in range(n + 1):
-            worst = max(worst, self.map.derivative_sup_bound(j, self.radius))
-        top = self.map.derivative_sup_bound(n + 1, self.radius)
-        span = 2.0 * self.radius
-        for j in range(n + 1):
-            quot = top * span ** (n + 1 - self.gamma) / math.factorial(n + 1 - j)
-            worst = max(worst, quot)
-        return worst
-
     def scaled(self, c: float) -> "LipFunction":
-        return LipFunction(self.map.scaled(c), self.gamma, radius=self.radius)
+        return LipFunction(self.map.scaled(c), self.gamma)
 
 
 # -- JSON vector-field spec ---------------------------------------------------

@@ -394,20 +394,16 @@ def solve(
     )
 
 
-def rescale_problem(
-    problem: RdeProblem, lam: float
-) -> tuple[RdeProblem, float]:
-    """Normalize the field bound to lam by trading size into the driver.
+def rescale_problem(problem: RdeProblem, c: float) -> RdeProblem:
+    """Trade size between the field and the driver by the dilation c.
 
-    With c = |f| / lam the field is shrunk by 1/c, the driver dilated by
-    c, and the control scaled by c^p.  Solution paths are unchanged.
+    The field is shrunk by 1/c, the driver dilated by c, and the control
+    scaled by c^p.  Solution paths are unchanged.
     """
-    if lam <= 0.0:
-        raise ValueError("target bound must be positive")
-    c = problem.field.lip_norm_bound / lam
-    if c <= 0.0 or not math.isfinite(c):
-        raise ValueError(f"cannot rescale: field bound gives c={c}")
-    scaled = RdeProblem(
+    # the comparisons are false on NaN, so NaN is refused with inf
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"dilation c must be finite and positive, got {c}")
+    return RdeProblem(
         driver=problem.driver.dilate(c),
         field=problem.field.scaled(1.0 / c),
         xi=problem.xi,
@@ -416,7 +412,6 @@ def rescale_problem(
         n_max=problem.n_max,
         norm_cap=problem.norm_cap,
     )
-    return scaled, c
 
 
 def fixed_point_form(problem: RdeProblem, positions: np.ndarray) -> OneFormPath:
@@ -520,7 +515,7 @@ def _tower_step(
     return form.integral_values(), form
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TowerReport:
     """Diagnostics for the two-parameter difference tower, keys (l, n) in `levels`.
 

@@ -122,9 +122,7 @@ def scalar_exp_path(n_steps: int) -> SampledPath:
 
 
 def exp_field() -> LipFunction:
-    return LipFunction(
-        linear_vector_field([np.array([[1.0]])]), gamma=4.0, radius=4.0
-    )
+    return LipFunction(linear_vector_field([np.array([[1.0]])]), gamma=4.0)
 
 
 def exp_problem(n_steps: int, **kw) -> RdeProblem:
@@ -143,7 +141,7 @@ def cubic_field() -> LipFunction:
         0.12 * rng.standard_normal((2, 2, 2, 2)),
         0.04 * rng.standard_normal((2, 2, 2, 2, 2)),
     )
-    return LipFunction(PolyMap(2, (2, 2), coeffs), gamma=4.0, radius=3.0)
+    return LipFunction(PolyMap(2, (2, 2), coeffs), gamma=4.0)
 
 
 def cubic_path(n_steps: int) -> SampledPath:
@@ -172,9 +170,7 @@ AREA_XI = np.array([1.0, 0.5])
 
 
 def area_problem(steps: int = 320, **kw) -> RdeProblem:
-    field = LipFunction(
-        linear_vector_field([AREA_A1, AREA_A2]), gamma=3.0, radius=4.0
-    )
+    field = LipFunction(linear_vector_field([AREA_A1, AREA_A2]), gamma=3.0)
     return RdeProblem(pure_area_path(AREA_VALUE, steps), field, xi=AREA_XI, **kw)
 
 
@@ -203,13 +199,13 @@ def perturbed_probe_driver(delta: float) -> SampledRoughPath:
 
 @pytest.fixture(scope="session")
 def probe_solutions():
-    """The probe equation solved twice: as posed and at a rescaled size."""
+    """The probe equation solved twice: as posed and dilated by c = 8."""
     prob = probe_problem(n_max=16)
-    scaled_prob, c = rescale_problem(prob, 0.5)
+    c = 8.0
     return {
         "problem": prob,
         "base": solve(prob),
-        "rescaled": solve(scaled_prob),
+        "rescaled": solve(rescale_problem(prob, c)),
         "c": c,
     }
 

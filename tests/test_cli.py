@@ -414,8 +414,8 @@ def test_solve_reports_the_dilation_scale_it_used(tmp_path):
 
 
 def test_radius_changes_no_solve_output(tmp_path):
-    """--radius only sizes the ball of the field's certified Lip bound,
-    which the Python API's rescale_problem reads and the CLI does not."""
+    """--radius is checked to be finite and positive and then read by
+    nothing: two values give the same bytes in every solve output."""
     solve_args = cubic_solve_inputs(tmp_path, 1.0)
     outputs = []
     for radius in (3.0, 0.5):

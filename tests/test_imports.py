@@ -237,3 +237,23 @@ def test_no_library_function_takes_a_start_offset():
                 if "start" in [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]:
                     found.append(f"{source.name}:{node.lineno}")
     assert not found, f"functions that take a start offset: {found}"
+
+
+def test_the_lip_norm_ball_is_gone():
+    """No field carries a norm bound on a ball: no module names
+    `lip_norm_bound` or `derivative_sup_bound`, and only `cli.py` names
+    `radius`, for the flag it checks and then ignores.  Definitions and
+    parameters count as naming, as references do."""
+    found = []
+    for source in SOURCES:
+        tree = ast.parse(source.read_text(), filename=str(source))
+        names = referenced_names(tree)
+        for name in defined_names(tree):
+            names[name] += 1
+        for node in ast.walk(tree):
+            if isinstance(node, ast.arg):
+                names[node.arg] += 1
+        found += [f"{source.name}: {n}" for n in ("lip_norm_bound", "derivative_sup_bound") if names[n]]
+        if names["radius"] and source.name != "cli.py":
+            found.append(f"{source.name}: radius")
+    assert not found, f"the Lip-norm ball is named: {found}"

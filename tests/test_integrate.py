@@ -35,10 +35,8 @@ A1 = np.array([[0.0, 1.0], [-0.5, 0.2]])
 A2 = np.array([[0.3, -0.2], [0.8, 0.0]])
 
 
-def linear_field(gamma=2.5, radius=3.0):
-    return LipFunction(
-        linear_vector_field([A1, A2]), gamma=gamma, radius=radius
-    )
+def linear_field(gamma=2.5):
+    return LipFunction(linear_vector_field([A1, A2]), gamma=gamma)
 
 
 def smooth_driver(n_steps, level=2, p=2.0):
@@ -184,7 +182,7 @@ def test_rough_pure_area_against_polygon_oracle():
     """With no displacement the integral reads the level-2 slot alone."""
     a = 0.35
     g = pure_area_path(a, 16)
-    f = linear_field(gamma=3.0, radius=2.0)
+    f = linear_field(gamma=3.0)
     res = rough_integral(field_integral_form(g, f))
     # Green's theorem limit: a * (d f2/dx1 - d f1/dx2)
     np.testing.assert_allclose(res.total, a * (A2[:, 0] - A1[:, 1]), atol=1e-12)
@@ -219,7 +217,7 @@ def test_young_rough_agreement_below_p_two():
 def test_compose_constant_field_gives_constant_form():
     g = smooth_driver(12)
     c = np.array([[0.7, -0.3], [0.1, 0.4]])
-    f = LipFunction(PolyMap.constant(c, in_dim=2), gamma=2.5, radius=2.0)
+    f = LipFunction(PolyMap.constant(c, in_dim=2), gamma=2.5)
     beta = compose_integrand(f, g.positions(), OneFormPath.constant_linear(g, np.eye(2)))
     np.testing.assert_allclose(
         beta.levels[0], np.broadcast_to(c.reshape(-1, 2)[None], beta.levels[0].shape)
@@ -436,7 +434,7 @@ def test_discrepancy_decreases_under_refinement():
         0.4 * rng.standard_normal((2, 2, 2)),
         0.2 * rng.standard_normal((2, 2, 2, 2)),
     ]
-    f = LipFunction(PolyMap(2, (2, 2), coeffs), gamma=2.5, radius=3.0)
+    f = LipFunction(PolyMap(2, (2, 2), coeffs), gamma=2.5)
     discs = [
         rough_integral(field_integral_form(smooth_driver(n), f)).discrepancy
         for n in (32, 64, 128)

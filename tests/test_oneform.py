@@ -61,12 +61,10 @@ def driver_2d(seed=50, n_pts=6, level=2, p=2.0):
     return signature(path, level, p=p)
 
 
-def linear_field(gamma=2.5, radius=3.0):
+def linear_field(gamma=2.5):
     A1 = np.array([[0.0, 1.0], [-0.5, 0.2]])
     A2 = np.array([[0.3, -0.2], [0.8, 0.0]])
-    return LipFunction(
-        linear_vector_field([A1, A2]), gamma=gamma, radius=radius
-    )
+    return LipFunction(linear_vector_field([A1, A2]), gamma=gamma)
 
 
 def first_iteration_form(g, f):

@@ -60,9 +60,7 @@ from oracles import (
 
 
 def zero_field(dim: int = 1) -> LipFunction:
-    return LipFunction(
-        PolyMap.constant(np.zeros((dim, dim)), in_dim=dim), gamma=4.0, radius=4.0
-    )
+    return LipFunction(PolyMap.constant(np.zeros((dim, dim)), in_dim=dim), gamma=4.0)
 
 
 def tower_problem(**kw) -> RdeProblem:
@@ -87,7 +85,7 @@ def planar_problem(**kw) -> RdeProblem:
         0.3 * rng.standard_normal((2, 2, 2)),
         0.1 * rng.standard_normal((2, 2, 2, 2)),
     )
-    field = LipFunction(PolyMap(2, (2, 2), coeffs), gamma=4.0, radius=4.0)
+    field = LipFunction(PolyMap(2, (2, 2), coeffs), gamma=4.0)
     return RdeProblem(
         signature(SampledPath(t, x), 3, p=3.0), field, xi=np.array([1.0, -0.5]), **kw
     )
@@ -110,7 +108,7 @@ def test_constant_field_first_step_is_exact():
     pts = 0.5 * rng.standard_normal((41, 2))
     driver = signature(SampledPath(t, pts), 2, p=2.0)
     A = np.array([[0.7, -0.2], [0.1, 0.4]])
-    field = LipFunction(PolyMap.constant(A, in_dim=2), gamma=3.0, radius=4.0)
+    field = LipFunction(PolyMap.constant(A, in_dim=2), gamma=3.0)
     prob = RdeProblem(driver, field, xi=np.array([0.2, -0.1]))
     first = picard_step(initial_state(prob), prob)
     want = prob.xi[None, :] + (pts - pts[0]) @ A.T
@@ -166,17 +164,13 @@ def test_problem_validates_dimensions():
     with pytest.raises(RegularityError, match="must exceed p - 1"):
         RdeProblem(
             driver,
-            LipFunction(
-                linear_vector_field([np.eye(1)]), gamma=1.8, radius=4.0
-            ),
+            LipFunction(linear_vector_field([np.eye(1)]), gamma=1.8),
             xi=np.array([1.0]),
         )
     with pytest.warns(UserWarning, match="band") as caught:
         RdeProblem(
             driver,
-            LipFunction(
-                linear_vector_field([np.eye(1)]), gamma=2.5, radius=4.0
-            ),
+            LipFunction(linear_vector_field([np.eye(1)]), gamma=2.5),
             xi=np.array([1.0]),
         )
     # the warning names the line that built the problem, not the generated __init__
@@ -195,6 +189,7 @@ IDENTITY_TYPES = {
     "RdeProblem": lambda: exp_problem(4),
     "PicardState": lambda: initial_state(exp_problem(4)),
     "RdeSolution": lambda: solve(exp_problem(4, n_max=2)),
+    "TowerReport": lambda: difference_tower(tower_problem(), 1, 2),
 }
 
 
@@ -437,20 +432,17 @@ class DelegatedMap(SmoothMap):
     def derivative(self, Y, order):
         return self.inner.derivative(Y, order)
 
-    def derivative_sup_bound(self, order, radius):
-        return self.inner.derivative_sup_bound(order, radius)
-
 
 def user_map_problem(n_steps: int, **kw) -> RdeProblem:
     """The exponential fixture with its field behind `DelegatedMap`."""
     field = exp_field()
-    user = LipFunction(DelegatedMap(field.map), field.gamma, radius=field.radius)
+    user = LipFunction(DelegatedMap(field.map), field.gamma)
     return RdeProblem(exp_problem(n_steps).driver, user, xi=np.array([1.0]), **kw)
 
 
 class DerivativeOnlyMap(SmoothMap):
-    """A user map that gives its derivatives of every order from 0 and their
-    bounds, and no `apply`: its value is its order-0 derivative."""
+    """A user map that gives its derivatives of every order from 0 and no
+    `apply`: its value is its order-0 derivative."""
 
     def __init__(self, inner: SmoothMap):
         self.inner, self.in_dim, self.out_shape = inner, inner.in_dim, inner.out_shape
@@ -458,14 +450,11 @@ class DerivativeOnlyMap(SmoothMap):
     def derivative(self, Y, order):
         return self.inner.derivative(Y, order)
 
-    def derivative_sup_bound(self, order, radius):
-        return self.inner.derivative_sup_bound(order, radius)
-
 
 def test_a_map_with_derivatives_only_solves_bitwise_like_its_inner_map():
     prob = cubic_problem(32, n_max=16)
     field = prob.field
-    user = LipFunction(DerivativeOnlyMap(field.map), field.gamma, radius=field.radius)
+    user = LipFunction(DerivativeOnlyMap(field.map), field.gamma)
     a = solve(prob)
     b = solve(RdeProblem(prob.driver, user, xi=prob.xi, n_max=16))
     assert a.converged and b.converged and a.report == b.report
@@ -474,20 +463,38 @@ def test_a_map_with_derivatives_only_solves_bitwise_like_its_inner_map():
         assert_bitwise(x, y)
 
 
-def test_rescale_identity_at_matching_target():
+RESCALE_POINTS = np.array([[-1.5], [0.0], [0.3], [2.0]])
+
+
+def test_rescale_by_one_is_the_identity():
     for prob in (probe_problem(), user_map_problem(64)):
-        scaled, c = rescale_problem(prob, prob.field.lip_norm_bound)
-        assert c == 1.0
-        assert scaled.field.lip_norm_bound == prob.field.lip_norm_bound
+        scaled = rescale_problem(prob, 1.0)
         for a, b in zip(scaled.driver.step_level_blocks, prob.driver.step_level_blocks):
-            assert np.array_equal(a, b)
+            assert_bitwise(a, b)
+        for k in range(prob.field.smoothness + 1):
+            assert_bitwise(
+                scaled.field.derivative(RESCALE_POINTS, k),
+                prob.field.derivative(RESCALE_POINTS, k),
+            )
 
 
-def test_rescale_sets_field_bound_to_target():
+def test_rescale_by_c_trades_field_size_into_the_driver():
+    """At c = 2 the field's derivatives are the base's / c and the driver's
+    level k and control are the base's times c^k and c^p; powers of two
+    keep all three bitwise."""
+    c = 2.0
     for prob in (probe_problem(), user_map_problem(64)):
-        scaled, c = rescale_problem(prob, 0.5)
-        assert scaled.field.lip_norm_bound == pytest.approx(0.5, rel=1e-12)
-        assert c == pytest.approx(prob.field.lip_norm_bound / 0.5, rel=1e-12)
+        scaled = rescale_problem(prob, c)
+        for k in range(prob.field.smoothness + 1):
+            assert_bitwise(
+                scaled.field.derivative(RESCALE_POINTS, k),
+                prob.field.derivative(RESCALE_POINTS, k) / c,
+            )
+        for k, (a, b) in enumerate(
+            zip(scaled.driver.step_level_blocks, prob.driver.step_level_blocks), 1
+        ):
+            assert_bitwise(a, c**k * b)
+        assert_bitwise(scaled.omega.table, c**prob.driver.p * prob.omega.table)
 
 
 def test_rescaled_user_map_solves_the_same_equation():
@@ -495,7 +502,8 @@ def test_rescaled_user_map_solves_the_same_equation():
     along the dilated driver gives the original path, and scaling the
     wrapper again multiplies its factor."""
     prob = user_map_problem(64, n_max=16)
-    scaled, c = rescale_problem(prob, 0.5)
+    c = 8.0
+    scaled = rescale_problem(prob, c)
     wrapped = scaled.field.map
     assert isinstance(wrapped, ScaledMap) and wrapped.base is prob.field.map
     assert wrapped.scaled(c) == ScaledMap(c * wrapped.factor, prob.field.map)
@@ -504,12 +512,10 @@ def test_rescaled_user_map_solves_the_same_equation():
     assert np.max(np.abs(base.positions - other.positions)) <= 1e-12
 
 
-def test_rescale_rejects_nonpositive_target():
-    prob = probe_problem()
-    with pytest.raises(ValueError):
-        rescale_problem(prob, 0.0)
-    with pytest.raises(ValueError):
-        rescale_problem(prob, -2.0)
+@pytest.mark.parametrize("c", [0.0, -2.0, math.inf, math.nan])
+def test_rescale_rejects_nonpositive_target(c):
+    with pytest.raises(ValueError, match="dilation c must be finite and positive"):
+        rescale_problem(probe_problem(), c)
 
 
 def test_solution_invariant_under_rescaling(probe_solutions):
@@ -555,8 +561,7 @@ def test_constant_field_tower_vanishes_above_seed():
     prob = tower_problem()
     const = RdeProblem(
         prob.driver,
-        LipFunction(PolyMap.constant(np.array([[0.8]]), in_dim=1), gamma=4.0,
-                    radius=4.0),
+        LipFunction(PolyMap.constant(np.array([[0.8]]), in_dim=1), gamma=4.0),
         xi=np.array([1.0]),
     )
     report = difference_tower(const, l_max=2, n_max=3)
@@ -750,7 +755,7 @@ def test_probe_operator_sups_are_the_svd_norms(monkeypatch):
     """At m = 2 the probe's operator norms come from the Gram eigensolver;
     they agree with np.linalg.norm(ord=2), an SVD, to a few ulps."""
     prob = planar_problem()
-    a, b = solve(prob), solve(rescale_problem(prob, 0.5)[0])
+    a, b = solve(prob), solve(rescale_problem(prob, 18.52207462688132))
     got = uniqueness_probe(prob, a.positions, b.positions)
     monkeypatch.setattr(rde, "batched_spectral_norms", lambda m: np.linalg.norm(m, ord=2, axis=(-2, -1)))
     want = uniqueness_probe(prob, a.positions, b.positions)
