@@ -108,7 +108,8 @@ def signature(path: SampledPath, level: int, p: float | None = None) -> "Sampled
     Each returned point is the signature of the path restricted to [t_0, t_i];
     segment signatures are exponentials of the increments, so the result is
     exact for the polyline.  `p` defaults to float(level).  The segments
-    are certified group-like in one batch, the points in another.
+    are group-like by construction, their level 2 exactly x (x) x / 2, so
+    only the points are certified, by the path constructor.
     """
     if level < 1:
         raise ValueError(f"level must be at least 1, got {level}")
@@ -119,7 +120,6 @@ def signature(path: SampledPath, level: int, p: float | None = None) -> "Sampled
     lie = [np.zeros((steps.shape[0], path.dim**k)) for k in range(level + 1)]
     lie[1] = steps
     segs = stack_exp(tuple(lie))
-    certify_stack(segs)
     points = [GroupElement.unit(path.dim, level)]
     for seg in _element_views(segs, np.ones(steps.shape[0], dtype=bool)):
         points.append(points[-1] @ seg)
@@ -149,7 +149,8 @@ def pure_area_path(area: float, steps: int) -> "SampledRoughPath":
 def _element_views(
     stack: tuple[np.ndarray, ...], flags: np.ndarray
 ) -> tuple[GroupElement, ...]:
-    """Rows of a certified level stack as elements; freezes the stack to share it."""
+    """Rows of a group-like level stack, certified or exact exponentials, as
+    elements; freezes the stack to share it."""
     _read_only(stack)
     return tuple(GroupElement._trusted(tuple(x[i] for x in stack), bool(f)) for i, f in enumerate(flags))
 
@@ -224,10 +225,14 @@ class SampledRoughPath:
         return base[None, :] + self.levels[1]
 
     def dilate(self, c: float) -> "SampledRoughPath":
-        """Level k scaled by c**k; the automorphism keeps the certificate flags."""
-        if c <= 0:
-            raise ValueError("dilation factor must be positive")
+        """Level k scaled by c**k; the automorphism keeps the certificate flags.
+        Refused before any scaling unless c is finite and positive and c**p,
+        the largest power a caller scales by (c**L <= c**p once c > 1), is
+        finite; the comparisons are false on NaN."""
         c = float(c)
+        with np.errstate(over="ignore"):
+            if not (c > 0.0 and np.float64(c) ** self.p < np.inf):
+                raise ValueError(f"dilation c must be finite and positive with c**p finite, got {c}")
         levels = tuple((c**k) * x for k, x in enumerate(self.levels))
         return SampledRoughPath(self.times, levels, self.p, self.grouplike)
 
@@ -251,9 +256,9 @@ class SampledRoughPath:
 
     @cached_property
     def _inverse_levels(self) -> tuple[np.ndarray, ...]:
-        inv = stack_inverse(self.levels)
-        certify_stack(inv, rows=self.grouplike, scale=self._shuffle_scale)
-        return _read_only(inv)
+        """The inverse points' levels, not certified again: an inverse's
+        shuffle defect is its point's, negated, plus one rounding."""
+        return _read_only(stack_inverse(self.levels))
 
     def increment_levels(
         self, a_idx: np.ndarray, b_idx: np.ndarray

@@ -398,11 +398,9 @@ def rescale_problem(problem: RdeProblem, c: float) -> RdeProblem:
     """Trade size between the field and the driver by the dilation c.
 
     The field is shrunk by 1/c, the driver dilated by c, and the control
-    scaled by c^p.  Solution paths are unchanged.
+    scaled by c^p.  Solution paths are unchanged.  The driver's dilation
+    comes first, so its refusal of c runs before any scaling.
     """
-    # the comparisons are false on NaN, so NaN is refused with inf
-    if not 0.0 < c < math.inf:
-        raise ValueError(f"dilation c must be finite and positive, got {c}")
     return RdeProblem(
         driver=problem.driver.dilate(c),
         field=problem.field.scaled(1.0 / c),

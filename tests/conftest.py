@@ -174,6 +174,31 @@ def area_problem(steps: int = 320, **kw) -> RdeProblem:
     return RdeProblem(pure_area_path(AREA_VALUE, steps), field, xi=AREA_XI, **kw)
 
 
+# -- looped drivers: group-valued paths whose steps carry area of their own --
+
+
+def looped_lift(path: SampledPath, eps: float, level: int = 3) -> tuple[SampledPath, SampledRoughPath]:
+    """A genuinely rough driver on `path`'s grid, and the polyline it lifts.
+
+    Each grid step is followed by one square loop of area eps * dt in the
+    first two coordinates, which starts and ends at the step's end point:
+    the fine polyline runs x_i, x_{i+1} and three corners per step.  Its
+    signature's rows at the grid points, every fifth, form the coarse path:
+    each step carries area eps * dt that its level 1 does not explain, and
+    RK4 on the fine polyline is an oracle for a solve on the coarse path.
+    """
+    t, x = path.times, path.values
+    dt = np.diff(t)
+    e1, e2 = np.sqrt(eps * dt)[None, :, None] * np.eye(path.dim)[:2, None, :]
+    corners = (x[:-1], x[1:], x[1:] + e1, x[1:] + e1 + e2, x[1:] + e2)
+    fine = SampledPath(
+        np.append((t[:-1, None] + dt[:, None] * np.arange(5) / 5).reshape(-1), t[-1]),
+        np.vstack([np.stack(corners, axis=1).reshape(-1, path.dim), x[-1:]]),
+    )
+    lift = signature(fine, level)
+    return fine, SampledRoughPath(t, tuple(block[::5] for block in lift.levels), lift.p, np.ones(t.size, dtype=bool))
+
+
 # -- probe fixture: scalar equation on a 200-step grid, used by the ----------
 # -- uniqueness and continuity probes and the acceptance suite ----------------
 

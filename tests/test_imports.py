@@ -257,3 +257,30 @@ def test_the_lip_norm_ball_is_gone():
         if names["radius"] and source.name != "cli.py":
             found.append(f"{source.name}: radius")
     assert not found, f"the Lip-norm ball is named: {found}"
+
+
+def test_a_lifted_path_is_certified_once():
+    """`certify_stack` runs where rows enter unchecked: the two constructors,
+    and `increment_levels`, whose index pairs are arbitrary.  Nothing else
+    calls it, not `signature` on its exponential segments and not the
+    path's inverse points, whose results are known."""
+    callers = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}" if owner else child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "certify_stack":
+                    callers.append(f"{source.name}: {owner}")
+            visit(child, owner)
+
+    for source in SOURCES:
+        visit(ast.parse(source.read_text(), filename=str(source)), "")
+    assert sorted(callers) == [
+        "path.py: SampledRoughPath.__post_init__",
+        "path.py: SampledRoughPath.increment_levels",
+        "tensor.py: GroupElement.__post_init__",
+    ]

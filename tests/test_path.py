@@ -423,6 +423,17 @@ def test_dilate_rejects_nonpositive():
         g.dilate(-1.0)
 
 
+@pytest.mark.parametrize("c", [math.nan, math.inf, 1e200, 1e120])
+def test_dilate_refuses_a_bad_or_huge_c(c):
+    """A c that is not finite, or whose power c**p overflows, is refused with
+    one ValueError before any level is scaled: no inf * 0 warning, no bare
+    OverflowError.  1e100 cubed is finite, and that dilation goes through."""
+    g = signature(random_polyline(np.random.default_rng(21)), 3, p=3.0)
+    with pytest.raises(ValueError, match=r"dilation c must be finite and positive with c\*\*p finite"):
+        g.dilate(c)
+    assert np.isfinite(g.dilate(1e100).levels[3]).all()
+
+
 # -- pure-area fixtures -------------------------------------------------------
 
 
@@ -871,18 +882,23 @@ def test_pure_area_and_dilate_are_bitwise_the_per_point_versions():
 
 
 def test_signature_certifies_each_stack_once(monkeypatch):
+    """One certificate per lift, of the points in the path constructor: the
+    segments are exponentials, group-like by construction, and the step
+    products start from the uncertified unit, so `GroupElement` checks none."""
     import roughkit.path as path_mod
+    import roughkit.tensor as tensor_mod
 
     calls = []
-    real = path_mod.certify_stack
+    real = tensor_mod.certify_stack
 
     def counting(t, rows=None, **kw):
         calls.append(t[0].shape[0] if rows is None else int(np.sum(rows)))
         return real(t, rows=rows, **kw)
 
-    monkeypatch.setattr(path_mod, "certify_stack", counting)
+    for module in (path_mod, tensor_mod):
+        monkeypatch.setattr(module, "certify_stack", counting)
     signature(random_polyline(np.random.default_rng(36), n_pts=40), 3)
-    assert calls == [39, 40]  # the segments, then the points
+    assert calls == [40]  # the points
 
 
 def _lift_stack(rng):
@@ -956,8 +972,8 @@ def _loop(rng, radius, d=2, n_pts=20):
 )
 def test_loop_lifts_pass_the_certificate(seed, d, radius):
     """Exact lifts of loops that come back near their start after a long
-    excursion stay certified, with their inverses and every increment: the
-    level-2 shuffle bound follows the largest point the path has passed."""
+    excursion stay certified, with every increment: the level-2 shuffle
+    bound follows the largest point the path has passed."""
     g = signature(_loop(np.random.default_rng(seed), radius, d), 3)
     s_idx, t_idx = np.triu_indices(g.times.size, k=1)
     assert len(g.increment_levels(s_idx, t_idx)[2]) == s_idx.size
@@ -1051,9 +1067,10 @@ def test_trusted_pair_products_pass_the_certificate(case, monkeypatch):
                     certify_stack(stack, scale=pair_scale)
 
 
-def test_large_increment_passes_the_inverse_identity():
-    """The exact lift of one 1e2 step at level 3: t t^{-1} rounds far above
-    1e-12 at level 3 but within the bound scaled by the row's size."""
+def test_large_increment_passes_the_certificate():
+    """The exact lift of one 1e2 step at level 3 is certified, with level 3
+    at x^3/6 ~ 1.7e5: the shuffle bound scales with 1 + ||x||^2, and no
+    check holds a level to an absolute tolerance."""
     g = signature(polyline([[0.0, 0.0], [1e2, 0.0]]), 3)
     assert g.grouplike.all()
     assert g.levels[3][-1, 0] == pytest.approx(1e6 / 6.0, rel=1e-15)
@@ -1068,10 +1085,33 @@ def test_large_increment_passes_the_inverse_identity():
 )
 def test_scaled_walk_lifts_pass_the_certificate(seed, d, level, scale, dilation):
     """Exact lifts of random walks, and their dilations, stay certified at any
-    size: the inverse identity's bound grows with the row as its rounding does.
-    Each coordinate moves one way; loops are covered below."""
+    size: the shuffle relation's bound grows with the row as its rounding does.
+    Each coordinate moves one way; loops are covered above."""
     rng = np.random.default_rng(seed)
     steps = scale * rng.uniform(0.2, 1.0, (12, d)) * rng.choice([-1.0, 1.0], d)
     values = np.vstack([np.zeros(d), np.cumsum(steps, axis=0)])
     g = signature(polyline(values), level).dilate(dilation)
     assert g.grouplike.all()
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 3),
+    level=st.integers(2, 4),
+    loop=st.booleans(),
+    size=st.sampled_from([1.0, 1e2, 1e3]),
+    dilation=st.sampled_from([1.0, 7.0, 1e2]),
+)
+def test_inverse_points_pass_the_certificate(seed, d, level, loop, size, dilation):
+    """The constructor certifies the points and not their series inverses:
+    an inverse's shuffle defect is its point's, negated, plus one rounding.
+    On walks, loops and their dilations `_inverse_levels` passes the
+    certificate at the path's own running scale."""
+    rng = np.random.default_rng(seed)
+    if loop:
+        path = _loop(rng, size, d)
+    else:
+        steps = size * rng.uniform(0.2, 1.0, (12, d)) * rng.choice([-1.0, 1.0], d)
+        path = polyline(np.vstack([np.zeros(d), np.cumsum(steps, axis=0)]))
+    g = signature(path, level).dilate(dilation)
+    certify_stack(g._inverse_levels, rows=g.grouplike, scale=g._shuffle_scale)

@@ -44,6 +44,7 @@ from conftest import (
     dilated,
     level_rows,
     linear_vector_field,
+    looped_lift,
     perturbed_probe_driver,
     probe_problem,
 )
@@ -290,6 +291,47 @@ def test_polyline_solution_matches_classical_integration(cubic_solutions):
     assert rel <= 1e-6
 
 
+@pytest.mark.parametrize("scale", [1.0, 50.0])
+def test_looped_lifts_pass_the_certificate_with_the_loops_area(scale):
+    """The coarse rows of a looped polyline, dilated by `scale`, pass the
+    path constructor's certificate, and each step's Levy area is its loop's
+    scale^2 eps dt: the straight part carries none, and the loop's level 1
+    is zero, so Chen's product adds nothing across them."""
+    eps, path = 0.2, cubic_path(64)
+    _, g = looped_lift(SampledPath(path.times, scale * path.values), scale**2 * eps)
+    assert g.grouplike.all()
+    two = g.step_level_blocks[1]
+    np.testing.assert_allclose(0.5 * (two[:, 1] - two[:, 2]), scale**2 * eps * np.diff(path.times), rtol=1e-9)
+
+
+def test_rough_driver_solves_match_rk4_on_the_looped_polyline():
+    """On drivers whose steps carry area eps * dt that their level 1 does
+    not explain, the coarse solve converges to RK4 on the fine polyline.
+    Both polylines of a grid share its fine times, so one RK4 run takes the
+    two systems side by side.  Measured max gaps at N = 32 / 64 / 128:
+    eps = 0: 6.9e-7 / 8.6e-8 / 1.1e-8, order 3.00; eps = 0.2: 6.8e-5 /
+    3.1e-5 / 1.4e-5, order 1.15, while the loops move the solution by
+    2.85-2.87e-2, so the gap is 0.05-0.24% of that."""
+    field, xi, grids = cubic_field(), np.array([0.5, -0.25]), (32, 64, 128)
+
+    def side_by_side(y):
+        f = field.apply(y.reshape(2, 2)).reshape(2, 2, 2)
+        return np.block([[f[0], np.zeros((2, 2))], [np.zeros((2, 2)), f[1]]])
+
+    gaps = {0.0: [], 0.2: []}
+    for n in grids:
+        (plain, plain_lift), (loops, loops_lift) = (looped_lift(cubic_path(n), eps) for eps in gaps)
+        both = rk4_polyline(side_by_side, np.tile(xi, 2), plain.times, np.hstack([plain.values, loops.values]), 2)
+        want = both[::5, :2], both[::5, 2:]
+        for (eps, gap), lift, ref in zip(gaps.items(), (plain_lift, loops_lift), want):
+            sol = solve(RdeProblem(lift, field, xi=xi))
+            assert sol.converged and sol.certificate.ok
+            gap.append(np.max(np.abs(sol.positions - ref)))
+        assert gaps[0.2][-1] < 0.01 * np.max(np.abs(want[1] - want[0]))
+    order = {eps: -np.polyfit(np.log(grids), np.log(gap), 1)[0] for eps, gap in gaps.items()}
+    assert order[0.0] >= 2.5 and order[0.2] >= 0.9
+
+
 def test_fixed_point_residual_within_budget(
     exp_solutions, cubic_solutions, area_solution
 ):
@@ -512,9 +554,11 @@ def test_rescaled_user_map_solves_the_same_equation():
     assert np.max(np.abs(base.positions - other.positions)) <= 1e-12
 
 
-@pytest.mark.parametrize("c", [0.0, -2.0, math.inf, math.nan])
+@pytest.mark.parametrize("c", [0.0, -2.0, math.inf, math.nan, 1e200, 1e120])
 def test_rescale_rejects_nonpositive_target(c):
-    with pytest.raises(ValueError, match="dilation c must be finite and positive"):
+    """The driver's dilation refuses c before the field or the control is
+    scaled; at L = p = 3, 1e120 cubed overflows."""
+    with pytest.raises(ValueError, match=r"dilation c must be finite and positive with c\*\*p finite"):
         rescale_problem(probe_problem(), c)
 
 

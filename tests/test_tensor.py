@@ -300,7 +300,7 @@ def _verdict(fn) -> str | None:
 
 
 # rows of (seed, level-2 perturbation, dilation, selected by the mask); a
-# dilation scales the inverse identity's rounding and its bound together
+# dilation scales the shuffle relation's rounding and its bound together
 @given(
     st.lists(
         st.tuples(
@@ -334,15 +334,32 @@ def test_batched_certificate_matches_per_element(rows):
     assert _verdict(lambda: certify_stack(stack)) == everything
 
 
-def test_inverse_identity_bound_is_relative_to_the_row():
-    """A row whose product with its series inverse misses the unit by more
-    than 1e-12 (1 + size**k) at some level k fails the inverse identity."""
+def test_scalar_part_must_be_exactly_one():
+    """A row whose scalar part is off 1 by 1e-15 is refused by the
+    certificate itself, which checks the scalar part exactly, as the
+    constructors do."""
     rng = np.random.default_rng(5)
     stack = one_row(dilated(random_signature(rng, dim=2, level=3).levels, 1e3))
     certify_stack(stack)
-    off_unit = (stack[0] * (1.0 + 1e-9),) + stack[1:]
-    with pytest.raises(ValueError, match="group-like certificate failed: inverse identity"):
+    off_unit = (stack[0] * (1.0 + 1e-15),) + stack[1:]
+    with pytest.raises(ValueError, match="group-like certificate failed: scalar part not exactly 1"):
         certify_stack(off_unit)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e3])
+def test_segment_exponentials_have_no_shuffle_defect(d, scale):
+    """`signature` does not certify its segments: the level 2 of `stack_exp`
+    of a row whose only nonzero level is 1 is exactly x (x) x / 2, so the
+    certificate's symmetric defect is exactly 0.0 at every level."""
+    rng = np.random.default_rng(d)
+    x = scale * rng.standard_normal((64, d))
+    outer = x[:, :, None] * x[:, None, :]
+    for level in (2, 3, 4):
+        segs = stack_exp((np.zeros((64, 1)), x) + tuple(np.zeros((64, d**k)) for k in range(2, level + 1)))
+        two = segs[2].reshape(64, d, d)
+        defect = 0.5 * (two + two.transpose(0, 2, 1)) - 0.5 * outer
+        assert np.all(defect == 0.0)
 
 
 def test_homogeneous_norm_of_unit_is_zero():
