@@ -121,10 +121,10 @@ def signature(path: SampledPath, level: int, p: float | None = None) -> "Sampled
     lie[1] = steps
     segs = stack_exp(tuple(lie))
     points = [GroupElement.unit(path.dim, level)]
-    for seg in _element_views(segs, np.ones(steps.shape[0], dtype=bool)):
+    for seg in _element_views(segs):
         points.append(points[-1] @ seg)
     levels = tuple(np.stack([g.level_block(k) for g in points]) for k in range(level + 1))
-    return SampledRoughPath(path.times, levels, p, np.ones(len(points), dtype=bool))
+    return SampledRoughPath(path.times, levels, p)
 
 
 def pure_area_path(area: float, steps: int) -> "SampledRoughPath":
@@ -143,16 +143,14 @@ def pure_area_path(area: float, steps: int) -> "SampledRoughPath":
     area_k = (np.arange(steps + 1) / steps * area)[:, None] * gen
     lie = (np.zeros((steps + 1, 1)), np.zeros((steps + 1, 2)), area_k)
     times = np.linspace(0.0, 1.0, steps + 1)
-    return SampledRoughPath(times, stack_exp(lie), 2.0, np.ones(steps + 1, dtype=bool))
+    return SampledRoughPath(times, stack_exp(lie), 2.0)
 
 
-def _element_views(
-    stack: tuple[np.ndarray, ...], flags: np.ndarray
-) -> tuple[GroupElement, ...]:
+def _element_views(stack: tuple[np.ndarray, ...]) -> tuple[GroupElement, ...]:
     """Rows of a group-like level stack, certified or exact exponentials, as
-    elements; freezes the stack to share it."""
+    certified elements; freezes the stack to share it."""
     _read_only(stack)
-    return tuple(GroupElement._trusted(tuple(x[i] for x in stack), bool(f)) for i, f in enumerate(flags))
+    return tuple(GroupElement._trusted(tuple(x[i] for x in stack)) for i in range(stack[0].shape[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,8 +158,8 @@ class SampledRoughPath:
     """Group-valued sampled path g_{t_i}, with g_{t_0} = 1 typically.
 
     Stored as level stacks: `levels[k]` has shape (N+1, d**k) and row i is
-    the degree-k block of g_{t_i}.  `grouplike` is the (N+1,) mask of the
-    points certified group-like; the constructor certifies those rows once.
+    the degree-k block of g_{t_i}.  Every point is group-like: the
+    constructor certifies each row once and refuses the path otherwise.
     `p` is the claimed regularity; the truncation level must equal int(p).
     Increments g_{s,t} = g_s^{-1} g_t are exact group algebra.
     A lifted point's level-2 rounding follows the path that reached it, so
@@ -171,12 +169,10 @@ class SampledRoughPath:
     times: np.ndarray
     levels: tuple[np.ndarray, ...]
     p: float
-    grouplike: np.ndarray
 
     def __post_init__(self) -> None:
         times = np.array(self.times, dtype=float).reshape(-1)
         levels = tuple(np.array(x, dtype=float) for x in self.levels)
-        grouplike = np.array(self.grouplike, dtype=bool).reshape(-1)
         n, level = times.size, len(levels) - 1
         if n < 2:
             raise ValueError("need at least two samples")
@@ -189,19 +185,16 @@ class SampledRoughPath:
                 raise DimensionMismatchError(f"{n} times vs level-{k} stack {block.shape}")
             if not np.all(np.isfinite(block)):
                 raise ValueError(f"level-{k} block contains non-finite entries")
-        if grouplike.shape != (n,):
-            raise DimensionMismatchError(f"{n} times vs {grouplike.size} certificate flags")
         if not np.all(levels[0] == 1.0):
             raise ValueError("group elements must have scalar part exactly 1")
         if not np.all(np.isfinite(times)) or np.any(np.diff(times) <= 0):
             raise ValueError("times must be finite and strictly increasing")
         scale = np.maximum.accumulate(1.0 + np.linalg.norm(levels[1], axis=1) ** 2)
-        certify_stack(levels, rows=grouplike, scale=scale)
-        _read_only((times, grouplike, scale) + levels)
+        certify_stack(levels, scale=scale)
+        _read_only((times, scale) + levels)
         object.__setattr__(self, "_shuffle_scale", scale)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "grouplike", grouplike)
 
     @property
     def dim(self) -> int:
@@ -218,23 +211,24 @@ class SampledRoughPath:
     @cached_property
     def points(self) -> tuple[GroupElement, ...]:
         """The grid points g_{t_i} as views of `levels`."""
-        return _element_views(self.levels, self.grouplike)
+        return _element_views(self.levels)
 
     def positions(self, base_point: np.ndarray | None = None) -> np.ndarray:
         base = np.zeros(self.dim) if base_point is None else np.asarray(base_point, float)
         return base[None, :] + self.levels[1]
 
     def dilate(self, c: float) -> "SampledRoughPath":
-        """Level k scaled by c**k; the automorphism keeps the certificate flags.
+        """Level k scaled by c**k, certified again by the constructor.
         Refused before any scaling unless c is finite and positive and c**p,
         the largest power a caller scales by (c**L <= c**p once c > 1), is
-        finite; the comparisons are false on NaN."""
+        finite; the comparisons are false on NaN.  A level that overflows
+        is refused by the constructor as non-finite."""
         c = float(c)
         with np.errstate(over="ignore"):
             if not (c > 0.0 and np.float64(c) ** self.p < np.inf):
                 raise ValueError(f"dilation c must be finite and positive with c**p finite, got {c}")
-        levels = tuple((c**k) * x for k, x in enumerate(self.levels))
-        return SampledRoughPath(self.times, levels, self.p, self.grouplike)
+            levels = tuple((c**k) * x for k, x in enumerate(self.levels))
+        return SampledRoughPath(self.times, levels, self.p)
 
     def restricted(self, i0: int, i1: int) -> "SampledRoughPath":
         """Rows i0..i1 as views of this path's frozen arrays and cached step
@@ -246,7 +240,7 @@ class SampledRoughPath:
         out = object.__new__(SampledRoughPath)
         object.__setattr__(out, "p", self.p)
         object.__setattr__(out, "levels", tuple(x[rows] for x in self.levels))
-        for name in ("times", "grouplike", "_shuffle_scale"):
+        for name in ("times", "_shuffle_scale"):
             object.__setattr__(out, name, getattr(self, name)[rows])
         if "step_level_blocks" in vars(self):
             vars(out)["step_level_blocks"] = tuple(x[i0:i1] for x in self.step_level_blocks)
@@ -267,16 +261,16 @@ class SampledRoughPath:
 
         Entry [k] has shape (len(a_idx), d**k), degrees 0..L.  Rows agree
         bitwise with `points[a].inverse() @ points[b]` wherever that product
-        passes its own certificate.  The indices are arbitrary, so every row is
-        certified as `certify_stack` states; a failure raises ValueError.
+        passes the certificate it runs at its own size.  The indices are
+        arbitrary, so every row is certified, at the larger of its points'
+        running scales; a failure raises ValueError.
         """
         # in range and non-negative, as the gathers into a pool take them
         a_idx, b_idx = (np.arange(self.times.size)[np.asarray(x, dtype=int)] for x in (a_idx, b_idx))
         # row-major, as einsum readers need for the same bits
         inc = tuple(np.ascontiguousarray(x) for x in self._products(a_idx, b_idx, self.level))
         scale = np.maximum(np.take(self._shuffle_scale, a_idx), np.take(self._shuffle_scale, b_idx))
-        rows = np.take(self.grouplike, a_idx) & np.take(self.grouplike, b_idx)
-        certify_stack(inc, rows=rows, scale=scale)
+        certify_stack(inc, scale=scale)
         return inc
 
     @cached_property

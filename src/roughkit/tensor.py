@@ -177,19 +177,14 @@ def homogeneous_norms(blocks: tuple[np.ndarray, ...]) -> np.ndarray:
         return sum(np.sqrt(sum_squares(b)) ** (1.0 / k) for k, b in enumerate(blocks, 1))
 
 
-def certify_stack(
-    t: tuple[np.ndarray, ...],
-    rows: np.ndarray | None = None,
-    scale: np.ndarray | float = 0.0,
-) -> None:
-    """Group-like certificate for every selected row of a level stack.
+def certify_stack(t: tuple[np.ndarray, ...], scale: np.ndarray | float = 0.0) -> None:
+    """Group-like certificate for every row of a level stack.
 
     Each row must have scalar part exactly 1 and satisfy the level-2
     shuffle relation, sym(x^2) = x (x) x / 2, to a tolerance scaled by the
     larger of 1 + ||x||^2 and its entry of `scale` (the size of the path
-    that produced it).  Levels 3..L are not checked.  `rows` is a boolean
-    mask; unselected rows are not checked.  The ValueError names the check
-    that failed, the scalar part first.
+    that produced it).  Levels 3..L are not checked.  The ValueError names
+    the check that failed, the scalar part first.
 
     A path certifies its points once, at its running shuffle scale.  The
     product g_s^{-1} g_t of two of them is trusted on the all-pairs walks
@@ -197,9 +192,6 @@ def certify_stack(
     caller-chosen pairs (`increment_levels`) it is checked here, at the
     larger of the two scales.
     """
-    if rows is not None:
-        t = tuple(x[rows] for x in t[:3])
-        scale = np.broadcast_to(scale, rows.shape)[rows]
     if not np.all(t[0] == 1.0):
         raise ValueError("group-like certificate failed: scalar part not exactly 1")
     if len(t) > 2:
@@ -256,12 +248,12 @@ class GroupElement:
         return cls((np.ones(1),) + tuple(np.zeros(dim**k) for k in range(1, level + 1)))
 
     @classmethod
-    def _trusted(cls, levels: tuple[np.ndarray, ...], grouplike: bool) -> "GroupElement":
-        """Wrap read-only level rows whose certificate already ran on their
-        stack, without copy or checks."""
+    def _trusted(cls, levels: tuple[np.ndarray, ...]) -> "GroupElement":
+        """Wrap read-only group-like level rows, certified on their stack or
+        exact exponentials, without copy or checks."""
         out = object.__new__(cls)
         object.__setattr__(out, "levels", levels)
-        object.__setattr__(out, "grouplike", grouplike)
+        object.__setattr__(out, "grouplike", True)
         return out
 
     def _stack(self) -> tuple[np.ndarray, ...]:

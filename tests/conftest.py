@@ -70,10 +70,9 @@ def increment_rows(g: SampledRoughPath, i: int, j: int) -> tuple[np.ndarray, ...
 
 
 def increment_element(g: SampledRoughPath, i: int, j: int):
-    """g_i^{-1} g_j as a GroupElement over its `increment_rows`, carrying the
-    certificate flag of both ends as `points` carries each point's, so that
-    products of such elements run `certify_stack`."""
-    return _element_views(g.increment_levels([i], [j]), g.grouplike[[i]] & g.grouplike[[j]])[0]
+    """g_i^{-1} g_j as a certified GroupElement over its `increment_rows`, as
+    `points` are, so that products of such elements run `certify_stack`."""
+    return _element_views(g.increment_levels([i], [j]))[0]
 
 
 def element_norm(levels) -> float:
@@ -196,7 +195,7 @@ def looped_lift(path: SampledPath, eps: float, level: int = 3) -> tuple[SampledP
         np.vstack([np.stack(corners, axis=1).reshape(-1, path.dim), x[-1:]]),
     )
     lift = signature(fine, level)
-    return fine, SampledRoughPath(t, tuple(block[::5] for block in lift.levels), lift.p, np.ones(t.size, dtype=bool))
+    return fine, SampledRoughPath(t, tuple(block[::5] for block in lift.levels), lift.p)
 
 
 # -- probe fixture: scalar equation on a 200-step grid, used by the ----------

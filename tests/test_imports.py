@@ -284,3 +284,17 @@ def test_a_lifted_path_is_certified_once():
         "path.py: SampledRoughPath.increment_levels",
         "tensor.py: GroupElement.__post_init__",
     ]
+
+
+def test_every_point_of_a_rough_path_is_certified():
+    """A rough path is its times, level stacks and p, with no per-point flag
+    that exempts a row from the constructor's certificate, and
+    `certify_stack` checks every row it is given, with no row selection."""
+    from dataclasses import fields
+    from inspect import signature
+
+    from roughkit.path import SampledRoughPath
+    from roughkit.tensor import certify_stack
+
+    assert tuple(f.name for f in fields(SampledRoughPath)) == ("times", "levels", "p")
+    assert tuple(signature(certify_stack).parameters) == ("t", "scale")

@@ -241,14 +241,16 @@ def test_compose_linear_field_matches_classical_quadrature():
 
 
 def test_compose_second_level_reads_exactly_the_area_slot():
-    """Zeroing pi_2 of the driver shifts the integral by the predicted pairing."""
+    """Dropping the area, the antisymmetric part of pi_2, from the driver's
+    points shifts the integral by the predicted pairing."""
     g = smooth_driver(12)
     f = linear_field()
     beta = field_integral_form(g, f)
     full = rough_integral(beta).total
 
-    stripped = (g.levels[0], g.levels[1], np.zeros_like(g.levels[2]))
-    g0 = SampledRoughPath(g.times, stripped, 2.0, np.zeros(g.times.size, dtype=bool))
+    two = g.levels[2].reshape(-1, g.dim, g.dim)
+    stripped = (g.levels[0], g.levels[1], (0.5 * (two + two.transpose(0, 2, 1))).reshape(-1, g.dim**2))
+    g0 = SampledRoughPath(g.times, stripped, 2.0)
     beta0 = OneFormPath(g0, beta.out_dim, beta.levels)
     ablated = rough_integral(beta0).total
 

@@ -434,6 +434,15 @@ def test_dilate_refuses_a_bad_or_huge_c(c):
     assert np.isfinite(g.dilate(1e100).levels[3]).all()
 
 
+def test_dilate_refuses_a_level_that_overflows():
+    """c**p is finite, yet c**3 times a level-3 entry of about 1.7e11 is
+    not: the constructor refuses the non-finite block, with no overflow
+    warning from the scaling first."""
+    g = signature(polyline([[0.0, 0.0], [1e4, 0.0], [0.0, 0.0]]), 3)
+    with pytest.raises(ValueError, match="level-3 block contains non-finite entries"):
+        g.dilate(1e100)
+
+
 # -- pure-area fixtures -------------------------------------------------------
 
 
@@ -552,18 +561,8 @@ def test_chen_consistency_of_stored_increments():
         assert rows_distance(joined.levels, increment_rows(g, s, t)) <= 1e-13
 
 
-def mixed_certificate_path(rng) -> SampledRoughPath:
-    """A level-3 lift whose odd points lose their area and their certificate."""
-    g = signature(random_polyline(rng, n_pts=7), 3, p=3.0)
-    levels = [x.copy() for x in g.levels]
-    levels[2][1::2] = 0.0
-    return SampledRoughPath(g.times, tuple(levels), 3.0, np.arange(7) % 2 == 0)
-
-
-@pytest.mark.parametrize("mixed", [False, True])
-def test_increment_levels_are_bitwise_the_object_increments(mixed):
-    rng = np.random.default_rng(31)
-    g = mixed_certificate_path(rng) if mixed else signature(random_polyline(rng), 3, p=3.0)
+def test_increment_levels_are_bitwise_the_object_increments():
+    g = signature(random_polyline(np.random.default_rng(31)), 3, p=3.0)
     n = len(g.points)
     a_idx, b_idx = (x.reshape(-1) for x in np.meshgrid(np.arange(n), np.arange(n)))
     stacks = g.increment_levels(a_idx, b_idx)
@@ -573,7 +572,7 @@ def test_increment_levels_are_bitwise_the_object_increments(mixed):
             assert np.array_equal(stacks[k][row], ref.level_block(k))
     for i in range(g.num_steps):
         ref = g.points[i].inverse() @ g.points[i + 1]
-        assert (g.grouplike[i] & g.grouplike[i + 1]) == ref.grouplike == (not mixed)
+        assert ref.grouplike
         for k in range(1, g.level + 1):
             assert np.array_equal(g.step_level_blocks[k - 1][i], ref.level_block(k))
     inverses = g._inverse_levels
@@ -621,7 +620,7 @@ def assert_pair_levels_are_the_increment_levels(g, monkeypatch, build_pairs=None
     scattered = np.sort(rng.choice(s_idx.size, size=(s_idx.size + 1) // 2, replace=False))
     for size in build_pairs or (1, 2 * n, roughkit.path._BUILD_PAIRS):
         monkeypatch.setattr(roughkit.path, "_BUILD_PAIRS", size)
-        h = SampledRoughPath(g.times, g.levels, g.p, g.grouplike)
+        h = SampledRoughPath(g.times, g.levels, g.p)
         assert [x.shape for x in h.pairwise_levels] == [s_idx.shape]
         blocks = list(h._row_blocks())
         assert [s0 for s0, _ in blocks] == [0] + [s1 for _, s1 in blocks[:-1]] and blocks[-1][1] == n - 1
@@ -644,12 +643,10 @@ def assert_pair_levels_are_the_increment_levels(g, monkeypatch, build_pairs=None
                 assert_products_are_the_increment_levels(h, levels, pairs, upto, stacks, scratch)
 
 
-@pytest.mark.parametrize("mixed", [False, True])
-def test_pairwise_levels_are_bitwise_the_increment_levels(mixed, monkeypatch):
+def test_pairwise_levels_are_bitwise_the_increment_levels(monkeypatch):
     # no pair level is stored: each run forms its levels from the points,
     # one product truncated at level L-1, or at L
-    rng = np.random.default_rng(32)
-    g = mixed_certificate_path(rng) if mixed else signature(random_polyline(rng), 3, p=3.0)
+    g = signature(random_polyline(np.random.default_rng(32)), 3, p=3.0)
     assert_pair_levels_are_the_increment_levels(g, monkeypatch)
 
 
@@ -658,7 +655,7 @@ def signed_zero_path() -> SampledRoughPath:
     x = np.array([[0.0, -0.0], [-0.0, 0.5], [0.25, -0.0], [-0.0, -0.0], [-0.0, 0.0], [1.0, -0.0]])
     levels = (np.ones((6, 1)), x, np.einsum("ni,nj->nij", x, x).reshape(6, 4) / 2.0)
     levels += (np.einsum("ni,nj,nk->nijk", x, x, x).reshape(6, 8) / 6.0,)
-    return SampledRoughPath(np.linspace(0.0, 1.0, 6), levels, 3.0, np.ones(6, dtype=bool))
+    return SampledRoughPath(np.linspace(0.0, 1.0, 6), levels, 3.0)
 
 
 def test_pair_levels_keep_the_signs_of_zero_coordinates(monkeypatch):
@@ -740,13 +737,12 @@ def test_homogeneous_norm_is_bitwise_the_pairwise_table(seed, monkeypatch):
     # one kernel serves single elements and the packed pair norms; a scalar
     # k-th root rounds differently from the array one on about 1% of pairs.
     # The norms are filled by the pair build in blocks of 1, 2 and all s-rows.
-    g = mixed_certificate_path(np.random.default_rng(seed))
-    assert g.grouplike.any() and not g.grouplike.all()
+    g = signature(random_polyline(np.random.default_rng(seed), n_pts=7), 3, p=3.0)
     n = len(g.points)
     s_idx, t_idx = np.triu_indices(n, k=1)
     for build_pairs in (1, 2 * n, roughkit.path._BUILD_PAIRS):
         monkeypatch.setattr(roughkit.path, "_BUILD_PAIRS", build_pairs)
-        norms = SampledRoughPath(g.times, g.levels, g.p, g.grouplike).pairwise_levels[0]
+        norms = SampledRoughPath(g.times, g.levels, g.p).pairwise_levels[0]
         assert norms.shape == s_idx.shape
         for j, (s, t) in enumerate(zip(s_idx, t_idx)):
             assert element_norm(increment_rows(g, s, t)) == norms[j]
@@ -774,7 +770,7 @@ def test_norm_table_and_control_are_bitwise_the_full_level_norms(d, level, monke
         control = interval_dp_loop(want**p)
         for build_pairs in (1, 2 * 30, roughkit.path._BUILD_PAIRS):
             monkeypatch.setattr(roughkit.path, "_BUILD_PAIRS", build_pairs)
-            h = SampledRoughPath(g.times, g.levels, g.p, g.grouplike)
+            h = SampledRoughPath(g.times, g.levels, g.p)
             assert [x.shape for x in h.pairwise_levels] == [(31 * 30 // 2,)]
             assert_bitwise(norm_square(h), want)
             assert_bitwise(_powered_gauge(homogeneous_norms, h), norm_square(h) ** p)
@@ -803,10 +799,9 @@ def test_pair_geometry_keeps_only_the_packed_norms(n_steps):
 
 def test_rough_path_stores_only_level_stacks():
     g = signature(random_polyline(np.random.default_rng(33)), 3, p=3.0)
-    assert [f.name for f in fields(SampledRoughPath)] == ["times", "levels", "p", "grouplike"]
+    assert [f.name for f in fields(SampledRoughPath)] == ["times", "levels", "p"]
     assert [x.shape for x in g.levels] == [(7, 1), (7, 2), (7, 4), (7, 8)]
-    assert g.grouplike.dtype == bool and g.grouplike.all()
-    for arr in (g.times, g.grouplike) + g.levels:
+    for arr in (g.times,) + g.levels:
         assert not arr.flags.writeable
 
 
@@ -862,7 +857,7 @@ def test_each_lift_step_is_one_trusted_group_product():
     lie[1] = path.increments()
     segs = stack_exp(tuple(lie))
     for i in range(path.num_steps):
-        step = GroupElement._trusted(row(segs, i), True)
+        step = GroupElement._trusted(row(segs, i))
         got = (g.points[i] @ step).levels
         assert all(np.array_equal(x.view(np.uint64), y.view(np.uint64)) for x, y in zip(got, row(g.levels, i + 1), strict=True))
 
@@ -891,9 +886,9 @@ def test_signature_certifies_each_stack_once(monkeypatch):
     calls = []
     real = tensor_mod.certify_stack
 
-    def counting(t, rows=None, **kw):
-        calls.append(t[0].shape[0] if rows is None else int(np.sum(rows)))
-        return real(t, rows=rows, **kw)
+    def counting(t, **kw):
+        calls.append(t[0].shape[0])
+        return real(t, **kw)
 
     for module in (path_mod, tensor_mod):
         monkeypatch.setattr(module, "certify_stack", counting)
@@ -903,50 +898,55 @@ def test_signature_certifies_each_stack_once(monkeypatch):
 
 def _lift_stack(rng):
     g = signature(random_polyline(rng, n_pts=5), 2, p=2.0)
-    return g.times, [x.copy() for x in g.levels], g.grouplike.copy()
+    return g.times, [x.copy() for x in g.levels]
 
 
-def _scalar_not_one(times, levels, flags):
+def _scalar_not_one(times, levels):
     levels[0][2] = 1.0 + 1e-15
-    return times, levels, flags, "scalar part exactly 1"
+    return times, levels, "scalar part exactly 1"
 
 
-def _non_finite_entry(times, levels, flags):
+def _non_finite_entry(times, levels):
     levels[2][3, 1] = np.inf
-    return times, levels, flags, "non-finite"
+    return times, levels, "non-finite"
 
 
-def _length_mismatch(times, levels, flags):
-    return times[:-1], levels, flags, "times vs"
+def _length_mismatch(times, levels):
+    return times[:-1], levels, "times vs"
 
 
-def _perturbed_area(times, levels, flags):
+def _perturbed_area(times, levels):
     levels[2][3, 1] += 1e-3
-    return times, levels, flags, "level-2 shuffle relation"
+    return times, levels, "level-2 shuffle relation"
 
 
 @pytest.mark.parametrize(
     "corrupt", [_scalar_not_one, _non_finite_entry, _length_mismatch, _perturbed_area]
 )
 def test_rough_path_constructor_rejects(corrupt):
-    times, levels, flags, message = corrupt(*_lift_stack(np.random.default_rng(37)))
+    times, levels, message = corrupt(*_lift_stack(np.random.default_rng(37)))
     with pytest.raises(ValueError, match=message):
-        SampledRoughPath(times, tuple(levels), 2.0, flags)
+        SampledRoughPath(times, tuple(levels), 2.0)
 
 
-def test_unflagged_row_is_not_certified():
-    times, levels, flags = _lift_stack(np.random.default_rng(37))
+def test_no_row_is_exempt_from_the_certificate():
+    """A row off the group fails the path: no flag exempts it, and the
+    constructor takes no fourth, per-point argument."""
+    times, levels = _lift_stack(np.random.default_rng(37))
     levels[2][3, 1] += 1e-3
+    with pytest.raises(ValueError, match="level-2 shuffle relation"):
+        SampledRoughPath(times, tuple(levels), 2.0)
+    flags = np.ones(times.size, dtype=bool)
     flags[3] = False
-    g = SampledRoughPath(times, tuple(levels), 2.0, flags)
-    assert not g.points[3].grouplike and g.points[2].grouplike
+    with pytest.raises(TypeError):
+        SampledRoughPath(times, tuple(levels), 2.0, flags)
 
 
 @pytest.mark.parametrize("bad", [[0.0, np.nan, 2.0, 3.0], [0.0, 1.0, 2.0, np.inf]])
 def test_non_finite_rough_path_times_rejected(bad):
     g = signature(polyline(np.zeros((4, 2))), 2)
     with pytest.raises(ValueError, match="finite and strictly increasing"):
-        SampledRoughPath(np.array(bad), g.levels, 2.0, g.grouplike)
+        SampledRoughPath(np.array(bad), g.levels, 2.0)
 
 
 @pytest.mark.parametrize("p", [np.inf, np.nan, 0.5])
@@ -954,7 +954,7 @@ def test_rough_path_refuses_a_non_finite_or_small_p(p):
     # int(inf) would escape as an OverflowError, int(nan) as a conversion error
     g = signature(polyline(np.zeros((4, 2))), 2)
     with pytest.raises(ValueError, match="p must be finite and >= 1"):
-        SampledRoughPath(g.times, g.levels, p, g.grouplike)
+        SampledRoughPath(g.times, g.levels, p)
 
 
 def _loop(rng, radius, d=2, n_pts=20):
@@ -977,7 +977,6 @@ def test_loop_lifts_pass_the_certificate(seed, d, radius):
     g = signature(_loop(np.random.default_rng(seed), radius, d), 3)
     s_idx, t_idx = np.triu_indices(g.times.size, k=1)
     assert len(g.increment_levels(s_idx, t_idx)[2]) == s_idx.size
-    assert g.grouplike.all()
 
 
 def test_single_element_increments_of_a_large_loop_are_its_certified_rows():
@@ -1008,7 +1007,7 @@ def test_restriction_keeps_the_certified_rows_of_a_large_loop():
         n = g.num_steps
         h = g.restricted(n - 2, n)
         assert_bitwise(h.times, g.times[n - 2 :])
-        assert h.p == g.p and h.grouplike.all()
+        assert h.p == g.p
         for a, b in zip(h.levels, g.levels, strict=True):
             assert_bitwise(a, b[n - 2 :])
         s_idx, t_idx = np.triu_indices(3, k=1)
@@ -1025,15 +1024,13 @@ def test_planted_shuffle_defect_is_refused_after_an_excursion(row, defect):
     levels = [x.copy() for x in g.levels]
     levels[2][row, 0] += defect
     with pytest.raises(ValueError, match="level-2 shuffle relation"):
-        SampledRoughPath(g.times, tuple(levels), g.p, g.grouplike)
+        SampledRoughPath(g.times, tuple(levels), g.p)
 
 
 def assert_trusted_pair_products_pass_the_certificate(g):
     """Every `_row_blocks` rectangle's products at its pairs t > s, levels
-    1..L, pass `certify_stack` where both points are group-like, at the
-    larger of their running scales: the check `increment_levels` makes and
-    the rectangles trust.  Returns the last rectangle's products and that
-    scale, so a caller can widen the check."""
+    1..L, pass `certify_stack` at the larger of their points' running
+    scales: the check `increment_levels` makes and the rectangles trust."""
     scale = g._shuffle_scale
     for s0, s1 in g._row_blocks():
         s, t = np.broadcast_arrays(*np.ogrid[s0:s1, s0 + 1 : g.times.size])
@@ -1041,30 +1038,22 @@ def assert_trusted_pair_products_pass_the_certificate(g):
         s, t = s[pairs], t[pairs]
         stack = (np.ones((s.size, 1)),) + tuple(x[pairs] for x in g._rectangle_products(s0, s1, g.level)[1:])
         pair_scale = np.maximum(np.take(scale, s), np.take(scale, t))
-        rows = np.take(g.grouplike, s) & np.take(g.grouplike, t)
-        certify_stack(stack, rows=rows, scale=pair_scale)
-    return stack, pair_scale
+        certify_stack(stack, scale=pair_scale)
 
 
-@pytest.mark.parametrize("case", ["mixed", "loops", "signed-zero"])
+@pytest.mark.parametrize("case", ["loops", "signed-zero"])
 def test_trusted_pair_products_pass_the_certificate(case, monkeypatch):
     """The pair rectangles do not certify g_s^{-1} g_t, since both points
     were certified when the path was built.  On paths that
     stress that rule, each such product does pass the certificate."""
-    if case == "mixed":
-        paths = [mixed_certificate_path(np.random.default_rng(seed)) for seed in range(34, 44)]
-    elif case == "loops":
+    if case == "loops":
         paths = [signature(_loop(np.random.default_rng(seed), 1e3, d), 3) for seed in range(10) for d in (1, 2, 3)]
     else:
         paths = [signed_zero_path()]
     for size in (97, roughkit.path._BUILD_PAIRS):
         monkeypatch.setattr(roughkit.path, "_BUILD_PAIRS", size)
         for g in paths:
-            stack, pair_scale = assert_trusted_pair_products_pass_the_certificate(g)
-            if case == "mixed":
-                # the odd points lost their area, so their products fail unmasked
-                with pytest.raises(ValueError, match="group-like certificate failed"):
-                    certify_stack(stack, scale=pair_scale)
+            assert_trusted_pair_products_pass_the_certificate(g)
 
 
 def test_large_increment_passes_the_certificate():
@@ -1072,7 +1061,6 @@ def test_large_increment_passes_the_certificate():
     at x^3/6 ~ 1.7e5: the shuffle bound scales with 1 + ||x||^2, and no
     check holds a level to an absolute tolerance."""
     g = signature(polyline([[0.0, 0.0], [1e2, 0.0]]), 3)
-    assert g.grouplike.all()
     assert g.levels[3][-1, 0] == pytest.approx(1e6 / 6.0, rel=1e-15)
 
 
@@ -1090,8 +1078,7 @@ def test_scaled_walk_lifts_pass_the_certificate(seed, d, level, scale, dilation)
     rng = np.random.default_rng(seed)
     steps = scale * rng.uniform(0.2, 1.0, (12, d)) * rng.choice([-1.0, 1.0], d)
     values = np.vstack([np.zeros(d), np.cumsum(steps, axis=0)])
-    g = signature(polyline(values), level).dilate(dilation)
-    assert g.grouplike.all()
+    signature(polyline(values), level).dilate(dilation)
 
 
 @given(
@@ -1114,4 +1101,4 @@ def test_inverse_points_pass_the_certificate(seed, d, level, loop, size, dilatio
         steps = size * rng.uniform(0.2, 1.0, (12, d)) * rng.choice([-1.0, 1.0], d)
         path = polyline(np.vstack([np.zeros(d), np.cumsum(steps, axis=0)]))
     g = signature(path, level).dilate(dilation)
-    certify_stack(g._inverse_levels, rows=g.grouplike, scale=g._shuffle_scale)
+    certify_stack(g._inverse_levels, scale=g._shuffle_scale)

@@ -18,6 +18,7 @@ from roughkit.oneform import OneFormPath, integral_form_from_controlled
 from roughkit.rde import (
     RdeProblem,
     _product_form,
+    continuity_probe,
     difference_tower,
     driver_distance,
     fit_decay,
@@ -28,7 +29,7 @@ from roughkit.rde import (
     solve,
     uniqueness_probe,
 )
-from roughkit.tensor import DimensionMismatchError
+from roughkit.tensor import DimensionMismatchError, stack_exp, stack_product
 
 from conftest import (
     AREA_A1,
@@ -299,37 +300,76 @@ def test_looped_lifts_pass_the_certificate_with_the_loops_area(scale):
     is zero, so Chen's product adds nothing across them."""
     eps, path = 0.2, cubic_path(64)
     _, g = looped_lift(SampledPath(path.times, scale * path.values), scale**2 * eps)
-    assert g.grouplike.all()
     two = g.step_level_blocks[1]
     np.testing.assert_allclose(0.5 * (two[:, 1] - two[:, 2]), scale**2 * eps * np.diff(path.times), rtol=1e-9)
+
+
+def side_by_side(field):
+    """The field matrix of independent copies of dy = f(y) dx, for y their
+    states end to end: block-diagonal in each copy's f(y), so one RK4 run
+    integrates them all."""
+    m, d = field.out_shape
+
+    def matrix(y):
+        f = field.apply(y.reshape(-1, m)).reshape(-1, m, d)
+        k = np.arange(f.shape[0])
+        out = np.zeros((k.size, m, k.size, d))
+        out[k, :, k] = f
+        return out.reshape(k.size * m, k.size * d)
+
+    return matrix
 
 
 def test_rough_driver_solves_match_rk4_on_the_looped_polyline():
     """On drivers whose steps carry area eps * dt that their level 1 does
     not explain, the coarse solve converges to RK4 on the fine polyline.
-    Both polylines of a grid share its fine times, so one RK4 run takes the
-    two systems side by side.  Measured max gaps at N = 32 / 64 / 128:
-    eps = 0: 6.9e-7 / 8.6e-8 / 1.1e-8, order 3.00; eps = 0.2: 6.8e-5 /
+    The polylines of a grid share its fine times, so one RK4 run takes the
+    systems side by side.  Measured max gaps at N = 32 / 64 / 128:
+    eps = 0: 6.9e-7 / 8.6e-8 / 1.1e-8, order 3.00; eps = 0.05: 5.8e-6 /
+    2.4e-6 / 1.1e-6, order 1.22, while the loops move the solution by
+    7.15-7.21e-3, so the gap is 0.015-0.08% of that; eps = 0.2: 6.8e-5 /
     3.1e-5 / 1.4e-5, order 1.15, while the loops move the solution by
     2.85-2.87e-2, so the gap is 0.05-0.24% of that."""
     field, xi, grids = cubic_field(), np.array([0.5, -0.25]), (32, 64, 128)
-
-    def side_by_side(y):
-        f = field.apply(y.reshape(2, 2)).reshape(2, 2, 2)
-        return np.block([[f[0], np.zeros((2, 2))], [np.zeros((2, 2)), f[1]]])
-
-    gaps = {0.0: [], 0.2: []}
+    gaps = {0.0: [], 0.05: [], 0.2: []}
     for n in grids:
-        (plain, plain_lift), (loops, loops_lift) = (looped_lift(cubic_path(n), eps) for eps in gaps)
-        both = rk4_polyline(side_by_side, np.tile(xi, 2), plain.times, np.hstack([plain.values, loops.values]), 2)
-        want = both[::5, :2], both[::5, 2:]
-        for (eps, gap), lift, ref in zip(gaps.items(), (plain_lift, loops_lift), want):
+        fines, lifts = zip(*(looped_lift(cubic_path(n), eps) for eps in gaps))
+        runs = rk4_polyline(side_by_side(field), np.tile(xi, len(gaps)), fines[0].times, np.hstack([f.values for f in fines]), 2)
+        want = np.split(runs[::5], len(gaps), axis=1)
+        for (eps, gap), lift, ref in zip(gaps.items(), lifts, want):
             sol = solve(RdeProblem(lift, field, xi=xi))
             assert sol.converged and sol.certificate.ok
             gap.append(np.max(np.abs(sol.positions - ref)))
-        assert gaps[0.2][-1] < 0.01 * np.max(np.abs(want[1] - want[0]))
+            if eps:
+                assert gap[-1] < 0.01 * np.max(np.abs(ref - want[0]))
     order = {eps: -np.polyfit(np.log(grids), np.log(gap), 1)[0] for eps, gap in gaps.items()}
-    assert order[0.0] >= 2.5 and order[0.2] >= 0.9
+    assert order[0.0] >= 2.5 and order[0.05] >= 0.9 and order[0.2] >= 0.9
+
+
+def test_rough_walk_solves_match_rk4_on_the_looped_polyline():
+    """The same oracle on a (d=3, L=4) driver, a random walk of 8 steps
+    resampled to N = 16 / 32 / 64 grid steps, with loops of area 0.2 dt in
+    its first two coordinates and a degree-2 field on a 2-d state.
+    Measured on walks and fields drawn from seeds 0, 1 and 2: max gaps
+    4.6e-5 / 9.4e-6 / 2.3e-6, 1.2e-4 / 2.6e-5 / 6.2e-6 and 2.6e-4 /
+    5.9e-5 / 1.4e-5, orders 2.17, 2.16 and 2.11; the loops move the
+    solution by 1.3e-2 to 1.0e-1, so the gap is 0.006-0.85% of that."""
+    rng = np.random.default_rng(0)
+    knots = np.vstack([np.zeros(3), np.cumsum(0.4 * rng.standard_normal((8, 3)), axis=0)])
+    coeffs = (0.4 * rng.standard_normal((2, 3)), 0.3 * rng.standard_normal((2, 3, 2)), 0.1 * rng.standard_normal((2, 3, 2, 2)))
+    field, xi, grids = LipFunction(PolyMap(2, (2, 3), coeffs), gamma=5.0), 0.5 * rng.standard_normal(2), (16, 32, 64)
+    gaps = []
+    for n in grids:
+        t = np.linspace(0.0, 1.0, n + 1)
+        walk = SampledPath(t, np.stack([np.interp(t, np.linspace(0.0, 1.0, 9), k) for k in knots.T], axis=1))
+        (plain, _), (loops, lift) = (looped_lift(walk, eps, level=4) for eps in (0.0, 0.2))
+        runs = rk4_polyline(side_by_side(field), np.tile(xi, 2), plain.times, np.hstack([plain.values, loops.values]), 2)
+        want = runs[::5, :2], runs[::5, 2:]
+        sol = solve(RdeProblem(lift, field, xi=xi))
+        assert sol.converged and sol.certificate.ok
+        gaps.append(np.max(np.abs(sol.positions - want[1])))
+        assert gaps[-1] < 0.01 * np.max(np.abs(want[1] - want[0]))
+    assert -np.polyfit(np.log(grids), np.log(gaps), 1)[0] >= 1.8
 
 
 def test_fixed_point_residual_within_budget(
@@ -939,6 +979,50 @@ def test_continuity_response_scales_linearly(continuity_report):
     assert all(a < b for a, b in zip(disps, disps[1:]))
     assert continuity_report.monotone
     assert 0.9 <= continuity_report.fitted_order <= 1.1
+
+
+def chen_looped_driver(path: SampledPath, eps: float, loops: int, level: int = 3) -> SampledRoughPath:
+    """`looped_lift`'s coarse path with `loops` square loops, a power of two,
+    each of area eps * dt / loops, at the end of every step.  By Chen's
+    identity step i is exp(dx_i) times the loops' signature, the unit
+    square loop's power dilated by sqrt(eps * dt_i / loops), so no fine
+    polyline is lifted and many loops cost no more than one."""
+    square = np.zeros((5, path.dim))
+    square[1:4, :2] = [[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+    power = tuple(x[-1:] for x in signature(SampledPath(np.arange(5.0), square), level).levels)
+    for _ in range(loops.bit_length() - 1):
+        power = stack_product(power, power)
+    side = np.sqrt(eps * np.diff(path.times) / loops)[:, None]
+    lie = [np.zeros((path.num_steps, path.dim**k)) for k in range(level + 1)]
+    lie[1] = path.increments()
+    steps = stack_product(stack_exp(tuple(lie)), dilated(power, side))
+    points = [tuple(np.zeros((1, path.dim**k)) for k in range(level + 1))]
+    points[0][0][0, 0] = 1.0
+    for i in range(path.num_steps):
+        points.append(stack_product(points[-1], tuple(x[i : i + 1] for x in steps)))
+    return SampledRoughPath(path.times, tuple(np.concatenate(x) for x in zip(*points)), float(level))
+
+
+def test_level_three_only_perturbations_move_the_solution_in_proportion():
+    """Drivers with K = 1, 4, 16 loops per step against K = 256 agree at
+    levels 1 and 2 and differ at level 3 by 1.05e-2 / 4.9e-3 / 2.1e-3, so
+    only the level the paper's rough paths add is perturbed.  The solution
+    moves by 0.0212 times `driver_distance` at every K, fitted order 1.0004
+    (measured 0.0205-0.0215 and 1.0000-1.0006 at N = 32, 64, 128 with
+    eps = 0.2 and at N = 64 with eps = 0.05).  At K = 1 the driver is
+    `looped_lift`'s, up to rounding."""
+    path, eps = cubic_path(64), 0.2
+    drivers = {k: chen_looped_driver(path, eps, k) for k in (1, 4, 16, 256)}
+    for a, b in zip(drivers[1].levels, looped_lift(path, eps)[1].levels, strict=True):
+        np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-15)
+    ref = drivers.pop(256)
+    for g in drivers.values():
+        assert all(np.array_equal(a, b) for a, b in zip(g.levels[:3], ref.levels[:3]))
+    report = continuity_probe(RdeProblem(ref, cubic_field(), xi=np.array([0.5, -0.25])), list(drivers.values()))
+    ratios = [disp / dist for dist, disp in report.rows]
+    assert all(disp > 0.0 for _, disp in report.rows)
+    assert 0.018 <= min(ratios) and max(ratios) <= 0.025 and max(ratios) <= 1.01 * min(ratios)
+    assert report.monotone and 0.95 <= report.fitted_order <= 1.05
 
 
 def test_time_change_leaves_solution_unchanged(probe_solutions):
