@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,7 +168,8 @@ class SineField(SmoothMap):
         if freq.shape[:-1] != amp.shape or phase.shape != amp.shape:
             raise DimensionMismatchError("amp, freq, phase shapes inconsistent")
         for name, arr in (("amp", amp), ("freq", freq), ("phase", phase)):
-            arr = np.ascontiguousarray(arr)
+            # a copy keeps a scalar amp 0-d and leaves the caller's array writeable
+            arr = np.array(arr, order="C")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -190,17 +190,12 @@ class SineField(SmoothMap):
             # no shift: -0.0 + 0.0 would lose a zero angle's sign
             return self.amp * np.sin(angles)
         core = self.amp * np.sin(angles + order * np.pi / 2.0)
-        out_letters = string.ascii_lowercase[: len(self.out_shape)]
-        in_letters = string.ascii_lowercase[
-            len(self.out_shape) : len(self.out_shape) + order
-        ]
-        parts = ["n" + out_letters]
-        ops: list[np.ndarray] = [core]
-        for q in range(order):
-            parts.append(out_letters + in_letters[q])
-            ops.append(self.freq)
-        spec = ",".join(parts) + "->n" + out_letters + in_letters
-        return np.einsum(spec, *ops)
+        # label 0 is the batch, then the output axes, then one per input slot
+        outs, ins = range(1, core.ndim), range(core.ndim, core.ndim + order)
+        ops = [core, [0, *outs]]
+        for q in ins:
+            ops += [self.freq, [*outs, q]]
+        return np.einsum(*ops, [0, *outs, *ins])
 
     def scaled(self, c: float) -> "SineField":
         return SineField(c * self.amp, self.freq, self.phase)

@@ -147,19 +147,12 @@ def _taylor_levels(
         acc = np.zeros((n, w, d**k))
         for l in range(1, min(k, n_deriv) + 1):
             for parts in compositions(k, l):
-                term = derivs[l]
-                # contract derivative slot i with level k_i of rho's form
-                in_letters = "abcde"[:l]
-                out_letters = "ABCDE"[:l]
-                spec = (
-                    "nw" + in_letters
-                    + ","
-                    + ",".join(f"n{a}{A}" for a, A in zip(in_letters, out_letters))
-                    + "->nw"
-                    + out_letters
-                )
-                blocks = [rho_form.levels[ki - 1] for ki in parts]
-                contracted = np.einsum(spec, term, *blocks).reshape(n, w, d**k)
+                # contract derivative slot i (axis 2 + i) with level k_i of
+                # rho's form, whose letters take axis 2 + l + i
+                ops = [derivs[l], [0, 1, *range(2, 2 + l)]]
+                for i, ki in enumerate(parts):
+                    ops += [rho_form.levels[ki - 1], [0, 2 + i, 2 + l + i]]
+                contracted = np.einsum(*ops, [0, 1, *range(2 + l, 2 + 2 * l)]).reshape(n, w, d**k)
                 acc += contracted @ split_matrix(d, parts) / math.factorial(l)
         levels.append(acc)
     return tuple(levels)

@@ -446,8 +446,12 @@ class OneFormPath:
         )
 
     def __sub__(self, other: "OneFormPath") -> "OneFormPath":
-        # a + (-b) is a - b exactly in IEEE arithmetic
-        return self + -other
+        self._check_mate(other)
+        return OneFormPath(
+            self.base,
+            self.out_dim,
+            tuple(a - b for a, b in zip(self.levels, other.levels)),
+        )
 
     def __mul__(self, c: float) -> "OneFormPath":
         return OneFormPath(
@@ -482,21 +486,8 @@ class OneFormPath:
 
     @cached_property
     def level_sups(self) -> tuple[float, ...]:
-        """Per level k, sup_t of the largest singular value of A_t^(k).
-
-        Bitwise the maximum of `batched_spectral_norms` over the level's
-        rows, which takes it only on the rows whose upper `_sigma_bounds`
-        bound reaches the largest lower bound, and on one of them where
-        they are bitwise equal, as the rows of a constant form are."""
-        sups = []
-        for block in self.levels:
-            lo, hi = _sigma_bounds(block)
-            block = block[hi >= np.max(lo)]
-            bits = block.reshape(len(block), -1).view(np.uint64)
-            if np.all(bits == bits[0]):
-                block = block[:1]
-            sups.append(float(np.max(batched_spectral_norms(block))))
-        return tuple(sups)
+        """Per level k, sup_t of the largest singular value of A_t^(k)."""
+        return tuple(float(np.max(batched_spectral_norms(b))) for b in self.levels)
 
     @property
     def sup_norm(self) -> float:

@@ -119,10 +119,12 @@ def signature(path: SampledPath, level: int, p: float | None = None) -> "Sampled
     steps = path.increments()
     lie = [np.zeros((steps.shape[0], path.dim**k)) for k in range(level + 1)]
     lie[1] = steps
-    segs = stack_exp(tuple(lie))
-    points = [GroupElement.unit(path.dim, level)]
-    for seg in _element_views(segs):
-        points.append(points[-1] @ seg)
+    # a level that overflows is refused as non-finite by the product
+    with np.errstate(over="ignore", invalid="ignore"):
+        segs = stack_exp(tuple(lie))
+        points = [GroupElement.unit(path.dim, level)]
+        for seg in _element_views(segs):
+            points.append(points[-1] @ seg)
     levels = tuple(np.stack([g.level_block(k) for g in points]) for k in range(level + 1))
     return SampledRoughPath(path.times, levels, p)
 
@@ -189,7 +191,8 @@ class SampledRoughPath:
             raise ValueError("group elements must have scalar part exactly 1")
         if not np.all(np.isfinite(times)) or np.any(np.diff(times) <= 0):
             raise ValueError("times must be finite and strictly increasing")
-        scale = np.maximum.accumulate(1.0 + np.linalg.norm(levels[1], axis=1) ** 2)
+        with np.errstate(over="ignore"):
+            scale = np.maximum.accumulate(1.0 + np.linalg.norm(levels[1], axis=1) ** 2)
         certify_stack(levels, scale=scale)
         _read_only((times, scale) + levels)
         object.__setattr__(self, "_shuffle_scale", scale)

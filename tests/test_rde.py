@@ -372,6 +372,31 @@ def test_rough_walk_solves_match_rk4_on_the_looped_polyline():
     assert -np.polyfit(np.log(grids), np.log(gaps), 1)[0] >= 1.8
 
 
+def test_level_two_solves_match_rk4_on_the_looped_polyline():
+    """The cubic oracle at L = 2 with p = 2.5: the driver keeps the loops'
+    area and drops level 3, and the solve reads one derivative level.
+    Measured max gaps at N = 32 / 64 / 128 / 256 (p = 2.9 gives the same
+    positions): eps = 0: 4.2e-5 / 1.0e-5 / 2.6e-6 / 6.4e-7, order 2.00;
+    eps = 0.05: 1.7e-4 / 1.0e-4 / 5.9e-5 / 3.4e-5, order 0.77 on the first
+    three grids and 0.80 on the last three; eps = 0.2: 9.2e-4 / 5.3e-4 /
+    3.1e-4 / 2.0e-4, orders 0.79 and 0.70.  The loops move the solution by
+    7.1-7.2e-3 and 2.8-2.9e-2, so the gap is 0.5-3.2% of that."""
+    field, xi, grids = cubic_field(), np.array([0.5, -0.25]), (32, 64, 128)
+    gaps = {0.0: [], 0.05: [], 0.2: []}
+    for n in grids:
+        fines, lifts = zip(*(looped_lift(cubic_path(n), eps, level=2) for eps in gaps))
+        runs = rk4_polyline(side_by_side(field), np.tile(xi, len(gaps)), fines[0].times, np.hstack([f.values for f in fines]), 2)
+        want = np.split(runs[::5], len(gaps), axis=1)
+        for (eps, gap), lift, ref in zip(gaps.items(), lifts, want):
+            sol = solve(RdeProblem(SampledRoughPath(lift.times, lift.levels, 2.5), field, xi=xi))
+            assert sol.converged and sol.certificate.ok
+            gap.append(np.max(np.abs(sol.positions - ref)))
+            if eps:
+                assert gap[-1] < 0.05 * np.max(np.abs(ref - want[0]))
+    order = {eps: -np.polyfit(np.log(grids), np.log(gap), 1)[0] for eps, gap in gaps.items()}
+    assert order[0.0] >= 1.8 and order[0.05] >= 0.6 and order[0.2] >= 0.6
+
+
 def test_fixed_point_residual_within_budget(
     exp_solutions, cubic_solutions, area_solution
 ):
@@ -426,10 +451,20 @@ def test_unconverged_report_when_budget_too_small():
 
 
 def test_norm_cap_triggers_rescaling_hint():
-    sol = solve(exp_problem(64, n_max=10, norm_cap=1e-12))
+    """dy = 0.7 y^2 dx blows up along this walk (the CLI test's, at seed 3):
+    the distance passes the cap of 1e8 at the eighth iteration, which halts
+    the solve with a hint to rescale.  The cap is no problem field."""
+    rng = np.random.default_rng(3)
+    x = np.concatenate([[0.0], np.cumsum(0.5 * rng.standard_normal(32))])
+    driver = signature(SampledPath(np.linspace(0.0, 1.0, 33), x[:, None]), 3, p=3.0)
+    square = PolyMap(1, (1, 1), (np.zeros((1, 1)), np.zeros((1, 1, 1)), np.full((1, 1, 1, 1), 0.7)))
+    sol = solve(RdeProblem(driver, LipFunction(square, gamma=4.0), xi=np.array([1.0])))
     assert not sol.converged
-    assert "rescal" in sol.message
-    assert len(sol.report.deltas) >= 1
+    assert sol.message.startswith("iteration exceeded the norm cap 1e+08; consider rescaling")
+    assert len(sol.report.deltas) == 8
+    assert sol.report.deltas[-2] <= 1e8 < sol.report.deltas[-1]
+    with pytest.raises(TypeError, match="norm_cap"):
+        exp_problem(8, norm_cap=1e8)
 
 
 def test_rising_distances_double_the_dilation_scale():
@@ -730,8 +765,6 @@ def test_tower_seeds_are_bitwise_the_permuted_divided_field(make, monkeypatch):
         {"tol": math.inf},
         {"tol": 0.0},
         {"n_max": -1},
-        {"norm_cap": 0.0},
-        {"norm_cap": math.nan},
     ],
     ids=repr,
 )
@@ -1022,6 +1055,39 @@ def test_level_three_only_perturbations_move_the_solution_in_proportion():
     ratios = [disp / dist for dist, disp in report.rows]
     assert all(disp > 0.0 for _, disp in report.rows)
     assert 0.018 <= min(ratios) and max(ratios) <= 0.025 and max(ratios) <= 1.01 * min(ratios)
+    assert report.monotone and 0.95 <= report.fitted_order <= 1.05
+
+
+def area_perturbed(g: SampledRoughPath, eps: float) -> SampledRoughPath:
+    """g_t (x) exp(eps t [e1, e2]): level 1 is g's, and each increment
+    g_{s,t} gains eps (t - s) of area, conjugated by exp(eps s [e1, e2])."""
+    lie = [np.zeros((g.times.size, g.dim**k)) for k in range(g.level + 1)]
+    bracket = np.zeros((g.dim, g.dim))
+    bracket[0, 1], bracket[1, 0] = 1.0, -1.0
+    lie[2] = eps * g.times[:, None] * bracket.reshape(1, -1)
+    return SampledRoughPath(g.times, stack_product(g.levels, stack_exp(tuple(lie))), g.p)
+
+
+@pytest.mark.parametrize(
+    "family, band, spread",
+    [(area_perturbed, (0.06, 0.075), 1.02), (lambda g, eps: g.dilate(1.0 + eps), (0.24, 0.28), 1.05)],
+    ids=["area", "dilation"],
+)
+def test_area_and_dilation_perturbations_move_the_solution_in_proportion(family, band, spread):
+    """On the cubic driver at N = 64, eps = 1e-1, 1e-2, 1e-3.  The area
+    family leaves level 1 alone; the solution moves by 0.0670-0.0675 times
+    `driver_distance`, fitted order 0.998.  Dilation by 1 + eps: 0.2527-
+    0.2600, order 0.994.  Measured at N = 32, 64, 128 and over eps from
+    1e-1 to 1e-4: area 0.0668-0.0679, orders 0.998-1.000; dilation
+    0.2523-0.2601, orders 0.994-0.999."""
+    problem = cubic_problem(64)
+    drivers = [family(problem.driver, eps) for eps in (1e-1, 1e-2, 1e-3)]
+    if family is area_perturbed:
+        assert all(np.array_equal(g.levels[1], problem.driver.levels[1]) for g in drivers)
+    report = continuity_probe(problem, drivers)
+    ratios = [disp / dist for dist, disp in report.rows]
+    assert all(disp > 0.0 for _, disp in report.rows)
+    assert band[0] <= min(ratios) and max(ratios) <= band[1] and max(ratios) <= spread * min(ratios)
     assert report.monotone and 0.95 <= report.fitted_order <= 1.05
 
 
