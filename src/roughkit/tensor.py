@@ -292,14 +292,6 @@ class GroupElement:
 
 
 @lru_cache(maxsize=None)
-def _split_patterns(parts: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    labels = []
-    for i, k in enumerate(parts):
-        labels.extend([i] * k)
-    return tuple(sorted(set(itertools.permutations(labels))))
-
-
-@lru_cache(maxsize=None)
 def split_matrix(dim: int, parts: tuple[int, ...]) -> np.ndarray:
     """Matrix of the level-splitting map for the given composition.
 
@@ -309,33 +301,38 @@ def split_matrix(dim: int, parts: tuple[int, ...]) -> np.ndarray:
     of the lower-degree blocks.  Concretely the (I_1,...,I_l) output entry
     sums the input over all interleavings of the part words, i.e. the map is
     adjoint to the shuffle product of coordinate functionals.
+
+    The merged word's last letter ends some part i, so the map is the sum
+    over i of the map with part i one letter shorter (an emptied part
+    dropped) tensored with the identity, that letter's output axis moved to
+    the end of part i; at K = 1 it is the identity.  The entries are integer
+    counts, so no sum rounds, and no interleaving is listed.
     """
     parts = tuple(int(k) for k in parts)
     if not parts or any(k < 1 for k in parts):
         raise ValueError(f"parts must be positive integers, got {parts}")
     K = sum(parts)
-    n = dim**K
-    indices = np.arange(n).reshape((dim,) * K)
-    out = np.zeros((n, n))
-    for pattern in _split_patterns(parts):
-        # positions of each part's letters, in part order then slot order
-        axes: list[int] = []
-        for i in range(len(parts)):
-            axes.extend(p for p, lab in enumerate(pattern) if lab == i)
-        src = indices.transpose(axes).reshape(-1)
-        out[np.arange(n), src] += 1.0
+    if K == 1:
+        out = np.eye(dim)
+    else:
+        n = dim**K
+        out = np.zeros((n, n))
+        for i, head in enumerate(itertools.accumulate(parts)):
+            shorter = tuple(k for k in parts[:i] + (parts[i] - 1,) + parts[i + 1 :] if k)
+            grown = np.kron(split_matrix(dim, shorter), np.eye(dim))
+            # kron's rows end in the last letter: move it after the head - 1 letters of parts 0..i
+            out += grown.reshape(dim ** (head - 1), dim ** (K - head), dim, n).transpose(0, 2, 1, 3).reshape(n, n)
     out.flags.writeable = False
     return out
 
 
 def compositions(total: int, length: int) -> list[tuple[int, ...]]:
-    """All ordered tuples of `length` positive integers summing to `total`."""
+    """All ordered tuples of `length` positive integers summing to `total`,
+    in lexicographic order: the gaps between 0, length - 1 cut points in
+    1..total-1, and total."""
     if length < 1 or total < length:
         return []
-    if length == 1:
-        return [(total,)]
-    out = []
-    for first in range(1, total - length + 2):
-        for rest in compositions(total - first, length - 1):
-            out.append((first, *rest))
-    return out
+    return [
+        tuple(b - a for a, b in zip((0, *cuts), (*cuts, total)))
+        for cuts in itertools.combinations(range(1, total), length - 1)
+    ]

@@ -14,7 +14,8 @@ the base's inverse stack and a closed lift's coefficient builder and pairing
 kernel; `difference_matrices_einsum` reads a
 one-form path's arrays and its base's `increment_levels`,
 `product_form_two_branch` reads the forms' arrays and roughkit's
-`split_matrix`, `permuted_divided_seed` reads a form's level blocks, and
+`split_matrix` (whose reference is `split_matrix_permutations`),
+`permuted_divided_seed` reads a form's level blocks, and
 `pairwise_norm_table`, `controlled_residuals_whole_gather` and
 `driver_distance_whole_gather` read paths' `increment_levels` over every
 pair at once.  None reads the pair geometry (`pairwise_levels`, the
@@ -22,6 +23,7 @@ pair at once.  None reads the pair geometry (`pairwise_levels`, the
 the package itself never names that order.
 """
 
+import functools
 import itertools
 import math
 
@@ -425,6 +427,49 @@ def product_form_two_branch(H_values, H_form, E_values, E_form):
             acc += cross.reshape(n, w * d, d**k) @ split_matrix(d, (k1, k2))
         levels.append(acc)
     return phi, tuple(levels)
+
+
+@functools.lru_cache(maxsize=None)
+def permutation_table(K):
+    """All K! permutations of range(K), one row each, in lexicographic order."""
+    return np.array(list(itertools.permutations(range(K))), dtype=np.int64).reshape(-1, K)
+
+
+def split_matrix_permutations(dim, parts):
+    """Level-splitting matrix by scanning every arrangement of the part labels.
+
+    The K! permutations of the labels, de-duplicated (keep K <= 9), are
+    the interleavings.  Each one's positions, read part by part (a stable
+    sort of its labels), place the output word's letters in the merged
+    word, and the (output, merged) entry counts one.
+    """
+    labels = np.repeat(np.arange(len(parts)), parts)
+    K = labels.size
+    # a label sequence as one base-K integer, so np.unique de-duplicates rows
+    codes = labels[permutation_table(K)] @ K ** np.arange(K - 1, -1, -1)
+    _, first = np.unique(codes, return_index=True)
+    patterns = labels[permutation_table(K)[first]]
+    n = dim**K
+    # output word r's letters, then r * n: one product gives each entry's flat index
+    rows = np.vstack([np.indices((dim,) * K).reshape(K, n), np.arange(n) * n]).astype(float)
+    weights = np.hstack([dim ** (K - 1 - np.argsort(patterns, axis=1, kind="stable")), np.ones((len(patterns), 1))])
+    # integer dot products below 2**53, so the float product is exact
+    flat = (weights @ rows).astype(np.int64).reshape(-1)
+    return np.bincount(flat, minlength=n * n).reshape(n, n).astype(float)
+
+
+def compositions_recursive(total, length):
+    """Compositions of `total` into `length` positive parts, by recursion on
+    the first part."""
+    if length < 1 or total < length:
+        return []
+    if length == 1:
+        return [(total,)]
+    return [
+        (first, *rest)
+        for first in range(1, total - length + 2)
+        for rest in compositions_recursive(total - first, length - 1)
+    ]
 
 
 def permuted_divided_seed(hv, ht_levels):

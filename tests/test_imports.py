@@ -298,3 +298,16 @@ def test_every_point_of_a_rough_path_is_certified():
 
     assert tuple(f.name for f in fields(SampledRoughPath)) == ("times", "levels", "p")
     assert tuple(signature(certify_stack).parameters) == ("t", "scale")
+
+
+def test_the_split_map_lists_no_permutations():
+    """`split_matrix` is built by recursion on the merged word's last letter,
+    not by a scan over the K! arrangements of its part labels: `tensor.py`
+    names no `permutations` and no `_split_patterns`.  The scan lives in the
+    tests' oracles as the reference."""
+    tensor = next(source for source in SOURCES if source.name == "tensor.py")
+    tree = ast.parse(tensor.read_text(), filename=str(tensor))
+    names = referenced_names(tree)
+    for name in defined_names(tree):
+        names[name] += 1
+    assert not names["permutations"] and not names["_split_patterns"]
